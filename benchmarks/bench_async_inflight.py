@@ -4,7 +4,7 @@ The async engine keeps up to ``max_in_flight`` iteration applies
 outstanding on a background worker while the trainer proceeds with the
 next forward/backward.  This benchmark sweeps the in-flight depth for
 the strict (bitwise-serial) and bounded-staleness policies, reports
-throughput against the serial ``LazyDPTrainer`` reference, verifies the
+throughput against the serial plan, verifies the
 strict runs release bitwise-identical parameters, and runs the
 noise-ledger audit on every async run (noise applied exactly once per
 row regardless of interleaving).
@@ -34,10 +34,9 @@ import numpy as np
 
 import _jsonreport
 from repro import configs
-from repro.async_ import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
 from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset
-from repro.lazydp import LazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 IN_FLIGHT_DEPTHS = (1, 2, 4)
@@ -53,6 +52,20 @@ def _injected_slowdown_seconds() -> float:
     return float(os.environ.get("BENCH_ASYNC_INJECT_MS", "0")) / 1e3
 
 
+def variant_plan(variant, max_in_flight=2, staleness="strict",
+                 num_shards=2) -> ExecutionPlan:
+    """The ExecutionPlan of one sweep variant."""
+    engine = f"async={staleness},inflight={max_in_flight}"
+    specs = {
+        "serial": "",
+        "async": engine,
+        "async_sharded": f"shards={num_shards},{engine},backend=threads",
+    }
+    if variant not in specs:
+        raise ValueError(f"unknown variant: {variant}")
+    return ExecutionPlan.from_spec(specs[variant])
+
+
 def _train(config, *, variant="serial", max_in_flight=2, staleness="strict",
            num_shards=2, batch=64, iterations=6, seed=11):
     """Train one variant; returns (model, trainer, wall_seconds)."""
@@ -64,21 +77,11 @@ def _train(config, *, variant="serial", max_in_flight=2, staleness="strict",
     dataset = SyntheticClickDataset(config, seed=seed + 1)
     loader = DataLoader(dataset, batch_size=batch, num_batches=iterations,
                         seed=seed + 2)
-    if variant == "serial":
-        trainer = LazyDPTrainer(model, DPConfig(), noise_seed=seed + 3)
-    elif variant == "async":
-        trainer = AsyncLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3,
-            max_in_flight=max_in_flight, staleness=staleness,
-        )
-    elif variant == "async_sharded":
-        trainer = AsyncShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3,
-            max_in_flight=max_in_flight, staleness=staleness,
-            num_shards=num_shards, executor="threads",
-        )
-    else:
-        raise ValueError(f"unknown variant: {variant}")
+    trainer = TrainSession.build(
+        model, DPConfig(),
+        variant_plan(variant, max_in_flight, staleness, num_shards),
+        noise_seed=seed + 3,
+    ).trainer
     slowdown = 0.0 if variant == "serial" else _injected_slowdown_seconds()
     if slowdown > 0.0:
         original_step = trainer.train_step
@@ -94,8 +97,7 @@ def _train(config, *, variant="serial", max_in_flight=2, staleness="strict",
     elapsed = time.perf_counter() - start
     _last_metrics.clear()
     _last_metrics.update(obs.metrics.snapshot())
-    if variant != "serial":
-        trainer.close()
+    trainer.close()
     return model, trainer, elapsed
 
 
@@ -189,25 +191,14 @@ def run_report(smoke: bool = False) -> int:
           "every ledger audit exact")
     # Variants are named by their canonical ExecutionPlan spec, so the
     # JSON artifact identifies runs the way the session API does.
-    from repro.configs import AsyncConfig, ShardConfig
-    from repro.session import ExecutionPlan
-
-    def async_plan(max_in_flight, staleness, shards=None):
-        return ExecutionPlan(
-            async_=AsyncConfig(enabled=True, max_in_flight=max_in_flight,
-                               staleness=staleness),
-            shards=shards,
-        ).canonical()
-
-    plans = {"serial": ExecutionPlan().canonical()}
+    plans = {"serial": variant_plan("serial").canonical()}
     for depth in depths:
         plans[f"throughput_ratio_async_inflight{depth}"] = \
-            async_plan(depth, "strict")
+            variant_plan("async", depth).canonical()
     plans[f"throughput_ratio_async_inflight{max(depths)}_bounded"] = \
-        async_plan(max(depths), "bounded:2")
-    plans["throughput_ratio_async_sharded_inflight2"] = async_plan(
-        2, "strict", shards=ShardConfig(num_shards=2, executor="threads"),
-    )
+        variant_plan("async", max(depths), "bounded:2").canonical()
+    plans["throughput_ratio_async_sharded_inflight2"] = \
+        variant_plan("async_sharded", 2).canonical()
     return _jsonreport.gate(
         "async_inflight", metrics,
         meta={"rows": rows, "iterations": iterations, "plans": plans,

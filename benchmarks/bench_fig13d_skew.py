@@ -9,7 +9,7 @@ skew (smaller unique-row footprint).
 
 from repro import configs
 from repro.bench.experiments import figure13d
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset, paper_skew_spec
 from repro.nn import DLRM
 from repro.train import DPConfig
@@ -32,7 +32,7 @@ def _skewed_step(level, rows=12000, batch=256):
     model = DLRM(config, seed=3)
     dataset = SyntheticClickDataset(config, seed=4, skew=skew)
     loader = DataLoader(dataset, batch_size=batch, num_batches=4, seed=5)
-    trainer = trainer_for("lazydp", model, DPConfig(), noise_seed=6)
+    trainer = make_trainer("lazydp", model, DPConfig(), noise_seed=6)
     trainer.expected_batch_size = batch
     batches = [loader.batch_for(i) for i in range(4)]
     state = {"iteration": 0}

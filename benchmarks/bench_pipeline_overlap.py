@@ -1,8 +1,9 @@
 """Pipeline-overlap benchmark: hidden vs exposed noise catch-up time.
 
 The serial LazyDP trainer pays the full catch-up (dedup + history read/
-update + ANS draw) on the critical path every iteration.  The pipelined
-trainer moves that work onto a background prefetch worker; what remains
+update + ANS draw) on the critical path every iteration.  A plan with
+the ``pipeline`` axis moves that work onto a background prefetch worker;
+what remains
 on the critical path is only ``pipeline_wait`` — the time the trainer
 blocked because the worker had not finished.  This benchmark measures
 both, reports how much of the background compute was *hidden* behind
@@ -28,8 +29,7 @@ import numpy as np
 from repro import configs
 from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset
-from repro.lazydp import LazyDPTrainer
-from repro.pipeline import PipelinedLazyDPTrainer, PipelinedShardedLazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 PREFETCH_DEPTHS = (1, 2, 4)
@@ -45,6 +45,19 @@ CATCHUP_STAGES = ("lazydp_dedup", "lazydp_history_read",
 _last_metrics: dict = {}
 
 
+def variant_plan(variant, depth=2, num_shards=2) -> ExecutionPlan:
+    """The ExecutionPlan of one sweep variant."""
+    specs = {
+        "serial": "",
+        "pipelined": f"pipeline={depth}",
+        "pipelined_sharded":
+            f"shards={num_shards},pipeline={depth},backend=threads",
+    }
+    if variant not in specs:
+        raise ValueError(f"unknown variant: {variant}")
+    return ExecutionPlan.from_spec(specs[variant])
+
+
 def _train(config, *, variant="serial", depth=2, num_shards=2, batch=64,
            iterations=6, seed=11):
     """Train one variant; returns (model, trainer, wall_seconds)."""
@@ -56,27 +69,17 @@ def _train(config, *, variant="serial", depth=2, num_shards=2, batch=64,
     dataset = SyntheticClickDataset(config, seed=seed + 1)
     loader = DataLoader(dataset, batch_size=batch, num_batches=iterations,
                         seed=seed + 2)
-    if variant == "serial":
-        trainer = LazyDPTrainer(model, DPConfig(), noise_seed=seed + 3)
-    elif variant == "pipelined":
-        trainer = PipelinedLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3, prefetch_depth=depth
-        )
-    elif variant == "pipelined_sharded":
-        trainer = PipelinedShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3, prefetch_depth=depth,
-            num_shards=num_shards, executor="threads",
-        )
-    else:
-        raise ValueError(f"unknown variant: {variant}")
+    trainer = TrainSession.build(
+        model, DPConfig(), variant_plan(variant, depth, num_shards),
+        noise_seed=seed + 3,
+    ).trainer
     obs = trainer.instrument(Observability(ObservabilityConfig(metrics=True)))
     start = time.perf_counter()
     trainer.fit(loader)
     elapsed = time.perf_counter() - start
     _last_metrics.clear()
     _last_metrics.update(obs.metrics.snapshot())
-    if variant != "serial":
-        trainer.close()
+    trainer.close()
     return model, trainer, elapsed
 
 
@@ -190,18 +193,12 @@ def run_report(smoke: bool = False) -> int:
           f"worst hidden fraction {worst_hidden:.0%}")
     # Variants are named by their canonical ExecutionPlan spec, so the
     # JSON artifact identifies runs the way the session API does.
-    from repro.configs import PipelineConfig, ShardConfig
-    from repro.session import ExecutionPlan
-
-    plans = {"serial": ExecutionPlan().canonical()}
+    plans = {"serial": variant_plan("serial").canonical()}
     for depth in depths:
-        plans[f"throughput_ratio_pipelined_depth{depth}"] = ExecutionPlan(
-            pipeline=PipelineConfig(enabled=True, prefetch_depth=depth),
-        ).canonical()
-    plans["throughput_ratio_pipelined_sharded_depth2"] = ExecutionPlan(
-        pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
-        shards=ShardConfig(num_shards=2, executor="threads"),
-    ).canonical()
+        plans[f"throughput_ratio_pipelined_depth{depth}"] = \
+            variant_plan("pipelined", depth).canonical()
+    plans["throughput_ratio_pipelined_sharded_depth2"] = \
+        variant_plan("pipelined_sharded", 2, 2).canonical()
     return _jsonreport.gate(
         "pipeline_overlap", metrics,
         meta={"rows": rows, "iterations": iterations, "plans": plans,

@@ -1,7 +1,8 @@
 """Shard-scaling benchmark: the parallel model update, measured and modelled.
 
-Measured mode trains the real numpy :class:`ShardedLazyDPTrainer` at a
-scaled-down geometry across shard counts and execution backends —
+Measured mode trains the real numpy LazyDP trainer under ``shards=N``
+plans at a scaled-down geometry across shard counts and execution
+backends —
 the in-process serial and thread-pool schedules plus the
 ``backend=process`` worker-process engine (:mod:`repro.procshard`) —
 reporting per-shard model-update timing and verifying the released
@@ -30,8 +31,7 @@ from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.perfmodel import shard_scaling_series
-from repro.shard import ShardedLazyDPTrainer
-from repro.lazydp import LazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 SHARD_COUNTS = (1, 2, 4)
@@ -46,6 +46,14 @@ VARIANTS = EXECUTORS + ("process",)
 #: the report's ``meta`` so BENCH_*.json carries the engine gauges
 #: (arena hits, shard skew, ...) alongside the gated relative metrics.
 _last_metrics: dict = {}
+
+
+def variant_plan(variant, num_shards) -> ExecutionPlan:
+    """The ExecutionPlan of one sweep cell (``None`` shards = flat)."""
+    if num_shards is None:
+        return ExecutionPlan()
+    backend = "numpy" if variant == "serial" else variant
+    return ExecutionPlan.from_spec(f"shards={num_shards},backend={backend}")
 
 
 def _train(config, *, num_shards=None, variant="serial", batch=64,
@@ -65,27 +73,17 @@ def _train(config, *, num_shards=None, variant="serial", batch=64,
     dataset = SyntheticClickDataset(config, seed=seed + 1)
     loader = DataLoader(dataset, batch_size=batch, num_batches=iterations,
                         seed=seed + 2)
-    if num_shards is None:
-        trainer = LazyDPTrainer(model, DPConfig(), noise_seed=seed + 3)
-    elif variant == "process":
-        from repro.procshard import ProcessShardedLazyDPTrainer
-
-        trainer = ProcessShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3, num_shards=num_shards,
-        )
-    else:
-        trainer = ShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=seed + 3,
-            num_shards=num_shards, executor=variant,
-        )
+    trainer = TrainSession.build(
+        model, DPConfig(), variant_plan(variant, num_shards),
+        noise_seed=seed + 3,
+    ).trainer
     obs = trainer.instrument(Observability(ObservabilityConfig(metrics=True)))
     start = time.perf_counter()
     trainer.fit(loader)
     elapsed = time.perf_counter() - start
     _last_metrics.clear()
     _last_metrics.update(obs.metrics.snapshot())
-    if num_shards is not None:
-        trainer.close()
+    trainer.close()
     return model, trainer, elapsed
 
 
@@ -123,7 +121,10 @@ def measured_sweep(rows=4000, batch=64, iterations=6,
                 for name, param in model.parameters().items()
             )
             max_diff = max(max_diff, config_diff)
-            per_shard = trainer.shard_update_seconds()
+            # One in-process shard is the flat engine: it runs in place,
+            # timed on the trainer's own timer, with no per-shard view.
+            per_shard = (trainer.shard_update_seconds()
+                         if trainer.plan is not None else [])
             update_wall = trainer.timer.total(
                 "shard_routing", "shard_model_update", "terminal_flush"
             )
@@ -132,7 +133,8 @@ def measured_sweep(rows=4000, batch=64, iterations=6,
             table_rows.append([
                 variant, num_shards,
                 f"{update_wall * 1e3:.1f}",
-                " / ".join(f"{seconds * 1e3:.1f}" for seconds in per_shard),
+                " / ".join(f"{seconds * 1e3:.1f}" for seconds in per_shard)
+                or "in place",
                 f"{elapsed:.2f}",
                 "exact" if config_diff == 0.0 else f"{config_diff:.2e}",
             ])
@@ -178,17 +180,11 @@ def run_report(smoke: bool = False) -> int:
     print("\nequivalence: sharded == flat (bitwise) for every row above")
     # Variants are named by their canonical ExecutionPlan spec, so the
     # JSON artifact identifies runs the way the session API does.
-    from repro.configs import ShardConfig
-    from repro.session import ExecutionPlan
-
-    plans = {"flat": ExecutionPlan().canonical()}
+    plans = {"flat": variant_plan(None, None).canonical()}
     for variant in VARIANTS:
         for num_shards in shard_counts:
             plans[f"throughput_ratio_{variant}_{num_shards}shards"] = \
-                ExecutionPlan(
-                    shards=ShardConfig(num_shards=num_shards),
-                    backend="numpy" if variant == "serial" else variant,
-                ).canonical()
+                variant_plan(variant, num_shards).canonical()
     return _jsonreport.gate(
         "shard_scaling", metrics,
         meta={"rows": rows, "iterations": iterations, "plans": plans,

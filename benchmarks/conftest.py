@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.train import DPConfig
@@ -57,7 +57,7 @@ class SteppableRun:
             dataset, batch_size=batch, num_batches=pool_batches, seed=seed + 2
         )
         self.batches = [loader.batch_for(i) for i in range(pool_batches)]
-        self.trainer = trainer_for(
+        self.trainer = make_trainer(
             algorithm, self.model, dp or DPConfig(), noise_seed=seed + 3
         )
         self.trainer.expected_batch_size = batch

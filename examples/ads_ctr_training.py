@@ -14,7 +14,7 @@ Run:  python examples/ads_ctr_training.py
 import numpy as np
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset, paper_skew_spec
 from repro.nn import DLRM
@@ -32,7 +32,7 @@ def train(algorithm: str, config, skew):
     loader = DataLoader(dataset, batch_size=BATCH, num_batches=ITERATIONS,
                         seed=5)
     dp = DPConfig(noise_multiplier=1.0, max_grad_norm=1.0, learning_rate=0.05)
-    trainer = trainer_for(algorithm, model, dp, noise_seed=99)
+    trainer = make_trainer(algorithm, model, dp, noise_seed=99)
     result = trainer.fit(loader)
     return model, result, loader
 

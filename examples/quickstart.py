@@ -43,15 +43,15 @@ def main() -> None:
           f"({overhead / result.wall_time:.1%} of wall time)")
 
     # At production scale the embedding engine shards: partition each
-    # table (repro.shard, or `--num-shards/--partition/--executor` on
+    # table (the plan's `shards` axis, or `--plan shards=...` on
     # `python -m repro train`) and the lazy update runs per shard in
     # parallel — bitwise identical released parameters, verified in
     # tests/test_shard_equivalence.py.
     #
-    #   from repro.shard import ShardedLazyDPTrainer
-    #   trainer = ShardedLazyDPTrainer(model, dp_config, num_shards=4,
-    #                                  partition="frequency",
-    #                                  executor="threads")
+    #   from repro.session import ExecutionPlan, TrainSession
+    #   plan = ExecutionPlan.from_spec(
+    #       "shards=4,partition=frequency,backend=threads")
+    #   session = TrainSession.build(model, dp_config, plan)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Run:  python examples/utility_vs_privacy.py
 import numpy as np
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
@@ -39,7 +39,7 @@ def train_and_score(algorithm, sigma, config, held_out):
     dataset = SyntheticClickDataset(config, seed=3, num_examples=1 << 14)
     loader = DataLoader(dataset, batch_size=BATCH, num_batches=ITERATIONS,
                         seed=5)
-    trainer = trainer_for(algorithm, model, dp, noise_seed=99)
+    trainer = make_trainer(algorithm, model, dp, noise_seed=99)
     result = trainer.fit(loader)
     metrics = evaluate_model(model, held_out)
     return metrics, result.epsilon

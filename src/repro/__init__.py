@@ -26,17 +26,14 @@ Quickstart::
 """
 
 from . import configs
-from .async_ import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
 from .configs import DLRMConfig
 from .kernels import BufferArena, fused_noisy_update
 from .data import Batch, DataLoader, SyntheticClickDataset
 from .lazydp import LazyDPTrainer, PrivateTrainingSession, make_private
 from .nn import DLRM
-from .pipeline import PipelinedLazyDPTrainer, PipelinedShardedLazyDPTrainer
 from .privacy import RDPAccountant
 from .serve import PrivateServingEngine
 from .session import ExecutionPlan, TrainSession
-from .shard import ShardedLazyDPTrainer
 from .train import (
     DPConfig,
     DPSGDBTrainer,
@@ -56,11 +53,6 @@ __all__ = [
     "DataLoader",
     "SyntheticClickDataset",
     "LazyDPTrainer",
-    "ShardedLazyDPTrainer",
-    "PipelinedLazyDPTrainer",
-    "PipelinedShardedLazyDPTrainer",
-    "AsyncLazyDPTrainer",
-    "AsyncShardedLazyDPTrainer",
     "BufferArena",
     "fused_noisy_update",
     "ExecutionPlan",

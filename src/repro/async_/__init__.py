@@ -1,7 +1,8 @@
-"""Async training engine: multiple LazyDP iterations in flight.
+"""Deferred-apply mechanisms: the apply worker and the staleness policy.
 
-Builds the third stage of the plan → sample → apply decomposition into
-a fully asynchronous engine:
+A :class:`repro.lazydp.scheduler.Scheduler` with the plan axis
+``async=strict|bounded[:k]`` hands each iteration's apply stage to a
+background thread so up to ``inflight`` iterations are outstanding:
 
 * :mod:`policy <repro.async_.policy>` — :class:`StalenessPolicy`
   (``strict`` = bitwise-serial reads, ``bounded:k`` = slab reads may
@@ -9,15 +10,10 @@ a fully asynchronous engine:
 * :mod:`apply <repro.async_.apply>` — :class:`ApplyWorker`, the
   bounded-depth FIFO apply thread whose completion watermark the
   policy waits on.
-* :mod:`trainer <repro.async_.trainer>` — :class:`AsyncLazyDPTrainer`
-  and :class:`AsyncShardedLazyDPTrainer`, keeping up to
-  ``max_in_flight`` iteration applies outstanding while the per-row
-  :class:`VersionVector <repro.lazydp.ledger.VersionVector>` ledger
-  proves deferred noise is applied exactly once under any
-  interleaving.
 
-Configuration flows through :class:`repro.configs.AsyncConfig` and the
-CLI's ``--async`` / ``--max-in-flight`` / ``--staleness``;
+The per-row :class:`VersionVector <repro.lazydp.ledger.VersionVector>`
+ledger, advanced inside every apply, proves deferred noise is applied
+exactly once under any interleaving;
 ``benchmarks/bench_async_inflight.py`` measures throughput against
 in-flight depth.  The same exactly-once ledger powers query-time
 read-through catch-up in :mod:`repro.serve`.
@@ -25,12 +21,5 @@ read-through catch-up in :mod:`repro.serve`.
 
 from .apply import ApplyWorker
 from .policy import STALENESS_MODES, StalenessPolicy
-from .trainer import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
 
-__all__ = [
-    "ApplyWorker",
-    "STALENESS_MODES",
-    "StalenessPolicy",
-    "AsyncLazyDPTrainer",
-    "AsyncShardedLazyDPTrainer",
-]
+__all__ = ["ApplyWorker", "STALENESS_MODES", "StalenessPolicy"]

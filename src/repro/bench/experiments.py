@@ -50,57 +50,21 @@ TRAINER_CLASSES = {
 }
 
 
-def build_lazydp_trainer(algorithm: str, model: DLRM, dp: DPConfig,
-                         noise_seed: int = 1234, **trainer_kwargs):
-    """Construct a lazydp-family trainer through the session API.
-
-    The preferred spelling is an explicit plan —
-    ``TrainSession.build(model, dp, plan)`` — but internal callers that
-    still think in legacy algorithm strings (measured benchmarks, the
-    testing helpers) route through here to get the same composed
-    trainer without the deprecation warning ``make_trainer`` carries.
-    """
-    from ..session import TrainSession, plan_for_algorithm
-
-    plan, extras = plan_for_algorithm(algorithm, trainer_kwargs)
-    session = TrainSession.build(
-        model, dp, plan, noise_seed=noise_seed, **extras
-    )
-    return session.trainer
-
-
 def make_trainer(algorithm: str, model: DLRM, dp: DPConfig,
-                 noise_seed: int = 1234, **trainer_kwargs):
-    """Instantiate any of the algorithms by name.
+                 noise_seed: int = 1234):
+    """Instantiate any of the paper's seven algorithms by name.
 
-    .. deprecated::
-        For the lazydp family the algorithm *string* encodes an
-        execution strategy (``pipelined_sharded_lazydp_no_ans``, ...).
-        That cross-product is now expressed as a
-        :class:`repro.session.ExecutionPlan`; build trainers with
-        ``TrainSession.build(model, dp, plan)`` instead.  Legacy
-        strings still work (mapped via
-        :func:`repro.session.plan_for_algorithm`) but emit a
-        ``DeprecationWarning``.  The baseline algorithms (``sgd``,
-        ``dpsgd_b/r/f``, ``eana``) are genuinely different algorithms,
-        not execution plans, and stay undeprecated.
+    The five baselines are genuinely different algorithms; ``lazydp``
+    and ``lazydp_no_ans`` are the serial plan with ``ans=on|off``.
+    *How* LazyDP executes (shards, pipeline, async, backend) is not an
+    algorithm — spell it as a :class:`repro.session.ExecutionPlan` and
+    build with ``TrainSession.build(model, dp, plan)``.
     """
-    from ..session import LEGACY_ALGORITHMS, plan_for_algorithm
+    if algorithm in ("lazydp", "lazydp_no_ans"):
+        from ..session import ExecutionPlan, TrainSession
 
-    if algorithm in LEGACY_ALGORITHMS:
-        import warnings
-
-        equivalent = plan_for_algorithm(algorithm, trainer_kwargs)[0].canonical()
-        warnings.warn(
-            f"make_trainer({algorithm!r}) is deprecated: legacy algorithm "
-            "strings encode an execution strategy; build an ExecutionPlan "
-            "and use repro.session.TrainSession.build (equivalent plan "
-            f"spec: {equivalent!r})",
-            DeprecationWarning, stacklevel=2,
-        )
-        return build_lazydp_trainer(
-            algorithm, model, dp, noise_seed=noise_seed, **trainer_kwargs
-        )
+        plan = ExecutionPlan(ans=algorithm == "lazydp")
+        return TrainSession.build(model, dp, plan, noise_seed=noise_seed).trainer
     if algorithm in TRAINER_CLASSES:
         return TRAINER_CLASSES[algorithm](model, dp, noise_seed=noise_seed)
     raise ValueError(f"unknown algorithm: {algorithm}")
@@ -542,17 +506,10 @@ def measured_series(algorithms, config=None, batch: int = 256,
         dataset = SyntheticClickDataset(config, seed=seed + 1, skew=skew)
         loader = DataLoader(dataset, batch_size=batch,
                             num_batches=iterations, seed=seed + 2)
-        trainer = _measured_trainer(algorithm, model, dp, seed + 3)
+        trainer = make_trainer(algorithm, model, dp, seed + 3)
         result = trainer.fit(loader)
         results[algorithm] = result.wall_time / max(result.iterations, 1)
     return results
-
-
-def _measured_trainer(algorithm: str, model, dp, noise_seed: int):
-    """Internal dispatch without the make_trainer deprecation warning."""
-    from ..testing import trainer_for
-
-    return trainer_for(algorithm, model, dp, noise_seed=noise_seed)
 
 
 def measured_stage_breakdown(algorithm: str, config=None, batch: int = 256,
@@ -565,6 +522,6 @@ def measured_stage_breakdown(algorithm: str, config=None, batch: int = 256,
     dataset = SyntheticClickDataset(config, seed=seed + 1)
     loader = DataLoader(dataset, batch_size=batch, num_batches=iterations,
                         seed=seed + 2)
-    trainer = _measured_trainer(algorithm, model, dp, seed + 3)
+    trainer = make_trainer(algorithm, model, dp, seed + 3)
     trainer.fit(loader)
     return trainer.timer.as_dict()

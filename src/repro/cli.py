@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import configs
-from .bench.experiments import ALL_FIGURES
+from .bench.experiments import ALL_FIGURES, make_trainer
 from .bench.report import build_report
 from .bench.reporting import format_table
 from .data import DataLoader, SyntheticClickDataset, paper_skew_spec
@@ -33,7 +33,6 @@ from .obs import Observability
 from .perfmodel import ALGORITHMS
 from .privacy import audit_untouched_rows
 from .session import ExecutionPlan, TrainSession
-from .testing import trainer_for
 from .train import DPConfig
 
 
@@ -55,16 +54,14 @@ def _add_train_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help="unified execution-plan spec, e.g. "
+        help="how LazyDP executes, e.g. "
              "'shards=4,pipeline=2,async=bounded:2,ans=off' "
              "(keys: ans, shards, partition, backend, pipeline, "
              "async, inflight, obs, serve, admission).  The backend axis "
              "selects a registered execution backend as 'name[:workers]', "
              "e.g. backend=threads:4 or backend=process (one worker "
-             "process per shard); the old executor=/workers= keys are a "
-             "deprecated spelling of the same choice.  Replaces the "
-             "per-engine flags below; combining it with them is an "
-             "error.",
+             "process per shard).  Determines the whole execution, "
+             "including the ans axis: drop --algorithm when using it.",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -73,150 +70,6 @@ def _add_train_parser(subparsers) -> None:
              "chrome://tracing); implies obs=trace on top of whatever "
              "the plan's obs axis enables",
     )
-    # Value flags default to the None sentinel (their effective defaults
-    # live in _ENGINE_FLAGS) so the --plan conflict check can tell an
-    # explicitly-passed default from an omitted flag.
-    shard = parser.add_argument_group(
-        "sharding", "partitioned embedding engine (lazydp algorithms only)"
-    )
-    shard.add_argument("--num-shards", type=int, default=None,
-                       help="partition each table into this many shards "
-                            "(default: 1, the flat engine)")
-    shard.add_argument("--partition", choices=configs.SHARD_PARTITIONS,
-                       default=None,
-                       help="row->shard assignment strategy "
-                            "(default: row_range)")
-    shard.add_argument("--executor", choices=configs.SHARD_EXECUTORS,
-                       default=None,
-                       help="per-shard model-update schedule "
-                            "(default: serial)")
-    shard.add_argument("--max-workers", type=int, default=None,
-                       help="thread-pool size (default: one per shard)")
-    pipeline = parser.add_argument_group(
-        "pipelining", "background noise prefetch (lazydp algorithms only)"
-    )
-    pipeline.add_argument("--pipeline", action="store_true",
-                          help="precompute catch-up noise on a background "
-                               "worker instead of the critical path")
-    pipeline.add_argument("--prefetch-depth", type=int, default=None,
-                          help="input-queue lookahead / staging-buffer "
-                               "depth (default: 2, double buffering; "
-                               "with --async: max(2, --max-in-flight) "
-                               "so the noise runway never becomes the "
-                               "in-flight bottleneck)")
-    async_group = parser.add_argument_group(
-        "async", "multi-in-flight apply engine (lazydp algorithms only; "
-                 "implies --pipeline)"
-    )
-    async_group.add_argument("--async", dest="use_async",
-                             action="store_true",
-                             help="apply model updates on a background "
-                                  "worker with up to --max-in-flight "
-                                  "iterations outstanding")
-    async_group.add_argument("--max-in-flight", type=int, default=None,
-                             help="cap on outstanding iteration applies "
-                                  "(default: 2)")
-    async_group.add_argument("--staleness", default=None,
-                             help="read schedule: 'strict' (bitwise-serial, "
-                                  "the default) or 'bounded[:k]' (reads may "
-                                  "trail up to k applies; default k=1)")
-
-
-#: Engine flags of the legacy CLI surface: dest -> (flag, effective
-#: default).  Value flags parse with a ``None`` sentinel default so an
-#: explicitly-passed value — even the default one — is detectable, and
-#: the effective default here is substituted at mapping time.  Single
-#: source of truth for ``_add_train_parser``, the ``--plan`` conflict
-#: check, and the flags-to-plan mapping.
-_ENGINE_FLAGS = {
-    "num_shards": ("--num-shards", 1),
-    "partition": ("--partition", "row_range"),
-    "executor": ("--executor", "serial"),
-    "max_workers": ("--max-workers", None),
-    "pipeline": ("--pipeline", False),
-    "prefetch_depth": ("--prefetch-depth", None),
-    "use_async": ("--async", False),
-    "max_in_flight": ("--max-in-flight", 2),
-    "staleness": ("--staleness", "strict"),
-}
-
-#: store_true flags: "used" means True, not "is not None".
-_ENGINE_BOOL_FLAGS = ("pipeline", "use_async")
-
-
-def _engine_value(args, dest: str):
-    """The flag's parsed value, or its effective default if omitted."""
-    value = getattr(args, dest)
-    if dest in _ENGINE_BOOL_FLAGS:
-        return value
-    return _ENGINE_FLAGS[dest][1] if value is None else value
-
-
-def _plan_from_legacy_flags(args) -> ExecutionPlan:
-    """Map the per-engine flags onto an ExecutionPlan (old CLI surface).
-
-    All three engine configs are constructed (and therefore validated)
-    unconditionally, as the pre-plan CLI did — a bad value like
-    ``--max-workers 0`` errors even when its axis is off, instead of
-    being silently dropped.
-    """
-    prefetch_depth = _engine_value(args, "prefetch_depth")
-    use_async = args.use_async
-    executor = _engine_value(args, "executor")
-    max_workers = _engine_value(args, "max_workers")
-    # Validate the deprecated fields through ShardConfig's own checks
-    # (so e.g. --max-workers 0 still errors), but hand the plan the
-    # canonical spelling: the executor choice lives on the backend axis.
-    configs.ShardConfig(
-        num_shards=_engine_value(args, "num_shards"),
-        partition=_engine_value(args, "partition"),
-        executor=executor,
-        max_workers=max_workers,
-    )
-    shards = configs.ShardConfig(
-        num_shards=_engine_value(args, "num_shards"),
-        partition=_engine_value(args, "partition"),
-    )
-    if executor == "serial":
-        backend = "numpy"
-    elif max_workers is None:
-        backend = executor
-    else:
-        backend = f"{executor}:{max_workers}"
-    pipeline = configs.PipelineConfig(
-        enabled=args.pipeline or use_async,
-        prefetch_depth=2 if prefetch_depth is None else prefetch_depth,
-    )
-    async_ = configs.AsyncConfig(
-        enabled=use_async,
-        max_in_flight=_engine_value(args, "max_in_flight"),
-        staleness=_engine_value(args, "staleness"),
-    )
-    if not pipeline.enabled or (use_async and prefetch_depth is None):
-        # With --async and no explicit --prefetch-depth, the builder's
-        # default applies: max(2, --max-in-flight).
-        pipeline = None
-    return ExecutionPlan(
-        ans=(args.algorithm == "lazydp"),
-        shards=shards if shards.is_sharded else None,
-        pipeline=pipeline,
-        async_=async_ if async_.enabled else None,
-        # The pre-plan surface dropped the whole ShardConfig (executor
-        # included) for unsharded runs; keep that: backend follows the
-        # executor flags only when the shards axis is actually on.
-        backend=backend if shards.is_sharded else "numpy",
-    )
-
-
-def _legacy_engine_flags_used(args) -> list:
-    """Engine flags the user passed explicitly (conflict with --plan)."""
-    used = []
-    for dest, (flag, _) in _ENGINE_FLAGS.items():
-        value = getattr(args, dest)
-        explicit = value if dest in _ENGINE_BOOL_FLAGS else value is not None
-        if explicit:
-            used.append(flag)
-    return used
 
 
 def _run_train(args) -> int:
@@ -233,12 +86,8 @@ def _run_train(args) -> int:
         learning_rate=args.learning_rate,
         delta=args.delta,
     )
+    plan = None
     if args.plan is not None:
-        conflicts = _legacy_engine_flags_used(args)
-        if conflicts:
-            print(f"--plan replaces {', '.join(conflicts)}; pass the axes "
-                  "inside the plan spec instead", file=sys.stderr)
-            return 2
         if args.algorithm != "lazydp":
             print("--plan determines the whole execution (including the "
                   "ans axis, via ans=on/off); drop --algorithm",
@@ -249,24 +98,8 @@ def _run_train(args) -> int:
         except ValueError as error:
             print(f"invalid --plan spec: {error}", file=sys.stderr)
             return 2
-    else:
-        # Effective-state guard (not explicit-usage): passing a flag at
-        # its no-op default, e.g. ``--num-shards 1``, selects no engine
-        # and stays legal with any algorithm.
-        engine_selected = (_engine_value(args, "num_shards") > 1
-                           or args.pipeline or args.use_async)
-        if engine_selected and args.algorithm not in ("lazydp",
-                                                      "lazydp_no_ans"):
-            print("--num-shards > 1 / --pipeline / --async require a "
-                  "lazydp algorithm", file=sys.stderr)
-            return 2
-        try:
-            plan = (_plan_from_legacy_flags(args)
-                    if args.algorithm in ("lazydp", "lazydp_no_ans")
-                    else None)
-        except ValueError as error:
-            print(f"invalid engine options: {error}", file=sys.stderr)
-            return 2
+    elif args.algorithm in ("lazydp", "lazydp_no_ans"):
+        plan = ExecutionPlan(ans=args.algorithm == "lazydp")
 
     if args.trace is not None and plan is not None:
         # --trace turns the tracer on without clobbering a metrics
@@ -289,8 +122,8 @@ def _run_train(args) -> int:
         result = session.fit(loader)
     else:
         session = None
-        trainer = trainer_for(args.algorithm, model, dp,
-                              noise_seed=args.seed + 3)
+        trainer = make_trainer(args.algorithm, model, dp,
+                               noise_seed=args.seed + 3)
         if args.trace is not None:
             obs = trainer.instrument(
                 Observability(configs.ObservabilityConfig(trace=True))
@@ -321,7 +154,7 @@ def _run_train(args) -> int:
             [[name, count] for name, count in sorted(result.counters.items())],
             title="event counters",
         ))
-    if plan is not None and plan.is_sharded:
+    if plan is not None and trainer.num_shards > 1:
         shard_rows = [
             [s, trainer.plan.table(0).shard_size(s), f"{seconds:.4f}"]
             for s, seconds in enumerate(trainer.shard_update_seconds())
@@ -368,7 +201,7 @@ def _run_train(args) -> int:
                 ["plans computed", stats["plans_computed"]],
             ],
             title="noise prefetch pipeline (depth "
-                  f"{trainer.prefetch_depth})",
+                  f"{stats['prefetch_depth']})",
         ))
     if plan is not None and plan.is_async:
         stats = trainer.async_stats()
@@ -480,7 +313,7 @@ def _run_audit(args) -> int:
         dataset = SyntheticClickDataset(config, seed=12)
         loader = DataLoader(dataset, batch_size=args.batch,
                             num_batches=args.iterations, seed=13)
-        trainer = trainer_for(algorithm, model, DPConfig(), noise_seed=14)
+        trainer = make_trainer(algorithm, model, DPConfig(), noise_seed=14)
         trainer.fit(loader)
         final_tables[algorithm] = model.embeddings[0].table.data
         if not rows_for_table:

@@ -136,32 +136,19 @@ class DLRMConfig:
 #: validation does not import the shard package).
 SHARD_PARTITIONS = ("row_range", "frequency", "hash")
 
-#: Legal values of the *deprecated* ``ShardConfig.executor`` shim.  New
-#: backends (e.g. ``process``) register with
-#: ``repro.session.register_backend`` and are selected on the plan's
-#: backend axis only — this tuple is frozen at the pre-registry set.
-SHARD_EXECUTORS = ("serial", "threads")
-
 
 @dataclass(frozen=True)
 class ShardConfig:
     """How the embedding engine is sharded (``repro.shard``).
 
     ``num_shards = 1`` is the flat configuration; anything higher
-    partitions every table with ``partition``.
-
-    ``executor`` and ``max_workers`` are a **deprecated** spelling of
-    the execution backend: plans now carry that choice on their own
-    ``backend`` axis (``backend="threads:4"``, ``backend="process"``).
-    A non-serial value here still works — ``ExecutionPlan`` rewrites it
-    onto the backend axis with one ``DeprecationWarning`` — but setting
-    both spellings at once is a contradiction and an error.
+    partitions every table with ``partition``.  *How* the shard tasks
+    run is the plan's ``backend`` axis (``backend="threads:4"``,
+    ``backend="process"``), not a field here.
     """
 
     num_shards: int = 1
     partition: str = "row_range"
-    executor: str = "serial"
-    max_workers: int | None = None
 
     def __post_init__(self):
         if self.num_shards < 1:
@@ -171,26 +158,10 @@ class ShardConfig:
                 f"unknown partition strategy: {self.partition!r} "
                 f"(choose from {SHARD_PARTITIONS})"
             )
-        if self.executor not in SHARD_EXECUTORS:
-            raise ValueError(
-                f"unknown executor backend: {self.executor!r} "
-                f"(choose from {SHARD_EXECUTORS})"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be positive when set")
 
     @property
     def is_sharded(self) -> bool:
         return self.num_shards > 1
-
-    def trainer_kwargs(self) -> dict:
-        """Keyword arguments for ``ShardedLazyDPTrainer``."""
-        return {
-            "num_shards": self.num_shards,
-            "partition": self.partition,
-            "executor": self.executor,
-            "max_workers": self.max_workers,
-        }
 
     def to_dict(self) -> dict:
         """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
@@ -219,10 +190,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be at least 1")
-
-    def trainer_kwargs(self) -> dict:
-        """Keyword arguments for the pipelined trainers."""
-        return {"prefetch_depth": self.prefetch_depth}
 
     def to_dict(self) -> dict:
         """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
@@ -275,13 +242,6 @@ class AsyncConfig:
                 raise ValueError("staleness bound must be non-negative")
             if mode == "strict":
                 raise ValueError("strict staleness admits no bound")
-
-    def trainer_kwargs(self) -> dict:
-        """Keyword arguments for the async trainers."""
-        return {
-            "max_in_flight": self.max_in_flight,
-            "staleness": self.staleness,
-        }
 
     def to_dict(self) -> dict:
         """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""

@@ -5,7 +5,8 @@ from .api import PrivateTrainingSession, make_private
 from .checkpoint import export_private_model, load_checkpoint, save_checkpoint
 from .history import HistoryTable, NaiveCounterHistory
 from .ledger import LedgerError, VersionVector
-from .optimizer import LazyNoiseEngine
+from .optimizer import Catchup, LazyNoiseEngine, ShardState, TableWindow
+from .scheduler import Scheduler
 from .trainer import LazyDPTrainer
 
 __all__ = [
@@ -19,6 +20,10 @@ __all__ = [
     "NaiveCounterHistory",
     "LedgerError",
     "VersionVector",
+    "Catchup",
     "LazyNoiseEngine",
+    "ShardState",
+    "TableWindow",
+    "Scheduler",
     "LazyDPTrainer",
 ]

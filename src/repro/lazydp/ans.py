@@ -13,66 +13,18 @@ counter-keyed noise stream — and sums them.  This mode exists both as the
 paper's ablation (LazyDP w/o ANS, Figure 10) and as the bridge that makes
 lazy-vs-eager equivalence exactly testable.
 
-The catch-up is split into a *plan* (:func:`plan_catchup` →
-:class:`CatchupPlan`: read the HistoryTable, advance it, record rows and
-delays) and an *application* (:meth:`ANSEngine.sample`: draw the plan's
-noise).  Planning mutates shared state and must run once per (table,
-iteration) in order; sampling is a pure keyed function and can run
-anywhere — the serial trainer does both inline, the pipelined trainer
-(``repro.pipeline``) moves both onto a background prefetch worker.
+Sampling is a pure keyed function of ``(rows, delays, iteration)``: it
+can run anywhere, in any order relative to other draws, and yield the
+same bits.  :meth:`repro.lazydp.optimizer.ShardState.plan_sample` pairs
+it with the history read/advance that produces the delays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..kernels import BufferArena, batched_catchup_sum
 from ..rng import NoiseStream
-
-
-@dataclass(frozen=True)
-class CatchupPlan:
-    """The *plan* half of a noise catch-up: which rows of one table are
-    caught up at one iteration, and how many deferred draws each owes.
-
-    A plan is pure data — producing it touches only the HistoryTable
-    (read delays, write the new iteration ids), never the noise stream
-    or the parameters.  Because every noise value is keyed by
-    ``(seed, table, row, iteration)`` and ``delays``, a plan fully
-    determines the noise that will be applied: *who* samples it, *when*,
-    and *on which thread* cannot change the bits.  That property is what
-    lets ``repro.pipeline`` move sampling onto a background worker while
-    staying bitwise-identical to the serial trainer.
-    """
-
-    table_index: int
-    iteration: int
-    rows: np.ndarray  # global row ids being caught up (unique)
-    delays: np.ndarray  # per-row count of deferred noise updates
-
-
-def plan_catchup(
-    history, table_index: int, next_rows: np.ndarray, iteration: int, timer=None
-) -> CatchupPlan:
-    """Plan the catch-up for ``next_rows``: read delays, advance history.
-
-    This is Algorithm 1 lines 13-16 — the only part of the noise path
-    that mutates shared state (the HistoryTable), so whoever runs it
-    (trainer thread or prefetch worker) must do so exactly once per
-    (table, iteration), in iteration order.  ``timer`` optionally
-    attributes the two history stages of Figure 11.
-    """
-    if timer is not None:
-        with timer.time("lazydp_history_read"):
-            delays = history.delays(next_rows, iteration)
-        with timer.time("lazydp_history_update"):
-            history.mark_updated(next_rows, iteration)
-    else:
-        delays = history.delays(next_rows, iteration)
-        history.mark_updated(next_rows, iteration)
-    return CatchupPlan(table_index, iteration, next_rows, delays)
 
 
 class ANSEngine:
@@ -139,18 +91,6 @@ class ANSEngine:
                 table_index, rows, delays, iteration, dim, std=std
             )
         return self._exact_sum(table_index, rows, delays, iteration, dim, std)
-
-    def sample(self, plan: CatchupPlan, dim: int, std: float) -> np.ndarray:
-        """The *application* half of a catch-up: draw a plan's noise.
-
-        Stateless apart from the draw counter — sampling the same plan
-        from any thread, in any order relative to other plans, yields
-        the same bits (the draws are keyed, not sequential), which is
-        the contract the pipelined prefetch worker relies on.
-        """
-        return self.catchup_noise(
-            plan.table_index, plan.rows, plan.delays, plan.iteration, dim, std
-        )
 
     def _exact_sum(
         self,

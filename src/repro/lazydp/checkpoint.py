@@ -7,10 +7,12 @@ the very signal the threat model (paper Section 3) says the adversary may
 inspect.  Two distinct operations are therefore provided:
 
 * :func:`save_checkpoint` / :func:`load_checkpoint` — **resume** support:
-  persists the raw (lazy) tables *together with* the HistoryTables and
-  iteration counter, so training continues exactly where it stopped.
-  The checkpoint file itself must be treated as training state, not as a
-  released model.
+  persists the raw (lazy) tables *together with* the HistoryTables, the
+  iteration marker and the last noise std, so training — and release —
+  continue exactly where they stopped, under any execution plan (the
+  archive speaks global row ids; the loading trainer's plan need not
+  match the saving one's).  The checkpoint file itself must be treated
+  as training state, not as a released model.
 * :func:`export_private_model` — **release** support: returns a copy of
   the parameters with every pending noise update applied (the terminal
   flush of Algorithm 1, without mutating the live training state), i.e.
@@ -39,6 +41,8 @@ def save_checkpoint(path, trainer: LazyDPTrainer, iteration: int) -> None:
         "meta/use_ans": np.array([int(trainer.use_ans)], dtype=np.int64),
         "meta/noise_seed": np.array([trainer.noise_stream.seed], dtype=np.int64),
     }
+    if trainer._last_noise_std is not None:
+        arrays["meta/noise_std"] = np.array([trainer._last_noise_std])
     for name, param in trainer.model.parameters().items():
         arrays[f"param/{name}"] = param.data
     for index, history in enumerate(trainer.engine.histories):
@@ -51,7 +55,9 @@ def load_checkpoint(path, trainer: LazyDPTrainer) -> int:
 
     The trainer must be built over a model with the same geometry and the
     same ANS mode; mismatches raise rather than silently corrupting the
-    privacy bookkeeping.
+    privacy bookkeeping.  Load at a quiescent point (no ``fit`` running):
+    every ledger is rebased from the restored histories, which is exact
+    only when nothing planned is still waiting to be applied.
     """
     with np.load(path) as archive:
         version = int(archive["meta/version"][0])
@@ -90,6 +96,13 @@ def load_checkpoint(path, trainer: LazyDPTrainer) -> int:
                     f"{stored.shape[0]} vs model {history.num_rows}"
                 )
             history.load_snapshot(stored)
+
+        # What release and the flush read besides the tables; keys an
+        # older archive lacks keep their fresh-trainer values.
+        if "meta/noise_std" in archive:
+            trainer._last_noise_std = float(archive["meta/noise_std"][0])
+    trainer.last_iteration = iteration
+    trainer.engine.rebase_ledger()
     return iteration
 
 

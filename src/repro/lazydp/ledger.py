@@ -150,3 +150,12 @@ class VersionVector:
     def snapshot(self) -> np.ndarray:
         """Copy of the raw vector (tests and diagnostics)."""
         return self._applied_through.copy()
+
+    def load_snapshot(self, applied_through: np.ndarray) -> None:
+        """Rebase the vector in place (checkpoint resume): each row
+        restarts at its already-applied-through point.  In place, so a
+        shared-memory window keeps its mapping."""
+        applied_through = np.asarray(applied_through, dtype=np.int64)
+        if applied_through.shape != self._applied_through.shape:
+            raise ValueError("snapshot size does not match vector")
+        self._applied_through[...] = applied_through

@@ -1,102 +1,385 @@
-"""The lazy noise update engine (paper Algorithm 1).
+"""The lazy noise update engine (paper Algorithm 1), written once.
 
-``LazyNoiseEngine`` owns one :class:`HistoryTable` per embedding table and
-an :class:`ANSEngine`, and produces the sparse catch-up noise for the rows
-the *next* mini-batch will gather.  The trainer merges that noise with the
-current batch's clipped gradient into one sparse write (Algorithm 1,
-lines 19-25), and calls :meth:`flush` once at the end of training so the
-released model carries every row's full noise history — without the flush,
-the final table would not match eager DP-SGD (DESIGN.md, deviations).
+Algorithm 1 is one six-stage embedding update — dedup (1), history read
+(2), history write (3), catch-up sampling (4), merge (5), sparse write
+(6) — plus one terminal flush, and the paper's equivalence claim (the
+released model equals eager DP-SGD's) is a property of that one
+sequence, not of where it runs.  :class:`ShardState` owns the only
+spelling of stages 2-6 and of the flush, over one *shard*: a window of
+every embedding table.  The flat engine is its one-shard case (the
+window is the whole table, ``row_base = 0``, local ids are global ids);
+the sharded engine runs N of them as executor tasks; the process
+backend runs one per worker over shared memory
+(:mod:`repro.procshard.worker`).  Identical code in all three places.
+
+Ownership invariants (what makes lock-free parallel, pipelined and
+cross-process updates legal):
+
+* **Row ownership** — every global row belongs to exactly one shard, so
+  per-row arithmetic ``table[r] -= lr * (grad_r + noise_r)`` happens
+  exactly once, on state only that shard's tasks touch, with the
+  operands combined in the flat trainer's order.
+* **Noise keying** — noise is always drawn against *global* row ids;
+  shard-local ids exist only to address the compact history / ledger
+  windows.  Every value is a pure function of ``(seed, table, global
+  row, iteration)`` and the row's delay, so *which* shard, thread or
+  process draws it — and when — cannot change the bits.
+* **Ledger after write** — where a shard carries a
+  :class:`VersionVector` window it is advanced only after the slab
+  write landed, so a failed write leaves the ledger behind and the
+  audit reports the lost noise instead of vouching for it.
+
+:class:`LazyNoiseEngine` groups a trainer's shard states with the
+global-row read surface release, serving and checkpoint code use.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..kernels import BufferArena, apply_sparse_update
-from ..nn.dlrm import DLRM
+from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
 from ..rng import NoiseStream
+from ..train.common import StageTimer
 from .ans import ANSEngine
 from .history import HistoryTable
+from .ledger import VersionVector
+
+_NO_DELAYS = np.empty(0, dtype=np.int64)
+
+#: Rows per chunk of the terminal flush's walk over pending rows.
+FLUSH_CHUNK_ROWS = 65536
 
 
-class LazyNoiseEngine:
-    """Deferred-noise bookkeeping and catch-up for all embedding tables."""
+class Catchup(NamedTuple):
+    """One shard's catch-up noise for one (table, iteration).
+
+    Pure data: producing it touched only the shard's HistoryTable
+    window (read delays, write the new iteration ids) and the keyed
+    noise stream, so ownership transfers wholesale to whoever applies
+    it — the same task, the trainer thread behind a staging buffer, or
+    the apply worker.  The delays ride along so the apply can advance
+    the shard's ledger window.
+    """
+
+    rows: np.ndarray  # global row ids (key the noise, address the slab)
+    local: np.ndarray  # the same rows, shard-local (history / ledger)
+    delays: np.ndarray  # per-row count of deferred noise updates
+    values: np.ndarray  # the deferred noise through the iteration
+
+
+class TableWindow:
+    """One shard's window of one embedding table.
+
+    ``target`` addressed by global row id minus ``row_base`` is what the
+    kernels write through (the whole table, or a slab's
+    :meth:`repro.shard.tables.ShardSlab.update_target`); ``rows`` maps
+    shard-local ids to global ids (``None``: they are equal, the
+    one-shard case); ``history`` / ``ledger`` are the shard's windows,
+    ``None`` for a shard that owns no row of this table (``ledger`` also
+    wherever the plan keeps none).
+    """
+
+    __slots__ = ("target", "row_base", "rows", "history", "ledger", "dim")
+
+    def __init__(self, target, row_base, rows, history, ledger):
+        self.target = target
+        self.row_base = int(row_base)
+        self.rows = rows
+        self.history = history
+        self.ledger = ledger
+        self.dim = int(target.shape[1])
+
+
+class ShardState:
+    """One shard's lazy-noise state and the only spelling of its update.
+
+    Everything here is shard-owned and single-task: the windows, one
+    :class:`ANSEngine` (draw counter + sampler scratch) and the apply /
+    flush arenas, so concurrent shards share nothing.  Two threads may
+    hold one shard's ``timer`` at once under a pipelined plan — the
+    prefetch side writes only the history/sampling stages, the apply
+    side only the merge/write stages and arena counters — so no entry
+    ever has two writers.
+    """
 
     def __init__(
         self,
-        model: DLRM,
+        windows: list,
         noise_stream: NoiseStream,
         use_ans: bool = True,
-        flush_chunk_rows: int = 65536,
+        timer: StageTimer | None = None,
+        flush_chunk_rows: int = FLUSH_CHUNK_ROWS,
     ):
-        self.model = model
+        self.windows = windows
         self.ans = ANSEngine(noise_stream, enabled=use_ans)
-        self.histories = [HistoryTable(bag.num_rows) for bag in model.embeddings]
+        self.timer = timer if timer is not None else StageTimer()
         self.flush_chunk_rows = int(flush_chunk_rows)
-        self.flushed_through: int | None = None
+        #: Scratch for the fused apply kernel, reused across iterations
+        #: so the steady-state apply allocates nothing.  Single-writer:
+        #: whichever thread runs this shard's apply stage.
+        self.apply_arena = BufferArena()
         #: Scratch for the flush's slab writes; chunked walks reuse it.
-        self.arena = BufferArena()
+        self.flush_arena = BufferArena()
+
+    # -- stages 2-4: plan + sample ----------------------------------------
+    def plan_sample(
+        self,
+        table: int,
+        global_rows: np.ndarray,
+        local_rows: np.ndarray,
+        iteration: int,
+        std: float,
+    ) -> Catchup:
+        """Catch-up noise for the rows the next iteration will gather.
+
+        Reads the rows' delays, advances the HistoryTable (Algorithm 1,
+        lines 13-16) and draws each row's deferred noise through
+        ``iteration``.  The history write is the only mutation, so this
+        must run exactly once per (table, iteration), in iteration
+        order, on whichever thread owns the shard's histories.
+        """
+        window = self.windows[table]
+        if global_rows.size == 0:
+            # Final iteration (no lookahead: the terminal flush performs
+            # every remaining catch-up) or a shard this batch skips.
+            return Catchup(
+                global_rows, local_rows, _NO_DELAYS, np.zeros((0, window.dim))
+            )
+        timer = self.timer
+        with timer.time("lazydp_history_read"):
+            delays = window.history.delays(local_rows, iteration)
+        with timer.time("lazydp_history_update"):
+            window.history.mark_updated(local_rows, iteration)
+        with timer.time("noise_sampling"):
+            # Keyed by *global* row ids: bitwise the draw the one-shard
+            # engine makes for the same row at the same iteration.
+            values = self.ans.catchup_noise(
+                table, global_rows, delays, iteration, window.dim, std
+            )
+        return Catchup(global_rows, local_rows, delays, values)
+
+    # -- stages 5-6: apply ---------------------------------------------------
+    def apply(
+        self,
+        table: int,
+        grad_rows: np.ndarray,
+        grad_values: np.ndarray,
+        noise: Catchup,
+        lr: float,
+        iteration: int,
+    ) -> None:
+        """Merge the noise with this shard's slice of the clipped
+        gradient and perform the one sparse write — one fused kernel
+        call against shard-owned scratch, still attributed to the two
+        stage timers the figures expect."""
+        window = self.windows[table]
+        fused_noisy_update(
+            window.target,
+            lr,
+            grad_rows,
+            grad_values,
+            noise.rows,
+            noise.values,
+            arena=self.apply_arena,
+            row_base=window.row_base,
+            timer=self.timer,
+        )
+        if window.ledger is not None:
+            window.ledger.advance(noise.local, noise.delays, iteration)
+
+    def step(
+        self,
+        table: int,
+        request,
+        noise: Catchup | None,
+        grad_rows: np.ndarray,
+        grad_values: np.ndarray,
+        lr: float,
+        iteration: int,
+        std: float,
+    ) -> None:
+        """This shard's stage list for one table: plan + sample unless
+        the noise was prefetched, then apply.  ``request`` is the
+        ``(global_rows, local_rows)`` of the next batch's rows."""
+        if noise is None:
+            noise = self.plan_sample(table, *request, iteration, std)
+        self.apply(table, grad_rows, grad_values, noise, lr, iteration)
+
+    # -- the terminal flush --------------------------------------------------
+    def flush(self, table: int, final_iteration: int, lr: float, std: float) -> int:
+        """Apply this window's still-deferred noise so the released rows
+        match eager DP-SGD's; returns the number of rows caught up.
+
+        Walks the pending rows in bounded-size chunks (the real system
+        streams this; Section 5.2.1 requires it only before rows become
+        visible).  Each pending row receives one catch-up draw and one
+        subtraction — the same bits however rows are grouped into
+        shards.
+        """
+        window = self.windows[table]
+        history = window.history
+        if history is None:
+            return 0
+        pending = history.pending_rows(final_iteration)
+        for start in range(0, pending.size, self.flush_chunk_rows):
+            local = pending[start : start + self.flush_chunk_rows]
+            rows = local if window.rows is None else window.rows[local]
+            delays = history.delays(local, final_iteration)
+            noise = self.ans.catchup_noise(
+                table, rows, delays, final_iteration, window.dim, std
+            )
+            apply_sparse_update(
+                window.target,
+                rows,
+                noise,
+                lr,
+                arena=self.flush_arena,
+                row_base=window.row_base,
+                values_writable=True,
+            )
+            if window.ledger is not None:
+                window.ledger.advance(local, delays, final_iteration)
+            history.mark_updated(local, final_iteration)
+        return int(pending.size)
+
+    def flush_all(self, final_iteration: int, lr: float, std: float) -> int:
+        """:meth:`flush` over every table, timed on the shard's own
+        timer (the per-shard load-balance view of the flush)."""
+        with self.timer.time("terminal_flush"):
+            return sum(
+                self.flush(table, final_iteration, lr, std)
+                for table in range(len(self.windows))
+            )
+
+    @property
+    def samples_drawn(self) -> int:
+        return self.ans.samples_drawn
+
+    def stats(self) -> dict:
+        """Hot-path arena reuse and timer counters: ``allocs`` should
+        freeze and ``hits`` grow once the steady state is reached — the
+        zero-allocation step the fused kernels exist for."""
+        return {
+            "samples_drawn": int(self.samples_drawn),
+            "apply_arena": self.apply_arena.stats(),
+            "sampler_arena": self.ans.arena.stats(),
+            "timer_counters": dict(self.timer.counters),
+        }
+
+
+def whole_table_windows(model, with_ledger: bool) -> tuple:
+    """The one-shard layout: ``(windows, histories, router)`` where the
+    single shard's window of each table is the whole table.
+
+    Builds no partition and no routing state — the index arrays alone
+    would be ~40 MB at 8 x 250 000 rows.
+    """
+    histories = [HistoryTable(bag.num_rows) for bag in model.embeddings]
+    windows = [
+        TableWindow(
+            bag.table.data,
+            0,
+            None,
+            history,
+            VersionVector(bag.num_rows) if with_ledger else None,
+        )
+        for bag, history in zip(model.embeddings, histories)
+    ]
+    return [windows], histories, None
+
+
+def ledger_windows(windows: list) -> list:
+    """``(history window, ledger window)`` pairs of a per-shard window
+    layout, one per (table, shard) that keeps a ledger."""
+    return [
+        (window.history, window.ledger)
+        for shard in windows
+        for window in shard
+        if window.ledger is not None
+    ]
+
+
+class LazyNoiseEngine:
+    """A trainer's shard states plus the read surface around them.
+
+    ``histories`` speak global row ids whatever the layout (one
+    :class:`HistoryTable` per table, or the sharded facade over the
+    shards' windows), so release, serving and checkpoint code treats
+    every plan uniformly; ``ans`` is a facade sampler for those readers
+    (``export_private_model`` walks global pending rows outside the
+    per-shard hot path), never used by a training step.  ``states``
+    are :class:`ShardState` objects, or — on the process backend's
+    router — the proxies of the ones its workers own.
+    """
+
+    #: The chunk size every shard state flushes with (read surface for
+    #: flush loops outside this module).
+    flush_chunk_rows = FLUSH_CHUNK_ROWS
+
+    def __init__(
+        self,
+        noise_stream: NoiseStream,
+        use_ans: bool,
+        histories: list,
+        states: list,
+        router=None,
+        ledger=(),
+    ):
+        self.ans = ANSEngine(noise_stream, enabled=use_ans)
+        self.histories = histories
+        self.states = states
+        #: ``None`` for one shard: local ids are global ids, nothing to route.
+        self.router = router
+        #: :func:`ledger_windows` of the layout (empty: no ledger kept).
+        self.ledger_windows = list(ledger)
+        self.flushed_through: int | None = None
 
     @property
     def use_ans(self) -> bool:
         return self.ans.enabled
 
+    @property
+    def samples_drawn(self) -> int:
+        """Scalar Gaussian draws across the facade and every shard."""
+        return self.ans.samples_drawn + sum(
+            state.samples_drawn for state in self.states
+        )
+
+    @property
+    def ledger(self) -> tuple:
+        """Every :class:`VersionVector` window, flattened (audits)."""
+        return tuple(vector for _, vector in self.ledger_windows)
+
     def history_bytes(self) -> int:
-        """Total HistoryTable footprint (paper Section 7.2)."""
+        """Total HistoryTable footprint (paper Section 7.2) — the same
+        4 bytes per row however the rows are sharded."""
         return int(sum(history.nbytes for history in self.histories))
 
-    def catchup_for_next_access(
-        self,
-        table_index: int,
-        next_rows: np.ndarray,
-        iteration: int,
-        dim: int,
-        std: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Catch-up noise for rows the next iteration will gather.
+    # -- routing -------------------------------------------------------------
+    def split_rows(self, table: int, rows: np.ndarray, timer) -> list:
+        """Per-shard ``(global_rows, local_rows)`` of a unique row set."""
+        if self.router is None:
+            return [(rows, rows)]
+        with timer.time("shard_routing"):
+            routed = self.router.scatter(table, rows)
+        return list(zip(routed.global_rows, routed.local))
 
-        Returns ``(rows, delays, noise_values)`` where ``noise_values`` is
-        the deferred noise through ``iteration`` for each row.  Also
-        advances the HistoryTable (Algorithm 1, line 15).
-        """
-        if self.flushed_through is not None:
-            raise RuntimeError("engine already flushed; training has ended")
-        history = self.histories[table_index]
-        next_rows = np.asarray(next_rows, dtype=np.int64)
-        delays = history.delays(next_rows, iteration)
-        history.mark_updated(next_rows, iteration)
-        noise = self.ans.catchup_noise(
-            table_index, next_rows, delays, iteration, dim, std
-        )
-        return next_rows, delays, noise
+    def split_grad(self, table: int, sparse_grad, timer) -> list:
+        """Per-shard ``(rows, values)`` slices of a sparse gradient."""
+        if self.router is None:
+            return [(sparse_grad.rows, sparse_grad.values)]
+        with timer.time("shard_routing"):
+            routed = self.router.scatter(table, sparse_grad.rows)
+            return [
+                (rows, sparse_grad.values[origin])
+                for rows, origin in zip(routed.global_rows, routed.origin)
+            ]
 
-    def flush(self, final_iteration: int, learning_rate: float, std: float) -> int:
-        """Apply all still-deferred noise so the model matches eager DP-SGD.
-
-        Walks every table in bounded-size row chunks (the real system
-        streams this, Section 5.2.1 requires it only before rows become
-        visible).  Returns the number of rows that needed catching up.
-        """
-        caught_up = 0
-        for table_index, bag in enumerate(self.model.embeddings):
-            history = self.histories[table_index]
-            pending = history.pending_rows(final_iteration)
-            for start in range(0, pending.size, self.flush_chunk_rows):
-                rows = pending[start : start + self.flush_chunk_rows]
-                delays = history.delays(rows, final_iteration)
-                noise = self.ans.catchup_noise(
-                    table_index, rows, delays, final_iteration, bag.dim, std
-                )
-                apply_sparse_update(
-                    bag.table.data,
-                    rows,
-                    noise,
-                    learning_rate,
-                    arena=self.arena,
-                    values_writable=True,
-                )
-                history.mark_updated(rows, final_iteration)
-            caught_up += int(pending.size)
-        self.flushed_through = int(final_iteration)
-        return caught_up
+    def rebase_ledger(self) -> None:
+        """Restart every ledger window from its history window: a row
+        planned through ``i`` at a quiescent point has been applied
+        through ``i`` (checkpoint resume restores histories only)."""
+        for history, vector in self.ledger_windows:
+            vector.load_snapshot(history.snapshot())

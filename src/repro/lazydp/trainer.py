@@ -16,63 +16,132 @@ of Figure 11 (61% / 22% / 17% split).  ``finalize`` flushes all remaining
 deferred noise so the *released* model is distributed exactly as eager
 DP-SGD's — the property the threat model of Section 3 rests on.
 
-Stages 1-4 form the catch-up's **plan + sample** phase and stages 5-6 its
-**apply** phase; the code keeps them in separate methods
-(``_plan_catchup`` / ``_sample_catchup`` / ``_apply_staged_noise``) so
-subclasses can re-site the phases without reimplementing them:
+There is one trainer for every execution plan.  Stages 2-6 and the
+flush are written once, over shard-local state
+(:class:`repro.lazydp.optimizer.ShardState`); this class spells the
+stage list around them — dedup the next batch, route when there is more
+than one shard, obtain this iteration's per-shard noise, apply — and a
+:class:`repro.lazydp.scheduler.Scheduler` decides where each stage runs
+(trainer thread, prefetch worker, apply worker, shard pool, worker
+process).  Flat is the one-shard case, decided from the shard count:
+no partition, no router, no executor — the single shard state runs in
+place against the whole tables.
 
-* :class:`repro.shard.trainer.ShardedLazyDPTrainer` runs all six stages
-  per *shard* through a pluggable executor;
-* :class:`repro.pipeline.trainer.PipelinedLazyDPTrainer` moves plan +
-  sample onto a background prefetch worker so only the apply phase stays
-  on the critical path.
-
-Both release bitwise-identical parameters to this serial trainer: the
-noise bits depend only on ``(seed, table, row, iteration)`` and the
-delays, never on where or when they are drawn.  This class is also the
-*core* the session builder (:mod:`repro.session`) stacks its capability
-layers on — every :class:`repro.session.ExecutionPlan` bottoms out here.
+Every placement releases bitwise-identical parameters to the inline
+one-shard run: the noise bits depend only on ``(seed, table, row,
+iteration)`` and the delays, never on where or when they are drawn.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from ..kernels import BufferArena, fused_noisy_update
+from ..pipeline.staging import StagedNoise
+from ..shard.executor import SerialExecutor
+from ..shard.tables import shard_windows
 from ..train.common import DPConfig
 from ..train.dpsgd import DPSGDFTrainer
-from .ans import CatchupPlan, plan_catchup
-from .optimizer import LazyNoiseEngine
+from .optimizer import (
+    LazyNoiseEngine,
+    ShardState,
+    ledger_windows,
+    whole_table_windows,
+)
+from .scheduler import Scheduler
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class LazyDPTrainer(DPSGDFTrainer):
-    """LazyDP with (default) or without aggregated noise sampling."""
+    """LazyDP with (default) or without aggregated noise sampling.
+
+    ``partition`` (a :class:`repro.shard.PartitionPlan`) splits every
+    table into shards; ``scheduler`` places the update stages;
+    ``executors`` builds the :class:`repro.shard.ShardExecutor` shard
+    tasks run through.  All three come from
+    :meth:`repro.session.TrainSession.build`; the defaults are the
+    paper's serial trainer.
+    """
 
     name = "lazydp"
 
     def __init__(
-        self, model, config: DPConfig, noise_seed: int = 1234, use_ans: bool = True
+        self,
+        model,
+        config: DPConfig,
+        noise_seed: int = 1234,
+        use_ans: bool = True,
+        *,
+        partition=None,
+        scheduler: Scheduler | None = None,
+        executors=SerialExecutor,
     ):
         super().__init__(model, config, noise_seed)
-        self.engine = self._build_engine(model, use_ans)
         self.use_ans = use_ans
         if not use_ans:
             self.name = "lazydp_no_ans"
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        #: The partition of every table into shards (``None``: one shard).
+        self.plan = partition
+        self.num_shards = 1 if partition is None else partition.num_shards
         self._next_batch = None
         self._last_noise_std: float | None = None
-        #: Scratch for the fused apply kernel, reused across iterations
-        #: so the steady-state apply allocates nothing.  Single-writer:
-        #: the thread running the apply phase (the trainer thread here;
-        #: the apply worker during an async fit — never both at once).
-        self.arena = BufferArena()
+        self.engine = self._build_engine()
+        self.scheduler.bind(
+            self, executors if self.engine.router is not None else None
+        )
 
-    def _build_engine(self, model, use_ans: bool):
-        """Engine factory hook; the sharded trainer overrides it."""
-        return LazyNoiseEngine(model, self.noise_stream, use_ans=use_ans)
+    def _build_engine(self) -> LazyNoiseEngine:
+        """Shard-local state for every shard of ``self.plan``, in this
+        process.  A plan with deferred applies keeps a ledger."""
+        with_ledger = self.scheduler.defers_apply
+        if self.plan is None:
+            windows, histories, router = whole_table_windows(self.model, with_ledger)
+        else:
+            windows, histories, router = shard_windows(
+                self.model, self.plan, with_ledger
+            )
+        # The one shard of an all-inline plan runs on the trainer thread
+        # and reports into the trainer's own stage breakdown.
+        inline = self.num_shards == 1 and not self.scheduler.prefetches
+        states = [
+            ShardState(
+                shard_windows_,
+                self.noise_stream,
+                self.use_ans,
+                timer=self.timer if inline else None,
+            )
+            for shard_windows_ in windows
+        ]
+        #: One StageTimer per shard, accumulating that shard's
+        #: model-update stage times across all tables and iterations.
+        self.shard_timers = [state.timer for state in states]
+        return LazyNoiseEngine(
+            self.noise_stream,
+            self.use_ans,
+            histories,
+            states,
+            router,
+            ledger=ledger_windows(windows),
+        )
+
+    # -- the training loop hooks ---------------------------------------------
+    def _make_lookahead(self, loader):
+        return self.scheduler.start(loader)
+
+    def fit(self, loader):
+        try:
+            return super().fit(loader)
+        finally:
+            self.scheduler.shutdown()
 
     def train_step(self, iteration: int, batch, next_batch) -> float:
         self._next_batch = next_batch
+        self.scheduler.begin_step(iteration)
         loss = super().train_step(iteration, batch, next_batch)
+        self.scheduler.end_step(iteration)
         # Recorded here (not only in fit) so manually-stepped trainers
         # advance the marker attached serving engines watch.
         self.last_iteration = int(iteration)
@@ -94,87 +163,89 @@ class LazyDPTrainer(DPSGDFTrainer):
             current = max(current, int(flushed))
         return current
 
-    # -- the three phases of the lazy catch-up -----------------------------
-    def _plan_catchup(
-        self, table_index: int, next_rows, iteration: int, timer
-    ) -> CatchupPlan:
-        """Plan phase (stages 2-3): read delays, advance the history.
-
-        Runs on whichever thread owns the HistoryTables — the trainer
-        thread here, the prefetch worker in the pipelined subclass.
-        """
-        return plan_catchup(
-            self.engine.histories[table_index],
-            table_index,
-            next_rows,
-            iteration,
-            timer=timer,
-        )
-
-    def _sample_catchup(
-        self, plan: CatchupPlan, dim: int, noise_std: float, timer
-    ) -> np.ndarray:
-        """Sample phase (stage 4): draw the plan's catch-up noise."""
-        with timer.time("noise_sampling"):
-            return self.engine.ans.sample(plan, dim, noise_std)
-
-    def _apply_staged_noise(
-        self, bag, sparse_grad, noise_rows, noise_values, timer=None
-    ) -> None:
-        """Apply phase (stages 5-6): merge with the clipped gradient and
-        perform the one sparse write — one fused kernel call
-        (:func:`repro.kernels.fused_noisy_update`), still attributed to
-        the two stage timers the figures expect.
-
-        ``timer`` defaults to the trainer-thread StageTimer; the async
-        trainer passes its apply-thread timer instead so the two threads
-        never write the same StageTimer concurrently.
-        """
-        timer = timer or self.timer
-        fused_noisy_update(
-            bag.table.data,
-            self.config.learning_rate,
-            sparse_grad.rows,
-            sparse_grad.values,
-            noise_rows,
-            noise_values,
-            arena=self.arena,
-            timer=timer,
-        )
+    # -- the lazy embedding update, once ---------------------------------------
+    def _next_rows(self, table_index: int, batch, timer) -> np.ndarray:
+        """Stage 1: the unique rows the next batch gathers."""
+        if batch is None:
+            # Final iteration: no lookahead exists; the terminal flush
+            # performs every remaining catch-up.
+            return _NO_ROWS
+        with timer.time("lazydp_dedup"):
+            return batch.accessed_rows(table_index)
 
     # Override the dense noisy embedding update with the lazy sparse one.
     def _apply_embedding_dense_noisy_update(
         self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
     ) -> None:
         self._last_noise_std = noise_std
-
+        scheduler = self.scheduler
+        noise = next_rows = None
         if self._next_batch is not None:
-            with self.timer.time("lazydp_dedup"):
-                next_rows = self._next_batch.accessed_rows(table_index)
-            plan = self._plan_catchup(table_index, next_rows, iteration, self.timer)
-            noise_values = self._sample_catchup(plan, bag.dim, noise_std, self.timer)
-            noise_rows = plan.rows
+            noise = scheduler.staged(iteration, table_index, noise_std)
+        if noise is None:
+            # Not prefetched: each shard plans + samples inside its task.
+            next_rows = self._next_rows(table_index, self._next_batch, self.timer)
+        scheduler.apply(
+            partial(
+                self._update_table,
+                table_index,
+                sparse_grad,
+                next_rows,
+                noise,
+                iteration,
+                noise_std,
+            )
+        )
+
+    def _update_table(
+        self, table_index, sparse_grad, next_rows, noise, iteration, noise_std, timer
+    ) -> None:
+        """Route (more than one shard) and run every shard's stage list
+        for one table, on whichever thread owns the slabs."""
+        engine = self.engine
+        requests = prefetched = [None] * len(engine.states)
+        if noise is None:
+            requests = engine.split_rows(table_index, next_rows, timer)
         else:
-            # Final iteration: no lookahead exists; the terminal flush
-            # performs every remaining catch-up.
-            noise_rows = np.empty(0, dtype=np.int64)
-            noise_values = np.zeros((0, bag.dim), dtype=np.float64)
+            prefetched = noise
+        grads = engine.split_grad(table_index, sparse_grad, timer)
+        lr = self.config.learning_rate
+        tasks = [
+            partial(
+                state.step,
+                table_index,
+                requests[s],
+                prefetched[s],
+                *grads[s],
+                lr,
+                iteration,
+                noise_std,
+            )
+            for s, state in enumerate(engine.states)
+        ]
+        self.scheduler.run_shard_tasks(tasks, timer)
 
-        self._apply_staged_noise(bag, sparse_grad, noise_rows, noise_values)
+    # Runs on the prefetch worker thread.
+    def _prefetch(self, iteration: int, batch):
+        """Stages 1-4 of ``iteration`` for every table, ahead of the
+        step that consumes them."""
+        scheduler, engine = self.scheduler, self.engine
+        timer = scheduler.worker_timer
+        std = scheduler.noise_std
+        tables = []
+        for table_index in range(len(self.model.embeddings)):
+            next_rows = self._next_rows(table_index, batch, timer)
+            requests = engine.split_rows(table_index, next_rows, timer)
+            tasks = [
+                partial(state.plan_sample, table_index, *requests[s], iteration, std)
+                for s, state in enumerate(engine.states)
+            ]
+            # Wall-clock of the per-shard fan-out; the history-vs-
+            # sampling split inside it lives in the shard timers.
+            tables.append(scheduler.run_shard_tasks(tasks, timer, prefetch=True))
+        return StagedNoise(iteration, tables)
 
-    def kernel_stats(self) -> dict:
-        """Apply-kernel instrumentation: arena reuse and timer counters.
-
-        ``apply_arena`` should show ``allocs`` frozen and ``hits``
-        growing once the steady state is reached — the zero-allocation
-        hot path the fused kernels exist for.
-        """
-        return {
-            "apply_arena": self.arena.stats(),
-            "sampler_arena": self.engine.ans.arena.stats(),
-            "timer_counters": dict(self.timer.counters),
-        }
-
+    # -- release ---------------------------------------------------------------
     def _flush_noise_std(self) -> float:
         """Per-iteration noise std for the terminal flush.
 
@@ -190,11 +261,112 @@ class LazyDPTrainer(DPSGDFTrainer):
 
     def finalize(self, final_iteration: int) -> None:
         """Flush all deferred noise so the released model matches DP-SGD."""
+        self.scheduler.quiesce()
         if final_iteration == 0:
             return
         noise_std = self._flush_noise_std()
+        lr = self.config.learning_rate
+        states = self.engine.states
         # The flush is a one-time end-of-training cost (it makes the
         # *released* model match DP-SGD), so it gets its own stage rather
         # than polluting the per-iteration noise-sampling numbers.
         with self.timer.time("terminal_flush"):
-            self.engine.flush(final_iteration, self.config.learning_rate, noise_std)
+            if self.scheduler.executor is None:
+                for table_index in range(len(self.model.embeddings)):
+                    states[0].flush(table_index, final_iteration, lr, noise_std)
+            else:
+                self.scheduler.executor.run(
+                    [
+                        partial(state.flush_all, final_iteration, lr, noise_std)
+                        for state in states
+                    ]
+                )
+        self.engine.flushed_through = int(final_iteration)
+
+    # -- the noise ledger --------------------------------------------------------
+    @property
+    def ledger(self) -> tuple:
+        """Every per-(table, shard) :class:`VersionVector`, flattened;
+        empty under plans that keep no ledger."""
+        return self.engine.ledger
+
+    def audit_noise_ledger(self, final_iteration: int) -> None:
+        """Prove noise was applied exactly once per (row, iteration)
+        through ``final_iteration`` (raises ``LedgerError`` otherwise).
+
+        This is the bounded-staleness and cross-process acceptance
+        check: released parameters may legitimately differ from the
+        serial schedule, but the deferred-noise accounting may not.
+        """
+        for vector in self.ledger:
+            vector.audit_complete(final_iteration)
+
+    # -- reporting -----------------------------------------------------------------
+    def kernel_stats(self) -> dict:
+        """Per-shard arena reuse and timer counters (see
+        :meth:`ShardState.stats`)."""
+        return {
+            "timer_counters": dict(self.timer.counters),
+            "sampler_arena": self.engine.ans.arena.stats(),
+            "shards": [state.stats() for state in self.engine.states],
+        }
+
+    def pipeline_stats(self) -> dict:
+        """The scheduler's prefetch accounting plus the per-shard stage
+        split of the work (the Figure-11-style history/sampling
+        attribution, which the ``shard_prefetch`` wall-clock entry in
+        ``worker_stage_seconds`` deliberately lumps together)."""
+        stats = self.scheduler.pipeline_stats()
+        stats["shard_stage_seconds"] = self.per_shard_breakdown()
+        stats["kernel"] = self.kernel_stats()
+        if self.scheduler.defers_apply:
+            stats["async"] = self.async_stats()
+        return stats
+
+    def async_stats(self) -> dict:
+        return self.scheduler.async_stats()
+
+    def per_shard_breakdown(self) -> list:
+        """Per-shard stage-time dicts (model-update stages only)."""
+        return [dict(timer.totals) for timer in self.shard_timers]
+
+    def shard_update_seconds(self) -> list:
+        """Per-shard total model-update seconds (load-balance view)."""
+        return [timer.total() for timer in self.shard_timers]
+
+    def shard_time_summary(self) -> dict:
+        """Deterministic merge of the per-shard timers: the per-shard
+        breakdown, the same stages summed across shards, each shard's
+        total update seconds, and the max/min skew between shards.
+        This is what ``TrainResult.shard_times`` carries, so the
+        load-balance view survives ``fit`` instead of dying with the
+        trainer."""
+        per_shard = self.per_shard_breakdown()
+        summed: dict = {}
+        for totals in per_shard:
+            for stage, seconds in totals.items():
+                summed[stage] = summed.get(stage, 0.0) + seconds
+        update_seconds = self.shard_update_seconds()
+        slowest, fastest = max(update_seconds), min(update_seconds)
+        return {
+            "per_shard": per_shard,
+            "summed": summed,
+            "update_seconds": update_seconds,
+            "skew": {
+                "max": slowest,
+                "min": fastest,
+                "spread": slowest - fastest,
+            },
+        }
+
+    def _fit_shard_times(self):
+        return self.shard_time_summary() if self.plan is not None else None
+
+    def _auxiliary_timers(self) -> tuple:
+        scheduler = self.scheduler
+        shard_timers = [t for t in self.shard_timers if t is not self.timer]
+        return (scheduler.worker_timer, scheduler.apply_timer, *shard_timers)
+
+    def close(self) -> None:
+        """Stop the scheduler's workers and pools (idempotent)."""
+        self.scheduler.close()

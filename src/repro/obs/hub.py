@@ -103,19 +103,15 @@ class Observability:
         if kernel_stats is not None:
             self._collect_kernel(kernel_stats())
 
-        if hasattr(trainer, "shard_time_summary"):
-            summary = trainer.shard_time_summary()
-            skew = summary.get("skew")
-            if skew is not None:
-                metrics.set_gauge("shard.update_seconds_max", skew["max"])
-                metrics.set_gauge("shard.update_seconds_min", skew["min"])
-                metrics.set_gauge("shard.update_skew_seconds", skew["spread"])
+        if getattr(trainer, "num_shards", 1) > 1:
+            skew = trainer.shard_time_summary()["skew"]
+            metrics.set_gauge("shard.update_seconds_max", skew["max"])
+            metrics.set_gauge("shard.update_seconds_min", skew["min"])
+            metrics.set_gauge("shard.update_skew_seconds", skew["spread"])
 
-        if (
-            hasattr(trainer, "pipeline_stats")
-            and getattr(trainer, "_worker", None) is not None
-        ):
-            stats = trainer.pipeline_stats()
+        scheduler = getattr(trainer, "scheduler", None)
+        if scheduler is not None and scheduler.prefetches:
+            stats = scheduler.pipeline_stats()
             for key in (
                 "prefetch_busy_seconds",
                 "exposed_wait_seconds",
@@ -126,11 +122,8 @@ class Observability:
                 metrics.set_gauge(f"pipeline.{key}", stats[key])
             metrics.set_gauge("pipeline.plans_computed", stats["plans_computed"])
 
-        if (
-            hasattr(trainer, "async_stats")
-            and getattr(trainer, "_apply_worker", None) is not None
-        ):
-            stats = trainer.async_stats()
+        if scheduler is not None and scheduler.defers_apply:
+            stats = scheduler.async_stats()
             for key in (
                 "applies_completed",
                 "apply_busy_seconds",
@@ -151,20 +144,13 @@ class Observability:
                         )
 
     def _collect_kernel(self, stats: dict) -> None:
+        """Arena hit/alloc gauges, summed across shards."""
         metrics = self.metrics
         for arena_key in ("apply_arena", "sampler_arena"):
-            arena = stats.get(arena_key)
-            if arena:
-                for field in ("hits", "allocs"):
-                    if field in arena:
-                        metrics.set_gauge(f"kernel.{arena_key}.{field}", arena[field])
-        for arena_key in ("shard_apply_arenas", "shard_sampler_arenas"):
-            arenas = stats.get(arena_key) or []
             totals: dict = {}
-            for arena in arenas:
+            for shard in stats.get("shards", ()):
                 for field in ("hits", "allocs"):
-                    if field in arena:
-                        totals[field] = totals.get(field, 0) + arena[field]
+                    totals[field] = totals.get(field, 0) + shard[arena_key][field]
             for field, value in totals.items():
                 metrics.set_gauge(f"kernel.{arena_key}.{field}", value)
 

@@ -1,9 +1,9 @@
-"""Pipelined training engine: background noise prefetch for LazyDP.
+"""Noise-prefetch mechanisms: the worker thread and its staging buffer.
 
-The serial LazyDP trainer pays for every noise catch-up on the critical
-path.  This package restructures the hot path into an explicit
-**plan → prefetch → apply** pipeline that hides the catch-up behind
-forward/backward propagation and input gather:
+The inline LazyDP step pays for every noise catch-up on the critical
+path.  A prefetching :class:`repro.lazydp.scheduler.Scheduler` (plan
+axis ``pipeline=<depth>``) hides it behind forward/backward propagation
+and input gather with the two mechanisms here:
 
 * :mod:`staging <repro.pipeline.staging>` — :class:`StagedNoise` and the
   double-buffered :class:`StagingBuffer` handing precomputed noise from
@@ -11,28 +11,14 @@ forward/backward propagation and input gather:
 * :mod:`prefetch <repro.pipeline.prefetch>` —
   :class:`NoisePrefetchWorker`, the background thread consuming
   upcoming-batch row sets from the deepened :class:`InputQueue
-  <repro.data.loader.InputQueue>` and computing catch-up plans + ANS
-  draws ahead of time.
-* :mod:`trainer <repro.pipeline.trainer>` —
-  :class:`PipelinedLazyDPTrainer` (flat tables) and
-  :class:`PipelinedShardedLazyDPTrainer` (per-shard prefetch through the
-  ``repro.shard`` executor), both verified bitwise-identical to their
-  serial counterparts.
+  <repro.data.loader.InputQueue>` and running the trainer's own
+  plan + sample stages ahead of time.
 
-Configuration flows through :class:`repro.configs.PipelineConfig` and
-the CLI's ``--pipeline`` / ``--prefetch-depth``;
 ``benchmarks/bench_pipeline_overlap.py`` measures how much catch-up time
 the overlap hides.
 """
 
 from .prefetch import NoisePrefetchWorker
 from .staging import StagedNoise, StagingBuffer
-from .trainer import PipelinedLazyDPTrainer, PipelinedShardedLazyDPTrainer
 
-__all__ = [
-    "NoisePrefetchWorker",
-    "StagedNoise",
-    "StagingBuffer",
-    "PipelinedLazyDPTrainer",
-    "PipelinedShardedLazyDPTrainer",
-]
+__all__ = ["NoisePrefetchWorker", "StagedNoise", "StagingBuffer"]

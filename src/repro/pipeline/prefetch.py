@@ -4,10 +4,10 @@ One daemon thread that turns upcoming-batch row sets into staged
 catch-up noise.  The worker is deliberately *dumb*: it owns no LazyDP
 state of its own, just a FIFO inbox fed by :class:`LookaheadLoader
 <repro.data.loader.LookaheadLoader>`'s ``on_load`` hook and a ``compute``
-callback supplied by the pipelined trainer.  All noise semantics —
-history reads and advances, ANS draws, sharded fan-out — live in that
-callback, which is the *same code path* the serial trainers run inline;
-the worker only changes *when and where* it runs.
+callback supplied by the trainer.  All noise semantics — history reads
+and advances, ANS draws, sharded fan-out — live in that callback, which
+runs the *same* per-shard ``plan_sample`` the inline path runs; the
+worker only changes *when and where* it runs.
 
 Invariants:
 

@@ -42,11 +42,10 @@ from dataclasses import dataclass
 class StagedNoise:
     """Precomputed catch-up noise for one iteration, covering all tables.
 
-    ``tables[t]`` is the payload for embedding table ``t``: the flat
-    trainer stages one ``(rows, delays, values)`` triple per table; the
-    sharded trainer stages a list of per-shard ``(global_rows, delays,
-    values)`` triples.  The delays ride along so a deferred apply stage
-    (the async trainer) can advance the per-row noise ledger
+    ``tables[t]`` is the payload for embedding table ``t``: one
+    :class:`repro.lazydp.optimizer.Catchup` per shard (a one-element
+    list for the flat engine).  The delays ride along so the apply
+    stage — wherever it runs — can advance the per-row noise ledger
     (:class:`repro.lazydp.ledger.VersionVector`) when the noise lands.
     """
 

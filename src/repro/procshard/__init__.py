@@ -14,10 +14,10 @@ pipe:
 
 * the :class:`repro.shard.plan.PartitionPlan` is pickled **once** at
   worker startup (row ownership never changes mid-run);
-* per step the router sends ``plan`` → ``apply`` messages mirroring the
-  in-process phase split (``_shard_plan_and_sample`` /
-  ``_shard_apply``), so the worker executes bitwise the same kernel
-  calls the serial trainer would;
+* per (step, table) the router sends ``plan`` → ``apply`` messages that
+  the worker maps onto its :class:`repro.lazydp.optimizer.ShardState`'s
+  ``plan_sample`` / ``apply`` — the same methods every in-process
+  engine runs, so the kernel calls are bitwise the serial trainer's;
 * every worker advances a per-process :class:`repro.lazydp.ledger.
   VersionVector` *segment* in shared memory, and the router's
   ``audit_noise_ledger`` proves exactly-once noise application across

@@ -7,12 +7,13 @@ wire contract is one module.  Two principles keep the pipe small:
   the pickled-once :class:`repro.shard.plan.PartitionPlan` and the
   shared-memory segment names; after that, parameters, histories and
   ledger segments move through shared memory, never the pipe.
-* **Commands mirror the phase split.**  Per (iteration, table) the
+* **Commands are shard-state methods.**  Per (iteration, table) the
   router sends a ``plan`` command (stages 2-4: history read/advance +
-  noise draw, the ``_shard_plan_and_sample`` half) then an ``apply``
-  command (stages 5-6: gradient merge + slab write + ledger advance,
-  the ``_shard_apply`` half).  ``flush`` is the terminal catch-up,
-  ``stats`` a diagnostics round trip, ``close`` the shutdown request.
+  noise draw, :meth:`repro.lazydp.optimizer.ShardState.plan_sample`)
+  then an ``apply`` command (stages 5-6: gradient merge + slab write +
+  ledger advance, :meth:`~repro.lazydp.optimizer.ShardState.apply`).
+  ``flush`` is the terminal catch-up (``flush_all``), ``stats`` a
+  diagnostics round trip, ``close`` the shutdown request.
 
 Router -> worker commands (tuples, first element the command name):
 
@@ -27,8 +28,8 @@ apply     ``(iteration, table_index, grad_global, grad_values,
           learning_rate)`` — merge the staged noise with this gradient
           slice, write the slab, advance the ledger segment
 flush     ``(final_iteration, learning_rate, noise_std)`` — terminal
-          catch-up of every pending row, chunked exactly like the
-          in-process ``_flush_shard``
+          catch-up of every pending row of the shard (the one chunked
+          flush loop every placement runs)
 stats     ``()`` — report samples drawn, arena stats, message count
 close     ``()`` — drop shared-memory views and exit
 ========  =============================================================

@@ -1,25 +1,25 @@
-"""The process-backend router: ShardedLazyDPTrainer over worker processes.
+"""The process-backend router: the one LazyDP step over worker processes.
 
-:class:`ProcessShardedLazyDPTrainer` keeps the entire routing half of
-the sharded trainer — dedup, :class:`repro.shard.router.ShardRouter`
-scatter, stage accounting — and replaces only the *execution* of the
-per-shard tasks: instead of lambdas on a thread pool, each shard's
-plan/apply pair is a message to that shard's long-lived worker process
-(:mod:`repro.procshard.worker`), which runs the identical kernel calls
-against the same slab bytes through shared memory.
+:class:`ProcessShardedLazyDPTrainer` is :class:`repro.lazydp.trainer.
+LazyDPTrainer` with its shard states *hosted elsewhere*: dedup, routing,
+stage accounting, the step and the flush are the shared stage list, but
+each shard's task is a message to that shard's long-lived worker
+process (:mod:`repro.procshard.worker`), which runs the identical
+:class:`repro.lazydp.optimizer.ShardState` methods against the same
+slab bytes through shared memory.  What is genuinely its own is
+OS-resource safety: spawn, handshake, timeouts, abort, unlink-after-
+ready, the GC finalizer, private-copy rematerialisation.
 
 Construction sequence:
 
-1. ``super().__init__`` builds the partition plan, router and sharded
-   engine exactly as the in-process backends do;
-2. every table's parameters are *moved* into shared memory (one copy,
+1. every table's parameters are *moved* into shared memory (one copy,
    at startup) and the model re-adopted over the mapping, so
    forward/backward and worker writes share pages zero-copy;
-3. the engine's per-shard HistoryTables are re-attached over
-   shared-memory windows, and per-shard
-   :class:`repro.lazydp.ledger.VersionVector` segments allocated beside
-   them (:meth:`audit_noise_ledger` audits these after the flush);
-4. workers start, attach, ack ``ready`` — then the router **unlinks**
+2. the engine's per-shard HistoryTables and
+   :class:`repro.lazydp.ledger.VersionVector` windows are built over
+   shared-memory windows beside them (:meth:`audit_noise_ledger` audits
+   these after the flush);
+3. workers start, attach, ack ``ready`` — then the router **unlinks**
    every segment name, so even a SIGKILLed run leaks no ``/dev/shm``
    entries.
 
@@ -36,15 +36,18 @@ import gc
 import multiprocessing
 import time
 import weakref
+from functools import partial
 
 import numpy as np
 
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
+from ..lazydp.optimizer import LazyNoiseEngine, ledger_windows
+from ..lazydp.trainer import LazyDPTrainer
 from ..nn.dlrm import DLRM
-from ..shard.plan import PartitionPlan
-from ..shard.tables import ShardedEmbeddingBag
-from ..shard.trainer import ShardedLazyDPTrainer
+from ..shard.executor import ShardExecutor
+from ..shard.plan import PartitionPlan, build_partition_plan
+from ..shard.tables import ShardedEmbeddingBag, check_partition, shard_windows
 from ..train.common import DPConfig
 from .messages import (
     CMD_APPLY,
@@ -72,15 +75,51 @@ class ShardWorkerError(RuntimeError):
 
 
 class _WorkerHandle:
-    """Router-side connection to one shard worker."""
+    """Router-side proxy of one worker's shard state.
 
-    __slots__ = ("shard", "process", "conn", "pid")
+    ``step`` / ``flush_all`` take what the in-process
+    :class:`repro.lazydp.optimizer.ShardState` methods take, send the
+    matching command(s) and return the function that collects the ack —
+    :class:`_SendThenCollect` calls those only after every shard's
+    commands are out.
+    """
 
-    def __init__(self, shard: int, process, conn):
+    __slots__ = ("router", "shard", "process", "conn", "pid")
+
+    #: Workers count their own draws (``procshard_stats``).
+    samples_drawn = 0
+
+    def __init__(self, router, shard: int, process, conn):
+        self.router = router
         self.shard = shard
         self.process = process
         self.conn = conn
         self.pid: int | None = None
+
+    def step(
+        self, table, request, noise, grad_rows, grad_values, lr, iteration, std
+    ):
+        router = self.router
+        router._send(self, (CMD_PLAN, iteration, table, *request, std))
+        router._send(self, (CMD_APPLY, iteration, table, grad_rows, grad_values, lr))
+        return partial(router._collect_ok, self, CMD_APPLY)
+
+    def flush_all(self, final_iteration, lr, std):
+        router = self.router
+        router._send(self, (CMD_FLUSH, final_iteration, lr, std))
+        return lambda: router._collect_ok(self, CMD_FLUSH)["flushed"]
+
+
+class _SendThenCollect(ShardExecutor):
+    """Shard tasks as worker-process messages: every shard's command
+    goes out before any ack is collected, so all workers run their
+    kernels concurrently, in separate processes, GIL-free."""
+
+    name = "process"
+
+    def run(self, tasks: list) -> list:
+        pending = [task() for task in tasks]
+        return [collect() for collect in pending]
 
 
 def _finalize_backstop(processes, segments) -> None:
@@ -103,7 +142,7 @@ def _finalize_backstop(processes, segments) -> None:
         segment_group.close()
 
 
-class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
+class ProcessShardedLazyDPTrainer(LazyDPTrainer):
     """LazyDP with one worker process per shard (``backend="process"``)."""
 
     #: Seconds to wait for a worker's startup ``ready`` ack (spawn-start
@@ -119,36 +158,10 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
         config: DPConfig,
         noise_seed: int = 1234,
         use_ans: bool = True,
-        num_shards: int = 2,
-        partition: str = "row_range",
-        executor="serial",
-        plan: PartitionPlan | None = None,
-        max_workers: int | None = None,
-        skew=None,
+        *,
+        partition: PartitionPlan | None = None,
+        scheduler=None,
     ):
-        if not (isinstance(executor, str) and executor == "serial"):
-            raise ValueError(
-                "the process backend owns its per-shard worker processes; "
-                f"executor={executor!r} cannot override them (plan axis "
-                "backend=process replaces executor selection)"
-            )
-        if max_workers is not None:
-            raise ValueError(
-                "the process backend pins one worker process per shard; "
-                "max_workers does not apply (use backend=process:K with "
-                "K equal to the shard count, or plain backend=process)"
-            )
-        super().__init__(
-            model,
-            config,
-            noise_seed=noise_seed,
-            use_ans=use_ans,
-            num_shards=num_shards,
-            partition=partition,
-            executor="serial",
-            plan=plan,
-            skew=skew,
-        )
         self._closed = False
         self._segments: list = []
         self._workers: list = []
@@ -156,12 +169,19 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
         self._stats_cache: dict | None = None
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
-        #: Per-(table, shard) VersionVector segments; ``ledger`` flattens
-        #: the non-empty ones for audit_noise_ledger.
-        self._ledger_segments: list = []
-
-        self._share_tables()
+        if partition is None:
+            # One worker still owns its rows through a (one-shard) plan.
+            partition = build_partition_plan(model.config, 1)
         try:
+            super().__init__(
+                model,
+                config,
+                noise_seed,
+                use_ans,
+                partition=partition,
+                scheduler=scheduler,
+                executors=_SendThenCollect,
+            )
             self._spawn_workers()
         finally:
             # Names must not outlive startup: once every worker holds a
@@ -174,33 +194,34 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
         )
 
     # -- startup -------------------------------------------------------------
-    def _share_tables(self) -> None:
-        """Move every table (+ history, + ledger) into shared memory."""
+    def _build_engine(self) -> LazyNoiseEngine:
+        """Move every table (+ history, + ledger) into shared memory;
+        the shard states themselves are built by the workers."""
+        check_partition(self.model, self.plan)  # before anything is moved
         for t, bag in enumerate(self.model.embeddings):
-            part = self.plan.table(t)
             segments = TableSegments(
                 t,
                 bag.num_rows,
                 bag.dim,
-                [rows.size for rows in part.shard_rows],
+                [rows.size for rows in self.plan.table(t).shard_rows],
             )
             self._segments.append(segments)
             slab = segments.slab_array()
             np.copyto(slab, bag.table.data)
             bag.table.data = slab
-            # Re-adopt so the per-shard slab views window the shared
-            # mapping (same re-adoption the sharded base does at init).
-            self.model.embeddings[t] = ShardedEmbeddingBag(bag.table, part)
-            history = self.engine.histories[t]
-            vectors = []
-            for s in range(self.num_shards):
-                window = segments.history_window(s)
-                if window is None:
-                    vectors.append(None)
-                    continue
-                history.shards[s] = HistoryTable.attach(window)
-                vectors.append(VersionVector.attach(segments.ledger_window(s)))
-            self._ledger_segments.append(vectors)
+        windows, histories, router = shard_windows(
+            self.model, self.plan, with_ledger=True, segments=self._segments
+        )
+        #: Router-side per-shard timers, folded from the workers' acks.
+        self.shard_timers = [self._make_timer() for _ in range(self.num_shards)]
+        return LazyNoiseEngine(
+            self.noise_stream,
+            self.use_ans,
+            histories,
+            self._workers,
+            router,
+            ledger=ledger_windows(windows),
+        )
 
     def _worker_init(self, shard: int) -> WorkerInit:
         tables = tuple(
@@ -237,7 +258,7 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
             )
             process.start()
             child_conn.close()
-            handle = _WorkerHandle(s, process, parent_conn)
+            handle = _WorkerHandle(self, s, process, parent_conn)
             self._workers.append(handle)
             self._procs.append(process)
         for handle in self._workers:
@@ -343,96 +364,16 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
                     key, name, start, end, track_name=track_name
                 )
 
-    # -- the process-sharded model update ------------------------------------
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
-    ) -> None:
+    # -- the step and the flush: the shared stage list, workers guarded --------
+    def train_step(self, iteration: int, batch, next_batch) -> float:
         self._require_workers()
-        self._last_noise_std = noise_std
-        lr = self.config.learning_rate
-
-        if self._next_batch is not None:
-            with self.timer.time("lazydp_dedup"):
-                next_rows = self._next_batch.accessed_rows(table_index)
-        else:
-            # Final iteration: the terminal flush performs every
-            # remaining catch-up, worker by worker.
-            next_rows = np.empty(0, dtype=np.int64)
-
-        with self.timer.time("shard_routing"):
-            routed_next = self.router.scatter(table_index, next_rows)
-            routed_grad = self.router.scatter(table_index, sparse_grad.rows)
-            grad_values = [
-                sparse_grad.values[routed_grad.origin[s]]
-                for s in range(self.num_shards)
-            ]
-
-        with self.timer.time("shard_model_update"):
-            # Fan the full plan+apply pair out to every worker before
-            # collecting any ack: all shards run their kernels
-            # concurrently, in separate processes, GIL-free.
-            for handle in self._workers:
-                s = handle.shard
-                self._send(
-                    handle,
-                    (
-                        CMD_PLAN,
-                        iteration,
-                        table_index,
-                        routed_next.global_rows[s],
-                        routed_next.local[s],
-                        noise_std,
-                    ),
-                )
-                self._send(
-                    handle,
-                    (
-                        CMD_APPLY,
-                        iteration,
-                        table_index,
-                        routed_grad.global_rows[s],
-                        grad_values[s],
-                        lr,
-                    ),
-                )
-            for handle in self._workers:
-                self._collect_ok(handle, CMD_APPLY)
+        return super().train_step(iteration, batch, next_batch)
 
     def finalize(self, final_iteration: int) -> None:
         """Terminal flush, one worker per shard (same bytes as flat)."""
-        if final_iteration == 0:
-            return
-        self._require_workers()
-        noise_std = self._flush_noise_std()
-        lr = self.config.learning_rate
-        with self.timer.time("terminal_flush"):
-            for handle in self._workers:
-                self._send(handle, (CMD_FLUSH, final_iteration, lr, noise_std))
-            for handle in self._workers:
-                self._collect_ok(handle, CMD_FLUSH)
-        self.engine.flushed_through = int(final_iteration)
-
-    # -- the cross-process noise ledger --------------------------------------
-    @property
-    def ledger(self) -> tuple:
-        """Every per-(table, shard) VersionVector segment, flattened."""
-        return tuple(
-            vector
-            for vectors in self._ledger_segments
-            for vector in vectors
-            if vector is not None
-        )
-
-    def audit_noise_ledger(self, final_iteration: int) -> None:
-        """Prove exactly-once noise application across process boundaries.
-
-        Workers advanced their shared-memory ledger segments at every
-        apply and flush; the router audits those same bytes.  Mirrors
-        the async trainer's method of the same name, so callers audit
-        either engine identically.
-        """
-        for vector in self.ledger:
-            vector.audit_complete(final_iteration)
+        if final_iteration:
+            self._require_workers()
+        super().finalize(final_iteration)
 
     # -- reporting -----------------------------------------------------------
     def procshard_stats(self) -> dict:
@@ -457,9 +398,11 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
         return self._stats_cache
 
     def kernel_stats(self) -> dict:
-        stats = super().kernel_stats()
-        stats["procshard"] = self.procshard_stats()
-        return stats
+        return {
+            "timer_counters": dict(self.timer.counters),
+            "sampler_arena": self.engine.ans.arena.stats(),
+            "procshard": self.procshard_stats(),
+        }
 
     # -- lifecycle -----------------------------------------------------------
     def _release_shared_state(self) -> None:
@@ -487,16 +430,16 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
             table = bag.table
             table.data = np.array(table.data, copy=True)
             self.model.embeddings[t] = ShardedEmbeddingBag(table, self.plan.table(t))
-        for history in self.engine.histories:
-            for s, shard_history in enumerate(history.shards):
-                if shard_history is not None:
-                    history.shards[s] = HistoryTable.attach(shard_history.snapshot())
-        self._ledger_segments = [
-            [
-                None if vector is None else VersionVector.attach(vector.snapshot())
-                for vector in vectors
-            ]
-            for vectors in self._ledger_segments
+        engine = self.engine
+        private = {}  # id(shared history window) -> its private copy
+        for history in engine.histories:
+            for s, shard in enumerate(history.shards):
+                if shard is not None:
+                    copy = HistoryTable.attach(shard.snapshot())
+                    private[id(shard)] = history.shards[s] = copy
+        engine.ledger_windows = [
+            (private[id(shard)], VersionVector.attach(vector.snapshot()))
+            for shard, vector in engine.ledger_windows
         ]
 
     def _abort(self) -> None:
@@ -544,4 +487,3 @@ class ProcessShardedLazyDPTrainer(ShardedLazyDPTrainer):
         self._release_shared_state()
         if hasattr(self, "_finalizer"):
             self._finalizer.detach()
-        super().close()

@@ -2,25 +2,24 @@
 
 One worker owns one shard: its slab windows of every table, its history
 windows and its ledger segments, all attached from the router's shared
-memory at startup (:class:`repro.procshard.messages.WorkerInit`).  The
-command loop then mirrors the in-process trainer's phase split *call
-for call* — the same ``HistoryTable.delays`` / ``mark_updated``, the
-same ``ANSEngine.catchup_noise`` keyed by global row ids, the same
-``fused_noisy_update`` / ``apply_sparse_update`` kernels in the same
-operand order — which is what makes the process backend bitwise
-identical to the serial trainer: noise is a pure function of
-``(seed, table, global row, iteration)`` and each row's arithmetic
-happens exactly once, in one process, in the flat trainer's order.
+memory at startup (:class:`repro.procshard.messages.WorkerInit`) and
+wrapped in the same :class:`repro.lazydp.optimizer.ShardState` the
+in-process engines run.  The command loop only maps messages onto its
+methods — ``plan`` -> ``plan_sample``, ``apply`` -> ``apply``, ``flush``
+-> ``flush_all`` — so the kernel-call sequence exists once, and the
+process backend is bitwise identical to the serial trainer for the same
+reason every other placement is: noise is a pure function of ``(seed,
+table, global row, iteration)`` and each row's arithmetic happens
+exactly once, in one process, in the flat trainer's order.
 
-Every ``apply`` additionally advances the shard's
-:class:`repro.lazydp.ledger.VersionVector` segment with the delays
-staged by the paired ``plan`` command, so the router can prove
-exactly-once noise application across the process boundary after the
-terminal flush.
+Every ``apply`` and ``flush`` also advances the shard's
+:class:`repro.lazydp.ledger.VersionVector` segment (inside
+``ShardState``, after the write), so the router can prove exactly-once
+noise application across the process boundary after the terminal flush.
 
-Instrumentation rides on the acks: the worker times stages with its own
-:class:`repro.train.common.StageTimer` (same stage names as the
-in-process shard tasks) and ships per-ack *deltas* plus raw
+Instrumentation rides on the acks: the shard state times its stages on
+a :class:`repro.train.common.StageTimer` (same stage names as the
+in-process shard tasks) and the worker ships per-ack *deltas* plus raw
 ``perf_counter`` span tuples; the router folds the deltas into its
 per-shard timers and replays the spans onto a per-worker trace track.
 """
@@ -31,12 +30,9 @@ import gc
 import os
 import traceback
 
-import numpy as np
-
-from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
-from ..lazydp.ans import ANSEngine
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
+from ..lazydp.optimizer import ShardState
 from ..nn.parameter import Parameter
 from ..rng import NoiseStream
 from ..shard.tables import ShardSlab
@@ -77,37 +73,39 @@ class _SpanRecorder:
         return spans
 
 
-class _TableContext:
-    """One table's shard-local state, reconstructed over shared memory."""
+def _attach_state(init: WorkerInit, recorder, attached: list) -> ShardState:
+    """This worker's shard state, reconstructed over shared memory.
 
-    __slots__ = ("segments", "slab", "history", "ledger", "dim")
-
-    def __init__(self, handle, shard_index: int, partition):
-        self.segments = AttachedSegments(
+    A function so the views it builds live on only inside the returned
+    state; the segment handles are appended to ``attached`` for the
+    shutdown path to close once the state is gone.
+    """
+    shard = init.worker_index
+    windows = []
+    for handle in init.tables:
+        segments = AttachedSegments(
             handle.segments, handle.num_rows, handle.dim, handle.shard_sizes
         )
+        attached.append(segments)
         param = Parameter(
-            handle.name,
-            self.segments.slab_array(),
-            handle.param_id,
-            is_embedding=True,
+            handle.name, segments.slab_array(), handle.param_id, is_embedding=True
         )
-        self.slab = ShardSlab(param, partition, shard_index)
-        window = self.segments.history_window(shard_index)
-        self.history = None if window is None else HistoryTable.attach(window)
-        window = self.segments.ledger_window(shard_index)
-        self.ledger = None if window is None else VersionVector.attach(window)
-        self.dim = int(handle.dim)
-
-    def release(self) -> None:
-        """Drop every ndarray view, then the segment mappings."""
-        segments = self.segments
-        self.slab = None
-        self.history = None
-        self.ledger = None
-        self.segments = None
-        if segments is not None:
-            segments.close()
+        history = segments.history_window(shard)
+        ledger = segments.ledger_window(shard)
+        slab = ShardSlab(param, init.plan.table(handle.table_index), shard)
+        windows.append(
+            slab.window(
+                None if history is None else HistoryTable.attach(history),
+                None if ledger is None else VersionVector.attach(ledger),
+            )
+        )
+    return ShardState(
+        windows,
+        NoiseStream(init.noise_seed),
+        init.use_ans,
+        timer=StageTimer(tracer=recorder),
+        flush_chunk_rows=init.flush_chunk_rows,
+    )
 
 
 def _drain_instrumentation(timer, recorder, shipped_totals, shipped_counters):
@@ -131,203 +129,60 @@ def _drain_instrumentation(timer, recorder, shipped_totals, shipped_counters):
     }
 
 
-def _flush_table(
-    context,
-    table_index: int,
-    final_iteration: int,
-    learning_rate: float,
-    std: float,
-    ans: ANSEngine,
-    arena: BufferArena,
-    timer: StageTimer,
-    chunk_rows: int,
-) -> int:
-    """Terminal catch-up for this shard's window of one table.
-
-    Chunked exactly like ``ShardedLazyNoiseEngine._flush_shard`` —
-    same chunk size, same delays/noise/apply/mark order — so the flush
-    bytes match the in-process backends bit for bit.  The only addition
-    is the ledger advance, recording that each pending span was applied
-    exactly once.
-    """
-    history = context.history
-    if history is None:
-        return 0
-    pending_local = history.pending_rows(final_iteration)
-    if pending_local.size == 0:
-        return 0
-    slab = context.slab
-    with timer.time("terminal_flush"):
-        for start in range(0, pending_local.size, chunk_rows):
-            local = pending_local[start : start + chunk_rows]
-            global_rows = slab.rows[local]
-            delays = history.delays(local, final_iteration)
-            noise = ans.catchup_noise(
-                table_index,
-                global_rows,
-                delays,
-                final_iteration,
-                context.dim,
-                std,
-            )
-            target, row_base = slab.update_target()
-            apply_sparse_update(
-                target,
-                global_rows,
-                noise,
-                learning_rate,
-                arena=arena,
-                row_base=row_base,
-                values_writable=True,
-            )
-            context.ledger.advance(local, delays, final_iteration)
-            history.mark_updated(local, final_iteration)
-    return int(pending_local.size)
-
-
-def _handle_plan(contexts, ans: ANSEngine, timer: StageTimer, staged, message):
-    """Stage the catch-up for the rows the next batch touches.
-
-    A function (not inline in the loop) so its slab/history views die
-    on return instead of lingering as ``worker_main`` frame locals past
-    shutdown — a stale view would keep the segment buffer exported.
-    """
-    _, iteration, t, next_global, next_local, noise_std = message
-    context = contexts[t]
-    with timer.time("lazydp_history_read"):
-        if context.history is not None and next_local.size:
-            delays = context.history.delays(next_local, iteration)
-        else:
-            delays = np.zeros(next_local.size, dtype=np.int64)
-    with timer.time("lazydp_history_update"):
-        if context.history is not None and next_local.size:
-            context.history.mark_updated(next_local, iteration)
-    with timer.time("noise_sampling"):
-        noise_values = ans.catchup_noise(
-            t, next_global, delays, iteration, context.dim, noise_std
-        )
-    staged[(int(iteration), int(t))] = (
-        next_local,
-        delays,
-        next_global,
-        noise_values,
-    )
-
-
-def _handle_apply(contexts, timer: StageTimer, staged, arena, message) -> None:
-    _, iteration, t, grad_global, grad_values, lr = message
-    context = contexts[t]
-    next_local, delays, next_global, noise_values = staged.pop(
-        (int(iteration), int(t))
-    )
-    target, row_base = context.slab.update_target()
-    fused_noisy_update(
-        target,
-        lr,
-        grad_global,
-        grad_values,
-        next_global,
-        noise_values,
-        arena=arena,
-        row_base=row_base,
-        timer=timer,
-    )
-    if context.ledger is not None and next_local.size:
-        context.ledger.advance(next_local, delays, iteration)
-
-
-def worker_main(conn, init: WorkerInit) -> None:
-    """Entry point of one shard worker process (module-level: picklable
-    under the spawn start method)."""
-    shard = init.worker_index
-    contexts: list = []
-    try:
-        for handle in init.tables:
-            contexts.append(
-                _TableContext(handle, shard, init.plan.table(handle.table_index))
-            )
-        ans = ANSEngine(NoiseStream(init.noise_seed), enabled=init.use_ans)
-        apply_arena = BufferArena()
-        flush_arena = BufferArena()
-    except Exception as exc:
-        conn.send(
-            (
-                REPLY_ERROR,
-                shard,
-                f"worker {shard} failed to attach shared state: "
-                f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(),
-            )
-        )
-        conn.close()
-        return
-
-    recorder = _SpanRecorder()
-    timer = StageTimer(tracer=recorder)
+def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None:
+    """The command loop.  A function (not inline in ``worker_main``) so
+    every slab/history view it touches dies on return instead of
+    lingering as a frame local past shutdown — a stale view would keep
+    the segment buffer exported."""
+    timer = state.timer
     shipped_totals: dict = {}
     shipped_counters: dict = {}
-    #: (iteration, table_index) -> staged (local, delays, global, noise);
-    #: written by ``plan``, consumed by the paired ``apply``.
+    #: (iteration, table_index) -> Catchup; written by ``plan``,
+    #: consumed by the paired ``apply``.
     staged: dict = {}
     messages = 0
-    conn.send((REPLY_READY, shard, os.getpid()))
-
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
-            break  # router vanished; nothing to report to
+            return  # router vanished; nothing to report to
         messages += 1
         command = message[0]
         try:
             if command == CMD_PLAN:
-                _handle_plan(contexts, ans, timer, staged, message)
+                _, iteration, t, next_global, next_local, noise_std = message
+                staged[(int(iteration), int(t))] = state.plan_sample(
+                    t, next_global, next_local, iteration, noise_std
+                )
                 # No reply: plan outcomes travel with the paired apply's
                 # ack (or surface as an error reply above it).
             elif command == CMD_APPLY:
-                _handle_apply(contexts, timer, staged, apply_arena, message)
+                _, iteration, t, grad_global, grad_values, lr = message
+                noise = staged.pop((int(iteration), int(t)))
+                state.apply(t, grad_global, grad_values, noise, lr, iteration)
                 payload = _drain_instrumentation(
                     timer, recorder, shipped_totals, shipped_counters
                 )
                 conn.send((REPLY_OK, CMD_APPLY, payload))
             elif command == CMD_FLUSH:
                 _, final_iteration, lr, std = message
-                flushed = 0
-                for t, context in enumerate(contexts):
-                    flushed += _flush_table(
-                        context,
-                        t,
-                        final_iteration,
-                        lr,
-                        std,
-                        ans,
-                        flush_arena,
-                        timer,
-                        init.flush_chunk_rows,
-                    )
+                flushed = state.flush_all(final_iteration, lr, std)
                 payload = _drain_instrumentation(
                     timer, recorder, shipped_totals, shipped_counters
                 )
                 payload["flushed"] = flushed
                 conn.send((REPLY_OK, CMD_FLUSH, payload))
             elif command == CMD_STATS:
-                conn.send(
-                    (
-                        REPLY_OK,
-                        CMD_STATS,
-                        {
-                            "pid": os.getpid(),
-                            "messages": messages,
-                            "samples_drawn": int(ans.samples_drawn),
-                            "staged": len(staged),
-                            "apply_arena": apply_arena.stats(),
-                            "sampler_arena": ans.arena.stats(),
-                            "stage_seconds": dict(timer.totals),
-                        },
-                    )
+                stats = state.stats()
+                stats.update(
+                    pid=os.getpid(),
+                    messages=messages,
+                    staged=len(staged),
+                    stage_seconds=dict(timer.totals),
                 )
+                conn.send((REPLY_OK, CMD_STATS, stats))
             elif command == CMD_CLOSE:
-                break
+                return
             else:
                 raise ValueError(f"unknown procshard command: {command!r}")
         except Exception as exc:
@@ -341,13 +196,38 @@ def worker_main(conn, init: WorkerInit) -> None:
                     )
                 )
             except (BrokenPipeError, OSError):
-                break
+                return
 
-    staged.clear()
-    for context in contexts:
-        context.release()
-    contexts.clear()
+
+def worker_main(conn, init: WorkerInit) -> None:
+    """Entry point of one shard worker process (module-level: picklable
+    under the spawn start method)."""
+    shard = init.worker_index
+    attached: list = []
+    recorder = _SpanRecorder()
+    try:
+        state = _attach_state(init, recorder, attached)
+    except Exception as exc:
+        conn.send(
+            (
+                REPLY_ERROR,
+                shard,
+                f"worker {shard} failed to attach shared state: "
+                f"{type(exc).__name__}: {exc}",
+                traceback.format_exc(),
+            )
+        )
+        conn.close()
+        return
+
+    conn.send((REPLY_READY, shard, os.getpid()))
+    _serve(conn, shard, state, recorder)
+
+    # Drop every ndarray view, then the segment mappings.
+    del state
     gc.collect()
+    for segments in attached:
+        segments.close()
     try:
         conn.close()
     except OSError:  # pragma: no cover - already closed

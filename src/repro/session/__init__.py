@@ -1,20 +1,17 @@
-"""The session API: ExecutionPlan axes composed into one trainer.
-
-This package replaces the trainer-class cross-product
-(``PipelinedShardedLazyDPTrainer``-style names, one class and algorithm
-string per combination) with three pieces:
+"""The session API: an ExecutionPlan built into the one trainer.
 
 * :class:`ExecutionPlan` — orthogonal execution axes (``ans``,
-  ``shards``, ``pipeline``, ``async_``, ``backend``) with dict/spec
-  round-trip serialization and the legacy-name mapping;
+  ``shards``, ``pipeline``, ``async_``, ``backend``, ``obs``,
+  ``serve``) with dict/spec round-trip serialization;
 * the execution-backend registry — :func:`register_backend` /
   :func:`available_backends` / :func:`backend_info` — resolving the
-  plan's ``backend`` axis (``numpy``, ``threads[:K]``, ``process``) to
-  a base trainer class; the extension point new kernels plug into;
-* :class:`TrainSession` — ``TrainSession.build(model, dp, plan)``
-  composes the shard/pipeline/async capability layers over the
-  backend's base trainer and owns the resulting trainer's lifecycle,
-  private release, and serving attachment.
+  plan's ``backend`` axis (``numpy``, ``threads[:K]``, ``process``,
+  ``numba``) to how shard tasks run and which kernel table is active;
+  the extension point new backends plug into;
+* :class:`TrainSession` — ``TrainSession.build(model, dp, plan)`` turns
+  the axes into a partition, a scheduler and a backend-bound
+  :class:`repro.lazydp.trainer.LazyDPTrainer`, and owns the resulting
+  trainer's lifecycle, private release, and serving attachment.
 
 Quickstart::
 
@@ -29,12 +26,8 @@ Quickstart::
     session.close()
 """
 
-from .builder import TrainSession, compose_trainer_class
-from .plan import (
-    ExecutionPlan,
-    LEGACY_ALGORITHMS,
-    plan_for_algorithm,
-)
+from .builder import TrainSession
+from .plan import ExecutionPlan
 from .registry import (
     BACKEND_CAPABILITIES,
     BackendInfo,
@@ -49,13 +42,10 @@ __all__ = [
     "BACKEND_CAPABILITIES",
     "BackendInfo",
     "ExecutionPlan",
-    "LEGACY_ALGORITHMS",
     "PlanError",
     "TrainSession",
     "available_backends",
     "backend_info",
-    "compose_trainer_class",
     "parse_backend_spec",
-    "plan_for_algorithm",
     "register_backend",
 ]

@@ -1,35 +1,21 @@
-"""TrainSession: compose engines from an ExecutionPlan, no class picking.
+"""TrainSession: build the one trainer from an ExecutionPlan.
 
-``compose_trainer_class`` assembles a trainer class from capability
-layers instead of selecting among hand-enumerated cross-product
-classes:
+:meth:`TrainSession.build` turns a plan into data the single
+:class:`repro.lazydp.trainer.LazyDPTrainer` is constructed from — no
+class is picked or assembled per combination:
 
-* base — :class:`repro.lazydp.trainer.LazyDPTrainer` (flat tables) or
-  :class:`repro.shard.trainer.ShardedLazyDPTrainer` (partitioned
-  slabs), chosen by the plan's ``shards`` axis;
-* pipeline layer — :class:`repro.pipeline.trainer._PipelineHost` plus
-  the layout-matching prefetch half
-  (:class:`~repro.pipeline.trainer._FlatNoisePrefetch` /
-  :class:`~repro.pipeline.trainer._ShardedNoisePrefetch`);
-* async layer — :class:`repro.async_.trainer._AsyncHost` plus the
-  layout-matching apply half
-  (:class:`~repro.async_.trainer._FlatAsyncApply` /
-  :class:`~repro.async_.trainer._ShardedAsyncApply`).
+* the ``shards`` axis becomes a :class:`repro.shard.PartitionPlan`
+  (none at all for one shard: flat is the one-shard case, decided from
+  the shard count);
+* the ``pipeline`` / ``async`` axes become a
+  :class:`repro.lazydp.scheduler.Scheduler`, which places the noise and
+  apply stages (trainer thread / prefetch worker / apply worker);
+* the ``backend`` axis resolves through the registry
+  (:mod:`repro.session.registry`) to *how shard tasks run* — serially,
+  on a thread pool, or as messages to worker processes — and to the
+  kernel table the build activates.
 
-The composed MROs are exactly the stacks the legacy concrete classes
-(``PipelinedShardedLazyDPTrainer`` & co.) are built from, so a
-plan-built trainer is *bitwise identical* in behaviour to its legacy
-counterpart — ``tests/test_session_equivalence.py`` pins this across
-the whole historical matrix.  The *base* of the stack comes from the
-execution-backend registry (:mod:`repro.session.registry`): the plan's
-``backend`` axis names a registered factory that resolves the plan
-shape to a base class — ``numpy`` / ``threads`` resolve to the
-in-process trainers, ``process`` to
-:class:`repro.procshard.ProcessShardedLazyDPTrainer` — so a new
-backend (the ROADMAP's numba kernels) lands as one ``register_backend``
-call, not as 2^n new classes.
-
-:class:`TrainSession` is the facade over a built trainer: ``fit``,
+:class:`TrainSession` is the facade over the built trainer: ``fit``,
 privacy accounting, private release, and :meth:`serve` — which hands
 out a :class:`repro.serve.PrivateServingEngine` *attached* to the live
 trainer, so the serving memo refreshes when training resumes instead
@@ -38,117 +24,16 @@ of freezing at construction.
 
 from __future__ import annotations
 
-from ..async_.trainer import _AsyncHost, _FlatAsyncApply, _ShardedAsyncApply
-from ..pipeline.trainer import (
-    _FlatNoisePrefetch,
-    _PipelineHost,
-    _ShardedNoisePrefetch,
-)
+from ..kernels import set_kernel_backend
+from ..lazydp.scheduler import Scheduler
+from ..shard.plan import build_partition_plan
 from ..train.common import DPConfig, TrainResult
 from .plan import ExecutionPlan
 from .registry import backend_info, parse_backend_spec
 
-#: Composed classes are cached per axis tuple: composition is
-#: deterministic, and a stable class identity keeps ``isinstance``
-#: checks meaningful across builds.
-_CLASS_CACHE: dict = {}
-
-
-def _layered_init(base, async_enabled):
-    """__init__ for a composed class: base construction, then one
-    ``_init_*`` call per stacked capability (mirroring how the legacy
-    concrete classes sequence their construction)."""
-
-    def __init__(
-        self,
-        model,
-        config,
-        noise_seed: int = 1234,
-        use_ans: bool = True,
-        prefetch_depth: int | None = None,
-        max_in_flight: int = 2,
-        staleness="strict",
-        **base_kwargs,
-    ):
-        base.__init__(
-            self,
-            model,
-            config,
-            noise_seed=noise_seed,
-            use_ans=use_ans,
-            **base_kwargs,
-        )
-        if prefetch_depth is None:
-            # Async runs need enough noise runway for the in-flight
-            # window; plain pipelining double-buffers.
-            prefetch_depth = max(2, max_in_flight) if async_enabled else 2
-        self._init_pipeline(prefetch_depth)
-        if async_enabled:
-            self._init_async(max_in_flight, staleness)
-
-    return __init__
-
-
-def compose_trainer_class(
-    *,
-    sharded: bool = False,
-    pipelined: bool = False,
-    async_: bool = False,
-    backend: str = "numpy",
-):
-    """The trainer class for one combination of capability axes.
-
-    ``backend`` is a registry spec (``"name[:workers]"``); the worker
-    count shapes trainer *kwargs* (see :meth:`TrainSession.build`), not
-    the class, so the cache keys on the backend name alone.
-    """
-    name, _ = parse_backend_spec(backend)
-    pipelined = pipelined or async_  # async rides on the prefetch pipeline
-    key = (sharded, pipelined, async_, name)
-    cached = _CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    base = backend_info(name).factory(
-        sharded=sharded, pipelined=pipelined, async_=async_
-    )
-    if not pipelined:
-        cls = base  # no layers: the core trainer is the composition
-    else:
-        layers: tuple = ()
-        tags = []
-        if async_:
-            layers += (
-                _ShardedAsyncApply if sharded else _FlatAsyncApply,
-                _AsyncHost,
-            )
-            tags.append("Async")
-        layers += (
-            _ShardedNoisePrefetch if sharded else _FlatNoisePrefetch,
-            _PipelineHost,
-        )
-        tags.append("Pipelined")
-        if sharded:
-            tags.append("Sharded")
-        cls = type(
-            f"Composed{''.join(tags)}LazyDPTrainer",
-            layers + (base,),
-            {
-                "__init__": _layered_init(base, async_),
-                "__module__": __name__,
-                "__doc__": (
-                    "Plan-composed LazyDP trainer "
-                    f"(layers: {' + '.join(tags).lower()}); built by "
-                    "repro.session.compose_trainer_class."
-                ),
-            },
-        )
-    _CLASS_CACHE[key] = cls
-    return cls
-
 
 class TrainSession:
-    """A model + DP config + ExecutionPlan, composed and ready to run.
+    """A model + DP config + ExecutionPlan, built and ready to run.
 
     Build one with :meth:`build`; afterwards the session owns the
     trainer's lifecycle (``fit`` ... ``close``) and is the hub the
@@ -178,16 +63,13 @@ class TrainSession:
         noise_seed: int = 1234,
         skew=None,
         partition_plan=None,
-        executor=None,
     ) -> "TrainSession":
-        """Compose a trainer for ``plan`` (default: serial flat LazyDP).
+        """Build the trainer for ``plan`` (default: serial flat LazyDP).
 
-        ``skew`` (trace skew for the frequency partitioner),
+        ``skew`` (trace skew for the frequency partitioner) and
         ``partition_plan`` (a prebuilt
-        :class:`repro.shard.PartitionPlan`) and ``executor`` (a live
-        :class:`repro.shard.ShardExecutor` instance overriding the
-        plan's backend name) are live-object escape hatches that only
-        make sense for sharded plans.
+        :class:`repro.shard.PartitionPlan`) are live-object inputs that
+        only make sense for sharded plans.
         """
         plan = plan if plan is not None else ExecutionPlan()
         # Activate the backend's kernel table before any trainer code
@@ -197,55 +79,37 @@ class TrainSession:
         # changes.  The setting is sticky until the next build; running
         # trainers with different kernel backends concurrently in one
         # process is unsupported.
-        backend_name, _ = parse_backend_spec(plan.backend)
-        from ..kernels import set_kernel_backend
+        backend_name, workers = parse_backend_spec(plan.backend)
+        info = backend_info(backend_name)
+        set_kernel_backend(info.kernels)
 
-        set_kernel_backend(backend_info(backend_name).kernels)
-        trainer_cls = compose_trainer_class(
-            sharded=plan.is_sharded,
-            pipelined=plan.is_pipelined,
-            async_=plan.is_async,
-            backend=plan.backend,
-        )
-        kwargs: dict = {}
-        if plan.is_sharded:
-            kwargs.update(plan.shards.trainer_kwargs())
-            # The backend axis owns executor selection: map the parsed
-            # spec onto the sharded trainer's executor kwargs (the
-            # canonical ShardConfig always says serial).
-            name, workers = parse_backend_spec(plan.backend)
-            if name == "threads":
-                kwargs["executor"] = "threads"
-                if workers is not None:
-                    kwargs["max_workers"] = workers
-            if executor is not None:
-                if name == "process":
-                    raise ValueError(
-                        "a live executor instance cannot override the "
-                        "process backend: its per-shard workers are "
-                        "processes owned by the trainer, not a "
-                        "ShardExecutor"
-                    )
-                kwargs["executor"] = executor
-            if partition_plan is not None:
-                kwargs["plan"] = partition_plan
-            if skew is not None:
-                kwargs["skew"] = skew
-        elif skew is not None or partition_plan is not None or executor is not None:
+        num_shards = plan.shards.num_shards if plan.is_sharded else 1
+        if not plan.is_sharded and (skew is not None or partition_plan is not None):
             raise ValueError(
-                "skew / partition_plan / executor only apply to sharded "
-                "plans (set plan.shards)"
+                "skew / partition_plan only apply to sharded plans "
+                "(set plan.shards)"
             )
-        if plan.pipeline is not None:
-            kwargs["prefetch_depth"] = plan.pipeline.prefetch_depth
-        if plan.is_async:
-            kwargs.update(plan.async_.trainer_kwargs())
-        trainer = trainer_cls(
-            model, dp, noise_seed=noise_seed, use_ans=plan.ans, **kwargs
+        # Flat is one shard: no partition is built for it (the index
+        # arrays alone would rival the history tables in size).
+        if partition_plan is None and num_shards > 1:
+            partition_plan = build_partition_plan(
+                model.config, num_shards, strategy=plan.shards.partition, skew=skew
+            )
+        pipeline, async_ = plan.pipeline, plan.async_
+        scheduler = Scheduler(
+            prefetch_depth=pipeline.prefetch_depth if pipeline else None,
+            max_in_flight=async_.max_in_flight if async_ else None,
+            staleness=async_.staleness if async_ else "strict",
         )
-        # Plan-built trainers report under the canonical legacy name,
-        # so TrainResult.algorithm stays comparable across the old and
-        # new construction paths.
+        constructor = info.factory(num_shards=num_shards, workers=workers)
+        trainer = constructor(
+            model,
+            dp,
+            noise_seed=noise_seed,
+            use_ans=plan.ans,
+            partition=partition_plan,
+            scheduler=scheduler,
+        )
         trainer.name = plan.legacy_name()
         trainer.execution_plan = plan
         session = cls(model, dp, plan, trainer)
@@ -418,9 +282,7 @@ class TrainSession:
     def close(self) -> None:
         """Detach serving handles and release engine resources."""
         self.detach_serving()
-        close = getattr(self.trainer, "close", None)
-        if close is not None:
-            close()
+        self.trainer.close()
 
     def __enter__(self) -> "TrainSession":
         return self

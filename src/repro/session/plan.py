@@ -4,24 +4,24 @@ The paper's contributions — lazy deferred noise, aggregated noise
 sampling, prefetch pipelining — and the engines this repo grew around
 them (sharded tables, async in-flight applies) are *orthogonal
 execution concerns*: any combination trains the same model to the same
-bits.  Historically every combination was its own trainer class and
-algorithm string (``pipelined_sharded_lazydp_no_ans``, ...); an
-:class:`ExecutionPlan` names the combination by its axes instead:
+bits.  An :class:`ExecutionPlan` names a combination by its axes:
 
 ``ans``
     Aggregated noise sampling on/off (the algorithmic ablation axis).
 ``shards``
     ``None`` for flat tables, or a :class:`repro.configs.ShardConfig`
-    for the partitioned embedding engine (``repro.shard``).
+    partitioning every table (``repro.shard``).  One shard *is* the
+    flat engine: the builder decides that from the shard count.
 ``pipeline``
     ``None`` for inline catch-up, or a
     :class:`repro.configs.PipelineConfig` for background noise prefetch
-    (``repro.pipeline``).
+    (``repro.pipeline`` mechanisms).
 ``async_``
     ``None`` for synchronous applies, or a
     :class:`repro.configs.AsyncConfig` for multi-in-flight applies
-    (``repro.async_``; implies the pipeline axis — when ``pipeline`` is
-    ``None`` the prefetch depth defaults to ``max(2, max_in_flight)``).
+    (``repro.async_`` mechanisms; implies the pipeline axis — when
+    ``pipeline`` is ``None`` the prefetch depth defaults to
+    ``max(2, max_in_flight)``).
 ``backend``
     Execution backend, as a ``"name[:workers]"`` spec resolved against
     the registry in :mod:`repro.session.registry` — ``"numpy"``
@@ -30,18 +30,15 @@ algorithm string (``pipelined_sharded_lazydp_no_ans``, ...); an
     shared memory; ``repro.procshard``), ``"numba"`` (compiled
     ``@njit`` kernels via the kernel-table dispatcher; needs the
     optional ``[numba]`` extra, else validation raises
-    :class:`PlanError <repro.session.registry.PlanError>`).  New
-    backends land as ``register_backend`` calls, not new trainer
-    classes.  The pre-registry spelling
-    ``ShardConfig(executor=..., max_workers=...)`` still canonicalizes
-    onto this axis with one ``DeprecationWarning``.
+    :class:`PlanError <repro.session.registry.PlanError>`).  A backend
+    is *how shard tasks run* plus a kernel table; new ones land as
+    ``register_backend`` calls.
 ``obs``
     ``None`` for an uninstrumented run, or a
     :class:`repro.configs.ObservabilityConfig` selecting tracing
     and/or metrics (``repro.obs``).  Unlike the other axes this is an
-    *instance* concern — the session builder instruments the composed
-    trainer rather than adding a class layer, so the trainer-class
-    cache is untouched.
+    *instance* concern — the session builder instruments the built
+    trainer.
 ``serve``
     ``None`` for uncached serving handles, or a
     :class:`repro.configs.ServeConfig` sizing the skew-aware hot-row
@@ -53,14 +50,13 @@ Plans serialize three ways: :meth:`to_dict`/:meth:`from_dict` (nested
 JSON, for configs and BENCH_*.json metadata), :meth:`to_spec`/
 :meth:`from_spec` (the flat ``"shards=4,pipeline=2,async=bounded:2"``
 mini-language the CLI's ``--plan`` flag speaks), and
-:meth:`legacy_name` (the historical algorithm string, still accepted by
-``make_trainer`` through a deprecation shim).  ``from_spec(to_spec(p))
-== p`` and ``from_dict(to_dict(p)) == p`` hold for every valid plan.
+:meth:`legacy_name` (the ``TrainResult.algorithm`` label).
+``from_spec(to_spec(p)) == p`` and ``from_dict(to_dict(p)) == p`` hold
+for every valid plan.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..configs import (
@@ -70,28 +66,12 @@ from ..configs import (
     ServeConfig,
     ShardConfig,
 )
-from .registry import (
-    PlanError,
-    backend_info,
-    canonical_backend_spec,
-    parse_backend_spec,
-)
-
-
-def _backend_for_executor(executor: str, max_workers) -> str:
-    """The backend-axis spelling of a deprecated ``ShardConfig``
-    executor selection (``"serial"`` is the numpy backend's serial
-    schedule; ``max_workers`` only ever bounded a thread pool)."""
-    if executor == "serial":
-        return "numpy"
-    return canonical_backend_spec(executor, max_workers)
+from .registry import PlanError, backend_info, parse_backend_spec
 
 _SPEC_KEYS = (
     "ans",
     "shards",
     "partition",
-    "executor",
-    "workers",
     "pipeline",
     "async",
     "inflight",
@@ -141,40 +121,6 @@ class ExecutionPlan:
     def __post_init__(self):
         if self.shards is not None and not isinstance(self.shards, ShardConfig):
             raise ValueError("shards must be a ShardConfig or None")
-        if self.shards is not None and (
-            self.shards.executor != "serial"
-            or self.shards.max_workers is not None
-        ):
-            # Deprecated spelling: executor selection used to live on
-            # ShardConfig.  Canonicalize onto the backend axis so every
-            # spelling of the same plan compares (and serializes) equal.
-            if self.backend != "numpy":
-                raise ValueError(
-                    "contradictory plan: ShardConfig selects executor "
-                    f"{self.shards.executor!r} (max_workers="
-                    f"{self.shards.max_workers}) but the plan also sets "
-                    f"backend={self.backend!r}; the executor/max_workers "
-                    "spelling is deprecated — set the backend axis alone"
-                )
-            backend = _backend_for_executor(
-                self.shards.executor, self.shards.max_workers
-            )
-            warnings.warn(
-                "ShardConfig.executor/max_workers are deprecated; select "
-                "the execution backend on the plan's backend axis instead "
-                f"(equivalent plan axis: backend={backend!r})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            object.__setattr__(
-                self,
-                "shards",
-                ShardConfig(
-                    num_shards=self.shards.num_shards,
-                    partition=self.shards.partition,
-                ),
-            )
-            object.__setattr__(self, "backend", backend)
         if self.pipeline is not None:
             if not isinstance(self.pipeline, PipelineConfig):
                 raise ValueError("pipeline must be a PipelineConfig or None")
@@ -248,7 +194,8 @@ class ExecutionPlan:
     # -- derived shape -----------------------------------------------------
     @property
     def is_sharded(self) -> bool:
-        """Partitioned embedding engine (any shard count, including 1)."""
+        """The shards axis is on (any count; one shard still runs as the
+        flat engine, with the label of a sharded plan)."""
         return self.shards is not None
 
     @property
@@ -261,7 +208,8 @@ class ExecutionPlan:
         return self.pipeline is not None or self.is_async
 
     def legacy_name(self) -> str:
-        """The historical algorithm string for this combination."""
+        """The ``TrainResult.algorithm`` label for this combination
+        (the historical algorithm-string spelling of the axes)."""
         prefix = "async_" if self.is_async else (
             "pipelined_" if self.is_pipelined else ""
         )
@@ -349,43 +297,23 @@ class ExecutionPlan:
 
         ans = _parse_bool("ans", values["ans"]) if "ans" in values else True
         backend = values.get("backend", "numpy")
-        deprecated_executor_keys = [
-            key for key in ("executor", "workers") if key in values
-        ]
-        if "backend" in values and deprecated_executor_keys:
-            raise ValueError(
-                "contradictory plan spec: "
-                f"{', '.join(deprecated_executor_keys)} and backend= both "
-                "select an execution backend; executor=/workers= are the "
-                "deprecated spelling — use backend=name[:workers] alone"
-            )
 
         num_shards = (
             _parse_int("shards", values["shards"]) if "shards" in values else 0
         )
         if num_shards < 0:
             raise ValueError("invalid plan spec: shards must be >= 0")
-        shard_subkeys = [
-            key for key in ("partition", "executor", "workers") if key in values
-        ]
         if num_shards == 0:
-            if shard_subkeys:
+            if "partition" in values:
                 raise ValueError(
-                    "contradictory plan spec: "
-                    f"{', '.join(shard_subkeys)} require(s) shards>=1, but "
-                    "the shards axis is off"
+                    "contradictory plan spec: partition requires shards>=1, "
+                    "but the shards axis is off"
                 )
             shards = None
         else:
             shards = ShardConfig(
                 num_shards=num_shards,
                 partition=values.get("partition", "row_range"),
-                executor=values.get("executor", "serial"),
-                max_workers=(
-                    _parse_int("workers", values["workers"])
-                    if "workers" in values
-                    else None
-                ),
             )
 
         depth = (
@@ -490,9 +418,6 @@ class ExecutionPlan:
         """
         parts = [f"ans={'on' if self.ans else 'off'}"]
         if self.shards is not None:
-            # Executor selection lives on the backend axis (emitted
-            # last); canonical ShardConfigs carry only the partition
-            # geometry.
             parts.append(f"shards={self.shards.num_shards}")
             parts.append(f"partition={self.shards.partition}")
         if self.pipeline is not None:
@@ -512,94 +437,3 @@ class ExecutionPlan:
     def canonical(self) -> str:
         """Alias for :meth:`to_spec` (the canonical plan string)."""
         return self.to_spec()
-
-
-# ---------------------------------------------------------------------------
-# Legacy algorithm strings -> plans (the make_trainer shim's mapping).
-# ---------------------------------------------------------------------------
-
-#: Every algorithm string the trainer-class cross-product used to
-#: enumerate.  ``make_trainer`` still accepts them (with a
-#: DeprecationWarning); each maps onto exactly one ExecutionPlan shape.
-LEGACY_ALGORITHMS = tuple(
-    f"{prefix}{sharded}lazydp{suffix}"
-    for prefix in ("", "pipelined_", "async_")
-    for sharded in ("", "sharded_")
-    for suffix in ("", "_no_ans")
-)
-
-
-def plan_for_algorithm(algorithm: str, trainer_kwargs: dict | None = None):
-    """Map a legacy algorithm string (+ its trainer kwargs) to a plan.
-
-    Returns ``(plan, extras)`` where ``extras`` carries the kwargs a
-    plan cannot express because they are live objects rather than
-    configuration — ``skew`` (trace skew for the frequency
-    partitioner), ``partition_plan`` (a prebuilt
-    :class:`repro.shard.PartitionPlan`) and ``executor`` (a
-    :class:`repro.shard.ShardExecutor` *instance*).  Pass both to
-    :meth:`repro.session.TrainSession.build`.
-    """
-    if algorithm not in LEGACY_ALGORITHMS:
-        raise ValueError(
-            f"unknown lazydp algorithm: {algorithm!r} "
-            f"(legacy names: {', '.join(LEGACY_ALGORITHMS)})"
-        )
-    kwargs = dict(trainer_kwargs or {})
-    ans = not algorithm.endswith("_no_ans")
-    is_sharded = "sharded" in algorithm
-    is_async = algorithm.startswith("async_")
-    is_pipelined = algorithm.startswith("pipelined_")
-
-    extras: dict = {}
-    shards = None
-    backend = "numpy"
-    if is_sharded:
-        executor = kwargs.pop("executor", "serial")
-        max_workers = kwargs.pop("max_workers", None)
-        if not isinstance(executor, str):
-            # A live executor instance travels in extras; the plan
-            # records its backend name (or numpy for custom ones).
-            extras["executor"] = executor
-            name = getattr(executor, "name", "serial")
-            executor = name if name in ("serial", "threads") else "serial"
-        # Construct the canonical backend-axis form directly — the
-        # legacy *algorithm* shim already warned once; the deprecated
-        # ShardConfig.executor spelling must not warn again.
-        backend = _backend_for_executor(executor, max_workers)
-        shards = ShardConfig(
-            num_shards=kwargs.pop("num_shards", 2),
-            partition=kwargs.pop("partition", "row_range"),
-        )
-        if "plan" in kwargs:
-            extras["partition_plan"] = kwargs.pop("plan")
-        if "skew" in kwargs:
-            extras["skew"] = kwargs.pop("skew")
-
-    pipeline = None
-    if is_pipelined:
-        pipeline = PipelineConfig(
-            enabled=True, prefetch_depth=kwargs.pop("prefetch_depth", 2)
-        )
-
-    async_ = None
-    if is_async:
-        async_ = AsyncConfig(
-            enabled=True,
-            max_in_flight=kwargs.pop("max_in_flight", 2),
-            staleness=kwargs.pop("staleness", "strict"),
-        )
-        depth = kwargs.pop("prefetch_depth", None)
-        if depth is not None:
-            pipeline = PipelineConfig(enabled=True, prefetch_depth=depth)
-
-    if kwargs:
-        raise TypeError(
-            f"unexpected trainer kwargs for {algorithm!r}: "
-            f"{', '.join(sorted(kwargs))}"
-        )
-    plan = ExecutionPlan(
-        ans=ans, shards=shards, pipeline=pipeline, async_=async_,
-        backend=backend,
-    )
-    return plan, extras

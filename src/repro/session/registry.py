@@ -1,12 +1,11 @@
-"""The execution-backend registry: named, discoverable trainer bases.
+"""The execution-backend registry: named ways to run shard tasks.
 
-PR 5 left ``ExecutionPlan.backend`` validated against a static
-``BACKENDS = ("numpy",)`` tuple — a placeholder axis nothing could
-extend.  This module turns it into a first-class registry:
+``ExecutionPlan.backend`` names an entry here:
 
 * :func:`register_backend` — add a backend under a name, with the
-  factory that resolves a plan shape to a base trainer class and the
-  set of plan axes the backend composes with;
+  factory that binds *how shard tasks run* into the one
+  :class:`repro.lazydp.trainer.LazyDPTrainer` and the set of plan axes
+  the backend composes with;
 * :func:`available_backends` — the registered names, in registration
   order (validation errors quote this list);
 * :func:`backend_info` / :func:`parse_backend_spec` — lookup and the
@@ -16,28 +15,28 @@ extend.  This module turns it into a first-class registry:
 Four backends ship built in:
 
 ``numpy``
-    The default: in-process numpy kernels, serial per-shard schedule.
-    The only backend that supports *flat* (unsharded) plans.
+    The default: in-process numpy kernels, shard tasks one after
+    another on the calling thread.  The only built-in that supports
+    *flat* (unsharded) plans besides ``numba``.
 ``threads``
-    The former ``ShardConfig.executor="threads"`` spelling: the same
-    in-process kernels fanned out over a persistent shard thread pool
-    (``repro.shard.executor``).  ``:K`` caps the pool.
+    The same in-process kernels fanned out over a persistent shard
+    thread pool (``repro.shard.executor``).  ``:K`` caps the pool.
 ``process``
     One long-lived worker process per shard, each owning its embedding
     slab and history table in ``multiprocessing.shared_memory``
-    (``repro.procshard``).  ``:K`` must equal the shard count — the
-    backend pins one worker per shard.
+    (``repro.procshard``); shard tasks travel as messages.  ``:K`` must
+    equal the shard count — the backend pins one worker per shard.
 ``numba``
-    The same trainer classes as ``numpy``, with the three hot kernels
-    rerouted to compiled ``@njit(parallel=True)`` implementations
+    ``numpy``'s schedule with the three hot kernels rerouted to
+    compiled ``@njit(parallel=True)`` implementations
     (``repro.kernels.njit``) through the kernel-table dispatcher.
     Conditionally available: plan validation raises :class:`PlanError`
     naming the missing ``[numba]`` extra when numba is not importable.
 
-A backend is more than a trainer base class: :class:`BackendInfo` also
-names the *kernel table* (``repro.kernels.dispatch``) the build
-activates, and an optional *availability* probe — the hook that lets a
-backend depend on an optional extra without tier-1 ever importing it.
+Besides the factory, :class:`BackendInfo` names the *kernel table*
+(``repro.kernels.dispatch``) the build activates, and an optional
+*availability* probe — the hook that lets a backend depend on an
+optional extra without tier-1 ever importing it.
 """
 
 from __future__ import annotations
@@ -65,10 +64,12 @@ class BackendInfo:
     """One registered execution backend."""
 
     name: str
-    #: ``factory(*, sharded, pipelined, async_) -> type`` — resolves a
-    #: plan shape to the base trainer class; raises ``ValueError``
-    #: (naming the backend and the offending axis) for shapes the
-    #: backend does not support.
+    #: ``factory(*, num_shards, workers)`` -> the trainer constructor
+    #: for this backend: :class:`repro.lazydp.trainer.LazyDPTrainer`
+    #: with the backend's :class:`repro.shard.ShardExecutor` bound in
+    #: (or the process backend's subclass, which owns its workers).
+    #: Called as ``constructor(model, dp, noise_seed=, use_ans=,
+    #: partition=, scheduler=)``.
     factory: object
     capabilities: frozenset = field(default_factory=frozenset)
     description: str = ""
@@ -107,12 +108,14 @@ def register_backend(
 ) -> BackendInfo:
     """Register an execution backend under ``name``.
 
-    ``factory`` is called by ``compose_trainer_class`` with the plan
-    shape (keyword-only ``sharded``/``pipelined``/``async_`` booleans)
-    and must return the base trainer class for that shape.
-    ``capabilities`` declares which plan axes the backend composes
-    with (subset of :data:`BACKEND_CAPABILITIES`); plan validation
-    rejects combinations outside it with a named reason.  ``kernels``
+    ``factory`` is called by :meth:`repro.session.TrainSession.build`
+    with the plan's shard count and the spec's worker count
+    (keyword-only ``num_shards``/``workers``) and must return the
+    trainer constructor with the backend's way of running shard tasks
+    bound in (see :attr:`BackendInfo.factory`).  ``capabilities``
+    declares which plan axes the backend composes with (subset of
+    :data:`BACKEND_CAPABILITIES`); plan validation rejects combinations
+    outside it with a named reason.  ``kernels``
     names the kernel table the build activates; ``availability`` is an
     optional probe (``None`` reason = available) letting the backend
     gate on an optional dependency.
@@ -208,49 +211,39 @@ def parse_backend_spec(spec: str) -> tuple:
     return name, workers
 
 
-def canonical_backend_spec(name: str, workers=None) -> str:
-    """The canonical spec string for ``(name, workers)``."""
-    return name if workers is None else f"{name}:{workers}"
-
-
 # ---------------------------------------------------------------------------
 # Built-in backends.
 # ---------------------------------------------------------------------------
 
 
-def _numpy_factory(*, sharded: bool, pipelined: bool, async_: bool):
+def _numpy_factory(*, num_shards: int, workers):
     from ..lazydp.trainer import LazyDPTrainer
-    from ..shard.trainer import ShardedLazyDPTrainer
 
-    return ShardedLazyDPTrainer if sharded else LazyDPTrainer
-
-
-def _threads_factory(*, sharded: bool, pipelined: bool, async_: bool):
-    if not sharded:
-        raise ValueError(
-            "backend 'threads' requires the shards axis "
-            "(plan spec: shards=N,backend=threads[:K])"
-        )
-    from ..shard.trainer import ShardedLazyDPTrainer
-
-    return ShardedLazyDPTrainer
+    return LazyDPTrainer  # its default: shard tasks serially, in shard order
 
 
-def _process_factory(*, sharded: bool, pipelined: bool, async_: bool):
-    if not sharded:
-        raise ValueError(
-            "backend 'process' requires the shards axis "
-            "(plan spec: shards=N,backend=process)"
-        )
-    if pipelined or async_:
-        raise ValueError(
-            "backend 'process' composes with neither the pipeline nor "
-            "the async axis: each shard's worker process already "
-            "overlaps plan/sample/apply with the other shards"
-        )
+def _threads_factory(*, num_shards: int, workers):
+    from functools import partial
+
+    from ..lazydp.trainer import LazyDPTrainer
+    from ..shard.executor import ThreadPoolShardExecutor
+
+    # One worker per shard unless capped: tasks are shard-grained, so
+    # more workers than shards cannot help.
+    pool = partial(ThreadPoolShardExecutor, workers or max(num_shards, 1))
+    return partial(LazyDPTrainer, executors=pool)
+
+
+def _process_factory(*, num_shards: int, workers):
     from ..procshard.trainer import ProcessShardedLazyDPTrainer
 
     return ProcessShardedLazyDPTrainer
+
+
+def _numba_availability():
+    from ..kernels import dispatch
+
+    return dispatch.numba_missing_reason()
 
 
 register_backend(
@@ -265,22 +258,6 @@ register_backend(
     capabilities=("shards", "pipeline", "async", "workers"),
     description="in-process numpy kernels on a persistent shard thread pool",
 )
-def _numba_availability():
-    from ..kernels import dispatch
-
-    return dispatch.numba_missing_reason()
-
-
-def _numba_factory(*, sharded: bool, pipelined: bool, async_: bool):
-    reason = _numba_availability()
-    if reason is not None:
-        raise PlanError(f"backend 'numba' is unavailable: {reason}")
-    from ..lazydp.trainer import LazyDPTrainer
-    from ..shard.trainer import ShardedLazyDPTrainer
-
-    return ShardedLazyDPTrainer if sharded else LazyDPTrainer
-
-
 register_backend(
     "process",
     _process_factory,
@@ -291,7 +268,7 @@ register_backend(
 )
 register_backend(
     "numba",
-    _numba_factory,
+    _numpy_factory,
     capabilities=("flat", "shards", "pipeline", "async"),
     description=(
         "compiled @njit(parallel) kernels: fused apply + in-register sampling"

@@ -1,10 +1,11 @@
-"""Sharded embedding engine: partitioned tables, per-shard lazy noise
-state, and a parallel model-update executor.
+"""Sharded embedding layout: partitioned tables and how shard tasks run.
 
-The flat :class:`repro.lazydp.trainer.LazyDPTrainer` holds every
-embedding table as one array and walks the lazy update serially; at the
+The one-shard engine holds every embedding table as one array; at the
 paper's 100s-of-GB scale a production system partitions each table into
-shards and updates them in parallel.  This package supplies that layer:
+shards and updates them in parallel.  This package supplies the layout
+and the schedule — the update itself is
+:class:`repro.lazydp.optimizer.ShardState`, the same code for one shard
+or many:
 
 * :mod:`plan <repro.shard.plan>` — :class:`PartitionPlan` + planners
   (``row_range`` / ``frequency`` / ``hash``), frequency-balanced from
@@ -13,22 +14,15 @@ shards and updates them in parallel.  This package supplies that layer:
   batch's per-table indices into shard-local index arrays and gathering
   results back.
 * :mod:`tables <repro.shard.tables>` — :class:`ShardedEmbeddingBag`
-  (per-shard ``Parameter`` slabs) and :class:`ShardedHistoryTable`
-  (per-shard delay bookkeeping), both flat-API compatible.
+  (per-shard ``Parameter`` slabs), :class:`ShardedHistoryTable`
+  (per-shard delay bookkeeping, flat-API compatible) and
+  :func:`shard_windows`, which lays a model out as per-shard
+  :class:`repro.lazydp.optimizer.TableWindow` lists.
 * :mod:`executor <repro.shard.executor>` — serial and thread-pool shard
   executors.
-* :mod:`trainer <repro.shard.trainer>` — :class:`ShardedLazyDPTrainer`,
-  verified bitwise-equivalent to the flat trainer for every shard count,
-  partition strategy and executor backend.
 """
 
-from .executor import (
-    EXECUTOR_BACKENDS,
-    SerialExecutor,
-    ShardExecutor,
-    ThreadPoolShardExecutor,
-    make_executor,
-)
+from .executor import SerialExecutor, ShardExecutor, ThreadPoolShardExecutor
 from .plan import (
     PARTITION_STRATEGIES,
     PartitionPlan,
@@ -42,15 +36,17 @@ from .plan import (
     plan_from_loader,
 )
 from .router import RoutedIndices, ShardRouter
-from .tables import ShardedEmbeddingBag, ShardedHistoryTable, ShardSlab
-from .trainer import ShardedLazyDPTrainer, ShardedLazyNoiseEngine
+from .tables import (
+    ShardedEmbeddingBag,
+    ShardedHistoryTable,
+    ShardSlab,
+    shard_windows,
+)
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "SerialExecutor",
     "ShardExecutor",
     "ThreadPoolShardExecutor",
-    "make_executor",
     "PARTITION_STRATEGIES",
     "PartitionPlan",
     "TablePartition",
@@ -66,6 +62,5 @@ __all__ = [
     "ShardedEmbeddingBag",
     "ShardedHistoryTable",
     "ShardSlab",
-    "ShardedLazyDPTrainer",
-    "ShardedLazyNoiseEngine",
+    "shard_windows",
 ]

@@ -3,8 +3,8 @@
 Every iteration of the sharded lazy update produces one independent task
 per shard — disjoint parameter slabs, disjoint HistoryTables, disjoint
 noise key spaces — so tasks can run in any order or concurrently without
-synchronisation.  The executor abstraction makes the schedule a config
-knob:
+synchronisation.  The executor is *how shard tasks run*, resolved from
+the plan's ``backend`` axis (:mod:`repro.session.registry`):
 
 * ``SerialExecutor`` — runs tasks in shard order on the calling thread.
   Zero overhead; the reference schedule for equivalence testing.
@@ -12,28 +12,26 @@ knob:
   ``concurrent.futures`` pool.  Numpy releases the GIL inside its
   kernels, so Gaussian sampling and the sparse writes genuinely overlap.
 
+(The one-shard case uses neither: its single task runs in place.  The
+process backend supplies its own message-sending executor.)
+
 Determinism note: results are *bitwise independent of the schedule*
 because shards never share state — that is a property of the task
 decomposition, not of the executor, and the equivalence tests pin it for
 both backends.
 
 Executors are also safe to drive from threads other than the trainer's:
-the pipelined trainer (``repro.pipeline``) gives its noise-prefetch
-worker a *separate* executor instance of the same backend, so prefetch
-fan-out (plan + sample per shard) never queues behind the trainer's
-apply tasks, and neither instance needs locks because the task sets
-touch disjoint state (histories and ANS counters vs parameter slabs).
+a prefetching scheduler (:mod:`repro.lazydp.scheduler`) gives its
+noise-prefetch worker a *separate* executor instance of the same
+backend, so prefetch fan-out (plan + sample per shard) never queues
+behind the apply tasks, and neither instance needs locks because the
+task sets touch disjoint state (histories and ANS counters vs parameter
+slabs).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-
-from ..configs import SHARD_EXECUTORS
-
-#: Single source of truth lives in configs (CLI choices + ShardConfig
-#: validation read it there); re-exported under the executor's name.
-EXECUTOR_BACKENDS = SHARD_EXECUTORS
 
 
 class ShardExecutor:
@@ -90,25 +88,3 @@ class ThreadPoolShardExecutor(ShardExecutor):
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
-
-
-def make_executor(
-    spec, num_shards: int, max_workers: int | None = None
-) -> ShardExecutor:
-    """Build an executor from a backend name (or pass one through).
-
-    ``max_workers`` defaults to one worker per shard — tasks are
-    shard-grained, so more workers than shards cannot help.
-    """
-    if isinstance(spec, ShardExecutor):
-        return spec
-    if spec == "serial":
-        return SerialExecutor()
-    if spec == "threads":
-        return ThreadPoolShardExecutor(
-            max_workers=max_workers or max(num_shards, 1)
-        )
-    raise ValueError(
-        f"unknown executor backend: {spec!r} "
-        f"(choose from {EXECUTOR_BACKENDS})"
-    )

@@ -12,7 +12,9 @@ for hash partitions) so every noisy write stays shard-local.
 indexed by shard-local row ids, while also implementing the flat
 table's API (``delays`` / ``mark_updated`` / ``pending_rows`` /
 ``snapshot`` over global ids) so checkpointing and private-model export
-work on sharded trainers without change.
+work on sharded plans without change.  :func:`shard_windows` lays a
+model out as the per-shard window lists
+:class:`repro.lazydp.optimizer.ShardState` updates through.
 
 Ownership invariants (what makes lock-free parallel and pipelined
 updates legal):
@@ -32,9 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..lazydp.history import HistoryTable
+from ..lazydp.ledger import VersionVector
+from ..lazydp.optimizer import TableWindow
 from ..nn.layers import EmbeddingBag
 from ..nn.parameter import Parameter
-from .plan import TablePartition
+from .plan import PartitionPlan, TablePartition
+from .router import ShardRouter
 
 
 class ShardSlab:
@@ -91,6 +96,13 @@ class ShardSlab:
             return self.param.data, self._start
         return self.table.data, 0
 
+    def window(self, history, ledger=None) -> TableWindow:
+        """This slab as the :class:`TableWindow` a
+        :class:`repro.lazydp.optimizer.ShardState` updates through —
+        the same ``(array, row_base)`` as :meth:`update_target`, next
+        to the shard's history / ledger windows."""
+        return TableWindow(*self.update_target(), self.rows, history, ledger)
+
     def write_rows(
         self, global_rows: np.ndarray, values: np.ndarray, learning_rate: float
     ) -> None:
@@ -120,8 +132,8 @@ class ShardedEmbeddingBag(EmbeddingBag):
     Forward, backward and all four gradient views are inherited — the
     flat table in global row order remains the storage of record, so
     every existing consumer (checkpointing, export, audit) keeps
-    working.  The sharded trainer uses ``slabs`` for its shard-local
-    model update.
+    working.  The shard states update through ``slabs``
+    (:meth:`ShardSlab.window`).
     """
 
     def __init__(self, table: Parameter, partition: TablePartition):
@@ -154,18 +166,22 @@ class ShardedEmbeddingBag(EmbeddingBag):
 class ShardedHistoryTable:
     """Per-shard HistoryTables with a flat-compatible facade.
 
-    Shard-local methods (``shard_delays`` / ``shard_mark_updated`` /
-    ``shard_pending_rows``) take shard-local row ids and touch only that
-    shard's array — the hot path of the parallel executor.  The flat API
-    (global row ids) mirrors :class:`repro.lazydp.history.HistoryTable`
-    so release/export and checkpoint code is oblivious to sharding.
+    ``shards[s]`` is shard ``s``'s own :class:`HistoryTable`, indexed by
+    shard-local row ids — the window that shard's
+    :class:`repro.lazydp.optimizer.ShardState` reads and advances on the
+    hot path.  The flat API (global row ids) mirrors
+    :class:`repro.lazydp.history.HistoryTable` so release/export and
+    checkpoint code is oblivious to sharding.
     """
 
     BYTES_PER_ENTRY = HistoryTable.BYTES_PER_ENTRY
 
-    def __init__(self, partition: TablePartition):
+    def __init__(self, partition: TablePartition, shards: list | None = None):
         self.partition = partition
-        self.shards = [
+        #: One HistoryTable per shard (``None`` for an empty shard);
+        #: ``shards`` passes in tables over caller-owned storage (the
+        #: process backend's shared-memory windows).
+        self.shards = shards if shards is not None else [
             HistoryTable(rows.size) if rows.size else None
             for rows in partition.shard_rows
         ]
@@ -182,25 +198,8 @@ class ShardedHistoryTable:
     def nbytes(self) -> int:
         return int(sum(s.nbytes for s in self.shards if s is not None))
 
-    # -- shard-local API (used by the parallel model update) --------------
-    def shard(self, shard: int) -> HistoryTable | None:
-        return self.shards[shard]
-
-    def shard_delays(
-        self, shard: int, local_rows: np.ndarray, iteration: int
-    ) -> np.ndarray:
-        if local_rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.shards[shard].delays(local_rows, iteration)
-
-    def shard_mark_updated(
-        self, shard: int, local_rows: np.ndarray, iteration: int
-    ) -> None:
-        if local_rows.size:
-            self.shards[shard].mark_updated(local_rows, iteration)
-
     def shard_pending_rows(self, shard: int, iteration: int) -> np.ndarray:
-        """Shard-local ids of rows still owed noise (used by the flush)."""
+        """Shard-local ids of rows still owed noise."""
         if self.shards[shard] is None:
             return np.zeros(0, dtype=np.int64)
         return self.shards[shard].pending_rows(iteration)
@@ -263,3 +262,58 @@ class ShardedHistoryTable:
         for s, table in enumerate(self.shards):
             if table is not None:
                 table.load_snapshot(snapshot[self.partition.shard_rows[s]])
+
+
+def check_partition(model, plan: PartitionPlan) -> None:
+    """Raise unless ``plan`` covers exactly ``model``'s tables and rows."""
+    if plan.num_tables != len(model.embeddings):
+        raise ValueError(
+            f"plan covers {plan.num_tables} tables, model has "
+            f"{len(model.embeddings)}"
+        )
+    for t, bag in enumerate(model.embeddings):
+        if plan.table(t).num_rows != bag.num_rows:
+            raise ValueError(
+                f"plan table {t} covers {plan.table(t).num_rows} rows, "
+                f"model table has {bag.num_rows}"
+            )
+
+
+def shard_windows(
+    model, plan: PartitionPlan, with_ledger: bool = False, segments=None
+) -> tuple:
+    """The N-shard layout of ``model``: ``(windows, histories, router)``.
+
+    ``windows[s][t]`` is shard ``s``'s :class:`TableWindow` of table
+    ``t``; ``histories[t]`` the flat-API facade over the same per-shard
+    HistoryTables.  Every bag is re-adopted as a
+    :class:`ShardedEmbeddingBag` — always, because a bag sharded by an
+    *earlier* trainer carries that plan's slabs, which would silently
+    misaddress rows under this partition.  ``segments[t]`` (the process
+    backend's shared-memory handles) supplies the history and ledger
+    storage instead of private arrays.
+    """
+    check_partition(model, plan)
+    windows: list = [[] for _ in range(plan.num_shards)]
+    histories = []
+    for t, bag in enumerate(model.embeddings):
+        part = plan.table(t)
+        sharded = model.embeddings[t] = ShardedEmbeddingBag(bag.table, part)
+        shards = None
+        if segments is not None:
+            shards = [
+                None if slab.num_rows == 0
+                else HistoryTable.attach(segments[t].history_window(s))
+                for s, slab in enumerate(sharded.slabs)
+            ]
+        history = ShardedHistoryTable(part, shards)
+        histories.append(history)
+        for s, slab in enumerate(sharded.slabs):
+            ledger = None
+            if with_ledger and slab.num_rows:
+                ledger = (
+                    VersionVector(slab.num_rows) if segments is None
+                    else VersionVector.attach(segments[t].ledger_window(s))
+                )
+            windows[s].append(slab.window(history.shards[s], ledger))
+    return windows, histories, ShardRouter(plan)

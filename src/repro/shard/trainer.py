@@ -1,478 +1,6 @@
-"""The sharded LazyDP trainer and its per-shard noise engine.
+"""Re-export only: ``benchmarks/e2e/tracing.py`` patches
+``repro.shard.trainer.apply_sparse_update`` by module path.  The one
+flush loop lives in :mod:`repro.lazydp.optimizer`; a later benchmark PR
+can drop this module together with that patch entry."""
 
-``ShardedLazyDPTrainer`` runs stages 1-6 of the lazy embedding update
-independently per shard, through a pluggable :mod:`executor
-<repro.shard.executor>`:
-
-1. dedup the next mini-batch's indices          (shared, ``lazydp_dedup``)
-2. route indices to owning shards               (``shard_routing``)
-3. per shard — read delays from the shard-local HistoryTable, write the
-   new iteration ids, draw catch-up noise, merge with the shard's slice
-   of the clipped gradient, and apply one sparse write to the shard's
-   parameter slab                               (``shard_model_update``)
-
-**Equivalence guarantee.**  The released model is *bitwise identical* to
-the single-shard :class:`repro.lazydp.trainer.LazyDPTrainer` for every
-partition strategy, shard count and executor backend, because
-
-* every noise value is a pure function of ``(seed, table, global row,
-  iteration)`` — the per-row Philox keying of :mod:`repro.rng.noise` —
-  so *which shard* draws it (and alongside which other rows) is
-  irrelevant;
-* each global row is owned by exactly one shard, so the per-row
-  arithmetic ``table[r] -= lr * (grad_r + noise_r)`` is performed once,
-  with the operands combined in the same order as the flat trainer; and
-* shards share no mutable state, so the executor's schedule cannot
-  reorder any row's updates.
-
-The equivalence tests verify this for 1/2/7 shards, fixed and Poisson
-sampling, ANS on/off, all partition strategies and both executors.
-
-The per-shard work is split into ``_shard_plan_and_sample`` (stages 2-4:
-history read/advance + noise draw, touching only shard-owned history
-and ANS state) and ``_shard_apply`` (stages 5-6: gradient merge + slab
-write, touching only shard-owned parameters).  The serial trainer runs
-both back-to-back per shard;
-:class:`repro.pipeline.trainer.PipelinedShardedLazyDPTrainer` moves the
-first half onto a background prefetch worker and hands the results
-across a staging buffer — legal because the two halves share no state
-beyond the immutable plan, so the split point is also a safe thread
-boundary.  This class is the sharded *base* the session builder
-(:mod:`repro.session`) stacks the pipeline/async capability layers on.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
-from ..lazydp.ans import ANSEngine
-from ..lazydp.trainer import LazyDPTrainer
-from ..nn.dlrm import DLRM
-from ..rng import NoiseStream
-from ..train.common import DPConfig, StageTimer
-from .executor import ShardExecutor, SerialExecutor, make_executor
-from .plan import PartitionPlan, build_partition_plan
-from .router import ShardRouter
-from .tables import ShardedEmbeddingBag, ShardedHistoryTable
-
-
-class ShardedLazyNoiseEngine:
-    """Per-shard deferred-noise bookkeeping for all embedding tables.
-
-    Mirrors :class:`repro.lazydp.optimizer.LazyNoiseEngine`'s interface
-    (``histories``, ``ans``, ``flush``, ``flushed_through``) so release
-    and checkpoint tooling treats sharded trainers uniformly, while the
-    hot path runs on shard-local state: one :class:`ShardedHistoryTable`
-    per table and one :class:`ANSEngine` per shard (so the draw counters
-    need no cross-thread synchronisation).
-    """
-
-    def __init__(
-        self,
-        model: DLRM,
-        noise_stream: NoiseStream,
-        plan: PartitionPlan,
-        use_ans: bool = True,
-        flush_chunk_rows: int = 65536,
-    ):
-        self.model = model
-        self.plan = plan
-        # Flat facade engine: used by export_private_model, which walks
-        # global pending rows outside the per-shard hot path.
-        self.ans = ANSEngine(noise_stream, enabled=use_ans)
-        self.shard_ans = [
-            ANSEngine(noise_stream, enabled=use_ans) for _ in range(plan.num_shards)
-        ]
-        self.histories = [
-            ShardedHistoryTable(plan.table(t)) for t in range(len(model.embeddings))
-        ]
-        self.flush_chunk_rows = int(flush_chunk_rows)
-        self.flushed_through: int | None = None
-        #: Per-shard flush scratch — one arena per shard so the
-        #: shard-parallel flush stays lock-free.
-        self.shard_arenas = [BufferArena() for _ in range(plan.num_shards)]
-
-    @property
-    def use_ans(self) -> bool:
-        return self.ans.enabled
-
-    @property
-    def samples_drawn(self) -> int:
-        """Scalar Gaussian draws across the facade and every shard."""
-        return self.ans.samples_drawn + sum(
-            engine.samples_drawn for engine in self.shard_ans
-        )
-
-    def history_bytes(self) -> int:
-        """Total HistoryTable footprint — identical to the flat engine's."""
-        return int(sum(history.nbytes for history in self.histories))
-
-    def _flush_shard(
-        self,
-        table_index: int,
-        bag: ShardedEmbeddingBag,
-        shard: int,
-        final_iteration: int,
-        learning_rate: float,
-        std: float,
-        timer: StageTimer | None = None,
-    ) -> int:
-        history = self.histories[table_index]
-        pending_local = history.shard_pending_rows(shard, final_iteration)
-        if pending_local.size == 0:
-            return 0
-        slab = bag.slabs[shard]
-        shard_history = history.shard(shard)
-        timer = timer or StageTimer()
-        with timer.time("terminal_flush"):
-            for start in range(0, pending_local.size, self.flush_chunk_rows):
-                local = pending_local[start : start + self.flush_chunk_rows]
-                global_rows = slab.rows[local]
-                delays = shard_history.delays(local, final_iteration)
-                noise = self.shard_ans[shard].catchup_noise(
-                    table_index,
-                    global_rows,
-                    delays,
-                    final_iteration,
-                    bag.dim,
-                    std,
-                )
-                target, row_base = slab.update_target()
-                apply_sparse_update(
-                    target,
-                    global_rows,
-                    noise,
-                    learning_rate,
-                    arena=self.shard_arenas[shard],
-                    row_base=row_base,
-                    values_writable=True,
-                )
-                shard_history.mark_updated(local, final_iteration)
-        return int(pending_local.size)
-
-    def flush(
-        self,
-        final_iteration: int,
-        learning_rate: float,
-        std: float,
-        executor: ShardExecutor | None = None,
-        timers: list | None = None,
-    ) -> int:
-        """Apply all deferred noise, shard-parallel; returns rows caught up.
-
-        Bitwise identical to the flat engine's flush: each pending row
-        receives the same single catch-up draw and the same one-row
-        subtraction, merely grouped by shard instead of by table chunk.
-        """
-        executor = executor or SerialExecutor()
-        caught_up = 0
-        for table_index, bag in enumerate(self.model.embeddings):
-            tasks = [
-                (
-                    lambda t=table_index, b=bag, s=s: self._flush_shard(
-                        t,
-                        b,
-                        s,
-                        final_iteration,
-                        learning_rate,
-                        std,
-                        timer=timers[s] if timers else None,
-                    )
-                )
-                for s in range(self.plan.num_shards)
-            ]
-            caught_up += sum(executor.run(tasks))
-        self.flushed_through = int(final_iteration)
-        return caught_up
-
-
-class ShardedLazyDPTrainer(LazyDPTrainer):
-    """LazyDP with partitioned tables and a parallel model update.
-
-    Parameters beyond :class:`LazyDPTrainer`'s:
-
-    ``num_shards`` / ``partition``
-        Geometry of the :class:`PartitionPlan` built for the model (or
-        pass a prebuilt ``plan``, e.g. a frequency-balanced one from
-        :func:`repro.shard.plan_from_loader`).
-    ``executor``
-        ``"serial"``, ``"threads"``, or a :class:`ShardExecutor`
-        instance; ``max_workers`` caps the thread pool.
-    """
-
-    name = "sharded_lazydp"
-
-    def __init__(
-        self,
-        model: DLRM,
-        config: DPConfig,
-        noise_seed: int = 1234,
-        use_ans: bool = True,
-        num_shards: int = 2,
-        partition: str = "row_range",
-        executor="serial",
-        plan: PartitionPlan | None = None,
-        max_workers: int | None = None,
-        skew=None,
-    ):
-        if plan is None:
-            plan = build_partition_plan(
-                model.config, num_shards, strategy=partition, skew=skew
-            )
-        self._validate_plan(model, plan)
-        self.plan = plan  # before super().__init__: _build_engine reads it
-        super().__init__(model, config, noise_seed=noise_seed, use_ans=use_ans)
-        self.name = "sharded_lazydp" if use_ans else "sharded_lazydp_no_ans"
-        self.num_shards = plan.num_shards
-        self.router = ShardRouter(plan)
-        for t, bag in enumerate(model.embeddings):
-            # Always re-adopt: a bag sharded by an *earlier* trainer
-            # carries that plan's slabs, which would silently misaddress
-            # rows under this trainer's partition.
-            model.embeddings[t] = ShardedEmbeddingBag(bag.table, plan.table(t))
-        self.executor = make_executor(executor, plan.num_shards, max_workers)
-        #: One StageTimer per shard, accumulating that shard's model-update
-        #: stage times across all tables and iterations.
-        self.shard_timers = [StageTimer() for _ in range(plan.num_shards)]
-        #: One apply-kernel arena per shard (shard tasks may run
-        #: concurrently; arenas are single-threaded by contract).
-        self.shard_apply_arenas = [BufferArena() for _ in range(plan.num_shards)]
-
-    def _build_engine(self, model: DLRM, use_ans: bool):
-        """Hook from LazyDPTrainer: build the sharded engine directly
-        instead of allocating flat HistoryTables only to discard them."""
-        return ShardedLazyNoiseEngine(
-            model, self.noise_stream, self.plan, use_ans=use_ans
-        )
-
-    @staticmethod
-    def _validate_plan(model: DLRM, plan: PartitionPlan) -> None:
-        if plan.num_tables != len(model.embeddings):
-            raise ValueError(
-                f"plan covers {plan.num_tables} tables, model has "
-                f"{len(model.embeddings)}"
-            )
-        for t, bag in enumerate(model.embeddings):
-            if plan.table(t).num_rows != bag.num_rows:
-                raise ValueError(
-                    f"plan table {t} covers {plan.table(t).num_rows} rows, "
-                    f"model table has {bag.num_rows}"
-                )
-
-    # -- the sharded lazy model update ------------------------------------
-    def _shard_plan_and_sample(
-        self,
-        table_index: int,
-        shard: int,
-        next_global: np.ndarray,
-        next_local: np.ndarray,
-        iteration: int,
-        dim: int,
-        noise_std: float,
-        timer,
-    ) -> tuple:
-        """Stages 2-4 for one shard: history read/advance + noise draw.
-
-        Touches only shard-owned state (that shard's HistoryTable and
-        ANS counter), so it can run on any thread — the executor here,
-        or the pipelined trainer's prefetch worker — without locks.
-
-        Returns ``(delays, noise_values)``; the delays travel with the
-        sampled noise so deferred consumers (the async trainer's apply
-        stage) can advance the per-row noise ledger
-        (:class:`repro.lazydp.ledger.VersionVector`) at apply time.
-        """
-        history = self.engine.histories[table_index]
-        with timer.time("lazydp_history_read"):
-            delays = history.shard_delays(shard, next_local, iteration)
-        with timer.time("lazydp_history_update"):
-            history.shard_mark_updated(shard, next_local, iteration)
-        with timer.time("noise_sampling"):
-            # Keyed by *global* row ids: the draw is bitwise the one the
-            # flat trainer makes for the same row at the same iteration.
-            noise_values = self.engine.shard_ans[shard].catchup_noise(
-                table_index, next_global, delays, iteration, dim, noise_std
-            )
-        return delays, noise_values
-
-    def _shard_apply(
-        self,
-        bag: ShardedEmbeddingBag,
-        shard: int,
-        noise_rows: np.ndarray,
-        noise_values: np.ndarray,
-        grad_rows: np.ndarray,
-        grad_values: np.ndarray,
-        learning_rate: float,
-        timer,
-    ) -> None:
-        """Stages 5-6 for one shard: merge with the gradient slice and
-        write through the shard's parameter slab — one fused kernel
-        call against shard-owned scratch, so concurrent shard tasks
-        stay allocation- and lock-free."""
-        target, row_base = bag.slabs[shard].update_target()
-        fused_noisy_update(
-            target,
-            learning_rate,
-            grad_rows,
-            grad_values,
-            noise_rows,
-            noise_values,
-            arena=self.shard_apply_arenas[shard],
-            row_base=row_base,
-            timer=timer,
-        )
-
-    def _shard_update_task(
-        self,
-        table_index: int,
-        bag: ShardedEmbeddingBag,
-        shard: int,
-        next_global: np.ndarray,
-        next_local: np.ndarray,
-        grad_rows: np.ndarray,
-        grad_values: np.ndarray,
-        iteration: int,
-        noise_std: float,
-        learning_rate: float,
-    ) -> None:
-        """Stages 2-6 of Algorithm 1 for one shard of one table."""
-        timer = self.shard_timers[shard]
-        _, noise_values = self._shard_plan_and_sample(
-            table_index,
-            shard,
-            next_global,
-            next_local,
-            iteration,
-            bag.dim,
-            noise_std,
-            timer,
-        )
-        self._shard_apply(
-            bag,
-            shard,
-            next_global,
-            noise_values,
-            grad_rows,
-            grad_values,
-            learning_rate,
-            timer,
-        )
-
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
-    ) -> None:
-        self._last_noise_std = noise_std
-        lr = self.config.learning_rate
-
-        if self._next_batch is not None:
-            with self.timer.time("lazydp_dedup"):
-                next_rows = self._next_batch.accessed_rows(table_index)
-        else:
-            # Final iteration: the terminal flush performs every
-            # remaining catch-up, shard by shard.
-            next_rows = np.empty(0, dtype=np.int64)
-
-        with self.timer.time("shard_routing"):
-            routed_next = self.router.scatter(table_index, next_rows)
-            routed_grad = self.router.scatter(table_index, sparse_grad.rows)
-            grad_values = [
-                sparse_grad.values[routed_grad.origin[s]]
-                for s in range(self.num_shards)
-            ]
-
-        tasks = [
-            (
-                lambda s=s: self._shard_update_task(
-                    table_index,
-                    bag,
-                    s,
-                    routed_next.global_rows[s],
-                    routed_next.local[s],
-                    routed_grad.global_rows[s],
-                    grad_values[s],
-                    iteration,
-                    noise_std,
-                    lr,
-                )
-            )
-            for s in range(self.num_shards)
-        ]
-        with self.timer.time("shard_model_update"):
-            self.executor.run(tasks)
-
-    def finalize(self, final_iteration: int) -> None:
-        """Shard-parallel terminal flush (same release as the flat flush)."""
-        if final_iteration == 0:
-            return
-        noise_std = self._flush_noise_std()
-        with self.timer.time("terminal_flush"):
-            self.engine.flush(
-                final_iteration,
-                self.config.learning_rate,
-                noise_std,
-                executor=self.executor,
-                timers=self.shard_timers,
-            )
-
-    # -- reporting ---------------------------------------------------------
-    def kernel_stats(self) -> dict:
-        """Flat kernel stats plus the per-shard arena/counter split."""
-        stats = super().kernel_stats()
-        stats["shard_apply_arenas"] = [
-            arena.stats() for arena in self.shard_apply_arenas
-        ]
-        stats["shard_sampler_arenas"] = [
-            engine.arena.stats() for engine in self.engine.shard_ans
-        ]
-        stats["shard_timer_counters"] = [
-            dict(timer.counters) for timer in self.shard_timers
-        ]
-        return stats
-
-    def per_shard_breakdown(self) -> list:
-        """Per-shard stage-time dicts (model-update stages only)."""
-        return [dict(timer.totals) for timer in self.shard_timers]
-
-    def _auxiliary_timers(self) -> tuple:
-        return super()._auxiliary_timers() + tuple(self.shard_timers)
-
-    def shard_time_summary(self) -> dict:
-        """Deterministic merge of the per-shard timers: the per-shard
-        breakdown, the same stages summed across shards, each shard's
-        total update seconds, and the max/min skew between shards.
-        This is what ``TrainResult.shard_times`` carries, so the
-        load-balance view survives ``fit`` instead of dying with the
-        trainer."""
-        per_shard = self.per_shard_breakdown()
-        summed: dict = {}
-        for totals in per_shard:
-            for stage, seconds in totals.items():
-                summed[stage] = summed.get(stage, 0.0) + seconds
-        update_seconds = self.shard_update_seconds()
-        summary = {
-            "per_shard": per_shard,
-            "summed": summed,
-            "update_seconds": update_seconds,
-        }
-        if update_seconds:
-            slowest = max(update_seconds)
-            fastest = min(update_seconds)
-            summary["skew"] = {
-                "max": slowest,
-                "min": fastest,
-                "spread": slowest - fastest,
-            }
-        return summary
-
-    def _fit_shard_times(self) -> dict:
-        return self.shard_time_summary()
-
-    def shard_update_seconds(self) -> list:
-        """Per-shard total model-update seconds (load-balance view)."""
-        return [timer.total() for timer in self.shard_timers]
-
-    def close(self) -> None:
-        """Shut the executor's worker pool down (idempotent)."""
-        self.executor.shutdown()
+from ..kernels import apply_sparse_update  # noqa: F401

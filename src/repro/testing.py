@@ -30,68 +30,36 @@ def make_loader(config, batch_size=16, num_batches=8, seed=5,
                       num_batches=num_batches, sampling=sampling, seed=seed)
 
 
-def trainer_for(algorithm, model, dp=None, noise_seed=1234,
-                **trainer_kwargs):
-    """String-keyed trainer construction without the deprecation warning.
-
-    Lazydp-family names build through ``TrainSession`` (same composed
-    trainer ``make_trainer`` would hand back), baseline names through
-    their classes.  Test/benchmark helper — new code should spell the
-    execution strategy as an :class:`repro.session.ExecutionPlan`.
-    """
-    from .bench.experiments import TRAINER_CLASSES, build_lazydp_trainer
-    from .session import LEGACY_ALGORITHMS
-
-    dp = dp or DPConfig()
-    if algorithm in LEGACY_ALGORITHMS:
-        return build_lazydp_trainer(algorithm, model, dp,
-                                    noise_seed=noise_seed, **trainer_kwargs)
-    if algorithm in TRAINER_CLASSES:
-        return TRAINER_CLASSES[algorithm](model, dp, noise_seed=noise_seed)
-    raise ValueError(f"unknown algorithm: {algorithm}")
-
-
 def train_algorithm(algorithm, config, *, batch_size=16, num_batches=8,
                     model_seed=7, noise_seed=99, dp=None, sampling="fixed",
-                    skew=None, trainer_kwargs=None, **loader_kwargs):
+                    skew=None, **build_kwargs):
     """Train one algorithm from a fixed initial state; return (model, result, trainer).
 
     Every call with the same seeds sees the same model init, the same
     trace, and the same noise stream — the setup all equivalence tests
-    build on.  ``algorithm`` accepts a legacy algorithm string, a
-    :class:`repro.session.ExecutionPlan`, or a ``--plan``-style spec
-    string (anything containing ``=``); plans and lazydp-family strings
-    construct the trainer through ``TrainSession.build``.
+    build on.  ``algorithm`` accepts one of the seven algorithm names,
+    a :class:`repro.session.ExecutionPlan`, or a ``--plan``-style spec
+    string (anything containing ``=``); plans build through
+    ``TrainSession.build`` (``build_kwargs`` reach it, e.g.
+    ``partition_plan=``).
     """
     from .bench.experiments import make_trainer
-    from .session import (
-        ExecutionPlan,
-        LEGACY_ALGORITHMS,
-        TrainSession,
-        plan_for_algorithm,
-    )
+    from .session import ExecutionPlan, TrainSession
 
     dp = dp or DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
                         learning_rate=0.05)
     model = DLRM(config, seed=model_seed)
     loader = make_loader(config, batch_size=batch_size,
                          num_batches=num_batches, sampling=sampling,
-                         skew=skew, **loader_kwargs)
+                         skew=skew)
     if isinstance(algorithm, str) and "=" in algorithm:
         algorithm = ExecutionPlan.from_spec(algorithm)
     if isinstance(algorithm, ExecutionPlan):
-        session = TrainSession.build(model, dp, algorithm,
+        trainer = TrainSession.build(model, dp, algorithm,
                                      noise_seed=noise_seed,
-                                     **(trainer_kwargs or {}))
-        trainer = session.trainer
-    elif algorithm in LEGACY_ALGORITHMS:
-        plan, extras = plan_for_algorithm(algorithm, trainer_kwargs)
-        session = TrainSession.build(model, dp, plan, noise_seed=noise_seed,
-                                     **extras)
-        trainer = session.trainer
+                                     **build_kwargs).trainer
     else:
-        trainer = make_trainer(algorithm, model, dp, noise_seed=noise_seed,
-                               **(trainer_kwargs or {}))
+        trainer = make_trainer(algorithm, model, dp, noise_seed=noise_seed)
     result = trainer.fit(loader)
     return model, result, trainer
 

@@ -247,14 +247,13 @@ class TrainerBase:
 
     def _auxiliary_timers(self) -> tuple:
         """Every StageTimer the trainer owns besides ``self.timer`` —
-        the per-shard, prefetch-worker and apply-worker timers the
-        engine mixins contribute.  Feeds both ``instrument`` (tracer
+        LazyDP's per-shard, prefetch-worker and apply-worker timers.  Feeds both ``instrument`` (tracer
         rebinding) and the merged ``TrainResult.counters``."""
         return ()
 
     def _make_timer(self) -> StageTimer:
-        """A StageTimer bound to the current observability hub; engine
-        mixins use this wherever they (re)create their own timers."""
+        """A StageTimer bound to the current observability hub; used
+        wherever a trainer (re)creates timers of its own."""
         return StageTimer(tracer=self.obs.timer_tracer())
 
     def _fit_counters(self) -> dict:
@@ -267,7 +266,7 @@ class TrainerBase:
 
     def _fit_shard_times(self):
         """Per-shard breakdown for ``TrainResult.shard_times``
-        (``None`` for unsharded trainers; the shard mixin overrides)."""
+        (``None`` for unsharded trainers; LazyDP overrides)."""
         return None
 
     # -- subclass hooks --------------------------------------------------
@@ -279,9 +278,9 @@ class TrainerBase:
 
     def _make_lookahead(self, loader: DataLoader) -> LookaheadLoader:
         """How ``fit`` wraps the loader.  The default is the paper's
-        one-batch lookahead; the pipelined trainer overrides this to
-        request a deeper queue and attach its noise-prefetch worker to
-        the ``on_load`` hook."""
+        one-batch lookahead; a prefetching LazyDP scheduler requests a
+        deeper queue and attaches its noise-prefetch worker to the
+        ``on_load`` hook."""
         return LookaheadLoader(loader)
 
     # -- main loop --------------------------------------------------------

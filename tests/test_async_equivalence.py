@@ -1,11 +1,11 @@
 """The async engine's acceptance bar: strict == serial, ledger exact.
 
-``AsyncLazyDPTrainer`` keeps up to ``max_in_flight`` iteration applies
-outstanding on a background worker.  Under the ``strict`` staleness
-policy a forward pass never reads a slab with an outstanding apply, so
-training must release parameters *bitwise identical* to the serial
-``LazyDPTrainer`` — across sampling schemes, ANS modes, shard counts
-and in-flight depths.  Under ``bounded:k`` the released parameters
+A plan with the ``async`` axis on keeps up to ``inflight`` iteration
+applies outstanding on a background worker.  Under the ``strict``
+staleness policy a forward pass never reads a slab with an outstanding
+apply, so training must release parameters *bitwise identical* to the
+serial plan — across sampling schemes, ANS modes, shard counts and
+in-flight depths.  Under ``bounded:k`` the released parameters
 legitimately diverge (reads may trail applies), but the deferred-noise
 ledger must stay exact: the per-row :class:`VersionVector
 <repro.lazydp.ledger.VersionVector>` proves every per-iteration noise
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.async_ import AsyncLazyDPTrainer
-from repro.lazydp import LedgerError
+from repro.lazydp import LedgerError, Scheduler
+from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff, train_algorithm
 
 
@@ -26,13 +26,19 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def train_async(config, *, sampling="fixed", use_ans=True, num_batches=6,
-                sharded=False, **kwargs):
-    prefix = "async_sharded" if sharded else "async"
-    algorithm = f"{prefix}_lazydp" if use_ans else f"{prefix}_lazydp_no_ans"
+def async_spec(*, use_ans=True, max_in_flight=2, staleness="strict",
+               num_shards=0, partition="row_range", backend="numpy"):
+    spec = (f"ans={'on' if use_ans else 'off'},async={staleness},"
+            f"inflight={max_in_flight}")
+    if num_shards:
+        spec += f",shards={num_shards},partition={partition}"
+    return f"{spec},backend={backend}"
+
+
+def train_async(config, *, sampling="fixed", num_batches=6, **kwargs):
     model, result, trainer = train_algorithm(
-        algorithm, config, num_batches=num_batches, sampling=sampling,
-        trainer_kwargs=kwargs,
+        async_spec(**kwargs), config, num_batches=num_batches,
+        sampling=sampling,
     )
     trainer.close()
     return model, result, trainer
@@ -68,7 +74,7 @@ class TestStrictBitwiseEquivalence:
             "lazydp", config, num_batches=6, sampling=sampling
         )
         async_model, _, trainer = train_async(
-            config, sampling=sampling, sharded=True, num_shards=num_shards,
+            config, sampling=sampling, num_shards=num_shards,
             max_in_flight=2,
         )
         assert max_param_diff(serial_model, async_model) == 0.0
@@ -82,8 +88,8 @@ class TestStrictBitwiseEquivalence:
             "lazydp_no_ans", config, num_batches=5
         )
         async_model, _, _ = train_async(
-            config, use_ans=False, num_batches=5, sharded=True,
-            num_shards=7, partition="hash", executor="threads",
+            config, use_ans=False, num_batches=5,
+            num_shards=7, partition="hash", backend="threads",
             max_in_flight=max_in_flight,
         )
         assert max_param_diff(serial_model, async_model) == 0.0
@@ -123,7 +129,7 @@ class TestBoundedStalenessLedger:
 
     def test_ledger_exact_sharded_bounded(self, config):
         _, _, trainer = train_async(
-            config, sharded=True, num_shards=3, executor="threads",
+            config, num_shards=3, backend="threads",
             max_in_flight=4, staleness="bounded:2",
         )
         trainer.audit_noise_ledger(6)
@@ -189,25 +195,16 @@ class TestTrainerBehaviour:
         assert result.algorithm == "async_lazydp"
         _, result, _ = train_async(config, use_ans=False)
         assert result.algorithm == "async_lazydp_no_ans"
-        _, result, _ = train_async(config, sharded=True, num_shards=2)
+        _, result, _ = train_async(config, num_shards=2)
         assert result.algorithm == "async_sharded_lazydp"
 
     def test_rejects_bad_options(self, config):
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
         with pytest.raises(ValueError, match="max_in_flight"):
-            AsyncLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), max_in_flight=0
-            )
+            Scheduler(max_in_flight=0)
         with pytest.raises(ValueError, match="staleness"):
-            AsyncLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), staleness="eventual"
-            )
+            Scheduler(max_in_flight=2, staleness="eventual")
         with pytest.raises(ValueError, match="bound"):
-            AsyncLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), staleness="bounded:-1"
-            )
+            Scheduler(max_in_flight=2, staleness="bounded:-1")
 
     def test_async_stats_surface(self, config):
         _, result, trainer = train_async(
@@ -219,10 +216,12 @@ class TestTrainerBehaviour:
         assert stats["applies_completed"] == 6
         assert stats["apply_busy_seconds"] > 0.0
         # The embedding merge/write stages run on the apply thread and
-        # are accounted there (the trainer timer may still show the
-        # stage names for the dense MLP noisy update, which stays
-        # synchronous on the trainer thread).
-        assert stats["apply_stage_seconds"]["noisy_grad_update"] > 0.0
+        # are accounted on the shard's timer, not the trainer's (which
+        # may still show the stage names for the dense MLP noisy
+        # update — that stays synchronous on the trainer thread).
+        (shard_stages,) = trainer.per_shard_breakdown()
+        assert shard_stages["noisy_grad_update"] > 0.0
+        assert trainer.engine.states[0].timer is not trainer.timer
         # The async block rides along in pipeline_stats.
         assert trainer.pipeline_stats()["async"] is not None
 
@@ -239,10 +238,12 @@ class TestTrainerBehaviour:
 
         serial_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
         model = DLRM(config, seed=7)
-        trainer = AsyncLazyDPTrainer(
+        trainer = TrainSession.build(
             model, DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
-                            learning_rate=0.05), noise_seed=99,
-        )
+                            learning_rate=0.05),
+            ExecutionPlan.from_spec("async=strict,inflight=2"),
+            noise_seed=99,
+        ).trainer
         trainer.expected_batch_size = 16
         loader = make_loader(config, batch_size=16, num_batches=4)
         for index, batch, upcoming in LookaheadLoader(loader):
@@ -268,13 +269,11 @@ class TestTrainerBehaviour:
         """During fit the apply worker is the shard executor's only
         client; per-shard apply timers still get populated."""
         _, _, trainer = train_async(
-            config, sharded=True, num_shards=2, executor="threads",
+            config, num_shards=2, backend="threads",
         )
-        # train_async goes through TrainSession.build, which composes
-        # the same async+pipeline+sharded stack the legacy class names.
         assert trainer.execution_plan.is_async
         assert trainer.execution_plan.is_sharded
         assert trainer.name == "async_sharded_lazydp"
-        assert trainer.apply_timer.totals["shard_model_update"] > 0.0
+        assert trainer.scheduler.apply_timer.totals["shard_model_update"] > 0.0
         for timer in trainer.shard_timers:
             assert timer.totals["noisy_grad_update"] >= 0.0

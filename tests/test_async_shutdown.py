@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.async_ import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
 from repro.async_.apply import ApplyWorker
+from repro.data import LookaheadLoader
+from repro.lazydp import LedgerError
 from repro.nn import DLRM
-from repro.pipeline import PipelinedLazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader
 from repro.train import DPConfig
 
@@ -31,13 +32,29 @@ def config():
     return configs.tiny_dlrm(num_tables=2, rows=32, dim=8, lookups=2)
 
 
-def make_trainer(cls, config, **kwargs):
-    return cls(
+def make_trainer(spec, config):
+    return TrainSession.build(
         DLRM(config, seed=7),
         DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
                  learning_rate=0.05),
-        noise_seed=99, **kwargs,
-    )
+        ExecutionPlan.from_spec(spec), noise_seed=99,
+    ).trainer
+
+
+def fail_stage(trainer, stage, fail_at_iteration, message):
+    """Make every shard's ``stage`` (``plan_sample`` / ``apply``) raise
+    from ``fail_at_iteration`` on; both take the iteration as their
+    second-to-last / last positional argument."""
+    position = {"plan_sample": 3, "apply": 5}[stage]
+    for state in trainer.engine.states:
+        original = getattr(state, stage)
+
+        def failing(*args, _original=original):
+            if args[position] >= fail_at_iteration:
+                raise RuntimeError(message)
+            return _original(*args)
+
+        setattr(state, stage, failing)
 
 
 class TestFailingSamplerPropagates:
@@ -45,33 +62,27 @@ class TestFailingSamplerPropagates:
     reach ``train_step`` as an exception, not deadlock the pipeline."""
 
     def _install_failing_sampler(self, trainer, fail_at_iteration=2):
-        original = trainer._sample_catchup
-
-        def failing(plan, dim, noise_std, timer=None):
-            if plan.iteration >= fail_at_iteration:
-                raise RuntimeError("injected sampler failure")
-            return original(plan, dim, noise_std, timer)
-
-        trainer._sample_catchup = failing
+        fail_stage(trainer, "plan_sample", fail_at_iteration,
+                   "injected sampler failure")
 
     def test_pipelined_trainer_raises(self, config):
-        trainer = make_trainer(PipelinedLazyDPTrainer, config)
+        trainer = make_trainer("pipeline=2", config)
         self._install_failing_sampler(trainer)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
-        assert not trainer._pipeline_running
+        assert not trainer.scheduler.running
         trainer.close()
 
     def test_async_trainer_raises(self, config):
-        trainer = make_trainer(AsyncLazyDPTrainer, config, max_in_flight=2)
+        trainer = make_trainer("async=strict,inflight=2", config)
         self._install_failing_sampler(trainer)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
-        assert not trainer._pipeline_running
+        assert not trainer.scheduler.running
         trainer.close()
 
     def test_async_trainer_survives_failure_on_first_plan(self, config):
-        trainer = make_trainer(AsyncLazyDPTrainer, config, max_in_flight=4)
+        trainer = make_trainer("async=strict,inflight=4", config)
         self._install_failing_sampler(trainer, fail_at_iteration=1)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -80,20 +91,12 @@ class TestFailingSamplerPropagates:
 
 class TestFailingApplyPropagates:
     def _install_failing_apply(self, trainer, fail_at_iteration=2):
-        original = trainer._apply_iteration
-
-        def failing(iteration, payloads):
-            if iteration >= fail_at_iteration:
-                raise RuntimeError("injected apply failure")
-            return original(iteration, payloads)
-
-        trainer._apply_iteration = failing
+        fail_stage(trainer, "apply", fail_at_iteration,
+                   "injected apply failure")
 
     @pytest.mark.parametrize("staleness", ["strict", "bounded:2"])
     def test_flat_apply_failure_raises(self, config, staleness):
-        trainer = make_trainer(
-            AsyncLazyDPTrainer, config, max_in_flight=2, staleness=staleness,
-        )
+        trainer = make_trainer(f"async={staleness},inflight=2", config)
         self._install_failing_apply(trainer)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
@@ -101,8 +104,7 @@ class TestFailingApplyPropagates:
 
     def test_sharded_apply_failure_raises(self, config):
         trainer = make_trainer(
-            AsyncShardedLazyDPTrainer, config, num_shards=2,
-            executor="threads", max_in_flight=2,
+            "shards=2,async=strict,inflight=2,backend=threads", config
         )
         self._install_failing_apply(trainer)
         with pytest.raises(RuntimeError, match="apply worker"):
@@ -113,10 +115,7 @@ class TestFailingApplyPropagates:
         """With the cap far above the iteration count, the failing apply
         must still unblock every later submit (the semaphore-release
         regression)."""
-        trainer = make_trainer(
-            AsyncLazyDPTrainer, config, max_in_flight=1,
-            staleness="bounded:4",
-        )
+        trainer = make_trainer("async=bounded:4,inflight=1", config)
         self._install_failing_apply(trainer, fail_at_iteration=1)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
@@ -213,12 +212,8 @@ class TestApplyWorkerUnit:
 class TestShutdownLeavesNoThreads:
     def test_fit_failure_leaves_no_stray_threads(self, config):
         baseline = threading.active_count()
-        trainer = make_trainer(AsyncLazyDPTrainer, config, max_in_flight=2)
-
-        def boom(iteration, payloads):
-            raise RuntimeError("injected apply failure")
-
-        trainer._apply_iteration = boom
+        trainer = make_trainer("async=strict,inflight=2", config)
+        fail_stage(trainer, "apply", 1, "injected apply failure")
         with pytest.raises(RuntimeError):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
         trainer.close()
@@ -227,38 +222,31 @@ class TestShutdownLeavesNoThreads:
             time.sleep(0.01)
         assert threading.active_count() <= baseline
 
-    def test_ledger_not_advanced_when_write_itself_fails(self, config):
+    def test_ledger_not_advanced_when_write_itself_fails(self, config,
+                                                         monkeypatch):
         """The ledger records a span only after its slab write landed;
         a write that explodes mid-apply must leave the ledger behind so
         the audit reports the lost noise instead of vouching for it."""
-        trainer = make_trainer(AsyncLazyDPTrainer, config, max_in_flight=2)
-        original = trainer._apply_staged_noise
+        from repro.lazydp import optimizer
 
-        def failing_write(bag, sparse_grad, rows, values, timer=None):
+        trainer = make_trainer("async=strict,inflight=2", config)
+
+        def failing_write(*args, **kwargs):
             raise RuntimeError("injected write failure")
 
-        trainer._apply_staged_noise = failing_write
+        monkeypatch.setattr(optimizer, "fused_noisy_update", failing_write)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
         trainer.close()
-        trainer._apply_staged_noise = original
+        assert trainer.ledger
         for vector in trainer.ledger:
             assert np.all(vector.snapshot() == 0)
 
     def test_ledger_untouched_after_apply_failure(self, config):
         """A failed apply never advances the ledger for its iteration —
         the audit correctly reports the gap instead of lying."""
-        from repro.lazydp import LedgerError
-
-        trainer = make_trainer(AsyncLazyDPTrainer, config, max_in_flight=2)
-        original = trainer._apply_iteration
-
-        def failing(iteration, payloads):
-            if iteration >= 3:
-                raise RuntimeError("injected apply failure")
-            return original(iteration, payloads)
-
-        trainer._apply_iteration = failing
+        trainer = make_trainer("async=strict,inflight=2", config)
+        fail_stage(trainer, "apply", 3, "injected apply failure")
         with pytest.raises(RuntimeError):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
         trainer.close()
@@ -266,3 +254,26 @@ class TestShutdownLeavesNoThreads:
             trainer.audit_noise_ledger(6)
         for vector in trainer.ledger:
             assert np.all(vector.snapshot() <= 2)
+
+    @pytest.mark.parametrize("spec", [
+        "async=strict,inflight=2",
+        "shards=3,partition=hash,async=bounded:1,inflight=2",
+    ])
+    def test_manually_stepped_async_plan_is_auditable(self, config, spec):
+        """Outside fit() the apply runs inline on the trainer thread; the
+        ledger advance travels with the apply (and the flush), so the
+        exactly-once audit holds wherever they ran."""
+        trainer = make_trainer(spec, config)
+        trainer.expected_batch_size = 16
+        loader = make_loader(config, batch_size=16, num_batches=8)
+        for index, batch, upcoming in LookaheadLoader(loader):
+            trainer.train_step(index + 1, batch, upcoming)
+        with pytest.raises(LedgerError, match="still owe"):
+            trainer.audit_noise_ledger(8)     # not flushed yet
+        trainer.finalize(8)
+        trainer.audit_noise_ledger(8)
+        for vector in trainer.ledger:
+            np.testing.assert_array_equal(
+                vector.snapshot(), np.full(vector.num_rows, 8)
+            )
+        trainer.close()

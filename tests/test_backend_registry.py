@@ -1,12 +1,12 @@
-"""The execution-backend registry and the deprecated executor shim.
+"""The execution-backend registry.
 
 The registry (``repro.session.registry``) is the single source of truth
 for what ``ExecutionPlan.backend`` may name: plan validation, the
-trainer-class composer and ``tools/plan_matrix.py`` all iterate it, and
-``register_backend`` is the extension point third-party backends use.
+session builder and ``tools/plan_matrix.py`` all iterate it, and
+``register_backend`` is the extension point third-party backends use —
+a backend resolves to *how shard tasks run*, bound into the one
+trainer.
 """
-
-import warnings
 
 import pytest
 
@@ -15,9 +15,9 @@ from repro.session import (
     BACKEND_CAPABILITIES,
     BackendInfo,
     ExecutionPlan,
+    TrainSession,
     available_backends,
     backend_info,
-    compose_trainer_class,
     parse_backend_spec,
     register_backend,
 )
@@ -154,77 +154,83 @@ class TestBackendSpecs:
             assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
 
-class TestDeprecatedExecutorShim:
-    def test_shim_warns_once_and_canonicalizes(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan = ExecutionPlan(
-                shards=configs.ShardConfig(num_shards=4, executor="threads",
-                                           max_workers=2),
-            )
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "backend" in str(deprecations[0].message)
-        assert plan.backend == "threads:2"
-        assert plan.shards.executor == "serial"
-        assert plan.shards.max_workers is None
+class TestRemovedExecutorSpelling:
+    def test_shard_config_has_no_executor_fields(self):
+        fields = {field for field in configs.ShardConfig.__dataclass_fields__}
+        assert fields == {"num_shards", "partition"}
+        with pytest.raises(TypeError):
+            configs.ShardConfig(num_shards=4, executor="threads")
+        with pytest.raises(ValueError, match="unknown ShardConfig keys"):
+            configs.ShardConfig.from_dict({"num_shards": 2, "max_workers": 2})
 
-    def test_shim_spec_keys_still_parse(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            plan = ExecutionPlan.from_spec("shards=2,executor=threads")
-        assert plan.backend == "threads"
+    def test_spec_keys_are_unknown(self):
+        with pytest.raises(ValueError, match="unknown key 'executor'"):
+            ExecutionPlan.from_spec("shards=2,executor=threads")
+        with pytest.raises(ValueError, match="unknown key 'workers'"):
+            ExecutionPlan.from_spec("shards=2,workers=2")
+
+    def test_backend_axis_says_the_same(self):
+        plan = ExecutionPlan.from_spec("shards=2,backend=threads:2")
         assert plan.to_spec() == (
-            "ans=on,shards=2,partition=row_range,backend=threads"
+            "ans=on,shards=2,partition=row_range,backend=threads:2"
         )
 
-    def test_both_spellings_at_once_is_a_contradiction(self):
-        with pytest.raises(ValueError, match="contradictory"):
-            ExecutionPlan(
-                shards=configs.ShardConfig(num_shards=2, executor="threads"),
-                backend="process",
-            )
-        with pytest.raises(ValueError, match="contradictory"):
-            ExecutionPlan.from_spec(
-                "shards=2,executor=threads,backend=process"
-            )
 
+class TestBuildResolvesThroughRegistry:
+    @pytest.fixture
+    def model(self):
+        from repro.nn import DLRM
 
-class TestComposer:
-    def test_compose_resolves_through_registry(self):
+        return DLRM(configs.tiny_dlrm(num_tables=2, rows=32, dim=4), seed=7)
+
+    def build(self, model, spec):
+        from repro.train import DPConfig
+
+        return TrainSession.build(
+            model, DPConfig(), ExecutionPlan.from_spec(spec)
+        )
+
+    def test_builtin_backends_bind_their_executor(self, model):
         from repro.lazydp import LazyDPTrainer
         from repro.procshard import ProcessShardedLazyDPTrainer
-        from repro.shard import ShardedLazyDPTrainer
 
-        assert compose_trainer_class(
-            sharded=False, pipelined=False, async_=False, backend="numpy"
-        ) is LazyDPTrainer
-        assert compose_trainer_class(
-            sharded=True, pipelined=False, async_=False, backend="numpy"
-        ) is ShardedLazyDPTrainer
-        assert compose_trainer_class(
-            sharded=True, pipelined=False, async_=False, backend="process"
-        ) is ProcessShardedLazyDPTrainer
-        # Worker counts select the same class: they are trainer kwargs.
-        assert compose_trainer_class(
-            sharded=True, pipelined=False, async_=False, backend="threads:3"
-        ) is compose_trainer_class(
-            sharded=True, pipelined=False, async_=False, backend="threads"
-        )
+        for spec, executor in (("shards=2", "serial"),
+                               ("shards=2,backend=threads", "threads"),
+                               ("shards=2,backend=threads:3", "threads")):
+            with self.build(model, spec) as session:
+                assert type(session.trainer) is LazyDPTrainer
+                assert session.trainer.scheduler.executor.name == executor
+        with self.build(model, "shards=2,backend=process") as session:
+            assert type(session.trainer) is ProcessShardedLazyDPTrainer
+            assert session.trainer.scheduler.executor.name == "process"
 
-    def test_custom_backend_composes(self, scratch_backend):
-        from repro.shard import ShardedLazyDPTrainer
+    def test_custom_backend_runs_the_shard_tasks(self, model,
+                                                 scratch_backend):
+        from functools import partial
 
-        class MarkerTrainer(ShardedLazyDPTrainer):
-            pass
+        from repro.lazydp import LazyDPTrainer
+        from repro.shard import SerialExecutor
+        from repro.testing import make_loader
+
+        class CountingExecutor(SerialExecutor):
+            name = "counting"
+            runs = 0
+
+            def run(self, tasks):
+                CountingExecutor.runs += 1
+                return super().run(tasks)
 
         scratch_backend(
-            "marker",
-            lambda *, sharded, pipelined, async_: MarkerTrainer,
+            "counting",
+            lambda *, num_shards, workers: partial(
+                LazyDPTrainer, executors=CountingExecutor
+            ),
             capabilities=("shards",),
         )
-        composed = compose_trainer_class(
-            sharded=True, pipelined=False, async_=False, backend="marker"
-        )
-        assert issubclass(composed, MarkerTrainer)
+        with self.build(model, "shards=2,backend=counting") as session:
+            assert isinstance(
+                session.trainer.scheduler.executor, CountingExecutor
+            )
+            session.fit(make_loader(model.config, batch_size=8, num_batches=3))
+        # One fan-out per (step, table) plus the terminal flush.
+        assert CountingExecutor.runs == 3 * 2 + 1

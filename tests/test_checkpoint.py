@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
 from repro.lazydp.checkpoint import (
     export_private_model,
@@ -12,6 +12,7 @@ from repro.lazydp.checkpoint import (
     save_checkpoint,
 )
 from repro.nn import DLRM
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 from repro.testing import max_param_diff
@@ -24,12 +25,21 @@ def config():
 
 def build(config, use_ans=True, noise_seed=99):
     model = DLRM(config, seed=7)
-    trainer = trainer_for(
+    trainer = make_trainer(
         "lazydp" if use_ans else "lazydp_no_ans", model, DPConfig(),
         noise_seed=noise_seed,
     )
     trainer.expected_batch_size = 16
     return model, trainer
+
+
+def build_session(config, spec, noise_seed=99):
+    model = DLRM(config, seed=7)
+    session = TrainSession.build(
+        model, DPConfig(), ExecutionPlan.from_spec(spec), noise_seed=noise_seed
+    )
+    session.trainer.expected_batch_size = 16
+    return model, session
 
 
 def batches_for(config, count, seed=5):
@@ -62,26 +72,61 @@ class TestRoundtrip:
                 original.snapshot(), restored.snapshot()
             )
 
-    def test_resume_equals_uninterrupted_run(self, config, tmp_path):
-        """5 steps, checkpoint, restore, 5 more == 10 straight steps."""
+    @pytest.mark.parametrize("spec", [
+        "ans=off",
+        "shards=2,backend=threads:2",
+        "shards=2,backend=process",
+        "async=strict,inflight=2",
+    ])
+    def test_resume_equals_uninterrupted_run(self, config, tmp_path, spec):
+        """5 steps, checkpoint, restore, 5 more == 10 straight steps —
+        bitwise, under any plan, with release and the ledger audit
+        working off the restored state alone."""
         entries = batches_for(config, 10)
+        ans = ExecutionPlan.from_spec(spec).ans
 
-        straight_model, straight_trainer = build(config, use_ans=False)
+        straight_model, straight_trainer = build(config, use_ans=ans)
         drive(straight_trainer, entries)
         straight_trainer.finalize(10)
 
-        first_model, first_trainer = build(config, use_ans=False)
-        drive(first_trainer, entries, stop=5)
+        _, first = build_session(config, spec)
+        drive(first.trainer, entries, stop=5)
         path = tmp_path / "mid.npz"
-        save_checkpoint(path, first_trainer, iteration=5)
+        save_checkpoint(path, first.trainer, iteration=5)
+        mid_release = first.export_private_model()
+        first.close()
 
-        resumed_model, resumed_trainer = build(config, use_ans=False)
-        assert load_checkpoint(path, resumed_trainer) == 5
-        resumed_trainer._last_noise_std = DPConfig().noise_std(16)
-        drive(resumed_trainer, entries, start=5)
-        resumed_trainer.finalize(10)
+        resumed_model, resumed = build_session(config, spec)
+        assert load_checkpoint(path, resumed.trainer) == 5
+        # Release needs nothing but the checkpoint.
+        assert resumed.current_iteration() == 5
+        restored_release = resumed.export_private_model()
+        for name, values in mid_release.items():
+            np.testing.assert_array_equal(restored_release[name], values)
 
-        assert max_param_diff(straight_model, resumed_model) < 1e-12
+        drive(resumed.trainer, entries, start=5)
+        resumed.finalize(10)
+        assert max_param_diff(straight_model, resumed_model) == 0.0
+        resumed.trainer.audit_noise_ledger(10)
+        resumed.close()
+
+    def test_archive_without_resume_keys_still_loads(self, config, tmp_path):
+        """An archive written before the resume keys existed loads, and
+        leaves the noise std to be observed on the next step."""
+        model, trainer = build(config)
+        drive(trainer, batches_for(config, 3))
+        path = tmp_path / "new.npz"
+        save_checkpoint(path, trainer, iteration=3)
+        with np.load(path) as archive:
+            old = {key: archive[key] for key in archive.files
+                   if key != "meta/noise_std"}
+        old_path = tmp_path / "old.npz"
+        np.savez_compressed(old_path, **old)
+
+        _, fresh = build(config)
+        assert load_checkpoint(old_path, fresh) == 3
+        assert fresh.last_iteration == 3
+        assert fresh._last_noise_std is None
 
     def test_wrong_ans_mode_rejected(self, config, tmp_path):
         _, trainer = build(config, use_ans=True)
@@ -156,7 +201,7 @@ class TestExportPrivateModel:
         released = export_private_model(lazy_trainer, iteration=4)
 
         eager_model = DLRM(config, seed=7)
-        eager_trainer = trainer_for("dpsgd_f", eager_model, DPConfig(),
+        eager_trainer = make_trainer("dpsgd_f", eager_model, DPConfig(),
                                      noise_seed=99)
         eager_trainer.expected_batch_size = 16
         drive(eager_trainer, entries, stop=4)

@@ -32,10 +32,8 @@ class TestTrainCommand:
 
     def test_sharded_training(self, capsys):
         code = main([
-            "train", "--algorithm", "lazydp", "--rows", "512",
-            "--batch", "32", "--iterations", "3",
-            "--num-shards", "3", "--partition", "frequency",
-            "--executor", "threads",
+            "train", "--rows", "512", "--batch", "32", "--iterations", "3",
+            "--plan", "shards=3,partition=frequency,backend=threads",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -43,40 +41,31 @@ class TestTrainCommand:
         assert "per-shard model update" in out
         assert "shard_model_update" in out
 
-    def test_noop_default_engine_flag_allowed_with_baselines(self, capsys):
-        """Explicitly passing a flag at its no-op default selects no
-        engine, so it stays legal with any algorithm."""
+    def test_one_shard_plan_is_the_flat_engine(self, capsys):
         code = main([
-            "train", "--algorithm", "sgd", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--num-shards", "1",
+            "train", "--rows", "256", "--batch", "16", "--iterations", "2",
+            "--plan", "shards=1",
         ])
         assert code == 0
-
-    def test_sharding_requires_lazydp(self, capsys):
-        code = main([
-            "train", "--algorithm", "dpsgd_f", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--num-shards", "2",
-        ])
-        assert code == 2
-        assert "lazydp" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "per-shard model update" not in out
+        assert "shard_model_update" not in out
 
     def test_pipelined_training(self, capsys):
         code = main([
-            "train", "--algorithm", "lazydp", "--rows", "512",
-            "--batch", "32", "--iterations", "3",
-            "--pipeline", "--prefetch-depth", "2",
+            "train", "--rows", "512", "--batch", "32", "--iterations", "3",
+            "--plan", "pipeline=2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "pipelined_lazydp" in out
-        assert "noise prefetch pipeline" in out
+        assert "noise prefetch pipeline (depth 2)" in out
         assert "hidden fraction" in out
 
     def test_pipelined_sharded_training(self, capsys):
         code = main([
-            "train", "--algorithm", "lazydp", "--rows", "512",
-            "--batch", "32", "--iterations", "3",
-            "--pipeline", "--num-shards", "2", "--executor", "threads",
+            "train", "--rows", "512", "--batch", "32", "--iterations", "3",
+            "--plan", "shards=2,pipeline=2,backend=threads",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -84,38 +73,44 @@ class TestTrainCommand:
         assert "per-shard model update" in out
         assert "noise prefetch pipeline" in out
 
-    def test_pipeline_requires_lazydp(self, capsys):
+    def test_no_ans_algorithm_is_the_ans_off_plan(self, capsys):
         code = main([
-            "train", "--algorithm", "dpsgd_f", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--pipeline",
-        ])
-        assert code == 2
-        assert "lazydp" in capsys.readouterr().err
-
-    def test_rejects_bad_prefetch_depth(self, capsys):
-        code = main([
-            "train", "--algorithm", "lazydp", "--rows", "256",
+            "train", "--algorithm", "lazydp_no_ans", "--rows", "256",
             "--batch", "16", "--iterations", "2",
-            "--pipeline", "--prefetch-depth", "0",
         ])
-        assert code == 2
-        assert "prefetch_depth" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "lazydp_no_ans" in out
+        assert "plan             : ans=off" in out
 
-    def test_rejects_bad_engine_flag_even_with_axis_off(self, capsys):
-        """A bad value is an error, not silently dropped, even when its
-        engine axis is disabled (pre-plan CLI behaviour)."""
+    @pytest.mark.parametrize("spec, message", [
+        ("pipeline=-1", ">= 0"),
+        ("async=strict,inflight=0", "max_in_flight"),
+        ("shards=2,backend=threads:0", "worker count"),
+    ])
+    def test_rejects_bad_engine_values(self, capsys, spec, message):
+        """A bad value is an error naming the field, never a traceback."""
         code = main([
-            "train", "--algorithm", "lazydp", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--max-workers", "0",
+            "train", "--rows", "256", "--batch", "16", "--iterations", "2",
+            "--plan", spec,
         ])
         assert code == 2
-        assert "max_workers" in capsys.readouterr().err
-        code = main([
-            "train", "--algorithm", "lazydp", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--max-in-flight", "0",
-        ])
-        assert code == 2
-        assert "max_in_flight" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--num-shards", "--partition", "--executor", "--max-workers",
+        "--pipeline", "--prefetch-depth", "--async", "--max-in-flight",
+        "--staleness",
+    ])
+    def test_engine_flags_are_gone(self, capsys, flag):
+        """Everything about *how* LazyDP executes is --plan."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--help"])
+        assert excinfo.value.code == 0
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--rows", "256", flag, "2"])
+        assert excinfo.value.code == 2
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
@@ -128,7 +123,7 @@ class TestPlanFlag:
     def test_plan_spec_trains_and_reports_canonically(self, capsys):
         code = main([
             "train", "--rows", "512", "--batch", "32", "--iterations", "3",
-            "--plan", "shards=2,pipeline=2,executor=threads",
+            "--plan", "shards=2,pipeline=2,backend=threads",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -166,17 +161,6 @@ class TestPlanFlag:
         assert plan.canonical() == printed
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
-    def test_legacy_flags_still_print_canonical_plan(self, capsys):
-        code = main([
-            "train", "--algorithm", "lazydp", "--rows", "256",
-            "--batch", "16", "--iterations", "2",
-            "--num-shards", "2", "--pipeline",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert ("plan             : ans=on,shards=2,partition=row_range,"
-                "pipeline=2") in out
-
     def test_rejects_contradictory_spec(self, capsys):
         code = main([
             "train", "--rows", "256", "--batch", "16", "--iterations", "2",
@@ -195,28 +179,18 @@ class TestPlanFlag:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_rejects_plan_combined_with_engine_flags(self, capsys):
+    @pytest.mark.parametrize("algorithm, spec", [
+        ("lazydp_no_ans", "ans=off"),
+        ("dpsgd_f", "shards=2"),
+        ("dpsgd_f", "pipeline=2"),
+    ])
+    def test_rejects_plan_combined_with_algorithm(self, capsys, algorithm,
+                                                  spec):
+        """A plan is how *LazyDP* executes: baselines take none, and the
+        ans axis lives inside the spec."""
         code = main([
-            "train", "--rows", "256", "--batch", "16", "--iterations", "2",
-            "--plan", "shards=2", "--num-shards", "4",
-        ])
-        assert code == 2
-        assert "--num-shards" in capsys.readouterr().err
-
-    def test_rejects_plan_with_explicitly_passed_default_flag(self, capsys):
-        """Even a flag passed at its default value conflicts with --plan
-        (the None-sentinel defaults make explicit usage detectable)."""
-        code = main([
-            "train", "--rows", "256", "--batch", "16", "--iterations", "2",
-            "--plan", "shards=2", "--max-in-flight", "2",
-        ])
-        assert code == 2
-        assert "--max-in-flight" in capsys.readouterr().err
-
-    def test_rejects_plan_combined_with_algorithm(self, capsys):
-        code = main([
-            "train", "--algorithm", "lazydp_no_ans", "--rows", "256",
-            "--batch", "16", "--iterations", "2", "--plan", "ans=off",
+            "train", "--algorithm", algorithm, "--rows", "256",
+            "--batch", "16", "--iterations", "2", "--plan", spec,
         ])
         assert code == 2
         assert "ans" in capsys.readouterr().err

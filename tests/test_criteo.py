@@ -166,21 +166,21 @@ class TestIngestion:
 class TestEndToEndOnFiles:
     def test_training_pipeline_runs(self, criteo_file, config):
         """DAC file -> DataLoader -> LazyDP training, end to end."""
-        from repro.testing import trainer_for
+        from repro.bench.experiments import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 
         dataset = CriteoFileDataset(criteo_file, config)
         loader = DataLoader(dataset, batch_size=32, num_batches=4, seed=1)
         model = DLRM(config, seed=2)
-        trainer = trainer_for("lazydp", model, DPConfig(), noise_seed=3)
+        trainer = make_trainer("lazydp", model, DPConfig(), noise_seed=3)
         result = trainer.fit(loader)
         assert result.iterations == 4
         assert np.all(np.isfinite(result.mean_losses))
 
     def test_lazydp_equivalence_on_file_data(self, criteo_file, config):
         """The exact-equivalence guarantee holds on real-format data too."""
-        from repro.testing import trainer_for
+        from repro.bench.experiments import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 
@@ -189,7 +189,7 @@ class TestEndToEndOnFiles:
             loader = DataLoader(dataset, batch_size=32, num_batches=5,
                                 seed=1)
             model = DLRM(config, seed=2)
-            trainer = trainer_for(algorithm, model, DPConfig(),
+            trainer = make_trainer(algorithm, model, DPConfig(),
                                    noise_seed=3)
             trainer.fit(loader)
             return model

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.train import DenseMomentum, DenseSGD, DPConfig
@@ -27,7 +27,7 @@ def run(algorithm, config, dense_optimizer=None, noise_seed=99):
     model = DLRM(config, seed=7)
     dataset = SyntheticClickDataset(config, seed=3, num_examples=1 << 12)
     loader = DataLoader(dataset, batch_size=16, num_batches=6, seed=5)
-    trainer = trainer_for(algorithm, model, DPConfig(),
+    trainer = make_trainer(algorithm, model, DPConfig(),
                            noise_seed=noise_seed)
     if dense_optimizer is not None:
         trainer.dense_optimizer = dense_optimizer

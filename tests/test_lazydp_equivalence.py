@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SkewSpec, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.train import DPConfig
@@ -100,8 +100,8 @@ class TestVisibleValueInvariant:
                       learning_rate=0.05)
         eager_model = DLRM(config, seed=7)
         lazy_model = DLRM(config, seed=7)
-        eager = trainer_for("dpsgd_f", eager_model, dp, noise_seed=99)
-        lazy = trainer_for("lazydp_no_ans", lazy_model, dp, noise_seed=99)
+        eager = make_trainer("dpsgd_f", eager_model, dp, noise_seed=99)
+        lazy = make_trainer("lazydp_no_ans", lazy_model, dp, noise_seed=99)
 
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=16, num_batches=6, seed=5)
@@ -129,8 +129,8 @@ class TestVisibleValueInvariant:
         dp = DPConfig()
         eager_model = DLRM(config, seed=7)
         lazy_model = DLRM(config, seed=7)
-        eager = trainer_for("dpsgd_f", eager_model, dp, noise_seed=99)
-        lazy = trainer_for("lazydp_no_ans", lazy_model, dp, noise_seed=99)
+        eager = make_trainer("dpsgd_f", eager_model, dp, noise_seed=99)
+        lazy = make_trainer("lazydp_no_ans", lazy_model, dp, noise_seed=99)
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=8, num_batches=3, seed=5)
         eager.expected_batch_size = loader.batch_size

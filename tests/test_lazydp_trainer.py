@@ -5,7 +5,8 @@ import pytest
 
 from repro import configs, make_private
 from repro.data import DataLoader, SyntheticClickDataset
-from repro.lazydp import LazyNoiseEngine
+from repro.lazydp import LazyDPTrainer, ShardState
+from repro.lazydp.optimizer import whole_table_windows
 from repro.nn import DLRM
 from repro.rng import NoiseStream
 from repro.train import DPConfig
@@ -32,13 +33,14 @@ class TestLazyDPTrainer:
         for history in trainer.engine.histories:
             assert history.pending_rows(6).size == 0
 
-    def test_engine_rejects_training_after_flush(self, config):
+    def test_plan_sample_continues_past_a_flush(self, config):
+        """Training past a flush is supported (``current_iteration``):
+        the next catch-up simply owes the iterations since the flush."""
         _, _, trainer = train_algorithm("lazydp", config, num_batches=3)
         assert trainer.engine.flushed_through == 3
-        with pytest.raises(RuntimeError):
-            trainer.engine.catchup_for_next_access(
-                0, np.array([1]), 4, 8, 0.1
-            )
+        rows = np.array([1])
+        noise = trainer.engine.states[0].plan_sample(0, rows, rows, 5, 0.1)
+        np.testing.assert_array_equal(noise.delays, [2])
 
     def test_overhead_stages_timed(self, config):
         _, _, trainer = train_algorithm("lazydp", config, num_batches=3)
@@ -54,8 +56,8 @@ class TestLazyDPTrainer:
         dp = DPConfig()
         model = DLRM(config, seed=7)
         reference = DLRM(config, seed=7)
-        from repro.testing import trainer_for
-        trainer = trainer_for("lazydp", model, dp, noise_seed=99)
+        from repro.bench.experiments import make_trainer
+        trainer = make_trainer("lazydp", model, dp, noise_seed=99)
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=4, num_batches=2, seed=5)
         trainer.expected_batch_size = 4
@@ -74,9 +76,9 @@ class TestLazyDPTrainer:
 
         def run(chunk):
             model = DLRM(config, seed=7)
-            from repro.testing import trainer_for
-            trainer = trainer_for("lazydp_no_ans", model, dp, noise_seed=99)
-            trainer.engine.flush_chunk_rows = chunk
+            from repro.bench.experiments import make_trainer
+            trainer = make_trainer("lazydp_no_ans", model, dp, noise_seed=99)
+            trainer.engine.states[0].flush_chunk_rows = chunk
             dataset = SyntheticClickDataset(config, seed=3)
             loader = DataLoader(dataset, batch_size=8, num_batches=4, seed=5)
             trainer.fit(loader)
@@ -95,8 +97,6 @@ class TestLazyDPTrainer:
         Regression test: the fallback used to read ``expected_batch_size``
         without guarding against it being unset (None) or zero.
         """
-        from repro.lazydp import LazyDPTrainer
-
         for expected in (None, 0, 16):
             model = DLRM(config, seed=7)
             trainer = LazyDPTrainer(model, DPConfig(), noise_seed=99)
@@ -128,39 +128,53 @@ class TestLazyDPTrainer:
         model = DLRM(config, seed=7)
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=8, num_batches=1, seed=5)
-        from repro.testing import trainer_for
-        trainer = trainer_for("lazydp", model, DPConfig(), noise_seed=99)
+        from repro.bench.experiments import make_trainer
+        trainer = make_trainer("lazydp", model, DPConfig(), noise_seed=99)
         result = trainer.fit(loader)
         assert result.iterations == 1
 
 
-class TestLazyNoiseEngine:
-    def test_history_bytes(self, config):
-        model = DLRM(config, seed=0)
-        engine = LazyNoiseEngine(model, NoiseStream(1))
-        assert engine.history_bytes() == sum(config.table_rows) * 4
+class TestShardState:
+    """The one-shard state over whole tables (the flat engine)."""
 
-    def test_catchup_advances_history(self, config):
+    def state(self, config):
         model = DLRM(config, seed=0)
-        engine = LazyNoiseEngine(model, NoiseStream(1))
+        (windows,), histories, router = whole_table_windows(model, False)
+        assert router is None
+        return ShardState(windows, NoiseStream(1)), histories
+
+    def test_history_bytes(self, config):
+        trainer = LazyDPTrainer(DLRM(config, seed=0), DPConfig())
+        assert trainer.engine.history_bytes() == sum(config.table_rows) * 4
+
+    def test_plan_sample_advances_history(self, config):
+        state, histories = self.state(config)
         rows = np.array([3, 9])
-        returned_rows, delays, noise = engine.catchup_for_next_access(
-            0, rows, iteration=4, dim=8, std=0.1
-        )
-        np.testing.assert_array_equal(returned_rows, rows)
-        np.testing.assert_array_equal(delays, [4, 4])
-        assert noise.shape == (2, 8)
+        noise = state.plan_sample(0, rows, rows, iteration=4, std=0.1)
+        np.testing.assert_array_equal(noise.rows, rows)
+        np.testing.assert_array_equal(noise.local, rows)
+        np.testing.assert_array_equal(noise.delays, [4, 4])
+        assert noise.values.shape == (2, 8)
         np.testing.assert_array_equal(
-            engine.histories[0].last_updated(rows), [4, 4]
+            histories[0].last_updated(rows), [4, 4]
         )
+
+    def test_plan_sample_of_no_rows_touches_nothing(self, config):
+        state, histories = self.state(config)
+        empty = np.empty(0, dtype=np.int64)
+        noise = state.plan_sample(0, empty, empty, iteration=4, std=0.1)
+        assert noise.values.shape == (0, 8)
+        assert histories[0].pending_rows(1).size == config.table_rows[0]
+        assert state.samples_drawn == 0
 
     def test_flush_returns_pending_count(self, config):
-        model = DLRM(config, seed=0)
-        engine = LazyNoiseEngine(model, NoiseStream(1))
-        engine.catchup_for_next_access(0, np.array([0, 1]), 3, 8, 0.1)
-        caught = engine.flush(3, learning_rate=0.1, std=0.1)
+        state, _ = self.state(config)
+        rows = np.array([0, 1])
+        state.plan_sample(0, rows, rows, 3, 0.1)
+        caught = state.flush_all(3, lr=0.1, std=0.1)
         total_rows = sum(config.table_rows)
         assert caught == total_rows - 2
+        assert state.flush_all(3, lr=0.1, std=0.1) == 0
 
 
 class TestMakePrivateAPI:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import SyntheticClickDataset
 from repro.nn import DLRM
 from repro.privacy.membership import (
@@ -25,7 +25,7 @@ def overfit_and_attack(algorithm, sigma, epochs=60, seed=0):
     model = DLRM(config, seed=seed + 1)
     dp = DPConfig(noise_multiplier=sigma, max_grad_norm=1.0,
                   learning_rate=0.3)
-    trainer = trainer_for(algorithm, model, dp, noise_seed=seed + 2)
+    trainer = make_trainer(algorithm, model, dp, noise_seed=seed + 2)
     trainer.expected_batch_size = 64
     member_batch = dataset.batch(member_ids)
     # Repeatedly train on the same members: worst case for privacy.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.perfmodel import iteration_breakdown, paper_system
@@ -29,7 +29,7 @@ def measured_step_seconds(algorithm, config, batch=128, repeats=3, seed=9):
     dataset = SyntheticClickDataset(config, seed=seed + 1)
     loader = DataLoader(dataset, batch_size=batch, num_batches=repeats + 2,
                         seed=seed + 2)
-    trainer = trainer_for(algorithm, model, DPConfig(), noise_seed=seed + 3)
+    trainer = make_trainer(algorithm, model, DPConfig(), noise_seed=seed + 3)
     trainer.expected_batch_size = batch
     batches = [loader.batch_for(i) for i in range(repeats + 2)]
     trainer.train_step(1, batches[0], batches[1])  # warm-up
@@ -133,7 +133,7 @@ class TestNoiseVolumeAgreement:
         model = DLRM(config, seed=1)
         dataset = SyntheticClickDataset(config, seed=2)
         loader = DataLoader(dataset, batch_size=64, num_batches=1, seed=3)
-        trainer = trainer_for("dpsgd_f", model, DPConfig(), noise_seed=4)
+        trainer = make_trainer("dpsgd_f", model, DPConfig(), noise_seed=4)
         trainer.fit(loader)
         # Eager: every table element gets one draw per iteration; the
         # model charges exactly config.total_embedding_params draws.
@@ -153,9 +153,9 @@ class TestNoiseVolumeAgreement:
         iterations = 4
         loader = DataLoader(dataset, batch_size=64,
                             num_batches=iterations, seed=3)
-        trainer = trainer_for("lazydp", model, DPConfig(), noise_seed=4)
+        trainer = make_trainer("lazydp", model, DPConfig(), noise_seed=4)
         trainer.fit(loader)
-        drawn = trainer.engine.ans.samples_drawn / config.embedding_dim
+        drawn = trainer.engine.samples_drawn / config.embedding_dim
         # Conservation: catch-ups + flush touch each (row, lifetime) once;
         # per-iteration catch-up count equals next-batch unique rows, and
         # the flush covers the rest -> total rows touched equals

@@ -326,7 +326,7 @@ class TestInstrumentedTraining:
 
     def test_sharded_shard_times_merge(self, config):
         session, result = fit_plan(config, ExecutionPlan(
-            shards=ShardConfig(num_shards=2, executor="threads"),
+            shards=ShardConfig(num_shards=2), backend="threads",
             obs=ObservabilityConfig(metrics=True),
         ))
         merged = result.shard_times

@@ -1,19 +1,25 @@
-"""The pipelined engine's headline guarantee: bitwise equivalence.
+"""The prefetching scheduler's headline guarantee: bitwise equivalence.
 
-``PipelinedLazyDPTrainer`` (and its sharded variant) must release
-exactly the parameters the serial ``LazyDPTrainer`` releases — same
-seed, same trace, same bits — for every prefetch depth, sampling
-scheme, ANS mode and shard count.  Noise values are keyed by
-``(seed, table, row, iteration)``, so moving the plan+sample phase onto
-a background worker cannot change them; these tests pin that.
+A plan with the ``pipeline`` axis on must release exactly the parameters
+the serial plan releases — same seed, same trace, same bits — for every
+prefetch depth, sampling scheme, ANS mode and shard count.  Noise values
+are keyed by ``(seed, table, row, iteration)``, so moving the
+plan+sample stages onto a background worker cannot change them; these
+tests pin that.
 """
 
 import numpy as np
 import pytest
 
 from repro import configs
-from repro.pipeline import PipelinedLazyDPTrainer, PipelinedShardedLazyDPTrainer
+from repro.data import LookaheadLoader
+from repro.lazydp import LazyDPTrainer, Scheduler, export_private_model
+from repro.nn import DLRM
+from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff, train_algorithm
+from repro.train import DPConfig
+
+DP = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
 
 
 @pytest.fixture
@@ -21,16 +27,29 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def train_pipelined(config, *, sampling="fixed", use_ans=True, num_batches=6,
-                    sharded=False, **kwargs):
-    prefix = "pipelined_sharded" if sharded else "pipelined"
-    algorithm = f"{prefix}_lazydp" if use_ans else f"{prefix}_lazydp_no_ans"
+def pipeline_spec(*, use_ans=True, prefetch_depth=2, num_shards=0,
+                  partition="row_range", backend="numpy"):
+    spec = f"ans={'on' if use_ans else 'off'},pipeline={prefetch_depth}"
+    if num_shards:
+        spec += f",shards={num_shards},partition={partition}"
+    return f"{spec},backend={backend}"
+
+
+def train_pipelined(config, *, sampling="fixed", num_batches=6, **kwargs):
     model, result, trainer = train_algorithm(
-        algorithm, config, num_batches=num_batches, sampling=sampling,
-        trainer_kwargs=kwargs,
+        pipeline_spec(**kwargs), config, num_batches=num_batches,
+        sampling=sampling,
     )
     trainer.close()
     return model, result, trainer
+
+
+def build_pipelined(config, spec="pipeline=2"):
+    model = DLRM(config, seed=7)
+    trainer = TrainSession.build(
+        model, DP, ExecutionPlan.from_spec(spec), noise_seed=99
+    ).trainer
+    return model, trainer
 
 
 class TestBitwiseEquivalence:
@@ -62,7 +81,7 @@ class TestBitwiseEquivalence:
             "lazydp", config, num_batches=6, sampling=sampling
         )
         pipelined_model, _, _ = train_pipelined(
-            config, sampling=sampling, sharded=True, num_shards=num_shards,
+            config, sampling=sampling, num_shards=num_shards,
         )
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 
@@ -72,9 +91,8 @@ class TestBitwiseEquivalence:
             "lazydp_no_ans", config, num_batches=5
         )
         pipelined_model, _, _ = train_pipelined(
-            config, use_ans=False, num_batches=5, sharded=True,
-            num_shards=7, partition="hash", executor="threads",
-            prefetch_depth=3,
+            config, use_ans=False, num_batches=5, num_shards=7,
+            partition="hash", backend="threads", prefetch_depth=3,
         )
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 
@@ -91,8 +109,8 @@ class TestBitwiseEquivalence:
         """Prefetching changes when noise is drawn, never how much."""
         _, _, flat_trainer = train_algorithm("lazydp", config, num_batches=6)
         _, _, pipelined_trainer = train_pipelined(config)
-        assert pipelined_trainer.engine.ans.samples_drawn == \
-            flat_trainer.engine.ans.samples_drawn
+        assert pipelined_trainer.engine.samples_drawn == \
+            flat_trainer.engine.samples_drawn > 0
 
 
 class TestTrainerBehaviour:
@@ -101,17 +119,12 @@ class TestTrainerBehaviour:
         assert result.algorithm == "pipelined_lazydp"
         _, result, _ = train_pipelined(config, use_ans=False)
         assert result.algorithm == "pipelined_lazydp_no_ans"
-        _, result, _ = train_pipelined(config, sharded=True, num_shards=2)
+        _, result, _ = train_pipelined(config, num_shards=2)
         assert result.algorithm == "pipelined_sharded_lazydp"
 
     def test_rejects_bad_depth(self, config):
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
         with pytest.raises(ValueError, match="prefetch_depth"):
-            PipelinedLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), prefetch_depth=0
-            )
+            Scheduler(prefetch_depth=0)
 
     def test_pipeline_stats_and_wait_stage(self, config):
         _, result, trainer = train_pipelined(config)
@@ -121,9 +134,10 @@ class TestTrainerBehaviour:
         assert 0.0 <= stats["hidden_fraction"] <= 1.0
         assert stats["hidden_seconds"] + stats["exposed_wait_seconds"] >= 0.0
         # The worker did the dedup/history/sampling work, not the trainer.
-        worker_stages = stats["worker_stage_seconds"]
-        assert worker_stages["noise_sampling"] > 0.0
-        assert worker_stages["lazydp_history_read"] >= 0.0
+        assert stats["worker_stage_seconds"]["lazydp_dedup"] > 0.0
+        (shard_stages,) = stats["shard_stage_seconds"]
+        assert shard_stages["noise_sampling"] > 0.0
+        assert shard_stages["lazydp_history_read"] >= 0.0
         # The embedding catch-up stages moved off the trainer timer
         # entirely (dense MLP noise still samples inline, so
         # ``noise_sampling`` itself may appear there).
@@ -134,16 +148,8 @@ class TestTrainerBehaviour:
     def test_manual_stepping_falls_back_to_serial(self, config):
         """Outside fit() the pipeline is inactive: inline path, still
         bitwise-identical to the serial trainer."""
-        from repro.data import LookaheadLoader
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
         flat_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
-        model = DLRM(config, seed=7)
-        trainer = PipelinedLazyDPTrainer(
-            model, DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
-                            learning_rate=0.05), noise_seed=99,
-        )
+        model, trainer = build_pipelined(config)
         trainer.expected_batch_size = 16
         loader = make_loader(config, batch_size=16, num_batches=4)
         for index, batch, upcoming in LookaheadLoader(loader):
@@ -156,84 +162,63 @@ class TestTrainerBehaviour:
         ``pipeline_stats`` stays per-run like the buffer/worker counters
         (re-*fitting* a LazyDP trainer is illegal — the history is ahead
         — but a fresh session must not inherit stale stage times)."""
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
-        model = DLRM(config, seed=7)
-        trainer = PipelinedLazyDPTrainer(
-            model, DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
-                            learning_rate=0.05), noise_seed=99,
-        )
+        _, trainer = build_pipelined(config)
+        scheduler = trainer.scheduler
         loader = make_loader(config, batch_size=16, num_batches=3)
         trainer.fit(loader)
-        assert not trainer._pipeline_running
-        first_timer = trainer.worker_timer
+        assert not scheduler.running
+        first_timer = scheduler.worker_timer
         assert first_timer.total() > 0.0
-        trainer._start_pipeline(loader)
+        scheduler.start(loader)
         try:
-            assert trainer.worker_timer is not first_timer
-            assert trainer.worker_timer.total() == 0.0
+            assert scheduler.worker_timer is not first_timer
+            assert scheduler.worker_timer.total() == 0.0
         finally:
-            trainer._shutdown_pipeline()
+            scheduler.shutdown()
 
     def test_sharded_stats_expose_per_shard_stage_split(self, config):
         """The Figure-11-style dedup/history/sampling attribution must
-        survive pipelining: per-shard prefetch timers are surfaced, and
-        the lumped fan-out wall-clock is named shard_prefetch (not
+        survive pipelining: per-shard timers are surfaced, and the
+        lumped fan-out wall-clock is named shard_prefetch (not
         noise_sampling)."""
-        _, _, trainer = train_pipelined(
-            config, sharded=True, num_shards=3
-        )
+        _, _, trainer = train_pipelined(config, num_shards=3)
         stats = trainer.pipeline_stats()
         assert "shard_prefetch" in stats["worker_stage_seconds"]
         assert "noise_sampling" not in stats["worker_stage_seconds"]
-        per_shard = stats["prefetch_shard_stage_seconds"]
+        per_shard = stats["shard_stage_seconds"]
         assert len(per_shard) == 3
         for stages in per_shard:
             assert stages["noise_sampling"] >= 0.0
             assert stages["lazydp_history_read"] >= 0.0
             assert stages["lazydp_history_update"] >= 0.0
 
-    def test_prefetch_executor_mirrors_instance_backend(self, config):
-        """An executor *instance* must not downgrade prefetch to serial."""
-        from repro.nn import DLRM
-        from repro.shard import ThreadPoolShardExecutor
-        from repro.train import DPConfig
-
-        trainer = PipelinedShardedLazyDPTrainer(
-            DLRM(config, seed=7), DPConfig(), noise_seed=99, num_shards=3,
-            executor=ThreadPoolShardExecutor(max_workers=3),
+    def test_prefetch_executor_mirrors_backend(self, config):
+        """The prefetch fan-out gets its own executor of the plan's
+        backend — never a downgrade to serial, never the apply pool."""
+        _, trainer = build_pipelined(
+            config, "shards=3,pipeline=2,backend=threads:3"
         )
-        assert trainer.prefetch_executor.name == "threads"
-        assert trainer.prefetch_executor.max_workers == 3
+        scheduler = trainer.scheduler
+        assert scheduler.prefetch_executor.name == "threads"
+        assert scheduler.prefetch_executor.max_workers == 3
+        assert scheduler.prefetch_executor is not scheduler.executor
         trainer.close()
 
     def test_worker_error_propagates(self, config):
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
-        model = DLRM(config, seed=7)
-        trainer = PipelinedLazyDPTrainer(
-            model, DPConfig(), noise_seed=99,
-        )
+        _, trainer = build_pipelined(config)
 
         def boom(iteration, batch):
             raise RuntimeError("prefetch exploded")
 
-        trainer._prefetch_noise = boom
+        trainer._prefetch = boom
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=4))
-        assert not trainer._pipeline_running
+        assert not trainer.scheduler.running
 
 
 class TestReleaseAndCheckpoint:
     def test_export_private_model_works_pipelined(self, config):
         """Mid-training release from a pipelined trainer == serial."""
-        from repro.data import LookaheadLoader
-        from repro.lazydp import LazyDPTrainer, export_private_model
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
         def drive(trainer, steps):
             loader = make_loader(config, batch_size=16, num_batches=steps)
             trainer.expected_batch_size = 16
@@ -245,10 +230,7 @@ class TestReleaseAndCheckpoint:
         drive(flat_trainer, 4)
         flat_release = export_private_model(flat_trainer, iteration=4)
 
-        pipelined_model = DLRM(config, seed=7)
-        pipelined_trainer = PipelinedLazyDPTrainer(
-            pipelined_model, DPConfig(), noise_seed=99
-        )
+        _, pipelined_trainer = build_pipelined(config)
         drive(pipelined_trainer, 4)
         pipelined_release = export_private_model(
             pipelined_trainer, iteration=4

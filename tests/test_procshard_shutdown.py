@@ -150,26 +150,24 @@ class TestOrderlyShutdown:
 
 
 class TestConstructionGuards:
-    def test_rejects_executor_instance_and_max_workers(self, config):
-        from repro.shard import ThreadPoolShardExecutor
+    def test_mismatched_plan_leaks_no_segments(self, config):
+        """A construction failure after the tables moved into shared
+        memory must still unlink every segment name."""
+        from repro.shard import build_partition_plan
 
-        dp = DPConfig()
-        with pytest.raises(ValueError, match="process backend"):
+        before = shm_segment_names()
+        other = configs.tiny_dlrm(num_tables=2, rows=16, dim=4, lookups=2)
+        with pytest.raises(ValueError, match="rows"):
             ProcessShardedLazyDPTrainer(
-                DLRM(config, seed=7), dp, num_shards=2, executor="threads"
+                DLRM(config, seed=7), DPConfig(),
+                partition=build_partition_plan(other, 2),
             )
-        with pytest.raises(ValueError, match="one worker process per shard"):
-            ProcessShardedLazyDPTrainer(
-                DLRM(config, seed=7), dp, num_shards=2, max_workers=3
-            )
-        executor = ThreadPoolShardExecutor(max_workers=2)
-        try:
-            with pytest.raises(ValueError, match="live executor"):
-                plan = ExecutionPlan.from_spec("shards=2,backend=process")
-                TrainSession.build(DLRM(config, seed=7), dp, plan,
-                                   executor=executor)
-        finally:
-            executor.shutdown()
+        assert shm_segment_names() == before
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_must_match_shards(self):
+        with pytest.raises(ValueError, match="process:3"):
+            ExecutionPlan.from_spec("shards=2,backend=process:3")
 
 
 class TestCleanStderr:

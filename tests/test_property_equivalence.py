@@ -1,21 +1,26 @@
-"""Property-based equivalence: LazyDP == DP-SGD on *random* geometries.
+"""Property-based equivalence: LazyDP == DP-SGD on *random* geometries,
+and every execution plan == the serial plan.
 
 The handwritten equivalence tests pin one configuration; these let
 hypothesis pick the model geometry, batch size, iteration count, pooling
 factor and seeds — if any corner of the configuration space broke the
 lazy-schedule argument (tiny tables, pooling larger than the table,
 single-iteration runs, batch bigger than unique rows, ...), this is where
-it would surface.
+it would surface.  The plan-space tests at the end do the same for the
+``ExecutionPlan.from_spec`` language: a generated plan must release the
+serial plan's bits (or, under ``bounded:k``, audit clean), and a failure
+shrinks to a minimal canonical spec.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.configs import DLRMConfig
-from repro.testing import trainer_for
+from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
 from repro.nn import DLRM
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 from repro.testing import max_param_diff
@@ -54,7 +59,7 @@ def train(algorithm, params, dp=None):
         dataset, batch_size=min(params["batch"], 512),
         num_batches=params["iterations"], seed=params["seed"] + 3,
     )
-    trainer = trainer_for(
+    trainer = make_trainer(
         algorithm, model, dp or DPConfig(), noise_seed=params["seed"] + 4
     )
     trainer.fit(loader)
@@ -112,9 +117,9 @@ def test_visible_rows_current_at_access(params):
     dp = DPConfig()
     eager_model = DLRM(config, seed=params["seed"] + 1)
     lazy_model = DLRM(config, seed=params["seed"] + 1)
-    eager = trainer_for("dpsgd_f", eager_model, dp,
+    eager = make_trainer("dpsgd_f", eager_model, dp,
                          noise_seed=params["seed"] + 4)
-    lazy = trainer_for("lazydp_no_ans", lazy_model, dp,
+    lazy = make_trainer("lazydp_no_ans", lazy_model, dp,
                         noise_seed=params["seed"] + 4)
     dataset = SyntheticClickDataset(
         config, seed=params["seed"] + 2, num_examples=512
@@ -135,3 +140,102 @@ def test_visible_rows_current_at_access(params):
             )
         eager.train_step(index + 1, batch, upcoming)
         lazy.train_step(index + 1, batch, upcoming)
+
+
+# -- the plan space ----------------------------------------------------------
+
+def _join(*parts) -> str:
+    return ",".join(part for part in parts if part)
+
+
+shard_axis = st.one_of(
+    st.just(""),
+    st.builds(
+        "shards={},partition={}".format,
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from(["row_range", "frequency", "hash"]),
+    ),
+)
+pipeline_axis = st.sampled_from(["", "pipeline=1", "pipeline=2", "pipeline=4"])
+async_axis = st.one_of(
+    st.just(""),
+    st.builds(
+        "async={},inflight={}".format,
+        st.sampled_from(["strict", "bounded:0", "bounded:1", "bounded:3"]),
+        st.integers(min_value=1, max_value=4),
+    ),
+)
+in_process_backends = st.sampled_from(
+    ["", "backend=numpy", "backend=threads", "backend=threads:2"]
+)
+
+
+@st.composite
+def in_process_plans(draw):
+    """Any plan the spec language expresses on the in-process backends."""
+    shards = draw(shard_axis)
+    backend = draw(in_process_backends)
+    if not shards and "threads" in backend:
+        backend = ""  # the thread pool needs the shards axis
+    return ExecutionPlan.from_spec(_join(
+        draw(st.sampled_from(["ans=on", "ans=off"])), shards,
+        draw(pipeline_axis), draw(async_axis), backend,
+    ))
+
+
+def train_plan(plan, params, sampling):
+    config = build_config(params)
+    model = DLRM(config, seed=params["seed"] + 1)
+    dataset = SyntheticClickDataset(
+        config, seed=params["seed"] + 2, num_examples=512
+    )
+    loader = DataLoader(
+        dataset, batch_size=min(params["batch"], 512),
+        num_batches=params["iterations"], sampling=sampling,
+        seed=params["seed"] + 3,
+    )
+    with TrainSession.build(model, DPConfig(), plan,
+                            noise_seed=params["seed"] + 4) as session:
+        session.fit(loader)
+    return model, session.trainer
+
+
+def check_plan_against_serial(plan, params, sampling):
+    note(f"plan spec: {plan.canonical()} ({sampling} sampling)")
+    model, trainer = train_plan(plan, params, sampling)
+    if plan.is_async and not trainer.scheduler.staleness.is_strict:
+        # bounded:k legitimately reorders reads around writes; the
+        # ledger is what vouches for the noise accounting.
+        assert trainer.ledger
+    else:
+        serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling)
+        assert max_param_diff(serial, model) == 0.0, plan.canonical()
+    trainer.audit_noise_ledger(params["iterations"])
+    for history in trainer.engine.histories:
+        assert history.pending_rows(params["iterations"]).size == 0
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(in_process_plans(), geometries, st.sampled_from(["fixed", "poisson"]))
+def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling):
+    """The ``engine == serial`` matrix, generated instead of enumerated."""
+    check_plan_against_serial(plan, params, sampling)
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.builds(
+        "ans={},shards={},partition={},backend=process".format,
+        st.sampled_from(["on", "off"]),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["row_range", "frequency", "hash"]),
+    ),
+    geometries,
+    st.sampled_from(["fixed", "poisson"]),
+)
+def test_process_plans_release_the_serial_plans_bits(spec, params, sampling):
+    """Same bar across the process boundary (few examples: each one
+    spawns a worker per shard)."""
+    check_plan_against_serial(ExecutionPlan.from_spec(spec), params, sampling)

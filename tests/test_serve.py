@@ -112,17 +112,17 @@ class TestExportEquivalence:
     def test_sharded_trainer_served_identically(self, config):
         """The sharded engine exposes the flat history/parameter API, so
         serving it matches serving the flat trainer bit for bit."""
-        from repro.shard import ShardedLazyDPTrainer
+        from repro.session import ExecutionPlan, TrainSession
 
         flat = drive(
             LazyDPTrainer(DLRM(config, seed=7), DPConfig(), noise_seed=99),
             config, 4,
         )
         sharded = drive(
-            ShardedLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), noise_seed=99,
-                num_shards=3,
-            ),
+            TrainSession.build(
+                DLRM(config, seed=7), DPConfig(),
+                ExecutionPlan.from_spec("shards=3"), noise_seed=99,
+            ).trainer,
             config, 4,
         )
         flat_served = PrivateServingEngine.from_trainer(

@@ -1,14 +1,12 @@
-"""The session API: plan axes, serialization round trips, composition.
+"""The session API: plan axes, serialization round trips, building.
 
 ``ExecutionPlan`` must round-trip through both serialized forms
 (``to_dict``/``from_dict`` and the ``--plan`` spec mini-language) and
 reject contradictory specs with messages naming the contradiction;
-``TrainSession.build`` must compose the same capability stacks the
-legacy classes hard-code; ``make_trainer`` must keep accepting every
-legacy algorithm string while emitting exactly one DeprecationWarning.
+``TrainSession.build`` must turn every plan into the one
+``LazyDPTrainer`` with the matching partition, scheduler and executor;
+``make_trainer`` names the paper's seven algorithms and nothing else.
 """
-
-import warnings
 
 import pytest
 
@@ -16,13 +14,8 @@ from repro import configs
 from repro.bench.experiments import make_trainer
 from repro.configs import AsyncConfig, PipelineConfig, ShardConfig
 from repro.nn import DLRM
-from repro.session import (
-    ExecutionPlan,
-    LEGACY_ALGORITHMS,
-    TrainSession,
-    compose_trainer_class,
-    plan_for_algorithm,
-)
+from repro.lazydp import LazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
 
@@ -32,7 +25,7 @@ def config():
 
 
 def plan_matrix():
-    """A representative plan per legacy shape, plus non-default axes."""
+    """A representative plan per engine shape, plus non-default axes."""
     return [
         ExecutionPlan(),
         ExecutionPlan(ans=False),
@@ -82,10 +75,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="ShardConfig"):
             ExecutionPlan(shards=4)
 
-    def test_legacy_names_cover_the_cross_product(self):
-        assert len(LEGACY_ALGORITHMS) == 12
+    def test_labels_cover_the_cross_product(self):
+        labels = {
+            ExecutionPlan.from_spec(
+                f"ans={ans},shards={shards},{engine}"
+            ).legacy_name()
+            for ans in ("on", "off")
+            for shards in (0, 2)
+            for engine in ("pipeline=0", "pipeline=2", "async=strict")
+        }
+        assert len(labels) == 12
         for plan in plan_matrix():
-            assert plan.legacy_name() in LEGACY_ALGORITHMS
+            assert plan.legacy_name() in labels
 
 
 class TestDictRoundTrip:
@@ -138,7 +139,8 @@ class TestSpecRoundTrip:
         ("async=strict,pipeline=0", "contradictory"),
         ("async=bounded:1,pipeline=0", "contradictory"),
         ("partition=hash", "shards>=1"),
-        ("executor=threads,shards=0", "shards>=1"),
+        ("shards=2,executor=threads", "unknown key 'executor'"),
+        ("shards=2,workers=2", "unknown key 'workers'"),
         ("inflight=4", "async"),
         ("inflight=4,async=off", "async"),
         ("shards=two", "integer"),
@@ -149,7 +151,7 @@ class TestSpecRoundTrip:
         ("async=eventual", "staleness"),
         ("async=bounded:-1", "bound"),
         ("pipeline=-1", ">= 0"),
-        ("workers=0,shards=2", "max_workers"),
+        ("shards=2,backend=threads:0", "worker count"),
         ("backend=cuda", "backend"),
     ])
     def test_rejections_name_the_problem(self, spec, message):
@@ -157,110 +159,77 @@ class TestSpecRoundTrip:
             ExecutionPlan.from_spec(spec)
 
 
-class TestLegacyMapping:
-    def test_every_legacy_name_maps_and_round_trips(self):
-        for algorithm in LEGACY_ALGORITHMS:
-            plan, extras = plan_for_algorithm(algorithm)
-            assert extras == {}
-            assert plan.legacy_name() == algorithm
-            assert ExecutionPlan.from_spec(plan.to_spec()) == plan
-            assert ExecutionPlan.from_dict(plan.to_dict()) == plan
+class TestBuild:
+    """Plans become data — a partition, a scheduler, an executor — on
+    the one trainer class; nothing is picked or assembled per shape."""
 
-    def test_kwargs_land_on_the_right_axes(self):
-        plan, extras = plan_for_algorithm(
-            "async_sharded_lazydp_no_ans",
-            {"num_shards": 7, "partition": "hash", "executor": "threads",
-             "max_in_flight": 4, "staleness": "bounded:1",
-             "prefetch_depth": 3, "skew": "SKEW"},
-        )
-        assert plan.shards == ShardConfig(num_shards=7, partition="hash")
-        assert plan.backend == "threads"
-        assert plan.pipeline.prefetch_depth == 3
-        assert plan.async_ == AsyncConfig(enabled=True, max_in_flight=4,
-                                          staleness="bounded:1")
-        assert not plan.ans
-        assert extras == {"skew": "SKEW"}
-
-    def test_executor_instance_travels_in_extras(self):
-        from repro.shard import ThreadPoolShardExecutor
-
-        executor = ThreadPoolShardExecutor(max_workers=3)
-        try:
-            plan, extras = plan_for_algorithm(
-                "sharded_lazydp", {"num_shards": 3, "executor": executor}
+    @pytest.mark.parametrize("plan", plan_matrix(),
+                             ids=lambda plan: plan.canonical())
+    def test_every_plan_builds_the_one_trainer(self, config, plan):
+        session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
+        trainer = session.trainer
+        assert type(trainer) is LazyDPTrainer
+        shards = plan.shards.num_shards if plan.is_sharded else 1
+        assert trainer.num_shards == len(trainer.engine.states) == shards
+        scheduler = trainer.scheduler
+        assert scheduler.prefetches == plan.is_pipelined
+        assert scheduler.defers_apply == plan.is_async
+        assert bool(trainer.ledger) == plan.is_async
+        if shards > 1:
+            assert scheduler.executor.name == (
+                "threads" if plan.backend.startswith("threads") else "serial"
             )
-            assert plan.shards.executor == "serial"
-            assert plan.backend == "threads"
-            assert extras["executor"] is executor
-        finally:
-            executor.shutdown()
+        else:
+            assert scheduler.executor is None
+        session.close()
 
-    def test_rejects_unknown_algorithm_and_kwargs(self):
-        with pytest.raises(ValueError, match="unknown lazydp algorithm"):
-            plan_for_algorithm("eager_lazydp")
-        with pytest.raises(TypeError, match="unexpected trainer kwargs"):
-            plan_for_algorithm("lazydp", {"num_shards": 2})
+    def test_backend_worker_count_caps_the_pool(self, config):
+        plan = ExecutionPlan.from_spec("shards=4,backend=threads:2")
+        session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
+        assert session.trainer.scheduler.executor.max_workers == 2
+        session.close()
 
+    def test_process_backend_builds_its_subclass(self, config):
+        from repro.procshard import ProcessShardedLazyDPTrainer
 
-class TestComposition:
-    def test_layerless_plans_are_the_core_trainers(self):
-        from repro.lazydp import LazyDPTrainer
-        from repro.shard import ShardedLazyDPTrainer
-
-        assert compose_trainer_class() is LazyDPTrainer
-        assert compose_trainer_class(sharded=True) is ShardedLazyDPTrainer
-
-    def test_composed_mro_matches_the_legacy_stack(self):
-        """Same capability layers in the same resolution order; the
-        legacy concrete classes only add __init__ + a name on top."""
-        from repro.async_ import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
-        from repro.pipeline import (
-            PipelinedLazyDPTrainer,
-            PipelinedShardedLazyDPTrainer,
-        )
-
-        thin_shims = {
-            AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer,
-            PipelinedLazyDPTrainer, PipelinedShardedLazyDPTrainer,
-        }
-
-        def layers(cls):
-            return [entry for entry in cls.__mro__
-                    if entry not in thin_shims and "Composed" not in
-                    entry.__name__]
-
-        assert layers(compose_trainer_class(pipelined=True)) == \
-            layers(PipelinedLazyDPTrainer)
-        assert layers(compose_trainer_class(sharded=True, async_=True)) == \
-            layers(AsyncShardedLazyDPTrainer)
-
-    def test_composition_is_cached(self):
-        assert compose_trainer_class(pipelined=True) is \
-            compose_trainer_class(pipelined=True)
+        plan = ExecutionPlan.from_spec("shards=2,backend=process")
+        with TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                plan) as session:
+            assert type(session.trainer) is ProcessShardedLazyDPTrainer
+            assert hasattr(session.trainer, "procshard_stats")
+        serial = TrainSession.build(DLRM(config, seed=7), DPConfig())
+        assert not hasattr(serial.trainer, "procshard_stats")
 
     def test_async_gets_default_prefetch_runway(self, config):
         plan = ExecutionPlan(async_=AsyncConfig(enabled=True,
                                                 max_in_flight=4))
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
-        assert session.trainer.prefetch_depth == 4
-        assert session.trainer.max_in_flight == 4
+        assert session.trainer.scheduler.prefetch_depth == 4
+        assert session.trainer.scheduler.max_in_flight == 4
         session.close()
 
-    def test_trainer_carries_plan_and_legacy_name(self, config):
+    def test_trainer_carries_plan_and_label(self, config):
         plan = ExecutionPlan(shards=ShardConfig(num_shards=2), ans=False)
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         assert session.trainer.execution_plan is plan
         assert session.trainer.name == "sharded_lazydp_no_ans"
         session.close()
 
-    def test_live_escape_hatches_require_sharded_plan(self, config):
+    def test_live_inputs_require_sharded_plan(self, config):
         with pytest.raises(ValueError, match="sharded"):
             TrainSession.build(DLRM(config, seed=7), DPConfig(),
                                ExecutionPlan(), skew="SKEW")
 
+    def test_build_takes_no_live_executor(self, config):
+        with pytest.raises(TypeError, match="executor"):
+            TrainSession.build(
+                DLRM(config, seed=7), DPConfig(),
+                ExecutionPlan.from_spec("shards=2"), executor=object(),
+            )
+
 
 class TestSessionLifecycle:
-    def test_fit_reports_under_the_legacy_name(self, config):
+    def test_fit_reports_under_the_plan_label(self, config):
         from repro.testing import make_loader
 
         plan = ExecutionPlan.from_spec("shards=2,pipeline=2")
@@ -318,42 +287,35 @@ class TestSessionLifecycle:
             np.testing.assert_array_equal(released[name], reference[name])
 
 
-class TestMakeTrainerShim:
-    def test_warning_names_the_actual_plan(self, config):
-        """The "equivalent plan spec" in the warning reflects the call's
-        kwargs, not the algorithm's defaults."""
-        with pytest.warns(DeprecationWarning,
-                          match="shards=7,partition=hash"):
-            trainer = make_trainer(
-                "sharded_lazydp", DLRM(config, seed=7), DPConfig(),
-                noise_seed=99, num_shards=7, partition="hash",
-            )
-        trainer.close()
-
-    @pytest.mark.parametrize("algorithm", LEGACY_ALGORITHMS)
-    def test_exactly_one_deprecation_warning(self, config, algorithm):
-        model = DLRM(config, seed=7)
-        with pytest.warns(DeprecationWarning,
-                          match="ExecutionPlan") as record:
-            trainer = make_trainer(algorithm, model, DPConfig(),
-                                   noise_seed=99)
-        deprecations = [entry for entry in record
-                        if entry.category is DeprecationWarning]
-        assert len(deprecations) == 1
+class TestMakeTrainer:
+    @pytest.mark.parametrize("algorithm, use_ans", [
+        ("lazydp", True), ("lazydp_no_ans", False),
+    ])
+    def test_lazydp_names_are_the_serial_plan(self, config, algorithm,
+                                              use_ans):
+        trainer = make_trainer(algorithm, DLRM(config, seed=7), DPConfig(),
+                               noise_seed=99)
         assert trainer.name == algorithm
-        assert trainer.execution_plan.legacy_name() == algorithm
-        close = getattr(trainer, "close", None)
-        if close is not None:
-            close()
+        assert trainer.execution_plan == ExecutionPlan(ans=use_ans)
 
-    def test_baseline_algorithms_do_not_warn(self, config):
-        model = DLRM(config, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            trainer = make_trainer("dpsgd_f", model, DPConfig(),
-                                   noise_seed=99)
+    def test_baseline_algorithms(self, config):
+        trainer = make_trainer("dpsgd_f", DLRM(config, seed=7), DPConfig(),
+                               noise_seed=99)
         assert trainer.name == "dpsgd_f"
 
-    def test_unknown_algorithm_still_rejected(self, config):
+    @pytest.mark.parametrize("algorithm", [
+        "adam", "sharded_lazydp", "pipelined_lazydp", "async_lazydp",
+        "async_sharded_lazydp_no_ans",
+    ])
+    def test_engine_strings_are_not_algorithms(self, config, algorithm):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            make_trainer("adam", DLRM(config, seed=7), DPConfig())
+            make_trainer(algorithm, DLRM(config, seed=7), DPConfig())
+
+    def test_seven_algorithms(self, config):
+        from repro.perfmodel import ALGORITHMS
+
+        assert len(ALGORITHMS) == 7
+        for algorithm in ALGORITHMS:
+            trainer = make_trainer(algorithm, DLRM(config, seed=7),
+                                   DPConfig())
+            assert trainer.name == algorithm

@@ -1,91 +1,62 @@
-"""The session builder's acceptance bar: plan-built == legacy class.
+"""The session builder's acceptance bar: every plan == the serial plan.
 
-For every legacy algorithm string, ``TrainSession.build`` with the
-mapped :class:`ExecutionPlan` must release *bitwise identical*
-embedding tables (and dense parameters) to the hand-written legacy
-trainer class over the equivalence-test workload — fixed and Poisson
-sampling, ANS on/off, 1/2/7 shards, prefetch depths 1/2/4, in-flight
-1/2/4.  This is the re-parameterization of the historical equivalence
-matrix over plans: the composed capability stacks and the legacy
-classes must be the same execution, constructed two ways.
+For every row of the historical equivalence matrix — the twelve
+engine shapes times fixed and Poisson sampling, ANS on/off, 1/2/7
+shards, prefetch depths 1/2/4, in-flight 1/2/4 — ``TrainSession.build``
+with the row's :class:`ExecutionPlan` must release *bitwise identical*
+embedding tables (and dense parameters) to the serial plan at the same
+seed and sampling.
 
 ``bounded:k`` staleness is excluded from bitwise comparison (its reads
 are schedule-dependent by design); for it the ledger audit is the bar,
 as in ``tests/test_async_equivalence.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro import configs
-from repro.async_ import AsyncLazyDPTrainer, AsyncShardedLazyDPTrainer
-from repro.lazydp import LazyDPTrainer
 from repro.nn import DLRM
-from repro.pipeline import (
-    PipelinedLazyDPTrainer,
-    PipelinedShardedLazyDPTrainer,
-)
-from repro.session import ExecutionPlan, TrainSession, plan_for_algorithm
-from repro.shard import ShardedLazyDPTrainer
+from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff
 from repro.train import DPConfig
 
-LEGACY_CLASSES = {
-    "lazydp": LazyDPTrainer,
-    "sharded_lazydp": ShardedLazyDPTrainer,
-    "pipelined_lazydp": PipelinedLazyDPTrainer,
-    "pipelined_sharded_lazydp": PipelinedShardedLazyDPTrainer,
-    "async_lazydp": AsyncLazyDPTrainer,
-    "async_sharded_lazydp": AsyncShardedLazyDPTrainer,
-}
+DP = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
 
-#: The historical matrix, one row per (algorithm, trainer kwargs,
-#: sampling) combination.  Kwargs are exactly what the legacy class
-#: constructor takes; the plan mapping must translate them loss-free.
+#: The historical matrix, one row per (plan spec, reported algorithm
+#: label, sampling) combination.
 MATRIX = [
-    ("lazydp", {}, "fixed"),
-    ("lazydp", {}, "poisson"),
-    ("lazydp_no_ans", {}, "fixed"),
-    ("sharded_lazydp", {"num_shards": 1}, "fixed"),
-    ("sharded_lazydp", {"num_shards": 2}, "poisson"),
-    (
-        "sharded_lazydp",
-        {"num_shards": 7, "partition": "hash", "executor": "threads"},
-        "fixed",
-    ),
-    ("sharded_lazydp_no_ans", {"num_shards": 2, "partition": "frequency"}, "fixed"),
-    ("pipelined_lazydp", {"prefetch_depth": 1}, "fixed"),
-    ("pipelined_lazydp", {"prefetch_depth": 2}, "poisson"),
-    ("pipelined_lazydp", {"prefetch_depth": 4}, "fixed"),
-    ("pipelined_lazydp_no_ans", {"prefetch_depth": 2}, "fixed"),
-    ("pipelined_sharded_lazydp", {"num_shards": 2, "prefetch_depth": 2}, "fixed"),
-    (
-        "pipelined_sharded_lazydp",
-        {"num_shards": 7, "executor": "threads", "prefetch_depth": 4},
-        "poisson",
-    ),
-    (
-        "pipelined_sharded_lazydp_no_ans",
-        {"num_shards": 2, "partition": "hash"},
-        "fixed",
-    ),
-    ("async_lazydp", {"max_in_flight": 1}, "fixed"),
-    ("async_lazydp", {"max_in_flight": 2}, "poisson"),
-    ("async_lazydp", {"max_in_flight": 4, "prefetch_depth": 4}, "fixed"),
-    ("async_lazydp_no_ans", {"max_in_flight": 2}, "fixed"),
-    ("async_sharded_lazydp", {"num_shards": 2, "max_in_flight": 2}, "fixed"),
-    (
-        "async_sharded_lazydp",
-        {"num_shards": 7, "executor": "threads", "max_in_flight": 4},
-        "poisson",
-    ),
-    ("async_sharded_lazydp_no_ans", {"num_shards": 2, "max_in_flight": 2}, "fixed"),
+    ("", "lazydp", "fixed"),
+    ("", "lazydp", "poisson"),
+    ("ans=off", "lazydp_no_ans", "fixed"),
+    ("shards=1", "sharded_lazydp", "fixed"),
+    ("shards=2", "sharded_lazydp", "poisson"),
+    ("shards=7,partition=hash,backend=threads", "sharded_lazydp", "fixed"),
+    ("ans=off,shards=2,partition=frequency", "sharded_lazydp_no_ans", "fixed"),
+    ("pipeline=1", "pipelined_lazydp", "fixed"),
+    ("pipeline=2", "pipelined_lazydp", "poisson"),
+    ("pipeline=4", "pipelined_lazydp", "fixed"),
+    ("ans=off,pipeline=2", "pipelined_lazydp_no_ans", "fixed"),
+    ("shards=2,pipeline=2", "pipelined_sharded_lazydp", "fixed"),
+    ("shards=7,pipeline=4,backend=threads", "pipelined_sharded_lazydp",
+     "poisson"),
+    ("ans=off,shards=2,partition=hash,pipeline=2",
+     "pipelined_sharded_lazydp_no_ans", "fixed"),
+    ("async=strict,inflight=1", "async_lazydp", "fixed"),
+    ("async=strict,inflight=2", "async_lazydp", "poisson"),
+    ("async=strict,inflight=4,pipeline=4", "async_lazydp", "fixed"),
+    ("ans=off,async=strict,inflight=2", "async_lazydp_no_ans", "fixed"),
+    ("shards=2,async=strict,inflight=2", "async_sharded_lazydp", "fixed"),
+    ("shards=7,async=strict,inflight=4,backend=threads",
+     "async_sharded_lazydp", "poisson"),
+    ("ans=off,shards=2,async=strict,inflight=2",
+     "async_sharded_lazydp_no_ans", "fixed"),
 ]
 
 
 def matrix_id(case):
-    algorithm, kwargs, sampling = case
-    details = ",".join(f"{k}={v}" for k, v in sorted(kwargs.items()))
-    return f"{algorithm}[{details}]-{sampling}"
+    spec, label, sampling = case
+    return f"{label}[{spec}]-{sampling}"
 
 
 @pytest.fixture
@@ -93,83 +64,46 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def train(config, trainer_factory, sampling):
-    """Fresh model + the shared deterministic workload; returns model."""
+def train(config, plan, sampling):
+    """Fresh model + the shared deterministic workload; returns
+    ``(model, trainer)``."""
     model = DLRM(config, seed=7)
-    trainer = trainer_factory(model)
-    loader = make_loader(config, batch_size=16, num_batches=6, sampling=sampling)
-    trainer.fit(loader)
-    close = getattr(trainer, "close", None)
-    if close is not None:
-        close()
-    return model, trainer
+    with TrainSession.build(model, DP, plan, noise_seed=99) as session:
+        session.fit(
+            make_loader(config, batch_size=16, num_batches=6, sampling=sampling)
+        )
+    return model, session.trainer
 
 
 @pytest.mark.parametrize("case", MATRIX, ids=matrix_id)
-def test_plan_matches_legacy_class_bitwise(config, case):
-    algorithm, kwargs, sampling = case
-    dp = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
-    base_name = algorithm.removesuffix("_no_ans")
-    use_ans = not algorithm.endswith("_no_ans")
-
-    legacy_model, legacy_trainer = train(
-        config,
-        lambda model: LEGACY_CLASSES[base_name](
-            model, dp, noise_seed=99, use_ans=use_ans, **kwargs
-        ),
-        sampling,
-    )
-
-    plan, extras = plan_for_algorithm(algorithm, dict(kwargs))
-    assert extras == {}
+def test_plan_matches_serial_plan_bitwise(config, case):
+    spec, label, sampling = case
+    plan = ExecutionPlan.from_spec(spec)
     assert ExecutionPlan.from_dict(plan.to_dict()) == plan
     assert ExecutionPlan.from_spec(plan.to_spec()) == plan
 
-    def build(model):
-        return TrainSession.build(model, dp, plan, noise_seed=99).trainer
+    serial_model, _ = train(config, ExecutionPlan(ans=plan.ans), sampling)
+    plan_model, plan_trainer = train(config, plan, sampling)
 
-    plan_model, plan_trainer = train(config, build, sampling)
-
-    assert max_param_diff(legacy_model, plan_model) == 0.0
-    assert plan_trainer.name == legacy_trainer.name
+    assert max_param_diff(serial_model, plan_model) == 0.0
+    assert plan_trainer.name == plan.legacy_name() == label
 
 
 def test_bounded_staleness_plan_keeps_ledger_exact(config):
     """bounded:k may reorder reads (no bitwise bar); the plan-built
     trainer must still account every noise value exactly once."""
-    dp = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
-    plan, _ = plan_for_algorithm(
-        "async_lazydp", {"max_in_flight": 4, "staleness": "bounded:2"}
-    )
-    _, trainer = train(
-        config,
-        lambda model: TrainSession.build(model, dp, plan, noise_seed=99).trainer,
-        "fixed",
-    )
+    plan = ExecutionPlan.from_spec("async=bounded:2,inflight=4")
+    _, trainer = train(config, plan, "fixed")
     trainer.audit_noise_ledger(6)
 
 
-def test_plan_built_histories_match_legacy(config):
+def test_plan_built_histories_match_serial(config):
     """Beyond parameters: the deferred-noise bookkeeping agrees too."""
-    import numpy as np
-
-    dp = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
-    _, legacy_trainer = train(
-        config,
-        lambda model: PipelinedShardedLazyDPTrainer(
-            model, dp, noise_seed=99, num_shards=3, prefetch_depth=2
-        ),
-        "fixed",
-    )
-    plan, _ = plan_for_algorithm(
-        "pipelined_sharded_lazydp", {"num_shards": 3, "prefetch_depth": 2}
-    )
+    _, serial_trainer = train(config, ExecutionPlan(), "fixed")
     _, plan_trainer = train(
-        config,
-        lambda model: TrainSession.build(model, dp, plan, noise_seed=99).trainer,
-        "fixed",
+        config, ExecutionPlan.from_spec("shards=3,pipeline=2"), "fixed"
     )
-    for legacy, built in zip(
-        legacy_trainer.engine.histories, plan_trainer.engine.histories
+    for serial, built in zip(
+        serial_trainer.engine.histories, plan_trainer.engine.histories
     ):
-        np.testing.assert_array_equal(legacy.snapshot(), built.snapshot())
+        np.testing.assert_array_equal(serial.snapshot(), built.snapshot())

@@ -1,22 +1,26 @@
 """The sharded engine's headline guarantee: bitwise equivalence.
 
-``ShardedLazyDPTrainer`` must release exactly the parameters the flat
-``LazyDPTrainer`` releases — same seed, same trace, same bits — for
-every shard count, partition strategy, executor backend, ANS mode and
-sampling scheme.  The per-row Philox noise keying makes this testable as
-strict equality rather than a tolerance check.
+A plan with the ``shards`` axis on must release exactly the parameters
+the serial plan releases — same seed, same trace, same bits — for every
+shard count, partition strategy, backend, ANS mode and sampling scheme.
+The per-row Philox noise keying makes this testable as strict equality
+rather than a tolerance check.
 """
 
 import numpy as np
 import pytest
 
 from repro import configs
-from repro.shard import (
-    ShardedLazyDPTrainer,
-    ShardedLazyNoiseEngine,
-    build_partition_plan,
-)
-from repro.testing import max_param_diff, train_algorithm
+from repro.data import LookaheadLoader
+from repro.lazydp import LazyDPTrainer, export_private_model
+from repro.nn import DLRM
+from repro.session import ExecutionPlan, TrainSession
+from repro.shard import ShardedEmbeddingBag, build_partition_plan
+from repro.testing import make_loader, max_param_diff, train_algorithm
+from repro.train import DPConfig
+
+#: The pre-plan spelling of the schedule -> the backend axis.
+BACKEND = {"serial": "numpy", "threads": "threads"}
 
 
 @pytest.fixture
@@ -24,15 +28,29 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def train_sharded(config, *, sampling="fixed", use_ans=True, num_batches=6,
-                  **kwargs):
-    algorithm = "sharded_lazydp" if use_ans else "sharded_lazydp_no_ans"
+def shard_spec(*, use_ans=True, num_shards=2, partition="row_range",
+               executor="serial"):
+    return (f"ans={'on' if use_ans else 'off'},shards={num_shards},"
+            f"partition={partition},backend={BACKEND[executor]}")
+
+
+def train_sharded(config, *, sampling="fixed", num_batches=6, **kwargs):
     model, result, trainer = train_algorithm(
-        algorithm, config, num_batches=num_batches, sampling=sampling,
-        trainer_kwargs=kwargs,
+        shard_spec(**kwargs), config, num_batches=num_batches,
+        sampling=sampling,
     )
     trainer.close()
     return model, result, trainer
+
+
+def build_sharded(config, num_shards, partition="row_range", model=None):
+    model = model if model is not None else DLRM(config, seed=7)
+    plan = ExecutionPlan.from_spec(
+        f"shards={num_shards},partition={partition}"
+    )
+    trainer = TrainSession.build(model, DPConfig(), plan,
+                                 noise_seed=99).trainer
+    return model, trainer
 
 
 class TestBitwiseEquivalence:
@@ -91,6 +109,29 @@ class TestBitwiseEquivalence:
                 assert history.shard_pending_rows(s, 4).size == 0
 
 
+class TestOneShardIsFlat:
+    def test_one_shard_builds_no_partition_router_or_executor(self, config):
+        """Flat is the one-shard case, decided from the shard count."""
+        model, trainer = build_sharded(config, num_shards=1)
+        assert trainer.plan is None
+        assert trainer.engine.router is None
+        assert trainer.scheduler.executor is None
+        assert len(trainer.engine.states) == 1
+        assert not isinstance(model.embeddings[0], ShardedEmbeddingBag)
+        # The one shard reports into the trainer's own stage breakdown.
+        assert trainer.engine.states[0].timer is trainer.timer
+        trainer.close()
+
+    def test_many_shards_route_and_fan_out(self, config):
+        model, trainer = build_sharded(config, num_shards=3)
+        assert trainer.plan.num_shards == 3
+        assert trainer.engine.router is not None
+        assert trainer.scheduler.executor.name == "serial"
+        assert len(trainer.engine.states) == 3
+        assert isinstance(model.embeddings[0], ShardedEmbeddingBag)
+        trainer.close()
+
+
 class TestTrainerBehaviour:
     def test_algorithm_name(self, config):
         _, result, _ = train_sharded(config, num_shards=2)
@@ -114,29 +155,17 @@ class TestTrainerBehaviour:
     def test_prebuilt_plan_accepted(self, config):
         plan = build_partition_plan(config, 2, strategy="hash")
         flat_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
-        sharded_model, _, _ = train_algorithm(
-            "sharded_lazydp", config, num_batches=4,
-            trainer_kwargs={"plan": plan},
+        sharded_model, _, trainer = train_algorithm(
+            "shards=2", config, num_batches=4, partition_plan=plan,
         )
+        assert trainer.plan is plan
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
     def test_rebuilding_trainer_readopts_bags(self, config):
         """A second trainer with a different plan must replace the first
         trainer's slabs, not write through stale shard windows."""
-        from repro.data import LookaheadLoader
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-        from repro.testing import make_loader
-
-        model = DLRM(config, seed=7)
-        first = ShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=99, num_shards=2,
-            partition="row_range",
-        )
-        second = ShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=99, num_shards=7,
-            partition="hash",
-        )
+        model, first = build_sharded(config, 2, "row_range")
+        _, second = build_sharded(config, 7, "hash", model=model)
         for t, bag in enumerate(model.embeddings):
             assert bag.partition is second.plan.table(t)
         second.expected_batch_size = 16
@@ -145,25 +174,24 @@ class TestTrainerBehaviour:
             second.train_step(index + 1, batch, upcoming)
         second.finalize(4)
 
-        flat_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
+        flat_model, _, _ = train_algorithm(
+            "lazydp", config, num_batches=4, dp=DPConfig()
+        )
         assert max_param_diff(flat_model, model) == 0.0
         first.close()
         second.close()
 
     def test_mismatched_plan_rejected(self, config):
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-
         other = configs.tiny_dlrm(num_tables=3, rows=32, dim=8, lookups=2)
         plan = build_partition_plan(other, 2)
         with pytest.raises(ValueError, match="rows"):
-            ShardedLazyDPTrainer(DLRM(config, seed=7), DPConfig(), plan=plan)
+            LazyDPTrainer(DLRM(config, seed=7), DPConfig(), partition=plan)
         small_plan = build_partition_plan(
             configs.tiny_dlrm(num_tables=2, rows=64, dim=8, lookups=2), 2
         )
         with pytest.raises(ValueError, match="tables"):
-            ShardedLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), plan=small_plan
+            LazyDPTrainer(
+                DLRM(config, seed=7), DPConfig(), partition=small_plan
             )
 
     def test_engine_draw_accounting(self, config):
@@ -172,9 +200,11 @@ class TestTrainerBehaviour:
         _, _, no_ans_trainer = train_sharded(
             config, num_shards=3, use_ans=False
         )
-        assert isinstance(ans_trainer.engine, ShardedLazyNoiseEngine)
         assert 0 < ans_trainer.engine.samples_drawn < \
             no_ans_trainer.engine.samples_drawn
+        _, _, flat_trainer = train_algorithm("lazydp", config, num_batches=6)
+        assert ans_trainer.engine.samples_drawn == \
+            flat_trainer.engine.samples_drawn
 
     def test_history_bytes_independent_of_sharding(self, config):
         _, _, flat_trainer = train_algorithm("lazydp", config, num_batches=2)
@@ -186,18 +216,10 @@ class TestTrainerBehaviour:
 class TestReleaseAndCheckpoint:
     def test_export_private_model_works_sharded(self, config):
         """Mid-training release from a sharded trainer == flat release."""
-        from repro.data import LookaheadLoader
-        from repro.lazydp import export_private_model
-        from repro.nn import DLRM
-        from repro.train import DPConfig
-        from repro.testing import make_loader
-
         def drive(trainer, steps):
             loader = make_loader(config, batch_size=16, num_batches=steps)
             for index, batch, upcoming in LookaheadLoader(loader):
                 trainer.train_step(index + 1, batch, upcoming)
-
-        from repro.lazydp import LazyDPTrainer
 
         flat_model = DLRM(config, seed=7)
         flat_trainer = LazyDPTrainer(flat_model, DPConfig(), noise_seed=99)
@@ -205,11 +227,7 @@ class TestReleaseAndCheckpoint:
         drive(flat_trainer, 4)
         flat_release = export_private_model(flat_trainer, iteration=4)
 
-        sharded_model = DLRM(config, seed=7)
-        sharded_trainer = ShardedLazyDPTrainer(
-            sharded_model, DPConfig(), noise_seed=99, num_shards=7,
-            partition="hash",
-        )
+        _, sharded_trainer = build_sharded(config, 7, "hash")
         sharded_trainer.expected_batch_size = 16
         drive(sharded_trainer, 4)
         sharded_release = export_private_model(sharded_trainer, iteration=4)
@@ -223,22 +241,13 @@ class TestReleaseAndCheckpoint:
 
     def test_checkpoint_roundtrip_sharded(self, config, tmp_path):
         from repro.lazydp import load_checkpoint, save_checkpoint
-        from repro.nn import DLRM
-        from repro.train import DPConfig
 
-        model = DLRM(config, seed=7)
-        trainer = ShardedLazyDPTrainer(
-            model, DPConfig(), noise_seed=99, num_shards=2
-        )
+        model, trainer = build_sharded(config, 2)
         trainer.engine.histories[0].mark_updated(np.array([1, 5, 40]), 2)
         path = tmp_path / "sharded.npz"
         save_checkpoint(path, trainer, iteration=2)
 
-        fresh_model = DLRM(config, seed=7)
-        fresh = ShardedLazyDPTrainer(
-            fresh_model, DPConfig(), noise_seed=99, num_shards=7,
-            partition="hash",
-        )
+        fresh_model, fresh = build_sharded(config, 7, "hash")
         assert load_checkpoint(path, fresh) == 2
         assert max_param_diff(model, fresh_model) == 0.0
         for original, restored in zip(trainer.engine.histories,

@@ -112,26 +112,19 @@ class TestShardConfig:
     def test_defaults_are_flat(self):
         shard = configs.ShardConfig()
         assert not shard.is_sharded
-        assert shard.trainer_kwargs()["num_shards"] == 1
+        assert shard.num_shards == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             configs.ShardConfig(num_shards=0)
         with pytest.raises(ValueError, match="partition"):
             configs.ShardConfig(partition="columns")
-        with pytest.raises(ValueError, match="executor"):
-            configs.ShardConfig(executor="mpi")
-        with pytest.raises(ValueError, match="max_workers"):
-            configs.ShardConfig(max_workers=0)
 
-    def test_trainer_kwargs_round_trip(self):
-        shard = configs.ShardConfig(num_shards=4, partition="hash",
-                                    executor="threads", max_workers=2)
+    def test_dict_round_trip(self):
+        shard = configs.ShardConfig(num_shards=4, partition="hash")
         assert shard.is_sharded
-        assert shard.trainer_kwargs() == {
-            "num_shards": 4, "partition": "hash",
-            "executor": "threads", "max_workers": 2,
-        }
+        assert shard.to_dict() == {"num_shards": 4, "partition": "hash"}
+        assert configs.ShardConfig.from_dict(shard.to_dict()) == shard
 
 
 class TestTraceDrivenWeights:

@@ -63,7 +63,7 @@ class TestShardedHistoryTable:
             owned = rows[part.shard_of[rows] == s]
             local = part.local_of[owned]
             np.testing.assert_array_equal(
-                sharded.shard_delays(s, local, 8), 8 - 5
+                sharded.shards[s].delays(local, 8), 8 - 5
             )
 
     def test_ahead_of_iteration_rejected(self, config):

@@ -80,7 +80,7 @@ class TestLazyDPDelayAccounting:
 
     def test_delay_agrees_with_trainer_history(self):
         """The replayed HistoryTable discipline matches the real trainer."""
-        from repro.testing import trainer_for
+        from repro.bench.experiments import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 
@@ -90,11 +90,11 @@ class TestLazyDPDelayAccounting:
         stats = loader_stats(loader)
 
         model = DLRM(config, seed=7)
-        trainer = trainer_for("lazydp_no_ans", model, DPConfig(),
+        trainer = make_trainer("lazydp_no_ans", model, DPConfig(),
                                noise_seed=8)
         trainer.fit(loader)
         # samples_drawn counts scalars: draws * dim.
-        draws = trainer.engine.ans.samples_drawn / config.embedding_dim
+        draws = trainer.engine.samples_drawn / config.embedding_dim
         assert draws == pytest.approx(stats.total_deferred_draws)
 
     def test_skew_reduces_unique_but_not_total_draws(self):

@@ -1,10 +1,10 @@
-"""Plan-matrix smoke: every legacy-equivalent plan builds and steps.
+"""Plan-matrix smoke: every engine shape builds and steps.
 
-For each legacy algorithm string, map it to its ExecutionPlan
-(:func:`repro.session.plan_for_algorithm`), check both serialization
-round trips, build a trainer through ``TrainSession.build``, and run a
-short fit (one lookahead step plus the terminal flush) at a tiny
-geometry.  Then iterate the execution-backend *registry*
+For each plan spec in :data:`PLAN_SPECS` — ans on/off x flat/sharded x
+inline/pipelined/async, the twelve shapes the plan axes span — parse
+it, check both serialization round trips, build a trainer through
+``TrainSession.build``, and run a short fit (one lookahead step plus
+the terminal flush) at a tiny geometry.  Then iterate the execution-backend *registry*
 (:func:`repro.session.available_backends`) and smoke one plan per
 registered backend, so a backend someone registers — or one of the
 built-ins — cannot silently stop composing with the session facade.
@@ -21,6 +21,14 @@ Run:  PYTHONPATH=src python tools/plan_matrix.py
 """
 
 import sys
+
+#: One spec per engine shape: ans x shards x (inline | pipeline | async).
+PLAN_SPECS = tuple(
+    ",".join(part for part in (ans, shards, engine) if part)
+    for engine in ("", "pipeline=2", "async=strict,inflight=2")
+    for shards in ("", "shards=2")
+    for ans in ("ans=on", "ans=off")
+)
 
 
 def _backend_smoke_plan(name):
@@ -64,12 +72,10 @@ def main(argv=None) -> int:
     from repro.nn import DLRM
     from repro.session import (
         ExecutionPlan,
-        LEGACY_ALGORITHMS,
         PlanError,
         TrainSession,
         available_backends,
         backend_info,
-        plan_for_algorithm,
     )
     from repro.testing import make_loader
     from repro.train import DPConfig
@@ -78,24 +84,22 @@ def main(argv=None) -> int:
     dp = DPConfig()
     failures = 0
     skipped = 0
-    for algorithm in sorted(LEGACY_ALGORITHMS):
+    for spec in PLAN_SPECS:
         try:
-            plan, extras = plan_for_algorithm(algorithm)
-            assert extras == {}, f"unexpected extras: {extras}"
+            plan = ExecutionPlan.from_spec(spec)
             assert ExecutionPlan.from_dict(plan.to_dict()) == plan
             assert ExecutionPlan.from_spec(plan.to_spec()) == plan
-            assert plan.legacy_name() == algorithm
             with TrainSession.build(DLRM(config, seed=7), dp, plan,
                                     noise_seed=99) as session:
                 result = session.fit(
                     make_loader(config, batch_size=16, num_batches=2)
                 )
                 assert result.iterations == 2, result.iterations
-                assert result.algorithm == algorithm, result.algorithm
-            print(f"ok   {algorithm:35s} -> {plan.canonical()}")
+                assert result.algorithm == plan.legacy_name(), result.algorithm
+            print(f"ok   {result.algorithm:35s} <- {plan.canonical()}")
         except Exception as error:  # noqa: BLE001 - smoke surface
             failures += 1
-            print(f"FAIL {algorithm:35s} -> {error!r}", file=sys.stderr)
+            print(f"FAIL {spec:35s} -> {error!r}", file=sys.stderr)
     for name in available_backends():
         ok, reason = backend_info(name).available()
         if not ok:
@@ -127,8 +131,7 @@ def main(argv=None) -> int:
     if failures:
         print(f"{failures} plan(s) failed", file=sys.stderr)
         return 1
-    print(f"\nplan matrix: {len(LEGACY_ALGORITHMS)} legacy-equivalent "
-          f"plans and {len(available_backends()) - skipped} of "
+    print(f"\nplan matrix: {len(PLAN_SPECS)} plan specs and {len(available_backends()) - skipped} of "
           f"{len(available_backends())} registered backends built, "
           f"stepped and round-tripped ({skipped} unavailable here)")
     return 0
