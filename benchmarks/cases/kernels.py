@@ -1,0 +1,256 @@
+"""Kernel case: the bandwidth-bound apply phase and the no-ANS sampler.
+
+The noisy model update is bandwidth-bound (paper §4.3: 85.5% of DRAM
+bandwidth at 2 AVX ops/element), so the apply phase's cost scales with
+how many passes — and allocations — feed the slab write.  One sweep
+compares a slower and a faster kernel on identical data, and runs
+twice: numpy's fused/batched kernels against their unfused/looped
+references, then the compiled ``repro.kernels.njit`` table against
+numpy's.  Where numba is not installed the second half still runs —
+interpreted, at a tiny geometry, for its equivalence checks only — and
+reports no ``apply_fusion_numba`` metrics, so nothing is gated on
+meaningless timings.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.bench.reporting import format_table
+from repro.kernels import BufferArena, dispatch, merge_sparse_updates
+from repro.kernels import njit as njit_kernels
+from repro.kernels.fused import fused_noisy_update as numpy_fused
+from repro.kernels.sampler import batched_catchup_sum as numpy_batched
+from repro.rng import NoiseStream, philox_invocations
+from repro.session import ExecutionPlan
+
+from . import Checks, Result, Table, best_of, case
+
+#: ``(apply geometry, sampling geometry)``.  The interpreted entry is
+#: what the numba half falls back to without numba: python-loop kernels
+#: need a geometry small enough to finish.
+GEOMETRY = {
+    "smoke": (
+        dict(num_rows=40_000, dim=16, touched=1024, iterations=40),
+        dict(rows_count=128, max_delay=256, dim=16),
+    ),
+    "full": (
+        dict(num_rows=200_000, dim=16, touched=4096, iterations=60),
+        dict(rows_count=256, max_delay=512, dim=16),
+    ),
+    "interpreted": (
+        dict(num_rows=2_000, dim=8, touched=96, iterations=4),
+        dict(rows_count=24, max_delay=24, dim=8),
+    ),
+}
+
+
+def _unfused(table, lr, grad, noise, arena):
+    """The reference two-step: merge, then fancy-indexed read-modify-write."""
+    rows, values = merge_sparse_updates(*grad, *noise)
+    table[rows] -= lr * values
+
+
+def _fused(table, lr, grad, noise, arena):
+    numpy_fused(table, lr, *grad, *noise, arena=arena)
+
+
+def _fused_njit(table, lr, grad, noise, arena):
+    njit_kernels.fused_noisy_update(table, lr, *grad, *noise)
+
+
+def apply_pair(slow, fast, *, num_rows, dim, touched, iterations, repeats=3):
+    """Replay one pre-generated stream of ``(grad, noise)`` sparse updates
+    (each ``(sorted unique rows, values)``) through two apply kernels
+    ``kernel(table, lr, grad, noise, arena)`` on equal tables.  Returns
+    ``(slow_s, fast_s, identical, allocs)``: best-of wall seconds,
+    whether the two slabs ended bitwise equal, and the arena allocations
+    made after warm-up (must be none).
+
+    The warm-up pass pays first-touch faults, arena growth and — for a
+    compiled kernel — JIT compilation, all outside the timed windows.
+    """
+    rng = np.random.default_rng(7)
+
+    def sparse():
+        rows = np.sort(rng.choice(num_rows, size=touched, replace=False))
+        return rows.astype(np.int64), rng.standard_normal((touched, dim))
+
+    updates = [(sparse(), sparse()) for _ in range(8)]
+    base = rng.standard_normal((num_rows, dim))
+    arena = BufferArena()
+
+    def replay(kernel, table):
+        def run():
+            for i in range(iterations):
+                grad, noise = updates[i % 8]
+                kernel(table, 0.05, grad, noise, arena)
+
+        return run
+
+    tables = (base.copy(), base.copy())
+    runs = [replay(kernel, table) for kernel, table in zip((slow, fast), tables)]
+    for run in runs:
+        run()
+    for table in tables:
+        table[:] = base
+    warm_allocs = arena.allocs
+    slow_s, fast_s = (best_of(repeats, run) for run in runs)
+    identical = tables[0].tobytes() == tables[1].tobytes()
+    return slow_s, fast_s, identical, arena.allocs - warm_allocs
+
+
+def _looped(stream, rows, delays, iteration, dim, arena):
+    """The historical per-lag no-ANS loop (one Philox launch per lag)."""
+    total = np.zeros((rows.size, dim), dtype=np.float64)
+    order = np.argsort(-delays, kind="stable")
+    ordered_rows, ordered_delays = rows[order], delays[order]
+    for lag in range(1, int(delays.max()) + 1):
+        active = int(np.searchsorted(-ordered_delays, -lag, side="right"))
+        if active == 0:
+            break
+        total[order[:active]] += stream.row_noise(
+            0, ordered_rows[:active], iteration - lag + 1, dim, std=0.5
+        )
+    return total
+
+
+def _batched(stream, rows, delays, iteration, dim, arena):
+    return numpy_batched(stream, 0, rows, delays, iteration, dim, std=0.5, arena=arena)
+
+
+def _batched_njit(stream, rows, delays, iteration, dim, arena):
+    return njit_kernels.batched_catchup_sum(
+        stream, 0, rows, delays, iteration, dim, std=0.5
+    )
+
+
+def sampling_pair(slow, fast, tolerance, *, rows_count, max_delay, dim, repeats=3):
+    """Two no-ANS catch-up samplers on one tail-heavy delay profile (the
+    shape LazyDP's catch-up actually sees).  Returns ``(seconds,
+    launches, close)``: best-of wall seconds and Philox invocations of
+    ``(slow, fast)``, and whether the sums agree within ``tolerance``."""
+    rng = np.random.default_rng(11)
+    stream = NoiseStream(seed=101)
+    rows = np.sort(rng.choice(100_000, size=rows_count, replace=False)).astype(np.int64)
+    delays = rng.integers(0, max_delay, size=rows_count).astype(np.int64)
+    arena = BufferArena()
+    sums, launches, seconds = [], [], []
+    for sampler in (slow, fast):
+
+        def run(sampler=sampler):
+            return sampler(stream, rows, delays, max_delay + 1, dim, arena)
+
+        run()  # warm the arena / compile
+        before = philox_invocations()
+        sums.append(run())
+        launches.append(philox_invocations() - before)
+        seconds.append(best_of(repeats, run))
+    return seconds, launches, bool(np.allclose(*sums, **tolerance))
+
+
+def _half(name, labels, apply_kernels, samplers, tolerance, geometry, checks):
+    """One slow-vs-fast comparison of both kernels; returns
+    ``(tables, speedups, launch_ratio, steady_allocs)``."""
+    apply_geometry, sampling_geometry = geometry
+    slow, fast = labels
+    slow_s, fast_s, identical, allocs = apply_pair(*apply_kernels, **apply_geometry)
+    checks.require(identical, f"{name}: {fast} apply diverged from {slow}")
+    seconds, launches, close = sampling_pair(*samplers, tolerance, **sampling_geometry)
+    checks.require(close, f"{name}: {fast} catch-up sums not within {tolerance}")
+    speedups = (slow_s / fast_s, seconds[0] / seconds[1])
+    slab = "bitwise equal" if identical else "MISMATCH"
+    sums = "within tolerance" if close else "MISMATCH"
+    apply_table = format_table(
+        ["apply kernel", "total ms", "speedup (x)", "released slab"],
+        [[slow, slow_s * 1e3, 1.0, "-"], [fast, fast_s * 1e3, speedups[0], slab]],
+        title=f"Apply kernel {apply_geometry}",
+    )
+    sampling_table = format_table(
+        ["no-ANS sampler", "total ms", "philox launches", "speedup (x)", "sums"],
+        [
+            [slow, seconds[0] * 1e3, launches[0], 1.0, "-"],
+            [fast, seconds[1] * 1e3, launches[1], speedups[1], sums],
+        ],
+        title=f"No-ANS catch-up sampling {sampling_geometry}",
+    )
+    tables = [
+        Table(name, apply_table, measured=True),
+        Table(f"{name}_sampling", sampling_table, measured=True),
+    ]
+    return tables, speedups, launches[1] / max(launches[0], 1), allocs
+
+
+@case(
+    "apply_fusion",
+    figure="Figure 6, §4.2-4.3 kernel analysis (beyond paper)",
+    shows="Fused single-pass apply vs merge + fancy RMW (bitwise slab check, "
+    "zero steady-state arena allocations), batched vs per-lag no-ANS "
+    "sampling with Philox launch counts, and the compiled `@njit(parallel)` "
+    "kernels vs numpy's (>= 2x, bitwise slab, `NUMERIC_TOLERANCE` sums)",
+)
+def apply_fusion(tier: str) -> Result:
+    checks = Checks()
+    tables, (apply_speedup, sampling_speedup), launch_ratio, allocs = _half(
+        "apply_fusion",
+        ("unfused/looped numpy", "fused/batched numpy"),
+        (_unfused, _fused),
+        (_looped, _batched),
+        {"atol": 1e-10},
+        GEOMETRY[tier],
+        checks,
+    )
+    checks.require(allocs == 0, f"{allocs} arena allocations in the warm apply loop")
+    checks.require(
+        launch_ratio < 1.0, "the batched sampler launched as often as the lag loop"
+    )
+    metrics = {
+        "apply_fusion": {
+            "apply_speedup_fused": apply_speedup,
+            "arena_steady_state_allocs": float(allocs),
+            "sampling_speedup_batched": sampling_speedup,
+            "philox_launch_ratio_batched": launch_ratio,
+        }
+    }
+
+    # The compiled half.  Whether its timings mean anything — and so
+    # whether its pinned floors are emitted and gated — is decided by
+    # what is installed, not by a flag.
+    missing = dispatch.numba_missing_reason()
+    numba_tables, numba_speedups, _, _ = _half(
+        "apply_fusion_numba",
+        ("numpy", "numba" if missing is None else "njit (interpreted)"),
+        (_fused, _fused_njit),
+        (_batched, _batched_njit),
+        njit_kernels.NUMERIC_TOLERANCE,
+        GEOMETRY["interpreted" if missing else tier],
+        checks,
+    )
+    if missing is None:
+        import repro.kernels as kernel_api
+
+        # The plan-level route to these kernels: the dispatcher must
+        # swap the package-level wrappers onto the numba table.
+        with kernel_api.use_kernel_backend("numba"):
+            checks.require(
+                kernel_api.active_kernel_backend() == "numba"
+                and dispatch.active_kernel_table().fused_noisy_update is not None,
+                "use_kernel_backend('numba') did not activate the numba table",
+            )
+        metrics["apply_fusion_numba"] = {
+            "fused_speedup_numba": numba_speedups[0],
+            "sampling_speedup_numba": numba_speedups[1],
+        }
+    meta = {
+        "geometry": GEOMETRY[tier],
+        "numba": missing or "compiled",
+        # The kernel surfaces map onto the plan axes: the fused apply
+        # serves every plan's apply phase, the batched sampler is the
+        # ans=off plan's exact-replay path.
+        "plans": {
+            "apply": ExecutionPlan().canonical(),
+            "sampling": ExecutionPlan(ans=False).canonical(),
+            "numba": "backend=numba",
+        },
+    }
+    return Result(tables + numba_tables, metrics, meta, checks)

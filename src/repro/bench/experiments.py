@@ -4,9 +4,9 @@ Each ``figure_*`` function returns a :class:`FigureResult` whose
 ``reproduced`` series is computed by the calibrated performance model at
 the paper's full scale (96 MB - 192 GB models), aligned against the
 paper-reported series from :mod:`repro.bench.paper_data`.  The functions
-are consumed by ``benchmarks/bench_fig*.py`` (which also run *measured*
-numpy kernels under pytest-benchmark) and by the EXPERIMENTS.md generator
-(``python -m repro.bench.report``).
+are consumed by the figure cases of ``benchmarks/run.py`` (which check
+each figure's claims and also time *measured* numpy kernels) and by the
+EXPERIMENTS.md generator (``python -m repro.bench.report``).
 
 ``measured_series`` runs the real numpy trainers at a scaled-down geometry
 and reports the same normalised numbers from wall-clock measurements — the

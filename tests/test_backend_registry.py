@@ -2,7 +2,7 @@
 
 The registry (``repro.session.registry``) is the single source of truth
 for what ``ExecutionPlan.backend`` may name: plan validation, the
-session builder and ``tools/plan_matrix.py`` all iterate it, and
+session builder and the ``repro backends`` table all iterate it, and
 ``register_backend`` is the extension point third-party backends use —
 a backend resolves to *how shard tasks run*, bound into the one
 trainer.

@@ -1,24 +1,17 @@
 """Unit tests for the benchmark JSON reports and the regression gate.
 
-The CI ``bench-regression`` job rests on ``benchmarks/_jsonreport.py``:
-artifacts must be written where the job uploads them, and the baseline
-check must fail loudly — on regressions beyond tolerance *and* on
-silently missing metrics — instead of printing and returning 0.
+The CI ``bench-regression`` job rests on the emit and gate functions of
+``benchmarks/run.py``: artifacts must be written where the job uploads
+them, and the baseline check must fail loudly — on regressions beyond
+tolerance *and* on silently missing metrics — instead of printing and
+returning 0.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_jsonreport",
-    pathlib.Path(__file__).resolve().parent.parent
-    / "benchmarks" / "_jsonreport.py",
-)
-jsonreport = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(jsonreport)
+from benchmarks import run as jsonreport
 
 
 BASELINE = {
@@ -107,27 +100,6 @@ class TestWriteReport:
             jsonreport.write_report(
                 "demo", {"passed": True}, directory=tmp_path
             )
-
-
-class TestVerifyArtifacts:
-    def test_verify_passes_and_fails(self, tmp_path, monkeypatch, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(BASELINE))
-        monkeypatch.setattr(jsonreport, "BASELINE_PATH", baseline_path)
-        jsonreport.write_report(
-            "demo", {"throughput_ratio": 1.0, "exposed_seconds": 2.0},
-            directory=tmp_path,
-        )
-        assert jsonreport.verify_artifacts(tmp_path) == 0
-        jsonreport.write_report(
-            "demo", {"throughput_ratio": 0.1, "exposed_seconds": 2.0},
-            directory=tmp_path,
-        )
-        assert jsonreport.verify_artifacts(tmp_path) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_verify_empty_directory_fails(self, tmp_path):
-        assert jsonreport.verify_artifacts(tmp_path) == 1
 
 
 class TestCommittedBaseline:

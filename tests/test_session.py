@@ -246,6 +246,19 @@ class TestSessionLifecycle:
             assert "pipeline" in stats
             assert "shard_update_seconds" in stats
 
+    @pytest.mark.parametrize("plan", plan_matrix(),
+                             ids=lambda plan: plan.canonical())
+    def test_every_plan_fits_under_its_own_label(self, config, plan):
+        from repro.testing import make_loader
+
+        with TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                plan, noise_seed=99) as session:
+            result = session.fit(
+                make_loader(config, batch_size=16, num_batches=2)
+            )
+        assert result.iterations == 2
+        assert result.algorithm == plan.legacy_name()
+
     def test_current_iteration_tracks_resumed_training(self, config):
         """Resuming past a flush must advance the release point: serving
         or exporting at the stale flushed_through would drop the resumed
