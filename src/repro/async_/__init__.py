@@ -13,9 +13,8 @@ background thread so up to ``inflight`` iterations are outstanding:
 
 The per-row :class:`VersionVector <repro.lazydp.ledger.VersionVector>`
 ledger, advanced inside every apply, proves deferred noise is applied
-exactly once under any interleaving;
-``benchmarks/bench_async_inflight.py`` measures throughput against
-in-flight depth.  The same exactly-once ledger powers query-time
+exactly once under any interleaving; the ``plan_sweep`` case of
+``benchmarks/run.py`` measures throughput against in-flight depth.  The same exactly-once ledger powers query-time
 read-through catch-up in :mod:`repro.serve`.
 """
 

@@ -45,7 +45,7 @@ from .arena import BufferArena
 #: chunk's working set (~512 KB of float64 Gaussians plus counter
 #: blocks) cache-resident — measured faster than both one giant batch
 #: (cache-thrashing) and the historical per-lag loop (launch-bound) on
-#: every workload shape swept in ``benchmarks/bench_apply_fusion.py``.
+#: every workload shape swept by ``benchmarks/run.py apply_fusion``.
 #: Launches per catch-up are O(total_draws / budget): independent of
 #: ``max_delay``, the loop's O(max_delay) structure this replaces.
 DEFAULT_MAX_SCALARS = 1 << 16

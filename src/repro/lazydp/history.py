@@ -104,10 +104,10 @@ class NaiveCounterHistory:
     over the whole table each iteration — reintroducing exactly the
     memory traffic LazyDP exists to remove (paper Section 5.2.1: "such
     naive implementation will lead to significant memory write traffic").
-    Implemented for the ablation benchmark
-    (``benchmarks/bench_ablation_history.py``), which shows its per-
-    iteration cost scaling with table size while :class:`HistoryTable`'s
-    stays proportional to the access footprint.
+    Implemented for the ablation benchmark (``benchmarks/run.py
+    ablation_history``), which shows its per-iteration cost scaling with
+    table size while :class:`HistoryTable`'s stays proportional to the
+    access footprint.
 
     Semantically equivalent to :class:`HistoryTable` (verified in tests);
     only the access pattern differs.

@@ -189,23 +189,37 @@ class ShardState:
         if window.ledger is not None:
             window.ledger.advance(noise.local, noise.delays, iteration)
 
+    # -- the (shard, iteration) unit of work -------------------------------
+    def plan_all(self, requests: list, iteration: int, std: float) -> list:
+        """:meth:`plan_sample` over every table: ``requests[t]`` is the
+        ``(global_rows, local_rows)`` of the next batch's rows of table
+        ``t``; returns one :class:`Catchup` per table."""
+        return [
+            self.plan_sample(table, *request, iteration, std)
+            for table, request in enumerate(requests)
+        ]
+
     def step(
         self,
-        table: int,
-        request,
-        noise: Catchup | None,
-        grad_rows: np.ndarray,
-        grad_values: np.ndarray,
+        requests: list | None,
+        noise: list | None,
+        grads: list,
         lr: float,
         iteration: int,
-        std: float,
+        std: float | None,
     ) -> None:
-        """This shard's stage list for one table: plan + sample unless
-        the noise was prefetched, then apply.  ``request`` is the
-        ``(global_rows, local_rows)`` of the next batch's rows."""
-        if noise is None:
-            noise = self.plan_sample(table, *request, iteration, std)
-        self.apply(table, grad_rows, grad_values, noise, lr, iteration)
+        """This shard's stage list for one iteration, table-major: per
+        table, plan + sample (unless ``noise`` — a :meth:`plan_all`
+        result — was computed ahead), then apply while the drawn values
+        are still cache-hot.  ``grads[t]`` is this shard's ``(rows,
+        values)`` slice of table ``t``'s clipped gradient."""
+        for table, (grad_rows, grad_values) in enumerate(grads):
+            staged = (
+                self.plan_sample(table, *requests[table], iteration, std)
+                if noise is None
+                else noise[table]
+            )
+            self.apply(table, grad_rows, grad_values, staged, lr, iteration)
 
     # -- the terminal flush --------------------------------------------------
     def flush(self, table: int, final_iteration: int, lr: float, std: float) -> int:
@@ -358,23 +372,34 @@ class LazyNoiseEngine:
         return int(sum(history.nbytes for history in self.histories))
 
     # -- routing -------------------------------------------------------------
-    def split_rows(self, table: int, rows: np.ndarray, timer) -> list:
-        """Per-shard ``(global_rows, local_rows)`` of a unique row set."""
+    def split_rows(self, rows: list, timer) -> list:
+        """Per shard, per table ``(global_rows, local_rows)`` of every
+        table's unique row set (``rows[t]``)."""
         if self.router is None:
-            return [(rows, rows)]
+            return [[(table_rows, table_rows) for table_rows in rows]]
         with timer.time("shard_routing"):
-            routed = self.router.scatter(table, rows)
-        return list(zip(routed.global_rows, routed.local))
+            routed = [self.router.scatter(t, r) for t, r in enumerate(rows)]
+        return [
+            [(r.global_rows[s], r.local[s]) for r in routed]
+            for s in range(len(self.states))
+        ]
 
-    def split_grad(self, table: int, sparse_grad, timer) -> list:
-        """Per-shard ``(rows, values)`` slices of a sparse gradient."""
+    def split_grads(self, sparse_grads: list, timer) -> list:
+        """Per shard, per table ``(rows, values)`` slices of every
+        table's sparse gradient."""
         if self.router is None:
-            return [(sparse_grad.rows, sparse_grad.values)]
+            return [[(grad.rows, grad.values) for grad in sparse_grads]]
         with timer.time("shard_routing"):
-            routed = self.router.scatter(table, sparse_grad.rows)
+            routed = [
+                self.router.scatter(t, grad.rows)
+                for t, grad in enumerate(sparse_grads)
+            ]
             return [
-                (rows, sparse_grad.values[origin])
-                for rows, origin in zip(routed.global_rows, routed.origin)
+                [
+                    (r.global_rows[s], grad.values[r.origin[s]])
+                    for r, grad in zip(routed, sparse_grads)
+                ]
+                for s in range(len(self.states))
             ]
 
     def rebase_ledger(self) -> None:

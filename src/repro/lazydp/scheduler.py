@@ -48,7 +48,7 @@ from ..async_.apply import ApplyWorker
 from ..async_.policy import StalenessPolicy
 from ..data.loader import DataLoader, LookaheadLoader
 from ..pipeline.prefetch import NoisePrefetchWorker
-from ..pipeline.staging import StagedNoise, StagingBuffer
+from ..pipeline.staging import StagingBuffer
 
 
 class Scheduler:
@@ -86,7 +86,6 @@ class Scheduler:
         self.prefetch_executor = None
         self._buffer: StagingBuffer | None = None
         self._worker: NoisePrefetchWorker | None = None
-        self._staged: StagedNoise | None = None
         self.noise_std: float | None = None
         self._apply_worker: ApplyWorker | None = None
         self._collected: list | None = None
@@ -147,7 +146,6 @@ class Scheduler:
         self._worker = NoisePrefetchWorker(
             trainer._prefetch, self._buffer, tracer=trainer.obs.timer_tracer()
         )
-        self._staged = None
         if self.defers_apply:
             self._last_submitted = 0
             self._apply_worker = ApplyWorker(
@@ -211,29 +209,25 @@ class Scheduler:
                 self._apply_worker.wait_for(horizon)
         self._collected = []
 
-    def staged(self, iteration: int, table: int, noise_std: float):
-        """Table ``table``'s prefetched per-shard noise for
-        ``iteration``, or ``None`` when noise is computed inline (pops
-        once per iteration; the wait, if any, is the exposed noise
-        time)."""
+    def staged(self, iteration: int, noise_std: float):
+        """The prefetched per-shard noise for ``iteration`` (every
+        table's), or ``None`` when noise is computed inline (the wait,
+        if any, is the exposed noise time)."""
         if not self.running:
             return None
-        if self._staged is None or self._staged.iteration != iteration:
-            if noise_std != self.noise_std:
-                raise RuntimeError(
-                    "noise std drifted from the prefetched value "
-                    f"({noise_std} != {self.noise_std}); "
-                    "staged noise would be wrong"
-                )
-            trainer = self.trainer
-            if trainer.obs.enabled:
-                # Occupancy > 0 means the plan is already staged — the
-                # pop below returns without a meaningful wait (a
-                # prefetch hit).
-                trainer.obs.observe_staging(len(self._buffer))
-            with trainer.timer.time("pipeline_wait"):
-                self._staged = self._buffer.pop(iteration)
-        return self._staged.tables[table]
+        if noise_std != self.noise_std:
+            raise RuntimeError(
+                "noise std drifted from the prefetched value "
+                f"({noise_std} != {self.noise_std}); "
+                "staged noise would be wrong"
+            )
+        trainer = self.trainer
+        if trainer.obs.enabled:
+            # Occupancy > 0 means the plan is already staged — the pop
+            # below returns without a meaningful wait (a prefetch hit).
+            trainer.obs.observe_staging(len(self._buffer))
+        with trainer.timer.time("pipeline_wait"):
+            return self._buffer.pop(iteration).shards
 
     def apply(self, update) -> None:
         """Run ``update(timer)`` now on the trainer thread, or collect

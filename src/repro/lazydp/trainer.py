@@ -20,7 +20,8 @@ There is one trainer for every execution plan.  Stages 2-6 and the
 flush are written once, over shard-local state
 (:class:`repro.lazydp.optimizer.ShardState`); this class spells the
 stage list around them — dedup the next batch, route when there is more
-than one shard, obtain this iteration's per-shard noise, apply — and a
+than one shard, obtain this iteration's per-shard noise, apply; every
+table in one task per shard, one fan-out per iteration — and a
 :class:`repro.lazydp.scheduler.Scheduler` decides where each stage runs
 (trainer thread, prefetch worker, apply worker, shard pool, worker
 process).  Flat is the one-shard case, decided from the shard count:
@@ -164,62 +165,61 @@ class LazyDPTrainer(DPSGDFTrainer):
         return current
 
     # -- the lazy embedding update, once ---------------------------------------
-    def _next_rows(self, table_index: int, batch, timer) -> np.ndarray:
-        """Stage 1: the unique rows the next batch gathers."""
+    def _next_requests(self, batch, timer) -> list:
+        """Stage 1 for every table, routed: per shard, per table, the
+        ``(global, local)`` unique rows the next batch gathers."""
+        tables = range(len(self.model.embeddings))
         if batch is None:
             # Final iteration: no lookahead exists; the terminal flush
             # performs every remaining catch-up.
-            return _NO_ROWS
-        with timer.time("lazydp_dedup"):
-            return batch.accessed_rows(table_index)
+            rows = [_NO_ROWS for _ in tables]
+        else:
+            rows = []
+            for table_index in tables:
+                with timer.time("lazydp_dedup"):
+                    rows.append(batch.accessed_rows(table_index))
+        return self.engine.split_rows(rows, timer)
 
-    # Override the dense noisy embedding update with the lazy sparse one.
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
+    def _staged_noise(self, iteration: int, noise_std: float):
+        """Per-shard noise planned ahead of this step (what each
+        shard's ``plan_all`` returned, wherever it ran), or ``None``
+        when every shard plans + samples inside its task."""
+        if self._next_batch is None:
+            return None
+        return self.scheduler.staged(iteration, noise_std)
+
+    # Override the table-by-table dense noisy update with the lazy sparse
+    # one, whose unit of shard work is (shard, iteration): all tables.
+    def _apply_embedding_updates(
+        self, grads: dict, iteration: int, noise_std: float
     ) -> None:
         self._last_noise_std = noise_std
-        scheduler = self.scheduler
-        noise = next_rows = None
-        if self._next_batch is not None:
-            noise = scheduler.staged(iteration, table_index, noise_std)
+        # Per shard, one of the two: noise planned ahead, or the request
+        # the shard's own task plans + samples from.
+        requests = unset = [None] * len(self.engine.states)
+        noise = self._staged_noise(iteration, noise_std)
         if noise is None:
-            # Not prefetched: each shard plans + samples inside its task.
-            next_rows = self._next_rows(table_index, self._next_batch, self.timer)
-        scheduler.apply(
+            noise = unset
+            requests = self._next_requests(self._next_batch, self.timer)
+        sparse_grads = [grads[bag.table.name] for bag in self.model.embeddings]
+        self.scheduler.apply(
             partial(
-                self._update_table,
-                table_index,
-                sparse_grad,
-                next_rows,
-                noise,
-                iteration,
-                noise_std,
+                self._update_shards, sparse_grads, requests, noise, iteration, noise_std
             )
         )
 
-    def _update_table(
-        self, table_index, sparse_grad, next_rows, noise, iteration, noise_std, timer
+    def _update_shards(
+        self, sparse_grads, requests, noise, iteration, noise_std, timer
     ) -> None:
-        """Route (more than one shard) and run every shard's stage list
-        for one table, on whichever thread owns the slabs."""
+        """Route the gradients (more than one shard) and run every
+        shard's stage list for the iteration — one fan-out — on
+        whichever thread owns the slabs."""
         engine = self.engine
-        requests = prefetched = [None] * len(engine.states)
-        if noise is None:
-            requests = engine.split_rows(table_index, next_rows, timer)
-        else:
-            prefetched = noise
-        grads = engine.split_grad(table_index, sparse_grad, timer)
+        grads = engine.split_grads(sparse_grads, timer)
         lr = self.config.learning_rate
         tasks = [
             partial(
-                state.step,
-                table_index,
-                requests[s],
-                prefetched[s],
-                *grads[s],
-                lr,
-                iteration,
-                noise_std,
+                state.step, requests[s], noise[s], grads[s], lr, iteration, noise_std
             )
             for s, state in enumerate(engine.states)
         ]
@@ -228,22 +228,19 @@ class LazyDPTrainer(DPSGDFTrainer):
     # Runs on the prefetch worker thread.
     def _prefetch(self, iteration: int, batch):
         """Stages 1-4 of ``iteration`` for every table, ahead of the
-        step that consumes them."""
-        scheduler, engine = self.scheduler, self.engine
+        step that consumes them: one fan-out, one task per shard."""
+        scheduler = self.scheduler
         timer = scheduler.worker_timer
-        std = scheduler.noise_std
-        tables = []
-        for table_index in range(len(self.model.embeddings)):
-            next_rows = self._next_rows(table_index, batch, timer)
-            requests = engine.split_rows(table_index, next_rows, timer)
-            tasks = [
-                partial(state.plan_sample, table_index, *requests[s], iteration, std)
-                for s, state in enumerate(engine.states)
-            ]
-            # Wall-clock of the per-shard fan-out; the history-vs-
-            # sampling split inside it lives in the shard timers.
-            tables.append(scheduler.run_shard_tasks(tasks, timer, prefetch=True))
-        return StagedNoise(iteration, tables)
+        requests = self._next_requests(batch, timer)
+        tasks = [
+            partial(state.plan_all, requests[s], iteration, scheduler.noise_std)
+            for s, state in enumerate(self.engine.states)
+        ]
+        # Wall-clock of the per-shard fan-out; the history-vs-sampling
+        # split inside it lives in the shard timers.
+        return StagedNoise(
+            iteration, scheduler.run_shard_tasks(tasks, timer, prefetch=True)
+        )
 
     # -- release ---------------------------------------------------------------
     def _flush_noise_std(self) -> float:

@@ -6,7 +6,7 @@ single object to hold.  Trainers carry :data:`NULL_OBS` (the null
 object) by default, so every instrumentation site in the engines is
 gated by exactly one attribute check (``obs.enabled`` /
 ``obs.tracing``) and costs nothing when observability is off — the
-acceptance bench (``benchmarks/bench_obs_overhead.py``) pins that.
+acceptance bench (``benchmarks/run.py obs_overhead``) pins that.
 
 Two kinds of collection feed the registry:
 

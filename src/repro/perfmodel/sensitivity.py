@@ -6,7 +6,7 @@ Figure 6) with a handful of *calibrated* software-overhead constants
 (DESIGN.md / ``SoftwareCalibration``).  A fair question is whether the
 headline conclusions depend on those fitted numbers.  This module
 perturbs every calibrated constant and re-evaluates the conclusions; the
-benchmark ``bench_ablation_sensitivity.py`` reports the result.
+bench case ``benchmarks/run.py ablation_sensitivity`` reports the result.
 
 The expected finding (and what the tests assert): the two orders of
 magnitude between LazyDP and eager DP-SGD come from the roofline terms —

@@ -174,7 +174,7 @@ def shard_scaling_series(config: DLRMConfig, batch: int,
     """Critical-path and serial update seconds per shard count.
 
     Returns ``{num_shards: (critical_path_s, serial_s)}`` — the sweep
-    behind ``benchmarks/bench_shard_scaling.py``'s model mode.
+    behind the modelled table of ``benchmarks/run.py plan_sweep``.
     """
     series = {}
     for num_shards in shard_counts:

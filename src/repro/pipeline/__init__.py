@@ -14,8 +14,8 @@ and input gather with the two mechanisms here:
   <repro.data.loader.InputQueue>` and running the trainer's own
   plan + sample stages ahead of time.
 
-``benchmarks/bench_pipeline_overlap.py`` measures how much catch-up time
-the overlap hides.
+The ``plan_sweep`` case of ``benchmarks/run.py`` measures how much
+catch-up time the overlap hides.
 """
 
 from .prefetch import NoisePrefetchWorker

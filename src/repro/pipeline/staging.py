@@ -42,15 +42,16 @@ from dataclasses import dataclass
 class StagedNoise:
     """Precomputed catch-up noise for one iteration, covering all tables.
 
-    ``tables[t]`` is the payload for embedding table ``t``: one
-    :class:`repro.lazydp.optimizer.Catchup` per shard (a one-element
-    list for the flat engine).  The delays ride along so the apply
-    stage — wherever it runs — can advance the per-row noise ledger
-    (:class:`repro.lazydp.ledger.VersionVector`) when the noise lands.
+    ``shards[s]`` is shard ``s``'s payload: one
+    :class:`repro.lazydp.optimizer.Catchup` per embedding table (a
+    one-element list of them for the flat engine).  The delays ride
+    along so the apply stage — wherever it runs — can advance the
+    per-row noise ledger (:class:`repro.lazydp.ledger.VersionVector`)
+    when the noise lands.
     """
 
     iteration: int
-    tables: list
+    shards: list
 
 
 class StagingBuffer:

@@ -14,10 +14,12 @@ pipe:
 
 * the :class:`repro.shard.plan.PartitionPlan` is pickled **once** at
   worker startup (row ownership never changes mid-run);
-* per (step, table) the router sends ``plan`` → ``apply`` messages that
-  the worker maps onto its :class:`repro.lazydp.optimizer.ShardState`'s
-  ``plan_sample`` / ``apply`` — the same methods every in-process
-  engine runs, so the kernel calls are bitwise the serial trainer's;
+* per step the router sends each worker one ``plan`` message — before
+  forward/backward, so catch-up sampling runs behind the router's nn
+  work — and one ``apply`` message, which the worker maps onto its
+  :class:`repro.lazydp.optimizer.ShardState`'s ``plan_all`` / ``step``
+  — the same methods every in-process engine runs, so the kernel calls
+  are bitwise the serial trainer's;
 * every worker advances a per-process :class:`repro.lazydp.ledger.
   VersionVector` *segment* in shared memory, and the router's
   ``audit_noise_ledger`` proves exactly-once noise application across

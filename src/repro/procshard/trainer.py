@@ -6,9 +6,12 @@ stage accounting, the step and the flush are the shared stage list, but
 each shard's task is a message to that shard's long-lived worker
 process (:mod:`repro.procshard.worker`), which runs the identical
 :class:`repro.lazydp.optimizer.ShardState` methods against the same
-slab bytes through shared memory.  What is genuinely its own is
-OS-resource safety: spawn, handshake, timeouts, abort, unlink-after-
-ready, the GC finalizer, private-copy rematerialisation.
+slab bytes through shared memory — two messages per worker per step
+(:mod:`repro.procshard.messages`), the ``plan`` sent before
+forward/backward so the workers sample behind the router's nn work.
+What is genuinely its own is OS-resource safety: spawn, handshake,
+timeouts, abort, unlink-after-ready, the GC finalizer, private-copy
+rematerialisation.
 
 Construction sequence:
 
@@ -77,11 +80,13 @@ class ShardWorkerError(RuntimeError):
 class _WorkerHandle:
     """Router-side proxy of one worker's shard state.
 
-    ``step`` / ``flush_all`` take what the in-process
-    :class:`repro.lazydp.optimizer.ShardState` methods take, send the
-    matching command(s) and return the function that collects the ack —
+    ``plan_all`` / ``step`` / ``flush_all`` take what the in-process
+    :class:`repro.lazydp.optimizer.ShardState` methods take and send
+    the matching command.  ``plan_all`` is fire-and-forget (the worker
+    stages the result; its outcome rides on the step's ack); ``step``
+    and ``flush_all`` return the function that collects the ack —
     :class:`_SendThenCollect` calls those only after every shard's
-    commands are out.
+    command is out.
     """
 
     __slots__ = ("router", "shard", "process", "conn", "pid")
@@ -96,12 +101,16 @@ class _WorkerHandle:
         self.conn = conn
         self.pid: int | None = None
 
-    def step(
-        self, table, request, noise, grad_rows, grad_values, lr, iteration, std
-    ):
+    def plan_all(self, requests, iteration, std) -> int:
+        """Returns the key the worker stages the plan under — this
+        proxy's stand-in for the noise itself."""
+        self.router._send(self, (CMD_PLAN, iteration, requests, std))
+        return iteration
+
+    def step(self, requests, noise, grads, lr, iteration, std):
+        # ``noise`` is what ``plan_all`` returned: the staging key.
         router = self.router
-        router._send(self, (CMD_PLAN, iteration, table, *request, std))
-        router._send(self, (CMD_APPLY, iteration, table, grad_rows, grad_values, lr))
+        router._send(self, (CMD_APPLY, noise, grads, lr))
         return partial(router._collect_ok, self, CMD_APPLY)
 
     def flush_all(self, final_iteration, lr, std):
@@ -167,6 +176,8 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         self._workers: list = []
         self._procs: list = []
         self._stats_cache: dict | None = None
+        #: Per-worker staging keys of a plan whose apply is still to come.
+        self._planned: list | None = None
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
         if partition is None:
@@ -367,7 +378,29 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
     # -- the step and the flush: the shared stage list, workers guarded --------
     def train_step(self, iteration: int, batch, next_batch) -> float:
         self._require_workers()
+        if self._planned is not None:
+            raise RuntimeError(
+                f"iteration {self._planned[0]}'s plan reached the workers "
+                "but its step raised before the apply: histories stand "
+                "ahead of the slabs, so training cannot continue "
+                "(audit_noise_ledger reports the rows that lost noise)"
+            )
+        # The catch-up depends only on the next batch's rows, so the
+        # plan goes out before forward/backward: workers read + advance
+        # histories and sample behind the router's nn work.  Nothing
+        # races — the router only reads slabs until the apply, workers
+        # touch only histories and the keyed noise stream until then.
+        std = self.config.noise_std(self._batch_denominator(batch))
+        requests = self._next_requests(next_batch, self.timer)
+        self._planned = [
+            handle.plan_all(requests[s], iteration, std)
+            for s, handle in enumerate(self._workers)
+        ]
         return super().train_step(iteration, batch, next_batch)
+
+    def _staged_noise(self, iteration: int, noise_std: float) -> list:
+        planned, self._planned = self._planned, None
+        return planned
 
     def finalize(self, final_iteration: int) -> None:
         """Terminal flush, one worker per shard (same bytes as flat)."""

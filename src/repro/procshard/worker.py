@@ -5,8 +5,8 @@ windows and its ledger segments, all attached from the router's shared
 memory at startup (:class:`repro.procshard.messages.WorkerInit`) and
 wrapped in the same :class:`repro.lazydp.optimizer.ShardState` the
 in-process engines run.  The command loop only maps messages onto its
-methods — ``plan`` -> ``plan_sample``, ``apply`` -> ``apply``, ``flush``
--> ``flush_all`` — so the kernel-call sequence exists once, and the
+methods — ``plan`` -> ``plan_all``, ``apply`` -> ``step``, ``flush`` ->
+``flush_all`` — so the kernel-call sequence exists once, and the
 process backend is bitwise identical to the serial trainer for the same
 reason every other placement is: noise is a pure function of ``(seed,
 table, global row, iteration)`` and each row's arithmetic happens
@@ -20,8 +20,9 @@ noise application across the process boundary after the terminal flush.
 Instrumentation rides on the acks: the shard state times its stages on
 a :class:`repro.train.common.StageTimer` (same stage names as the
 in-process shard tasks) and the worker ships per-ack *deltas* plus raw
-``perf_counter`` span tuples; the router folds the deltas into its
-per-shard timers and replays the spans onto a per-worker trace track.
+``perf_counter`` span tuples — a step's one ack covers its ``plan`` and
+its ``apply``; the router folds the deltas into its per-shard timers
+and replays the spans onto a per-worker trace track.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
     timer = state.timer
     shipped_totals: dict = {}
     shipped_counters: dict = {}
-    #: (iteration, table_index) -> Catchup; written by ``plan``,
-    #: consumed by the paired ``apply``.
+    #: iteration -> every table's Catchup; written by ``plan``, consumed
+    #: by the step's ``apply``.
     staged: dict = {}
     messages = 0
     while True:
@@ -150,16 +151,14 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
         command = message[0]
         try:
             if command == CMD_PLAN:
-                _, iteration, t, next_global, next_local, noise_std = message
-                staged[(int(iteration), int(t))] = state.plan_sample(
-                    t, next_global, next_local, iteration, noise_std
-                )
-                # No reply: plan outcomes travel with the paired apply's
+                _, iteration, requests, noise_std = message
+                staged[int(iteration)] = state.plan_all(requests, iteration, noise_std)
+                # No reply: plan outcomes travel with the step's apply
                 # ack (or surface as an error reply above it).
             elif command == CMD_APPLY:
-                _, iteration, t, grad_global, grad_values, lr = message
-                noise = staged.pop((int(iteration), int(t)))
-                state.apply(t, grad_global, grad_values, noise, lr, iteration)
+                _, iteration, grads, lr = message
+                noise = staged.pop(int(iteration))
+                state.step(None, noise, grads, lr, iteration, None)
                 payload = _drain_instrumentation(
                     timer, recorder, shipped_totals, shipped_counters
                 )

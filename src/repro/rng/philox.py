@@ -36,7 +36,7 @@ _SHIFT_32 = np.uint64(32)
 #: Each invocation processes an arbitrarily large counter batch, so this
 #: counts launch *overheads*, not work — the number the batched no-ANS
 #: sampler collapses from O(max_delay) to O(1) per catch-up (see
-#: ``repro.kernels.sampler`` and ``benchmarks/bench_apply_fusion.py``).
+#: ``repro.kernels.sampler`` and ``benchmarks/run.py apply_fusion``).
 #: Guarded by a lock: shard executors, the prefetch worker and the async
 #: apply worker all invoke Philox concurrently, and a bare ``+=`` on a
 #: global drops increments under preemption.  One lock acquisition per

@@ -41,10 +41,7 @@ class EagerDPSGDBase(TrainerBase):
 
         noise_std = self.config.noise_std(denominator)
         self._apply_dense_noisy_updates(grads, iteration, noise_std)
-        for table_index, bag in enumerate(self.model.embeddings):
-            self._apply_embedding_dense_noisy_update(
-                table_index, bag, grads[bag.table.name], iteration, noise_std
-            )
+        self._apply_embedding_updates(grads, iteration, noise_std)
         return mean_loss
 
     # -- variant hooks ---------------------------------------------------
@@ -57,6 +54,16 @@ class EagerDPSGDBase(TrainerBase):
             return self.model.weighted_grads(weights)
 
     # -- the dense noisy embedding update (paper Figure 4b) ---------------
+    def _apply_embedding_updates(
+        self, grads: dict, iteration: int, noise_std: float
+    ) -> None:
+        """The step's embedding update, table by table (LazyDP overrides
+        this with one all-tables update per shard)."""
+        for table_index, bag in enumerate(self.model.embeddings):
+            self._apply_embedding_dense_noisy_update(
+                table_index, bag, grads[bag.table.name], iteration, noise_std
+            )
+
     def _apply_embedding_dense_noisy_update(
         self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
     ) -> None:

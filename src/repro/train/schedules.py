@@ -182,6 +182,9 @@ class ScheduledLazyDPTrainer(LazyDPTrainer):
             engine.samples_drawn += active * dim
         return total
 
+    # Origin-scaled noise is spelled per table, on the trainer thread.
+    _apply_embedding_updates = DPSGDFTrainer._apply_embedding_updates
+
     def _apply_embedding_dense_noisy_update(
         self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
     ) -> None:

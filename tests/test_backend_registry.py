@@ -232,5 +232,5 @@ class TestBuildResolvesThroughRegistry:
                 session.trainer.scheduler.executor, CountingExecutor
             )
             session.fit(make_loader(model.config, batch_size=8, num_batches=3))
-        # One fan-out per (step, table) plus the terminal flush.
-        assert CountingExecutor.runs == 3 * 2 + 1
+        # One fan-out per step (every table) plus the terminal flush.
+        assert CountingExecutor.runs == 3 + 1

@@ -13,8 +13,8 @@ class TestStagingBuffer:
         buffer = StagingBuffer(capacity=2)
         buffer.put(StagedNoise(1, ["a"]))
         buffer.put(StagedNoise(2, ["b"]))
-        assert buffer.pop(1).tables == ["a"]
-        assert buffer.pop(2).tables == ["b"]
+        assert buffer.pop(1).shards == ["a"]
+        assert buffer.pop(2).shards == ["b"]
         assert len(buffer) == 0
 
     def test_pop_wrong_iteration_raises(self):
@@ -54,7 +54,7 @@ class TestStagingBuffer:
 
         thread = threading.Thread(target=producer, daemon=True)
         thread.start()
-        assert buffer.pop(1).tables == ["late"]
+        assert buffer.pop(1).shards == ["late"]
         thread.join(timeout=5.0)
         assert buffer.wait_seconds > 0.0
 
@@ -96,8 +96,8 @@ class TestNoisePrefetchWorker:
         worker.submit(1, 11)
         worker.submit(2, 12)
         worker.submit(3, None)    # end of stream
-        assert buffer.pop(1).tables == [22]
-        assert buffer.pop(2).tables == [24]
+        assert buffer.pop(1).shards == [22]
+        assert buffer.pop(2).shards == [24]
         worker.join(timeout=5.0)
         assert seen == [(1, 11), (2, 12)]
         assert worker.plans_computed == 2

@@ -20,8 +20,12 @@ import numpy as np
 import pytest
 
 from repro import configs
+from repro.data import LookaheadLoader
 from repro.lazydp.ledger import LedgerError
-from repro.testing import max_param_diff, train_algorithm
+from repro.nn import DLRM
+from repro.session import ExecutionPlan, TrainSession
+from repro.testing import make_loader, max_param_diff, train_algorithm
+from repro.train import DPConfig
 
 
 @pytest.fixture
@@ -128,6 +132,68 @@ class TestCrossProcessLedger:
         tampered = type(vector).attach(storage)
         with pytest.raises(LedgerError):
             tampered.audit_complete(result.iterations)
+
+
+def build_process_session(config, num_shards=2):
+    return TrainSession.build(
+        DLRM(config, seed=7), DPConfig(),
+        ExecutionPlan.from_spec(f"shards={num_shards},backend=process"),
+        noise_seed=99,
+    )
+
+
+def worker_stats(trainer):
+    return trainer.procshard_stats()["workers"]
+
+
+class TestPerStepProtocol:
+    """The unit of shard work is (shard, iteration): a step costs each
+    worker one ``plan`` and one ``apply`` message however many tables
+    there are, and the plan is out before forward/backward starts."""
+
+    @pytest.mark.parametrize("num_tables", [1, 3, 8])
+    def test_two_commands_per_step_for_any_table_count(self, num_tables):
+        config = configs.tiny_dlrm(
+            num_tables=num_tables, rows=64, dim=8, lookups=2
+        )
+        steps = 4
+        with build_process_session(config) as session:
+            trainer = session.trainer
+            before = [worker["messages"] for worker in worker_stats(trainer)]
+            entries = LookaheadLoader(
+                make_loader(config, batch_size=8, num_batches=steps)
+            )
+            for index, batch, upcoming in entries:
+                trainer.train_step(index + 1, batch, upcoming)
+            after = worker_stats(trainer)
+        for sent, worker in zip(before, after):
+            # (the closing ``stats`` query is itself one message)
+            assert worker["messages"] - sent - 1 == 2 * steps
+            assert worker["staged"] == 0
+
+    def test_plan_is_staged_before_forward_runs(self, config, monkeypatch):
+        """Deterministic overlap proof: a ``stats`` query issued from
+        inside ``model.loss`` queues behind the step's plan on the same
+        FIFO pipe, so every worker answers with that plan staged."""
+        with build_process_session(config) as session:
+            trainer, model = session.trainer, session.model
+            loss = model.loss
+            seen = []
+
+            def loss_probing_workers(batch):
+                seen.append([w["staged"] for w in worker_stats(trainer)])
+                return loss(batch)
+
+            monkeypatch.setattr(model, "loss", loss_probing_workers)
+            entries = LookaheadLoader(
+                make_loader(config, batch_size=8, num_batches=3)
+            )
+            for index, batch, upcoming in entries:
+                trainer.train_step(index + 1, batch, upcoming)
+            # The last step has no next batch and still stages (an
+            # empty) plan: the protocol has one shape.
+            assert seen == [[1, 1]] * 3
+            assert [w["staged"] for w in worker_stats(trainer)] == [0, 0]
 
 
 class TestReportingSurfaces:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import configs
+from repro.lazydp.ledger import LedgerError
 from repro.nn.dlrm import DLRM
 from repro.procshard import ProcessShardedLazyDPTrainer, ShardWorkerError
 from repro.session import ExecutionPlan, TrainSession
@@ -94,8 +95,7 @@ class TestWorkerDeath:
         trainer.train_step(1, batches[0], batches[1])
         # Poison the protocol: an apply for an iteration nothing staged.
         handle = trainer._workers[0]
-        handle.conn.send(("apply", 999, 0, np.empty(0, dtype=np.int64),
-                          np.empty((0, config.embedding_dim)), 0.05))
+        handle.conn.send(("apply", 999, [], 0.05))
         with pytest.raises(ShardWorkerError, match="worker traceback"):
             trainer._collect_ok(handle, "apply")
 
@@ -110,6 +110,61 @@ class TestWorkerDeath:
         for bag in model.embeddings:
             assert bag.table.data.flags.writeable
             assert np.isfinite(bag.table.data).all()
+
+
+class TestLostNoiseWindow:
+    """The step's plan leaves before forward/backward, its apply after:
+    a failure in between strands sampled noise in the workers with the
+    histories already advanced.  That must never pass silently."""
+
+    def test_router_failure_between_plan_and_apply(self, config, monkeypatch):
+        before = shm_segment_names()
+        model, trainer, batches = build(config)
+        trainer.train_step(1, batches[0], batches[1])
+
+        def failing_backward(dlogits):
+            raise RuntimeError("injected backward failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "backward", failing_backward)
+            with pytest.raises(RuntimeError, match="injected backward"):
+                trainer.train_step(2, batches[1], batches[2])
+        for worker in trainer.procshard_stats()["workers"]:
+            assert worker["staged"] == 1
+        # No further step may build on the torn state...
+        with pytest.raises(RuntimeError, match="plan reached the workers"):
+            trainer.train_step(3, batches[2], batches[3])
+        # ...and the ledger names the gap: the flush skips the rows the
+        # orphaned plan already marked current, so they never receive
+        # the noise it sampled.
+        trainer.finalize(2)
+        with pytest.raises(LedgerError, match="still owe noise"):
+            trainer.audit_noise_ledger(2)
+        trainer.close()
+        assert multiprocessing.active_children() == []
+        assert shm_segment_names() == before
+
+    def test_worker_killed_between_plan_and_apply(self, config, monkeypatch):
+        before = shm_segment_names()
+        model, trainer, batches = build(config)
+        trainer.train_step(1, batches[0], batches[1])
+        victim = worker_pids(trainer)[1]
+        backward = model.backward
+
+        def kill_then_backward(dlogits):
+            os.kill(victim, signal.SIGKILL)
+            time.sleep(0.2)
+            return backward(dlogits)
+
+        monkeypatch.setattr(model, "backward", kill_then_backward)
+        with pytest.raises(ShardWorkerError) as excinfo:
+            trainer.train_step(2, batches[1], batches[2])
+        message = str(excinfo.value)
+        assert "shard worker 1" in message
+        assert str(victim) in message
+        trainer.close()
+        assert multiprocessing.active_children() == []
+        assert shm_segment_names() == before
 
 
 class TestOrderlyShutdown:

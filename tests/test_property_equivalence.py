@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.configs import DLRMConfig
 from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
+from repro.lazydp.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
@@ -183,17 +184,21 @@ def in_process_plans(draw):
     ))
 
 
-def train_plan(plan, params, sampling):
-    config = build_config(params)
-    model = DLRM(config, seed=params["seed"] + 1)
+def plan_loader(config, params, sampling):
     dataset = SyntheticClickDataset(
         config, seed=params["seed"] + 2, num_examples=512
     )
-    loader = DataLoader(
+    return DataLoader(
         dataset, batch_size=min(params["batch"], 512),
         num_batches=params["iterations"], sampling=sampling,
         seed=params["seed"] + 3,
     )
+
+
+def train_plan(plan, params, sampling):
+    config = build_config(params)
+    model = DLRM(config, seed=params["seed"] + 1)
+    loader = plan_loader(config, params, sampling)
     with TrainSession.build(model, DPConfig(), plan,
                             noise_seed=params["seed"] + 4) as session:
         session.fit(loader)
@@ -239,3 +244,45 @@ def test_process_plans_release_the_serial_plans_bits(spec, params, sampling):
     """Same bar across the process boundary (few examples: each one
     spawns a worker per shard)."""
     check_plan_against_serial(ExecutionPlan.from_spec(spec), params, sampling)
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(geometries, st.data(), st.sampled_from(["fixed", "poisson"]))
+def test_process_plan_resumes_bitwise_between_steps(tmp_path, params, data,
+                                                    sampling):
+    """save -> load -> continue under the per-step message order: a
+    step's plan is sent at that step's entry, so a checkpoint taken
+    between two steps finds no successor plan in flight, and the resumed
+    run releases the serial plan's bits."""
+    total = params["iterations"]
+    cut = data.draw(st.integers(min_value=1, max_value=total), label="cut")
+    serial, _ = train_plan(ExecutionPlan(), params, sampling)
+    config = build_config(params)
+    loader = plan_loader(config, params, sampling)
+    entries = list(LookaheadLoader(loader))
+    plan = ExecutionPlan.from_spec("shards=2,backend=process")
+    path = tmp_path / f"cut-{cut}-of-{total}.npz"
+
+    def session_for(model):
+        session = TrainSession.build(model, DPConfig(), plan,
+                                     noise_seed=params["seed"] + 4)
+        session.trainer.expected_batch_size = loader.batch_size
+        return session
+
+    with session_for(DLRM(config, seed=params["seed"] + 1)) as first:
+        for index, batch, upcoming in entries[:cut]:
+            first.train_step(index + 1, batch, upcoming)
+        for worker in first.trainer.procshard_stats()["workers"]:
+            assert worker["staged"] == 0
+        save_checkpoint(path, first.trainer, iteration=cut)
+    # A differently-seeded model: every bit must come from the archive.
+    model = DLRM(config, seed=params["seed"] + 99)
+    with session_for(model) as resumed:
+        assert load_checkpoint(path, resumed.trainer) == cut
+        for index, batch, upcoming in entries[cut:]:
+            resumed.train_step(index + 1, batch, upcoming)
+        resumed.finalize(total)
+        resumed.trainer.audit_noise_ledger(total)
+    assert max_param_diff(serial, model) == 0.0

@@ -9,8 +9,8 @@ by aggregate duration.  For worker tracks it also computes the *hidden
 fraction*: the share of the worker's busy time that did **not** overlap
 the main loop's exposed waits (``pipeline_wait`` / ``staleness_wait``
 spans) — the trace-derived counterpart of
-``pipeline_stats()["hidden_fraction"]``, which
-``benchmarks/bench_pipeline_overlap.py`` measures from timers.
+``pipeline_stats()["hidden_fraction"]``, which the ``plan_sweep`` case
+of ``benchmarks/run.py`` measures from timers.
 
 The main track is found by its exported *name* (``main-loop``), never
 by tid: worker threads can register with the tracer before the main
