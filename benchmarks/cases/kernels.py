@@ -100,7 +100,7 @@ def apply_pair(slow, fast, *, num_rows, dim, touched, iterations, repeats=3):
     return slow_s, fast_s, identical, arena.allocs - warm_allocs
 
 
-def _looped(stream, rows, delays, iteration, dim, arena):
+def _looped(stream, rows, delays, iteration, dim):
     """The historical per-lag no-ANS loop (one Philox launch per lag)."""
     total = np.zeros((rows.size, dim), dtype=np.float64)
     order = np.argsort(-delays, kind="stable")
@@ -115,11 +115,11 @@ def _looped(stream, rows, delays, iteration, dim, arena):
     return total
 
 
-def _batched(stream, rows, delays, iteration, dim, arena):
-    return numpy_batched(stream, 0, rows, delays, iteration, dim, std=0.5, arena=arena)
+def _batched(stream, rows, delays, iteration, dim):
+    return numpy_batched(stream, 0, rows, delays, iteration, dim, std=0.5)
 
 
-def _batched_njit(stream, rows, delays, iteration, dim, arena):
+def _batched_njit(stream, rows, delays, iteration, dim):
     return njit_kernels.batched_catchup_sum(
         stream, 0, rows, delays, iteration, dim, std=0.5
     )
@@ -134,14 +134,13 @@ def sampling_pair(slow, fast, tolerance, *, rows_count, max_delay, dim, repeats=
     stream = NoiseStream(seed=101)
     rows = np.sort(rng.choice(100_000, size=rows_count, replace=False)).astype(np.int64)
     delays = rng.integers(0, max_delay, size=rows_count).astype(np.int64)
-    arena = BufferArena()
     sums, launches, seconds = [], [], []
     for sampler in (slow, fast):
 
         def run(sampler=sampler):
-            return sampler(stream, rows, delays, max_delay + 1, dim, arena)
+            return sampler(stream, rows, delays, max_delay + 1, dim)
 
-        run()  # warm the arena / compile
+        run()  # warm the scratch / compile
         before = philox_invocations()
         sums.append(run())
         launches.append(philox_invocations() - before)

@@ -86,7 +86,6 @@ def batched_catchup_sum(
     iteration,
     dim,
     std=1.0,
-    arena=None,
     max_scalars=DEFAULT_MAX_SCALARS,
     max_row_scalars=DEFAULT_MAX_ROW_SCALARS,
 ):
@@ -103,7 +102,6 @@ def batched_catchup_sum(
         iteration,
         dim,
         std=std,
-        arena=arena,
         max_scalars=max_scalars,
         max_row_scalars=max_row_scalars,
     )
@@ -117,7 +115,6 @@ def batched_row_noise_sum(
     last_iteration,
     dim,
     std=1.0,
-    arena=None,
     max_scalars=DEFAULT_MAX_SCALARS,
     max_row_scalars=DEFAULT_MAX_ROW_SCALARS,
 ):
@@ -133,7 +130,6 @@ def batched_row_noise_sum(
         last_iteration,
         dim,
         std=std,
-        arena=arena,
         max_scalars=max_scalars,
         max_row_scalars=max_row_scalars,
     )

@@ -2,7 +2,7 @@
 
 The noisy model-update is bandwidth-bound (paper Section 4.3): every
 per-iteration allocation that feeds it — the union row buffer, the
-merged value buffer, Philox counter blocks — costs a page-faulting
+merged value buffer, the gathered rows — costs a page-faulting
 first-touch pass over memory the algorithm already has to stream once.
 A :class:`BufferArena` keeps one named, geometrically-grown backing
 buffer per scratch role so steady-state iterations reuse warm memory
@@ -11,8 +11,8 @@ and allocate nothing.
 Ownership rules (what makes lock-free use legal):
 
 * An arena is **single-threaded**: each concurrent consumer (a shard's
-  apply task, the prefetch worker's sampler, the apply worker) owns its
-  own arena.  Nothing here locks.
+  apply task, the apply worker, a serving table stripe) owns its own
+  arena.  Nothing here locks.
 * A view returned by :meth:`BufferArena.request` is valid until the
   same ``key`` is requested again; distinct keys never alias.  Kernel
   outputs that outlive the call (e.g. staged noise crossing a thread

@@ -164,7 +164,8 @@ def apply_sparse_update(
     Bitwise-identical to the fancy-indexed reference expression (the
     same ``value - lr * merged`` per element), but the gathered rows,
     the scaled product and the shifted index vector live in arena
-    scratch, so a warm steady-state call allocates nothing.
+    scratch, so a warm steady-state call allocates nothing.  A run of
+    consecutive rows is updated through a slice instead.
 
     ``row_base`` shifts global row ids into a contiguous shard slab's
     local window.  ``out`` redirects the written rows into a different
@@ -176,12 +177,23 @@ def apply_sparse_update(
     n = rows.size
     if n == 0:
         return
+    if values_writable:
+        scaled = np.multiply(values, learning_rate, out=values)
+    elif arena is None:
+        scaled = learning_rate * values
+    else:
+        scaled = arena.request("apply.scaled", values.shape, np.float64)
+        np.multiply(values, learning_rate, out=scaled)
+    target = table if out is None else out
+    if rows[-1] - rows[0] == n - 1 and _sorted_unique(rows):
+        # Consecutive rows (every chunk of an all-pending terminal
+        # flush): one slice read-modify-write, no gather / scatter.
+        start = int(rows[0]) - row_base
+        np.subtract(table[start : start + n], scaled, out=target[start : start + n])
+        return
     if arena is None:
         index = rows - row_base if row_base else rows
-        if out is None:
-            table[index] -= learning_rate * values
-        else:
-            out[index] = table[index] - learning_rate * values
+        target[index] = table[index] - scaled
         return
 
     if row_base:
@@ -189,16 +201,10 @@ def apply_sparse_update(
         np.subtract(rows, row_base, out=index)
     else:
         index = rows
-    if values_writable:
-        scaled = values
-        np.multiply(values, learning_rate, out=scaled)
-    else:
-        scaled = arena.request("apply.scaled", values.shape, np.float64)
-        np.multiply(values, learning_rate, out=scaled)
     gathered = arena.request("apply.gathered", values.shape, np.float64)
     np.take(table, index, axis=0, out=gathered)
     np.subtract(gathered, scaled, out=gathered)
-    (table if out is None else out)[index] = gathered
+    target[index] = gathered
 
 
 def fused_noisy_update(

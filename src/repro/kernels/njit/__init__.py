@@ -12,7 +12,7 @@ equivalence suite can execute the identical kernel logic interpreted.
 Backend *selection* stays gated on real numba either way.
 
 Numerics contract (enforced by ``tests/test_njit_kernels.py`` and the
-``bench_apply_fusion --backend numba`` gate):
+``apply_fusion`` bench case's compiled half):
 
 * **Bitwise**: the Philox cipher (pure integer) and the fused apply
   arithmetic (same ``value - lr * (grad + noise)`` per element) match

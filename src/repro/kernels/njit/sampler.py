@@ -83,7 +83,6 @@ def batched_catchup_sum(
     iteration: int,
     dim: int,
     std: float = 1.0,
-    arena=None,
     max_scalars: int = DEFAULT_MAX_SCALARS,
     max_row_scalars: int = DEFAULT_MAX_ROW_SCALARS,
 ) -> np.ndarray:
@@ -92,8 +91,8 @@ def batched_catchup_sum(
     Row ``k`` receives the sum of its individually-keyed draws for
     iterations ``iteration - delays[k] + 1 .. iteration``; rows with
     ``delays[k] == 0`` receive exactly zero.  One compiled launch per
-    catch-up, no flattened draw list (``arena`` and the two budget
-    arguments are accepted and ignored — there is nothing to bound).
+    catch-up, no flattened draw list (the two budget arguments are
+    accepted and ignored — there is nothing to bound).
     """
     if dim <= 0:
         raise ValueError("dim must be positive")
@@ -127,7 +126,6 @@ def batched_row_noise_sum(
     last_iteration: int,
     dim: int,
     std: float = 1.0,
-    arena=None,
     max_scalars: int = DEFAULT_MAX_SCALARS,
     max_row_scalars: int = DEFAULT_MAX_ROW_SCALARS,
 ) -> np.ndarray:
@@ -145,5 +143,4 @@ def batched_row_noise_sum(
         int(last_iteration),
         dim,
         std=std,
-        arena=arena,
     )

@@ -38,14 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arena import BufferArena
-
-#: Cap on scalars (draws x dim) generated per Philox invocation.  Two
-#: jobs: it bounds the flattened batch's memory, and it keeps each
-#: chunk's working set (~512 KB of float64 Gaussians plus counter
-#: blocks) cache-resident — measured faster than both one giant batch
-#: (cache-thrashing) and the historical per-lag loop (launch-bound) on
-#: every workload shape swept by ``benchmarks/run.py apply_fusion``.
+#: Cap on scalars (draws x dim) generated per Philox invocation.  It
+#: bounds the memory of the flattened draw list and its ~512 KB of
+#: float64 draws, nothing more: keeping the cipher and Box-Muller
+#: cache-resident is the noise kernel's own job (it walks any draw in
+#: fixed blocks, see ``repro.rng.noise``), not this budget's.
 #: Launches per catch-up are O(total_draws / budget): independent of
 #: ``max_delay``, the loop's O(max_delay) structure this replaces.
 DEFAULT_MAX_SCALARS = 1 << 16
@@ -67,7 +64,6 @@ def _segment_sum_into(
     iteration: int,
     dim: int,
     std: float,
-    arena: BufferArena | None,
 ) -> None:
     """One flattened draw + segmented sum for one chunk of rows."""
     ends = np.cumsum(delays)
@@ -82,7 +78,7 @@ def _segment_sum_into(
     draw_iters -= np.repeat(starts, delays)
     np.subtract(iteration, draw_iters, out=draw_iters)
     draws = stream.row_iteration_noise(
-        table_id, draw_rows, draw_iters, dim, std=std, arena=arena
+        table_id, draw_rows, draw_iters, dim, std=std
     )
     caught_up = delays > 0
     out[caught_up] = np.add.reduceat(draws, starts[caught_up], axis=0)
@@ -96,7 +92,6 @@ def _windowed_row_sum(
     iteration: int,
     dim: int,
     std: float,
-    arena: BufferArena | None,
     window_draws: int,
 ) -> np.ndarray:
     """One oversized row's deferred sum, in fixed-size lag windows.
@@ -113,7 +108,7 @@ def _windowed_row_sum(
         iters = np.arange(count, dtype=np.int64)
         np.subtract(iteration - lag_start, iters, out=iters)
         draws = stream.row_iteration_noise(
-            table_id, rows[:count], iters, dim, std=std, arena=arena
+            table_id, rows[:count], iters, dim, std=std
         )
         acc += np.add.reduce(draws, axis=0)
     return acc
@@ -127,7 +122,6 @@ def batched_catchup_sum(
     iteration: int,
     dim: int,
     std: float = 1.0,
-    arena: BufferArena | None = None,
     max_scalars: int = DEFAULT_MAX_SCALARS,
     max_row_scalars: int = DEFAULT_MAX_ROW_SCALARS,
 ) -> np.ndarray:
@@ -162,7 +156,6 @@ def batched_catchup_sum(
                 iteration,
                 dim,
                 std,
-                arena,
                 window_draws,
             )
         rest = np.nonzero(~oversized)[0]
@@ -175,7 +168,6 @@ def batched_catchup_sum(
                 iteration,
                 dim,
                 std=std,
-                arena=arena,
                 max_scalars=max_scalars,
                 max_row_scalars=max_row_scalars,
             )
@@ -183,7 +175,7 @@ def batched_catchup_sum(
     budget = max(1, int(max_scalars) // max(dim, 1))
     if total <= budget:
         _segment_sum_into(
-            out, stream, table_id, rows, delays, iteration, dim, std, arena
+            out, stream, table_id, rows, delays, iteration, dim, std
         )
         return out
     # Row-aligned chunking: split where cumulative draws cross the
@@ -203,7 +195,6 @@ def batched_catchup_sum(
             iteration,
             dim,
             std,
-            arena,
         )
         start = stop
     return out
@@ -217,7 +208,6 @@ def batched_row_noise_sum(
     last_iteration: int,
     dim: int,
     std: float = 1.0,
-    arena: BufferArena | None = None,
     max_scalars: int = DEFAULT_MAX_SCALARS,
     max_row_scalars: int = DEFAULT_MAX_ROW_SCALARS,
 ) -> np.ndarray:
@@ -240,7 +230,6 @@ def batched_row_noise_sum(
         int(last_iteration),
         dim,
         std=std,
-        arena=arena,
         max_scalars=max_scalars,
         max_row_scalars=max_row_scalars,
     )

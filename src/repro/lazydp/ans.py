@@ -23,29 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import BufferArena, batched_catchup_sum
+from ..kernels import batched_catchup_sum
 from ..rng import NoiseStream
 
 
 class ANSEngine:
     """Draws catch-up noise for rows with heterogeneous delays.
 
-    ``arena`` provides scratch (Philox counter blocks) for the batched
-    no-ANS replay; engines default to a private one.  Like the engine's
-    draw counter, the arena is single-threaded state — per-shard engines
-    each own their own, which is what keeps the parallel executors and
-    the prefetch worker lock-free.
+    The draw counter is single-threaded state — per-shard engines each
+    own their own, which is what keeps the parallel executors and the
+    prefetch worker lock-free (the noise kernel's block scratch is
+    per-thread, see :mod:`repro.rng.philox`).
     """
 
-    def __init__(
-        self,
-        noise_stream: NoiseStream,
-        enabled: bool = True,
-        arena: BufferArena | None = None,
-    ):
+    def __init__(self, noise_stream: NoiseStream, enabled: bool = True):
         self.noise_stream = noise_stream
         self.enabled = bool(enabled)
-        self.arena = arena if arena is not None else BufferArena()
         # Instrumentation: how many scalar Gaussian draws were requested.
         self.samples_drawn = 0
 
@@ -117,7 +110,6 @@ class ANSEngine:
             iteration,
             dim,
             std=std,
-            arena=self.arena,
         )
         self.samples_drawn += int(delays.sum()) * dim
         return total

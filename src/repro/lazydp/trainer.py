@@ -304,7 +304,6 @@ class LazyDPTrainer(DPSGDFTrainer):
         :meth:`ShardState.stats`)."""
         return {
             "timer_counters": dict(self.timer.counters),
-            "sampler_arena": self.engine.ans.arena.stats(),
             "shards": [state.stats() for state in self.engine.states],
         }
 

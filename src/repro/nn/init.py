@@ -26,8 +26,10 @@ class ParameterFactory:
                   is_embedding: bool = False) -> Parameter:
         if name in self.parameters:
             raise ValueError(f"duplicate parameter name: {name}")
+        # ``values`` is always freshly drawn or zeroed by the caller, so
+        # the parameter adopts it: no second copy of a 64 MB table.
         param = Parameter(
-            name, values.astype(self._dtype), self._next_id, is_embedding
+            name, values.astype(self._dtype, copy=False), self._next_id, is_embedding
         )
         self._next_id += 1
         self.parameters[name] = param

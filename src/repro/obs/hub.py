@@ -146,13 +146,12 @@ class Observability:
     def _collect_kernel(self, stats: dict) -> None:
         """Arena hit/alloc gauges, summed across shards."""
         metrics = self.metrics
-        for arena_key in ("apply_arena", "sampler_arena"):
-            totals: dict = {}
-            for shard in stats.get("shards", ()):
-                for field in ("hits", "allocs"):
-                    totals[field] = totals.get(field, 0) + shard[arena_key][field]
-            for field, value in totals.items():
-                metrics.set_gauge(f"kernel.{arena_key}.{field}", value)
+        totals: dict = {}
+        for shard in stats.get("shards", ()):
+            for field in ("hits", "allocs"):
+                totals[field] = totals.get(field, 0) + shard["apply_arena"][field]
+        for field, value in totals.items():
+            metrics.set_gauge(f"kernel.apply_arena.{field}", value)
 
     # -- export ------------------------------------------------------------
     def snapshot(self) -> dict:

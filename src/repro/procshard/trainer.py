@@ -433,7 +433,6 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
     def kernel_stats(self) -> dict:
         return {
             "timer_counters": dict(self.timer.counters),
-            "sampler_arena": self.engine.ans.arena.stats(),
             "procshard": self.procshard_stats(),
         }
 

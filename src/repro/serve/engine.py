@@ -169,8 +169,7 @@ class PrivateServingEngine:
         #: state), so every table stripe owns its own.
         self._arenas = [BufferArena() for _ in self._tables]
         self._table_ans = [
-            ANSEngine(noise_stream, enabled=use_ans, arena=arena)
-            for arena in self._arenas
+            ANSEngine(noise_stream, enabled=use_ans) for _ in self._tables
         ]
         self._reset_memo()
         #: Whether tables were copied (refreshes must re-copy them too).

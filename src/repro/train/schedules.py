@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import apply_sparse_update
 from ..lazydp.trainer import LazyDPTrainer
 from ..train.common import DPConfig, merge_sparse_updates
 from ..train.dpsgd import DPSGDFTrainer
@@ -244,6 +245,10 @@ class ScheduledLazyDPTrainer(LazyDPTrainer):
                         bag.dim,
                         noise_std,
                     )
-                    bag.table.data[rows] -= noise
+                    # Already in theta-units (rate 1); consecutive rows
+                    # take the kernel's slice path.
+                    apply_sparse_update(
+                        bag.table.data, rows, noise, 1.0, values_writable=True
+                    )
                     history.mark_updated(rows, final_iteration)
             self.engine.flushed_through = int(final_iteration)

@@ -285,9 +285,7 @@ class TestBatchedSampler:
         rng = np.random.default_rng(17)
         rows = _sorted_rows(rng, 1000, 64)
         delays = rng.integers(0, 30, size=64).astype(np.int64)
-        batched = batched_catchup_sum(
-            stream, 2, rows, delays, 35, 8, std=0.7, arena=BufferArena()
-        )
+        batched = batched_catchup_sum(stream, 2, rows, delays, 35, 8, std=0.7)
         looped = _looped_exact_sum(stream, 2, rows, delays, 35, 8, 0.7)
         np.testing.assert_allclose(batched, looped, atol=1e-12)
 

@@ -23,22 +23,43 @@ from repro.perfmodel import iteration_breakdown, paper_system
 from repro.train import DPConfig
 
 
+class StepClock:
+    """A warmed-up trainer; each call times its next training step."""
+
+    def __init__(self, algorithm, config, batch, steps, seed=9):
+        model = DLRM(config, seed=seed)
+        dataset = SyntheticClickDataset(config, seed=seed + 1)
+        loader = DataLoader(dataset, batch_size=batch, num_batches=steps + 2,
+                            seed=seed + 2)
+        self.trainer = make_trainer(algorithm, model, DPConfig(),
+                                    noise_seed=seed + 3)
+        self.trainer.expected_batch_size = batch
+        self.batches = [loader.batch_for(i) for i in range(steps + 2)]
+        self.iteration = 1
+        self()  # warm-up
+
+    def __call__(self):
+        i = self.iteration
+        self.iteration += 1
+        start = time.perf_counter()
+        self.trainer.train_step(i, self.batches[i - 1], self.batches[i])
+        return time.perf_counter() - start
+
+
 def measured_step_seconds(algorithm, config, batch=128, repeats=3, seed=9):
     """Median wall-clock of one warmed-up training step."""
-    model = DLRM(config, seed=seed)
-    dataset = SyntheticClickDataset(config, seed=seed + 1)
-    loader = DataLoader(dataset, batch_size=batch, num_batches=repeats + 2,
-                        seed=seed + 2)
-    trainer = make_trainer(algorithm, model, DPConfig(), noise_seed=seed + 3)
-    trainer.expected_batch_size = batch
-    batches = [loader.batch_for(i) for i in range(repeats + 2)]
-    trainer.train_step(1, batches[0], batches[1])  # warm-up
-    samples = []
-    for i in range(repeats):
-        start = time.perf_counter()
-        trainer.train_step(i + 2, batches[i + 1], batches[i + 2])
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
+    clock = StepClock(algorithm, config, batch, repeats, seed)
+    return float(np.median([clock() for _ in range(repeats)]))
+
+
+def interleaved_best_step_seconds(algorithms, config, batch=128, rounds=7):
+    """Per algorithm, the fastest of ``rounds`` warmed-up steps (the
+    ``best_of`` estimator of ``benchmarks/cases``), the algorithms
+    taking turns within each round so a slow phase of a shared host
+    hits all of them alike instead of whichever was being timed."""
+    clocks = {a: StepClock(a, config, batch, rounds) for a in algorithms}
+    samples = [{a: clock() for a, clock in clocks.items()} for _ in range(rounds)]
+    return {a: min(sample[a] for sample in samples) for a in algorithms}
 
 
 def modelled_step_seconds(algorithm, config, batch=128):
@@ -102,8 +123,7 @@ class TestAlgorithmOrdering:
         algorithms = ("sgd", "eana", "lazydp", "dpsgd_f")
         # Measured at numpy's natural scale, modelled at the paper's.
         return (
-            {a: measured_step_seconds(a, geometries["large"])
-             for a in algorithms},
+            interleaved_best_step_seconds(algorithms, geometries["large"]),
             {a: modelled_step_seconds(a, configs.mlperf_dlrm(96e9), 2048)
              for a in algorithms},
         )
@@ -120,6 +140,9 @@ class TestAlgorithmOrdering:
 
     def test_eana_not_slower_than_lazydp_in_both(self, step_times):
         measured, modelled = step_times
+        # Interleaved best-of-7, eana / lazydp measures 0.87-0.98 over
+        # six runs on a loaded 2-vCPU host (0.86-1.08 before the blocked
+        # noise kernel sped both algorithms' draws); 1.15 keeps headroom.
         assert measured["eana"] <= measured["lazydp"] * 1.15
         assert modelled["eana"] <= modelled["lazydp"] * 1.15
 

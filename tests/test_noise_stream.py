@@ -5,13 +5,19 @@ coordinates — is what turns the paper's equivalence argument into exact
 assertions, so these tests are strict about independence across every axis.
 """
 
+import hashlib
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.rng import NoiseStream
+from repro.rng import NoiseStream, philox_invocations
+from repro.rng.philox import BLOCK
 
 
 @pytest.fixture
@@ -194,3 +200,129 @@ class TestDenseAndInit:
     def test_init_values_std(self, stream):
         values = stream.init_values(5, (300, 300), std=0.02)
         assert values.std() == pytest.approx(0.02, rel=0.02)
+
+
+# -- the blocked kernel: bits, allocations, threads ---------------------------
+
+GOLDEN_DIMS = (1, 3, 4, 7, 32, 33)
+
+#: sha256 of every draw below, recorded at the commit before the blocked
+#: kernel replaced the allocating one: "bit-identical" as a test.  (The
+#: bytes are float64 out of numpy's ``log`` / ``cos`` / ``sin``; a numpy
+#: build with different transcendentals would move every digest at once.)
+GOLDEN = {
+    "row_noise": "5fc0d44cf53ce65bf76e02d2566742005e6ecab33cabadcd31770566cd6f35b1",
+    "row_iteration_noise": "0ee74f1bce95ff893505b85b17c42b7020f07a2938b254fe46845ff592252356",
+    "aggregated_row_noise": "550c179987ec1aaf1b52d7b5ca00de35cd6a5340068b7ccc51db8f0109a1a35d",
+    "row_noise_sum": "f463c613871dbeec5150c8a4b910d902510e67e80ecce99f0ce05b70e5898dd5",
+    "dense_noise": "613b7e8bf8108b9e14f99c0ef248c580a5e9b685236c7517d4f7b3792ed86d2c",
+    "init_values": "b53c8e04b46a03b5ad566a24c0acb0ac6d21ba2df8000cbcb07151c1aab4aa80",
+    "init_values_table": "8e6c8d37102772f0ce35ed0083cab3f2d6883c1eb0bdf9502a3ab27f38432018",
+}
+
+
+def _golden_rows(count):
+    """Row ids on both sides of 2^32, then a long strided tail so every
+    dim walks more than one kernel block."""
+    edge = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3]
+    tail = 2**33 + 7919 * np.arange(count - len(edge), dtype=np.int64)
+    return np.concatenate([np.array(edge, dtype=np.int64), tail])
+
+
+#: method -> draw at one dim (``rows`` is :func:`_golden_rows`).
+_GOLDEN_CALLS = {
+    "row_noise": lambda s, rows, dim: s.row_noise(3, rows, 9, dim, std=0.7),
+    "row_iteration_noise": lambda s, rows, dim: s.row_iteration_noise(
+        3, rows, 1 + np.arange(rows.size) % 11, dim, std=0.7
+    ),
+    "aggregated_row_noise": lambda s, rows, dim: s.aggregated_row_noise(
+        3, rows, np.arange(rows.size) % 5, 9, dim, std=0.7
+    ),
+    "row_noise_sum": lambda s, rows, dim: s.row_noise_sum(
+        3, rows[:2000], 4, 9, dim, std=0.7
+    ),
+    "dense_noise": lambda s, rows, dim: s.dense_noise(
+        2, 9, (dim, 1000 + dim), std=0.7
+    ),
+    "init_values": lambda s, rows, dim: s.init_values(2, (1000 + dim, dim), std=0.7),
+}
+
+
+def _golden_draws(method):
+    stream = NoiseStream(2024)
+    if method == "init_values_table":
+        # One "row" of 2 M lane-blocks: blocking by rows alone would
+        # not bound it.
+        return [stream.init_values(5, (250000, 32), std=0.176)]
+    rows = _golden_rows(20000)
+    return [_GOLDEN_CALLS[method](stream, rows, dim) for dim in GOLDEN_DIMS]
+
+
+def _digest(arrays):
+    sha = hashlib.sha256()
+    for array in arrays:
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+        sha.update(repr(array.shape).encode())
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("method", sorted(GOLDEN))
+    def test_golden_bits(self, method):
+        assert _digest(_golden_draws(method)) == GOLDEN[method]
+
+    def test_one_launch_per_call_not_per_block(self, stream):
+        rows = np.arange(3 * BLOCK + 7)
+        before = philox_invocations()
+        stream.row_noise(0, rows, 1, 8)
+        stream.init_values(1, (5 * BLOCK + 3, 4))
+        assert philox_invocations() - before == 2
+
+    def test_large_draw_allocates_little_beyond_its_output(self, stream):
+        """A flush-sized draw peaks below 1.25x its 64 MB output: every
+        intermediate lives in the fixed per-thread block scratch."""
+        rows = np.arange(250_000)
+        delays = 1 + rows % 7
+        stream.aggregated_row_noise(0, rows[:4096], delays[:4096], 9, 32)  # warm
+        tracemalloc.start()
+        try:
+            noise = stream.aggregated_row_noise(0, rows, delays, 9, 32, std=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * noise.nbytes
+
+    def test_concurrent_draws_equal_serial_bits(self, stream):
+        """Threads drawing different tables through one stream (shard
+        tasks, the prefetch and apply workers) never share scratch:
+        more threads than cores, switching often, equal the serial
+        bits."""
+        rows = np.arange(3 * BLOCK + 7)
+        tables = (0, 1, 2)
+
+        def draw(table):
+            return [stream.row_noise(table, rows, it, 8) for it in range(1, 5)]
+
+        serial = [draw(table) for table in tables]
+        results = [None] * len(tables)
+        barrier = threading.Barrier(len(tables))
+
+        def worker(table):
+            barrier.wait(timeout=30)
+            results[table] = draw(table)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in tables]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(results, serial):
+            assert len(got) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -428,7 +428,7 @@ class TestInstrumentedTraining:
 
 
 class TestTraceTimerAgreement:
-    def test_trace_hidden_fraction_matches_pipeline_stats(self, config):
+    def test_trace_hidden_fraction_matches_pipeline_stats(self):
         """The trace-derived hidden fraction (worker busy time not
         overlapping the main loop's pipeline_wait spans) must agree
         with the timer-derived pipeline_stats within 10 points."""
@@ -443,12 +443,18 @@ class TestTraceTimerAgreement:
         trace_report = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(trace_report)
 
+        # Wall-clock property.  The two derivations part only when the
+        # main loop waits on a descheduled (not a computing) worker, so
+        # each sample carries enough prefetch work (~30 ms) that a
+        # scheduling hiccup is small next to it, and the best of five
+        # samples is judged.
+        config = configs.tiny_dlrm(num_tables=3, rows=4096, dim=16, lookups=4)
         gap = None
-        for _ in range(3):   # wall-clock property: retry scheduling noise
+        for _ in range(5):
             session, _ = fit_plan(config, ExecutionPlan(
                 pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
                 obs=ObservabilityConfig(trace=True, metrics=True),
-            ), iterations=8)
+            ), iterations=12, batch=256)
             summary = trace_report.summarize(
                 session.observability.export_trace()
             )

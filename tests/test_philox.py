@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.njit.philox import philox4x32_scalar
 from repro.rng import (
     derive_key,
     make_counters,
     philox4x32,
+    philox_invocations,
     splitmix64,
     uniform_from_uint32,
 )
+from repro.rng.philox import BLOCK
 
 
 def _counters(n, seed=0):
@@ -76,6 +79,53 @@ class TestPhiloxCore:
     def test_empty_batch(self):
         out = philox4x32(np.zeros((0, 4), dtype=np.uint32), derive_key(0))
         assert out.shape == (0, 4)
+
+
+def _hex_words(text):
+    return np.array([int(word, 16) for word in text.split()], dtype=np.uint32)
+
+
+class TestKnownAnswers:
+    """The Random123 ``kat_vectors`` for Philox4x32-10."""
+
+    @pytest.mark.parametrize("counter, key, expected", [
+        ("00000000 00000000 00000000 00000000", "00000000 00000000",
+         "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+        ("ffffffff ffffffff ffffffff ffffffff", "ffffffff ffffffff",
+         "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+        ("243f6a88 85a308d3 13198a2e 03707344", "a4093822 299f31d0",
+         "d16cfe09 94fdcceb 5001e420 24126ea1"),
+    ])
+    def test_random123_vector(self, counter, key, expected):
+        words = philox4x32(_hex_words(counter)[None, :], _hex_words(key))
+        assert np.array_equal(words[0], _hex_words(expected))
+
+
+class TestBlockedKernel:
+    """The blocked cipher against the kept scalar reference
+    (``kernels/njit/philox.py``), at every size class of the block walk."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+    )
+    def test_matches_scalar_reference(self, n):
+        key = derive_key(11, domain=2, stream=3)
+        counters = _counters(n, seed=n)
+        words = philox4x32(counters, key)
+        assert words.shape == (n, 4) and words.dtype == np.uint32
+        # The reference's scalar expressions broadcast over whole
+        # columns, so every word of every block is compared.
+        expected = philox4x32_scalar(
+            *(counters[:, word].astype(np.uint64) for word in range(4)),
+            *(np.uint64(word) for word in key),
+        )
+        for word in range(4):
+            assert np.array_equal(words[:, word], expected[word])
+
+    def test_one_launch_per_call_not_per_block(self):
+        before = philox_invocations()
+        philox4x32(_counters(3 * BLOCK + 7), derive_key(0))
+        assert philox_invocations() - before == 1
 
 
 class TestPhiloxStatistics:
