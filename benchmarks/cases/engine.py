@@ -22,7 +22,7 @@ from repro.lazydp.ledger import LedgerError
 from repro.perfmodel import shard_scaling_series
 from repro.serve import HotRowCache, run_load
 from repro.session import ExecutionPlan
-from repro.testing import max_param_diff
+from repro.testing import make_loader, max_param_diff
 from repro.train.common import StageTimer
 
 from . import Checks, Result, Table, case, train
@@ -432,6 +432,32 @@ def _cache_on_off(requests: int, rows: int = 512, seed: int = 23):
     }
 
 
+def _memo_reuse(rows: int, cycles: int = 4, seed: int = 29) -> float:
+    """Table-sized memo buffers allocated by the worst steady-state
+    refresh cycle (writer step under ``quiesce``, then a lookup on every
+    table).  The first lookup touched every table, so the persistent
+    memo must serve every later generation in place: 0, a count."""
+    config = configs.small_dlrm(rows=rows)
+    session, _ = train(config, iterations=2, seed=seed)
+    with session:
+        engine = session.serve(cache=False)
+        start = session.current_iteration()
+        batches = list(make_loader(config, batch_size=64, num_batches=cycles + 1))
+        engine.lookup_batch(batches[0])
+        worst = 0
+        for k in range(cycles):
+            before = engine.memo_allocs
+            with engine.quiesce():
+                session.train_step(start + k + 1, batches[k], batches[k + 1])
+            engine.lookup_batch(batches[k + 1])
+            worst = max(worst, engine.memo_allocs - before)
+        if engine.refreshes != cycles:
+            raise RuntimeError(
+                f"{engine.refreshes} refreshes over {cycles} writer steps"
+            )
+    return float(worst)
+
+
 @case(
     "serve_load",
     figure="§3 threat model + Fig. 13(d) traffic (beyond paper)",
@@ -443,8 +469,18 @@ def serve_load(tier: str) -> Result:
     smoke = tier == "smoke"
     rows, requests = (1024, 100) if smoke else (4096, 250)
     scaling, stats = _reader_scaling(rows, requests)
-    metrics = {**scaling, **_cache_on_off(4000 if smoke else 8000)}
+    metrics = {
+        **scaling,
+        **_cache_on_off(4000 if smoke else 8000),
+        "memo_allocs_per_refresh": _memo_reuse(rows),
+    }
     checks = Checks()
+    checks.require(
+        metrics["memo_allocs_per_refresh"] == 0,
+        f"a steady-state refresh allocated "
+        f"{metrics['memo_allocs_per_refresh']:.0f} memo buffer(s); the "
+        "persistent memo must be reused in place",
+    )
     checks.require(
         stats["rows_still_pending"] == 0, "warmup left rows un-privatized"
     )
@@ -478,6 +514,10 @@ def serve_load(tier: str) -> Result:
                     f"{metrics['multi_p99_ms']:.3f} ms",
                 ],
                 ["cache hit rate", f"{metrics['cache_hit_rate']:.1%}"],
+                [
+                    "memo allocs / refresh",
+                    f"{metrics['memo_allocs_per_refresh']:.0f}",
+                ],
                 [
                     "cache on / off",
                     f"{metrics['cache_on_rps']:.0f} / "

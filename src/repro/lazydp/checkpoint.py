@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import BufferArena
+from .optimizer import catch_up_rows
 from .trainer import LazyDPTrainer
 
 _FORMAT_VERSION = 1
@@ -111,29 +113,42 @@ def export_private_model(
 ) -> dict:
     """A flushed copy of all parameters, safe to release at ``iteration``.
 
-    Performs Algorithm 1's terminal catch-up on copies: every embedding
+    Performs Algorithm 1's terminal catch-up into copies: every embedding
     row receives its deferred noise through ``iteration``.  The live
     trainer (tables, HistoryTables) is left untouched so training can
     continue afterwards — this is how one publishes periodic model
     snapshots during a long run without breaking the lazy schedule.
+
+    Each released table is written exactly once, chunk by chunk, by the
+    release walk the flush runs (:func:`catch_up_rows`): caught-up rows
+    land as ``table - lr * noise``, rows that owe nothing as copies.
+    Raises ``ValueError`` if any row's history is ahead of ``iteration``
+    — the tables have moved on and the past cannot be released.
     """
     if noise_std is None:
         noise_std = trainer._last_noise_std
     if noise_std is None:
         raise ValueError("noise_std unknown: train at least one step or pass it in")
-    released = {
-        name: param.data.copy()
-        for name, param in trainer.model.parameters().items()
-    }
-    lr = trainer.config.learning_rate
-    for table_index, bag in enumerate(trainer.model.embeddings):
-        history = trainer.engine.histories[table_index]
-        pending = history.pending_rows(iteration)
-        if pending.size == 0:
+    table_of = {name: t for t, name in enumerate(trainer.model.embedding_param_names)}
+    arena = BufferArena()
+    released = {}
+    for name, param in trainer.model.parameters().items():
+        table_index = table_of.get(name)
+        if table_index is None:
+            released[name] = param.data.copy()
             continue
-        delays = history.delays(pending, iteration)
-        noise = trainer.engine.ans.catchup_noise(
-            table_index, pending, delays, iteration, bag.dim, noise_std
+        history = trainer.engine.histories[table_index]
+        released[name] = dest = np.empty_like(param.data)
+        catch_up_rows(
+            trainer.engine.ans,
+            table_index,
+            param.data,
+            np.arange(dest.shape[0]),
+            lambda rows: history.delays(rows, iteration),
+            iteration,
+            trainer.config.learning_rate,
+            noise_std,
+            arena,
+            dest=dest,
         )
-        released[bag.table.name][pending] -= lr * noise
     return released

@@ -11,6 +11,9 @@ window is the whole table, ``row_base = 0``, local ids are global ids);
 the sharded engine runs N of them as executor tasks; the process
 backend runs one per worker over shared memory
 (:mod:`repro.procshard.worker`).  Identical code in all three places.
+The flush itself is :func:`catch_up_rows`, the one release walk
+``export_private_model`` and the serving engine run too — into a copy
+and a memo instead of the slab.
 
 Ownership invariants (what makes lock-free parallel, pipelined and
 cross-process updates legal):
@@ -48,11 +51,98 @@ from .ledger import VersionVector
 
 _NO_DELAYS = np.empty(0, dtype=np.int64)
 
-#: Rows per chunk of the terminal flush's walk over pending rows: one
+#: Rows per chunk of the release walk (:func:`catch_up_rows`): one
 #: noise-kernel block at dim 32 (512 KB), so a chunk's draw, its scaling
 #: by the learning rate and its subtraction from the slab all run over
 #: cache-resident noise instead of streaming a 16 MB block four times.
 FLUSH_CHUNK_ROWS = 2048
+
+
+def catch_up_rows(
+    ans: ANSEngine,
+    table: int,
+    source: np.ndarray,
+    local: np.ndarray,
+    delays_of,
+    iteration: int,
+    lr: float,
+    std: float,
+    arena: BufferArena,
+    *,
+    dest: np.ndarray | None = None,
+    global_rows: np.ndarray | None = None,
+    row_base: int = 0,
+    ledger: VersionVector | None = None,
+    landed=None,
+    chunk_rows: int = FLUSH_CHUNK_ROWS,
+) -> int:
+    """The release walk: land every deferred draw ``local`` still owes.
+
+    The one spelling of Section 5.2.1's "before a row becomes visible"
+    step, shared by the terminal flush (in place: ``dest`` is ``None``),
+    ``export_private_model`` (``dest`` is the released copy) and the
+    serving engine (``dest`` is its memo).  ``local`` (sorted, unique)
+    is walked in ``chunk_rows`` chunks so no intermediate outgrows one
+    noise-kernel block: ``delays_of(chunk)`` -> one keyed draw for the
+    rows that owe noise -> ``dest[rows] = source[rows] - lr * noise``
+    through ``arena`` scratch (a chunk of consecutive rows takes the
+    kernel's slice path) -> ``ledger.advance`` -> ``landed(chunk)``, the
+    caller's commit (history mark, served flags).  The commit runs only
+    after the chunk's rows are written, so a failed write is never
+    vouched for and a flag-then-gather reader never sees half a row.
+
+    Rows that owe nothing are copied ``source -> dest`` unchanged.
+    ``local`` addresses ``delays_of`` / ``ledger`` / ``landed``;
+    ``global_rows`` maps it to the ids that key the noise and, less
+    ``row_base``, address ``source`` (``None``: they are equal).
+    Returns the number of rows that received noise.
+    """
+    dim = source.shape[1]
+    caught = 0
+    for start in range(0, local.size, chunk_rows):
+        chunk = local[start : start + chunk_rows]
+        rows = chunk if global_rows is None else global_rows[chunk]
+        delays = delays_of(chunk)
+        behind = delays > 0
+        owing = int(np.count_nonzero(behind))
+        if owing < chunk.size and dest is not None:
+            # Nothing deferred: the released bits are the stored bits.
+            _copy_rows(source, dest, rows[~behind] if owing else rows, row_base)
+        if owing:
+            if owing < chunk.size:
+                rows, owed = rows[behind], delays[behind]
+            else:
+                owed = delays
+            noise = ans.catchup_noise(table, rows, owed, iteration, dim, std)
+            # Same bits as ``dest[rows] = source[rows] - lr * noise``.
+            apply_sparse_update(
+                source,
+                rows,
+                noise,
+                lr,
+                arena=arena,
+                row_base=row_base,
+                out=dest,
+                values_writable=True,
+            )
+            caught += owing
+        if ledger is not None:
+            ledger.advance(chunk, delays, iteration)
+        if landed is not None:
+            landed(chunk)
+    return caught
+
+
+def _copy_rows(source, dest, rows, row_base) -> None:
+    """``dest[rows] = source[rows]`` (sorted unique ``rows``, shifted by
+    ``row_base``); a consecutive run is one slice copy."""
+    n = rows.size
+    start = int(rows[0]) - row_base
+    if int(rows[-1]) - row_base - start == n - 1:
+        dest[start : start + n] = source[start : start + n]
+    else:
+        index = rows - row_base if row_base else rows
+        dest[index] = source[index]
 
 
 class Catchup(NamedTuple):
@@ -240,27 +330,22 @@ class ShardState:
         history = window.history
         if history is None:
             return 0
-        pending = history.pending_rows(final_iteration)
-        for start in range(0, pending.size, self.flush_chunk_rows):
-            local = pending[start : start + self.flush_chunk_rows]
-            rows = local if window.rows is None else window.rows[local]
-            delays = history.delays(local, final_iteration)
-            noise = self.ans.catchup_noise(
-                table, rows, delays, final_iteration, window.dim, std
-            )
-            apply_sparse_update(
-                window.target,
-                rows,
-                noise,
-                lr,
-                arena=self.flush_arena,
-                row_base=window.row_base,
-                values_writable=True,
-            )
-            if window.ledger is not None:
-                window.ledger.advance(local, delays, final_iteration)
-            history.mark_updated(local, final_iteration)
-        return int(pending.size)
+        return catch_up_rows(
+            self.ans,
+            table,
+            window.target,
+            history.pending_rows(final_iteration),
+            lambda local: history.delays(local, final_iteration),
+            final_iteration,
+            lr,
+            std,
+            self.flush_arena,
+            global_rows=window.rows,
+            row_base=window.row_base,
+            ledger=window.ledger,
+            landed=lambda local: history.mark_updated(local, final_iteration),
+            chunk_rows=self.flush_chunk_rows,
+        )
 
     def flush_all(self, final_iteration: int, lr: float, std: float) -> int:
         """:meth:`flush` over every table, timed on the shard's own

@@ -17,6 +17,18 @@ nobody queries are never caught up; rows queried twice are caught up
 once.  :meth:`export` finishes the job for whatever was not queried
 and returns, row for row, the same arrays ``export_private_model``
 would have produced — the equivalence ``tests/test_serve.py`` pins.
+Lookups, :meth:`export`, ``export_private_model`` and the trainer's
+terminal flush all run one release walk
+(:func:`repro.lazydp.optimizer.catch_up_rows`); they differ only in
+where it writes — here, the memo.
+
+The memo is one dense buffer per touched table and it is *persistent*:
+a row of it is meaningful only while the row's ``_caught_up`` flag is
+set, so a refresh clears flags instead of dropping buffers and the next
+generation overwrites them in place.  :meth:`export` returns the memo
+buffers themselves, read-only — the caller owns them from then on (copy
+one to write to it) and the engine's next refresh starts fresh buffers
+rather than recycling a release somebody holds.
 
 The engine snapshots the HistoryTables (cheap: 4 bytes/row) at
 construction, so the *decision* which noise is pending is frozen at
@@ -50,7 +62,10 @@ Concurrency (the serving lock hierarchy, outermost first):
    parallel, and memo *hits* never take a stripe at all — once a
    row's ``_caught_up`` flag is set its memo entry is immutable until
    the next refresh (which excludes all readers), so the hit path is
-   a lock-free gather under the shared read lock.
+   a lock-free gather under the shared read lock.  A refresh frees no
+   memory a reader could be gathering from: it runs under the write
+   lock, keeps the memo buffers and only clears their flags, and every
+   value that leaves a read section is a copy made inside it.
 3. A small stats lock makes the serving counters (and their
    ``repro.obs`` mirrors) exact under concurrent readers.
 
@@ -71,9 +86,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..kernels import BufferArena, apply_sparse_update
+# ``apply_sparse_update`` is a re-export only: ``benchmarks/e2e/tracing.py``
+# patches it on this module by path; the release walk calls the kernel
+# through ``repro.lazydp.optimizer``'s global.
+from ..kernels import BufferArena, apply_sparse_update  # noqa: F401
 from ..lazydp.ans import ANSEngine
 from ..lazydp.ledger import VersionVector
+from ..lazydp.optimizer import catch_up_rows
 from ..obs import NULL_OBS
 from .locks import RWLock
 
@@ -131,11 +150,14 @@ class PrivateServingEngine:
         }
         iteration = int(iteration)
         self._tables = []
+        #: The frozen "which noise is pending" decision: one persistent
+        #: int64 buffer per table, overwritten in place by every refresh.
+        self._history = []
         for name, snap in zip(self.embedding_names, history_snapshots):
             data = parameters[name]
             if snapshot:
                 data = np.array(data, copy=True)
-            snap = np.asarray(snap, dtype=np.int64)
+            snap = np.array(snap, dtype=np.int64)
             if snap.shape[0] != data.shape[0]:
                 raise ValueError(
                     f"history snapshot for {name} covers {snap.shape[0]} "
@@ -147,10 +169,7 @@ class PrivateServingEngine:
                     f"{iteration}; cannot serve the past"
                 )
             self._tables.append(data)
-        self._history = [
-            np.asarray(snap, dtype=np.int64).copy()
-            for snap in history_snapshots
-        ]
+            self._history.append(snap)
         #: Snapshot version: ``(generation, iteration)``, replaced as
         #: one atomic tuple assignment at the end of every refresh.
         #: The generation tags hot-row cache entries; the tuple-at-once
@@ -171,7 +190,26 @@ class PrivateServingEngine:
         self._table_ans = [
             ANSEngine(noise_stream, enabled=use_ans) for _ in self._tables
         ]
-        self._reset_memo()
+        #: The served memo, one dense buffer per table, allocated on
+        #: first touch (an engine wrapped around a many-table model and
+        #: queried on a few tables never pays for the rest) and then
+        #: kept across refreshes: a row of it means something only
+        #: while its ``_caught_up`` flag is set, so a refresh clears the
+        #: flags and the next generation overwrites the buffer in place.
+        self._served: list = [None] * len(self._tables)
+        self._caught_up = [
+            np.zeros(table.shape[0], dtype=bool) for table in self._tables
+        ]
+        #: Per-table exactly-once audit: every catch-up advances the
+        #: row from its history snapshot to the serving iteration; the
+        #: VersionVector rejects any overlap or gap, so a concurrency
+        #: bug that double-applied or skipped serving noise raises at
+        #: the racing lookup instead of silently corrupting the
+        #: released bits (``audit_exactly_once`` proves the end state).
+        self._ledger = [
+            VersionVector(history.shape[0], initial=history)
+            for history in self._history
+        ]
         #: Whether tables were copied (refreshes must re-copy them too).
         self._snapshot = bool(snapshot)
         #: Trainer this engine follows (see :meth:`attach`); None =
@@ -189,29 +227,31 @@ class PrivateServingEngine:
         self.memo_hits = 0
         #: Times the memo was invalidated because training resumed.
         self.refreshes = 0
+        #: Table-sized memo buffers allocated so far: one per table
+        #: ever touched, plus one per table touched after an export.
+        self.memo_allocs = 0
         #: Observability hub (``repro.obs``); the shared null object
         #: until :meth:`instrument` swaps a live one in.
         self.obs = NULL_OBS
 
     def _reset_memo(self) -> None:
-        """Fresh memo + exactly-once ledger for the current snapshot."""
-        # The served memo is allocated per table on first touch, so an
-        # engine wrapped around a many-table model and queried on a few
-        # tables never pays a dense copy for the rest.
-        self._served: list = [None] * len(self._tables)
-        self._caught_up = [
-            np.zeros(table.shape[0], dtype=bool) for table in self._tables
+        """Invalidate the memo for a refreshed ``_history``, in place.
+
+        Clears the served flags and rebases each exactly-once ledger on
+        the new history; the memo buffers stay (caller holds the write
+        lock, so no reader is gathering from them) — except read-only
+        ones, which :meth:`export` gave away: their holder owns them,
+        so the next touch starts a new buffer instead of recycling.
+        """
+        self._served = [
+            memo if memo is not None and memo.flags.writeable else None
+            for memo in self._served
         ]
-        #: Per-table exactly-once audit: every catch-up advances the
-        #: row from its history snapshot to the serving iteration; the
-        #: VersionVector rejects any overlap or gap, so a concurrency
-        #: bug that double-applied or skipped serving noise raises at
-        #: the racing lookup instead of silently corrupting the
-        #: released bits (``audit_exactly_once`` proves the end state).
-        self._ledger = [
-            VersionVector(history.shape[0], initial=history)
-            for history in self._history
-        ]
+        for caught, ledger, history in zip(
+            self._caught_up, self._ledger, self._history
+        ):
+            caught.fill(False)
+            ledger.load_snapshot(history)
 
     @property
     def iteration(self) -> int:
@@ -403,10 +443,8 @@ class PrivateServingEngine:
             )
             for name in self.embedding_names
         ]
-        self._history = [
-            np.asarray(history.snapshot(), dtype=np.int64).copy()
-            for history in trainer.engine.histories
-        ]
+        for buffer, history in zip(self._history, trainer.engine.histories):
+            np.copyto(buffer, history.snapshot())
         # The memo answered for an older iteration; invalidate it so
         # every row is caught up against the new history snapshot.
         self._reset_memo()
@@ -467,55 +505,57 @@ class PrivateServingEngine:
 
     def _served_table(self, table_index: int) -> np.ndarray:
         """The dense served memo for one table (allocated on first use;
-        caller holds the table's stripe lock or the write lock)."""
+        caller holds the table's stripe lock or the write lock).
+
+        Uninitialised on purpose: a memo row is read only behind its
+        ``_caught_up`` flag, and every flagged row was written first.
+        """
         if self._served[table_index] is None:
-            self._served[table_index] = np.zeros_like(
+            self._served[table_index] = np.empty_like(
                 self._tables[table_index]
             )
+            with self._stats_lock:
+                self.memo_allocs += 1
         return self._served[table_index]
 
     def _catch_up(self, table_index: int, rows: np.ndarray) -> None:
-        """Privatize ``rows`` (unique, not yet caught up) into the memo.
+        """Privatize ``rows`` (sorted, unique, not yet caught up) into
+        the memo through the release walk the flush runs.
 
         Caller holds either this table's stripe lock (inside a read
-        section) or the write lock (:meth:`export`); the memo rows are
-        written first and the ``_caught_up`` flags last, so a
-        flag-then-gather reader can never see a half-written row.
+        section) or the write lock (:meth:`export`); each chunk's memo
+        rows are written first and its ``_caught_up`` flags last, so a
+        flag-then-gather reader can never see a half-written row.  The
+        walk's ledger step is the exactly-once proof: every row advances
+        from its history snapshot to the serving iteration, contiguously.
         """
-        table = self._tables[table_index]
-        served = self._served_table(table_index)
-        all_delays = self.iteration - self._history[table_index][rows]
-        pending = rows[all_delays > 0]
-        current = rows[all_delays == 0]
-        if current.size:
-            # No pending noise: served bits are the stored bits (the
-            # flush would not have touched these rows either).
-            served[current] = table[current]
-        if pending.size:
-            noise = self._table_ans[table_index].catchup_noise(
-                table_index, pending, all_delays[all_delays > 0],
-                self.iteration, table.shape[1], self.noise_std,
-            )
-            # Fused read-through write: gather the stored rows, subtract
-            # the scaled catch-up draw, land in the memo — same bits as
-            # ``served[pending] = table[pending] - lr * noise``.
-            apply_sparse_update(
-                table, pending, noise, self.learning_rate,
-                arena=self._arenas[table_index], out=served,
-                values_writable=True,
-            )
-        # Exactly-once proof: every row advances from its history
-        # snapshot to the serving iteration, spans contiguous.
-        self._ledger[table_index].advance(rows, all_delays, self.iteration)
-        self._caught_up[table_index][rows] = True
-        if pending.size:
+        history = self._history[table_index]
+        caught = self._caught_up[table_index]
+        iteration = self.iteration
+
+        def landed(chunk):
+            caught[chunk] = True
+
+        pending = catch_up_rows(
+            self._table_ans[table_index],
+            table_index,
+            self._tables[table_index],
+            rows,
+            lambda chunk: iteration - history[chunk],
+            iteration,
+            self.learning_rate,
+            self.noise_std,
+            self._arenas[table_index],
+            dest=self._served_table(table_index),
+            ledger=self._ledger[table_index],
+            landed=landed,
+        )
+        if pending:
             obs = self.obs
             with self._stats_lock:
-                self.rows_caught_up += int(pending.size)
+                self.rows_caught_up += pending
                 if obs.enabled and obs.metrics_enabled:
-                    obs.metrics.inc(
-                        "serve.rows_caught_up", int(pending.size)
-                    )
+                    obs.metrics.inc("serve.rows_caught_up", pending)
 
     def _validate_rows(self, table_index: int, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -590,9 +630,12 @@ class PrivateServingEngine:
         # Every requested row is now caught up, and caught-up memo rows
         # are immutable until the next refresh (a writer), so this
         # gather needs no stripe lock even while other readers privatize
-        # disjoint rows of the same table.
+        # disjoint rows of the same table.  Fancy indexing copies, here
+        # inside the read section, so nothing handed out (to the caller
+        # or the hot-row cache) aliases the memo the next generation
+        # overwrites in place.
         served = self._served[table_index]
-        values = served[rows].copy()
+        values = served[rows]
         self._count_served(int(rows.size), int(rows.size) - fresh_count)
         cache = self._cache
         if cache is not None:
@@ -651,10 +694,6 @@ class PrivateServingEngine:
                 table_index, rows
             )
             generation, iteration = self._version
-            if unique_values is not None:
-                # Copy before leaving the section: after release a
-                # refresh may recycle the memo under us.
-                unique_values = unique_values.copy()
         self._offer_to_cache(table_index, unique, unique_values, generation)
         return values, iteration
 
@@ -696,7 +735,7 @@ class PrivateServingEngine:
                 values, unique, unique_values = self._lookup_in_read(t, rows)
                 results.append(values)
                 if unique_values is not None:
-                    offers.append((t, unique, unique_values.copy()))
+                    offers.append((t, unique, unique_values))
         for t, unique, unique_values in offers:
             self._offer_to_cache(t, unique, unique_values, generation)
         return results, iteration
@@ -706,8 +745,15 @@ class PrivateServingEngine:
 
         Returns the same ``name -> array`` mapping (same bits) as
         :func:`repro.lazydp.export_private_model` at this iteration —
-        assembled incrementally: rows already served are taken from the
-        memo, everything else is caught up now.
+        assembled incrementally: rows already served stay where they
+        are in the memo, everything else is caught up now, in place.
+
+        The embedding tables come back as the memo buffers themselves,
+        read-only and zero-copy: ownership passes to the caller (copy an
+        array to mutate it).  The engine keeps serving from them until
+        its next refresh, which starts new memo buffers instead of
+        recycling these, so a release never changes after it is handed
+        out; a second export before that refresh returns the same arrays.
 
         The whole export runs under one write-lock acquisition, so
         every table is caught up at one consistent iteration even if a
@@ -722,10 +768,11 @@ class PrivateServingEngine:
             for table_index, name in enumerate(self.embedding_names):
                 remaining = np.nonzero(~self._caught_up[table_index])[0]
                 if remaining.size:
-                    # Rows with no pending noise are a plain copy; the
-                    # memo write is still the cheapest uniform path.
                     self._catch_up(table_index, remaining)
-                released[name] = self._served_table(table_index).copy()
+                memo = self._served_table(table_index)
+                # Read-only marks the hand-over (see ``_reset_memo``).
+                memo.flags.writeable = False
+                released[name] = memo
         return released
 
     def audit_exactly_once(self) -> None:
@@ -763,6 +810,7 @@ class PrivateServingEngine:
                 "rows_still_pending": total_pending,
                 "attached": self._attached is not None,
                 "refreshes": self.refreshes,
+                "memo_allocs": self.memo_allocs,
             }
         if self._cache is not None:
             stats["cache"] = self._cache.stats()

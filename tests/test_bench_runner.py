@@ -274,5 +274,5 @@ class TestSmokeRun:
             numba = {key for key in pinned if key.startswith("apply_fusion_numba/")}
             assert len(numba) == 2 and not numba & set(emitted)
             pinned -= numba
-            assert len(pinned) == 21
+            assert len(pinned) == 22
         assert pinned <= set(emitted), sorted(pinned - set(emitted))

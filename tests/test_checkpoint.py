@@ -210,6 +210,15 @@ class TestExportPrivateModel:
             np.testing.assert_allclose(released[name], param.data,
                                        atol=1e-9)
 
+    def test_refuses_to_release_the_past(self, config):
+        """A trainer that has moved on cannot release an older iteration:
+        its tables already carry the later updates (the serving engine
+        refuses the same request)."""
+        _, trainer = build(config)
+        drive(trainer, batches_for(config, 4), stop=3)
+        with pytest.raises(ValueError, match="ahead of the requested"):
+            export_private_model(trainer, iteration=2)
+
     def test_requires_known_noise_std(self, config):
         _, trainer = build(config)
         with pytest.raises(ValueError, match="noise_std"):

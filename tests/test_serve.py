@@ -711,3 +711,217 @@ class TestServingObservability:
         assert engine.rows_served == 3
         assert engine.memo_hits == 1
         assert engine.obs is not None and not engine.obs.enabled
+
+
+def step_on(trainer, config, start, steps, batch_size=16):
+    """Step ``steps`` more iterations after ``start``, the last one with
+    a lookahead batch, so its rows stand at delay 0 afterwards."""
+    loader = make_loader(
+        config, batch_size=batch_size, num_batches=steps + 1, seed=start + 31
+    )
+    for index, batch, upcoming in LookaheadLoader(loader):
+        if index == steps:
+            break
+        trainer.train_step(start + index + 1, batch, upcoming)
+
+
+def assert_same_release(served, reference):
+    assert served.keys() == reference.keys()
+    for name in reference:
+        np.testing.assert_array_equal(served[name], reference[name])
+
+
+class TestExportOwnership:
+    """``export()`` hands the memo over zero-copy: the caller owns the
+    arrays from then on and nothing the engine does later moves them."""
+
+    def test_exported_arrays_survive_refresh(self, config, trainer):
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        engine.attach(trainer)
+        engine.lookup(0, np.array([2, 9, 9, 40]))
+        exported = engine.export()
+        assert_same_release(exported, export_private_model(trainer, 4))
+        for table_index, name in enumerate(engine.embedding_names):
+            assert not exported[name].flags.writeable
+            # Zero-copy: the release *is* the memo.
+            assert exported[name] is engine._served[table_index]
+        kept = {name: data.copy() for name, data in exported.items()}
+
+        # A second export without a refresh releases the same bits.
+        assert_same_release(engine.export(), kept)
+
+        with engine.quiesce():
+            step_on(trainer, config, start=4, steps=2)
+        reference = export_private_model(trainer, 6)
+        rows = np.arange(config.table_rows[0])
+        for table_index, name in enumerate(engine.embedding_names):
+            np.testing.assert_array_equal(
+                engine.lookup(table_index, rows), reference[name]
+            )
+        assert engine.stats()["refreshes"] == 1
+        for table_index, name in enumerate(engine.embedding_names):
+            np.testing.assert_array_equal(exported[name], kept[name])
+            assert not exported[name].flags.writeable
+            assert not np.shares_memory(
+                exported[name], engine._served[table_index]
+            )
+        assert_same_release(engine.export(), reference)
+        engine.audit_exactly_once()
+
+    def test_lookups_never_alias_the_memo(self, config, trainer):
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        values = engine.lookup(1, np.array([3, 4, 5]))
+        assert not np.shares_memory(values, engine._served[1])
+        values[...] = 0.0  # caller-owned: must not reach the memo
+        reference = export_private_model(trainer, 4)
+        assert_same_release(engine.export(), reference)
+
+
+SMALL_CHUNK = 5
+
+
+class TestMixedChunks:
+    """The release walk over chunks that mix already-served rows,
+    delay-0 rows and pending rows, with rows straddling chunk
+    boundaries, against the one-chunk ``export_private_model``."""
+
+    @pytest.fixture(autouse=True)
+    def small_engine_chunks(self, monkeypatch):
+        """Run the serving engine's walks in 5-row chunks (the reference
+        release keeps the 2 048-row default: one chunk per table)."""
+        from functools import partial
+
+        from repro.lazydp.optimizer import catch_up_rows
+        from repro.serve import engine as serve_engine
+
+        monkeypatch.setattr(
+            serve_engine,
+            "catch_up_rows",
+            partial(catch_up_rows, chunk_rows=SMALL_CHUNK),
+        )
+
+    def build(self, config, spec):
+        from repro.session import ExecutionPlan, TrainSession
+
+        session = TrainSession.build(
+            DLRM(config, seed=7),
+            DPConfig(),
+            ExecutionPlan.from_spec(spec),
+            noise_seed=99,
+        )
+        session.trainer.expected_batch_size = 16
+        step_on(session.trainer, config, start=0, steps=4)
+        return session
+
+    def touch(self, engine):
+        """Serve rows on both sides of several chunk boundaries."""
+        engine.lookup(0, np.array([4, 5, 11, 30, 31, 32, 63]))
+        engine.lookup(1, np.arange(3, 22))
+        # Table 2 stays untouched: every chunk goes through export.
+
+    def assert_mixed(self, engine):
+        history, caught = engine._history[0], engine._caught_up[0]
+        chunks = np.arange(history.size) // SMALL_CHUNK
+        mixed = 0
+        for chunk in np.unique(chunks):
+            at = chunks == chunk
+            left = ~caught[at]
+            delays = engine.iteration - history[at][left]
+            mixed += int(
+                caught[at].any() and (delays == 0).any() and (delays > 0).any()
+            )
+        assert mixed, "no chunk mixes served, delay-0 and pending rows"
+
+    @pytest.mark.parametrize("ans", ["on", "off"])
+    @pytest.mark.parametrize("layout", ["", "shards=2,"])
+    def test_export_equals_one_chunk_release(self, config, layout, ans):
+        with self.build(config, f"{layout}ans={ans}") as session:
+            reference = session.export_private_model(4)
+            engine = session.serve(iteration=4, cache=False)
+            self.touch(engine)
+            if not layout:
+                self.assert_mixed(engine)
+            assert_same_release(engine.export(), reference)
+            engine.audit_exactly_once()
+            assert engine.stats()["rows_still_pending"] == 0
+
+    def test_flush_equals_export(self, config):
+        """The terminal flush is the same walk, in place."""
+        with self.build(config, "shards=2") as session:
+            reference = session.export_private_model(4)
+            session.trainer.finalize(4)
+            for name, param in session.model.parameters().items():
+                np.testing.assert_array_equal(param.data, reference[name])
+
+    def test_tenants_release_their_own_noise(self, config, trainer):
+        from repro.serve import MultiTenantServer
+
+        step_on(trainer, config, start=4, steps=1)
+        server = MultiTenantServer(trainer)
+        tenants = {
+            "faithful": server.add("faithful", iteration=5),
+            "noisier": server.add("noisier", iteration=5, noise_std=5.0),
+        }
+        for engine in tenants.values():
+            self.touch(engine)
+        for engine in tenants.values():
+            assert_same_release(
+                engine.export(),
+                export_private_model(trainer, 5, noise_std=engine.noise_std),
+            )
+            engine.audit_exactly_once()
+        server.close()
+
+
+class TestPersistentMemo:
+    """The memo outlives refreshes; only ``_caught_up`` says which of
+    its rows mean anything in the current generation."""
+
+    def poison(self, engine):
+        for served in engine._served:
+            if served is not None:
+                served.fill(np.nan)
+
+    def test_stale_memo_rows_are_never_served(self, config, trainer):
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        engine.attach(trainer)
+        everything = [np.arange(rows) for rows in config.table_rows]
+        engine.lookup_batch(everything)  # generation 0 fills every row
+        for start in (4, 5, 6):
+            with engine.quiesce():
+                step_on(trainer, config, start=start, steps=1)
+            # Whatever the last generation left behind is garbage now.
+            self.poison(engine)
+            reference = export_private_model(trainer, start + 1)
+            rows = np.array([0, 7, 7, 33, 63])
+            for table_index, name in enumerate(engine.embedding_names):
+                values = engine.lookup(table_index, rows)
+                assert np.isfinite(values).all()
+                np.testing.assert_array_equal(values, reference[name][rows])
+                flagged = np.nonzero(engine._caught_up[table_index])[0]
+                np.testing.assert_array_equal(flagged, np.unique(rows))
+        assert_same_release(engine.export(), reference)
+        engine.audit_exactly_once()
+
+    def test_memo_allocs_count_touched_tables(self, config, trainer):
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        engine.attach(trainer)
+        touched = (0, 2)
+        for cycle in range(4):
+            for table_index in touched:
+                engine.lookup(table_index, np.array([1, 2, 3]))
+            assert engine.stats()["memo_allocs"] == len(touched)
+            with engine.quiesce():
+                step_on(trainer, config, start=4 + cycle, steps=1)
+        assert engine.stats()["refreshes"] == 4
+        assert engine.stats()["memo_allocs"] == len(touched)
+
+        # An export fills in the untouched tables and gives every
+        # buffer away; the refresh after it starts over.
+        engine.export()
+        assert engine.stats()["memo_allocs"] == engine.num_tables
+        with engine.quiesce():
+            step_on(trainer, config, start=8, steps=1)
+        for table_index in touched:
+            engine.lookup(table_index, np.array([1, 2, 3]))
+        assert engine.stats()["memo_allocs"] == engine.num_tables + len(touched)
