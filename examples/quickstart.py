@@ -21,7 +21,8 @@ def main() -> None:
     loader = DataLoader(dataset, batch_size=256, num_batches=30, seed=1)
 
     # The LazyDP wrapper (paper Figure 9a): same hyper-parameters as the
-    # Opacus call it replaces.
+    # Opacus call it replaces.  It returns the serial-plan TrainSession
+    # with the loader bound, so fit() takes no argument.
     session = make_private(
         model,
         loader,

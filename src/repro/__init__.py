@@ -29,7 +29,7 @@ from . import configs
 from .configs import DLRMConfig
 from .kernels import BufferArena, fused_noisy_update
 from .data import Batch, DataLoader, SyntheticClickDataset
-from .lazydp import LazyDPTrainer, PrivateTrainingSession, make_private
+from .lazydp import LazyDPTrainer, make_private
 from .nn import DLRM
 from .privacy import RDPAccountant
 from .serve import PrivateServingEngine
@@ -58,7 +58,6 @@ __all__ = [
     "ExecutionPlan",
     "TrainSession",
     "PrivateServingEngine",
-    "PrivateTrainingSession",
     "make_private",
     "DLRM",
     "RDPAccountant",

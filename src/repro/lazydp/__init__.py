@@ -1,7 +1,7 @@
 """LazyDP: lazy noise update + aggregated noise sampling (the paper's core)."""
 
 from .ans import ANSEngine
-from .api import PrivateTrainingSession, make_private
+from .api import make_private
 from .checkpoint import export_private_model, load_checkpoint, save_checkpoint
 from .history import HistoryTable, NaiveCounterHistory
 from .ledger import LedgerError, VersionVector
@@ -11,7 +11,6 @@ from .trainer import LazyDPTrainer
 
 __all__ = [
     "ANSEngine",
-    "PrivateTrainingSession",
     "make_private",
     "export_private_model",
     "load_checkpoint",

@@ -3,39 +3,17 @@
 Mirrors Opacus' ``PrivacyEngine.make_private``: wrap an existing model and
 data loader, pick the DP hyper-parameters, and get back a private training
 session.  The paper's wrapper returns LazyDP-enabled ``(model, optimizer,
-data_loader)`` instances; ours bundles them into a
-:class:`PrivateTrainingSession` whose ``fit`` runs Algorithm 1 end-to-end
-(including the terminal flush) and whose ``epsilon`` reports the budget
-spent.
+data_loader)`` instances; ours returns the serial-plan
+:class:`repro.session.TrainSession` with the loader bound, whose
+no-argument ``fit()`` runs Algorithm 1 end-to-end (including the terminal
+flush) and whose ``epsilon`` reports the budget spent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..data.loader import DataLoader
 from ..nn.dlrm import DLRM
-from ..train.common import DPConfig, TrainResult
-from .trainer import LazyDPTrainer
-
-
-@dataclass
-class PrivateTrainingSession:
-    """A model + loader + LazyDP trainer, ready to ``fit``."""
-
-    model: DLRM
-    data_loader: DataLoader
-    trainer: LazyDPTrainer
-
-    def fit(self) -> TrainResult:
-        return self.trainer.fit(self.data_loader)
-
-    def epsilon(self, delta: float | None = None) -> float:
-        """Privacy spent so far at the given (or configured) delta."""
-        if self.trainer.accountant is None or self.trainer.accountant.steps == 0:
-            raise RuntimeError("no private steps have been taken yet")
-        target_delta = delta if delta is not None else self.trainer.config.delta
-        return self.trainer.accountant.get_epsilon(target_delta)
+from ..train.common import DPConfig
 
 
 def make_private(
@@ -48,7 +26,7 @@ def make_private(
     delta: float = 1e-5,
     use_ans: bool = True,
     noise_seed: int = 1234,
-) -> PrivateTrainingSession:
+):
     """Transform a model + loader into a LazyDP private training session.
 
     Parameters follow the paper's wrapper (Figure 9a): ``noise_multiplier``
@@ -56,13 +34,17 @@ def make_private(
     ``use_ans=False`` to run the lazy-update-only ablation (Figure 10's
     "LazyDP w/o ANS").
     """
+    # Imported here: repro.session itself builds on repro.lazydp.
+    from ..session import ExecutionPlan, TrainSession
+
     config = DPConfig(
         noise_multiplier=noise_multiplier,
         max_grad_norm=max_gradient_norm,
         learning_rate=learning_rate,
         delta=delta,
     )
-    trainer = LazyDPTrainer(module, config, noise_seed=noise_seed, use_ans=use_ans)
-    return PrivateTrainingSession(
-        model=module, data_loader=data_loader, trainer=trainer
+    session = TrainSession.build(
+        module, config, ExecutionPlan(ans=use_ans), noise_seed=noise_seed
     )
+    session.data_loader = data_loader
+    return session

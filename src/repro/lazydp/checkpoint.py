@@ -146,7 +146,7 @@ def export_private_model(
             np.arange(dest.shape[0]),
             lambda rows: history.delays(rows, iteration),
             iteration,
-            trainer.config.learning_rate,
+            trainer._learning_rate(iteration),
             noise_std,
             arena,
             dest=dest,

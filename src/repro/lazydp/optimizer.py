@@ -43,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
-from ..rng import NoiseStream
 from ..train.common import StageTimer
 from .ans import ANSEngine
 from .history import HistoryTable
@@ -188,9 +187,10 @@ class TableWindow:
 class ShardState:
     """One shard's lazy-noise state and the only spelling of its update.
 
-    Everything here is shard-owned and single-task: the windows, one
-    :class:`ANSEngine` (draw counter + sampler scratch) and the apply /
-    flush arenas, so concurrent shards share nothing.  Two threads may
+    Everything here is shard-owned and single-task: the windows, its
+    own fork of the trainer's :class:`ANSEngine` (draw counter +
+    schedule prefix cache) and the apply / flush arenas, so concurrent
+    shards share nothing.  Two threads may
     hold one shard's ``timer`` at once under a pipelined plan — the
     prefetch side writes only the history/sampling stages, the apply
     side only the merge/write stages and arena counters — so no entry
@@ -200,13 +200,12 @@ class ShardState:
     def __init__(
         self,
         windows: list,
-        noise_stream: NoiseStream,
-        use_ans: bool = True,
+        mechanism: ANSEngine,
         timer: StageTimer | None = None,
         flush_chunk_rows: int = FLUSH_CHUNK_ROWS,
     ):
         self.windows = windows
-        self.ans = ANSEngine(noise_stream, enabled=use_ans)
+        self.ans = mechanism.fork()
         self.timer = timer if timer is not None else StageTimer()
         self.flush_chunk_rows = int(flush_chunk_rows)
         #: Scratch for the fused apply kernel, reused across iterations
@@ -416,20 +415,15 @@ class LazyNoiseEngine:
     router — the proxies of the ones its workers own.
     """
 
-    #: The chunk size every shard state flushes with (read surface for
-    #: flush loops outside this module).
-    flush_chunk_rows = FLUSH_CHUNK_ROWS
-
     def __init__(
         self,
-        noise_stream: NoiseStream,
-        use_ans: bool,
+        mechanism: ANSEngine,
         histories: list,
         states: list,
         router=None,
         ledger=(),
     ):
-        self.ans = ANSEngine(noise_stream, enabled=use_ans)
+        self.ans = mechanism.fork()
         self.histories = histories
         self.states = states
         #: ``None`` for one shard: local ids are global ids, nothing to route.

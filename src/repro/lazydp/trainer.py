@@ -44,6 +44,7 @@ from ..shard.executor import SerialExecutor
 from ..shard.tables import shard_windows
 from ..train.common import DPConfig
 from ..train.dpsgd import DPSGDFTrainer
+from .ans import ANSEngine
 from .optimizer import (
     LazyNoiseEngine,
     ShardState,
@@ -63,7 +64,9 @@ class LazyDPTrainer(DPSGDFTrainer):
     ``executors`` builds the :class:`repro.shard.ShardExecutor` shard
     tasks run through.  All three come from
     :meth:`repro.session.TrainSession.build`; the defaults are the
-    paper's serial trainer.
+    paper's serial trainer.  ``schedule`` (an
+    :class:`repro.train.schedules.LRSchedule`) rides inside
+    ``mechanism``, the sample-stage prototype every consumer forks.
     """
 
     name = "lazydp"
@@ -78,9 +81,16 @@ class LazyDPTrainer(DPSGDFTrainer):
         partition=None,
         scheduler: Scheduler | None = None,
         executors=SerialExecutor,
+        schedule=None,
     ):
-        super().__init__(model, config, noise_seed)
-        self.use_ans = use_ans
+        super().__init__(model, config, noise_seed, schedule=schedule)
+        #: The sample-stage mechanism (stream, ANS mode, schedule).  The
+        #: prototype: nothing samples through it, every consumer — shard
+        #: states, the engine's release facade, serving engines, worker
+        #: processes — holds its own ``fork()``.
+        self.mechanism = ANSEngine(
+            self.noise_stream, enabled=use_ans, schedule=schedule
+        )
         if not use_ans:
             self.name = "lazydp_no_ans"
         self.scheduler = scheduler if scheduler is not None else Scheduler()
@@ -110,8 +120,7 @@ class LazyDPTrainer(DPSGDFTrainer):
         states = [
             ShardState(
                 shard_windows_,
-                self.noise_stream,
-                self.use_ans,
+                self.mechanism,
                 timer=self.timer if inline else None,
             )
             for shard_windows_ in windows
@@ -120,13 +129,16 @@ class LazyDPTrainer(DPSGDFTrainer):
         #: model-update stage times across all tables and iterations.
         self.shard_timers = [state.timer for state in states]
         return LazyNoiseEngine(
-            self.noise_stream,
-            self.use_ans,
+            self.mechanism,
             histories,
             states,
             router,
             ledger=ledger_windows(windows),
         )
+
+    @property
+    def use_ans(self) -> bool:
+        return self.mechanism.enabled
 
     # -- the training loop hooks ---------------------------------------------
     def _make_lookahead(self, loader):
@@ -216,7 +228,7 @@ class LazyDPTrainer(DPSGDFTrainer):
         whichever thread owns the slabs."""
         engine = self.engine
         grads = engine.split_grads(sparse_grads, timer)
-        lr = self.config.learning_rate
+        lr = self._learning_rate(iteration)
         tasks = [
             partial(
                 state.step, requests[s], noise[s], grads[s], lr, iteration, noise_std
@@ -262,7 +274,7 @@ class LazyDPTrainer(DPSGDFTrainer):
         if final_iteration == 0:
             return
         noise_std = self._flush_noise_std()
-        lr = self.config.learning_rate
+        lr = self._learning_rate(final_iteration)
         states = self.engine.states
         # The flush is a one-time end-of-training cost (it makes the
         # *released* model match DP-SGD), so it gets its own stage rather

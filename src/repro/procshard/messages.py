@@ -108,9 +108,10 @@ class WorkerInit:
 
     worker_index: int
     plan: object  # repro.shard.plan.PartitionPlan
-    noise_seed: int
-    use_ans: bool
-    flush_chunk_rows: int
+    #: The trainer's sample-stage mechanism (repro.lazydp.ans.ANSEngine:
+    #: stream seed, ANS mode, LR schedule); the worker's shard state
+    #: forks it, so the schedule must pickle.
+    mechanism: object
     tables: tuple  # of TableHandle
     #: The multiprocessing start method the router chose (diagnostics;
     #: surfaced by ``procshard_stats``).

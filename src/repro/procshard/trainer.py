@@ -170,6 +170,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         *,
         partition: PartitionPlan | None = None,
         scheduler=None,
+        schedule=None,
     ):
         self._closed = False
         self._segments: list = []
@@ -192,6 +193,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
                 partition=partition,
                 scheduler=scheduler,
                 executors=_SendThenCollect,
+                schedule=schedule,
             )
             self._spawn_workers()
         finally:
@@ -226,8 +228,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         #: Router-side per-shard timers, folded from the workers' acks.
         self.shard_timers = [self._make_timer() for _ in range(self.num_shards)]
         return LazyNoiseEngine(
-            self.noise_stream,
-            self.use_ans,
+            self.mechanism,
             histories,
             self._workers,
             router,
@@ -250,9 +251,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         return WorkerInit(
             worker_index=shard,
             plan=self.plan,
-            noise_seed=self.noise_stream.seed,
-            use_ans=self.use_ans,
-            flush_chunk_rows=self.engine.flush_chunk_rows,
+            mechanism=self.mechanism,
             tables=tables,
             start_method=self._start_method,
         )

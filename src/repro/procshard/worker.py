@@ -35,7 +35,6 @@ from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import ShardState
 from ..nn.parameter import Parameter
-from ..rng import NoiseStream
 from ..shard.tables import ShardSlab
 from ..train.common import StageTimer
 from .messages import (
@@ -100,13 +99,7 @@ def _attach_state(init: WorkerInit, recorder, attached: list) -> ShardState:
                 None if ledger is None else VersionVector.attach(ledger),
             )
         )
-    return ShardState(
-        windows,
-        NoiseStream(init.noise_seed),
-        init.use_ans,
-        timer=StageTimer(tracer=recorder),
-        flush_chunk_rows=init.flush_chunk_rows,
-    )
+    return ShardState(windows, init.mechanism, timer=StageTimer(tracer=recorder))
 
 
 def _drain_instrumentation(timer, recorder, shipped_totals, shipped_counters):

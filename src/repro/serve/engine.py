@@ -69,8 +69,9 @@ Concurrency (the serving lock hierarchy, outermost first):
 3. A small stats lock makes the serving counters (and their
    ``repro.obs`` mirrors) exact under concurrent readers.
 
-Each table owns a private :class:`BufferArena` and
-:class:`ANSEngine`, so concurrent catch-ups never share scratch.
+Each table owns a private :class:`BufferArena` and its own fork of the
+sample-stage mechanism (:class:`repro.lazydp.ans.ANSEngine`), so
+concurrent catch-ups never share scratch.
 
 An optional :class:`~repro.serve.cache.HotRowCache` fronts the whole
 scheme for point lookups: probes validate against the engine's
@@ -90,7 +91,6 @@ import numpy as np
 # patches it on this module by path; the release walk calls the kernel
 # through ``repro.lazydp.optimizer``'s global.
 from ..kernels import BufferArena, apply_sparse_update  # noqa: F401
-from ..lazydp.ans import ANSEngine
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import catch_up_rows
 from ..obs import NULL_OBS
@@ -105,11 +105,10 @@ class PrivateServingEngine:
         parameters: dict,
         embedding_names: list,
         history_snapshots: list,
-        noise_stream,
+        mechanism,
         iteration: int,
         learning_rate: float,
         noise_std: float,
-        use_ans: bool = True,
         snapshot: bool = False,
         cache=None,
     ):
@@ -126,9 +125,17 @@ class PrivateServingEngine:
         history_snapshots:
             One int32 last-noise-updated array per table, as returned
             by ``HistoryTable.snapshot()``; copied internally.
+        mechanism:
+            The sample-stage mechanism to catch rows up with (an
+            :class:`repro.lazydp.ans.ANSEngine`: noise stream, ANS mode,
+            LR schedule); each table stripe samples through its own
+            ``fork()``.
         iteration:
             The iteration the served model stands at; pending noise is
             everything between a row's history entry and here.
+        learning_rate:
+            The rate *of that iteration* (the mechanism returns deferred
+            noise in its units).
         cache:
             Optional :class:`~repro.serve.cache.HotRowCache` fronting
             point lookups (see :meth:`enable_cache`).
@@ -141,7 +148,10 @@ class PrivateServingEngine:
             )
         self.learning_rate = float(learning_rate)
         self.noise_std = float(noise_std)
-        self.ans = ANSEngine(noise_stream, enabled=use_ans)
+        #: Whether ``noise_std`` was chosen by the caller (a tenant's
+        #: epsilon) rather than read off the trainer; a refresh then
+        #: keeps it instead of following the training std.
+        self._noise_std_pinned = False
         self.embedding_names = list(embedding_names)
         self._dense = {
             name: np.array(data, copy=True)
@@ -187,9 +197,7 @@ class PrivateServingEngine:
         #: (BufferArena and the ANS draw counter are single-threaded
         #: state), so every table stripe owns its own.
         self._arenas = [BufferArena() for _ in self._tables]
-        self._table_ans = [
-            ANSEngine(noise_stream, enabled=use_ans) for _ in self._tables
-        ]
+        self._table_ans = [mechanism.fork() for _ in self._tables]
         #: The served memo, one dense buffer per table, allocated on
         #: first touch (an engine wrapped around a many-table model and
         #: queried on a few tables never pays for the rest) and then
@@ -300,7 +308,8 @@ class PrivateServingEngine:
         ``iteration`` defaults to the trainer's flushed-through point if
         it finalized, otherwise it must be given (a mid-training serve).
         ``noise_std`` follows :func:`export_private_model`'s convention:
-        the last observed per-iteration std unless overridden.
+        the last observed per-iteration std unless overridden; an
+        override is kept across the refreshes of an attached engine.
         """
         if iteration is None:
             iteration = trainer.engine.flushed_through
@@ -309,7 +318,8 @@ class PrivateServingEngine:
                     "iteration unknown: trainer has not finalized; "
                     "pass the iteration to serve at"
                 )
-        if noise_std is None:
+        pinned = noise_std is not None
+        if not pinned:
             noise_std = trainer._last_noise_std
         if noise_std is None:
             raise ValueError(
@@ -319,18 +329,19 @@ class PrivateServingEngine:
             name: param.data
             for name, param in trainer.model.parameters().items()
         }
-        return cls(
+        engine = cls(
             parameters,
             trainer.model.embedding_param_names,
             [history.snapshot() for history in trainer.engine.histories],
-            trainer.noise_stream,
+            trainer.mechanism,
             iteration,
-            trainer.config.learning_rate,
+            trainer._learning_rate(iteration),
             noise_std,
-            use_ans=trainer.use_ans,
             snapshot=snapshot,
             cache=cache,
         )
+        engine._noise_std_pinned = pinned
+        return engine
 
     @classmethod
     def from_checkpoint(cls, path, config, noise_std: float,
@@ -343,17 +354,19 @@ class PrivateServingEngine:
         are lazy); only the served embeddings are privatized.
         """
         from ..lazydp.checkpoint import load_checkpoint
-        from ..lazydp.trainer import LazyDPTrainer
         from ..nn.dlrm import DLRM
+        from ..session import ExecutionPlan, TrainSession
         from ..train.common import DPConfig
 
         with np.load(path) as archive:
             noise_seed = int(archive["meta/noise_seed"][0])
             use_ans = bool(archive["meta/use_ans"][0])
-        model = DLRM(config, seed=0)
-        trainer = LazyDPTrainer(
-            model, dp or DPConfig(), noise_seed=noise_seed, use_ans=use_ans
-        )
+        trainer = TrainSession.build(
+            DLRM(config, seed=0),
+            dp or DPConfig(),
+            ExecutionPlan(ans=use_ans),
+            noise_seed=noise_seed,
+        ).trainer
         iteration = load_checkpoint(path, trainer)
         return cls.from_trainer(
             trainer, iteration=iteration, noise_std=noise_std
@@ -420,16 +433,18 @@ class PrivateServingEngine:
         current = int(trainer.current_iteration())
         if current <= self.iteration:
             return
-        noise_std = trainer._last_noise_std
-        if noise_std is None:       # pragma: no cover - attach required a step
-            raise ValueError(
-                "cannot refresh: attached trainer has no observed noise std"
-            )
+        if not self._noise_std_pinned:
+            noise_std = trainer._last_noise_std
+            if noise_std is None:   # pragma: no cover - attach required a step
+                raise ValueError(
+                    "cannot refresh: attached trainer has no observed noise std"
+                )
+            self.noise_std = float(noise_std)
+        self.learning_rate = float(trainer._learning_rate(current))
         parameters = {
             name: param.data
             for name, param in trainer.model.parameters().items()
         }
-        self.noise_std = float(noise_std)
         self._dense = {
             name: np.array(data, copy=True)
             for name, data in parameters.items()

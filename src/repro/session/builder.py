@@ -47,6 +47,9 @@ class TrainSession:
         self.dp = dp
         self.plan = plan
         self.trainer = trainer
+        #: The loader a no-argument ``fit()`` trains on (``make_private``
+        #: binds the one it wrapped, paper Figure 9a).
+        self.data_loader = None
         self._serving: list = []
         self._tenant_servers: list = []
         #: The run's Observability hub when the plan's ``obs`` axis is
@@ -63,13 +66,18 @@ class TrainSession:
         noise_seed: int = 1234,
         skew=None,
         partition_plan=None,
+        schedule=None,
     ) -> "TrainSession":
         """Build the trainer for ``plan`` (default: serial flat LazyDP).
 
         ``skew`` (trace skew for the frequency partitioner) and
         ``partition_plan`` (a prebuilt
         :class:`repro.shard.PartitionPlan`) are live-object inputs that
-        only make sense for sharded plans.
+        only make sense for sharded plans.  ``schedule`` (an
+        :class:`repro.train.schedules.LRSchedule`; default: the constant
+        ``dp.learning_rate``) applies under every plan: the trainer's
+        sample-stage mechanism weights deferred noise by its origin
+        iteration's rate.
         """
         plan = plan if plan is not None else ExecutionPlan()
         # Activate the backend's kernel table before any trainer code
@@ -109,6 +117,7 @@ class TrainSession:
             use_ans=plan.ans,
             partition=partition_plan,
             scheduler=scheduler,
+            schedule=schedule,
         )
         trainer.name = plan.legacy_name()
         trainer.execution_plan = plan
@@ -122,7 +131,10 @@ class TrainSession:
         return session
 
     # -- training ----------------------------------------------------------
-    def fit(self, loader) -> TrainResult:
+    def fit(self, loader=None) -> TrainResult:
+        loader = self.data_loader if loader is None else loader
+        if loader is None:
+            raise ValueError("fit() needs a loader: none was passed or bound")
         return self.trainer.fit(loader)
 
     def train_step(self, iteration: int, batch, next_batch) -> float:

@@ -69,7 +69,7 @@ class BackendInfo:
     #: with the backend's :class:`repro.shard.ShardExecutor` bound in
     #: (or the process backend's subclass, which owns its workers).
     #: Called as ``constructor(model, dp, noise_seed=, use_ans=,
-    #: partition=, scheduler=)``.
+    #: partition=, scheduler=, schedule=)``.
     factory: object
     capabilities: frozenset = field(default_factory=frozenset)
     description: str = ""

@@ -29,8 +29,6 @@ from .schedules import (
     ConstantLR,
     LinearWarmupLR,
     LRSchedule,
-    ScheduledDPSGDFTrainer,
-    ScheduledLazyDPTrainer,
     StepDecayLR,
 )
 from .sgd import SGDTrainer
@@ -61,8 +59,6 @@ __all__ = [
     "ConstantLR",
     "LinearWarmupLR",
     "LRSchedule",
-    "ScheduledDPSGDFTrainer",
-    "ScheduledLazyDPTrainer",
     "StepDecayLR",
     "SGDTrainer",
 ]

@@ -187,6 +187,7 @@ class TrainerBase:
         config: DPConfig,
         noise_seed: int = 1234,
         dense_optimizer: DenseOptimizer | None = None,
+        schedule=None,
     ):
         self.model = model
         self.config = config
@@ -213,19 +214,18 @@ class TrainerBase:
         # one attribute check, so an uninstrumented trainer pays
         # nothing.  ``instrument()`` swaps in a live hub.
         self.obs = NULL_OBS
-        # Optional learning-rate schedule.  Plain trainers leave this None
-        # (constant lr from config); the scheduled trainers in
-        # ``repro.train.schedules`` install one.  LazyDP must NOT be given
-        # a schedule through this attribute — deferred noise needs
-        # origin-iteration scaling, which only ScheduledLazyDPTrainer
-        # implements.
-        self.schedule = None
+        # Optional learning-rate schedule (``repro.train.schedules``);
+        # None is the constant lr from config.  Every update and release
+        # path reads the rate through ``_learning_rate(iteration)``.
+        self.schedule = schedule
 
     def _batch_denominator(self, batch) -> int:
         return self.expected_batch_size or batch.size
 
     def _learning_rate(self, iteration: int) -> float:
-        if self.schedule is not None:
+        # Iteration 0 is the untrained model: nothing is applied at it,
+        # and schedules are 1-based.
+        if self.schedule is not None and iteration > 0:
             return self.schedule.rate(iteration)
         return self.config.learning_rate
 

@@ -17,20 +17,19 @@ The correct generalisations of LazyDP's two ideas:
   one draw scaled by ``s * sqrt(sum eta_k^2)`` suffices; the prefix sums
   of ``eta^2`` make the per-row window sum O(1).
 
-``ScheduledDPSGDFTrainer`` / ``ScheduledLazyDPTrainer`` implement the
-eager and lazy sides; their exact equivalence (ANS off) is tested in
-``tests/test_schedules.py``, quantified over schedules.  Plain
-``LazyDPTrainer`` deliberately has no schedule hook.
+This module is the schedules only.  Every trainer takes one as
+``schedule=`` (``TrainSession.build(..., schedule=)`` for LazyDP): the
+eager trainers just read ``rate(iteration)`` each step, and LazyDP hands
+it to its sample-stage mechanism (:class:`repro.lazydp.ans.ANSEngine`),
+which does the origin weighting above inside the one lazy update — under
+every execution plan, the flush, export and serving included.  Exact
+equivalence (ANS off) against scheduled eager DP-SGD is tested in
+``tests/test_schedules.py``, quantified over schedules.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..kernels import apply_sparse_update
-from ..lazydp.trainer import LazyDPTrainer
-from ..train.common import DPConfig, merge_sparse_updates
-from ..train.dpsgd import DPSGDFTrainer
 
 
 class LRSchedule:
@@ -102,153 +101,3 @@ class LinearWarmupLR(LRSchedule):
         if iteration < 1:
             raise ValueError("iterations are 1-based")
         return self.base * min(1.0, iteration / self.warmup)
-
-
-class ScheduledDPSGDFTrainer(DPSGDFTrainer):
-    """Eager DP-SGD(F) under a learning-rate schedule.
-
-    Eager noise needs no special treatment: iteration ``k`` applies
-    ``- eta_k * (grad + n_k)`` and the base-class hooks already consult
-    ``_learning_rate(iteration)``.
-    """
-
-    name = "dpsgd_f_scheduled"
-
-    def __init__(
-        self, model, config: DPConfig, schedule: LRSchedule, noise_seed: int = 1234
-    ):
-        super().__init__(model, config, noise_seed)
-        self.schedule = schedule
-
-
-class ScheduledLazyDPTrainer(LazyDPTrainer):
-    """LazyDP under a learning-rate schedule, with origin-scaled noise."""
-
-    name = "lazydp_scheduled"
-
-    def __init__(
-        self,
-        model,
-        config: DPConfig,
-        schedule: LRSchedule,
-        noise_seed: int = 1234,
-        use_ans: bool = True,
-    ):
-        super().__init__(model, config, noise_seed=noise_seed, use_ans=use_ans)
-        self.schedule = schedule
-        if not use_ans:
-            self.name = "lazydp_scheduled_no_ans"
-
-    # -- origin-scaled catch-up noise, already in theta-units --------------
-    def _weighted_catchup(
-        self,
-        table_index: int,
-        rows: np.ndarray,
-        delays: np.ndarray,
-        iteration: int,
-        dim: int,
-        noise_std: float,
-    ) -> np.ndarray:
-        engine = self.engine.ans
-        if engine.enabled:
-            raw = self.noise_stream.aggregated_row_noise(
-                table_index,
-                rows,
-                np.ones_like(delays),
-                iteration,
-                dim,
-                std=1.0,
-            )
-            window = self.schedule.sum_squares_window(iteration, delays)
-            engine.samples_drawn += rows.size * dim
-            return raw * (noise_std * np.sqrt(window))[:, None]
-        total = np.zeros((rows.size, dim), dtype=np.float64)
-        max_delay = int(delays.max()) if delays.size else 0
-        order = np.argsort(-delays, kind="stable")
-        ordered_rows = rows[order]
-        ordered_delays = delays[order]
-        for lag in range(1, max_delay + 1):
-            active = int(np.searchsorted(-ordered_delays, -lag, side="right"))
-            if active == 0:
-                break
-            origin = iteration - lag + 1
-            chunk = self.noise_stream.row_noise(
-                table_index,
-                ordered_rows[:active],
-                origin,
-                dim,
-                std=noise_std,
-            )
-            total[order[:active]] += self.schedule.rate(origin) * chunk
-            engine.samples_drawn += active * dim
-        return total
-
-    # Origin-scaled noise is spelled per table, on the trainer thread.
-    _apply_embedding_updates = DPSGDFTrainer._apply_embedding_updates
-
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
-    ) -> None:
-        self._last_noise_std = noise_std
-        lr_now = self._learning_rate(iteration)
-
-        if self._next_batch is not None:
-            with self.timer.time("lazydp_dedup"):
-                next_rows = self._next_batch.accessed_rows(table_index)
-            with self.timer.time("lazydp_history_read"):
-                history = self.engine.histories[table_index]
-                delays = history.delays(next_rows, iteration)
-            with self.timer.time("lazydp_history_update"):
-                history.mark_updated(next_rows, iteration)
-            with self.timer.time("noise_sampling"):
-                noise_values = self._weighted_catchup(
-                    table_index,
-                    next_rows,
-                    delays,
-                    iteration,
-                    bag.dim,
-                    noise_std,
-                )
-        else:
-            next_rows = np.empty(0, dtype=np.int64)
-            noise_values = np.zeros((0, bag.dim), dtype=np.float64)
-
-        with self.timer.time("noisy_grad_generation"):
-            # Gradient scaled by the current rate; catch-up noise already
-            # carries its origin rates — merge in theta-units.
-            rows, values = merge_sparse_updates(
-                sparse_grad.rows,
-                lr_now * sparse_grad.values,
-                next_rows,
-                noise_values,
-            )
-        with self.timer.time("noisy_grad_update"):
-            bag.table.data[rows] -= values
-
-    def finalize(self, final_iteration: int) -> None:
-        if final_iteration == 0:
-            return
-        noise_std = self._flush_noise_std()
-        with self.timer.time("terminal_flush"):
-            for table_index, bag in enumerate(self.model.embeddings):
-                history = self.engine.histories[table_index]
-                pending = history.pending_rows(final_iteration)
-                chunk_size = self.engine.flush_chunk_rows
-                for start in range(0, pending.size, chunk_size):
-                    rows = pending[start : start + chunk_size]
-                    delays = history.delays(rows, final_iteration)
-                    noise = self._weighted_catchup(
-                        table_index,
-                        rows,
-                        delays,
-                        final_iteration,
-                        bag.dim,
-                        noise_std,
-                    )
-                    # Already in theta-units (rate 1); consecutive rows
-                    # take the kernel's slice path.
-                    apply_sparse_update(
-                        bag.table.data, rows, noise, 1.0, values_writable=True
-                    )
-                    history.mark_updated(rows, final_iteration)
-            self.engine.flushed_through = int(final_iteration)

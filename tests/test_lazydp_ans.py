@@ -118,3 +118,54 @@ class TestANSMode:
             ANSEngine(stream).catchup_noise(
                 0, np.array([1, 2]), np.array([1]), 1, 4, 1.0
             )
+
+
+class TestUnderASchedule:
+    """With an LR schedule the engine returns the deferred noise in units
+    of the catch-up iteration's rate, each draw weighted by its origin's."""
+
+    def schedule(self):
+        from repro.train.schedules import StepDecayLR
+
+        return StepDecayLR(0.2, factor=0.5, step_size=3)
+
+    def test_exact_mode_weights_each_origin(self, stream):
+        schedule = self.schedule()
+        engine = ANSEngine(stream, enabled=False, schedule=schedule)
+        rows = np.array([4, 9, 17, 2])
+        delays = np.array([1, 8, 5, 0])
+        noise = engine.catchup_noise(0, rows, delays, 8, dim=4, std=0.5)
+        for k, (row, delay) in enumerate(zip(rows, delays)):
+            expected = np.zeros(4)
+            for origin in range(8 - delay + 1, 9):
+                expected += (
+                    schedule.rate(origin) / schedule.rate(8)
+                    * stream.row_noise(0, np.array([row]), origin, 4, std=0.5)[0]
+                )
+            np.testing.assert_allclose(noise[k], expected, atol=1e-12)
+        assert engine.samples_drawn == delays.sum() * 4
+
+    def test_ans_scales_the_unit_draw_by_the_weighted_window(self, stream):
+        schedule = self.schedule()
+        engine = ANSEngine(stream, enabled=True, schedule=schedule)
+        rows = np.array([4, 9, 17])
+        delays = np.array([1, 8, 0])
+        noise = engine.catchup_noise(0, rows, delays, 8, dim=4, std=0.5)
+        unit = stream.aggregated_row_noise(0, rows, np.ones(3), 8, 4, std=1.0)
+        window = schedule.sum_squares_window(8, delays)
+        scale = 0.5 * np.sqrt(window) / schedule.rate(8)
+        np.testing.assert_allclose(noise, unit * scale[:, None], rtol=1e-12)
+        assert np.all(noise[2] == 0.0)
+
+    def test_constant_schedule_is_the_unscheduled_draw(self, stream):
+        from repro.train.schedules import ConstantLR
+
+        rows = np.array([3, 8, 5])
+        delays = np.array([2, 7, 4])
+        plain = ANSEngine(stream, enabled=False).catchup_noise(
+            0, rows, delays, 9, dim=8, std=0.1
+        )
+        constant = ANSEngine(
+            stream, enabled=False, schedule=ConstantLR(0.05)
+        ).catchup_noise(0, rows, delays, 9, dim=8, std=0.1)
+        np.testing.assert_array_equal(constant, plain)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import configs, make_private
 from repro.data import DataLoader, SyntheticClickDataset
-from repro.lazydp import LazyDPTrainer, ShardState
+from repro.lazydp import ANSEngine, LazyDPTrainer, ShardState
 from repro.lazydp.optimizer import whole_table_windows
 from repro.nn import DLRM
 from repro.rng import NoiseStream
@@ -141,7 +141,7 @@ class TestShardState:
         model = DLRM(config, seed=0)
         (windows,), histories, router = whole_table_windows(model, False)
         assert router is None
-        return ShardState(windows, NoiseStream(1)), histories
+        return ShardState(windows, ANSEngine(NoiseStream(1))), histories
 
     def test_history_bytes(self, config):
         trainer = LazyDPTrainer(DLRM(config, seed=0), DPConfig())
@@ -190,6 +190,21 @@ class TestMakePrivateAPI:
         assert result.iterations == 5
         assert session.epsilon() > 0
         assert session.epsilon(delta=1e-7) > session.epsilon(delta=1e-3)
+
+    def test_returns_the_session_with_the_loader_bound(self, config):
+        """One constructor: the wrapper is ``TrainSession.build`` plus the
+        loader a no-argument ``fit()`` trains on."""
+        from repro.session import TrainSession
+
+        loader = DataLoader(SyntheticClickDataset(config, seed=1),
+                            batch_size=8, num_batches=2)
+        session = make_private(DLRM(config, seed=0), loader)
+        assert isinstance(session, TrainSession)
+        assert session.data_loader is loader
+        assert session.plan.canonical() == "ans=on"
+        unbound = TrainSession.build(DLRM(config, seed=0), DPConfig())
+        with pytest.raises(ValueError, match="needs a loader"):
+            unbound.fit()
 
     def test_epsilon_before_training_raises(self, config):
         model = DLRM(config, seed=0)

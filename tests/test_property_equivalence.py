@@ -8,8 +8,10 @@ lazy-schedule argument (tiny tables, pooling larger than the table,
 single-iteration runs, batch bigger than unique rows, ...), this is where
 it would surface.  The plan-space tests at the end do the same for the
 ``ExecutionPlan.from_spec`` language: a generated plan must release the
-serial plan's bits (or, under ``bounded:k``, audit clean), and a failure
-shrinks to a minimal canonical spec.
+serial plan's bits (or, under ``bounded:k``, audit clean) — under a
+generated learning-rate schedule too, since the origin weighting of
+deferred noise lives in the one sample-stage mechanism every plan forks
+— and a failure shrinks to a minimal canonical spec.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.lazydp.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
+from repro.train.schedules import LinearWarmupLR, StepDecayLR
 
 from repro.testing import max_param_diff
 
@@ -184,6 +187,29 @@ def in_process_plans(draw):
     ))
 
 
+#: None (the constant ``DPConfig.learning_rate``) or a schedule whose
+#: rate moves inside the 1-7 iterations a geometry trains.
+schedules = st.one_of(
+    st.none(),
+    st.builds(
+        StepDecayLR, st.just(0.1),
+        factor=st.sampled_from([0.25, 0.5, 0.9]),
+        step_size=st.integers(min_value=1, max_value=3),
+    ),
+    st.builds(
+        LinearWarmupLR, st.just(0.08),
+        warmup=st.integers(min_value=1, max_value=5),
+    ),
+)
+
+
+def describe(schedule) -> str:
+    if schedule is None:
+        return "no schedule"
+    fields = {k: v for k, v in vars(schedule).items() if not k.startswith("_")}
+    return f"{type(schedule).__name__}{fields}"
+
+
 def plan_loader(config, params, sampling):
     dataset = SyntheticClickDataset(
         config, seed=params["seed"] + 2, num_examples=512
@@ -195,25 +221,28 @@ def plan_loader(config, params, sampling):
     )
 
 
-def train_plan(plan, params, sampling):
+def train_plan(plan, params, sampling, schedule=None):
     config = build_config(params)
     model = DLRM(config, seed=params["seed"] + 1)
     loader = plan_loader(config, params, sampling)
     with TrainSession.build(model, DPConfig(), plan,
-                            noise_seed=params["seed"] + 4) as session:
+                            noise_seed=params["seed"] + 4,
+                            schedule=schedule) as session:
         session.fit(loader)
     return model, session.trainer
 
 
-def check_plan_against_serial(plan, params, sampling):
-    note(f"plan spec: {plan.canonical()} ({sampling} sampling)")
-    model, trainer = train_plan(plan, params, sampling)
+def check_plan_against_serial(plan, params, sampling, schedule=None):
+    note(f"plan spec: {plan.canonical()} ({sampling} sampling, "
+         f"{describe(schedule)})")
+    model, trainer = train_plan(plan, params, sampling, schedule)
     if plan.is_async and not trainer.scheduler.staleness.is_strict:
         # bounded:k legitimately reorders reads around writes; the
         # ledger is what vouches for the noise accounting.
         assert trainer.ledger
     else:
-        serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling)
+        serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling,
+                               schedule)
         assert max_param_diff(serial, model) == 0.0, plan.canonical()
     trainer.audit_noise_ledger(params["iterations"])
     for history in trainer.engine.histories:
@@ -222,10 +251,12 @@ def check_plan_against_serial(plan, params, sampling):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(in_process_plans(), geometries, st.sampled_from(["fixed", "poisson"]))
-def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling):
+@given(in_process_plans(), geometries, st.sampled_from(["fixed", "poisson"]),
+       schedules)
+def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling,
+                                                 schedule):
     """The ``engine == serial`` matrix, generated instead of enumerated."""
-    check_plan_against_serial(plan, params, sampling)
+    check_plan_against_serial(plan, params, sampling, schedule)
 
 
 @settings(max_examples=6, deadline=None,
@@ -239,11 +270,15 @@ def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling):
     ),
     geometries,
     st.sampled_from(["fixed", "poisson"]),
+    schedules,
 )
-def test_process_plans_release_the_serial_plans_bits(spec, params, sampling):
-    """Same bar across the process boundary (few examples: each one
-    spawns a worker per shard)."""
-    check_plan_against_serial(ExecutionPlan.from_spec(spec), params, sampling)
+def test_process_plans_release_the_serial_plans_bits(spec, params, sampling,
+                                                     schedule):
+    """Same bar across the process boundary, where the schedule travels
+    pickled inside the mechanism (few examples: each one spawns a worker
+    per shard)."""
+    check_plan_against_serial(ExecutionPlan.from_spec(spec), params, sampling,
+                              schedule)
 
 
 @settings(max_examples=4, deadline=None,

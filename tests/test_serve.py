@@ -474,6 +474,31 @@ class TestMultiTenantServing:
         assert server.stats()["tenants"]["private"]["noise_std"] == 5.0
         server.close()
 
+    def test_tenant_noise_std_survives_the_writers_step(self, config, trainer):
+        """Regression: a refresh used to overwrite every tenant's std
+        with the training std (0.06875 here), so a tenant added at
+        ``noise_std=5.0`` served 70x less noise than it asked for after
+        the writer's next step."""
+        from repro.serve import MultiTenantServer
+
+        server = MultiTenantServer(trainer)
+        faithful = server.add("faithful")
+        private = server.add("private", noise_std=5.0)
+        loader = make_loader(config, num_batches=1, seed=35)
+        (_, batch, upcoming), = LookaheadLoader(loader)
+        with private.quiesce():
+            trainer.train_step(5, batch, upcoming)
+        served = private.export()
+        assert private.stats()["refreshes"] == 1
+        assert private.noise_std == 5.0
+        reference = export_private_model(trainer, 5, noise_std=5.0)
+        for name, released in reference.items():
+            np.testing.assert_array_equal(served[name], released)
+        # The unpinned tenant keeps following the training std.
+        faithful.export()
+        assert faithful.noise_std == trainer._last_noise_std != 5.0
+        server.close()
+
     def test_tenant_registry_lifecycle(self, config, trainer):
         from repro.serve import MultiTenantServer
 
@@ -589,13 +614,13 @@ class TestConstructionAndErrors:
         snapshots = [h.snapshot() for h in trainer.engine.histories]
         with pytest.raises(ValueError, match="one history snapshot"):
             PrivateServingEngine(
-                parameters, names, snapshots[:-1], trainer.noise_stream,
+                parameters, names, snapshots[:-1], trainer.mechanism,
                 4, 0.05, 1.0,
             )
         with pytest.raises(ValueError, match="covers"):
             PrivateServingEngine(
                 parameters, names,
-                [snapshots[0][:-1]] + snapshots[1:], trainer.noise_stream,
+                [snapshots[0][:-1]] + snapshots[1:], trainer.mechanism,
                 4, 0.05, 1.0,
             )
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import BufferArena, apply_sparse_update
+from repro.lazydp import ANSEngine
 from repro.rng import NoiseStream
 from repro.serve import PrivateServingEngine
 
@@ -130,11 +131,10 @@ def build_engine(tables, histories, iteration, noise_seed, use_ans,
         parameters,
         list(parameters),
         histories,
-        NoiseStream(noise_seed),
+        ANSEngine(NoiseStream(noise_seed), enabled=use_ans),
         iteration,
         lr,
         std,
-        use_ans=use_ans,
         snapshot=True,
     )
 
