@@ -9,10 +9,15 @@ references, then the compiled ``repro.kernels.njit`` table against
 numpy's.  Where numba is not installed the second half still runs —
 interpreted, at a tiny geometry, for its equivalence checks only — and
 reports no ``apply_fusion_numba`` metrics, so nothing is gated on
-meaningless timings.
+meaningless timings.  Last, the keyed-Gaussian kernel's two
+implementations (``repro.rng._native``: the compiled inner loop and the
+ufunc chain) draw one table's worth of noise each: equal digests are a
+hard check, their M/s are reported side by side and not pinned.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from repro.kernels import BufferArena, dispatch, merge_sparse_updates
 from repro.kernels import njit as njit_kernels
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
-from repro.rng import NoiseStream, philox_invocations
+from repro.rng import NoiseStream, _native, native_status, philox_invocations
 from repro.session import ExecutionPlan
 
 from . import Checks, Result, Table, best_of, case
@@ -180,13 +185,48 @@ def _half(name, labels, apply_kernels, samplers, tolerance, geometry, checks):
     return tables, speedups, launches[1] / max(launches[0], 1), allocs
 
 
+def gaussian_pair(checks, num_rows, dim, repeats=3):
+    """One ``(num_rows, dim)`` draw through the keyed-Gaussian kernel as
+    loaded and, with the loader's handle swapped out, through the ufunc
+    chain.  Returns ``(table, {implementation: M Gaussians/s})``; where
+    the compiled kernel did not load only the chain runs and the table
+    says why."""
+    stream = NoiseStream(seed=101)
+    rows = np.arange(num_rows)
+
+    def measure():
+        digest = hashlib.sha256(stream.row_noise(0, rows, 1, dim).tobytes())
+        seconds = best_of(repeats, lambda: stream.row_noise(0, rows, 1, dim))
+        return digest.hexdigest(), num_rows * dim / seconds / 1e6
+
+    name, detail = native_status()
+    measured = {name: measure()}
+    if name == "native":
+        with _native.using(None):
+            measured["ufunc"] = measure()
+        checks.require(
+            measured["native"][0] == measured["ufunc"][0],
+            "the compiled Gaussian kernel and the ufunc chain drew different bits",
+        )
+    table = format_table(
+        ["gaussian kernel", "M gaussians/s", "sha256[:12]"],
+        [[impl, mps, digest[:12]] for impl, (digest, mps) in measured.items()],
+        title=f"Keyed-Gaussian kernel, {num_rows} x {dim} ({name}: {detail})",
+    )
+    return (
+        Table("gaussian_kernel", table, measured=True),
+        {f"gaussian_mps_{impl}": mps for impl, (_, mps) in measured.items()},
+    )
+
+
 @case(
     "apply_fusion",
     figure="Figure 6, §4.2-4.3 kernel analysis (beyond paper)",
     shows="Fused single-pass apply vs merge + fancy RMW (bitwise slab check, "
     "zero steady-state arena allocations), batched vs per-lag no-ANS "
-    "sampling with Philox launch counts, and the compiled `@njit(parallel)` "
-    "kernels vs numpy's (>= 2x, bitwise slab, `NUMERIC_TOLERANCE` sums)",
+    "sampling with Philox launch counts, the compiled `@njit(parallel)` "
+    "kernels vs numpy's (>= 2x, bitwise slab, `NUMERIC_TOLERANCE` sums), and "
+    "the compiled Gaussian inner loop vs the ufunc chain (equal digests, M/s)",
 )
 def apply_fusion(tier: str) -> Result:
     checks = Checks()
@@ -240,9 +280,15 @@ def apply_fusion(tier: str) -> Result:
             "fused_speedup_numba": numba_speedups[0],
             "sampling_speedup_numba": numba_speedups[1],
         }
+    apply_geometry = GEOMETRY[tier][0]
+    gaussian_table, gaussian_mps = gaussian_pair(
+        checks, apply_geometry["num_rows"], apply_geometry["dim"]
+    )
+    metrics["apply_fusion"].update(gaussian_mps)
     meta = {
         "geometry": GEOMETRY[tier],
         "numba": missing or "compiled",
+        "gaussian_kernel": list(native_status()),
         # The kernel surfaces map onto the plan axes: the fused apply
         # serves every plan's apply phase, the batched sampler is the
         # ans=off plan's exact-replay path.
@@ -252,4 +298,4 @@ def apply_fusion(tier: str) -> Result:
             "numba": "backend=numba",
         },
     }
-    return Result(tables + numba_tables, metrics, meta, checks)
+    return Result(tables + numba_tables + [gaussian_table], metrics, meta, checks)

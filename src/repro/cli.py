@@ -364,6 +364,7 @@ def _run_backends(args) -> int:
     its capabilities, kernel table and availability — the discovery
     surface for "why is backend=numba rejected here?"."""
     from .kernels import active_kernel_backend
+    from .rng import native_status
     from .session import available_backends, backend_info
 
     table_rows = []
@@ -384,6 +385,7 @@ def _run_backends(args) -> int:
         title="Execution backends (ExecutionPlan backend=...)",
     ))
     print(f"\nactive kernel table: {active_kernel_backend()}")
+    print("gaussian kernel: {} ({})".format(*native_status()))
     return 0
 
 

@@ -40,6 +40,7 @@ from functools import partial
 import numpy as np
 
 from ..pipeline.staging import StagedNoise
+from ..rng import native_status
 from ..shard.executor import SerialExecutor
 from ..shard.tables import shard_windows
 from ..train.common import DPConfig
@@ -313,8 +314,10 @@ class LazyDPTrainer(DPSGDFTrainer):
     # -- reporting -----------------------------------------------------------------
     def kernel_stats(self) -> dict:
         """Per-shard arena reuse and timer counters (see
-        :meth:`ShardState.stats`)."""
+        :meth:`ShardState.stats`), and which implementation of the
+        keyed-Gaussian kernel drew the noise (``native`` / ``ufunc``)."""
         return {
+            "gaussian_kernel": native_status()[0],
             "timer_counters": dict(self.timer.counters),
             "shards": [state.stats() for state in self.engine.states],
         }

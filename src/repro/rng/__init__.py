@@ -5,6 +5,8 @@ LazyDP's lazy-vs-eager equivalence exactly testable, plus the Box-Muller
 kernel whose cost model mirrors the paper's characterisation (Section 4.3).
 """
 
+from . import _native
+from ._native import native_status
 from .boxmuller import (
     BOX_MULLER_AVX_OPS,
     NOISE_SAMPLING_PEAK_FRACTION,
@@ -31,6 +33,11 @@ from .philox import (
     uniform_from_uint32,
 )
 
+# Once per process, here and never inside a draw: compile (first import
+# per user and source version) or just open the cached kernel, and
+# compare it with the ufunc chain.
+_native.load()
+
 __all__ = [
     "BOX_MULLER_AVX_OPS",
     "NOISE_SAMPLING_PEAK_FRACTION",
@@ -47,6 +54,7 @@ __all__ = [
     "PHILOX_ROUNDS",
     "derive_key",
     "make_counters",
+    "native_status",
     "philox4x32",
     "philox_invocations",
     "splitmix64",

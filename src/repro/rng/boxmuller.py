@@ -7,13 +7,27 @@ noise sampling compute-bound at 81% of peak AVX throughput.  We implement
 the same transform in numpy and export the instruction-count constants the
 performance model uses to place noise sampling on the roofline (Figure 6).
 
-What *this* implementation is bound by is different.  It runs in place
-over one cache-resident block of per-thread scratch at a time (see
-:data:`repro.rng.philox.BLOCK`), so nothing is allocated; per 16 K-counter
-block (65 536 Gaussians, ~2.2 ms on the reference host) ``cos`` + ``sin``
-take 1.1 ms — numpy's float64 trig is scalar libm, ~17 ns per element —
-the ten Philox rounds 0.5 ms and ``log`` + ``sqrt`` 0.1 ms.  Scalar-libm
-bound, against the paper's 81 %-of-AVX-peak.
+What *this* implementation is bound by is different: libm's scalar
+trig, either way it runs.  It works in place over one cache-resident
+block of per-thread scratch at a time (see
+:data:`repro.rng.philox.BLOCK`), so nothing is allocated.  Per
+16 K-counter block (65 536 Gaussians), measured on the reference host
+(2 vCPU, AVX-512, glibc 2.36, numpy 2.4):
+
+* the ufunc chain in this module and :mod:`.philox`, ~1.9 ms: counters
+  and the ten Philox rounds 0.45 ms, word -> uniform 0.06, ``log`` +
+  ``sqrt`` 0.07, ``cos`` + ``sin`` 0.96 (numpy's float64 trig is libm's,
+  one call per element, ~15 ns each), products, scale and the strided
+  stores 0.15, and the rest is ~140 ufunc dispatches;
+* the same arithmetic compiled (``_gauss.c``, where :mod:`._native`
+  could build it), ~1.2 ms in three calls: counters, rounds and
+  uniforms 0.27 ms, numpy's ``log`` over the radius lane 0.04, and
+  ``sqrt`` + ``sincos`` + products + scale + store 0.81 — 32 768
+  ``sincos`` calls at ~23 ns, one range reduction where ``cos`` +
+  ``sin`` pay two.
+
+Against the paper's 81 %-of-AVX-peak: three quarters of the compiled
+tile is inside glibc, which no bit-identical kernel can leave.
 """
 
 from __future__ import annotations

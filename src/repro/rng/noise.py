@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _native
 from .boxmuller import gaussian_lanes
 from .philox import (
     BLOCK,
     block_scratch,
     derive_key,
+    pair_scratch,
     philox_rounds,
     record_invocations,
 )
@@ -41,6 +43,33 @@ _SHIFT_32 = np.uint64(32)
 _BLOCK_IDS = np.arange(BLOCK, dtype=np.uint64)
 #: The one "row" dense tensors and initialisations are drawn as.
 _ROW_ZERO = np.zeros(1, dtype=np.uint64)
+
+
+def _column(array: np.ndarray, r0: int) -> tuple:
+    """``(address of row r0, bytes between rows)`` of a per-row column —
+    how ``_gauss.c`` walks one, so a zero-stride broadcast needs no copy."""
+    step = array.strides[0]
+    return array.ctypes.data + r0 * step, step
+
+
+def _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1) -> None:
+    """One tile of :meth:`NoiseStream._keyed_gaussians` through
+    ``_gauss.c`` — three calls, the same bits: counters to uniforms,
+    numpy's ``log`` over the radius lane (libm's differs in the last
+    ulp), then the Box-Muller tail, scale and store.  ``rows``,
+    ``iteration`` and ``scale`` are the kernel's per-row columns."""
+    tile = (r1 - r0, b0, b1 - b0)
+    radius, angle = pair_scratch(tile[0] * tile[2])
+    lanes = (radius.ctypes.data, angle.ctypes.data)
+    k0, k1 = int(key[0]), int(key[1])
+    if lib.gauss_uniforms(
+        *_column(rows, r0), *_column(iteration, r0), *tile, k0, k1, *lanes
+    ):
+        raise ValueError("u1 must lie in (0, 1]")
+    np.log(radius, out=radius)
+    lib.gauss_finish(
+        *lanes, *_column(scale, r0), *tile, *_column(out, r0), out.shape[1]
+    )
 
 
 def _empty(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -80,7 +109,7 @@ class NoiseStream:
         (table, row, iteration, lane) never depends on which other rows are
         requested alongside it.
         """
-        rows = np.asarray(rows, dtype=np.uint64)
+        rows = np.asarray(rows)
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array of row indices")
         key = derive_key(self.seed, DOMAIN_ROW_NOISE, table_id)
@@ -104,7 +133,7 @@ class NoiseStream:
         Each draw is bit-identical to the :meth:`row_noise` value of the
         same coordinates.
         """
-        rows = np.asarray(rows, dtype=np.uint64)
+        rows = np.asarray(rows)
         iterations = np.asarray(iterations, dtype=np.int64)
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array of row indices")
@@ -154,7 +183,7 @@ class NoiseStream:
         The draw is keyed by the iteration at which the catch-up happens, so
         repeated catch-ups of the same row use fresh randomness.
         """
-        rows = np.asarray(rows, dtype=np.uint64)
+        rows = np.asarray(rows)
         delays = np.asarray(delays, dtype=np.float64)
         if delays.shape != rows.shape:
             raise ValueError("delays must align with rows")
@@ -210,12 +239,28 @@ class NoiseStream:
         cipher and Box-Muller and scales, all in place over this
         thread's scratch, then writes the four Gaussian lanes straight
         into ``out``.  One launch per call; nothing is allocated, and
-        no bit depends on the tiling.
+        no bit depends on the tiling — nor on whether a tile runs as
+        the ufunc chain below or, where :mod:`._native` loaded it, as
+        the same arithmetic compiled (:func:`_native_tile`).
+
+        Counter words are 32 bits wide (the row takes two), so an
+        iteration outside ``[0, 2**32)`` or a negative row would alias
+        another coordinate's noise; both raise ``ValueError``.
         """
         n_rows, dim = out.shape
         if n_rows == 0:
             return out
+        iteration = np.asarray(iteration)
+        if iteration.min() < 0 or iteration.max() >= 2**32:
+            raise ValueError(
+                "iteration must lie in [0, 2**32), got "
+                f"[{iteration.min()}, {iteration.max()}]"
+            )
+        if rows.dtype.kind != "u" and rows.min() < 0:
+            raise ValueError(f"rows must be non-negative, got {rows.min()}")
+        rows = rows.astype(np.uint64, copy=False)
         record_invocations(1)
+        lib = _native.LIB if out.strides[1] == out.itemsize else None
         blocks_per_row = (dim + 3) // 4
         tile_blocks = min(blocks_per_row, BLOCK)
         tile_rows = BLOCK // tile_blocks
@@ -231,6 +276,9 @@ class NoiseStream:
             tile = slice(r0, r1)
             for b0 in range(0, blocks_per_row, tile_blocks):
                 b1 = min(b0 + tile_blocks, blocks_per_row)
+                if lib is not None:
+                    _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1)
+                    continue
                 words, reals = block_scratch((r1 - r0, b1 - b0))
                 np.bitwise_and(rows[tile], _U32, out=words[0])
                 np.right_shift(rows[tile], _SHIFT_32, out=words[1])

@@ -22,6 +22,8 @@ import threading
 
 import numpy as np
 
+from . import _native
+
 # Philox4x32 round constants (Salmon et al., Table 2).
 PHILOX_M0 = np.uint64(0xD2511F53)
 PHILOX_M1 = np.uint64(0xCD9E8D57)
@@ -68,6 +70,14 @@ def block_scratch(shape: tuple) -> tuple:
         [lane.reshape(shape) for lane in _SCRATCH.words[:, :count]],
         [lane.reshape(shape) for lane in _SCRATCH.reals[:, :count]],
     )
+
+
+def pair_scratch(count: int) -> tuple:
+    """``(radius, angle)``: the calling thread's first four real lanes
+    as two flat lanes of ``2 * count`` uniforms (``count`` at most
+    :data:`BLOCK`) — the layout ``_gauss.c`` fills and reads."""
+    pairs = _SCRATCH.reals[:4].reshape(2, -1)
+    return pairs[0, : 2 * count], pairs[1, : 2 * count]
 
 
 #: Cumulative count of cipher invocations ("kernel launches"): one per
@@ -163,6 +173,14 @@ def philox4x32(
         raise ValueError(f"key must have shape (2,), got {key.shape}")
 
     words = np.empty(counters.shape, dtype=np.uint32)
+    lib = _native.LIB
+    if lib is not None:  # the keyed-Gaussian kernel's round function
+        counters = np.ascontiguousarray(counters)
+        lib.philox4x32_blocks(
+            counters.ctypes.data, counters.shape[0], int(key[0]), int(key[1]),
+            rounds, words.ctypes.data,
+        )
+        return words
     for start in range(0, counters.shape[0], BLOCK):
         block = counters[start : start + BLOCK]
         lanes, _ = block_scratch(block.shape[:1])

@@ -14,6 +14,7 @@ import pytest
 from repro import configs
 from repro.data import SyntheticClickDataset
 from repro.nn import DLRM
+from repro.rng import _native
 from repro.testing import (  # noqa: F401  (re-exported for legacy imports)
     make_loader,
     max_param_diff,
@@ -43,3 +44,23 @@ def dp_config():
 def tiny_batch(tiny_config):
     dataset = SyntheticClickDataset(tiny_config, seed=3)
     return dataset.batch(np.arange(16))
+
+
+@pytest.fixture
+def ufunc_chain():
+    """Run the keyed-Gaussian kernel and ``philox4x32`` as the numpy
+    ufunc chain — the reference, and what a host without a C compiler
+    runs — whatever the loader found (swaps the loader's handle)."""
+    with _native.using(None):
+        yield
+
+
+@pytest.fixture(params=["native", "ufunc"])
+def gaussian_kernel(request):
+    """Run the test once per implementation; ``native`` skips with the
+    loader's reason where it did not load."""
+    if request.param == "ufunc":
+        request.getfixturevalue("ufunc_chain")
+    elif _native.LIB is None:
+        pytest.skip(_native.REASON)
+    return request.param

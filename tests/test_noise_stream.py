@@ -106,6 +106,46 @@ class TestRowNoise:
         assert p_value > 0.001
 
 
+class TestCounterRange:
+    """Counter words are 32 bits wide: a coordinate that does not fit
+    used to wrap onto another coordinate's noise — two coordinates
+    sharing one value, which the exactly-once ledger exists to rule
+    out.  Both implementations refuse it in the shared prologue."""
+
+    ROWS = np.array([3, 17, 42])
+
+    @pytest.mark.parametrize("iteration", [2**32, 1 + 2**32, -1])
+    def test_rejects_iteration_outside_the_counter_word(
+        self, stream, gaussian_kernel, iteration
+    ):
+        with pytest.raises(ValueError, match="iteration"):
+            stream.row_noise(0, self.ROWS, iteration, 8)
+        with pytest.raises(ValueError, match="iteration"):
+            stream.aggregated_row_noise(0, self.ROWS, np.ones(3), iteration, 8)
+        with pytest.raises(ValueError, match="iteration"):
+            stream.dense_noise(0, iteration, (4, 4))
+
+    @pytest.mark.parametrize("bad", [2**32, -1])
+    def test_rejects_one_bad_per_row_iteration(self, stream, gaussian_kernel, bad):
+        with pytest.raises(ValueError, match="iteration"):
+            stream.row_iteration_noise(0, self.ROWS, np.array([1, bad, 2]), 8)
+
+    def test_rejects_negative_rows(self, stream, gaussian_kernel):
+        with pytest.raises(ValueError, match="rows"):
+            stream.row_noise(0, np.array([3, -1, 42]), 1, 8)
+        with pytest.raises(ValueError, match="rows"):
+            stream.row_iteration_noise(0, np.array([-1]), np.array([1]), 8)
+
+    def test_the_whole_range_is_accepted(self, stream, gaussian_kernel):
+        """The last iteration and the last unsigned row are coordinates
+        of their own, not aliases."""
+        rows = np.array([0, 2**64 - 1], dtype=np.uint64)
+        last = stream.row_noise(0, rows, 2**32 - 1, 8)
+        first = stream.row_noise(0, rows, 0, 8)
+        assert not np.array_equal(last, first)
+        assert not np.array_equal(last[0], last[1])
+
+
 class TestRowNoiseSum:
     def test_equals_manual_sum(self, stream):
         rows = np.array([1, 5, 9])
@@ -268,6 +308,10 @@ def _digest(arrays):
 
 
 class TestBlockedKernel:
+    """On the implementation the loader selected: the compiled kernel
+    wherever there is a C compiler (``tests/test_native_kernel.py``
+    asserts that it loaded), else the ufunc chain."""
+
     @pytest.mark.parametrize("method", sorted(GOLDEN))
     def test_golden_bits(self, method):
         assert _digest(_golden_draws(method)) == GOLDEN[method]
@@ -326,3 +370,9 @@ class TestBlockedKernel:
         for got, expected in zip(results, serial):
             assert len(got) == len(expected)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.usefixtures("ufunc_chain")
+class TestBlockedKernelOnUfuncChain(TestBlockedKernel):
+    """The same digests, launch count, allocation bound and thread
+    safety from the reference ufunc chain."""

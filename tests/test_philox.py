@@ -101,6 +101,13 @@ class TestKnownAnswers:
         assert np.array_equal(words[0], _hex_words(expected))
 
 
+@pytest.mark.usefixtures("ufunc_chain")
+class TestKnownAnswersOnUfuncChain(TestKnownAnswers):
+    """:class:`TestKnownAnswers` runs the implementation the loader
+    selected (``_gauss.c``'s round function where it built); this is
+    the numpy one."""
+
+
 class TestBlockedKernel:
     """The blocked cipher against the kept scalar reference
     (``kernels/njit/philox.py``), at every size class of the block walk."""
@@ -126,6 +133,11 @@ class TestBlockedKernel:
         before = philox_invocations()
         philox4x32(_counters(3 * BLOCK + 7), derive_key(0))
         assert philox_invocations() - before == 1
+
+
+@pytest.mark.usefixtures("ufunc_chain")
+class TestBlockedKernelOnUfuncChain(TestBlockedKernel):
+    pass
 
 
 class TestPhiloxStatistics:

@@ -23,6 +23,7 @@ from repro import configs
 from repro.data import LookaheadLoader
 from repro.lazydp.ledger import LedgerError
 from repro.nn import DLRM
+from repro.rng import native_status
 from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff, train_algorithm
 from repro.train import DPConfig
@@ -210,6 +211,7 @@ class TestReportingSurfaces:
             assert worker["samples_drawn"] >= 0
             assert worker["staged"] == 0
         assert trainer.kernel_stats()["procshard"]["workers"]
+        assert trainer.kernel_stats()["gaussian_kernel"] == native_status()[0]
         trainer.close()
         # Post-close stats come from the cached last round trip.
         assert trainer.procshard_stats()["workers"]
