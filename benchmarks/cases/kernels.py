@@ -3,16 +3,12 @@
 The noisy model update is bandwidth-bound (paper §4.3: 85.5% of DRAM
 bandwidth at 2 AVX ops/element), so the apply phase's cost scales with
 how many passes — and allocations — feed the slab write.  One sweep
-compares a slower and a faster kernel on identical data, and runs
-twice: numpy's fused/batched kernels against their unfused/looped
-references, then the compiled ``repro.kernels.njit`` table against
-numpy's.  Where numba is not installed the second half still runs —
-interpreted, at a tiny geometry, for its equivalence checks only — and
-reports no ``apply_fusion_numba`` metrics, so nothing is gated on
-meaningless timings.  Last, the keyed-Gaussian kernel's two
-implementations (``repro.rng._native``: the compiled inner loop and the
-ufunc chain) draw one table's worth of noise each: equal digests are a
-hard check, their M/s are reported side by side and not pinned.
+compares a slower and a faster kernel on identical data: the
+fused/batched kernels against their unfused/looped references.  Last,
+the keyed-Gaussian kernel's two implementations (``repro.rng._native``:
+the compiled inner loop and the ufunc chain) draw one table's worth of
+noise each: equal digests are a hard check, their M/s are reported side
+by side and not pinned.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ import hashlib
 import numpy as np
 
 from repro.bench.reporting import format_table
-from repro.kernels import BufferArena, dispatch, merge_sparse_updates
-from repro.kernels import njit as njit_kernels
+from repro.kernels import BufferArena, merge_sparse_updates
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
 from repro.rng import NoiseStream, _native, native_status, philox_invocations
@@ -31,9 +26,7 @@ from repro.session import ExecutionPlan
 
 from . import Checks, Result, Table, best_of, case
 
-#: ``(apply geometry, sampling geometry)``.  The interpreted entry is
-#: what the numba half falls back to without numba: python-loop kernels
-#: need a geometry small enough to finish.
+#: ``(apply geometry, sampling geometry)``.
 GEOMETRY = {
     "smoke": (
         dict(num_rows=40_000, dim=16, touched=1024, iterations=40),
@@ -42,10 +35,6 @@ GEOMETRY = {
     "full": (
         dict(num_rows=200_000, dim=16, touched=4096, iterations=60),
         dict(rows_count=256, max_delay=512, dim=16),
-    ),
-    "interpreted": (
-        dict(num_rows=2_000, dim=8, touched=96, iterations=4),
-        dict(rows_count=24, max_delay=24, dim=8),
     ),
 }
 
@@ -60,10 +49,6 @@ def _fused(table, lr, grad, noise, arena):
     numpy_fused(table, lr, *grad, *noise, arena=arena)
 
 
-def _fused_njit(table, lr, grad, noise, arena):
-    njit_kernels.fused_noisy_update(table, lr, *grad, *noise)
-
-
 def apply_pair(slow, fast, *, num_rows, dim, touched, iterations, repeats=3):
     """Replay one pre-generated stream of ``(grad, noise)`` sparse updates
     (each ``(sorted unique rows, values)``) through two apply kernels
@@ -72,8 +57,8 @@ def apply_pair(slow, fast, *, num_rows, dim, touched, iterations, repeats=3):
     whether the two slabs ended bitwise equal, and the arena allocations
     made after warm-up (must be none).
 
-    The warm-up pass pays first-touch faults, arena growth and — for a
-    compiled kernel — JIT compilation, all outside the timed windows.
+    The warm-up pass pays first-touch faults and arena growth outside
+    the timed windows.
     """
     rng = np.random.default_rng(7)
 
@@ -124,12 +109,6 @@ def _batched(stream, rows, delays, iteration, dim):
     return numpy_batched(stream, 0, rows, delays, iteration, dim, std=0.5)
 
 
-def _batched_njit(stream, rows, delays, iteration, dim):
-    return njit_kernels.batched_catchup_sum(
-        stream, 0, rows, delays, iteration, dim, std=0.5
-    )
-
-
 def sampling_pair(slow, fast, tolerance, *, rows_count, max_delay, dim, repeats=3):
     """Two no-ANS catch-up samplers on one tail-heavy delay profile (the
     shape LazyDP's catch-up actually sees).  Returns ``(seconds,
@@ -145,7 +124,7 @@ def sampling_pair(slow, fast, tolerance, *, rows_count, max_delay, dim, repeats=
         def run(sampler=sampler):
             return sampler(stream, rows, delays, max_delay + 1, dim)
 
-        run()  # warm the scratch / compile
+        run()  # warm the scratch
         before = philox_invocations()
         sums.append(run())
         launches.append(philox_invocations() - before)
@@ -224,9 +203,8 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
     figure="Figure 6, §4.2-4.3 kernel analysis (beyond paper)",
     shows="Fused single-pass apply vs merge + fancy RMW (bitwise slab check, "
     "zero steady-state arena allocations), batched vs per-lag no-ANS "
-    "sampling with Philox launch counts, the compiled `@njit(parallel)` "
-    "kernels vs numpy's (>= 2x, bitwise slab, `NUMERIC_TOLERANCE` sums), and "
-    "the compiled Gaussian inner loop vs the ufunc chain (equal digests, M/s)",
+    "sampling with Philox launch counts, and the compiled Gaussian inner "
+    "loop vs the ufunc chain (equal digests, M/s)",
 )
 def apply_fusion(tier: str) -> Result:
     checks = Checks()
@@ -252,34 +230,6 @@ def apply_fusion(tier: str) -> Result:
         }
     }
 
-    # The compiled half.  Whether its timings mean anything — and so
-    # whether its pinned floors are emitted and gated — is decided by
-    # what is installed, not by a flag.
-    missing = dispatch.numba_missing_reason()
-    numba_tables, numba_speedups, _, _ = _half(
-        "apply_fusion_numba",
-        ("numpy", "numba" if missing is None else "njit (interpreted)"),
-        (_fused, _fused_njit),
-        (_batched, _batched_njit),
-        njit_kernels.NUMERIC_TOLERANCE,
-        GEOMETRY["interpreted" if missing else tier],
-        checks,
-    )
-    if missing is None:
-        import repro.kernels as kernel_api
-
-        # The plan-level route to these kernels: the dispatcher must
-        # swap the package-level wrappers onto the numba table.
-        with kernel_api.use_kernel_backend("numba"):
-            checks.require(
-                kernel_api.active_kernel_backend() == "numba"
-                and dispatch.active_kernel_table().fused_noisy_update is not None,
-                "use_kernel_backend('numba') did not activate the numba table",
-            )
-        metrics["apply_fusion_numba"] = {
-            "fused_speedup_numba": numba_speedups[0],
-            "sampling_speedup_numba": numba_speedups[1],
-        }
     apply_geometry = GEOMETRY[tier][0]
     gaussian_table, gaussian_mps = gaussian_pair(
         checks, apply_geometry["num_rows"], apply_geometry["dim"]
@@ -287,7 +237,6 @@ def apply_fusion(tier: str) -> Result:
     metrics["apply_fusion"].update(gaussian_mps)
     meta = {
         "geometry": GEOMETRY[tier],
-        "numba": missing or "compiled",
         "gaussian_kernel": list(native_status()),
         # The kernel surfaces map onto the plan axes: the fused apply
         # serves every plan's apply phase, the batched sampler is the
@@ -295,7 +244,6 @@ def apply_fusion(tier: str) -> Result:
         "plans": {
             "apply": ExecutionPlan().canonical(),
             "sampling": ExecutionPlan(ans=False).canonical(),
-            "numba": "backend=numba",
         },
     }
-    return Result(tables + numba_tables + [gaussian_table], metrics, meta, checks)
+    return Result(tables + [gaussian_table], metrics, meta, checks)

@@ -360,32 +360,27 @@ def _run_score(args) -> int:
 
 
 def _run_backends(args) -> int:
-    """Print the execution-backend registry: one row per backend with
-    its capabilities, kernel table and availability — the discovery
-    surface for "why is backend=numba rejected here?"."""
-    from .kernels import active_kernel_backend
+    """Print the execution-backend registry — one row per backend with
+    the plan axes it composes with — and which Gaussian inner loop the
+    loader chose."""
     from .rng import native_status
     from .session import available_backends, backend_info
 
     table_rows = []
     for name in available_backends():
         info = backend_info(name)
-        ok, reason = info.available()
         table_rows.append([
             name,
             ",".join(c for c in ("flat", "shards", "pipeline", "async",
                                  "workers") if info.supports(c)),
-            info.kernels,
-            "yes" if ok else "NO",
-            reason if not ok else info.description,
+            info.description,
         ])
     print(format_table(
-        ["backend", "capabilities", "kernels", "available", "notes"],
+        ["backend", "capabilities", "notes"],
         table_rows,
         title="Execution backends (ExecutionPlan backend=...)",
     ))
-    print(f"\nactive kernel table: {active_kernel_backend()}")
-    print("gaussian kernel: {} ({})".format(*native_status()))
+    print("\ngaussian kernel: {} ({})".format(*native_status()))
     return 0
 
 
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
 
     subparsers.add_parser(
         "backends",
-        help="list execution backends: capabilities, kernels, availability",
+        help="list execution backends and their capabilities",
     )
 
     serve_parser = subparsers.add_parser(

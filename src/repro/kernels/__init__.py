@@ -21,27 +21,23 @@ apply phase sits on:
   segmented sum, collapsing the O(max_delay) per-lag kernel launches of
   the eager-style loop to O(1).
 
-The three hot kernels above are *dispatched*: the package-level names
-are thin wrappers over the active :class:`KernelTable
-<repro.kernels.dispatch.KernelTable>`, so an execution plan's
-``backend=numba`` swaps in the compiled implementations
-(:mod:`repro.kernels.njit`) for every consumer — serial / sharded /
-pipelined / async trainers, the terminal flush, the private serving
-engine — with zero call-site changes.  The default table is the
-vectorised numpy reference; the bitwise-equivalence suites that pin
-trainer-vs-trainer equality therefore also pin the kernels.
+The three hot kernels above are called through package-level wrappers
+over the one :class:`KernelTable <repro.kernels.dispatch.KernelTable>`
+(the vectorised numpy reference), so every consumer — serial / sharded
+/ pipelined / async trainers, the terminal flush, the private serving
+engine — shares one spelling and the benchmark tracer wraps all of them
+at one swap point (see :mod:`repro.kernels.dispatch`).  The
+bitwise-equivalence suites that pin trainer-vs-trainer equality
+therefore also pin the kernels.
 """
 
 from . import dispatch
 from .arena import BufferArena
 from .dispatch import (
     KernelTable,
-    active_kernel_backend,
     active_kernel_table,
-    kernel_backends,
     register_kernel_table,
     set_kernel_backend,
-    use_kernel_backend,
 )
 from .fused import apply_sparse_update, fused_merge, merge_sparse_updates
 from .sampler import DEFAULT_MAX_ROW_SCALARS, DEFAULT_MAX_SCALARS
@@ -61,9 +57,7 @@ def fused_noisy_update(
     """The fused apply phase, routed through the active kernel table.
 
     See :func:`repro.kernels.fused.fused_noisy_update` (the numpy
-    reference and contract holder) and
-    :func:`repro.kernels.njit.fused.fused_noisy_update` (the compiled
-    table's entry).
+    reference and contract holder).
     """
     return dispatch.active_kernel_table().fused_noisy_update(
         table,
@@ -138,16 +132,13 @@ def batched_row_noise_sum(
 __all__ = [
     "BufferArena",
     "KernelTable",
-    "active_kernel_backend",
     "active_kernel_table",
     "apply_sparse_update",
     "batched_catchup_sum",
     "batched_row_noise_sum",
     "fused_merge",
     "fused_noisy_update",
-    "kernel_backends",
     "merge_sparse_updates",
     "register_kernel_table",
     "set_kernel_backend",
-    "use_kernel_backend",
 ]

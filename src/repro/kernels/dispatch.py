@@ -1,39 +1,29 @@
-"""Kernel-table indirection: swap the hot kernels without touching callers.
+"""The tracer's swap point for the three hot kernels.
 
 Every trainer, the serving engine and the rng facade call the three hot
 kernels — ``fused_noisy_update``, ``batched_catchup_sum``,
 ``batched_row_noise_sum`` — through the :mod:`repro.kernels` package
 top level.  Those package-level names are thin wrappers that consult
-the process-global *active* :class:`KernelTable` at call time, so an
-``ExecutionPlan(backend=...)`` can reroute the whole training stack to
-a compiled implementation with zero call-site changes.
+the one :class:`KernelTable`, named ``numpy``, at call time, so
+re-registering that name reroutes every call site (serial, sharded,
+pipelined, async, flush, serving) at once.
 
-Two tables ship built in:
-
-``numpy``
-    The vectorised reference kernels (:mod:`repro.kernels.fused`,
-    :mod:`repro.kernels.sampler`).  Always available; always the
-    default.
-``numba``
-    The ``@njit(parallel=True)`` kernels (:mod:`repro.kernels.njit`),
-    registered lazily on first selection.  Selection is refused with a
-    clear error while numba is not importable — the interpreted
-    fallback the njit package runs under without numba is for the
-    equivalence test suite, never for trainers.
-
-The active table is process-global and sticky: ``TrainSession.build``
-sets it from the plan's backend, and it stays until the next build (or
-an explicit :func:`set_kernel_backend`).  Running two trainers with
-*different* kernel backends concurrently in one process is not
-supported — the same limitation numba's own threading layer has — and
-the serving engine simply reads whichever table the trainer installed.
+That is all this module is for.  Its four names — :class:`KernelTable`,
+:func:`register_kernel_table`, :func:`set_kernel_backend`,
+:func:`active_kernel_table` — are exactly what the frozen
+``benchmarks/e2e/tracing.py`` calls to wrap the kernels in spans and to
+put the originals back; nothing under ``src/`` selects a table, and
+``TrainSession.build`` does not touch this state.  It is not an
+extension point: compiled code lands *under* the reference kernels as
+a bitwise inner loop the loader chooses (``repro.rng._native``), with no
+name to select.  When the ROADMAP "one span vocabulary" ``[benchmark]``
+PR makes ``tracing.py`` a reader of spans the kernels emit themselves,
+this module and the three wrappers go with it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .fused import fused_noisy_update as _numpy_fused_noisy_update
@@ -53,6 +43,7 @@ class KernelTable:
 
 
 _TABLES: dict = {}
+_ACTIVE = None
 _LOCK = threading.Lock()
 
 
@@ -64,7 +55,12 @@ def register_kernel_table(
     batched_row_noise_sum,
     description: str = "",
 ) -> KernelTable:
-    """Register (or idempotently re-register) a kernel table."""
+    """Register (or replace) the table under ``name``.
+
+    Replacing the active name takes effect at once: the wrappers
+    dispatch to the new table from the next call on.
+    """
+    global _ACTIVE
     table = KernelTable(
         name=name,
         fused_noisy_update=fused_noisy_update,
@@ -74,6 +70,8 @@ def register_kernel_table(
     )
     with _LOCK:
         _TABLES[name] = table
+        if _ACTIVE is not None and _ACTIVE.name == name:
+            _ACTIVE = table
     return table
 
 
@@ -86,50 +84,14 @@ _ACTIVE = register_kernel_table(
 )
 
 
-def numba_missing_reason() -> str | None:
-    """Why the numba table cannot be selected, or ``None`` if it can.
-
-    Probes importability without importing (no compiler warm-up at plan
-    validation time).  Tests monkeypatch this single choke point to
-    simulate a missing numba or to opt the interpreted fallback in.
-    """
-    if importlib.util.find_spec("numba") is None:
-        return (
-            "numba is not installed; the compiled kernel backend needs "
-            "the optional extra — pip install 'repro[numba]'"
-        )
-    return None
-
-
-def kernel_backends() -> tuple:
-    """Registered kernel-table names, in registration order."""
-    with _LOCK:
-        return tuple(_TABLES)
-
-
 def active_kernel_table() -> KernelTable:
     """The table the package-level kernel wrappers dispatch to."""
     return _ACTIVE
 
 
-def active_kernel_backend() -> str:
-    """Name of the active kernel table."""
-    return _ACTIVE.name
-
-
-def set_kernel_backend(name: str) -> str:
-    """Make ``name`` the active kernel table; returns the previous name.
-
-    Selecting ``"numba"`` imports :mod:`repro.kernels.njit` on first
-    use (registering its table) and is refused while numba is missing.
-    """
+def set_kernel_backend(name: str) -> None:
+    """Make the table registered under ``name`` the active one."""
     global _ACTIVE
-    if name == "numba":
-        reason = numba_missing_reason()
-        if reason is not None:
-            raise RuntimeError(f"kernel backend 'numba' is unavailable: {reason}")
-        if name not in kernel_backends():
-            from . import njit  # noqa: F401 - import registers the table
     with _LOCK:
         table = _TABLES.get(name)
         if table is None:
@@ -137,16 +99,4 @@ def set_kernel_backend(name: str) -> str:
                 f"unknown kernel backend: {name!r} "
                 f"(registered: {', '.join(_TABLES)})"
             )
-        previous = _ACTIVE.name
         _ACTIVE = table
-    return previous
-
-
-@contextmanager
-def use_kernel_backend(name: str):
-    """Context manager: activate ``name``, restore the previous table."""
-    previous = set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)

@@ -159,8 +159,8 @@ class NoiseStream:
         invocation and segment-summed (value-equal to the one-at-a-time
         loop; only the accumulation order differs, within float rounding).
         """
-        # Through the package-level dispatcher, so backend=numba routes
-        # this facade onto the compiled sampler too.
+        # Through the package-level wrapper, so the tracer's swap point
+        # (repro.kernels.dispatch) covers this facade too.
         from ..kernels import batched_row_noise_sum
 
         return batched_row_noise_sum(

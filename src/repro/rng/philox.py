@@ -105,9 +105,8 @@ def record_invocations(count: int = 1) -> None:
     """Fold cipher launches into the counter.
 
     :func:`philox4x32` and the keyed-Gaussian kernel record one launch
-    per call; the compiled njit kernels (``repro.kernels.njit``), which
-    run the rounds in-register inside their own loops, do the same so
-    the O(launches) diagnostics stay comparable across backends.
+    per call, whichever inner loop (``_gauss.c`` or the ufunc chain)
+    runs the rounds, so the O(launches) diagnostics stay comparable.
     """
     global _INVOCATIONS
     with _INVOCATIONS_LOCK:

@@ -5,9 +5,8 @@
   ``serve``) with dict/spec round-trip serialization;
 * the execution-backend registry — :func:`register_backend` /
   :func:`available_backends` / :func:`backend_info` — resolving the
-  plan's ``backend`` axis (``numpy``, ``threads[:K]``, ``process``,
-  ``numba``) to how shard tasks run and which kernel table is active;
-  the extension point new backends plug into;
+  plan's ``backend`` axis (``numpy``, ``threads[:K]``, ``process``) to
+  how shard tasks run; the extension point new backends plug into;
 * :class:`TrainSession` — ``TrainSession.build(model, dp, plan)`` turns
   the axes into a partition, a scheduler and a backend-bound
   :class:`repro.lazydp.trainer.LazyDPTrainer`, and owns the resulting
@@ -31,7 +30,6 @@ from .plan import ExecutionPlan
 from .registry import (
     BACKEND_CAPABILITIES,
     BackendInfo,
-    PlanError,
     available_backends,
     backend_info,
     parse_backend_spec,
@@ -42,7 +40,6 @@ __all__ = [
     "BACKEND_CAPABILITIES",
     "BackendInfo",
     "ExecutionPlan",
-    "PlanError",
     "TrainSession",
     "available_backends",
     "backend_info",

@@ -12,8 +12,7 @@ class is picked or assembled per combination:
   apply stages (trainer thread / prefetch worker / apply worker);
 * the ``backend`` axis resolves through the registry
   (:mod:`repro.session.registry`) to *how shard tasks run* — serially,
-  on a thread pool, or as messages to worker processes — and to the
-  kernel table the build activates.
+  on a thread pool, or as messages to worker processes.
 
 :class:`TrainSession` is the facade over the built trainer: ``fit``,
 privacy accounting, private release, and :meth:`serve` — which hands
@@ -24,7 +23,6 @@ of freezing at construction.
 
 from __future__ import annotations
 
-from ..kernels import set_kernel_backend
 from ..lazydp.scheduler import Scheduler
 from ..shard.plan import build_partition_plan
 from ..train.common import DPConfig, TrainResult
@@ -80,16 +78,8 @@ class TrainSession:
         iteration's rate.
         """
         plan = plan if plan is not None else ExecutionPlan()
-        # Activate the backend's kernel table before any trainer code
-        # runs: the hot kernels (repro.kernels top level) dispatch on
-        # the process-global active table at call time, which is what
-        # lets backend=numba reroute every consumer with zero call-site
-        # changes.  The setting is sticky until the next build; running
-        # trainers with different kernel backends concurrently in one
-        # process is unsupported.
         backend_name, workers = parse_backend_spec(plan.backend)
         info = backend_info(backend_name)
-        set_kernel_backend(info.kernels)
 
         num_shards = plan.shards.num_shards if plan.is_sharded else 1
         if not plan.is_sharded and (skew is not None or partition_plan is not None):

@@ -27,12 +27,8 @@ bits.  An :class:`ExecutionPlan` names a combination by its axes:
     the registry in :mod:`repro.session.registry` — ``"numpy"``
     (default, in-process serial schedule), ``"threads[:K]"`` (shard
     thread pool), ``"process"`` (one worker process per shard, slabs in
-    shared memory; ``repro.procshard``), ``"numba"`` (compiled
-    ``@njit`` kernels via the kernel-table dispatcher; needs the
-    optional ``[numba]`` extra, else validation raises
-    :class:`PlanError <repro.session.registry.PlanError>`).  A backend
-    is *how shard tasks run* plus a kernel table; new ones land as
-    ``register_backend`` calls.
+    shared memory; ``repro.procshard``).  A backend is *how shard tasks
+    run*; new ones land as ``register_backend`` calls.
 ``obs``
     ``None`` for an uninstrumented run, or a
     :class:`repro.configs.ObservabilityConfig` selecting tracing
@@ -66,7 +62,7 @@ from ..configs import (
     ServeConfig,
     ShardConfig,
 )
-from .registry import PlanError, backend_info, parse_backend_spec
+from .registry import backend_info, parse_backend_spec
 
 _SPEC_KEYS = (
     "ans",
@@ -169,14 +165,6 @@ class ExecutionPlan:
         if self.async_ is not None and not info.supports("async"):
             raise ValueError(
                 f"backend {name!r} does not compose with the async axis"
-            )
-        # Environmental availability last: a well-formed plan naming a
-        # backend whose optional dependency is missing gets a
-        # PlanError spelling out the extra to install.
-        ok, reason = info.available()
-        if not ok:
-            raise PlanError(
-                f"backend {name!r} is unavailable: {reason}"
             )
         if (
             name == "process"

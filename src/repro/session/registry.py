@@ -12,12 +12,12 @@
   ``"name[:workers]"`` spec grammar the plan language uses
   (``backend=threads:4``, ``backend=process``).
 
-Four backends ship built in:
+Three backends ship built in:
 
 ``numpy``
     The default: in-process numpy kernels, shard tasks one after
     another on the calling thread.  The only built-in that supports
-    *flat* (unsharded) plans besides ``numba``.
+    *flat* (unsharded) plans.
 ``threads``
     The same in-process kernels fanned out over a persistent shard
     thread pool (``repro.shard.executor``).  ``:K`` caps the pool.
@@ -26,17 +26,9 @@ Four backends ship built in:
     slab and history table in ``multiprocessing.shared_memory``
     (``repro.procshard``); shard tasks travel as messages.  ``:K`` must
     equal the shard count — the backend pins one worker per shard.
-``numba``
-    ``numpy``'s schedule with the three hot kernels rerouted to
-    compiled ``@njit(parallel=True)`` implementations
-    (``repro.kernels.njit``) through the kernel-table dispatcher.
-    Conditionally available: plan validation raises :class:`PlanError`
-    naming the missing ``[numba]`` extra when numba is not importable.
 
-Besides the factory, :class:`BackendInfo` names the *kernel table*
-(``repro.kernels.dispatch``) the build activates, and an optional
-*availability* probe — the hook that lets a backend depend on an
-optional extra without tier-1 ever importing it.
+A backend is *how shard tasks run* and nothing else: all three run the
+same kernels (``repro.kernels``).
 """
 
 from __future__ import annotations
@@ -48,15 +40,6 @@ from dataclasses import dataclass, field
 #: that plan axis; ``workers`` — accepts a ``:K`` worker count in the
 #: backend spec.
 BACKEND_CAPABILITIES = ("flat", "shards", "pipeline", "async", "workers")
-
-
-class PlanError(ValueError):
-    """An execution plan that cannot run in this environment.
-
-    Subclass of ``ValueError`` so existing ``except ValueError``
-    call sites keep working; raised distinctly for *environmental*
-    rejections (an unavailable backend) as opposed to malformed plans.
-    """
 
 
 @dataclass(frozen=True)
@@ -73,26 +56,9 @@ class BackendInfo:
     factory: object
     capabilities: frozenset = field(default_factory=frozenset)
     description: str = ""
-    #: Name of the kernel table (``repro.kernels.dispatch``) the build
-    #: activates for this backend.  Most backends run the numpy
-    #: reference kernels; ``numba`` swaps in the compiled table.
-    kernels: str = "numpy"
-    #: Optional availability probe: ``None`` (always available) or a
-    #: zero-argument callable returning ``None`` when available, else a
-    #: human-readable reason.  Checked at plan validation, so a
-    #: rejected plan names the missing extra instead of failing deep in
-    #: the build.
-    availability: object = None
 
     def supports(self, capability: str) -> bool:
         return capability in self.capabilities
-
-    def available(self) -> tuple:
-        """``(ok, reason)`` — whether the backend can run here."""
-        if self.availability is None:
-            return True, ""
-        reason = self.availability()
-        return reason is None, (reason or "")
 
 
 _REGISTRY: dict = {}
@@ -103,8 +69,6 @@ def register_backend(
     factory,
     capabilities=(),
     description: str = "",
-    kernels: str = "numpy",
-    availability=None,
 ) -> BackendInfo:
     """Register an execution backend under ``name``.
 
@@ -115,10 +79,7 @@ def register_backend(
     bound in (see :attr:`BackendInfo.factory`).  ``capabilities``
     declares which plan axes the backend composes with (subset of
     :data:`BACKEND_CAPABILITIES`); plan validation rejects combinations
-    outside it with a named reason.  ``kernels``
-    names the kernel table the build activates; ``availability`` is an
-    optional probe (``None`` reason = available) letting the backend
-    gate on an optional dependency.
+    outside it with a named reason.
     """
     if not name or not name.replace("_", "").isalnum():
         raise ValueError(
@@ -139,17 +100,11 @@ def register_backend(
             f"unknown backend capabilities: {', '.join(unknown)} "
             f"(choose from {', '.join(BACKEND_CAPABILITIES)})"
         )
-    if availability is not None and not callable(availability):
-        raise ValueError(
-            f"backend availability probe must be callable, got {availability!r}"
-        )
     info = BackendInfo(
         name=name,
         factory=factory,
         capabilities=capabilities,
         description=description,
-        kernels=str(kernels),
-        availability=availability,
     )
     _REGISTRY[name] = info
     return info
@@ -240,12 +195,6 @@ def _process_factory(*, num_shards: int, workers):
     return ProcessShardedLazyDPTrainer
 
 
-def _numba_availability():
-    from ..kernels import dispatch
-
-    return dispatch.numba_missing_reason()
-
-
 register_backend(
     "numpy",
     _numpy_factory,
@@ -265,14 +214,4 @@ register_backend(
     description=(
         "one worker process per shard, slab and history in shared memory"
     ),
-)
-register_backend(
-    "numba",
-    _numpy_factory,
-    capabilities=("flat", "shards", "pipeline", "async"),
-    description=(
-        "compiled @njit(parallel) kernels: fused apply + in-register sampling"
-    ),
-    kernels="numba",
-    availability=_numba_availability,
 )

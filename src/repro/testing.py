@@ -91,3 +91,29 @@ def numeric_gradient(func, x, eps=1e-6):
         flat_x[i] = original
         flat_grad[i] = (upper - lower) / (2.0 * eps)
     return grad
+
+
+def philox4x32_reference(c0, c1, c2, c3, k0, k1):
+    """Ten Philox4x32 rounds in plain uint64 arithmetic: the reference
+    the blocked cipher (``repro.rng.philox.philox4x32``) is tested
+    against.
+
+    Each argument is ``np.uint64`` (scalar or array; arrays broadcast,
+    so whole counter columns go through at once) holding a 32-bit
+    value.  ``mulhilo`` is one 64-bit product: the high word is a
+    shift, the low word a mask (Salmon et al., Table 2 constants).
+    Returns the four output words as uint64 (each < 2**32).
+    """
+    m0, m1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+    w0, w1 = np.uint64(0x9E3779B9), np.uint64(0xBB67AE85)
+    mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    for _ in range(10):
+        p0, p1 = c0 * m0, c2 * m1
+        c0, c1, c2, c3 = (
+            ((p1 >> shift) ^ c1 ^ k0) & mask,
+            p1 & mask,
+            ((p0 >> shift) ^ c3 ^ k1) & mask,
+            p0 & mask,
+        )
+        k0, k1 = (k0 + w0) & mask, (k1 + w1) & mask
+    return c0, c1, c2, c3

@@ -42,7 +42,7 @@ def scratch_backend():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert available_backends() == ("numpy", "threads", "process", "numba")
+        assert available_backends() == ("numpy", "threads", "process")
 
     def test_backend_info_fields(self):
         info = backend_info("threads")
@@ -54,23 +54,20 @@ class TestRegistry:
         assert backend_info("process").supports("shards")
         assert not backend_info("process").supports("pipeline")
 
-    def test_kernel_table_and_availability_fields(self):
-        # Every backend but numba runs the numpy reference kernels and
-        # is unconditionally available.
-        for name in ("numpy", "threads", "process"):
-            info = backend_info(name)
-            assert info.kernels == "numpy"
-            assert info.available() == (True, "")
-        numba = backend_info("numba")
-        assert numba.kernels == "numba"
-        assert numba.supports("flat") and numba.supports("shards")
-        ok, reason = numba.available()
-        # Environment-dependent: when numba is missing the reason must
-        # name the optional extra users need to install.
-        if not ok:
-            assert "numba" in reason
-        else:
-            assert reason == ""
+    def test_a_backend_is_how_shard_tasks_run_and_nothing_else(self):
+        # No kernel-table name, no availability probe: every backend
+        # runs the one kernel set and none depends on an optional extra.
+        fields = set(BackendInfo.__dataclass_fields__)
+        assert fields == {"name", "factory", "capabilities", "description"}
+        info = backend_info("numpy")
+        assert not hasattr(info, "kernels")
+        assert not hasattr(info, "availability")
+        assert not hasattr(info, "available")
+
+    def test_numba_is_an_ordinary_unknown_backend_name(self):
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            ExecutionPlan.from_spec("backend=numba")
+        assert "registered: numpy, threads, process;" in str(excinfo.value)
 
     def test_unknown_backend_error_lists_registered_names(self):
         with pytest.raises(ValueError) as excinfo:

@@ -120,4 +120,4 @@ class TestCommittedBaseline:
         benches = {key.partition("/")[0] for key in baseline["metrics"]}
         assert benches == {"shard_scaling", "pipeline_overlap",
                            "async_inflight", "apply_fusion",
-                           "apply_fusion_numba", "serve_load"}
+                           "serve_load"}

@@ -21,7 +21,6 @@ import pytest
 from benchmarks import run as runner
 from benchmarks.cases import REGISTRY, Case, Result, Table, Timing, figures
 from repro.bench import ALL_FIGURES
-from repro.kernels import dispatch
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -182,7 +181,6 @@ LEGACY_BENCHES = {
     "bench_pipeline_overlap.py": "plan_sweep",
     "bench_async_inflight.py": "plan_sweep",
     "bench_apply_fusion.py": "apply_fusion",
-    "bench_apply_fusion.py --backend numba": "apply_fusion",
     "bench_obs_overhead.py": "obs_overhead",
     "bench_serve_load.py": "serve_load",
 }
@@ -268,11 +266,5 @@ class TestSmokeRun:
             for metric in payload["metrics"]:
                 emitted[f"{payload['benchmark']}/{metric}"] = payload["meta"]["case"]
         pinned = set(runner.load_baseline()["metrics"])
-        if dispatch.numba_missing_reason() is not None:
-            # The compiled half ran interpreted: its floors are emitted
-            # (and gated) only where numba is installed.
-            numba = {key for key in pinned if key.startswith("apply_fusion_numba/")}
-            assert len(numba) == 2 and not numba & set(emitted)
-            pinned -= numba
-            assert len(pinned) == 22
+        assert len(pinned) == 22
         assert pinned <= set(emitted), sorted(pinned - set(emitted))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -236,6 +238,26 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "within tolerance" in out
         assert "FAIL" not in out
+
+
+class TestBackendsCommand:
+    def test_lists_the_registry_and_the_gaussian_kernel(self, capsys):
+        assert main(["backends"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        assert header == ["backend", "capabilities", "notes"]
+        rows = [
+            [cell.strip() for cell in line.split("|")][:2]
+            for line in lines[3:6]
+        ]
+        assert rows == [
+            ["numpy", "flat,shards,pipeline,async"],
+            ["threads", "shards,pipeline,async,workers"],
+            ["process", "shards,workers"],
+        ]
+        assert lines[6] == ""
+        assert re.fullmatch(r"gaussian kernel: (native|ufunc) \(.+\)", lines[7])
+        assert len(lines) == 8
 
 
 class TestArgumentValidation:

@@ -10,21 +10,38 @@ Three contracts:
 * the batched no-ANS sampler equals the historical per-lag loop in
   value and in ``samples_drawn`` accounting, with O(1) (budget-bounded,
   ``max_delay``-independent) Philox invocations instead of O(max_delay).
+
+Last, the one swap point the benchmark tracer uses
+(``repro.kernels.dispatch``): re-registering the table named ``numpy``
+reroutes every consumer of the three hot kernels, at once.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro import configs, kernels
 from repro.kernels import (
     BufferArena,
+    active_kernel_table,
     apply_sparse_update,
     batched_catchup_sum,
     fused_merge,
     fused_noisy_update,
     merge_sparse_updates,
+    register_kernel_table,
+    set_kernel_backend,
 )
+from repro.kernels import fused as numpy_fused
+from repro.kernels import sampler as numpy_sampler
+from repro.data import LookaheadLoader
 from repro.lazydp import ANSEngine
+from repro.nn import DLRM
 from repro.rng import NoiseStream, philox_invocations
+from repro.session import ExecutionPlan, TrainSession
+from repro.testing import make_loader
+from repro.train import DPConfig
 from repro.train.common import StageTimer
 
 
@@ -389,3 +406,118 @@ class TestBatchedSampler:
             stream, 0, np.array([4]), np.array([0]), 5, 8
         )
         assert np.all(out == 0.0)
+
+
+KERNEL_NAMES = ("fused_noisy_update", "batched_catchup_sum", "batched_row_noise_sum")
+
+
+@contextmanager
+def counting_table():
+    """Re-register ``numpy`` with wrappers that log each call by kernel
+    name, and put the original functions back on exit.  Yields
+    ``(calls, table)``."""
+    original = active_kernel_table()
+    calls = []
+
+    def counting(name):
+        kernel = getattr(original, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)  # list.append: safe from shard threads
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    # One register_kernel_table("numpy", ...) call each way, as the
+    # tracer makes; a KernelTable's fields are that call's arguments.
+    wrapped = {name: counting(name) for name in KERNEL_NAMES}
+    try:
+        yield calls, register_kernel_table(**{**vars(original), **wrapped})
+    finally:
+        register_kernel_table(**vars(original))
+
+
+def _drive(session, config, steps=3):
+    """Step a session with no terminal flush, leaving rows behind on noise."""
+    session.trainer.expected_batch_size = 16
+    loader = make_loader(config, batch_size=16, num_batches=steps)
+    for index, batch, upcoming in LookaheadLoader(loader):
+        session.train_step(index + 1, batch, upcoming)
+
+
+def _assert_active_table_is_the_numpy_reference():
+    table = active_kernel_table()
+    assert table.name == "numpy"
+    assert table.fused_noisy_update is numpy_fused.fused_noisy_update
+    assert table.batched_catchup_sum is numpy_sampler.batched_catchup_sum
+    assert table.batched_row_noise_sum is numpy_sampler.batched_row_noise_sum
+
+
+class TestKernelSwapPoint:
+    def test_default_table_is_the_numpy_reference_by_identity(self):
+        _assert_active_table_is_the_numpy_reference()
+
+    def test_unknown_name_lists_the_registered_ones(self):
+        with pytest.raises(ValueError, match=r"registered: numpy"):
+            set_kernel_backend("cuda")
+        assert active_kernel_table().name == "numpy"
+
+    def test_reregistering_the_active_name_takes_effect_at_once(self):
+        # No second set_kernel_backend("numpy"): the replaced table must
+        # not stay live behind the wrappers.
+        with counting_table() as (calls, table):
+            assert active_kernel_table() is table
+            kernels.batched_catchup_sum(
+                NoiseStream(seed=1), 0, np.array([4]), np.array([2]), 5, 8
+            )
+            assert calls == ["batched_catchup_sum"]
+
+    def test_the_tracers_call_sequence_still_works(self):
+        # benchmarks/e2e/tracing.py: select, read, re-register, select.
+        set_kernel_backend("numpy")
+        replaced = register_kernel_table(**vars(active_kernel_table()))
+        set_kernel_backend("numpy")
+        assert active_kernel_table() is replaced
+        _assert_active_table_is_the_numpy_reference()
+
+    def test_counting_table_reroutes_every_consumer_and_restores(self):
+        rng = np.random.default_rng(29)
+        rows = np.array([1, 4], dtype=np.int64)
+        stream = NoiseStream(seed=123)
+        with counting_table() as (calls, _):
+            kernels.fused_noisy_update(
+                rng.standard_normal((8, 3)), 0.05, rows,
+                rng.standard_normal((2, 3)),
+                np.empty(0, dtype=np.int64), np.empty((0, 3)),
+            )
+            ANSEngine(stream, enabled=False).catchup_noise(
+                0, rows, np.array([3, 1]), 9, dim=4, std=1.0
+            )
+            stream.row_noise_sum(0, rows, 3, 6, dim=4)
+            assert calls == list(KERNEL_NAMES)
+        _assert_active_table_is_the_numpy_reference()
+        stream.row_noise_sum(0, rows, 3, 6, dim=4)
+        assert calls == list(KERNEL_NAMES)
+
+    def test_two_sessions_side_by_side_share_the_one_table(self):
+        """A ``shards=2,backend=threads`` trainer and a serial session's
+        serving engine in one process: both run the registered table,
+        and building a session leaves it the same object."""
+        config = configs.tiny_dlrm(num_tables=2, rows=64, dim=8, lookups=2)
+        with counting_table() as (calls, table):
+            with TrainSession.build(
+                DLRM(config, seed=7), DPConfig(),
+                ExecutionPlan.from_spec("shards=2,backend=threads"),
+            ) as training, TrainSession.build(
+                DLRM(config, seed=7), DPConfig(), ExecutionPlan(ans=False)
+            ) as serial:
+                assert active_kernel_table() is table
+                _drive(training, config)
+                assert calls.count("fused_noisy_update") > 0
+                _drive(serial, config)
+                # Rows are behind on noise: a lookup catches them up
+                # through the ans=off sampler.
+                before = calls.count("batched_catchup_sum")
+                serial.serve().lookup(0, np.arange(64))
+                assert calls.count("batched_catchup_sum") > before
+            assert active_kernel_table() is table

@@ -3,13 +3,17 @@
 Reads the source tree and pins the counts the mechanism seam rests on,
 so the next sample-stage mechanism (or schedule, or release path) cannot
 quietly re-fork the update the way ``ScheduledLazyDPTrainer`` did: a new
-mechanism touches ``repro/lazydp/ans.py`` and no engine file.
+mechanism touches ``repro/lazydp/ans.py`` and no engine file.  Likewise
+the three hot kernels: one table, registered once, that no session
+selects — compiled code lands under the reference kernels, not beside
+them under a name.
 """
 
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def occurrences(pattern: str, root: pathlib.Path = SRC) -> list:
@@ -55,3 +59,27 @@ def test_the_forked_spellings_stay_deleted():
         r"|PrivateTrainingSession|_weighted_catchup"
     )
     assert hits == []
+
+
+def test_the_second_kernel_table_stays_deleted():
+    """No selectable compiled table, extra, or CI job for one."""
+    token = re.compile("numba|njit", re.IGNORECASE)
+    tree = [ROOT / "pyproject.toml"]
+    for root in (ROOT / "src", ROOT / ".github"):
+        tree += [
+            path for path in sorted(root.rglob("*"))
+            if path.is_file() and path.suffix != ".pyc"
+        ]
+    hits = [
+        path.relative_to(ROOT).as_posix()
+        for path in tree
+        if token.search(path.read_text())
+    ]
+    assert hits == []
+    assert occurrences(r"PlanError") == []
+
+
+def test_one_kernel_table_is_registered_and_no_session_selects_it():
+    hits = occurrences(r"(?<!def )\bregister_kernel_table\(")
+    assert files(hits) == ["kernels/dispatch.py"], hits
+    assert occurrences(r"set_kernel_backend", SRC / "session") == []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.njit.philox import philox4x32_scalar
 from repro.rng import (
     derive_key,
     make_counters,
@@ -15,6 +14,7 @@ from repro.rng import (
     uniform_from_uint32,
 )
 from repro.rng.philox import BLOCK
+from repro.testing import philox4x32_reference
 
 
 def _counters(n, seed=0):
@@ -110,7 +110,8 @@ class TestKnownAnswersOnUfuncChain(TestKnownAnswers):
 
 class TestBlockedKernel:
     """The blocked cipher against the kept scalar reference
-    (``kernels/njit/philox.py``), at every size class of the block walk."""
+    (``repro.testing.philox4x32_reference``), at every size class of the
+    block walk."""
 
     @pytest.mark.parametrize(
         "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
@@ -122,7 +123,7 @@ class TestBlockedKernel:
         assert words.shape == (n, 4) and words.dtype == np.uint32
         # The reference's scalar expressions broadcast over whole
         # columns, so every word of every block is compared.
-        expected = philox4x32_scalar(
+        expected = philox4x32_reference(
             *(counters[:, word].astype(np.uint64) for word in range(4)),
             *(np.uint64(word) for word in key),
         )
