@@ -4,11 +4,13 @@ The noisy model update is bandwidth-bound (paper §4.3: 85.5% of DRAM
 bandwidth at 2 AVX ops/element), so the apply phase's cost scales with
 how many passes — and allocations — feed the slab write.  One sweep
 compares a slower and a faster kernel on identical data: the
-fused/batched kernels against their unfused/looped references.  Last,
-the keyed-Gaussian kernel's two implementations (``repro.rng._native``:
-the compiled inner loop and the ufunc chain) draw one table's worth of
-noise each: equal digests are a hard check, their M/s are reported side
-by side and not pinned.
+fused/batched numpy kernels against their unfused/looped references.
+Last, the kernels with two implementations (``repro.rng._native``: a
+compiled inner loop and the numpy expression) run each on the same
+data — the keyed Gaussians draw one table's worth of noise, the apply
+replays the same warm loop, the embedding backward reduces one pooled
+batch: equal bits are a hard check, their rates are reported side by
+side and not pinned.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.bench.reporting import format_table
 from repro.kernels import BufferArena, merge_sparse_updates
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
+from repro.nn import PerExamplePairs
 from repro.rng import NoiseStream, _native, native_status, philox_invocations
 from repro.session import ExecutionPlan
 
@@ -46,7 +49,16 @@ def _unfused(table, lr, grad, noise, arena):
 
 
 def _fused(table, lr, grad, noise, arena):
+    """The fused apply as loaded: one pass of ``_sparse.c`` where the
+    library loaded, else the numpy merge + traversal."""
     numpy_fused(table, lr, *grad, *noise, arena=arena)
+
+
+def _fused_numpy(table, lr, grad, noise, arena):
+    """The numpy fused apply — arena scratch, one merge pass, one slab
+    traversal — whatever the loader found."""
+    with _native.using(None):
+        numpy_fused(table, lr, *grad, *noise, arena=arena)
 
 
 def apply_pair(slow, fast, *, num_rows, dim, touched, iterations, repeats=3):
@@ -164,6 +176,72 @@ def _half(name, labels, apply_kernels, samplers, tolerance, geometry, checks):
     return tables, speedups, launches[1] / max(launches[0], 1), allocs
 
 
+def _pooled_pairs(num_rows, dim, batch=512, pooling=16):
+    """One pooled batch's embedding-gradient pairs: a skewed index
+    stream (rows repeat within an example — ``mults`` > 1 — and across
+    examples) and a strided ``deltas``, as the interaction layer's
+    backward hands one to ``EmbeddingBag``."""
+    rng = np.random.default_rng(13)
+    lookups = np.minimum(rng.zipf(1.2, size=(batch, pooling)) - 1, num_rows - 1)
+    keys, mults = np.unique(
+        np.arange(batch)[:, None] * num_rows + lookups, return_counts=True
+    )
+    pairs = PerExamplePairs(
+        example_ids=keys // num_rows,
+        rows=keys % num_rows,
+        mults=mults.astype(np.float64),
+        deltas=rng.standard_normal((batch, 3 * dim))[:, dim : 2 * dim],
+        batch_size=batch,
+    )
+    return pairs, rng.random(batch) / batch
+
+
+def compiled_pair(checks, apply_geometry, repeats=3):
+    """The two ``_sparse.c`` loops as loaded and, with the loader's
+    handle swapped out, as numpy: :func:`apply_pair`'s warm apply loop
+    (the slabs must end bitwise equal) and one pooled
+    ``weighted_row_grad`` (equal sha256 of the values).  Returns
+    ``(table, {metric: M rows/s})``; where the library did not load only
+    numpy runs and the table says why."""
+    name, detail = native_status()
+    numpy_s, loaded_s, identical, _ = apply_pair(
+        _fused_numpy, _fused, **apply_geometry
+    )
+    checks.require(
+        identical, "the compiled apply and the numpy fused apply wrote different slabs"
+    )
+    update_rows = 2 * apply_geometry["touched"] * apply_geometry["iterations"]
+    pairs, weights = _pooled_pairs(apply_geometry["num_rows"], apply_geometry["dim"])
+
+    def measure(apply_s):
+        digest = hashlib.sha256(pairs.weighted_row_grad(weights).values.tobytes())
+        seconds = best_of(repeats, lambda: pairs.weighted_row_grad(weights))
+        return update_rows / apply_s / 1e6, pairs.rows.size / seconds / 1e6, digest
+
+    measured = {name: measure(loaded_s)}
+    if name == "native":
+        with _native.using(None):
+            measured["numpy"] = measure(numpy_s)
+        checks.require(
+            measured["native"][2].digest() == measured["numpy"][2].digest(),
+            "the compiled scatter-add and np.add.at reduced to different bits",
+        )
+    table = format_table(
+        ["sparse kernels", "apply M rows/s", "scatter-add M pairs/s", "sha256[:12]"],
+        [
+            [impl, apply_rate, scatter_rate, digest.hexdigest()[:12]]
+            for impl, (apply_rate, scatter_rate, digest) in measured.items()
+        ],
+        title=f"Sparse apply {apply_geometry} + pooled scatter-add, "
+        f"{pairs.rows.size} pairs ({name}: {detail})",
+    )
+    metrics = {}
+    for impl, (apply_rate, scatter_rate, _) in measured.items():
+        metrics[f"apply_mrows_{impl}"] = apply_rate
+        metrics[f"scatter_mpairs_{impl}"] = scatter_rate
+    return Table("sparse_kernels", table, measured=True), metrics
+
+
 def gaussian_pair(checks, num_rows, dim, repeats=3):
     """One ``(num_rows, dim)`` draw through the keyed-Gaussian kernel as
     loaded and, with the loader's handle swapped out, through the ufunc
@@ -179,7 +257,7 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
         return digest.hexdigest(), num_rows * dim / seconds / 1e6
 
     name, detail = native_status()
-    measured = {name: measure()}
+    measured = {"native" if name == "native" else "ufunc": measure()}
     if name == "native":
         with _native.using(None):
             measured["ufunc"] = measure()
@@ -203,15 +281,16 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
     figure="Figure 6, §4.2-4.3 kernel analysis (beyond paper)",
     shows="Fused single-pass apply vs merge + fancy RMW (bitwise slab check, "
     "zero steady-state arena allocations), batched vs per-lag no-ANS "
-    "sampling with Philox launch counts, and the compiled Gaussian inner "
-    "loop vs the ufunc chain (equal digests, M/s)",
+    "sampling with Philox launch counts, and the compiled inner loops "
+    "(Gaussian draw, sparse apply, embedding scatter-add) vs their numpy "
+    "expressions (equal digests, rates side by side)",
 )
 def apply_fusion(tier: str) -> Result:
     checks = Checks()
     tables, (apply_speedup, sampling_speedup), launch_ratio, allocs = _half(
         "apply_fusion",
         ("unfused/looped numpy", "fused/batched numpy"),
-        (_unfused, _fused),
+        (_unfused, _fused_numpy),
         (_looped, _batched),
         {"atol": 1e-10},
         GEOMETRY[tier],
@@ -235,9 +314,11 @@ def apply_fusion(tier: str) -> Result:
         checks, apply_geometry["num_rows"], apply_geometry["dim"]
     )
     metrics["apply_fusion"].update(gaussian_mps)
+    sparse_table, sparse_rates = compiled_pair(checks, apply_geometry)
+    metrics["apply_fusion"].update(sparse_rates)
     meta = {
         "geometry": GEOMETRY[tier],
-        "gaussian_kernel": list(native_status()),
+        "compiled_kernels": list(native_status()),
         # The kernel surfaces map onto the plan axes: the fused apply
         # serves every plan's apply phase, the batched sampler is the
         # ans=off plan's exact-replay path.
@@ -246,4 +327,4 @@ def apply_fusion(tier: str) -> Result:
             "sampling": ExecutionPlan(ans=False).canonical(),
         },
     }
-    return Result(tables + [gaussian_table], metrics, meta, checks)
+    return Result(tables + [gaussian_table, sparse_table], metrics, meta, checks)

@@ -361,8 +361,9 @@ def _run_score(args) -> int:
 
 def _run_backends(args) -> int:
     """Print the execution-backend registry — one row per backend with
-    the plan axes it composes with — and which Gaussian inner loop the
-    loader chose."""
+    the plan axes it composes with — and whether the compiled inner
+    loops (noise draw, sparse apply, embedding scatter-add) or their
+    numpy expressions run."""
     from .rng import native_status
     from .session import available_backends, backend_info
 
@@ -380,7 +381,7 @@ def _run_backends(args) -> int:
         table_rows,
         title="Execution backends (ExecutionPlan backend=...)",
     ))
-    print("\ngaussian kernel: {} ({})".format(*native_status()))
+    print("\ncompiled kernels: {} ({})".format(*native_status()))
     return 0
 
 

@@ -15,7 +15,9 @@ apply phase sits on:
   staged catch-up noise and writes the parameter slab in one traversal,
   bitwise-identical to the reference ``merge_sparse_updates`` +
   ``table[rows] -= lr * values`` two-step (shared rows still see
-  exactly one summed write).
+  exactly one summed write); where the loader vouched for it
+  (:mod:`repro.rng._native`) the inner loop is one pass of
+  ``_sparse.c`` — the same bits, no scratch.
 * :func:`batched_catchup_sum` — the no-ANS exact replay as ONE
   flattened ``(row, iteration)`` Philox invocation followed by a
   segmented sum, collapsing the O(max_delay) per-lag kernel launches of

@@ -1,0 +1,166 @@
+/* The two memory-bound passes of the embedding update, bit for bit.
+ *
+ * sparse_rows_update is the inner loop of fused_noisy_update and of
+ * apply_sparse_update's gather path (fused.py); weighted_scatter_add is
+ * the inner loop of PerExamplePairs.weighted_row_grad (nn/parameter.py).
+ * Both are sequential adds and correctly rounded products in the order
+ * the numpy expressions beside them perform, so they need no tolerance —
+ * as long as nothing is contracted or reassociated: build with
+ * -ffp-contract=off and without -ffast-math (_native.FLAGS).
+ *
+ * Every value-dependent precondition is checked here, over all the
+ * operands, before the first store; a refusal (a negative return) has
+ * written nothing and the caller runs the numpy expression instead.
+ */
+#include <stdint.h>
+
+/* How many rows ahead, on each side of the merge, the slab row is asked
+ * for: an update of a few thousand random rows of a table far larger
+ * than cache is one DRAM miss per row, and this many in flight hide
+ * most of one (4 .. 16 measure the same; 0 is a quarter slower).  A
+ * constant, not a parameter. */
+#define PREFETCH_ROWS 8
+
+#define REFUSED -1
+
+/* One prefetch per 64-byte line of a dim-lane row.  A macro: gcc drops
+ * calls to a static function whose body is only prefetches. */
+#if defined(__GNUC__)
+#define PREFETCH_ROW(row) \
+    for (int64_t line = 0; line < dim; line += 8) __builtin_prefetch((row) + line)
+#else
+#define PREFETCH_ROW(row) ((void)0)
+#endif
+
+/* The three row loops, four lanes at a time with every load ahead of
+ * the first store: out may be in itself (an in-place update), and
+ * written this way the compiler needs no aliasing proof to keep the
+ * four lanes in registers (or in two SSE2 vectors — same roundings). */
+
+/* out = in - lr * v */
+static inline void row_update(double *out, const double *in, double lr,
+                              const double *v, int64_t dim)
+{
+    int64_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+        double a0 = in[k], a1 = in[k + 1], a2 = in[k + 2], a3 = in[k + 3];
+        double v0 = v[k], v1 = v[k + 1], v2 = v[k + 2], v3 = v[k + 3];
+        out[k] = a0 - lr * v0;
+        out[k + 1] = a1 - lr * v1;
+        out[k + 2] = a2 - lr * v2;
+        out[k + 3] = a3 - lr * v3;
+    }
+    for (; k < dim; k++)
+        out[k] = in[k] - lr * v[k];
+}
+
+/* out = in - lr * (g + n) */
+static inline void row_update_sum(double *out, const double *in, double lr,
+                                  const double *g, const double *n, int64_t dim)
+{
+    int64_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+        double a0 = in[k], a1 = in[k + 1], a2 = in[k + 2], a3 = in[k + 3];
+        double s0 = g[k] + n[k], s1 = g[k + 1] + n[k + 1];
+        double s2 = g[k + 2] + n[k + 2], s3 = g[k + 3] + n[k + 3];
+        out[k] = a0 - lr * s0;
+        out[k + 1] = a1 - lr * s1;
+        out[k + 2] = a2 - lr * s2;
+        out[k + 3] = a3 - lr * s3;
+    }
+    for (; k < dim; k++)
+        out[k] = in[k] - lr * (g[k] + n[k]);
+}
+
+/* row += delta * scale */
+static inline void row_add_scaled(double *row, const double *delta, double scale,
+                                  int64_t dim)
+{
+    int64_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+        double r0 = row[k], r1 = row[k + 1], r2 = row[k + 2], r3 = row[k + 3];
+        double d0 = delta[k], d1 = delta[k + 1], d2 = delta[k + 2], d3 = delta[k + 3];
+        row[k] = r0 + d0 * scale;
+        row[k + 1] = r1 + d1 * scale;
+        row[k + 2] = r2 + d2 * scale;
+        row[k + 3] = r3 + d3 * scale;
+    }
+    for (; k < dim; k++)
+        row[k] += delta[k] * scale;
+}
+
+/* Strictly increasing and inside [row_base, row_base + nrows). */
+static int rows_ok(const int64_t *rows, int64_t n, int64_t row_base, int64_t nrows)
+{
+    for (int64_t i = 1; i < n; i++)
+        if (rows[i] <= rows[i - 1])
+            return 0;
+    /* Increasing, so the ends bound the rest (and, with row_base >= 0
+     * checked by the caller, the difference cannot overflow). */
+    return n == 0 || (rows[0] >= row_base && rows[n - 1] - row_base < nrows);
+}
+
+/* dst[r - row_base] = src[r - row_base] - lr * (g | n | g + n) for every
+ * row r of the union of the two sorted-unique row sets, walked with two
+ * pointers: no union buffer, no merged values.  src and dst are
+ * (nrows, dim) slabs, the same one (in place) or disjoint.  Returns the
+ * number of union rows written, or a refusal. */
+int64_t sparse_rows_update(const double *src, double *dst, int64_t nrows,
+                           int64_t dim, int64_t row_base, double lr,
+                           const int64_t *g_rows, const double *g_values, int64_t ng,
+                           const int64_t *n_rows, const double *n_values, int64_t nn)
+{
+    if (nrows < 0 || dim < 0 || row_base < 0 || ng < 0 || nn < 0)
+        return REFUSED;
+    if (!rows_ok(g_rows, ng, row_base, nrows) || !rows_ok(n_rows, nn, row_base, nrows))
+        return REFUSED;
+
+    int64_t i = 0, j = 0, written = 0;
+    while (i < ng || j < nn) {
+        /* The smaller head row; both sides at once where they share it. */
+        const int take_g = j == nn || (i < ng && g_rows[i] <= n_rows[j]);
+        const int take_n = i == ng || (j < nn && n_rows[j] <= g_rows[i]);
+        const int64_t at = ((take_g ? g_rows[i] : n_rows[j]) - row_base) * dim;
+        if (take_g && i + PREFETCH_ROWS < ng)
+            PREFETCH_ROW(src + (g_rows[i + PREFETCH_ROWS] - row_base) * dim);
+        if (take_n && j + PREFETCH_ROWS < nn)
+            PREFETCH_ROW(src + (n_rows[j + PREFETCH_ROWS] - row_base) * dim);
+        if (take_g && take_n)
+            row_update_sum(dst + at, src + at, lr, g_values + i * dim,
+                           n_values + j * dim, dim);
+        else
+            row_update(dst + at, src + at, lr,
+                       take_g ? g_values + i * dim : n_values + j * dim, dim);
+        i += take_g;
+        j += take_n;
+        written++;
+    }
+    return written;
+}
+
+/* values[inverse[p]] += deltas[example_ids[p]] * (weights[example_ids[p]]
+ * * mults[p]) for p = 0 .. n_pairs - 1, in that order — np.add.at's.
+ * values is (n_unique, dim) C-contiguous; deltas is (batch, dim) with
+ * contiguous rows delta_stride bytes apart.  Returns n_pairs, or a
+ * refusal. */
+int64_t weighted_scatter_add(double *values, int64_t n_unique, int64_t dim,
+                             const int64_t *inverse, const int64_t *example_ids,
+                             const double *mults, int64_t n_pairs,
+                             const char *deltas, int64_t delta_stride,
+                             const double *weights, int64_t batch)
+{
+    if (n_unique < 0 || dim < 0 || n_pairs < 0 || batch < 0)
+        return REFUSED;
+    for (int64_t p = 0; p < n_pairs; p++)
+        if (example_ids[p] < 0 || example_ids[p] >= batch ||
+            inverse[p] < 0 || inverse[p] >= n_unique)
+            return REFUSED;
+
+    for (int64_t p = 0; p < n_pairs; p++) {
+        int64_t example = example_ids[p];
+        const double *delta = (const double *)(deltas + example * delta_stride);
+        double scale = weights[example] * mults[p];
+        row_add_scaled(values + inverse[p] * dim, delta, scale, dim);
+    }
+    return n_pairs;
+}

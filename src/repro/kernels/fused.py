@@ -23,6 +23,13 @@ Unsorted or duplicate-bearing inputs fall back to the reference path
 (correct, just not allocation-free); the hot paths all feed sorted
 unique rows (``np.unique`` batch dedup, sorted pending-row lists, and
 the shard router preserves per-shard sortedness).
+
+Where :mod:`repro.rng._native` loaded the compiled library, the same
+arithmetic runs as one two-pointer pass of ``_sparse.c`` with no
+intermediate at all (:func:`_compiled_update`) — the bits of the numpy
+fused path, signed-zero note included.  The numpy expressions below are
+the reference it is tested against, what a host without a C compiler
+runs, and what runs whenever the compiled pass refuses its operands.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from ..rng import _native
 from .arena import BufferArena
 
 
@@ -149,6 +157,57 @@ def fused_merge(
     return rows, values
 
 
+def _compiled_update(
+    lib,
+    table: np.ndarray,
+    target: np.ndarray,
+    learning_rate: float,
+    grad_rows: np.ndarray,
+    grad_values: np.ndarray,
+    noise_rows: np.ndarray,
+    noise_values: np.ndarray,
+    row_base: int,
+) -> int:
+    """``target[r] = table[r] - lr * (grad | noise | grad + noise)`` over
+    the union of the two row sets as one pass of ``_sparse.c``.
+
+    Returns the number of rows written, or a negative refusal with
+    nothing written: the operands are not what the library was built
+    for (layouts, checked here; sorted-unique rows inside the slab,
+    checked in C before the first store) and the numpy path runs — and
+    raises, wraps or falls back exactly as it always did.
+    """
+    if not _native.f64_matrix(table):
+        return -1
+    dim = table.shape[1]
+    if not (
+        target.flags.writeable
+        and (
+            target is table
+            or (
+                _native.f64_matrix(target)
+                and target.shape == table.shape
+                and not np.may_share_memory(table, target)
+            )
+        )
+        and isinstance(learning_rate, (float, int))
+        and isinstance(row_base, int)
+        and _native.vector(grad_rows, np.int64)
+        and _native.f64_matrix(grad_values)
+        and grad_values.shape == (grad_rows.size, dim)
+        and _native.vector(noise_rows, np.int64)
+        and _native.f64_matrix(noise_values)
+        and noise_values.shape == (noise_rows.size, dim)
+    ):
+        return -1
+    return lib.sparse_rows_update(
+        table.ctypes.data, target.ctypes.data, table.shape[0], dim, row_base,
+        learning_rate,
+        grad_rows.ctypes.data, grad_values.ctypes.data, grad_rows.size,
+        noise_rows.ctypes.data, noise_values.ctypes.data, noise_rows.size,
+    )
+
+
 def apply_sparse_update(
     table: np.ndarray,
     rows: np.ndarray,
@@ -176,6 +235,16 @@ def apply_sparse_update(
     """
     n = rows.size
     if n == 0:
+        return
+    lib = _native.LIB
+    if (
+        lib is not None
+        and rows[-1] - rows[0] != n - 1  # a consecutive run: the slice path's
+        and _compiled_update(
+            lib, table, table if out is None else out, learning_rate,
+            rows, values, rows[:0], values[:0], row_base,
+        ) >= 0
+    ):
         return
     if values_writable:
         scaled = np.multiply(values, learning_rate, out=values)
@@ -227,7 +296,28 @@ def fused_noisy_update(
     through ``timer.count`` so ``StageTimer.stats()`` reports whether
     the steady state really allocates nothing.  Returns the number of
     union rows written.
+
+    The compiled pass is one interval with no scratch: it is timed as
+    ``noisy_grad_update`` beside an empty ``noisy_grad_generation``, and
+    both arena counters are reported as 0, so the stage and counter
+    names do not depend on the host.
     """
+    lib = _native.LIB
+    if lib is not None:
+        generation = timer.time("noisy_grad_generation") if timer else nullcontext()
+        with generation:
+            pass
+        update = timer.time("noisy_grad_update") if timer else nullcontext()
+        with update:
+            written = _compiled_update(
+                lib, table, table, learning_rate,
+                grad_rows, grad_values, noise_rows, noise_values, row_base,
+            )
+        if written >= 0:
+            if timer is not None:
+                timer.count("arena_hits", 0)
+                timer.count("arena_allocs", 0)
+            return written
     if arena is None:
         arena = BufferArena()
     hits0, allocs0 = arena.hits, arena.allocs

@@ -315,9 +315,10 @@ class LazyDPTrainer(DPSGDFTrainer):
     def kernel_stats(self) -> dict:
         """Per-shard arena reuse and timer counters (see
         :meth:`ShardState.stats`), and which implementation of the
-        keyed-Gaussian kernel drew the noise (``native`` / ``ufunc``)."""
+        noise draw, the sparse apply and the embedding scatter-add ran
+        (``native`` / ``numpy``)."""
         return {
-            "gaussian_kernel": native_status()[0],
+            "compiled_kernels": native_status()[0],
             "timer_counters": dict(self.timer.counters),
             "shards": [state.stats() for state in self.engine.states],
         }

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..rng import _native
+
 
 class Parameter:
     """A trainable tensor with a stable identity.
@@ -120,12 +122,48 @@ class PerExamplePairs:
         """
         weights = np.asarray(weights, dtype=np.float64)
         unique_rows, inverse = np.unique(self.rows, return_inverse=True)
+        lib = _native.LIB
+        if lib is not None:
+            values = self._compiled_scatter_add(
+                lib, unique_rows.shape[0], inverse, weights
+            )
+            if values is not None:
+                return SparseRowGrad(unique_rows, values)
         scale = weights[self.example_ids] * self.mults
         contrib = self.deltas[self.example_ids] * scale[:, None]
         values = np.zeros((unique_rows.shape[0], self.deltas.shape[1]),
                           dtype=np.float64)
         np.add.at(values, inverse, contrib)
         return SparseRowGrad(unique_rows, values)
+
+    def _compiled_scatter_add(self, lib, num_unique, inverse, weights):
+        """The gather, the two products and ``np.add.at`` of
+        :meth:`weighted_row_grad` as one pass of ``_sparse.c`` in pair
+        order — the same bits with no ``(pairs, dim)`` temporary.
+        ``None``: the operands are not what the library was built for
+        (layouts, checked here; example ids inside the batch, checked in
+        C before the first store) and the numpy expression runs."""
+        deltas, examples, mults = self.deltas, self.example_ids, self.mults
+        if not (
+            isinstance(deltas, np.ndarray)
+            and deltas.dtype == np.float64
+            and deltas.ndim == 2
+            and deltas.strides[1] == deltas.itemsize
+            and _native.vector(weights, np.float64)
+            and _native.vector(examples, np.int64)
+            and _native.vector(inverse, np.int64)
+            and _native.vector(mults, np.float64)
+            and inverse.shape == examples.shape == mults.shape
+        ):
+            return None
+        values = np.zeros((num_unique, deltas.shape[1]), dtype=np.float64)
+        done = lib.weighted_scatter_add(
+            values.ctypes.data, num_unique, deltas.shape[1],
+            inverse.ctypes.data, examples.ctypes.data, mults.ctypes.data,
+            examples.size, deltas.ctypes.data, deltas.strides[0],
+            weights.ctypes.data, min(weights.shape[0], deltas.shape[0]),
+        )
+        return values if done >= 0 else None
 
     def dense_per_example(self, num_rows: int) -> np.ndarray:
         """Materialise ``(batch, num_rows, dim)`` grads (small tests only)."""

@@ -432,7 +432,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
 
     def kernel_stats(self) -> dict:
         return {
-            "gaussian_kernel": native_status()[0],
+            "compiled_kernels": native_status()[0],
             "timer_counters": dict(self.timer.counters),
             "procshard": self.procshard_stats(),
         }

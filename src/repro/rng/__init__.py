@@ -33,9 +33,9 @@ from .philox import (
     uniform_from_uint32,
 )
 
-# Once per process, here and never inside a draw: compile (first import
-# per user and source version) or just open the cached kernel, and
-# compare it with the ufunc chain.
+# Once per process, here and never inside a draw or an update: compile
+# (first import per user and source version) or just open the cached
+# library, and compare each of its kernels with the numpy expression.
 _native.load()
 
 __all__ = [

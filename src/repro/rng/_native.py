@@ -1,18 +1,22 @@
-"""Build, cache, load and vet the compiled inner loop (``_gauss.c``).
+"""Build, cache, load and vet the compiled inner loops (:data:`SOURCES`).
 
 :data:`LIB` is what :meth:`NoiseStream._keyed_gaussians
-<repro.rng.noise.NoiseStream._keyed_gaussians>` and
-:func:`~repro.rng.philox.philox4x32` consult: the loaded library, or
-``None`` — then the numpy ufunc chain runs, which is the reference the
-tests compare against and the only implementation on a host without a C
-compiler.  Which of the two runs is decided by what :func:`load`
-observes (a compiler, a usable cache, a passing self-test), never by a
-setting; both release the same bits.
+<repro.rng.noise.NoiseStream._keyed_gaussians>`,
+:func:`~repro.rng.philox.philox4x32` (``_gauss.c``) and
+:func:`~repro.kernels.fused.fused_noisy_update`,
+:func:`~repro.kernels.fused.apply_sparse_update`,
+:meth:`PerExamplePairs.weighted_row_grad
+<repro.nn.parameter.PerExamplePairs.weighted_row_grad>` (``_sparse.c``)
+consult: the loaded library, or ``None`` — then the numpy expressions
+run, which are the reference the tests compare against and the only
+implementation on a host without a C compiler.  Which of the two runs
+is decided by what :func:`load` observes (a compiler, a usable cache, a
+passing self-test), never by a setting; both release the same bits.
 
-The shared object lives in a per-user cache directory, named by the
-sha256 of source + flags, so the compiler runs once per user and
-source version — at import of :mod:`repro.rng`, never inside a timed
-call — and every later process only ``dlopen``\\ s it.
+The shared object — one for all the sources — lives in a per-user cache
+directory, named by the sha256 of sources + flags, so the compiler runs
+once per user and source version — at import of :mod:`repro.rng`, never
+inside a timed call — and every later process only ``dlopen``\\ s it.
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ import tempfile
 
 import numpy as np
 
-SOURCE = pathlib.Path(__file__).with_name("_gauss.c")
+_PACKAGE = pathlib.Path(__file__).parents[1]
+#: Every C file, compiled into the one library.
+SOURCES = (_PACKAGE / "rng" / "_gauss.c", _PACKAGE / "kernels" / "_sparse.c")
 #: No ``-ffast-math``, no ``-march=native``, no contraction: every
-#: floating-point operation rounds exactly as the ufunc chain's does.
+#: floating-point operation rounds exactly as the numpy expression's does.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: The loaded library, or ``None``: the ufunc chain runs.
+#: The loaded library, or ``None``: the numpy expressions run.
 LIB = None
 #: Why :data:`LIB` is ``None``.
 REASON = "not loaded"
@@ -47,16 +53,37 @@ def cache_dir() -> pathlib.Path:
 
 
 def native_status() -> tuple:
-    """``("native", path of the loaded library)`` or ``("ufunc", why
-    the numpy ufunc chain runs instead)``."""
+    """``("native", path of the loaded library)`` or ``("numpy", why
+    the numpy expressions run instead)``."""
     if LIB is not None:
         return ("native", LIB._name)
-    return ("ufunc", REASON)
+    return ("numpy", REASON)
+
+
+def f64_matrix(array: np.ndarray) -> bool:
+    """A float64 C-contiguous matrix: what ``_sparse.c`` indexes as
+    ``base[row * dim + lane]``."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.float64
+        and array.ndim == 2
+        and array.flags.c_contiguous
+    )
+
+
+def vector(array: np.ndarray, dtype) -> bool:
+    """A contiguous 1-D array of ``dtype``: what the C files walk by index."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == 1
+        and array.flags.c_contiguous
+    )
 
 
 @contextlib.contextmanager
 def using(lib):
-    """Run the block on ``lib`` (``None``: on the ufunc chain) whatever
+    """Run the block on ``lib`` (``None``: on the numpy paths) whatever
     was loaded — how the self-test, the tests and the bench case put
     the two implementations side by side.  Not for concurrent draws."""
     global LIB
@@ -68,18 +95,19 @@ def using(lib):
 
 
 def _build() -> pathlib.Path:
-    """The cached shared object for this source + flags, compiled if
+    """The cached shared object for these sources + flags, compiled if
     absent.  Built in a private temporary directory and moved into
     place with ``os.replace``, so concurrent first imports each see
     either no artefact or a whole one."""
+    digest = hashlib.sha256(" ".join(FLAGS).encode())
     try:
-        source = SOURCE.read_bytes()
+        for source in SOURCES:
+            digest.update(source.read_bytes())
     except OSError as exc:
         raise _Unavailable(f"kernel source unreadable: {exc}") from exc
-    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
     try:
         directory = cache_dir()
-        artefact = directory / f"gauss-{digest[:20]}.so"
+        artefact = directory / f"kernels-{digest.hexdigest()[:20]}.so"
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not artefact.exists():
             with tempfile.TemporaryDirectory(dir=directory) as scratch:
@@ -95,7 +123,7 @@ def _build() -> pathlib.Path:
 
 
 def _compile(target: pathlib.Path) -> None:
-    command = ["cc", *FLAGS, str(SOURCE), "-o", str(target), "-lm"]
+    command = ["cc", *FLAGS, *map(str, SOURCES), "-o", str(target), "-lm"]
     try:
         subprocess.run(command, check=True, capture_output=True, text=True)
     except FileNotFoundError as exc:
@@ -123,13 +151,28 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
     lib.gauss_finish.restype = None
     lib.sincos_lattice_mismatches.argtypes = [u64, u64, u64]
     lib.sincos_lattice_mismatches.restype = u64
+    lib.sparse_rows_update.argtypes = [
+        pointer, pointer, i64, i64, i64, ctypes.c_double,
+        pointer, pointer, i64, pointer, pointer, i64,
+    ]
+    lib.sparse_rows_update.restype = i64
+    lib.weighted_scatter_add.argtypes = [
+        pointer, i64, i64, pointer, pointer, pointer, i64, pointer, i64, pointer, i64
+    ]
+    lib.weighted_scatter_add.restype = i64
     return lib
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
+    """One fixed case per entry point through ``lib`` and through
+    numpy, compared as ``uint64``."""
+    return _gauss_agrees(lib) and _sparse_agrees(lib)
+
+
+def _gauss_agrees(lib: ctypes.CDLL) -> bool:
     """One fixed 16 K-counter tile — rows on both sides of 2^32,
     per-row iterations and scales, a ragged last lane block — through
-    ``lib`` and through the ufunc chain, compared as ``uint64``."""
+    ``lib`` and through the ufunc chain."""
     from .noise import NoiseStream
     from .philox import derive_key
 
@@ -151,6 +194,56 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     return np.array_equal(compiled, reference)
 
 
+def _sparse_agrees(lib: ctypes.CDLL) -> bool:
+    """``_sparse.c``: an in-place update of a slab window (gradient-only,
+    noise-only and shared rows) and a pooled scatter-add over a strided
+    ``deltas`` with repeated rows, against the numpy expressions they
+    stand in for — spelt out here, because :mod:`repro.kernels` imports
+    this module."""
+    base, nrows, dim, lr = 1000, 64, 5, 0.3
+
+    def ramp(n: int, offset: float) -> np.ndarray:
+        return np.arange(n * dim, dtype=np.float64).reshape(n, dim) / 7.0 - offset
+
+    grad_rows = base + np.arange(1, nrows, 3, dtype=np.int64)
+    noise_rows = base + np.arange(0, nrows, 2, dtype=np.int64)
+    grad, noise = ramp(grad_rows.size, 3.1), ramp(noise_rows.size, 11.7)
+    slab = ramp(nrows, 20.3)
+    merged = np.zeros_like(slab)
+    merged[grad_rows - base] += grad
+    merged[noise_rows - base] += noise
+    reference = slab - lr * merged
+    written = lib.sparse_rows_update(
+        slab.ctypes.data, slab.ctypes.data, nrows, dim, base, lr,
+        grad_rows.ctypes.data, grad.ctypes.data, grad_rows.size,
+        noise_rows.ctypes.data, noise.ctypes.data, noise_rows.size,
+    )
+    if written != np.union1d(grad_rows, noise_rows).size:
+        return False
+    if not np.array_equal(slab.view(np.uint64), reference.view(np.uint64)):
+        return False
+
+    batch, unique = 9, 7
+    examples = np.arange(40, dtype=np.int64) % batch
+    inverse = np.arange(40, dtype=np.int64) * 5 % unique
+    mults = 1.0 + np.arange(40) % 3
+    weights = 0.1 + np.arange(batch) / 9.0
+    deltas = ramp(batch, 2.9)[:, :3]  # rows `dim` doubles apart
+    reference = np.zeros((unique, 3))
+    np.add.at(
+        reference, inverse, deltas[examples] * (weights[examples] * mults)[:, None]
+    )
+    values = np.zeros((unique, 3))
+    done = lib.weighted_scatter_add(
+        values.ctypes.data, unique, 3, inverse.ctypes.data, examples.ctypes.data,
+        mults.ctypes.data, examples.size, deltas.ctypes.data, deltas.strides[0],
+        weights.ctypes.data, batch,
+    )
+    return done == examples.size and np.array_equal(
+        values.view(np.uint64), reference.view(np.uint64)
+    )
+
+
 def load() -> None:
     """Set :data:`LIB` (and :data:`REASON`) from what this host can do."""
     global LIB, REASON
@@ -162,6 +255,6 @@ def load() -> None:
         REASON = str(exc)
         return
     if not _self_test(lib):
-        REASON = f"{artefact} disagrees with the ufunc chain (self-test)"
+        REASON = f"{artefact} disagrees with numpy (self-test)"
         return
     LIB, REASON = lib, ""

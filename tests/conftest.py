@@ -48,18 +48,32 @@ def tiny_batch(tiny_config):
 
 @pytest.fixture
 def ufunc_chain():
-    """Run the keyed-Gaussian kernel and ``philox4x32`` as the numpy
-    ufunc chain — the reference, and what a host without a C compiler
-    runs — whatever the loader found (swaps the loader's handle)."""
+    """Run every kernel with a compiled inner loop (the keyed Gaussians,
+    ``philox4x32``, the sparse apply, the embedding scatter-add) as its
+    numpy expression — the reference, and what a host without a C
+    compiler runs — whatever the loader found (swaps the loader's
+    handle)."""
     with _native.using(None):
         yield
 
 
-@pytest.fixture(params=["native", "ufunc"])
-def gaussian_kernel(request):
+@pytest.fixture
+def native_lib():
+    """The loaded library, for tests that call it (or the wrappers
+    around it) directly; skips with the loader's reason without one."""
+    if _native.LIB is None:
+        pytest.skip(_native.REASON)
+    return _native.LIB
+
+
+# The numpy side keeps the test id it had when `_gauss.c` was the only
+# compiled file ("ufunc"); the value is what `native_status()` reports.
+@pytest.fixture(params=["native", pytest.param("numpy", id="ufunc")])
+def compiled_kernels(request):
     """Run the test once per implementation; ``native`` skips with the
-    loader's reason where it did not load."""
-    if request.param == "ufunc":
+    loader's reason where it did not load.  The value is
+    ``native_status()[0]`` for the duration of the test."""
+    if request.param == "numpy":
         request.getfixturevalue("ufunc_chain")
     elif _native.LIB is None:
         pytest.skip(_native.REASON)

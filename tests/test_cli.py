@@ -256,7 +256,7 @@ class TestBackendsCommand:
             ["process", "shards,workers"],
         ]
         assert lines[6] == ""
-        assert re.fullmatch(r"gaussian kernel: (native|ufunc) \(.+\)", lines[7])
+        assert re.fullmatch(r"compiled kernels: (native|numpy) \(.+\)", lines[7])
         assert len(lines) == 8
 
 

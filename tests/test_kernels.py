@@ -38,7 +38,7 @@ from repro.kernels import sampler as numpy_sampler
 from repro.data import LookaheadLoader
 from repro.lazydp import ANSEngine
 from repro.nn import DLRM
-from repro.rng import NoiseStream, philox_invocations
+from repro.rng import NoiseStream, _native, philox_invocations
 from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader
 from repro.train import DPConfig
@@ -208,7 +208,7 @@ class TestFusedNoisyUpdate:
         np.testing.assert_array_equal(memo[rows], expected)
         assert np.all(memo[[0, 1, 3, 4, 6, 7, 8, 9]] == 0.0)
 
-    def test_stage_timing_and_counters_reported(self):
+    def test_stage_timing_and_counters_reported(self, compiled_kernels):
         rng = np.random.default_rng(11)
         timer = StageTimer()
         arena = BufferArena()
@@ -222,13 +222,147 @@ class TestFusedNoisyUpdate:
         )
         assert "noisy_grad_generation" in timer.totals
         assert "noisy_grad_update" in timer.totals
-        stats = timer.stats()
-        assert stats["counters"]["arena_allocs"] > 0
-        assert stats["counters"]["arena_hits"] >= 0
+        counters = timer.stats()["counters"]
+        if compiled_kernels == "native":
+            # One pass, no scratch — and the same names as the numpy path.
+            assert counters == {"arena_allocs": 0, "arena_hits": 0}
+            assert arena.stats()["buffers"] == 0
+        else:
+            assert counters["arena_allocs"] > 0
+            assert counters["arena_hits"] >= 0
+
+
+def _refusal_operands(case):
+    """``(table, lr, grad_rows, grad_values, noise_rows, noise_values)``
+    the compiled pass must refuse, on top of a case it accepts; what is
+    wrong with the rows or the values is wrong with the noise side."""
+    rng = np.random.default_rng(21)
+    table = rng.standard_normal((12, 4))
+    grad_rows = np.array([1, 4, 9], dtype=np.int64)
+    noise_rows = np.array([0, 4, 11], dtype=np.int64)
+    grad, noise = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    if case == "unsorted":
+        noise_rows = noise_rows[::-1].copy()
+    elif case == "duplicate":
+        noise_rows[1] = 0
+    elif case == "negative":
+        noise_rows[0] = -2  # numpy wraps it: row 10
+    elif case == "past_the_end":
+        noise_rows[2] = 12
+    elif case == "float32_table":
+        table = table.astype(np.float32)
+    elif case == "fortran_table":
+        table = np.asfortranarray(table)
+    elif case == "fortran_values":
+        noise = np.asfortranarray(noise)
+    elif case == "float32_values":
+        noise = noise.astype(np.float32)
+    elif case == "int32_rows":
+        noise_rows = noise_rows.astype(np.int32)
+    elif case == "strided_rows":
+        noise_rows = np.repeat(noise_rows, 2)[::2]
+    elif case == "read_only_table":
+        table.setflags(write=False)
+    elif case == "ragged_values":
+        noise = noise[:2]
+    else:
+        assert case == "accepted"
+    return table, 0.25, grad_rows, grad, noise_rows, noise
+
+
+def _outcome(call, destination):
+    """What a caller can observe: the exception type (or the return
+    value) and every byte of the destination."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - the type is the assertion
+        result = type(exc)
+    return result, destination.tobytes()
+
+
+REFUSALS = [
+    "unsorted", "duplicate", "negative", "past_the_end", "float32_table",
+    "fortran_table", "fortran_values", "float32_values", "int32_rows",
+    "strided_rows", "read_only_table", "ragged_values",
+]
+
+
+class TestCompiledPassRefusals:
+    """Both sides of every guard of ``_sparse.c``'s update: what it was
+    not built for is refused before the first store — every byte of the
+    destination untouched — and the numpy path then produces today's
+    result or today's exception."""
+
+    def test_the_base_case_is_accepted(self, native_lib):
+        table, lr, *sides = _refusal_operands("accepted")
+        before = table.tobytes()
+        assert numpy_fused._compiled_update(native_lib, table, table, lr, *sides, 0) == 5
+        assert table.tobytes() != before
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_before_the_first_store(self, native_lib, case):
+        table, lr, *sides = _refusal_operands(case)
+        before = table.tobytes()
+        assert numpy_fused._compiled_update(native_lib, table, table, lr, *sides, 0) < 0
+        assert table.tobytes() == before
+        if table.flags.writeable and table.flags.c_contiguous:
+            # ... nor into a redirected destination.
+            out = np.full(table.shape, 7.0)
+            assert numpy_fused._compiled_update(native_lib, table, out, lr, *sides, 0) < 0
+            assert np.all(out == 7.0) and table.tobytes() == before
+
+    @pytest.mark.parametrize("row_base", [-1, 3, 5])
+    def test_rows_outside_the_window_are_refused(self, native_lib, row_base):
+        """[row_base, row_base + nrows) is the slab: a row below the base
+        or past the window's end never reaches the store."""
+        table, lr, *sides = _refusal_operands("accepted")
+        window = table[:8] if row_base == 3 else table  # rows 3..10 / 5..16
+        before = table.tobytes()
+        update = numpy_fused._compiled_update
+        assert update(native_lib, window, window, lr, *sides, row_base) < 0
+        assert table.tobytes() == before
+
+    def test_overlapping_source_and_destination_are_refused(self, native_lib):
+        buffer = np.arange(13 * 4, dtype=np.float64).reshape(13, 4)
+        before = buffer.tobytes()
+        _, lr, *sides = _refusal_operands("accepted")
+        update = numpy_fused._compiled_update
+        assert update(native_lib, buffer[:12], buffer[1:], lr, *sides, 0) < 0
+        assert buffer.tobytes() == before
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_fused_noisy_update_is_what_it_was(self, native_lib, case):
+        def run():
+            table, *operands = _refusal_operands(case)
+            return _outcome(
+                lambda: fused_noisy_update(table, *operands, arena=BufferArena()),
+                table,
+            )
+
+        compiled = run()
+        with _native.using(None):
+            assert compiled == run()
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    @pytest.mark.parametrize("redirect", [False, True])
+    def test_apply_sparse_update_is_what_it_was(self, native_lib, case, redirect):
+        def run():
+            table, lr, _, _, rows, values = _refusal_operands(case)
+            out = np.zeros(table.shape) if redirect else None
+            return _outcome(
+                lambda: apply_sparse_update(
+                    table, rows, values, lr, arena=BufferArena(), out=out
+                ),
+                table if out is None else out,
+            )
+
+        compiled = run()
+        with _native.using(None):
+            assert compiled == run()
 
 
 class TestBufferArena:
-    def test_steady_state_allocates_nothing(self):
+    def test_steady_state_allocates_nothing(self, compiled_kernels):
         rng = np.random.default_rng(13)
         arena = BufferArena()
         table = rng.standard_normal((200, 8))
@@ -238,7 +372,10 @@ class TestBufferArena:
         for _ in range(10):
             fused_noisy_update(table, 0.1, *case, arena=arena)
         assert arena.allocs == warm_allocs  # zero-allocation steady state
-        assert arena.hits > 0
+        if compiled_kernels == "native":
+            assert (arena.allocs, arena.hits) == (0, 0)  # no scratch at all
+        else:
+            assert arena.hits > 0
 
     def test_buffers_grow_geometrically_and_shrink_requests_hit(self):
         arena = BufferArena()

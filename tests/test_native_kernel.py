@@ -1,7 +1,8 @@
-"""The compiled inner loop of the keyed-Gaussian kernel (``_gauss.c``):
-bit-equality with the ufunc chain, the ``sincos`` proof on a sample of
-the angle lattice, and the build / cache / fallback behaviour of the
-loader (``repro.rng._native``)."""
+"""The compiled inner loops (``_gauss.c``: the keyed-Gaussian kernel;
+``_sparse.c``: the sparse apply and the embedding scatter-add):
+bit-equality with the numpy expressions on both sides of every guard,
+the ``sincos`` proof on a sample of the angle lattice, and the build /
+cache / fallback behaviour of the loader (``repro.rng._native``)."""
 
 import os
 import pathlib
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
+from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
+from repro.nn import PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
 from repro.rng.philox import BLOCK
 from repro.session import TrainSession
@@ -25,11 +28,12 @@ HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no `cc` on PATH")
 
 
-@pytest.fixture
-def native():
+def _loaded():
+    """Skip with the loader's reason where no library loaded — what the
+    ``native_lib`` fixture does, for hypothesis tests (which cannot take
+    a function-scoped fixture)."""
     if _native.LIB is None:
         pytest.skip(_native.REASON)
-    return _native.LIB
 
 
 @needs_cc
@@ -41,13 +45,26 @@ def test_native_kernel_loads_where_there_is_a_compiler():
 
 
 def test_which_implementation_ran_is_reported(
-    gaussian_kernel, capsys, tiny_model, dp_config
+    compiled_kernels, capsys, tiny_model, dp_config
 ):
-    assert native_status()[0] == gaussian_kernel
+    assert native_status()[0] == compiled_kernels
     assert main(["backends"]) == 0
-    assert f"gaussian kernel: {gaussian_kernel} (" in capsys.readouterr().out
+    assert f"compiled kernels: {compiled_kernels} (" in capsys.readouterr().out
     with TrainSession.build(tiny_model, dp_config) as session:
-        assert session.trainer.kernel_stats()["gaussian_kernel"] == gaussian_kernel
+        assert session.trainer.kernel_stats()["compiled_kernels"] == compiled_kernels
+
+
+def test_every_source_is_packaged():
+    """An installed copy without one of the C files would fall back to
+    numpy silently and for ever: ``package-data`` lists them all."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = pathlib.Path(repro.__file__).parent
+    pyproject = root.parents[1] / "pyproject.toml"
+    listed = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    for source in _native.SOURCES:
+        package = ".".join(source.parent.relative_to(root.parent).parts)
+        assert source.is_file()
+        assert source.name in listed.get(package, ()), (package, source.name)
 
 
 # -- native == ufunc, bit for bit ---------------------------------------------
@@ -60,8 +77,7 @@ def _draw(key, rows, iteration, scale, dim):
 
 def _both(*args):
     """The draw through the loaded library, then through the ufunc chain."""
-    if _native.LIB is None:
-        pytest.skip(_native.REASON)
+    _loaded()
     compiled = _draw(*args)
     with _native.using(None):
         return compiled, _draw(*args)
@@ -104,7 +120,7 @@ def test_native_equals_ufunc_chain_on_a_row_wider_than_a_block(width):
     assert np.array_equal(compiled, reference)
 
 
-def test_native_writes_rows_of_a_strided_output(native):
+def test_native_writes_rows_of_a_strided_output(native_lib):
     """The row stride is passed, not assumed: a column slice of a wider
     array receives the same bits and its neighbours are not touched."""
     rows = np.arange(300)
@@ -115,16 +131,195 @@ def test_native_writes_rows_of_a_strided_output(native):
     assert np.all(wide[:, 7:] == -1.0)
 
 
-def test_sincos_matches_sin_and_cos_on_the_angle_lattice(native):
+def test_sincos_matches_sin_and_cos_on_the_angle_lattice(native_lib):
     """``tools/check_sincos_lattice.py`` walks all 2^32 angles a tile can
     produce; here a stratified 2^22 of them plus a window around every
     octant boundary (theta = k pi / 4 at word k * 2^29), where the range
     reduction switches polynomial."""
-    assert native.sincos_lattice_mismatches(511, 2**22, 1024) == 0
+    assert native_lib.sincos_lattice_mismatches(511, 2**22, 1024) == 0
     for octant in range(9):
         first = max(octant * 2**29 - 512, 0)
         count = min(octant * 2**29 + 512, 2**32) - first
-        assert native.sincos_lattice_mismatches(first, count, 1) == 0
+        assert native_lib.sincos_lattice_mismatches(first, count, 1) == 0
+
+
+# -- _sparse.c == the numpy expressions, bit for bit ---------------------------
+
+with np.errstate(invalid="ignore"):
+    #: The NaN this host's arithmetic generates, so every NaN a case can
+    #: hold or produce has one bit pattern.  (Where two NaNs of
+    #: *different* payloads meet, the survivor is the instruction's first
+    #: operand — an order no compiler promises for a commutative add or
+    #: multiply, numpy's loops included; nothing pins it.)
+    HOST_NAN = np.float64(np.inf) - np.float64(np.inf)
+SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, HOST_NAN, 5e-324, -1.1e-308, 1.5, -3.0]
+)
+
+
+def _values(rng, shape, special):
+    values = rng.standard_normal(shape)
+    if special:
+        odd = rng.random(shape) < 0.2
+        values[odd] = rng.choice(SPECIALS, size=int(odd.sum()))
+    return values
+
+
+def _row_sets(rng, nrows, kind):
+    """Sorted unique (grad, noise) local rows of one overlap ``kind``."""
+    def pick(pool, low=1):
+        if pool.size == 0:
+            return pool
+        count = int(rng.integers(min(low, pool.size), pool.size + 1))
+        return np.sort(rng.choice(pool, size=count, replace=False))
+
+    every, none = np.arange(nrows, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if kind == "both_empty":
+        return none, none
+    if kind == "grad_empty":
+        return none, pick(every)
+    if kind == "noise_empty":
+        return pick(every), none
+    grad = pick(every)
+    if kind == "identical":
+        return grad, grad.copy()
+    if kind == "disjoint":
+        return grad, pick(np.setdiff1d(every, grad), low=0)
+    return grad, pick(every)  # "partial": whatever overlap chance gives
+
+
+def _bits(array):
+    return array.view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nrows=st.integers(1, 48),
+    dim=st.sampled_from([1, 3, 4, 32, 33]),
+    row_base=st.sampled_from([0, 7, 2**33]),
+    kind=st.sampled_from(
+        ["disjoint", "partial", "identical", "grad_empty", "noise_empty", "both_empty"]
+    ),
+    special=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_fused_noisy_update_native_equals_numpy(
+    nrows, dim, row_base, kind, special, seed
+):
+    _loaded()
+    rng = np.random.default_rng(seed)
+    grad_rows, noise_rows = (row_base + local for local in _row_sets(rng, nrows, kind))
+    grad = _values(rng, (grad_rows.size, dim), special)
+    noise = _values(rng, (noise_rows.size, dim), special)
+    table = _values(rng, (nrows, dim), special)
+    operands = (0.37, grad_rows, grad, noise_rows, noise)
+    inputs = [array.copy() for array in operands[1:]]
+
+    compiled = table.copy()
+    with np.errstate(all="ignore"):
+        written = fused_noisy_update(compiled, *operands, row_base=row_base)
+        with _native.using(None):
+            reference = table.copy()
+            expected = fused_noisy_update(reference, *operands, row_base=row_base)
+    assert written == expected == np.union1d(grad_rows, noise_rows).size
+    assert np.array_equal(_bits(compiled), _bits(reference))
+    for array, before in zip(operands[1:], inputs):  # operands are read-only
+        assert np.array_equal(array, before, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nrows=st.integers(2, 48),
+    dim=st.sampled_from([1, 3, 4, 32, 33]),
+    row_base=st.sampled_from([0, 7, 2**33]),
+    redirect=st.booleans(),
+    consecutive=st.booleans(),
+    special=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_apply_sparse_update_native_equals_numpy(
+    nrows, dim, row_base, redirect, consecutive, special, seed
+):
+    """The gather path (the compiled one) and the slice path (numpy's on
+    both sides), in place and into ``out=``."""
+    _loaded()
+    rng = np.random.default_rng(seed)
+    if consecutive:
+        start = int(rng.integers(0, nrows - 1))
+        local = np.arange(start, int(rng.integers(start + 1, nrows + 1)))
+    else:
+        local, _ = _row_sets(rng, nrows, "noise_empty")
+    rows = row_base + local.astype(np.int64)
+    values = _values(rng, (rows.size, dim), special)
+    table = _values(rng, (nrows, dim), special)
+    memo = _values(rng, (nrows, dim), special)
+
+    def run():
+        source, out = table.copy(), memo.copy() if redirect else None
+        with np.errstate(all="ignore"):
+            apply_sparse_update(
+                source, rows, values.copy(), 0.61, arena=BufferArena(),
+                row_base=row_base, out=out, values_writable=True,
+            )
+        return _bits(source), None if out is None else _bits(out)
+
+    compiled = run()
+    with _native.using(None):
+        reference = run()
+    assert np.array_equal(compiled[0], reference[0])
+    if redirect:
+        assert np.array_equal(compiled[0], _bits(table))  # the source is only read
+        assert np.array_equal(compiled[1], reference[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.integers(1, 12),
+    dim=st.sampled_from([1, 3, 4, 32, 33]),
+    num_rows=st.integers(1, 9),
+    pooling=st.integers(0, 6),
+    strided=st.booleans(),
+    special=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_weighted_row_grad_native_equals_add_at(
+    batch, dim, num_rows, pooling, strided, special, seed
+):
+    """Pooled pairs — ``mults`` > 1, rows repeated across examples, a
+    strided ``deltas`` view as the interaction layer hands over, no pairs
+    at all — against the numpy path and against ``np.add.at`` spelt out."""
+    _loaded()
+    rng = np.random.default_rng(seed)
+    # Per example, its distinct rows and how often it looked each up.
+    lookups = rng.integers(0, num_rows, size=(batch, pooling))
+    example_ids, rows, mults = [], [], []
+    for example, looked_up in enumerate(lookups):
+        unique, counts = np.unique(looked_up, return_counts=True)
+        example_ids += [example] * unique.size
+        rows += unique.tolist()
+        mults += counts.tolist()
+    wide = _values(rng, (batch, dim + 5), special)
+    pairs = PerExamplePairs(
+        example_ids=np.array(example_ids, dtype=np.int64),
+        rows=np.array(rows, dtype=np.int64),
+        mults=np.array(mults, dtype=np.float64),
+        deltas=wide[:, 2 : 2 + dim] if strided else wide[:, :dim].copy(),
+        batch_size=batch,
+    )
+    weights = rng.random(batch) / batch
+
+    with np.errstate(all="ignore"):
+        compiled = pairs.weighted_row_grad(weights)
+        with _native.using(None):
+            reference = pairs.weighted_row_grad(weights)
+        unique_rows, inverse = np.unique(pairs.rows, return_inverse=True)
+        spelt_out = np.zeros((unique_rows.size, dim))
+        scale = weights[pairs.example_ids] * pairs.mults
+        np.add.at(spelt_out, inverse, pairs.deltas[pairs.example_ids] * scale[:, None])
+    assert np.array_equal(compiled.rows, reference.rows)
+    assert compiled.values.shape == reference.values.shape == spelt_out.shape
+    assert np.array_equal(_bits(compiled.values), _bits(reference.values))
+    assert np.array_equal(_bits(compiled.values), _bits(spelt_out))
 
 
 # -- build, cache, fallback ---------------------------------------------------
@@ -138,12 +333,19 @@ def cold_home(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _edited_source(tmp_path, monkeypatch, old, new):
-    text = _native.SOURCE.read_text()
+def _edited_source(tmp_path, monkeypatch, name, old, new):
+    """Build from a copy of the source file ``name`` with ``old`` ->
+    ``new``, beside the other sources unedited."""
+    (original,) = [path for path in _native.SOURCES if path.name == name]
+    text = original.read_text()
     assert old in text
-    edited = tmp_path / "_gauss.c"
+    edited = tmp_path / name
     edited.write_text(text.replace(old, new))
-    monkeypatch.setattr(_native, "SOURCE", edited)
+    monkeypatch.setattr(
+        _native,
+        "SOURCES",
+        tuple(edited if path == original else path for path in _native.SOURCES),
+    )
 
 
 @needs_cc
@@ -178,25 +380,33 @@ def test_cache_directory_is_private_and_foreign_artefacts_are_refused(
     monkeypatch.setattr(os, "getuid", lambda: uid + 1)
     _native.load()
     name, reason = native_status()
-    assert name == "ufunc" and "not owned by the current user" in reason
+    assert name == "numpy" and "not owned by the current user" in reason
 
 
 @needs_cc
 def test_changed_source_builds_beside_the_old_artefact(cold_home, monkeypatch):
+    """The artefact's name hashes every source: an edit to either file
+    is a new library, and the old ones are left for whoever has them
+    open."""
     _native.load()
-    (old,) = _native.cache_dir().iterdir()
-    _edited_source(cold_home, monkeypatch, "#include <math.h>", "#include <math.h>\n")
-    _native.load()
-    name, path = native_status()
-    assert name == "native" and pathlib.Path(path) != old
-    assert set(_native.cache_dir().iterdir()) == {old, pathlib.Path(path)}
+    artefacts = set(_native.cache_dir().iterdir())
+    assert len(artefacts) == 1
+    for source, line in [
+        ("_gauss.c", "#include <math.h>"), ("_sparse.c", "#include <stdint.h>")
+    ]:
+        _edited_source(cold_home, monkeypatch, source, line, line + "\n")
+        _native.load()
+        name, path = native_status()
+        assert name == "native" and pathlib.Path(path) not in artefacts
+        artefacts.add(pathlib.Path(path))
+        assert set(_native.cache_dir().iterdir()) == artefacts
 
 
 def test_unusable_cache_directory_falls_back(cold_home):
     (cold_home / ".cache").write_text("a file where the directory should go")
     _native.load()
     name, reason = native_status()
-    assert name == "ufunc" and reason.startswith("cache directory unusable")
+    assert name == "numpy" and reason.startswith("cache directory unusable")
 
 
 def test_missing_compiler_falls_back(cold_home, monkeypatch):
@@ -206,7 +416,7 @@ def test_missing_compiler_falls_back(cold_home, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_cc)
     _native.load()
     name, reason = native_status()
-    assert name == "ufunc" and reason.startswith("no C compiler")
+    assert name == "numpy" and reason.startswith("no C compiler")
     assert list(_native.cache_dir().iterdir()) == []
     # ... and the stream still draws, through the ufunc chain.
     assert NoiseStream(1).row_noise(0, np.arange(3), 1, 5).shape == (3, 5)
@@ -214,20 +424,33 @@ def test_missing_compiler_falls_back(cold_home, monkeypatch):
 
 @needs_cc
 def test_failed_build_falls_back(cold_home, monkeypatch):
-    _edited_source(cold_home, monkeypatch, "#include <math.h>", "#error broken")
+    _edited_source(
+        cold_home, monkeypatch, "_gauss.c", "#include <math.h>", "#error broken"
+    )
     _native.load()
     name, reason = native_status()
-    assert name == "ufunc" and reason.startswith("build failed")
+    assert name == "numpy" and reason.startswith("build failed")
     assert list(_native.cache_dir().iterdir()) == []
 
 
 @needs_cc
 def test_failing_self_test_falls_back(cold_home, monkeypatch):
-    """A build whose arithmetic differs in one bit of one constant
-    compiles and loads, and is not used."""
-    _edited_source(
-        cold_home, monkeypatch, "0x1.921fb54442d18p+2", "0x1.921fb54442d19p+2"
-    )
-    _native.load()
-    name, reason = native_status()
-    assert name == "ufunc" and "self-test" in reason
+    """A build of either file whose arithmetic differs in the last bit
+    compiles and loads, and is not used — for any of the kernels."""
+    for source, old, new in [
+        # One bit of one constant.
+        ("_gauss.c", "0x1.921fb54442d18p+2", "0x1.921fb54442d19p+2"),
+        # Shared rows rounded once more: lr * g + lr * n.
+        ("_sparse.c", "a0 - lr * s0;", "a0 - (lr * g[k] + lr * n[k]);"),
+        # Pairs walked backwards: np.add.at's sum, in another order.
+        (
+            "_sparse.c",
+            "for (int64_t p = 0; p < n_pairs; p++) {",
+            "for (int64_t p = n_pairs - 1; p >= 0; p--) {",
+        ),
+    ]:
+        with monkeypatch.context() as patch:
+            _edited_source(cold_home, patch, source, old, new)
+            _native.load()
+        name, reason = native_status()
+        assert name == "numpy" and "self-test" in reason, (source, old)

@@ -116,7 +116,7 @@ class TestCounterRange:
 
     @pytest.mark.parametrize("iteration", [2**32, 1 + 2**32, -1])
     def test_rejects_iteration_outside_the_counter_word(
-        self, stream, gaussian_kernel, iteration
+        self, stream, compiled_kernels, iteration
     ):
         with pytest.raises(ValueError, match="iteration"):
             stream.row_noise(0, self.ROWS, iteration, 8)
@@ -126,17 +126,17 @@ class TestCounterRange:
             stream.dense_noise(0, iteration, (4, 4))
 
     @pytest.mark.parametrize("bad", [2**32, -1])
-    def test_rejects_one_bad_per_row_iteration(self, stream, gaussian_kernel, bad):
+    def test_rejects_one_bad_per_row_iteration(self, stream, compiled_kernels, bad):
         with pytest.raises(ValueError, match="iteration"):
             stream.row_iteration_noise(0, self.ROWS, np.array([1, bad, 2]), 8)
 
-    def test_rejects_negative_rows(self, stream, gaussian_kernel):
+    def test_rejects_negative_rows(self, stream, compiled_kernels):
         with pytest.raises(ValueError, match="rows"):
             stream.row_noise(0, np.array([3, -1, 42]), 1, 8)
         with pytest.raises(ValueError, match="rows"):
             stream.row_iteration_noise(0, np.array([-1]), np.array([1]), 8)
 
-    def test_the_whole_range_is_accepted(self, stream, gaussian_kernel):
+    def test_the_whole_range_is_accepted(self, stream, compiled_kernels):
         """The last iteration and the last unsigned row are coordinates
         of their own, not aliases."""
         rows = np.array([0, 2**64 - 1], dtype=np.uint64)

@@ -211,7 +211,7 @@ class TestReportingSurfaces:
             assert worker["samples_drawn"] >= 0
             assert worker["staged"] == 0
         assert trainer.kernel_stats()["procshard"]["workers"]
-        assert trainer.kernel_stats()["gaussian_kernel"] == native_status()[0]
+        assert trainer.kernel_stats()["compiled_kernels"] == native_status()[0]
         trainer.close()
         # Post-close stats come from the cached last round trip.
         assert trainer.procshard_stats()["workers"]
