@@ -7,7 +7,8 @@ compares a slower and a faster kernel on identical data: the
 fused/batched numpy kernels against their unfused/looped references.
 Last, the kernels with two implementations (``repro.rng._native``: a
 compiled inner loop and the numpy expression) run each on the same
-data — the keyed Gaussians draw one table's worth of noise, the apply
+data — the keyed Gaussians draw one table's worth of noise (on the
+compiled AVX-512 and scalar C bodies and the ufunc chain), the apply
 replays the same warm loop, the embedding backward reduces one pooled
 batch: equal bits are a hard check, their rates are reported side by
 side and not pinned.
@@ -15,6 +16,7 @@ side and not pinned.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -24,7 +26,17 @@ from repro.kernels import BufferArena, merge_sparse_updates
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
 from repro.nn import PerExamplePairs
-from repro.rng import NoiseStream, _native, native_status, philox_invocations
+from repro.rng import (
+    DOMAIN_ROW_NOISE,
+    NoiseStream,
+    _native,
+    derive_key,
+    native_status,
+    philox_invocations,
+    vector_isa,
+)
+from repro.rng.noise import _native_tile
+from repro.rng.philox import BLOCK
 from repro.session import ExecutionPlan
 
 from . import Checks, Result, Table, best_of, case
@@ -242,12 +254,34 @@ def compiled_pair(checks, apply_geometry, repeats=3):
     return Table("sparse_kernels", table, measured=True), metrics
 
 
+def _sincos_fallback_share(num_rows, dim):
+    """Share of the angles of :func:`gaussian_pair`'s draw that
+    ``gauss_finish``'s AVX-512 body hands to libm's ``sincos``: the
+    draw's tiles through ``_native_tile``, which returns that count."""
+    rows = np.arange(num_rows, dtype=np.uint64)[:, None]
+    columns = (np.broadcast_to(np.uint64(1), rows.shape), np.broadcast_to(1.0, rows.shape))
+    out = np.empty((num_rows, dim))
+    blocks = (dim + 3) // 4
+    tile_rows = BLOCK // blocks
+    key = derive_key(101, DOMAIN_ROW_NOISE, 0)
+    handed = sum(
+        _native_tile(_native.LIB, key, rows, *columns, out,
+                     r0, min(r0 + tile_rows, num_rows), 0, blocks)
+        for r0 in range(0, num_rows, tile_rows)
+    )
+    return handed / (2 * num_rows * blocks)
+
+
 def gaussian_pair(checks, num_rows, dim, repeats=3):
-    """One ``(num_rows, dim)`` draw through the keyed-Gaussian kernel as
-    loaded and, with the loader's handle swapped out, through the ufunc
-    chain.  Returns ``(table, {implementation: M Gaussians/s})``; where
-    the compiled kernel did not load only the chain runs and the table
-    says why."""
+    """One ``(num_rows, dim)`` draw (``dim`` <= 4 x BLOCK) through the
+    keyed-Gaussian kernel on every implementation this host has: the
+    compiled AVX-512 bodies, the compiled scalar C (AVX-512 switched
+    off) and, with the loader's handle swapped out, the ufunc chain.
+    Equal sha256 is a hard check.  Returns ``(table, {metric: value})``:
+    M Gaussians/s per implementation and, where the AVX-512 body ran,
+    the share of angles it handed to libm's ``sincos``; where the
+    compiled kernel did not load only the chain runs and the table says
+    why."""
     stream = NoiseStream(seed=101)
     rows = np.arange(num_rows)
 
@@ -257,23 +291,30 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
         return digest.hexdigest(), num_rows * dim / seconds / 1e6
 
     name, detail = native_status()
-    measured = {"native" if name == "native" else "ufunc": measure()}
+    paths = {"ufunc": lambda: _native.using(None)}
     if name == "native":
-        with _native.using(None):
-            measured["ufunc"] = measure()
-        checks.require(
-            measured["native"][0] == measured["ufunc"][0],
-            "the compiled Gaussian kernel and the ufunc chain drew different bits",
-        )
+        # On a host without AVX-512 both keys are "scalar": one entry.
+        paths = {vector_isa(): contextlib.nullcontext, "scalar": _native.scalar_c, **paths}
+    measured = {}
+    for impl, path in paths.items():
+        with path():
+            measured[impl] = measure()
+    checks.require(
+        len({digest for digest, _ in measured.values()}) == 1,
+        f"the keyed-Gaussian kernel drew different bits on {', '.join(measured)}",
+    )
+    metrics = {f"gaussian_mps_{impl}": mps for impl, (_, mps) in measured.items()}
+    title = f"Keyed-Gaussian kernel, {num_rows} x {dim} ({name}: {detail})"
+    if "avx512" in measured:
+        metrics["gaussian_sincos_fallback_frac"] = _sincos_fallback_share(num_rows, dim)
+        title += (f"; {metrics['gaussian_sincos_fallback_frac']:.2%} of angles "
+                  "handed to libm's sincos")
     table = format_table(
         ["gaussian kernel", "M gaussians/s", "sha256[:12]"],
         [[impl, mps, digest[:12]] for impl, (digest, mps) in measured.items()],
-        title=f"Keyed-Gaussian kernel, {num_rows} x {dim} ({name}: {detail})",
+        title=title,
     )
-    return (
-        Table("gaussian_kernel", table, measured=True),
-        {f"gaussian_mps_{impl}": mps for impl, (_, mps) in measured.items()},
-    )
+    return Table("gaussian_kernel", table, measured=True), metrics
 
 
 @case(

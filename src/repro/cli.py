@@ -363,8 +363,8 @@ def _run_backends(args) -> int:
     """Print the execution-backend registry — one row per backend with
     the plan axes it composes with — and whether the compiled inner
     loops (noise draw, sparse apply, embedding scatter-add) or their
-    numpy expressions run."""
-    from .rng import native_status
+    numpy expressions run — and, compiled, on which instruction set."""
+    from .rng import native_status, vector_isa
     from .session import available_backends, backend_info
 
     table_rows = []
@@ -381,7 +381,11 @@ def _run_backends(args) -> int:
         table_rows,
         title="Execution backends (ExecutionPlan backend=...)",
     ))
-    print("\ncompiled kernels: {} ({})".format(*native_status()))
+    name, detail = native_status()
+    if name == "native":
+        print(f"\ncompiled kernels: native ({vector_isa()}) {detail}")
+    else:
+        print(f"\ncompiled kernels: numpy ({detail})")
     return 0
 
 

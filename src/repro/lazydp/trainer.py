@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from ..pipeline.staging import StagedNoise
-from ..rng import native_status
+from ..rng import native_status, vector_isa
 from ..shard.executor import SerialExecutor
 from ..shard.tables import shard_windows
 from ..train.common import DPConfig
@@ -316,9 +316,11 @@ class LazyDPTrainer(DPSGDFTrainer):
         """Per-shard arena reuse and timer counters (see
         :meth:`ShardState.stats`), and which implementation of the
         noise draw, the sparse apply and the embedding scatter-add ran
-        (``native`` / ``numpy``)."""
+        (``native`` / ``numpy``) and, compiled, on which instruction set
+        (``vector_isa``: ``avx512`` / ``scalar``, ``None`` on numpy)."""
         return {
             "compiled_kernels": native_status()[0],
+            "vector_isa": vector_isa(),
             "timer_counters": dict(self.timer.counters),
             "shards": [state.stats() for state in self.engine.states],
         }

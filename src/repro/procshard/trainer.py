@@ -48,7 +48,7 @@ from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import LazyNoiseEngine, ledger_windows
 from ..lazydp.trainer import LazyDPTrainer
 from ..nn.dlrm import DLRM
-from ..rng import native_status
+from ..rng import native_status, vector_isa
 from ..shard.executor import ShardExecutor
 from ..shard.plan import PartitionPlan, build_partition_plan
 from ..shard.tables import ShardedEmbeddingBag, check_partition, shard_windows
@@ -433,6 +433,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
     def kernel_stats(self) -> dict:
         return {
             "compiled_kernels": native_status()[0],
+            "vector_isa": vector_isa(),
             "timer_counters": dict(self.timer.counters),
             "procshard": self.procshard_stats(),
         }

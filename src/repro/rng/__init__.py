@@ -6,7 +6,7 @@ kernel whose cost model mirrors the paper's characterisation (Section 4.3).
 """
 
 from . import _native
-from ._native import native_status
+from ._native import native_status, vector_isa
 from .boxmuller import (
     BOX_MULLER_AVX_OPS,
     NOISE_SAMPLING_PEAK_FRACTION,
@@ -59,4 +59,5 @@ __all__ = [
     "philox_invocations",
     "splitmix64",
     "uniform_from_uint32",
+    "vector_isa",
 ]

@@ -10,6 +10,17 @@
  * -ffp-contract=off: a fused multiply-add would round once where the
  * ufunc chain rounds twice.  The loader (_native.py) compares one tile
  * against the ufunc chain before it trusts a build.
+ *
+ * Both halves have an AVX-512 body beside the scalar one, chosen by
+ * what the CPU supports (gauss_vector_isa).  The Philox half is integer
+ * work.  The vector sin / cos returns libm's bits without being libm:
+ * it evaluates each value to within EVAL_ERROR ulp, keeps the correctly
+ * rounded result only where the exact value is farther than WINDOW +
+ * EVAL_ERROR ulp from a rounding midpoint, and hands every other lane to
+ * sincos().  glibc's sin / cos are off by less than WINDOW past 1/2 ulp
+ * on this lattice, so wherever a lane is kept libm rounds correctly too;
+ * tools/check_sincos_lattice.py checks the result against sin and cos
+ * at all 2^32 angles a tile can produce.
  */
 #define _GNU_SOURCE /* sincos */
 #include <math.h>
@@ -56,6 +67,457 @@ static inline void trig(double theta, double *s, double *c)
 #endif
 }
 
+/* The lattice checker's reference: sin and cos called apart (through
+ * volatile pointers, or the compiler would merge the pair into one
+ * sincos itself). */
+static double (*volatile apart_sin)(double) = sin;
+static double (*volatile apart_cos)(double) = cos;
+
+/* 1: gauss_uniforms / gauss_finish run their AVX-512 bodies; 0: the
+ * scalar C.  Set once, when the library is loaded, from what the CPU
+ * supports; the loader clears it if the vector bodies fail its
+ * self-test, and the tests clear it to run the scalar C on any host. */
+int gauss_vector_isa = 0;
+
+/* The window was measured against glibc's sin / cos, so the vector
+ * sincos exists only where glibc is the libm. */
+#if defined(__GLIBC__) && defined(__x86_64__) && defined(__GNUC__)
+#define GAUSS_AVX512 1
+#include <immintrin.h>
+
+__attribute__((constructor)) static void pick_vector_isa(void)
+{
+    __builtin_cpu_init();
+    gauss_vector_isa = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/* BEGIN generated by tools/gen_sincos_table.py: do not edit */
+/* pi / 2 = PIO2_1 + PIO2_2 + PIO2_3 + PIO2_4: three 33-bit pieces
+ * (k * piece is exact for k <= 4) and the tail. */
+#define PIO2_1 0x1.921fb54400000p+0
+#define PIO2_2 0x1.0b4611a600000p-34
+#define PIO2_3 0x1.3198a2e000000p-69
+#define PIO2_4 0x1.b839a252049c1p-104
+#define TWO_OVER_PI 0x1.45f306dc9c883p-1
+#define SINCOS_J_MAX 51
+/* {sin hi, sin lo, cos hi, cos lo} of j / 64, j = -SINCOS_J_MAX .. SINCOS_J_MAX. */
+static const double SINCOS_J64[103][4] = {
+    {-0x1.6e2b77c40bde1p-1, 0x1.0e729857fad53p-56, 0x1.65dc1fdeb8cbap-1, -0x1.97c1b47337c77p-58}, /* -51 */
+    {-0x1.6888a4e134b2fp-1, 0x1.6b7d37644d5e6p-55, 0x1.6b898fa9efb5dp-1, 0x1.15ac786ccf4b2p-56}, /* -50 */
+    {-0x1.62cf49921ac79p-1, 0x1.edd9855b6241ap-55, 0x1.712046fa77678p-1, 0x1.425b0a5029c81p-55}, /* -49 */
+    {-0x1.5cffc16bf8f0dp-1, -0x1.96cb370eb578ap-55, 0x1.769fec655211fp-1, -0x1.827d5cf8c68c5p-57}, /* -48 */
+    {-0x1.571a6966d59b3p-1, -0x1.c843b4d0fb197p-58, 0x1.7c0827f09e54fp-1, -0x1.c73d6d72aee68p-57}, /* -47 */
+    {-0x1.511f9fd7b351cp-1, 0x1.5c0e861c48831p-55, 0x1.8158a31916d5dp-1, -0x1.de8b90b8228dep-57}, /* -46 */
+    {-0x1.4b0fc46aab761p-1, -0x1.0da05738cc59cp-61, 0x1.869108d77a6c6p-1, 0x1.338ffe2bfe9ddp-56}, /* -45 */
+    {-0x1.44eb381cf386bp-1, 0x1.3ed6c1e6a5505p-55, 0x1.8bb105a5dc900p-1, 0x1.863e03e9474c1p-55}, /* -44 */
+    {-0x1.3eb25d36cd53ap-1, 0x1.be570e1570fc0p-58, 0x1.90b84784ddaf7p-1, -0x1.0feb10ab93b87p-56}, /* -43 */
+    {-0x1.386597456282bp-1, 0x1.10fada93b07a8p-56, 0x1.95a67e00cb1fdp-1, -0x1.0befda21f862dp-55}, /* -42 */
+    {-0x1.32054b148bc4fp-1, -0x1.f6b42095a135bp-55, 0x1.9a7b5a36a6514p-1, 0x1.722cfcc9fa7a9p-55}, /* -41 */
+    {-0x1.2b91dea88421ep-1, 0x1.fa371db216ab0p-55, 0x1.9f368ed912f85p-1, -0x1.1d200c5791606p-55}, /* -40 */
+    {-0x1.250bb93788bbbp-1, -0x1.ea3d02457bccep-56, 0x1.a3d7d0352bdcfp-1, -0x1.68dbaeca19669p-55}, /* -39 */
+    {-0x1.1e7343236574cp-1, -0x1.22a3fa4f41d5ap-56, 0x1.a85ed4373e02dp-1, 0x1.9be06385ec792p-57}, /* -38 */
+    {-0x1.17c8e5f2eedb0p-1, -0x1.35e57102e2488p-57, 0x1.accb526f69de5p-1, 0x1.8fb6a8dd6b6ccp-55}, /* -37 */
+    {-0x1.110d0c4b69c3bp-1, -0x1.d918998809981p-55, 0x1.b11d04162a4c6p-1, 0x1.1dd561efbc0c2p-56}, /* -36 */
+    {-0x1.0a4021e9e1001p-1, 0x1.6f643a13914f6p-55, 0x1.b553a410c104ep-1, 0x1.8ff7947027a15p-58}, /* -35 */
+    {-0x1.0362939c69955p-1, 0x1.2d8cd78397b01p-55, 0x1.b96eeef58840ep-1, 0x1.45a3cc78fade0p-58}, /* -34 */
+    {-0x1.f8e99e76abc97p-2, -0x1.9d950af2d00a3p-58, 0x1.bd6ea310294f5p-1, 0x1.31bbcc88c109dp-56}, /* -33 */
+    {-0x1.eaee8744b05f0p-2, 0x1.789b43c9b027dp-58, 0x1.c1528065b7d50p-1, -0x1.892111312e828p-55}, /* -32 */
+    {-0x1.dcd4c15329c9ap-2, -0x1.0d4c6e171fd9ap-56, 0x1.c51a48b8b175ep-1, -0x1.1bbb43b9aa880p-57}, /* -31 */
+    {-0x1.ce9d2e3d4a51fp-2, 0x1.2fc8a12dae298p-57, 0x1.c8c5bf8ce1a84p-1, 0x1.ab3d1a1590123p-56}, /* -30 */
+    {-0x1.c048b17b140a3p-2, -0x1.19fe6757e9fa7p-57, 0x1.cc54aa2b2972ep-1, 0x1.4ee162ba83a98p-57}, /* -29 */
+    {-0x1.b1d8305321617p-2, 0x1.ae242cb99f519p-56, 0x1.cfc6cfa52ad9fp-1, 0x1.8b5b5508f2a0dp-55}, /* -28 */
+    {-0x1.a34c91cc50ccap-2, 0x1.a310e3b50cecdp-58, 0x1.d31bf8d8d7c06p-1, 0x1.e60dd3089cbddp-56}, /* -27 */
+    {-0x1.94a6be9f546c5p-2, 0x1.69ce13e683f58p-56, 0x1.d653f073e4040p-1, -0x1.76236434bec37p-55}, /* -26 */
+    {-0x1.85e7a12826949p-2, -0x1.8a40e9b5face0p-56, 0x1.d96e82f71a9dcp-1, 0x1.ff61bd5d2039dp-55}, /* -25 */
+    {-0x1.7710255764214p-2, 0x1.6ead7314bb6cep-57, 0x1.dc6b7eb995912p-1, 0x1.4b364776dcd35p-58}, /* -24 */
+    {-0x1.682138a38d7f7p-2, 0x1.d889202444aadp-56, 0x1.df4ab3ebd875ep-1, -0x1.e2d8a7e6736c4p-55}, /* -23 */
+    {-0x1.591bc9fa2f597p-2, -0x1.7c74bac3fe0cbp-57, 0x1.e20bf49acd6c1p-1, -0x1.660aec7ef636bp-58}, /* -22 */
+    {-0x1.4a00c9b0f3d20p-2, -0x1.823ba6bb08eadp-56, 0x1.e4af14b2a449cp-1, -0x1.68ca02e8a6833p-55}, /* -21 */
+    {-0x1.3ad129769d3d8p-2, -0x1.03d550487839ap-63, 0x1.e733ea0193d40p-1, -0x1.6428b3546ce13p-55}, /* -20 */
+    {-0x1.2b8ddc43eb49fp-2, -0x1.1553899f2d807p-57, 0x1.e99a4c3a7cd83p-1, -0x1.2264b1bc53ce8p-55}, /* -19 */
+    {-0x1.1c37d64c6b876p-2, -0x1.46076fe0dcff4p-56, 0x1.ebe214f76efa8p-1, -0x1.02f9f12ba543ep-55}, /* -18 */
+    {-0x1.0cd00cef36436p-2, 0x1.9fb0a0c93e2b4p-56, 0x1.ee0b1fbc0f11cp-1, -0x1.bfd2380bbc3b1p-59}, /* -17 */
+    {-0x1.faaeed4f31577p-3, 0x1.15d88508e32b8p-57, 0x1.f01549f7deea1p-1, 0x1.d3c1e99e5cafdp-55}, /* -16 */
+    {-0x1.db9e15fb5a5d0p-3, 0x1.32e20d6cc6fc2p-57, 0x1.f20073086649fp-1, 0x1.b940416c1984bp-56}, /* -15 */
+    {-0x1.bc6f84edc6199p-3, -0x1.9c1a56a7b0cabp-57, 0x1.f3cc7c3b3d16ep-1, -0x1.21a3ad28a3494p-57}, /* -14 */
+    {-0x1.9d252d0cec312p-3, -0x1.9c43d80b1137dp-58, 0x1.f57948cff6797p-1, 0x1.e3a0d3e03b1d4p-57}, /* -13 */
+    {-0x1.7dc102fbaf2b5p-3, -0x1.5ab50e23c97c3p-59, 0x1.f706bdf9ece1cp-1, -0x1.698c80c36dcb4p-55}, /* -12 */
+    {-0x1.5e44fcfa126f3p-3, 0x1.6f443063f89b6p-57, 0x1.f874c2e1eecf6p-1, -0x1.c6514e1332b16p-55}, /* -11 */
+    {-0x1.3eb312c5d66cbp-3, -0x1.47d666b66cb91p-57, 0x1.f9c340a7cc428p-1, 0x1.c5b6b063b7462p-55}, /* -10 */
+    {-0x1.1f0d3d7afceafp-3, 0x1.6ef95099769a5p-57, 0x1.faf22263c4bd3p-1, -0x1.52ace133a2769p-58}, /* -9 */
+    {-0x1.feaaeee86ee36p-4, 0x1.afcb2bcc6f03bp-59, 0x1.fc015527d5bd3p-1, 0x1.b68f35094efb8p-55}, /* -8 */
+    {-0x1.bf1b78568391dp-4, -0x1.e91841dea4cc8p-58, 0x1.fcf0c800e99b1p-1, 0x1.ea3d786d186acp-57}, /* -7 */
+    {-0x1.7f701032550e4p-4, -0x1.afc2d1800501ap-60, 0x1.fdc06bf7e6b9bp-1, 0x1.31902b535f8dbp-55}, /* -6 */
+    {-0x1.3facb12d1755bp-4, 0x1.921915299468bp-58, 0x1.fe7034129ef6fp-1, -0x1.cbf4337c96f97p-57}, /* -5 */
+    {-0x1.ffaaaeeed4edbp-5, 0x1.2d16d32684b69p-59, 0x1.ff0015549f4d3p-1, 0x1.328387b99426fp-55}, /* -4 */
+    {-0x1.7fdc01032fba9p-5, 0x1.599bdf46e997ap-59, 0x1.ff7006bfdf99fp-1, -0x1.8b3b560648d5fp-56}, /* -3 */
+    {-0x1.ffeaaaeeee86fp-6, 0x1.cd406fb224ae2p-60, 0x1.ffc00155527d3p-1, -0x1.3b54492d89b5bp-55}, /* -2 */
+    {-0x1.fffaaaaeeeed5p-7, 0x1.2ab639a9f0776p-63, 0x1.fff000155549fp-1, 0x1.28a28a03a5ef3p-55}, /* -1 */
+    {0x0.0p+0, 0x0.0p+0, 0x1.0000000000000p+0, 0x0.0p+0}, /* 0 */
+    {0x1.fffaaaaeeeed5p-7, -0x1.2ab639a9f0776p-63, 0x1.fff000155549fp-1, 0x1.28a28a03a5ef3p-55}, /* 1 */
+    {0x1.ffeaaaeeee86fp-6, -0x1.cd406fb224ae2p-60, 0x1.ffc00155527d3p-1, -0x1.3b54492d89b5bp-55}, /* 2 */
+    {0x1.7fdc01032fba9p-5, -0x1.599bdf46e997ap-59, 0x1.ff7006bfdf99fp-1, -0x1.8b3b560648d5fp-56}, /* 3 */
+    {0x1.ffaaaeeed4edbp-5, -0x1.2d16d32684b69p-59, 0x1.ff0015549f4d3p-1, 0x1.328387b99426fp-55}, /* 4 */
+    {0x1.3facb12d1755bp-4, -0x1.921915299468bp-58, 0x1.fe7034129ef6fp-1, -0x1.cbf4337c96f97p-57}, /* 5 */
+    {0x1.7f701032550e4p-4, 0x1.afc2d1800501ap-60, 0x1.fdc06bf7e6b9bp-1, 0x1.31902b535f8dbp-55}, /* 6 */
+    {0x1.bf1b78568391dp-4, 0x1.e91841dea4cc8p-58, 0x1.fcf0c800e99b1p-1, 0x1.ea3d786d186acp-57}, /* 7 */
+    {0x1.feaaeee86ee36p-4, -0x1.afcb2bcc6f03bp-59, 0x1.fc015527d5bd3p-1, 0x1.b68f35094efb8p-55}, /* 8 */
+    {0x1.1f0d3d7afceafp-3, -0x1.6ef95099769a5p-57, 0x1.faf22263c4bd3p-1, -0x1.52ace133a2769p-58}, /* 9 */
+    {0x1.3eb312c5d66cbp-3, 0x1.47d666b66cb91p-57, 0x1.f9c340a7cc428p-1, 0x1.c5b6b063b7462p-55}, /* 10 */
+    {0x1.5e44fcfa126f3p-3, -0x1.6f443063f89b6p-57, 0x1.f874c2e1eecf6p-1, -0x1.c6514e1332b16p-55}, /* 11 */
+    {0x1.7dc102fbaf2b5p-3, 0x1.5ab50e23c97c3p-59, 0x1.f706bdf9ece1cp-1, -0x1.698c80c36dcb4p-55}, /* 12 */
+    {0x1.9d252d0cec312p-3, 0x1.9c43d80b1137dp-58, 0x1.f57948cff6797p-1, 0x1.e3a0d3e03b1d4p-57}, /* 13 */
+    {0x1.bc6f84edc6199p-3, 0x1.9c1a56a7b0cabp-57, 0x1.f3cc7c3b3d16ep-1, -0x1.21a3ad28a3494p-57}, /* 14 */
+    {0x1.db9e15fb5a5d0p-3, -0x1.32e20d6cc6fc2p-57, 0x1.f20073086649fp-1, 0x1.b940416c1984bp-56}, /* 15 */
+    {0x1.faaeed4f31577p-3, -0x1.15d88508e32b8p-57, 0x1.f01549f7deea1p-1, 0x1.d3c1e99e5cafdp-55}, /* 16 */
+    {0x1.0cd00cef36436p-2, -0x1.9fb0a0c93e2b4p-56, 0x1.ee0b1fbc0f11cp-1, -0x1.bfd2380bbc3b1p-59}, /* 17 */
+    {0x1.1c37d64c6b876p-2, 0x1.46076fe0dcff4p-56, 0x1.ebe214f76efa8p-1, -0x1.02f9f12ba543ep-55}, /* 18 */
+    {0x1.2b8ddc43eb49fp-2, 0x1.1553899f2d807p-57, 0x1.e99a4c3a7cd83p-1, -0x1.2264b1bc53ce8p-55}, /* 19 */
+    {0x1.3ad129769d3d8p-2, 0x1.03d550487839ap-63, 0x1.e733ea0193d40p-1, -0x1.6428b3546ce13p-55}, /* 20 */
+    {0x1.4a00c9b0f3d20p-2, 0x1.823ba6bb08eadp-56, 0x1.e4af14b2a449cp-1, -0x1.68ca02e8a6833p-55}, /* 21 */
+    {0x1.591bc9fa2f597p-2, 0x1.7c74bac3fe0cbp-57, 0x1.e20bf49acd6c1p-1, -0x1.660aec7ef636bp-58}, /* 22 */
+    {0x1.682138a38d7f7p-2, -0x1.d889202444aadp-56, 0x1.df4ab3ebd875ep-1, -0x1.e2d8a7e6736c4p-55}, /* 23 */
+    {0x1.7710255764214p-2, -0x1.6ead7314bb6cep-57, 0x1.dc6b7eb995912p-1, 0x1.4b364776dcd35p-58}, /* 24 */
+    {0x1.85e7a12826949p-2, 0x1.8a40e9b5face0p-56, 0x1.d96e82f71a9dcp-1, 0x1.ff61bd5d2039dp-55}, /* 25 */
+    {0x1.94a6be9f546c5p-2, -0x1.69ce13e683f58p-56, 0x1.d653f073e4040p-1, -0x1.76236434bec37p-55}, /* 26 */
+    {0x1.a34c91cc50ccap-2, -0x1.a310e3b50cecdp-58, 0x1.d31bf8d8d7c06p-1, 0x1.e60dd3089cbddp-56}, /* 27 */
+    {0x1.b1d8305321617p-2, -0x1.ae242cb99f519p-56, 0x1.cfc6cfa52ad9fp-1, 0x1.8b5b5508f2a0dp-55}, /* 28 */
+    {0x1.c048b17b140a3p-2, 0x1.19fe6757e9fa7p-57, 0x1.cc54aa2b2972ep-1, 0x1.4ee162ba83a98p-57}, /* 29 */
+    {0x1.ce9d2e3d4a51fp-2, -0x1.2fc8a12dae298p-57, 0x1.c8c5bf8ce1a84p-1, 0x1.ab3d1a1590123p-56}, /* 30 */
+    {0x1.dcd4c15329c9ap-2, 0x1.0d4c6e171fd9ap-56, 0x1.c51a48b8b175ep-1, -0x1.1bbb43b9aa880p-57}, /* 31 */
+    {0x1.eaee8744b05f0p-2, -0x1.789b43c9b027dp-58, 0x1.c1528065b7d50p-1, -0x1.892111312e828p-55}, /* 32 */
+    {0x1.f8e99e76abc97p-2, 0x1.9d950af2d00a3p-58, 0x1.bd6ea310294f5p-1, 0x1.31bbcc88c109dp-56}, /* 33 */
+    {0x1.0362939c69955p-1, -0x1.2d8cd78397b01p-55, 0x1.b96eeef58840ep-1, 0x1.45a3cc78fade0p-58}, /* 34 */
+    {0x1.0a4021e9e1001p-1, -0x1.6f643a13914f6p-55, 0x1.b553a410c104ep-1, 0x1.8ff7947027a15p-58}, /* 35 */
+    {0x1.110d0c4b69c3bp-1, 0x1.d918998809981p-55, 0x1.b11d04162a4c6p-1, 0x1.1dd561efbc0c2p-56}, /* 36 */
+    {0x1.17c8e5f2eedb0p-1, 0x1.35e57102e2488p-57, 0x1.accb526f69de5p-1, 0x1.8fb6a8dd6b6ccp-55}, /* 37 */
+    {0x1.1e7343236574cp-1, 0x1.22a3fa4f41d5ap-56, 0x1.a85ed4373e02dp-1, 0x1.9be06385ec792p-57}, /* 38 */
+    {0x1.250bb93788bbbp-1, 0x1.ea3d02457bccep-56, 0x1.a3d7d0352bdcfp-1, -0x1.68dbaeca19669p-55}, /* 39 */
+    {0x1.2b91dea88421ep-1, -0x1.fa371db216ab0p-55, 0x1.9f368ed912f85p-1, -0x1.1d200c5791606p-55}, /* 40 */
+    {0x1.32054b148bc4fp-1, 0x1.f6b42095a135bp-55, 0x1.9a7b5a36a6514p-1, 0x1.722cfcc9fa7a9p-55}, /* 41 */
+    {0x1.386597456282bp-1, -0x1.10fada93b07a8p-56, 0x1.95a67e00cb1fdp-1, -0x1.0befda21f862dp-55}, /* 42 */
+    {0x1.3eb25d36cd53ap-1, -0x1.be570e1570fc0p-58, 0x1.90b84784ddaf7p-1, -0x1.0feb10ab93b87p-56}, /* 43 */
+    {0x1.44eb381cf386bp-1, -0x1.3ed6c1e6a5505p-55, 0x1.8bb105a5dc900p-1, 0x1.863e03e9474c1p-55}, /* 44 */
+    {0x1.4b0fc46aab761p-1, 0x1.0da05738cc59cp-61, 0x1.869108d77a6c6p-1, 0x1.338ffe2bfe9ddp-56}, /* 45 */
+    {0x1.511f9fd7b351cp-1, -0x1.5c0e861c48831p-55, 0x1.8158a31916d5dp-1, -0x1.de8b90b8228dep-57}, /* 46 */
+    {0x1.571a6966d59b3p-1, 0x1.c843b4d0fb197p-58, 0x1.7c0827f09e54fp-1, -0x1.c73d6d72aee68p-57}, /* 47 */
+    {0x1.5cffc16bf8f0dp-1, 0x1.96cb370eb578ap-55, 0x1.769fec655211fp-1, -0x1.827d5cf8c68c5p-57}, /* 48 */
+    {0x1.62cf49921ac79p-1, -0x1.edd9855b6241ap-55, 0x1.712046fa77678p-1, 0x1.425b0a5029c81p-55}, /* 49 */
+    {0x1.6888a4e134b2fp-1, -0x1.6b7d37644d5e6p-55, 0x1.6b898fa9efb5dp-1, 0x1.15ac786ccf4b2p-56}, /* 50 */
+    {0x1.6e2b77c40bde1p-1, -0x1.0e729857fad53p-56, 0x1.65dc1fdeb8cbap-1, -0x1.97c1b47337c77p-58}, /* 51 */
+};
+/* END generated by tools/gen_sincos_table.py */
+
+/* A kept lane's exact value is farther than WINDOW + EVAL_ERROR ulp
+ * from a rounding midpoint.  EVAL_ERROR bounds the vector evaluation's
+ * error; WINDOW must exceed libm's worst error past 1/2 ulp on the
+ * lattice (glibc 2.36: 0.0156; tools/check_sincos_lattice.py measures
+ * it and refuses a libm that comes within EVAL_ERROR of WINDOW).  The
+ * measured evaluation error is below 2^-12.5 ulp. */
+#define WINDOW 0x1p-5
+#define EVAL_ERROR 0x1p-10
+/* The largest |z_err| a kept lane may have, in units of 2^exponent(z). */
+#define KEEP_ERR ((0.5 - WINDOW - EVAL_ERROR) * 0x1p-52)
+
+/* WINDOW - EVAL_ERROR: the largest excess past 1/2 ulp libm may show
+ * on a lane handed back to it (tools/check_sincos_lattice.py). */
+const double sincos_tolerated_excess = WINDOW - EVAL_ERROR;
+
+/* Eight counters' ten rounds: 32-bit words in 64-bit lanes, so
+ * _mm512_mul_epu32 is the 32 x 32 -> 64 product. */
+static AVX512 inline void philox8(__m512i c[4], uint32_t k0, uint32_t k1)
+{
+    const __m512i m0 = _mm512_set1_epi64(PHILOX_M0), m1 = _mm512_set1_epi64(PHILOX_M1);
+    const __m512i low = _mm512_set1_epi64(0xFFFFFFFFu);
+    for (int r = 0; r < 10; r++) {
+        __m512i p0 = _mm512_mul_epu32(c[0], m0);
+        __m512i p1 = _mm512_mul_epu32(c[2], m1);
+        __m512i n0 = _mm512_xor_si512(_mm512_srli_epi64(p1, 32), c[1]);
+        __m512i n2 = _mm512_xor_si512(_mm512_srli_epi64(p0, 32), c[3]);
+        c[0] = _mm512_xor_si512(n0, _mm512_set1_epi64(k0));
+        c[1] = _mm512_and_si512(p1, low);
+        c[2] = _mm512_xor_si512(n2, _mm512_set1_epi64(k1));
+        c[3] = _mm512_and_si512(p0, low);
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+}
+
+static AVX512 inline __m512d uniform8(__m512i word)
+{
+    return _mm512_mul_pd(_mm512_add_pd(_mm512_cvtepu64_pd(word), _mm512_set1_pd(0.5)),
+                         _mm512_set1_pd(0x1p-32));
+}
+
+/* How many of the `valid` lanes of u fall outside (0, 1]. */
+static AVX512 inline int outside8(__m512d u, __mmask8 valid)
+{
+    __mmask8 inside = _mm512_cmp_pd_mask(u, _mm512_setzero_pd(), _CMP_GT_OQ)
+                    & _mm512_cmp_pd_mask(u, _mm512_set1_pd(1.0), _CMP_LE_OQ);
+    return __builtin_popcount(valid & ~inside);
+}
+
+/* Interleave a[0], b[0], a[1], b[1], ... over the `valid` lanes of each
+ * into 2 * popcount(valid) doubles at out. */
+static AVX512 inline void store_pairs(double *out, __m512d a, __m512d b, __mmask8 valid)
+{
+    const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    __mmask16 pairs = (__mmask16)(((uint32_t)1 << (2 * __builtin_popcount(valid))) - 1);
+    _mm512_mask_storeu_pd(out, (__mmask8)pairs, _mm512_permutex2var_pd(a, first, b));
+    _mm512_mask_storeu_pd(out + 8, (__mmask8)(pairs >> 8), _mm512_permutex2var_pd(a, second, b));
+}
+
+/* gauss_uniforms, eight counters at a time (the last vector masked). */
+static AVX512 int64_t uniforms_avx512(const char *rows, int64_t row_stride,
+                                      const char *iterations, int64_t iteration_stride,
+                                      int64_t n_rows, int64_t b0, int64_t n_blocks,
+                                      uint32_t k0, uint32_t k1, double *radius, double *angle)
+{
+    uint64_t lane[4][8] = {{0}};
+    int64_t total = n_rows * n_blocks, outside = 0, r = 0, j = 0;
+    for (int64_t i = 0; i < total; i += 8) {
+        int count = total - i < 8 ? (int)(total - i) : 8;
+        for (int l = 0; l < count; l++, j++) {
+            if (j == n_blocks) {
+                j = 0;
+                r++;
+            }
+            uint64_t row = *(const uint64_t *)(rows + r * row_stride);
+            uint64_t iteration = *(const uint64_t *)(iterations + r * iteration_stride);
+            lane[0][l] = (uint32_t)row;
+            lane[1][l] = row >> 32;
+            lane[2][l] = (uint32_t)iteration;
+            lane[3][l] = (uint32_t)(b0 + j);
+        }
+        __m512i c[4];
+        for (int w = 0; w < 4; w++)
+            c[w] = _mm512_loadu_si512(lane[w]);
+        philox8(c, k0, k1);
+        __mmask8 valid = (__mmask8)((1u << count) - 1);
+        __m512d u0 = uniform8(c[0]), u2 = uniform8(c[2]);
+        outside += outside8(u0, valid) + outside8(u2, valid);
+        store_pairs(radius + 2 * i, u0, u2, valid);
+        store_pairs(angle + 2 * i, uniform8(c[1]), uniform8(c[3]), valid);
+    }
+    return outside;
+}
+
+/* A value as z + err (err the rounding error of z). */
+typedef struct {
+    __m512d z, err;
+} dd8;
+
+static AVX512 inline dd8 two_sum(__m512d a, __m512d b)
+{
+    __m512d s = _mm512_add_pd(a, b), bb = _mm512_sub_pd(s, a);
+    __m512d err = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)), _mm512_sub_pd(b, bb));
+    return (dd8){s, err};
+}
+
+/* |a| >= |b|. */
+static AVX512 inline dd8 fast_two_sum(__m512d a, __m512d b)
+{
+    __m512d s = _mm512_add_pd(a, b);
+    return (dd8){s, _mm512_sub_pd(b, _mm512_sub_pd(s, a))};
+}
+
+/* a * b = p + e exactly: the one place a fused multiply-add is used. */
+static AVX512 inline dd8 two_prod(__m512d a, __m512d b)
+{
+    __m512d p = _mm512_mul_pd(a, b);
+    return (dd8){p, _mm512_fmsub_pd(a, b, p)};
+}
+
+/* Lanes where z is the correctly rounded value with room to spare:
+ * |err| < KEEP_ERR ulp(z), z not a power of two (whose ulp below is
+ * half the ulp above). */
+static AVX512 inline __mmask8 safely_rounded(dd8 v)
+{
+    __m512i bits = _mm512_castpd_si512(v.z);
+    __m512d binade = _mm512_castsi512_pd(_mm512_and_si512(bits, _mm512_set1_epi64(0x7FF0000000000000)));
+    __m512d limit = _mm512_mul_pd(binade, _mm512_set1_pd(KEEP_ERR));
+    return _mm512_test_epi64_mask(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFF))
+         & _mm512_cmp_pd_mask(_mm512_abs_pd(v.err), limit, _CMP_LT_OQ);
+}
+
+static AVX512 inline dd8 negate_where(dd8 v, __mmask8 where)
+{
+    const __m512i sign = _mm512_set1_epi64((long long)0x8000000000000000ull);
+    __m512i z = _mm512_castpd_si512(v.z), err = _mm512_castpd_si512(v.err);
+    return (dd8){_mm512_castsi512_pd(_mm512_mask_xor_epi64(z, where, z, sign)),
+                 _mm512_castsi512_pd(_mm512_mask_xor_epi64(err, where, err, sign))};
+}
+
+static AVX512 inline dd8 blend(__mmask8 where, dd8 a, dd8 b)
+{
+    return (dd8){_mm512_mask_blend_pd(where, a.z, b.z), _mm512_mask_blend_pd(where, a.err, b.err)};
+}
+
+/* sin and cos of eight angles in [0, 2 pi], each as z + err, and the
+ * lanes where both z are safely rounded.
+ *
+ * theta = k pi / 2 + r_hi + r_lo, k = nearest(theta 2 / pi) <= 4, and
+ * r_hi = j / 64 + t with |t| <= 1 / 128.  With S, C = sin, cos(j / 64)
+ * from the table (hi + lo each) and tau = t + r_lo:
+ *   sin(j / 64 + tau) = S + C t + [S_lo + C_lo t + C r_lo
+ *                        + S (cos tau - 1) + C (sin tau - tau)]
+ *   cos(j / 64 + tau) = C - S t + [C_lo - S_lo t - S r_lo
+ *                        + C (cos tau - 1) - S (sin tau - tau)]
+ * the leading two terms exact (two_prod, two_sum), the bracket small. */
+static AVX512 inline __mmask8 sincos8(__m512d theta, dd8 *sin_out, dd8 *cos_out)
+{
+    const int nearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    __m512d k = _mm512_roundscale_pd(_mm512_mul_pd(theta, _mm512_set1_pd(TWO_OVER_PI)), nearest);
+    /* theta - k PIO2_1 is exact (Sterbenz), and so are k PIO2_1..3. */
+    __m512d t1 = _mm512_sub_pd(theta, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_1)));
+    dd8 r = two_sum(t1, _mm512_mul_pd(k, _mm512_set1_pd(-PIO2_2)));
+    __m512d r_lo = _mm512_sub_pd(_mm512_sub_pd(r.err, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_3))),
+                                 _mm512_mul_pd(k, _mm512_set1_pd(PIO2_4)));
+    r = fast_two_sum(r.z, r_lo);
+    r_lo = r.err;
+
+    __m512d j = _mm512_roundscale_pd(_mm512_mul_pd(r.z, _mm512_set1_pd(64.0)), nearest);
+    __m512d t = _mm512_sub_pd(r.z, _mm512_mul_pd(j, _mm512_set1_pd(0x1p-6))); /* exact */
+    __m512i row = _mm512_slli_epi64(
+        _mm512_add_epi64(_mm512_cvtpd_epi64(j), _mm512_set1_epi64(SINCOS_J_MAX)), 2);
+    __m512d s_hi = _mm512_i64gather_pd(row, &SINCOS_J64[0][0], 8);
+    __m512d s_lo = _mm512_i64gather_pd(row, &SINCOS_J64[0][1], 8);
+    __m512d c_hi = _mm512_i64gather_pd(row, &SINCOS_J64[0][2], 8);
+    __m512d c_lo = _mm512_i64gather_pd(row, &SINCOS_J64[0][3], 8);
+
+    /* sin tau - tau and cos tau - 1 to degree 7 / 6 at tau = t + r_lo
+     * (at t alone, S (cos tau - 1) would drop -S t r_lo, up to 2^-8.5
+     * ulp); |tau| <= 1/128 leaves truncation below 2^-70 of the result. */
+    __m512d tau = _mm512_add_pd(t, r_lo), t2 = _mm512_mul_pd(tau, tau);
+    __m512d sin_tail = _mm512_add_pd(_mm512_set1_pd(1.0 / 120.0),
+                                     _mm512_mul_pd(t2, _mm512_set1_pd(-1.0 / 5040.0)));
+    sin_tail = _mm512_add_pd(_mm512_set1_pd(-1.0 / 6.0), _mm512_mul_pd(t2, sin_tail));
+    sin_tail = _mm512_mul_pd(_mm512_mul_pd(tau, t2), sin_tail);
+    __m512d cos_tail = _mm512_add_pd(_mm512_set1_pd(1.0 / 24.0),
+                                     _mm512_mul_pd(t2, _mm512_set1_pd(-1.0 / 720.0)));
+    cos_tail = _mm512_add_pd(_mm512_set1_pd(-0.5), _mm512_mul_pd(t2, cos_tail));
+    cos_tail = _mm512_mul_pd(t2, cos_tail);
+
+    dd8 p = two_prod(c_hi, t), head = two_sum(s_hi, p.z);
+    __m512d rest = _mm512_add_pd(p.err, head.err);
+    rest = _mm512_add_pd(rest, _mm512_add_pd(s_lo, _mm512_mul_pd(c_lo, t)));
+    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, r_lo));
+    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, sin_tail));
+    rest = _mm512_add_pd(rest, _mm512_mul_pd(s_hi, cos_tail));
+    dd8 sin_r = fast_two_sum(head.z, rest);
+
+    p = two_prod(s_hi, t);
+    head = two_sum(c_hi, _mm512_sub_pd(_mm512_setzero_pd(), p.z));
+    rest = _mm512_sub_pd(head.err, p.err);
+    rest = _mm512_add_pd(rest, _mm512_sub_pd(c_lo, _mm512_mul_pd(s_lo, t)));
+    rest = _mm512_sub_pd(rest, _mm512_mul_pd(s_hi, r_lo));
+    rest = _mm512_sub_pd(rest, _mm512_mul_pd(s_hi, sin_tail));
+    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, cos_tail));
+    dd8 cos_r = fast_two_sum(head.z, rest);
+
+    /* Quadrant k & 3: (sin, cos) = (s, c), (c, -s), (-s, -c), (-c, s). */
+    __m512i quadrant = _mm512_cvtpd_epi64(k);
+    __mmask8 odd = _mm512_test_epi64_mask(quadrant, _mm512_set1_epi64(1));
+    __mmask8 upper = _mm512_test_epi64_mask(quadrant, _mm512_set1_epi64(2));
+    *sin_out = negate_where(blend(odd, sin_r, cos_r), upper);
+    *cos_out = negate_where(blend(odd, cos_r, sin_r), odd ^ upper);
+    return safely_rounded(sin_r) & safely_rounded(cos_r);
+}
+
+/* Lanes per pass of polar_avx512: the lanes it hands to sincos() are
+ * listed on the stack and done after the pass, in one tight loop. */
+#define POLAR_CHUNK 512
+
+/* gauss_finish's first pass, in place over n lanes: ln_radius[i] <-
+ * rho cos(theta), angle[i] <- rho sin(theta), rho = sqrt(-2 ln_radius[i]),
+ * theta = 2 pi angle[i].  Returns how many lanes went to sincos(). */
+static AVX512 int64_t polar_avx512(double *ln_radius, double *angle, int64_t n)
+{
+    const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    int64_t fallbacks = 0;
+    for (int64_t start = 0; start < n; start += POLAR_CHUNK) {
+        int64_t end = n - start < POLAR_CHUNK ? n : start + POLAR_CHUNK, redo = 0;
+        /* + 8: each compressed vector is stored whole. */
+        int64_t lanes[POLAR_CHUNK + 8];
+        double thetas[POLAR_CHUNK + 8], rhos[POLAR_CHUNK + 8];
+        for (int64_t i = start; i < end; i += 8) {
+            __mmask8 valid = end - i < 8 ? (__mmask8)((1u << (end - i)) - 1) : 0xFF;
+            __m512d rho = _mm512_sqrt_pd(_mm512_mul_pd(
+                _mm512_maskz_loadu_pd(valid, ln_radius + i), _mm512_set1_pd(-2.0)));
+            __m512d theta = _mm512_mul_pd(_mm512_maskz_loadu_pd(valid, angle + i),
+                                          _mm512_set1_pd(TWO_PI));
+            dd8 s, c;
+            __mmask8 back = valid & ~sincos8(theta, &s, &c);
+            _mm512_storeu_si512(lanes + redo, _mm512_maskz_compress_epi64(
+                back, _mm512_add_epi64(_mm512_set1_epi64(i), iota)));
+            _mm512_storeu_pd(thetas + redo, _mm512_maskz_compress_pd(back, theta));
+            _mm512_storeu_pd(rhos + redo, _mm512_maskz_compress_pd(back, rho));
+            redo += __builtin_popcount(back);
+            _mm512_mask_storeu_pd(ln_radius + i, valid, _mm512_mul_pd(rho, c.z));
+            _mm512_mask_storeu_pd(angle + i, valid, _mm512_mul_pd(rho, s.z));
+        }
+        for (int64_t k = 0; k < redo; k++) {
+            double s, c;
+            trig(thetas[k], &s, &c);
+            ln_radius[lanes[k]] = rhos[k] * c;
+            angle[lanes[k]] = rhos[k] * s;
+        }
+        fallbacks += redo;
+    }
+    return fallbacks;
+}
+
+/* sincos_lattice_mismatches through polar_avx512 (rho = 1).  Beside the
+ * mismatch count: tally[0] += angles handed to sincos(); over the values
+ * where libm's bits differ from sincos8's z + err, tally[1] += their
+ * number, *widest = max of libm's excess past 1/2 ulp
+ * (|libm - (z + err)| / |the double after z toward libm - z| - 1/2), and
+ * their words go to misrounded[] while tally[1] < capacity. */
+static AVX512 uint64_t lattice_avx512(uint64_t first, uint64_t count, uint64_t step,
+                                      uint64_t *tally, double *widest,
+                                      uint32_t *misrounded, uint64_t capacity)
+{
+    uint64_t mismatches = 0;
+    for (uint64_t i = 0; i < count; i += 8) {
+        int n = count - i < 8 ? (int)(count - i) : 8;
+        uint32_t words[8];
+        double cosines[8], sines[8], thetas[8], z[2][8], err[2][8];
+        for (int l = 0; l < n; l++) {
+            words[l] = (uint32_t)(first + (i + l) * step);
+            cosines[l] = -0.5; /* rho = sqrt(-0.5 * -2.0) = 1 */
+            sines[l] = uniform(words[l]);
+            thetas[l] = sines[l] * TWO_PI;
+        }
+        tally[0] += polar_avx512(cosines, sines, n);
+        dd8 s, c;
+        sincos8(_mm512_loadu_pd(thetas), &s, &c);
+        _mm512_storeu_pd(z[0], s.z);
+        _mm512_storeu_pd(err[0], s.err);
+        _mm512_storeu_pd(z[1], c.z);
+        _mm512_storeu_pd(err[1], c.err);
+        for (int l = 0; l < n; l++) {
+            double want[2] = {apart_sin(thetas[l]), apart_cos(thetas[l])};
+            mismatches += memcmp(sines + l, want, sizeof *want)
+                       || memcmp(cosines + l, want + 1, sizeof *want);
+            for (int v = 0; v < 2; v++) {
+                if (want[v] == z[v][l])
+                    continue;
+                double gap = fabs(nextafter(z[v][l], want[v]) - z[v][l]);
+                double excess = fabs((want[v] - z[v][l]) - err[v][l]) / gap - 0.5;
+                *widest = excess > *widest ? excess : *widest;
+                if (tally[1] < capacity)
+                    misrounded[tally[1]] = words[l];
+                tally[1]++;
+            }
+        }
+    }
+    return mismatches;
+}
+#endif /* GAUSS_AVX512 */
+
 /* philox4x32 (philox.py): n contiguous (4,) uint32 counters -> words. */
 void philox4x32_blocks(const uint32_t *counters, int64_t n, uint32_t k0,
                        uint32_t k1, int32_t rounds, uint32_t *words)
@@ -78,6 +540,11 @@ int64_t gauss_uniforms(const char *rows, int64_t row_stride,
                        int64_t n_rows, int64_t b0, int64_t n_blocks,
                        uint32_t k0, uint32_t k1, double *radius, double *angle)
 {
+#ifdef GAUSS_AVX512
+    if (gauss_vector_isa)
+        return uniforms_avx512(rows, row_stride, iterations, iteration_stride,
+                               n_rows, b0, n_blocks, k0, k1, radius, angle);
+#endif
     int64_t outside = 0;
     for (int64_t r = 0; r < n_rows; r++) {
         uint64_t row = *(const uint64_t *)(rows + r * row_stride);
@@ -101,12 +568,33 @@ int64_t gauss_uniforms(const char *rows, int64_t row_stride,
 
 /* Second half: ln_radius holds the logarithms of gauss_uniforms' radius
  * lane.  Box-Muller tail, the per-row scale, and the interleaved store:
- * counter (r, j) owns out[r, 4 * (b0 + j) .. + 4), clipped at dim. */
-void gauss_finish(const double *ln_radius, const double *angle,
-                  const char *scale, int64_t scale_stride, int64_t n_rows,
-                  int64_t b0, int64_t n_blocks, char *out, int64_t out_stride,
-                  int64_t dim)
+ * counter (r, j) owns out[r, 4 * (b0 + j) .. + 4), clipped at dim.
+ * The vector body overwrites both lanes with rho cos / rho sin first.
+ * Returns how many angles the vector body handed to sincos() (0 from
+ * the scalar C, where every angle goes there). */
+int64_t gauss_finish(double *ln_radius, double *angle,
+                     const char *scale, int64_t scale_stride, int64_t n_rows,
+                     int64_t b0, int64_t n_blocks, char *out, int64_t out_stride,
+                     int64_t dim)
 {
+#ifdef GAUSS_AVX512
+    if (gauss_vector_isa) {
+        int64_t fallbacks = polar_avx512(ln_radius, angle, 2 * n_rows * n_blocks);
+        for (int64_t r = 0; r < n_rows; r++) {
+            double factor = *(const double *)(scale + r * scale_stride);
+            double *row = (double *)(out + r * out_stride) + 4 * b0;
+            int64_t left = dim - 4 * b0;
+            for (int64_t j = 0; j < n_blocks; j++, left -= 4) {
+                double z[4] = {ln_radius[0], angle[0], ln_radius[1], angle[1]};
+                for (int k = 0; k < (left < 4 ? left : 4); k++)
+                    row[4 * j + k] = z[k] * factor;
+                ln_radius += 2;
+                angle += 2;
+            }
+        }
+        return fallbacks;
+    }
+#endif
     for (int64_t r = 0; r < n_rows; r++) {
         double factor = *(const double *)(scale + r * scale_stride);
         double *row = (double *)(out + r * out_stride) + 4 * b0;
@@ -125,16 +613,22 @@ void gauss_finish(const double *ln_radius, const double *angle,
             angle += 2;
         }
     }
+    return 0;
 }
 
 /* Of the `count` lattice angles 2 pi (w + 0.5) / 2**32, w = first +
- * i * step, how many does trig() return other bits for than sin and cos
- * called apart (through volatile pointers, or the compiler would merge
- * the pair into one sincos itself)? */
-uint64_t sincos_lattice_mismatches(uint64_t first, uint64_t count, uint64_t step)
+ * i * step (mod 2**32), how many does this build return other bits for
+ * than sin and cos called apart?  The angles go through what
+ * gauss_finish runs: the vector body where gauss_vector_isa is set
+ * (see lattice_avx512 for what it also reports), else trig(). */
+uint64_t sincos_lattice_mismatches(uint64_t first, uint64_t count, uint64_t step,
+                                   uint64_t *tally, double *widest,
+                                   uint32_t *misrounded, uint64_t capacity)
 {
-    double (*volatile apart_sin)(double) = sin;
-    double (*volatile apart_cos)(double) = cos;
+#ifdef GAUSS_AVX512
+    if (gauss_vector_isa)
+        return lattice_avx512(first, count, step, tally, widest, misrounded, capacity);
+#endif
     uint64_t mismatches = 0;
     for (uint64_t i = 0; i < count; i++) {
         double theta = uniform((uint32_t)(first + i * step)) * TWO_PI;

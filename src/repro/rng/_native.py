@@ -17,6 +17,11 @@ The shared object — one for all the sources — lives in a per-user cache
 directory, named by the sha256 of sources + flags, so the compiler runs
 once per user and source version — at import of :mod:`repro.rng`, never
 inside a timed call — and every later process only ``dlopen``\\ s it.
+
+Inside the library, ``_gauss.c`` picks its AVX-512 or its scalar C
+bodies from what the CPU supports (:func:`vector_isa`); both release
+the ufunc chain's bits, and the self-test vets whichever was picked,
+falling back to the scalar C before it refuses the library.
 """
 
 from __future__ import annotations
@@ -60,6 +65,20 @@ def native_status() -> tuple:
     return ("numpy", REASON)
 
 
+def _isa_switch(lib: ctypes.CDLL) -> ctypes.c_int:
+    """``_gauss.c``'s ``gauss_vector_isa``: 1 runs the AVX-512 bodies,
+    0 the scalar C."""
+    return ctypes.c_int.in_dll(lib, "gauss_vector_isa")
+
+
+def vector_isa():
+    """Which bodies of ``_gauss.c`` run: ``"avx512"`` or ``"scalar"``;
+    ``None`` where the numpy expressions run."""
+    if LIB is None:
+        return None
+    return "avx512" if _isa_switch(LIB).value else "scalar"
+
+
 def f64_matrix(array: np.ndarray) -> bool:
     """A float64 C-contiguous matrix: what ``_sparse.c`` indexes as
     ``base[row * dim + lane]``."""
@@ -92,6 +111,20 @@ def using(lib):
         yield
     finally:
         LIB = previous
+
+
+@contextlib.contextmanager
+def scalar_c():
+    """Run the block on the loaded library's scalar C bodies, its
+    AVX-512 ones switched off — how the tests and the bench case put the
+    two side by side on a host that has both.  Needs :data:`LIB`; not
+    for concurrent draws."""
+    switch = _isa_switch(LIB)
+    previous, switch.value = switch.value, 0
+    try:
+        yield
+    finally:
+        switch.value = previous
 
 
 def _build() -> pathlib.Path:
@@ -148,8 +181,8 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
     lib.gauss_finish.argtypes = [
         pointer, pointer, pointer, i64, i64, i64, i64, pointer, i64, i64
     ]
-    lib.gauss_finish.restype = None
-    lib.sincos_lattice_mismatches.argtypes = [u64, u64, u64]
+    lib.gauss_finish.restype = i64
+    lib.sincos_lattice_mismatches.argtypes = [u64, u64, u64, pointer, pointer, pointer, u64]
     lib.sincos_lattice_mismatches.restype = u64
     lib.sparse_rows_update.argtypes = [
         pointer, pointer, i64, i64, i64, ctypes.c_double,
@@ -165,14 +198,26 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
 
 def _self_test(lib: ctypes.CDLL) -> bool:
     """One fixed case per entry point through ``lib`` and through
-    numpy, compared as ``uint64``."""
-    return _gauss_agrees(lib) and _sparse_agrees(lib)
+    numpy, compared as ``uint64``.  A Gaussian tile that disagrees on
+    the AVX-512 bodies switches them off, and the scalar C gets the
+    same tile before the library is refused."""
+    if not _sparse_agrees(lib):
+        return False
+    if _gauss_agrees(lib):
+        return True
+    switch = _isa_switch(lib)
+    if not switch.value:
+        return False
+    switch.value = 0
+    return _gauss_agrees(lib)
 
 
 def _gauss_agrees(lib: ctypes.CDLL) -> bool:
     """One fixed 16 K-counter tile — rows on both sides of 2^32,
-    per-row iterations and scales, a ragged last lane block — through
-    ``lib`` and through the ufunc chain."""
+    per-row iterations and scales, a ragged last lane block; ~4 K of
+    its 32 K angles are near a rounding midpoint and go to ``sincos``
+    on the AVX-512 body — through ``lib`` and through the ufunc
+    chain."""
     from .noise import NoiseStream
     from .philox import derive_key
 

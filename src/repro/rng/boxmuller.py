@@ -7,12 +7,11 @@ noise sampling compute-bound at 81% of peak AVX throughput.  We implement
 the same transform in numpy and export the instruction-count constants the
 performance model uses to place noise sampling on the roofline (Figure 6).
 
-What *this* implementation is bound by is different: libm's scalar
-trig, either way it runs.  It works in place over one cache-resident
-block of per-thread scratch at a time (see
-:data:`repro.rng.philox.BLOCK`), so nothing is allocated.  Per
-16 K-counter block (65 536 Gaussians), measured on the reference host
-(2 vCPU, AVX-512, glibc 2.36, numpy 2.4):
+What *this* implementation is bound by is different.  It works in
+place over one cache-resident block of per-thread scratch at a time
+(see :data:`repro.rng.philox.BLOCK`), so nothing is allocated.  Per
+16 K-counter block (65 536 Gaussians, 32 768 angles), measured on the
+reference host (2 vCPU, AVX-512, glibc 2.36, numpy 2.4):
 
 * the ufunc chain in this module and :mod:`.philox`, ~1.9 ms: counters
   and the ten Philox rounds 0.45 ms, word -> uniform 0.06, ``log`` +
@@ -20,14 +19,26 @@ block of per-thread scratch at a time (see
   one call per element, ~15 ns each), products, scale and the strided
   stores 0.15, and the rest is ~140 ufunc dispatches;
 * the same arithmetic compiled (``_gauss.c``, where :mod:`._native`
-  could build it), ~1.2 ms in three calls: counters, rounds and
-  uniforms 0.27 ms, numpy's ``log`` over the radius lane 0.04, and
-  ``sqrt`` + ``sincos`` + products + scale + store 0.81 — 32 768
-  ``sincos`` calls at ~23 ns, one range reduction where ``cos`` +
-  ``sin`` pay two.
+  could build it) as scalar C, ~1.2 ms in three calls: counters, rounds
+  and uniforms 0.26-0.29 ms, numpy's ``log`` over the radius lane 0.04,
+  and ``sqrt`` + ``sincos`` + products + scale + store 0.81-0.86 —
+  32 768 ``sincos`` calls at ~23 ns, three quarters of the tile inside
+  glibc;
+* the AVX-512 bodies of the same file, where the CPU has them, ~0.48 ms:
+  eight Philox counters per vector 0.14 ms, ``log`` 0.04, and 0.29 ms
+  for the tail — a vector ``sincos`` over every angle, 12.5 % of them
+  handed back to glibc's ``sincos``.
 
-Against the paper's 81 %-of-AVX-peak: three quarters of the compiled
-tile is inside glibc, which no bit-identical kernel can leave.
+The vector ``sincos`` leaves glibc without moving a bit because glibc's
+``sin`` / ``cos`` are correctly rounded wherever the exact value is not
+within a hair of a rounding midpoint: on the lattice of 2^32 angles a
+tile can produce they misround 0.14 % of values, and never by more than
+0.0156 ulp past 1/2.  So a lane whose value (evaluated to within
+2^-10 ulp) is farther than 1/32 + 2^-10 ulp from a midpoint has one
+possible libm result — the correctly rounded one, which the vector code
+returns — and every other lane goes to ``sincos``;
+``tools/check_sincos_lattice.py`` compares the result with ``sin`` and
+``cos`` at every angle.
 """
 
 from __future__ import annotations

@@ -52,12 +52,14 @@ def _column(array: np.ndarray, r0: int) -> tuple:
     return array.ctypes.data + r0 * step, step
 
 
-def _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1) -> None:
+def _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1) -> int:
     """One tile of :meth:`NoiseStream._keyed_gaussians` through
     ``_gauss.c`` — three calls, the same bits: counters to uniforms,
     numpy's ``log`` over the radius lane (libm's differs in the last
     ulp), then the Box-Muller tail, scale and store.  ``rows``,
-    ``iteration`` and ``scale`` are the kernel's per-row columns."""
+    ``iteration`` and ``scale`` are the kernel's per-row columns.
+    Returns how many of the tile's angles the AVX-512 body handed to
+    ``sincos`` (0 on the scalar C)."""
     tile = (r1 - r0, b0, b1 - b0)
     radius, angle = pair_scratch(tile[0] * tile[2])
     lanes = (radius.ctypes.data, angle.ctypes.data)
@@ -67,7 +69,7 @@ def _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1) -> None:
     ):
         raise ValueError("u1 must lie in (0, 1]")
     np.log(radius, out=radius)
-    lib.gauss_finish(
+    return lib.gauss_finish(
         *lanes, *_column(scale, r0), *tile, *_column(out, r0), out.shape[1]
     )
 

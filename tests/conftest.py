@@ -66,15 +66,27 @@ def native_lib():
     return _native.LIB
 
 
+@pytest.fixture
+def scalar_c(native_lib):
+    """Run ``_gauss.c``'s scalar C bodies whatever the CPU supports
+    (``gauss_vector_isa`` cleared through ctypes for the test); skips
+    with the loader's reason without a library."""
+    with _native.scalar_c():
+        yield
+
+
 # The numpy side keeps the test id it had when `_gauss.c` was the only
 # compiled file ("ufunc"); the value is what `native_status()` reports.
-@pytest.fixture(params=["native", pytest.param("numpy", id="ufunc")])
+@pytest.fixture(params=["native", "scalar", pytest.param("numpy", id="ufunc")])
 def compiled_kernels(request):
-    """Run the test once per implementation; ``native`` skips with the
-    loader's reason where it did not load.  The value is
-    ``native_status()[0]`` for the duration of the test."""
+    """Run the test once per implementation: the library as loaded
+    (``native``: the AVX-512 bodies where the CPU has them), the same
+    library on its scalar C bodies (``scalar``), the numpy expressions
+    (``ufunc``); the compiled cases skip with the loader's reason where
+    nothing loaded.  The value is ``native_status()[0]`` for the
+    duration of the test."""
     if request.param == "numpy":
         request.getfixturevalue("ufunc_chain")
-    elif _native.LIB is None:
-        pytest.skip(_native.REASON)
-    return request.param
+        return "numpy"
+    request.getfixturevalue("scalar_c" if request.param == "scalar" else "native_lib")
+    return "native"

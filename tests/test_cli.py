@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import platform
 import re
 
 import pytest
@@ -256,8 +258,34 @@ class TestBackendsCommand:
             ["process", "shards,workers"],
         ]
         assert lines[6] == ""
-        assert re.fullmatch(r"compiled kernels: (native|numpy) \(.+\)", lines[7])
+        assert re.fullmatch(
+            r"compiled kernels: (native \((avx512|scalar)\) \S+\.so|numpy \(.+\))",
+            lines[7],
+        )
         assert len(lines) == 8
+
+    @staticmethod
+    def _kernels_line(capsys):
+        assert main(["backends"]) == 0
+        return capsys.readouterr().out.splitlines()[-1]
+
+    def test_the_instruction_set_is_the_cpus(self, native_lib, capsys):
+        """AVX-512 bodies exactly where the CPU has AVX-512 F + DQ and the
+        libm is glibc's (the window was measured against it)."""
+        cpuinfo = pathlib.Path("/proc/cpuinfo")
+        if not cpuinfo.is_file():
+            pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+        flags = set(re.search(r"^flags\s*:(.*)$", cpuinfo.read_text(), re.M)[1].split())
+        vector = (
+            {"avx512f", "avx512dq"} <= flags
+            and platform.machine() == "x86_64"
+            and platform.libc_ver()[0] == "glibc"
+        )
+        isa = "avx512" if vector else "scalar"
+        assert self._kernels_line(capsys).startswith(f"compiled kernels: native ({isa}) ")
+
+    def test_the_scalar_c_says_so(self, scalar_c, capsys):
+        assert self._kernels_line(capsys).startswith("compiled kernels: native (scalar) ")
 
 
 class TestArgumentValidation:

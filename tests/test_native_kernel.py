@@ -4,6 +4,9 @@ bit-equality with the numpy expressions on both sides of every guard,
 the ``sincos`` proof on a sample of the angle lattice, and the build /
 cache / fallback behaviour of the loader (``repro.rng._native``)."""
 
+import contextlib
+import importlib.util
+import math
 import os
 import pathlib
 import shutil
@@ -21,6 +24,7 @@ from repro.cli import main
 from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
 from repro.nn import PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
+from repro.rng.noise import _native_tile
 from repro.rng.philox import BLOCK
 from repro.session import TrainSession
 
@@ -48,10 +52,15 @@ def test_which_implementation_ran_is_reported(
     compiled_kernels, capsys, tiny_model, dp_config
 ):
     assert native_status()[0] == compiled_kernels
+    isa = _native.vector_isa()
+    assert (isa is None) == (compiled_kernels == "numpy")
     assert main(["backends"]) == 0
-    assert f"compiled kernels: {compiled_kernels} (" in capsys.readouterr().out
+    shown = f"{compiled_kernels} ({isa}) " if isa else f"{compiled_kernels} ("
+    assert f"compiled kernels: {shown}" in capsys.readouterr().out
     with TrainSession.build(tiny_model, dp_config) as session:
-        assert session.trainer.kernel_stats()["compiled_kernels"] == compiled_kernels
+        stats = session.trainer.kernel_stats()
+        assert stats["compiled_kernels"] == compiled_kernels
+        assert stats["vector_isa"] == isa
 
 
 def test_every_source_is_packaged():
@@ -75,12 +84,21 @@ def _draw(key, rows, iteration, scale, dim):
     return out.view(np.uint64)
 
 
-def _both(*args):
-    """The draw through the loaded library, then through the ufunc chain."""
+def _every_path(*args):
+    """The draw through the loaded library as loaded (the AVX-512 bodies
+    where the CPU has them), on its scalar C bodies, and through the
+    ufunc chain."""
     _loaded()
-    compiled = _draw(*args)
+    draws = [_draw(*args)]
+    with _native.scalar_c():
+        draws.append(_draw(*args))
     with _native.using(None):
-        return compiled, _draw(*args)
+        draws.append(_draw(*args))
+    return draws
+
+
+def _equal(draws):
+    return all(np.array_equal(draw, draws[-1]) for draw in draws)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,41 +124,120 @@ def test_native_equals_ufunc_chain(
         rows = rows.astype(np.uint64)
     iteration = 1 + np.arange(count) % 11 if per_row_iteration else 2**32 - 1
     scale = 0.5 + (np.arange(count) % 5) if per_row_scale else 0.7
-    compiled, reference = _both(derive_key(seed, 1, 3), rows, iteration, scale, dim)
-    assert compiled.shape == (count, dim)
-    assert np.array_equal(compiled, reference)
+    draws = _every_path(derive_key(seed, 1, 3), rows, iteration, scale, dim)
+    assert draws[0].shape == (count, dim)
+    assert _equal(draws)
 
 
 @pytest.mark.parametrize("width", [4 * BLOCK + 1, 9 * BLOCK + 3])
 def test_native_equals_ufunc_chain_on_a_row_wider_than_a_block(width):
     """A dense tensor / a table's init: one row, tiled along its lanes."""
-    compiled, reference = _both(
-        derive_key(5, 4, 2), np.zeros(1, dtype=np.uint64), 0, 0.176, width
+    assert _equal(
+        _every_path(derive_key(5, 4, 2), np.zeros(1, dtype=np.uint64), 0, 0.176, width)
     )
-    assert np.array_equal(compiled, reference)
 
 
 def test_native_writes_rows_of_a_strided_output(native_lib):
     """The row stride is passed, not assumed: a column slice of a wider
-    array receives the same bits and its neighbours are not touched."""
+    array receives the same bits and its neighbours are not touched —
+    on the bodies as loaded and on the scalar C."""
     rows = np.arange(300)
     key = derive_key(9, 1, 0)
-    wide = np.full((300, 11), -1.0)
-    NoiseStream._keyed_gaussians(key, rows, 3, 1.0, wide[:, :7])
-    assert np.array_equal(wide[:, :7].view(np.uint64), _draw(key, rows, 3, 1.0, 7))
-    assert np.all(wide[:, 7:] == -1.0)
+    with _native.using(None):
+        reference = _draw(key, rows, 3, 1.0, 7)
+    for path in (contextlib.nullcontext, _native.scalar_c):
+        wide = np.full((300, 11), -1.0)
+        with path():
+            NoiseStream._keyed_gaussians(key, rows, 3, 1.0, wide[:, :7])
+        assert np.array_equal(wide[:, :7].view(np.uint64), reference)
+        assert np.all(wide[:, 7:] == -1.0)
+
+
+def test_gauss_finish_counts_the_angles_it_hands_to_sincos(native_lib):
+    """~12.5 % of angles lie within the vector sincos's window of a
+    rounding midpoint; the scalar C hands over none (it calls sincos for
+    every angle)."""
+    rows = np.arange(2048, dtype=np.uint64)[:, None]
+    columns = (
+        np.broadcast_to(np.uint64(1), rows.shape), np.broadcast_to(1.0, rows.shape)
+    )
+    out = np.empty((2048, 32))
+
+    def tile():
+        return _native_tile(native_lib, derive_key(3, 1, 0), rows, *columns, out,
+                            0, 2048, 0, 8)
+
+    angles = 2 * 2048 * 8
+    if _native.vector_isa() == "avx512":
+        assert 0.11 < tile() / angles < 0.14
+    with _native.scalar_c():
+        assert tile() == 0
+
+
+def _lattice(lib, first, count, step=1):
+    """``sincos_lattice_mismatches`` over ``count`` words from ``first``:
+    ``(mismatches, angles handed to libm's sincos)``."""
+    tally, widest = np.zeros(2, dtype=np.uint64), np.zeros(1)
+    mismatches = lib.sincos_lattice_mismatches(
+        first, count, step, tally.ctypes.data, widest.ctypes.data, None, 0
+    )
+    return mismatches, int(tally[0])
+
+
+def _word(theta):
+    """The lattice word whose angle is nearest ``theta``."""
+    return round(theta / (2 * math.pi) * 2**32 - 0.5)
+
+
+#: Lattice words at which glibc 2.36's ``sin`` or ``cos`` is not
+#: correctly rounded (printed by ``tools/check_sincos_lattice.py``):
+#: each lies within the window of a rounding midpoint, so the vector
+#: sincos must hand it back to libm, whatever libm's version.
+MISROUNDED_BY_GLIBC = (
+    0x001CBF07, 0x0600018D, 0x0C0000AD, 0x1200004D, 0x18000157, 0x1E000022,
+    0x24001681, 0x2A00124D, 0x300000A4, 0x36000053, 0x3C0003BC, 0x42001F1A,
+    0x4800006E, 0x4E000EE3, 0x54000588, 0x5A000154, 0x60000079, 0x660000B4,
+    0x6C0000CF, 0x72000A1F, 0x7800004C, 0x7E0004C4, 0x840002AA, 0x8A000014,
+    0x900000C9, 0x9600031F, 0x9C000048, 0xA2000069, 0xA8000143, 0xAE00015C,
+    0xB40001CD, 0xBA0000AA, 0xC007B6A0, 0xC6000292, 0xCC0000C4, 0xD2000050,
+    0xD8000006, 0xDE0000D0, 0xE400182A, 0xEA00009F,
+)
 
 
 def test_sincos_matches_sin_and_cos_on_the_angle_lattice(native_lib):
     """``tools/check_sincos_lattice.py`` walks all 2^32 angles a tile can
-    produce; here a stratified 2^22 of them plus a window around every
-    octant boundary (theta = k pi / 4 at word k * 2^29), where the range
-    reduction switches polynomial."""
-    assert native_lib.sincos_lattice_mismatches(511, 2**22, 1024) == 0
-    for octant in range(9):
-        first = max(octant * 2**29 - 512, 0)
-        count = min(octant * 2**29 + 512, 2**32) - first
-        assert native_lib.sincos_lattice_mismatches(first, count, 1) == 0
+    produce; here, on the bodies as loaded and on the scalar C, a
+    stratified 2^22 of them, a window around every octant boundary
+    (theta = k pi / 4 at word k * 2^29), where libm's reduction
+    switches, and around every switch point of the vector one (k pi / 2
+    + (j +- 1/2) / 64), and the words where libm misrounds, which must
+    come back with libm's bits."""
+    windows = [octant * 2**29 for octant in range(9)]
+    windows += [
+        _word(k * math.pi / 2 + odd / 128)
+        for k in range(5)
+        for odd in range(-103, 104, 2)
+    ]
+    for path in (contextlib.nullcontext, _native.scalar_c):
+        with path():
+            vector = _native.vector_isa() == "avx512"
+            assert _lattice(native_lib, 511, 2**22, 1024)[0] == 0
+            for centre in windows:
+                first = min(max(centre - 512, 0), 2**32 - 1024)
+                assert _lattice(native_lib, first, 1024)[0] == 0
+            for word in MISROUNDED_BY_GLIBC:
+                assert _lattice(native_lib, word, 1) == (0, int(vector))
+
+
+def test_sincos_table_is_generated():
+    """The vector sincos's constants are ``tools/gen_sincos_table.py``'s
+    output, byte for byte."""
+    tool = pathlib.Path(repro.__file__).parents[2] / "tools" / "gen_sincos_table.py"
+    spec = importlib.util.spec_from_file_location("gen_sincos_table", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    (source,) = [path for path in _native.SOURCES if path.name == "_gauss.c"]
+    assert generator.committed(source.read_text()) == generator.render()
 
 
 # -- _sparse.c == the numpy expressions, bit for bit ---------------------------
@@ -454,3 +551,17 @@ def test_failing_self_test_falls_back(cold_home, monkeypatch):
             _native.load()
         name, reason = native_status()
         assert name == "numpy" and "self-test" in reason, (source, old)
+
+
+@needs_cc
+def test_disagreeing_vector_body_falls_back_to_the_scalar_c(cold_home, monkeypatch):
+    """One bit of the vector sincos's pi / 2 moves its results and not
+    the scalar C's: the loader switches the AVX-512 bodies off, re-tests
+    the scalar C on the same tile, and keeps the library on it."""
+    _edited_source(
+        cold_home, monkeypatch, "_gauss.c",
+        "#define PIO2_1 0x1.921fb54400000p+0", "#define PIO2_1 0x1.921fb54500000p+0",
+    )
+    _native.load()
+    assert native_status()[0] == "native"
+    assert _native.vector_isa() == "scalar"

@@ -308,9 +308,10 @@ def _digest(arrays):
 
 
 class TestBlockedKernel:
-    """On the implementation the loader selected: the compiled kernel
-    wherever there is a C compiler (``tests/test_native_kernel.py``
-    asserts that it loaded), else the ufunc chain."""
+    """On the implementation the loader selected: the compiled kernel —
+    its AVX-512 bodies where the CPU has them — wherever there is a C
+    compiler (``tests/test_native_kernel.py`` asserts that it loaded),
+    else the ufunc chain."""
 
     @pytest.mark.parametrize("method", sorted(GOLDEN))
     def test_golden_bits(self, method):
@@ -376,3 +377,9 @@ class TestBlockedKernel:
 class TestBlockedKernelOnUfuncChain(TestBlockedKernel):
     """The same digests, launch count, allocation bound and thread
     safety from the reference ufunc chain."""
+
+
+@pytest.mark.usefixtures("scalar_c")
+class TestBlockedKernelOnScalarC(TestBlockedKernel):
+    """... and from the compiled kernel's scalar C bodies, whatever the
+    CPU supports."""
