@@ -16,9 +16,9 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from repro import configs
-from repro.bench.reporting import format_table
 from repro.configs import ObservabilityConfig
 from repro.lazydp.ledger import LedgerError
+from repro.obs import format_table
 from repro.perfmodel import shard_scaling_series
 from repro.serve import HotRowCache, run_load
 from repro.session import ExecutionPlan

@@ -21,11 +21,11 @@ import hashlib
 
 import numpy as np
 
-from repro.bench.reporting import format_table
 from repro.kernels import BufferArena, merge_sparse_updates
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
 from repro.nn import PerExamplePairs
+from repro.obs import format_table
 from repro.rng import (
     DOMAIN_ROW_NOISE,
     NoiseStream,

@@ -14,11 +14,11 @@ Run:  python examples/ads_ctr_training.py
 import numpy as np
 
 from repro import configs
-from repro.bench.experiments import make_trainer
-from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset, paper_skew_spec
 from repro.nn import DLRM
+from repro.obs import format_table
 from repro.privacy import audit_untouched_rows
+from repro.session import make_trainer
 from repro.train import DPConfig
 
 ROWS = 20000

@@ -12,8 +12,8 @@ Run:  python examples/equivalence_walkthrough.py
 
 import numpy as np
 
-from repro.bench.reporting import format_table
 from repro.lazydp import ANSEngine, HistoryTable
+from repro.obs import format_table
 from repro.rng import NoiseStream
 
 ITERATIONS = 8

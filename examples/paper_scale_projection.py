@@ -3,14 +3,15 @@
 The 96 GB MLPerf DLRM does not fit on a laptop, but the performance model
 (calibrated once against the paper's measured kernel characteristics,
 Figure 6) regenerates every evaluation figure at paper scale.  This
-script prints the headline numbers and the stage breakdowns behind them.
+script prints the stage breakdowns behind the headline and the headline
+ratios themselves; the figures' paper-vs-modelled tables are bench
+cases (``python benchmarks/run.py fig10 fig12 fig13a``).
 
 Run:  python examples/paper_scale_projection.py
 """
 
 from repro import configs
-from repro.bench.experiments import figure10, figure12, figure13a
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.perfmodel import (
     iteration_breakdown,
     iteration_energy_joules,
@@ -35,31 +36,11 @@ def main() -> None:
     hw = paper_system()
     config = configs.mlperf_dlrm()
 
-    print("=" * 72)
-    print("Headline (paper Section 7.1: 119x average speedup, 85-155x)")
-    print("=" * 72)
-    result = figure10()
-    print(result.table())
-    print()
-
     print("Where DP-SGD's time goes at 96 GB:")
     print(stage_table("dpsgd_f", config))
     print()
     print("Where LazyDP's time goes at 96 GB:")
     print(stage_table("lazydp", config))
-    print()
-
-    print("=" * 72)
-    print("Scaling out: table-size sensitivity (paper Figure 13a)")
-    print("=" * 72)
-    print(figure13a().table())
-    print()
-
-    print("=" * 72)
-    print("Energy (paper Figure 12: ~155x saving)")
-    print("=" * 72)
-    energy = figure12()
-    print(energy.table())
     print()
 
     lazy = iteration_breakdown("lazydp", config, 2048)
@@ -69,6 +50,8 @@ def main() -> None:
     print("modelled energy win: "
           f"{iteration_energy_joules(eager, hw) / iteration_energy_joules(lazy, hw):.0f}x "
           "(paper: 155x average)")
+    print("paper-vs-modelled figure tables: "
+          "python benchmarks/run.py fig10 fig12 fig13a")
 
 
 if __name__ == "__main__":

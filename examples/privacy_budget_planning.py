@@ -11,7 +11,7 @@ Run:  python examples/privacy_budget_planning.py
 
 import numpy as np
 
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.privacy import RDPAccountant, compute_rdp, rdp_to_epsilon
 
 DATASET_SIZE = 4_000_000      # Criteo-Kaggle-scale click log

@@ -16,10 +16,10 @@ Run:  python examples/utility_vs_privacy.py
 import numpy as np
 
 from repro import configs
-from repro.bench.experiments import make_trainer
-from repro.bench.reporting import format_table
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
+from repro.obs import format_table
+from repro.session import make_trainer
 from repro.train import DPConfig, evaluate_model
 
 ROWS = 4096

@@ -2,17 +2,17 @@
 
 Commands
 --------
-``train``    train a scaled DLRM with any of the seven algorithms and
-             print throughput, loss and the privacy budget spent.
-``figures``  print the paper-vs-reproduced table for one figure (or all).
-``report``   write the full EXPERIMENTS-style report (optionally with the
-             measured-mode sweep).
-``audit``    train EANA and LazyDP on the same trace and run the
-             untouched-row attack against both final models.
-``serve``    train briefly, then drive the private serving tier with
-             skewed closed-loop load and print throughput/latency.
-``score``    evaluate the reproduction scoreboard: every tracked figure
-             point vs the paper, with pass/fail per tolerance band.
+``train``     train a scaled DLRM with any of the seven algorithms and
+              print throughput, loss and the privacy budget spent.
+``audit``     train EANA and LazyDP on the same trace and run the
+              untouched-row attack against both final models.
+``serve``     train briefly, then drive the private serving tier with
+              skewed closed-loop load and print throughput/latency.
+``backends``  list the execution backends and which compiled kernels run.
+
+The paper's figures are bench cases: ``python benchmarks/run.py [case
+...]`` checks them and their paper-vs-modelled bands, and the committed
+tables are under ``benchmarks/reports/``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ import sys
 import numpy as np
 
 from . import configs
-from .bench.experiments import ALL_FIGURES, make_trainer
-from .bench.report import build_report
-from .bench.reporting import format_table
 from .data import DataLoader, SyntheticClickDataset, paper_skew_spec
 from .nn import DLRM
-from .obs import Observability
+from .obs import Observability, format_table
 from .perfmodel import ALGORITHMS
 from .privacy import audit_untouched_rows
-from .session import ExecutionPlan, TrainSession
+from .session import ExecutionPlan, TrainSession, make_trainer
 from .train import DPConfig
 
 
@@ -283,26 +280,6 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_figures(args) -> int:
-    names = list(ALL_FIGURES) if args.which == "all" else [args.which]
-    for name in names:
-        result = ALL_FIGURES[name]()
-        print(result.table())
-        print()
-    return 0
-
-
-def _run_report(args) -> int:
-    report = build_report(include_measured=args.measured)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(report)
-    return 0
-
-
 def _run_audit(args) -> int:
     config = configs.small_dlrm(rows=args.rows)
     rows_for_table = []
@@ -336,27 +313,6 @@ def _run_audit(args) -> int:
         title="Untouched-row attack against the final model (table 0)",
     ))
     return 0
-
-
-def _run_score(args) -> int:
-    from .bench.scoreboard import evaluate_scoreboard, failures
-
-    rows = evaluate_scoreboard()
-    table_rows = [
-        [row.figure, row.series, row.label, row.paper, row.reproduced,
-         f"{row.relative_error:.1%}", "ok" if row.passed else "FAIL"]
-        for row in rows
-    ]
-    print(format_table(
-        ["figure", "series", "point", "paper", "reproduced", "error",
-         "status"],
-        table_rows,
-        title="Reproduction scoreboard",
-    ))
-    failed = failures(rows)
-    print(f"\n{len(rows) - len(failed)}/{len(rows)} tracked points within "
-          "tolerance")
-    return 1 if failed else 0
 
 
 def _run_backends(args) -> int:
@@ -398,29 +354,12 @@ def main(argv=None) -> int:
 
     _add_train_parser(subparsers)
 
-    figures_parser = subparsers.add_parser(
-        "figures", help="print paper-vs-reproduced tables"
-    )
-    figures_parser.add_argument(
-        "--which", choices=list(ALL_FIGURES) + ["all"], default="all"
-    )
-
-    report_parser = subparsers.add_parser(
-        "report", help="write the full reproduction report"
-    )
-    report_parser.add_argument("--output")
-    report_parser.add_argument("--measured", action="store_true")
-
     audit_parser = subparsers.add_parser(
         "audit", help="run the untouched-row attack on EANA vs LazyDP"
     )
     audit_parser.add_argument("--rows", type=int, default=4096)
     audit_parser.add_argument("--batch", type=int, default=128)
     audit_parser.add_argument("--iterations", type=int, default=6)
-
-    subparsers.add_parser(
-        "score", help="evaluate the reproduction scoreboard"
-    )
 
     subparsers.add_parser(
         "backends",
@@ -456,10 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "train": _run_train,
-        "figures": _run_figures,
-        "report": _run_report,
         "audit": _run_audit,
-        "score": _run_score,
         "serve": _run_serve,
         "backends": _run_backends,
     }

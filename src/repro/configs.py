@@ -389,7 +389,8 @@ def small_dlrm(rows: int = 4096, name: str = "small-dlrm") -> DLRMConfig:
 # with moderate pooling; RMC2: many-lookup, embedding-dominated; RMC3: few
 # but very large tables with small pooling — and size them so the embedding
 # capacity ordering (RMC3 >> RMC1 > RMC2-per-lookup cost) matches.  These
-# are documented approximations (DESIGN.md Section 6).
+# are approximations: Fig. 13(c)'s bands (benchmarks/cases/figures.py)
+# allow 40-80 % against the paper's bars for that reason.
 # ---------------------------------------------------------------------------
 
 def rmc1(model_bytes: int = 36 * 10**9) -> DLRMConfig:

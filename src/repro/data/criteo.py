@@ -6,7 +6,7 @@ Challenge (DAC) dataset [33]: tab-separated lines of
     label \t I1..I13 (integers, may be empty) \t C1..C26 (hex strings)
 
 That dataset cannot ship here, so this module provides both halves of the
-substitution (DESIGN.md):
+substitution:
 
 * :func:`write_synthetic_criteo` emits files in the exact DAC format with
   configurable per-feature skew, so the ingestion path is exercised end

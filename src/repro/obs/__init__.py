@@ -16,6 +16,8 @@ the same way:
   registry per run; trainers hold :data:`NULL_OBS` until
   ``instrument()`` is called, so the disabled path is a single
   attribute check.
+* :func:`format_table` (``repro.obs.table``) — the fixed-width ASCII
+  table every report prints (CLI, examples, bench cases).
 
 Configured by :class:`repro.configs.ObservabilityConfig`, selected per
 run via the ``obs=`` axis of ``repro.session.ExecutionPlan`` (e.g.
@@ -26,6 +28,7 @@ flag; summarised offline by ``tools/trace_report.py`` and validated by
 
 from .hub import NULL_OBS, Observability
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .table import format_table
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "format_table",
     "NULL_OBS",
     "NULL_TRACER",
     "NullTracer",

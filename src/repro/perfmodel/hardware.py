@@ -5,9 +5,11 @@ The evaluation system is a hybrid CPU-GPU trainer: an Intel Xeon E5-2698v4
 (32 GB HBM2 at 900 GB/s) trains the MLPs, connected by PCIe 3.0 x16
 (16 GB/s).  Constants flagged *measured* come straight from the paper's
 characterisation (Figure 6); constants flagged *calibrated* are software
-overhead terms fitted to the paper's reported normalised results (DESIGN.md
-Section 2 explains why a roofline-plus-calibration model preserves the
-figures' shapes).
+overhead terms fitted to the paper's reported normalised results.  The
+headline gaps come from the roofline terms (noise volume and bytes
+moved, both proportional to table size), not the fitted ones:
+``repro.perfmodel.sensitivity`` shows the conclusions survive +/-50 %
+perturbations of every calibrated constant.
 """
 
 from __future__ import annotations

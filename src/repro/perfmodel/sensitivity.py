@@ -3,7 +3,7 @@
 The performance model mixes first-principles roofline terms (bandwidths,
 FLOP rates, byte counts — all from the paper's hardware table and
 Figure 6) with a handful of *calibrated* software-overhead constants
-(DESIGN.md / ``SoftwareCalibration``).  A fair question is whether the
+(``SoftwareCalibration``, fitted to the paper's normalised results).  A fair question is whether the
 headline conclusions depend on those fitted numbers.  This module
 perturbs every calibrated constant and re-evaluates the conclusions; the
 bench case ``benchmarks/run.py ablation_sensitivity`` reports the result.

@@ -217,7 +217,7 @@ def iteration_breakdown(algorithm: str, config: DLRMConfig, batch: int,
     else:
         # Without ANS every deferred draw is materialised individually; in
         # steady state the draw rate approaches one per table element per
-        # iteration (DESIGN.md: calibrated steady-state factor).
+        # iteration (a calibrated steady-state factor, SoftwareCalibration).
         noise_elements = min(
             table_elements * calibration.ans_off_steady_state_factor,
             table_elements,

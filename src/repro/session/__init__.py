@@ -10,7 +10,10 @@
 * :class:`TrainSession` — ``TrainSession.build(model, dp, plan)`` turns
   the axes into a partition, a scheduler and a backend-bound
   :class:`repro.lazydp.trainer.LazyDPTrainer`, and owns the resulting
-  trainer's lifecycle, private release, and serving attachment.
+  trainer's lifecycle, private release, and serving attachment;
+* :func:`make_trainer` — the paper's seven algorithms by name (the
+  five baselines, and ``lazydp`` / ``lazydp_no_ans``: the serial plan
+  with ``ans=on|off``).
 
 Quickstart::
 
@@ -25,7 +28,7 @@ Quickstart::
     session.close()
 """
 
-from .builder import TrainSession
+from .builder import TrainSession, make_trainer
 from .plan import ExecutionPlan
 from .registry import (
     BACKEND_CAPABILITIES,
@@ -43,6 +46,7 @@ __all__ = [
     "TrainSession",
     "available_backends",
     "backend_info",
+    "make_trainer",
     "parse_backend_spec",
     "register_backend",
 ]

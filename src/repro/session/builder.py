@@ -19,15 +19,34 @@ privacy accounting, private release, and :meth:`serve` — which hands
 out a :class:`repro.serve.PrivateServingEngine` *attached* to the live
 trainer, so the serving memo refreshes when training resumes instead
 of freezing at construction.
+
+:func:`make_trainer` names the paper's seven *algorithms*; its two
+LazyDP names are the serial plan built here.
 """
 
 from __future__ import annotations
 
 from ..lazydp.scheduler import Scheduler
 from ..shard.plan import build_partition_plan
+from ..train import (
+    DPSGDBTrainer,
+    DPSGDFTrainer,
+    DPSGDRTrainer,
+    EANATrainer,
+    SGDTrainer,
+)
 from ..train.common import DPConfig, TrainResult
 from .plan import ExecutionPlan
 from .registry import backend_info, parse_backend_spec
+
+#: The five baselines: genuinely different algorithms, with no plan.
+BASELINES = {
+    "sgd": SGDTrainer,
+    "dpsgd_b": DPSGDBTrainer,
+    "dpsgd_r": DPSGDRTrainer,
+    "dpsgd_f": DPSGDFTrainer,
+    "eana": EANATrainer,
+}
 
 
 class TrainSession:
@@ -292,3 +311,20 @@ class TrainSession:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
+
+
+def make_trainer(algorithm: str, model, dp: DPConfig, noise_seed: int = 1234):
+    """Instantiate any of the paper's seven algorithms by name.
+
+    The five baselines are genuinely different algorithms; ``lazydp``
+    and ``lazydp_no_ans`` are the serial plan with ``ans=on|off``.
+    *How* LazyDP executes (shards, pipeline, async, backend) is not an
+    algorithm — spell it as an :class:`ExecutionPlan` and build with
+    ``TrainSession.build(model, dp, plan)``.
+    """
+    if algorithm in ("lazydp", "lazydp_no_ans"):
+        plan = ExecutionPlan(ans=algorithm == "lazydp")
+        return TrainSession.build(model, dp, plan, noise_seed=noise_seed).trainer
+    if algorithm in BASELINES:
+        return BASELINES[algorithm](model, dp, noise_seed=noise_seed)
+    raise ValueError(f"unknown algorithm: {algorithm}")

@@ -43,8 +43,7 @@ def train_algorithm(algorithm, config, *, batch_size=16, num_batches=8,
     ``TrainSession.build`` (``build_kwargs`` reach it, e.g.
     ``partition_plan=``).
     """
-    from .bench.experiments import make_trainer
-    from .session import ExecutionPlan, TrainSession
+    from .session import ExecutionPlan, TrainSession, make_trainer
 
     dp = dp or DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
                         learning_rate=0.05)

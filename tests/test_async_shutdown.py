@@ -32,7 +32,7 @@ def config():
     return configs.tiny_dlrm(num_tables=2, rows=32, dim=8, lookups=2)
 
 
-def make_trainer(spec, config):
+def spec_trainer(spec, config):
     return TrainSession.build(
         DLRM(config, seed=7),
         DPConfig(noise_multiplier=1.1, max_grad_norm=1.0,
@@ -66,7 +66,7 @@ class TestFailingSamplerPropagates:
                    "injected sampler failure")
 
     def test_pipelined_trainer_raises(self, config):
-        trainer = make_trainer("pipeline=2", config)
+        trainer = spec_trainer("pipeline=2", config)
         self._install_failing_sampler(trainer)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -74,7 +74,7 @@ class TestFailingSamplerPropagates:
         trainer.close()
 
     def test_async_trainer_raises(self, config):
-        trainer = make_trainer("async=strict,inflight=2", config)
+        trainer = spec_trainer("async=strict,inflight=2", config)
         self._install_failing_sampler(trainer)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -82,7 +82,7 @@ class TestFailingSamplerPropagates:
         trainer.close()
 
     def test_async_trainer_survives_failure_on_first_plan(self, config):
-        trainer = make_trainer("async=strict,inflight=4", config)
+        trainer = spec_trainer("async=strict,inflight=4", config)
         self._install_failing_sampler(trainer, fail_at_iteration=1)
         with pytest.raises(RuntimeError, match="noise-prefetch worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -96,14 +96,14 @@ class TestFailingApplyPropagates:
 
     @pytest.mark.parametrize("staleness", ["strict", "bounded:2"])
     def test_flat_apply_failure_raises(self, config, staleness):
-        trainer = make_trainer(f"async={staleness},inflight=2", config)
+        trainer = spec_trainer(f"async={staleness},inflight=2", config)
         self._install_failing_apply(trainer)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
         trainer.close()
 
     def test_sharded_apply_failure_raises(self, config):
-        trainer = make_trainer(
+        trainer = spec_trainer(
             "shards=2,async=strict,inflight=2,backend=threads", config
         )
         self._install_failing_apply(trainer)
@@ -115,7 +115,7 @@ class TestFailingApplyPropagates:
         """With the cap far above the iteration count, the failing apply
         must still unblock every later submit (the semaphore-release
         regression)."""
-        trainer = make_trainer("async=bounded:4,inflight=1", config)
+        trainer = spec_trainer("async=bounded:4,inflight=1", config)
         self._install_failing_apply(trainer, fail_at_iteration=1)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
@@ -212,7 +212,7 @@ class TestApplyWorkerUnit:
 class TestShutdownLeavesNoThreads:
     def test_fit_failure_leaves_no_stray_threads(self, config):
         baseline = threading.active_count()
-        trainer = make_trainer("async=strict,inflight=2", config)
+        trainer = spec_trainer("async=strict,inflight=2", config)
         fail_stage(trainer, "apply", 1, "injected apply failure")
         with pytest.raises(RuntimeError):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -229,7 +229,7 @@ class TestShutdownLeavesNoThreads:
         the audit reports the lost noise instead of vouching for it."""
         from repro.lazydp import optimizer
 
-        trainer = make_trainer("async=strict,inflight=2", config)
+        trainer = spec_trainer("async=strict,inflight=2", config)
 
         def failing_write(*args, **kwargs):
             raise RuntimeError("injected write failure")
@@ -245,7 +245,7 @@ class TestShutdownLeavesNoThreads:
     def test_ledger_untouched_after_apply_failure(self, config):
         """A failed apply never advances the ledger for its iteration —
         the audit correctly reports the gap instead of lying."""
-        trainer = make_trainer("async=strict,inflight=2", config)
+        trainer = spec_trainer("async=strict,inflight=2", config)
         fail_stage(trainer, "apply", 3, "injected apply failure")
         with pytest.raises(RuntimeError):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
@@ -263,7 +263,7 @@ class TestShutdownLeavesNoThreads:
         """Outside fit() the apply runs inline on the trainer thread; the
         ledger advance travels with the apply (and the flush), so the
         exactly-once audit holds wherever they ran."""
-        trainer = make_trainer(spec, config)
+        trainer = spec_trainer(spec, config)
         trainer.expected_batch_size = 16
         loader = make_loader(config, batch_size=16, num_batches=8)
         for index, batch, upcoming in LookaheadLoader(loader):

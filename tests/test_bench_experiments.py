@@ -1,11 +1,13 @@
-"""Tests for the benchmark harness: figure drivers and reporting."""
+"""Tests for the figure drivers (``benchmarks/cases/paper.py``), the
+measured-step harness and the tables they print."""
 
 import math
 
 import pytest
 
-from repro.bench import (
-    ALL_FIGURES,
+from benchmarks.cases import paper
+from benchmarks.cases.figures import FIGURES, measure_steps
+from benchmarks.cases.paper import (
     comparison_table,
     figure6,
     figure10,
@@ -13,16 +15,11 @@ from repro.bench import (
     figure13a,
     figure13c,
     figure14,
-    format_table,
-    format_value,
     geometric_mean,
-    measured_series,
-    measured_stage_breakdown,
-    paper_data,
     section72,
 )
 from repro import configs
-from repro.train import DPConfig
+from repro.obs.table import format_table, format_value
 
 
 class TestReporting:
@@ -48,7 +45,7 @@ class TestReporting:
             "fig", ("x",), {"s": (1.0,)}, {"s": (2.0,)}
         )
         assert "paper" in text
-        assert "reproduced" in text
+        assert "modelled" in text
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
@@ -58,7 +55,7 @@ class TestReporting:
 
 class TestFigureDrivers:
     def test_all_figures_run(self):
-        for name, driver in ALL_FIGURES.items():
+        for _, driver, *_ in FIGURES:
             result = driver()
             assert result.figure
             assert result.reproduced
@@ -106,48 +103,25 @@ class TestFigureDrivers:
         result = figure6()
         reproduced = result.reproduced["roofline"]
         assert reproduced[1] == pytest.approx(
-            paper_data.FIG6_NOISE_SAMPLING_GFLOPS, rel=0.01
+            paper.FIG6_NOISE_SAMPLING_GFLOPS, rel=0.01
         )
 
     def test_section72(self):
         result = section72()
         queue, history, fraction = result.reproduced["overheads"]
-        assert queue == pytest.approx(paper_data.SEC72_INPUT_QUEUE_BYTES,
+        assert queue == pytest.approx(paper.SEC72_INPUT_QUEUE_BYTES,
                                       rel=0.01)
-        assert history == pytest.approx(paper_data.SEC72_HISTORY_TABLE_BYTES,
+        assert history == pytest.approx(paper.SEC72_HISTORY_TABLE_BYTES,
                                         rel=0.01)
         assert fraction < 0.01
 
 
 class TestMeasuredMode:
-    """Real numpy trainers at a small geometry: the shape must reproduce."""
-
-    @pytest.fixture(scope="class")
-    def measurements(self):
-        # Table must be large relative to the batch footprint so the dense
-        # noisy update dominates DP-SGD(F), and enough iterations must run
-        # to amortise LazyDP's one-time terminal flush.
-        config = configs.small_dlrm(rows=20000)
-        return measured_series(
-            ["sgd", "eana", "lazydp", "dpsgd_f"],
-            config=config, batch=64, iterations=5,
-        )
-
-    def test_lazydp_beats_dpsgd_measured(self, measurements):
-        assert measurements["dpsgd_f"] > 2 * measurements["lazydp"]
-
-    def test_ordering_measured(self, measurements):
-        assert measurements["sgd"] <= measurements["lazydp"]
-        assert measurements["lazydp"] < measurements["dpsgd_f"]
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            measured_series(["adamw"])
+    """The real trainers, stepped by the harness the figure cases use."""
 
     def test_stage_breakdown_keys(self):
-        stages = measured_stage_breakdown(
-            "lazydp", config=configs.small_dlrm(rows=500), batch=32,
-            iterations=2, dp=DPConfig(),
-        )
+        config = configs.small_dlrm(rows=500)
+        runs = measure_steps("smoke", [("lazydp", "lazydp", config, 32)])
+        stages = runs["lazydp"].trainer.timer.as_dict()
         assert stages["lazydp_dedup"] > 0
         assert stages["noise_sampling"] > 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
 from repro.lazydp.checkpoint import (
     export_private_model,
@@ -12,7 +11,7 @@ from repro.lazydp.checkpoint import (
     save_checkpoint,
 )
 from repro.nn import DLRM
-from repro.session import ExecutionPlan, TrainSession
+from repro.session import ExecutionPlan, TrainSession, make_trainer
 from repro.train import DPConfig
 
 from repro.testing import max_param_diff

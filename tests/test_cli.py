@@ -200,29 +200,6 @@ class TestPlanFlag:
         assert "ans" in capsys.readouterr().err
 
 
-class TestFiguresCommand:
-    def test_single_figure(self, capsys):
-        code = main(["figures", "--which", "figure13a"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "paper" in out
-        assert "OOM" in out
-
-    def test_rejects_unknown_figure(self):
-        with pytest.raises(SystemExit):
-            main(["figures", "--which", "figure99"])
-
-
-class TestReportCommand:
-    def test_writes_file(self, tmp_path, capsys):
-        path = tmp_path / "report.md"
-        code = main(["report", "--output", str(path)])
-        assert code == 0
-        content = path.read_text()
-        assert "Figure 10" in content
-        assert "reproduced" in content
-
-
 class TestAuditCommand:
     def test_audit_verdicts(self, capsys):
         code = main(["audit", "--rows", "512", "--batch", "32",
@@ -231,15 +208,6 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "LEAKS" in out       # EANA
         assert "protected" in out   # LazyDP
-
-
-class TestScoreCommand:
-    def test_scoreboard_passes(self, capsys):
-        code = main(["score"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "within tolerance" in out
-        assert "FAIL" not in out
 
 
 class TestBackendsCommand:
@@ -292,3 +260,9 @@ class TestArgumentValidation:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_four_commands(self, capsys):
+        """The paper's figures are bench cases, not commands."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{train,audit,backends,serve}" in capsys.readouterr().out

@@ -166,7 +166,7 @@ class TestIngestion:
 class TestEndToEndOnFiles:
     def test_training_pipeline_runs(self, criteo_file, config):
         """DAC file -> DataLoader -> LazyDP training, end to end."""
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 
@@ -180,7 +180,7 @@ class TestEndToEndOnFiles:
 
     def test_lazydp_equivalence_on_file_data(self, criteo_file, config):
         """The exact-equivalence guarantee holds on real-format data too."""
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
+from repro.session import make_trainer
 from repro.train import DenseMomentum, DenseSGD, DPConfig
 
 from repro.testing import max_param_diff

@@ -78,7 +78,7 @@ class TestDPSemantics:
         dp = DPConfig(noise_multiplier=1.0, max_grad_norm=0.5,
                       learning_rate=0.1)
         from repro.data import SyntheticClickDataset
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
 
         dataset = SyntheticClickDataset(config, seed=3)
         batch_a = dataset.batch(np.arange(16))

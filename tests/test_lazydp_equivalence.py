@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SkewSpec, SyntheticClickDataset
 from repro.nn import DLRM
+from repro.session import make_trainer
 from repro.train import DPConfig
 
 from repro.testing import max_param_diff, train_algorithm

@@ -56,7 +56,7 @@ class TestLazyDPTrainer:
         dp = DPConfig()
         model = DLRM(config, seed=7)
         reference = DLRM(config, seed=7)
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
         trainer = make_trainer("lazydp", model, dp, noise_seed=99)
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=4, num_batches=2, seed=5)
@@ -76,7 +76,7 @@ class TestLazyDPTrainer:
 
         def run(chunk):
             model = DLRM(config, seed=7)
-            from repro.bench.experiments import make_trainer
+            from repro.session import make_trainer
             trainer = make_trainer("lazydp_no_ans", model, dp, noise_seed=99)
             trainer.engine.states[0].flush_chunk_rows = chunk
             dataset = SyntheticClickDataset(config, seed=3)
@@ -128,7 +128,7 @@ class TestLazyDPTrainer:
         model = DLRM(config, seed=7)
         dataset = SyntheticClickDataset(config, seed=3)
         loader = DataLoader(dataset, batch_size=8, num_batches=1, seed=5)
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
         trainer = make_trainer("lazydp", model, DPConfig(), noise_seed=99)
         result = trainer.fit(loader)
         assert result.iterations == 1

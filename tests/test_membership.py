@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.data import SyntheticClickDataset
 from repro.nn import DLRM
 from repro.privacy.membership import (
@@ -12,6 +11,7 @@ from repro.privacy.membership import (
     dp_advantage_bound,
     loss_threshold_attack,
 )
+from repro.session import make_trainer
 from repro.train import DPConfig
 
 

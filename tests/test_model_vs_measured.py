@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.perfmodel import iteration_breakdown, paper_system
+from repro.session import make_trainer
 from repro.train import DPConfig
 
 

@@ -6,7 +6,8 @@ quietly re-fork the update the way ``ScheduledLazyDPTrainer`` did: a new
 mechanism touches ``repro/lazydp/ans.py`` and no engine file.  Likewise
 the three hot kernels: one table, registered once, that no session
 selects — compiled code lands under the reference kernels, not beside
-them under a name.
+them under a name.  And the paper's figures: one table of drivers and
+bands, beside the bench runner, not in the library.
 """
 
 import pathlib
@@ -83,3 +84,29 @@ def test_one_kernel_table_is_registered_and_no_session_selects_it():
     hits = occurrences(r"(?<!def )\bregister_kernel_table\(")
     assert files(hits) == ["kernels/dispatch.py"], hits
     assert occurrences(r"set_kernel_backend", SRC / "session") == []
+
+
+def test_the_figures_live_beside_the_bench_runner():
+    """No ``repro.bench``; one ``make_trainer``, next to the build it
+    calls; one ``format_table``; one table of figures (``FIGURES``)."""
+    assert list((SRC / "bench").rglob("*.py")) == []
+    python = [
+        path
+        for tree in ("src", "tests", "benchmarks", "examples", "tools")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+    ]
+
+    def grep(pattern):
+        regex = re.compile(pattern)
+        return [
+            f"{path.relative_to(ROOT).as_posix()}:{number}"
+            for path in python
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if regex.search(line)
+        ]
+
+    # Spelled so that these patterns do not match their own source lines.
+    assert grep(r"^\s*(from|import)\s+(repro[.]|[.]+)bench\b") == []
+    assert files(grep(r"^def make_trainer[(]")) == ["src/repro/session/builder.py"]
+    assert files(grep(r"^def format_table[(]")) == ["src/repro/obs/table.py"]
+    assert grep(r"ALL_FIG" r"URES|TOLER" r"ANCES") == []

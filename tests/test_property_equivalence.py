@@ -19,11 +19,10 @@ from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.configs import DLRMConfig
-from repro.bench.experiments import make_trainer
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
 from repro.lazydp.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import DLRM
-from repro.session import ExecutionPlan, TrainSession
+from repro.session import ExecutionPlan, TrainSession, make_trainer
 from repro.train import DPConfig
 from repro.train.schedules import LinearWarmupLR, StepDecayLR
 

@@ -11,11 +11,10 @@ reject contradictory specs with messages naming the contradiction;
 import pytest
 
 from repro import configs
-from repro.bench.experiments import make_trainer
 from repro.configs import AsyncConfig, PipelineConfig, ShardConfig
 from repro.nn import DLRM
 from repro.lazydp import LazyDPTrainer
-from repro.session import ExecutionPlan, TrainSession
+from repro.session import ExecutionPlan, TrainSession, make_trainer
 from repro.train import DPConfig
 
 

@@ -80,7 +80,7 @@ class TestLazyDPDelayAccounting:
 
     def test_delay_agrees_with_trainer_history(self):
         """The replayed HistoryTable discipline matches the real trainer."""
-        from repro.bench.experiments import make_trainer
+        from repro.session import make_trainer
         from repro.nn import DLRM
         from repro.train import DPConfig
 
