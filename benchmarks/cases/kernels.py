@@ -11,7 +11,8 @@ data — the keyed Gaussians draw one table's worth of noise (on the
 compiled AVX-512 and scalar C bodies and the ufunc chain), the apply
 replays the same warm loop, the embedding backward reduces one pooled
 batch: equal bits are a hard check, their rates are reported side by
-side and not pinned.
+side and not pinned.  So is the release walk on the lanes against the
+same walk inline (``flush_speedup_lanes``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import hashlib
 
 import numpy as np
 
-from repro.kernels import BufferArena, merge_sparse_updates
+from repro.kernels import BufferArena, lanes, merge_sparse_updates
 from repro.kernels.fused import fused_noisy_update as numpy_fused
 from repro.kernels.sampler import batched_catchup_sum as numpy_batched
+from repro.lazydp import ANSEngine
+from repro.lazydp.optimizer import FLUSH_CHUNK_ROWS, catch_up_rows
 from repro.nn import PerExamplePairs
 from repro.obs import format_table
 from repro.rng import (
@@ -317,6 +320,56 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
     return Table("gaussian_kernel", table, measured=True), metrics
 
 
+def flush_pair(checks, num_rows, dim, iteration=5, repeats=3):
+    """One whole-table release walk (``catch_up_rows`` into a copy, every
+    row owing ``iteration`` draws) on the lanes and, under
+    ``lanes.inline()``, on the caller alone.  Equal sha256 of the two
+    copies is a hard check; the speedup is reported, not pinned (a
+    two-CPU host's spread is wide).  Returns ``(table, {metric: value})``."""
+    source = np.random.default_rng(17).standard_normal((num_rows, dim))
+    mechanism = ANSEngine(NoiseStream(seed=103))
+
+    def walk():
+        dest = np.empty_like(source)
+        catch_up_rows(
+            mechanism.fork(),
+            0,
+            source,
+            np.arange(num_rows),
+            lambda chunk: np.full(chunk.size, iteration),
+            iteration,
+            0.05,
+            0.3,
+            BufferArena(),
+            dest=dest,
+        )
+        return dest
+
+    def measure():
+        digest = hashlib.sha256(walk().tobytes()).hexdigest()
+        return digest, best_of(repeats, walk)
+
+    measured = {"lanes": measure()}
+    with lanes.inline():
+        measured["inline"] = measure()
+    checks.require(
+        measured["lanes"][0] == measured["inline"][0],
+        "the release walk on the lanes and inline wrote different bits",
+    )
+    metrics = {"flush_speedup_lanes": measured["inline"][1] / measured["lanes"][1]}
+    table = format_table(
+        ["release walk", "ms", "M rows/s", "sha256[:12]"],
+        [
+            [name, seconds * 1e3, num_rows / seconds / 1e6, digest[:12]]
+            for name, (digest, seconds) in measured.items()
+        ],
+        title=f"Release walk, {num_rows} x {dim} rows in chunks of "
+        f"{FLUSH_CHUNK_ROWS}: {len(lanes.CPUS)} lane(s) on cpus "
+        f"{','.join(map(str, lanes.CPUS))} vs inline",
+    )
+    return Table("release_walk_lanes", table, measured=True), metrics
+
+
 @case(
     "apply_fusion",
     figure="Figure 6, §4.2-4.3 kernel analysis (beyond paper)",
@@ -324,7 +377,8 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
     "zero steady-state arena allocations), batched vs per-lag no-ANS "
     "sampling with Philox launch counts, and the compiled inner loops "
     "(Gaussian draw, sparse apply, embedding scatter-add) vs their numpy "
-    "expressions (equal digests, rates side by side)",
+    "expressions and the release walk on the lanes vs inline (equal "
+    "digests, rates side by side)",
 )
 def apply_fusion(tier: str) -> Result:
     checks = Checks()
@@ -357,6 +411,10 @@ def apply_fusion(tier: str) -> Result:
     metrics["apply_fusion"].update(gaussian_mps)
     sparse_table, sparse_rates = compiled_pair(checks, apply_geometry)
     metrics["apply_fusion"].update(sparse_rates)
+    flush_table, flush_speedup = flush_pair(
+        checks, apply_geometry["num_rows"], 2 * apply_geometry["dim"]
+    )
+    metrics["apply_fusion"].update(flush_speedup)
     meta = {
         "geometry": GEOMETRY[tier],
         "compiled_kernels": list(native_status()),
@@ -368,4 +426,6 @@ def apply_fusion(tier: str) -> Result:
             "sampling": ExecutionPlan(ans=False).canonical(),
         },
     }
-    return Result(tables + [gaussian_table, sparse_table], metrics, meta, checks)
+    return Result(
+        tables + [gaussian_table, sparse_table, flush_table], metrics, meta, checks
+    )

@@ -8,7 +8,8 @@ Commands
               untouched-row attack against both final models.
 ``serve``     train briefly, then drive the private serving tier with
               skewed closed-loop load and print throughput/latency.
-``backends``  list the execution backends and which compiled kernels run.
+``backends``  list the execution backends, the lanes and which compiled
+              kernels run.
 
 The paper's figures are bench cases: ``python benchmarks/run.py [case
 ...]`` checks them and their paper-vs-modelled bands, and the committed
@@ -317,9 +318,12 @@ def _run_audit(args) -> int:
 
 def _run_backends(args) -> int:
     """Print the execution-backend registry — one row per backend with
-    the plan axes it composes with — and whether the compiled inner
-    loops (noise draw, sparse apply, embedding scatter-add) or their
-    numpy expressions run — and, compiled, on which instruction set."""
+    the plan axes it composes with — the lanes the release walk and
+    large draws spread over (one per usable CPU), and whether the
+    compiled inner loops (noise draw, sparse apply, embedding
+    scatter-add) or their numpy expressions run — and, compiled, on
+    which instruction set."""
+    from .kernels import lanes
     from .rng import native_status, vector_isa
     from .session import available_backends, backend_info
 
@@ -337,11 +341,12 @@ def _run_backends(args) -> int:
         table_rows,
         title="Execution backends (ExecutionPlan backend=...)",
     ))
+    print(f"\nlanes: {len(lanes.CPUS)} (cpus {','.join(map(str, lanes.CPUS))})")
     name, detail = native_status()
     if name == "native":
-        print(f"\ncompiled kernels: native ({vector_isa()}) {detail}")
+        print(f"compiled kernels: native ({vector_isa()}) {detail}")
     else:
-        print(f"\ncompiled kernels: numpy ({detail})")
+        print(f"compiled kernels: numpy ({detail})")
     return 0
 
 

@@ -38,11 +38,13 @@ global-row read surface release, serving and checkpoint code use.
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
+from ..kernels.lanes import fan_out
 from ..train.common import StageTimer
 from .ans import ANSEngine
 from .history import HistoryTable
@@ -95,7 +97,29 @@ def catch_up_rows(
     ``global_rows`` maps it to the ids that key the noise and, less
     ``row_base``, address ``source`` (``None``: they are equal).
     Returns the number of rows that received noise.
+
+    A walk over whole tables (``global_rows`` is ``None``: the one-shard
+    flush, the release copy, the memo) of more than one chunk spreads
+    its chunks over the lanes (:func:`_catch_up_on_lanes`).  A shard's
+    window (one of several walked side by side by pool tasks or worker
+    processes) and a single chunk (a lookup) walk here, on the caller.
     """
+    if global_rows is None and local.size > chunk_rows:
+        return _catch_up_on_lanes(
+            ans,
+            table,
+            source,
+            local,
+            delays_of,
+            iteration,
+            lr,
+            std,
+            dest=dest,
+            row_base=row_base,
+            ledger=ledger,
+            landed=landed,
+            chunk_rows=chunk_rows,
+        )
     dim = source.shape[1]
     caught = 0
     for start in range(0, local.size, chunk_rows):
@@ -130,6 +154,55 @@ def catch_up_rows(
         if landed is not None:
             landed(chunk)
     return caught
+
+
+def _catch_up_on_lanes(
+    ans: ANSEngine,
+    table: int,
+    source: np.ndarray,
+    local: np.ndarray,
+    delays_of,
+    iteration: int,
+    lr: float,
+    std: float,
+    *,
+    chunk_rows: int,
+    **outputs,
+) -> int:
+    """:func:`catch_up_rows` one chunk per item of
+    :func:`repro.kernels.lanes.fan_out`, each lane drawing through its
+    own fork of ``ans`` (the draw counter and schedule cache are
+    single-threaded) into its own arena; the forks' draws fold into
+    ``ans.samples_drawn``.  Chunks write disjoint rows and every draw is
+    keyed by its coordinates, so the bits are the inline walk's.  Every
+    chunk runs — its ledger advance and ``landed`` commit right after
+    its own write — and the lowest failing chunk's exception is raised
+    once all have finished."""
+    own = threading.local()
+    forks = []
+
+    def chunk(start: int) -> int:
+        if not hasattr(own, "ans"):
+            own.ans, own.arena = ans.fork(), BufferArena()
+            forks.append(own.ans)
+        return catch_up_rows(
+            own.ans,
+            table,
+            source,
+            local[start : start + chunk_rows],
+            delays_of,
+            iteration,
+            lr,
+            std,
+            own.arena,
+            chunk_rows=chunk_rows,
+            **outputs,
+        )
+
+    try:
+        return sum(fan_out(chunk, range(0, local.size, chunk_rows)))
+    finally:
+        ans.samples_drawn += sum(fork.samples_drawn for fork in forks)
 
 
 def _copy_rows(source, dest, rows, row_base) -> None:
@@ -323,7 +396,9 @@ class ShardState:
         pending row receives one catch-up draw and one subtraction —
         the same bits however rows are grouped into shards or chunks;
         a chunk of consecutive rows (every chunk of an all-pending
-        window) is written through a slice, not a gather/scatter.
+        window) is written through a slice, not a gather/scatter.  The
+        one shard's whole-table windows spread their chunks over the
+        lanes; one of several shards walks inline (:func:`catch_up_rows`).
         """
         window = self.windows[table]
         history = window.history

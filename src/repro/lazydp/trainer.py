@@ -39,6 +39,7 @@ from functools import partial
 
 import numpy as np
 
+from ..kernels import lanes
 from ..pipeline.staging import StagedNoise
 from ..rng import native_status, vector_isa
 from ..shard.executor import SerialExecutor
@@ -317,10 +318,13 @@ class LazyDPTrainer(DPSGDFTrainer):
         :meth:`ShardState.stats`), and which implementation of the
         noise draw, the sparse apply and the embedding scatter-add ran
         (``native`` / ``numpy``) and, compiled, on which instruction set
-        (``vector_isa``: ``avx512`` / ``scalar``, ``None`` on numpy)."""
+        (``vector_isa``: ``avx512`` / ``scalar``, ``None`` on numpy),
+        and the lanes the release walk and large draws spread over
+        (:func:`repro.kernels.lanes.stats`)."""
         return {
             "compiled_kernels": native_status()[0],
             "vector_isa": vector_isa(),
+            "lanes": lanes.stats(),
             "timer_counters": dict(self.timer.counters),
             "shards": [state.stats() for state in self.engine.states],
         }

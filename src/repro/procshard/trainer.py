@@ -43,6 +43,7 @@ from functools import partial
 
 import numpy as np
 
+from ..kernels import lanes
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import LazyNoiseEngine, ledger_windows
@@ -434,6 +435,9 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         return {
             "compiled_kernels": native_status()[0],
             "vector_isa": vector_isa(),
+            # The router's lanes.  A worker starts its own only for a
+            # multi-tile draw: its shard's flush walks inline.
+            "lanes": lanes.stats(),
             "timer_counters": dict(self.timer.counters),
             "procshard": self.procshard_stats(),
         }

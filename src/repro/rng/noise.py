@@ -19,8 +19,11 @@ Domains keep unrelated consumers of randomness on disjoint key spaces:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from ..kernels.lanes import fan_out
 from . import _native
 from .boxmuller import gaussian_lanes
 from .philox import (
@@ -241,8 +244,10 @@ class NoiseStream:
         cipher and Box-Muller and scales, all in place over this
         thread's scratch, then writes the four Gaussian lanes straight
         into ``out``.  One launch per call; nothing is allocated, and
-        no bit depends on the tiling — nor on whether a tile runs as
-        the ufunc chain below or, where :mod:`._native` loaded it, as
+        no bit depends on the tiling — nor on which lane draws a tile
+        (a draw of several tiles spreads them over
+        :func:`repro.kernels.lanes.fan_out`), nor on whether a tile runs
+        as the ufunc chain below or, where :mod:`._native` loaded it, as
         the same arithmetic compiled (:func:`_native_tile`).
 
         Counter words are 32 bits wide (the row takes two), so an
@@ -273,21 +278,32 @@ class NoiseStream:
         iteration = np.broadcast_to(iteration, rows.shape)
         scale = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
         scale = np.broadcast_to(scale, rows.shape)
-        for r0 in range(0, n_rows, tile_rows):
+
+        def draw(corner: tuple) -> None:
+            r0, b0 = corner
             r1 = min(r0 + tile_rows, n_rows)
+            b1 = min(b0 + tile_blocks, blocks_per_row)
             tile = slice(r0, r1)
-            for b0 in range(0, blocks_per_row, tile_blocks):
-                b1 = min(b0 + tile_blocks, blocks_per_row)
-                if lib is not None:
-                    _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1)
-                    continue
-                words, reals = block_scratch((r1 - r0, b1 - b0))
-                np.bitwise_and(rows[tile], _U32, out=words[0])
-                np.right_shift(rows[tile], _SHIFT_32, out=words[1])
-                np.bitwise_and(iteration[tile], _U32, out=words[2])
-                np.add(_BLOCK_IDS[: b1 - b0], np.uint64(b0), out=words[3])
-                lanes = gaussian_lanes(philox_rounds(words, key), reals)
-                for k, lane in enumerate(lanes):
-                    columns = out[tile, 4 * b0 + k : 4 * b1 : 4]
-                    np.multiply(lane[:, : columns.shape[1]], scale[tile], out=columns)
+            if lib is not None:
+                _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1)
+                return
+            words, reals = block_scratch((r1 - r0, b1 - b0))
+            np.bitwise_and(rows[tile], _U32, out=words[0])
+            np.right_shift(rows[tile], _SHIFT_32, out=words[1])
+            np.bitwise_and(iteration[tile], _U32, out=words[2])
+            np.add(_BLOCK_IDS[: b1 - b0], np.uint64(b0), out=words[3])
+            lanes = gaussian_lanes(philox_rounds(words, key), reals)
+            for k, lane in enumerate(lanes):
+                columns = out[tile, 4 * b0 + k : 4 * b1 : 4]
+                np.multiply(lane[:, : columns.shape[1]], scale[tile], out=columns)
+
+        if n_rows <= tile_rows and blocks_per_row <= tile_blocks:
+            draw((0, 0))  # one tile: every per-step draw and lookup
+            return out
+        # Tiles write disjoint parts of ``out`` through per-thread
+        # scratch: a draw of several spreads them over the lanes.
+        tiles = itertools.product(
+            range(0, n_rows, tile_rows), range(0, blocks_per_row, tile_blocks)
+        )
+        fan_out(draw, list(tiles))
         return out

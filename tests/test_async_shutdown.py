@@ -20,6 +20,7 @@ import pytest
 from repro import configs
 from repro.async_.apply import ApplyWorker
 from repro.data import LookaheadLoader
+from repro.kernels import lanes
 from repro.lazydp import LedgerError
 from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession
@@ -209,18 +210,26 @@ class TestApplyWorkerUnit:
             ApplyWorker(max_in_flight=0)
 
 
+def fit_threads() -> int:
+    """Live threads, less the lanes (``repro.kernels.lanes``): those
+    are the process's, not any fit's."""
+    return sum(
+        not thread.name.startswith(lanes.NAME) for thread in threading.enumerate()
+    )
+
+
 class TestShutdownLeavesNoThreads:
     def test_fit_failure_leaves_no_stray_threads(self, config):
-        baseline = threading.active_count()
+        baseline = fit_threads()
         trainer = spec_trainer("async=strict,inflight=2", config)
         fail_stage(trainer, "apply", 1, "injected apply failure")
         with pytest.raises(RuntimeError):
             trainer.fit(make_loader(config, batch_size=16, num_batches=6))
         trainer.close()
         deadline = time.time() + 5.0
-        while threading.active_count() > baseline and time.time() < deadline:
+        while fit_threads() > baseline and time.time() < deadline:
             time.sleep(0.01)
-        assert threading.active_count() <= baseline
+        assert fit_threads() <= baseline
 
     def test_ledger_not_advanced_when_write_itself_fails(self, config,
                                                          monkeypatch):

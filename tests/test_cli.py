@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.kernels import lanes
 
 
 class TestTrainCommand:
@@ -226,11 +227,14 @@ class TestBackendsCommand:
             ["process", "shards,workers"],
         ]
         assert lines[6] == ""
+        assert lines[7] == (
+            f"lanes: {len(lanes.CPUS)} (cpus {','.join(map(str, lanes.CPUS))})"
+        )
         assert re.fullmatch(
             r"compiled kernels: (native \((avx512|scalar)\) \S+\.so|numpy \(.+\))",
-            lines[7],
+            lines[8],
         )
-        assert len(lines) == 8
+        assert len(lines) == 9
 
     @staticmethod
     def _kernels_line(capsys):

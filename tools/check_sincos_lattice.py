@@ -28,16 +28,16 @@ reduction and a pinned list of misrounded words
 from __future__ import annotations
 
 import ctypes
-import os
+import itertools
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.kernels import lanes  # noqa: E402
 from repro.rng import _native  # noqa: E402
 
 LATTICE = 2**32
@@ -74,20 +74,22 @@ def main() -> int:
         print("no AVX-512 sincos on this CPU and libm: libm's sincos "
               "against sin and cos")
     starts = range(0, LATTICE, CHUNK)
-    mismatches = fallbacks = misrounded = 0
-    widest, words = 0.0, []
-    # ctypes calls drop the GIL, so threads scale across cores.
-    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        results = pool.map(lambda first: _chunk(lib, first), starts)
-        for done, (bad, handed, wrong, excess, kept) in enumerate(results, 1):
-            mismatches += bad
-            fallbacks += handed
-            misrounded += wrong
-            widest = max(widest, excess)
-            words += kept
-            print(f"\r{done}/{len(starts)} chunks, {mismatches} mismatches",
-                  end="", flush=True)
+    finished = itertools.count(1)
+
+    def sweep(first: int) -> tuple:
+        result = _chunk(lib, first)
+        print(f"\r{next(finished)}/{len(starts)} chunks", end="", flush=True)
+        return result
+
+    # ctypes calls drop the GIL, so the lanes (one per CPU) scale.
+    results = lanes.fan_out(sweep, starts)
     print()
+    mismatches = sum(result[0] for result in results)
+    fallbacks = sum(result[1] for result in results)
+    misrounded = sum(result[2] for result in results)
+    widest = max(result[3] for result in results)
+    words = [word for result in results for word in result[4]]
+    print(f"{mismatches} mismatches")
     if not vector:
         return 1 if mismatches else 0
     tolerated = ctypes.c_double.in_dll(lib, "sincos_tolerated_excess").value
