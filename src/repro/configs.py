@@ -134,17 +134,17 @@ class DLRMConfig:
 
 #: Partition strategies understood by ``repro.shard`` (kept here so config
 #: validation does not import the shard package).
-SHARD_PARTITIONS = ("row_range", "frequency", "hash")
+SHARD_PARTITIONS = ("row_range", "frequency")
 
 
 @dataclass(frozen=True)
 class ShardConfig:
     """How the embedding engine is sharded (``repro.shard``).
 
-    ``num_shards = 1`` is the flat configuration; anything higher
-    partitions every table with ``partition``.  *How* the shard tasks
-    run is the plan's ``backend`` axis (``backend="threads:4"``,
-    ``backend="process"``), not a field here.
+    ``num_shards = 1`` is the flat configuration; anything higher cuts
+    every table into contiguous row ranges placed by ``partition``.
+    *How* the shard tasks run is the plan's ``backend`` axis
+    (``backend="threads:4"``, ``backend="process"``), not a field here.
     """
 
     num_shards: int = 1
@@ -159,10 +159,6 @@ class ShardConfig:
                 f"(choose from {SHARD_PARTITIONS})"
             )
 
-    @property
-    def is_sharded(self) -> bool:
-        return self.num_shards > 1
-
     def to_dict(self) -> dict:
         """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
         return asdict(self)
@@ -176,15 +172,14 @@ class ShardConfig:
 class PipelineConfig:
     """How the training engine pipelines noise prefetch (``repro.pipeline``).
 
-    ``enabled = False`` is the serial configuration (catch-up noise
-    computed inline on the critical path).  When enabled, a background
+    Present on an :class:`repro.session.ExecutionPlan`, a background
     worker precomputes catch-up noise ``prefetch_depth`` iterations
     ahead into a double-buffered staging area; ``prefetch_depth`` also
     sets the input queue's lookahead depth (the paper's Algorithm 1
-    queue is depth 1).
+    queue is depth 1).  Absent (``pipeline=None``), catch-up noise is
+    computed inline on the critical path.
     """
 
-    enabled: bool = False
     prefetch_depth: int = 2
 
     def __post_init__(self):
@@ -209,16 +204,15 @@ ASYNC_STALENESS_MODES = ("strict", "bounded")
 class AsyncConfig:
     """How the training engine runs iterations in flight (``repro.async_``).
 
-    ``enabled = False`` is the synchronous configuration (the apply
-    phase runs inline on the trainer thread).  When enabled, up to
+    Present on an :class:`repro.session.ExecutionPlan`, up to
     ``max_in_flight`` iteration applies may be outstanding on the
-    background apply worker while the trainer proceeds; ``staleness``
-    selects the read schedule (``"strict"`` = bitwise-serial,
+    background apply worker while the trainer proceeds (absent,
+    ``async_=None``, the apply runs inline on the trainer thread);
+    ``staleness`` selects the read schedule (``"strict"`` = bitwise-serial,
     ``"bounded"`` / ``"bounded:<k>"`` = slab reads may trail up to
     ``k`` applies).
     """
 
-    enabled: bool = False
     max_in_flight: int = 2
     staleness: str = "strict"
 

@@ -33,9 +33,9 @@ class HistoryTable:
         """A HistoryTable over caller-owned int32 storage, zero-copy.
 
         The process-shard backend (``repro.procshard``) places each
-        shard's history window in ``multiprocessing.shared_memory`` so
-        the router and the shard's worker process read and advance the
-        *same* entries; both sides wrap their mapping of the segment
+        table's history in ``multiprocessing.shared_memory`` so the
+        router and the shard worker owning a row range read and advance
+        the *same* entries; both sides wrap their mapping of the segment
         with ``attach``.  The storage must be a writable, C-contiguous
         int32 vector; it is used in place, never copied, and the caller
         keeps responsibility for its lifetime.
@@ -50,6 +50,11 @@ class HistoryTable:
         table = cls.__new__(cls)
         table._last_updated = storage
         return table
+
+    def window(self, lo: int, hi: int) -> "HistoryTable | None":
+        """Rows ``[lo, hi)`` as a HistoryTable of their own, zero-copy:
+        a shard's window, addressed by ``row - lo`` (``None``: no rows)."""
+        return HistoryTable.attach(self._last_updated[lo:hi]) if hi > lo else None
 
     @property
     def num_rows(self) -> int:

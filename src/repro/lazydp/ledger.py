@@ -64,12 +64,12 @@ class VersionVector:
     def attach(cls, storage: np.ndarray) -> "VersionVector":
         """A VersionVector over caller-owned int64 storage, zero-copy.
 
-        The process-shard backend (``repro.procshard``) gives every
-        shard worker a ledger *segment* in
-        ``multiprocessing.shared_memory``: the worker advances its
-        segment as it applies noise, and the router attaches the same
-        bytes to audit exactly-once application across the process
-        boundary — both sides see one vector, so a skipped or
+        The process-shard backend (``repro.procshard``) keeps each
+        table's ledger in ``multiprocessing.shared_memory``: every shard
+        worker advances its row range (:meth:`window`) as it applies
+        noise, and the router attaches the whole segment to audit
+        exactly-once application across the process boundary — both
+        sides see one vector, so a skipped or
         double-applied span in a worker raises in the parent's
         ``audit_noise_ledger`` just as it would in the async engine.
         The storage must be a writable, C-contiguous int64 vector; it
@@ -85,6 +85,11 @@ class VersionVector:
         vector = cls.__new__(cls)
         vector._applied_through = storage
         return vector
+
+    def window(self, lo: int, hi: int) -> "VersionVector | None":
+        """Rows ``[lo, hi)`` as a VersionVector of their own, zero-copy:
+        a shard's window, addressed by ``row - lo`` (``None``: no rows)."""
+        return VersionVector.attach(self._applied_through[lo:hi]) if hi > lo else None
 
     @property
     def num_rows(self) -> int:

@@ -5,10 +5,12 @@ Algorithm 1 is one six-stage embedding update — dedup (1), history read
 (6) — plus one terminal flush, and the paper's equivalence claim (the
 released model equals eager DP-SGD's) is a property of that one
 sequence, not of where it runs.  :class:`ShardState` owns the only
-spelling of stages 2-6 and of the flush, over one *shard*: a window of
-every embedding table.  The flat engine is its one-shard case (the
-window is the whole table, ``row_base = 0``, local ids are global ids);
-the sharded engine runs N of them as executor tasks; the process
+spelling of stages 2-6 and of the flush, over one *shard*: a
+contiguous row range of every embedding table, seen through
+:class:`TableWindow` slices of the table's one slab, history and
+ledger.  The flat engine is its one-range case (the window is the whole
+table, ``row_base = 0``, local ids are global ids); the sharded engine
+runs N of them as executor tasks; the process
 backend runs one per worker over shared memory
 (:mod:`repro.procshard.worker`).  Identical code in all three places.
 The flush itself is :func:`catch_up_rows`, the one release walk
@@ -22,11 +24,12 @@ cross-process updates legal):
   per-row arithmetic ``table[r] -= lr * (grad_r + noise_r)`` happens
   exactly once, on state only that shard's tasks touch, with the
   operands combined in the flat trainer's order.
-* **Noise keying** — noise is always drawn against *global* row ids;
-  shard-local ids exist only to address the compact history / ledger
-  windows.  Every value is a pure function of ``(seed, table, global
-  row, iteration)`` and the row's delay, so *which* shard, thread or
-  process draws it — and when — cannot change the bits.
+* **Noise keying** — noise is always drawn against *global* row ids
+  (``local + row_base``); shard-local ids exist only to address the
+  history / ledger windows.  Every value is a pure function of
+  ``(seed, table, global row, iteration)`` and the row's delay, so
+  *which* shard, thread or process draws it — and when — cannot change
+  the bits.
 * **Ledger after write** — where a shard carries a
   :class:`VersionVector` window it is advanced only after the slab
   write landed, so a failed write leaves the ledger behind and the
@@ -47,7 +50,6 @@ from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
 from ..kernels.lanes import fan_out
 from ..train.common import StageTimer
 from .ans import ANSEngine
-from .history import HistoryTable
 from .ledger import VersionVector
 
 _NO_DELAYS = np.empty(0, dtype=np.int64)
@@ -71,7 +73,6 @@ def catch_up_rows(
     arena: BufferArena,
     *,
     dest: np.ndarray | None = None,
-    global_rows: np.ndarray | None = None,
     row_base: int = 0,
     ledger: VersionVector | None = None,
     landed=None,
@@ -93,38 +94,59 @@ def catch_up_rows(
     vouched for and a flag-then-gather reader never sees half a row.
 
     Rows that owe nothing are copied ``source -> dest`` unchanged.
-    ``local`` addresses ``delays_of`` / ``ledger`` / ``landed``;
-    ``global_rows`` maps it to the ids that key the noise and, less
-    ``row_base``, address ``source`` (``None``: they are equal).
-    Returns the number of rows that received noise.
+    ``local`` addresses ``source``, ``delays_of``, ``ledger`` and
+    ``landed``; ``local + row_base`` are the global ids that key the
+    noise.  Returns the number of rows that received noise.
 
-    A walk over whole tables (``global_rows`` is ``None``: the one-shard
-    flush, the release copy, the memo) of more than one chunk spreads
-    its chunks over the lanes (:func:`_catch_up_on_lanes`).  A shard's
-    window (one of several walked side by side by pool tasks or worker
-    processes) and a single chunk (a lookup) walk here, on the caller.
+    A walk of more than one chunk (a whole table: the one-shard flush,
+    the release copy, the memo) spreads its chunks over the lanes
+    (:func:`_catch_up_on_lanes`); a single chunk (a lookup) walks on the
+    caller.  A shard's window, one of several walked side by side by
+    pool tasks or worker processes, walks inline through
+    :func:`_catch_up_inline` (:meth:`ShardState.flush`).
     """
-    if global_rows is None and local.size > chunk_rows:
-        return _catch_up_on_lanes(
-            ans,
-            table,
-            source,
-            local,
-            delays_of,
-            iteration,
-            lr,
-            std,
-            dest=dest,
-            row_base=row_base,
-            ledger=ledger,
-            landed=landed,
-            chunk_rows=chunk_rows,
-        )
+    walk = _catch_up_on_lanes if local.size > chunk_rows else _catch_up_inline
+    return walk(
+        ans,
+        table,
+        source,
+        local,
+        delays_of,
+        iteration,
+        lr,
+        std,
+        arena,
+        dest=dest,
+        row_base=row_base,
+        ledger=ledger,
+        landed=landed,
+        chunk_rows=chunk_rows,
+    )
+
+
+def _catch_up_inline(
+    ans: ANSEngine,
+    table: int,
+    source: np.ndarray,
+    local: np.ndarray,
+    delays_of,
+    iteration: int,
+    lr: float,
+    std: float,
+    arena: BufferArena,
+    *,
+    dest: np.ndarray | None = None,
+    row_base: int = 0,
+    ledger: VersionVector | None = None,
+    landed=None,
+    chunk_rows: int = FLUSH_CHUNK_ROWS,
+) -> int:
+    """:func:`catch_up_rows`' chunks one after another on the caller."""
     dim = source.shape[1]
     caught = 0
     for start in range(0, local.size, chunk_rows):
         chunk = local[start : start + chunk_rows]
-        rows = chunk if global_rows is None else global_rows[chunk]
+        rows = chunk + row_base if row_base else chunk
         delays = delays_of(chunk)
         behind = delays > 0
         owing = int(np.count_nonzero(behind))
@@ -165,11 +187,12 @@ def _catch_up_on_lanes(
     iteration: int,
     lr: float,
     std: float,
+    arena: BufferArena,
     *,
     chunk_rows: int,
     **outputs,
 ) -> int:
-    """:func:`catch_up_rows` one chunk per item of
+    """:func:`_catch_up_inline` one chunk per item of
     :func:`repro.kernels.lanes.fan_out`, each lane drawing through its
     own fork of ``ans`` (the draw counter and schedule cache are
     single-threaded) into its own arena; the forks' draws fold into
@@ -177,7 +200,7 @@ def _catch_up_on_lanes(
     keyed by its coordinates, so the bits are the inline walk's.  Every
     chunk runs — its ledger advance and ``landed`` commit right after
     its own write — and the lowest failing chunk's exception is raised
-    once all have finished."""
+    once all have finished.  ``arena`` (the caller's) stays unused."""
     own = threading.local()
     forks = []
 
@@ -185,7 +208,7 @@ def _catch_up_on_lanes(
         if not hasattr(own, "ans"):
             own.ans, own.arena = ans.fork(), BufferArena()
             forks.append(own.ans)
-        return catch_up_rows(
+        return _catch_up_inline(
             own.ans,
             table,
             source,
@@ -235,26 +258,28 @@ class Catchup(NamedTuple):
 
 
 class TableWindow:
-    """One shard's window of one embedding table.
+    """One shard's window of one embedding table: rows ``[lo, hi)``.
 
-    ``target`` addressed by global row id minus ``row_base`` is what the
-    kernels write through (the whole table, or a slab's
-    :meth:`repro.shard.tables.ShardSlab.update_target`); ``rows`` maps
-    shard-local ids to global ids (``None``: they are equal, the
-    one-shard case); ``history`` / ``ledger`` are the shard's windows,
-    ``None`` for a shard that owns no row of this table (``ledger`` also
-    wherever the plan keeps none).
+    ``target`` is the table's slice the kernels write through, addressed
+    by global row id minus ``row_base`` (``= lo``); ``history`` /
+    ``ledger`` are the same rows' windows of the table's one
+    :class:`HistoryTable` / :class:`VersionVector`, addressed by local id
+    ``row - lo`` — ``None`` for an empty range (``ledger`` also wherever
+    the plan keeps none).  All three are zero-copy views.  ``whole``
+    marks the window that is its entire table (the one-shard layout): its
+    flush fans out over the lanes, while one of several shards' windows
+    walks inline on its task or worker.
     """
 
-    __slots__ = ("target", "row_base", "rows", "history", "ledger", "dim")
+    __slots__ = ("target", "row_base", "whole", "history", "ledger", "dim")
 
-    def __init__(self, target, row_base, rows, history, ledger):
-        self.target = target
-        self.row_base = int(row_base)
-        self.rows = rows
-        self.history = history
-        self.ledger = ledger
-        self.dim = int(target.shape[1])
+    def __init__(self, table: np.ndarray, lo: int, hi: int, history, ledger):
+        self.whole = lo == 0 and hi == table.shape[0]
+        self.target = table if self.whole else table[lo:hi]
+        self.row_base = int(lo)
+        self.history = history.window(lo, hi)
+        self.ledger = None if ledger is None else ledger.window(lo, hi)
+        self.dim = int(table.shape[1])
 
 
 class ShardState:
@@ -396,15 +421,16 @@ class ShardState:
         pending row receives one catch-up draw and one subtraction —
         the same bits however rows are grouped into shards or chunks;
         a chunk of consecutive rows (every chunk of an all-pending
-        window) is written through a slice, not a gather/scatter.  The
-        one shard's whole-table windows spread their chunks over the
-        lanes; one of several shards walks inline (:func:`catch_up_rows`).
+        window) is written through a slice, not a gather/scatter.  A
+        ``whole`` window spreads its chunks over the lanes; one of
+        several shards' windows walks inline (:func:`catch_up_rows`).
         """
         window = self.windows[table]
         history = window.history
         if history is None:
             return 0
-        return catch_up_rows(
+        walk = catch_up_rows if window.whole else _catch_up_inline
+        return walk(
             self.ans,
             table,
             window.target,
@@ -414,7 +440,6 @@ class ShardState:
             lr,
             std,
             self.flush_arena,
-            global_rows=window.rows,
             row_base=window.row_base,
             ledger=window.ledger,
             landed=lambda local: history.mark_updated(local, final_iteration),
@@ -445,45 +470,14 @@ class ShardState:
         }
 
 
-def whole_table_windows(model, with_ledger: bool) -> tuple:
-    """The one-shard layout: ``(windows, histories, router)`` where the
-    single shard's window of each table is the whole table.
-
-    Builds no partition and no routing state — the index arrays alone
-    would be ~40 MB at 8 x 250 000 rows.
-    """
-    histories = [HistoryTable(bag.num_rows) for bag in model.embeddings]
-    windows = [
-        TableWindow(
-            bag.table.data,
-            0,
-            None,
-            history,
-            VersionVector(bag.num_rows) if with_ledger else None,
-        )
-        for bag, history in zip(model.embeddings, histories)
-    ]
-    return [windows], histories, None
-
-
-def ledger_windows(windows: list) -> list:
-    """``(history window, ledger window)`` pairs of a per-shard window
-    layout, one per (table, shard) that keeps a ledger."""
-    return [
-        (window.history, window.ledger)
-        for shard in windows
-        for window in shard
-        if window.ledger is not None
-    ]
-
-
 class LazyNoiseEngine:
     """A trainer's shard states plus the read surface around them.
 
-    ``histories`` speak global row ids whatever the layout (one
-    :class:`HistoryTable` per table, or the sharded facade over the
-    shards' windows), so release, serving and checkpoint code treats
-    every plan uniformly; ``ans`` is a facade sampler for those readers
+    ``histories`` (one :class:`HistoryTable` per table, whose slices are
+    the shards' windows) and ``ledger`` (one :class:`VersionVector` per
+    table, or none) speak global row ids whatever the layout, so
+    release, serving, audit and checkpoint code treats every plan
+    uniformly; ``ans`` is a facade sampler for those readers
     (``export_private_model`` walks global pending rows outside the
     per-shard hot path), never used by a training step.  ``states``
     are :class:`ShardState` objects, or — on the process backend's
@@ -503,8 +497,8 @@ class LazyNoiseEngine:
         self.states = states
         #: ``None`` for one shard: local ids are global ids, nothing to route.
         self.router = router
-        #: :func:`ledger_windows` of the layout (empty: no ledger kept).
-        self.ledger_windows = list(ledger)
+        #: One VersionVector per table (empty: no ledger kept).
+        self.ledgers = list(ledger)
         self.flushed_through: int | None = None
 
     @property
@@ -520,8 +514,8 @@ class LazyNoiseEngine:
 
     @property
     def ledger(self) -> tuple:
-        """Every :class:`VersionVector` window, flattened (audits)."""
-        return tuple(vector for _, vector in self.ledger_windows)
+        """Every table's :class:`VersionVector` (audits)."""
+        return tuple(self.ledgers)
 
     def history_bytes(self) -> int:
         """Total HistoryTable footprint (paper Section 7.2) — the same
@@ -560,8 +554,8 @@ class LazyNoiseEngine:
             ]
 
     def rebase_ledger(self) -> None:
-        """Restart every ledger window from its history window: a row
-        planned through ``i`` at a quiescent point has been applied
-        through ``i`` (checkpoint resume restores histories only)."""
-        for history, vector in self.ledger_windows:
+        """Restart every ledger from its history: a row planned through
+        ``i`` at a quiescent point has been applied through ``i``
+        (checkpoint resume restores histories only)."""
+        for history, vector in zip(self.histories, self.ledgers):
             vector.load_snapshot(history.snapshot())

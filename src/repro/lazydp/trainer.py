@@ -24,9 +24,10 @@ than one shard, obtain this iteration's per-shard noise, apply; every
 table in one task per shard, one fan-out per iteration — and a
 :class:`repro.lazydp.scheduler.Scheduler` decides where each stage runs
 (trainer thread, prefetch worker, apply worker, shard pool, worker
-process).  Flat is the one-shard case, decided from the shard count:
-no partition, no router, no executor — the single shard state runs in
-place against the whole tables.
+process).  Every plan shares one table layout
+(:func:`repro.shard.tables.shard_windows`); flat is its one-range case,
+decided from the shard count: no partition, no router, no executor —
+the single shard state runs in place against the whole tables.
 
 Every placement releases bitwise-identical parameters to the inline
 one-shard run: the noise bits depend only on ``(seed, table, row,
@@ -47,12 +48,7 @@ from ..shard.tables import shard_windows
 from ..train.common import DPConfig
 from ..train.dpsgd import DPSGDFTrainer
 from .ans import ANSEngine
-from .optimizer import (
-    LazyNoiseEngine,
-    ShardState,
-    ledger_windows,
-    whole_table_windows,
-)
+from .optimizer import LazyNoiseEngine, ShardState
 from .scheduler import Scheduler
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
@@ -109,13 +105,9 @@ class LazyDPTrainer(DPSGDFTrainer):
     def _build_engine(self) -> LazyNoiseEngine:
         """Shard-local state for every shard of ``self.plan``, in this
         process.  A plan with deferred applies keeps a ledger."""
-        with_ledger = self.scheduler.defers_apply
-        if self.plan is None:
-            windows, histories, router = whole_table_windows(self.model, with_ledger)
-        else:
-            windows, histories, router = shard_windows(
-                self.model, self.plan, with_ledger
-            )
+        windows, histories, ledgers, router = shard_windows(
+            self.model, self.plan, self.scheduler.defers_apply
+        )
         # The one shard of an all-inline plan runs on the trainer thread
         # and reports into the trainer's own stage breakdown.
         inline = self.num_shards == 1 and not self.scheduler.prefetches
@@ -135,7 +127,7 @@ class LazyDPTrainer(DPSGDFTrainer):
             histories,
             states,
             router,
-            ledger=ledger_windows(windows),
+            ledger=ledgers,
         )
 
     @property
@@ -297,8 +289,8 @@ class LazyDPTrainer(DPSGDFTrainer):
     # -- the noise ledger --------------------------------------------------------
     @property
     def ledger(self) -> tuple:
-        """Every per-(table, shard) :class:`VersionVector`, flattened;
-        empty under plans that keep no ledger."""
+        """Every table's :class:`VersionVector`; empty under plans that
+        keep no ledger."""
         return self.engine.ledger
 
     def audit_noise_ledger(self, final_iteration: int) -> None:

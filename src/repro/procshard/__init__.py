@@ -5,25 +5,27 @@ model update across threads, but every slab write still serializes on
 the GIL — the memory-bandwidth-bound update the paper scales never sees
 truly parallel writes.  This package is the ``backend="process"`` entry
 in the execution-backend registry (:mod:`repro.session.registry`): each
-shard's worker is a long-lived **process** owning its embedding slab
-and history table in ``multiprocessing.shared_memory``, so slab writes
+shard's worker is a long-lived **process** owning its row range of
+every table's slab, history and ledger, which live in
+``multiprocessing.shared_memory`` in global row order, so slab writes
 proceed GIL-free while the router reads the same bytes zero-copy.
 
 The cross-process contract is deterministic state plus a tiny command
 pipe:
 
-* the :class:`repro.shard.plan.PartitionPlan` is pickled **once** at
-  worker startup (row ownership never changes mid-run);
+* the :class:`repro.shard.plan.PartitionPlan` (``num_shards + 1``
+  bounds per table) is pickled **once** at worker startup (row
+  ownership never changes mid-run);
 * per step the router sends each worker one ``plan`` message — before
   forward/backward, so catch-up sampling runs behind the router's nn
   work — and one ``apply`` message, which the worker maps onto its
   :class:`repro.lazydp.optimizer.ShardState`'s ``plan_all`` / ``step``
   — the same methods every in-process engine runs, so the kernel calls
   are bitwise the serial trainer's;
-* every worker advances a per-process :class:`repro.lazydp.ledger.
-  VersionVector` *segment* in shared memory, and the router's
-  ``audit_noise_ledger`` proves exactly-once noise application across
-  the process boundary.
+* every worker advances its range of each table's
+  :class:`repro.lazydp.ledger.VersionVector` in shared memory, and the
+  router's ``audit_noise_ledger`` proves exactly-once noise application
+  across the process boundary.
 
 Worker death mid-step surfaces as a named :class:`ShardWorkerError` in
 ``train_step``, after the router has terminated the remaining workers

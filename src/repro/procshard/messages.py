@@ -4,8 +4,9 @@ Everything crossing the router <-> worker pipes is defined here, so the
 wire contract is one module.  Two principles keep the pipe small:
 
 * **State crosses once.**  The :class:`WorkerInit` handshake carries
-  the pickled-once :class:`repro.shard.plan.PartitionPlan` and the
-  shared-memory segment names; after that, parameters, histories and
+  the pickled-once :class:`repro.shard.plan.PartitionPlan` (its
+  ``bounds``: ``num_shards + 1`` ints per table) and the shared-memory
+  segment names; after that, parameters, histories and
   ledger segments move through shared memory, never the pipe.
 * **The unit of work is (shard, iteration).**  A step is two messages
   per worker whatever the table count: ``plan`` (stages 2-4 of every
@@ -94,12 +95,9 @@ class TableHandle:
     """Everything a worker needs to reconstruct one table's state."""
 
     table_index: int
-    name: str
-    param_id: int
     num_rows: int
     dim: int
     segments: tuple  # (slab, history, ledger) shared-memory names
-    shard_sizes: tuple
 
 
 @dataclass(frozen=True)

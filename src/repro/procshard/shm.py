@@ -10,18 +10,17 @@ Per embedding table the router allocates three
     same physical pages — the zero-copy contract of the process
     backend.
 ``history``
-    One int32 entry per row, laid out as the concatenation of the
-    shards' *local* windows (shard 0's rows first, then shard 1's, ...,
-    matching :class:`repro.shard.tables.ShardedHistoryTable`'s local
-    addressing).  Worker ``s`` wraps its window with
-    :meth:`repro.lazydp.history.HistoryTable.attach`; the router
-    attaches the same windows so the flat facade APIs (export,
-    checkpointing) keep reading live state.
+    One int32 entry per row, in global row order — the table's one
+    :class:`repro.lazydp.history.HistoryTable`.  A shard owns a
+    contiguous row range, so worker ``s``'s history window is the slice
+    ``[lo, hi)`` (:meth:`~repro.lazydp.history.HistoryTable.window`);
+    the router attaches the whole segment, so export, serving and
+    checkpointing keep reading live state.
 ``ledger``
-    One int64 entry per row, same shard-window layout: the per-process
-    :class:`repro.lazydp.ledger.VersionVector` segments.  Workers
-    advance their segment at apply time; the router attaches all of
-    them for ``audit_noise_ledger``.
+    One int64 entry per row, same global order: the table's one
+    :class:`repro.lazydp.ledger.VersionVector`.  Each worker advances
+    its slice at apply time; the router attaches the whole segment for
+    ``audit_noise_ledger``.
 
 Lifecycle: the router creates the segments, workers attach by name
 during their startup handshake, and once every worker has acked the
@@ -39,21 +38,10 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 
-def _windows(shard_sizes) -> tuple:
-    """Per-shard ``(offset_rows, size_rows)`` of the concatenated layout."""
-    offsets = []
-    start = 0
-    for size in shard_sizes:
-        offsets.append((start, int(size)))
-        start += int(size)
-    return tuple(offsets)
-
-
-def attach_array(segment, shape, dtype, offset_bytes: int = 0) -> np.ndarray:
-    """A writable ndarray view over (part of) a shared-memory segment."""
-    count = int(np.prod(shape)) if shape else 0
-    flat = np.frombuffer(segment.buf, dtype=dtype, count=count, offset=offset_bytes)
-    return flat.reshape(shape)
+def attach_array(segment, shape, dtype) -> np.ndarray:
+    """A writable ndarray view over a shared-memory segment."""
+    count = int(np.prod(shape))
+    return np.frombuffer(segment.buf, dtype=dtype, count=count).reshape(shape)
 
 
 def release_segment(segment) -> None:
@@ -103,21 +91,25 @@ def unregister_attachment(segment) -> None:
         pass
 
 
-class TableSegments:
+class _Views:
+    """The three whole-segment views, shared by both sides."""
+
+    def slab_array(self) -> np.ndarray:
+        return attach_array(self.slab, (self.num_rows, self.dim), np.float64)
+
+    def history_array(self) -> np.ndarray:
+        return attach_array(self.history, (self.num_rows,), np.int32)
+
+    def ledger_array(self) -> np.ndarray:
+        return attach_array(self.ledger, (self.num_rows,), np.int64)
+
+
+class TableSegments(_Views):
     """Creator-side handle on one table's three shared segments."""
 
-    def __init__(
-        self,
-        table_index: int,
-        num_rows: int,
-        dim: int,
-        shard_sizes,
-    ):
-        self.table_index = int(table_index)
+    def __init__(self, num_rows: int, dim: int):
         self.num_rows = int(num_rows)
         self.dim = int(dim)
-        self.shard_sizes = tuple(int(s) for s in shard_sizes)
-        self.shard_windows = _windows(self.shard_sizes)
         self.slab = shared_memory.SharedMemory(
             create=True, size=max(1, num_rows * dim * 8)
         )
@@ -129,25 +121,9 @@ class TableSegments:
         )
         # Fresh state: zero mirrors the "noise through iteration 0
         # applied" convention of HistoryTable and VersionVector.
-        attach_array(self.history, (num_rows,), np.int32)[...] = 0
-        attach_array(self.ledger, (num_rows,), np.int64)[...] = 0
+        self.history_array()[...] = 0
+        self.ledger_array()[...] = 0
         self._unlinked = False
-
-    # -- router-side views --------------------------------------------------
-    def slab_array(self) -> np.ndarray:
-        return attach_array(self.slab, (self.num_rows, self.dim), np.float64)
-
-    def history_window(self, shard: int) -> np.ndarray | None:
-        offset, size = self.shard_windows[shard]
-        if size == 0:
-            return None
-        return attach_array(self.history, (size,), np.int32, offset * 4)
-
-    def ledger_window(self, shard: int) -> np.ndarray | None:
-        offset, size = self.shard_windows[shard]
-        if size == 0:
-            return None
-        return attach_array(self.ledger, (size,), np.int64, offset * 8)
 
     def names(self) -> tuple:
         return (self.slab.name, self.history.name, self.ledger.name)
@@ -175,42 +151,19 @@ class TableSegments:
             release_segment(segment)
 
 
-class AttachedSegments:
+class AttachedSegments(_Views):
     """Worker-side handle on one table's segments (attach by name)."""
 
-    def __init__(
-        self,
-        names,
-        num_rows: int,
-        dim: int,
-        shard_sizes,
-        unregister: bool = False,
-    ):
+    def __init__(self, names, num_rows: int, dim: int, unregister: bool = False):
         slab_name, history_name, ledger_name = names
         self.num_rows = int(num_rows)
         self.dim = int(dim)
-        self.shard_windows = _windows(shard_sizes)
         self.slab = shared_memory.SharedMemory(name=slab_name)
         self.history = shared_memory.SharedMemory(name=history_name)
         self.ledger = shared_memory.SharedMemory(name=ledger_name)
         if unregister:
             for segment in (self.slab, self.history, self.ledger):
                 unregister_attachment(segment)
-
-    def slab_array(self) -> np.ndarray:
-        return attach_array(self.slab, (self.num_rows, self.dim), np.float64)
-
-    def history_window(self, shard: int) -> np.ndarray | None:
-        offset, size = self.shard_windows[shard]
-        if size == 0:
-            return None
-        return attach_array(self.history, (size,), np.int32, offset * 4)
-
-    def ledger_window(self, shard: int) -> np.ndarray | None:
-        offset, size = self.shard_windows[shard]
-        if size == 0:
-            return None
-        return attach_array(self.ledger, (size,), np.int64, offset * 8)
 
     def close(self) -> None:
         for segment in (self.slab, self.history, self.ledger):

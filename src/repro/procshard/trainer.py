@@ -16,12 +16,13 @@ rematerialisation.
 Construction sequence:
 
 1. every table's parameters are *moved* into shared memory (one copy,
-   at startup) and the model re-adopted over the mapping, so
+   at startup) and the model's parameter re-pointed at the mapping, so
    forward/backward and worker writes share pages zero-copy;
-2. the engine's per-shard HistoryTables and
-   :class:`repro.lazydp.ledger.VersionVector` windows are built over
-   shared-memory windows beside them (:meth:`audit_noise_ledger` audits
-   these after the flush);
+2. the engine's per-table HistoryTable and
+   :class:`repro.lazydp.ledger.VersionVector` are built over shared
+   memory beside them, in global row order; each worker works on its
+   shard's row range of all three (:meth:`audit_noise_ledger` audits
+   the ledgers after the flush);
 3. workers start, attach, ack ``ready`` — then the router **unlinks**
    every segment name, so even a SIGKILLed run leaks no ``/dev/shm``
    entries.
@@ -46,13 +47,13 @@ import numpy as np
 from ..kernels import lanes
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
-from ..lazydp.optimizer import LazyNoiseEngine, ledger_windows
+from ..lazydp.optimizer import LazyNoiseEngine
 from ..lazydp.trainer import LazyDPTrainer
 from ..nn.dlrm import DLRM
 from ..rng import native_status, vector_isa
 from ..shard.executor import ShardExecutor
 from ..shard.plan import PartitionPlan, build_partition_plan
-from ..shard.tables import ShardedEmbeddingBag, check_partition, shard_windows
+from ..shard.tables import check_partition, shard_windows
 from ..train.common import DPConfig
 from .messages import (
     CMD_APPLY,
@@ -213,18 +214,13 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         """Move every table (+ history, + ledger) into shared memory;
         the shard states themselves are built by the workers."""
         check_partition(self.model, self.plan)  # before anything is moved
-        for t, bag in enumerate(self.model.embeddings):
-            segments = TableSegments(
-                t,
-                bag.num_rows,
-                bag.dim,
-                [rows.size for rows in self.plan.table(t).shard_rows],
-            )
+        for bag in self.model.embeddings:
+            segments = TableSegments(bag.num_rows, bag.dim)
             self._segments.append(segments)
             slab = segments.slab_array()
             np.copyto(slab, bag.table.data)
             bag.table.data = slab
-        windows, histories, router = shard_windows(
+        _, histories, ledgers, router = shard_windows(
             self.model, self.plan, with_ledger=True, segments=self._segments
         )
         #: Router-side per-shard timers, folded from the workers' acks.
@@ -234,19 +230,16 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
             histories,
             self._workers,
             router,
-            ledger=ledger_windows(windows),
+            ledger=ledgers,
         )
 
     def _worker_init(self, shard: int) -> WorkerInit:
         tables = tuple(
             TableHandle(
                 table_index=t,
-                name=bag.table.name,
-                param_id=bag.table.param_id,
                 num_rows=bag.num_rows,
                 dim=bag.dim,
                 segments=self._segments[t].names(),
-                shard_sizes=self._segments[t].shard_sizes,
             )
             for t, bag in enumerate(self.model.embeddings)
         )
@@ -464,20 +457,14 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
             segment_group.close()
 
     def _materialize_private_copies(self) -> None:
-        for t, bag in enumerate(self.model.embeddings):
-            table = bag.table
-            table.data = np.array(table.data, copy=True)
-            self.model.embeddings[t] = ShardedEmbeddingBag(table, self.plan.table(t))
+        for bag in self.model.embeddings:
+            bag.table.data = np.array(bag.table.data, copy=True)
         engine = self.engine
-        private = {}  # id(shared history window) -> its private copy
-        for history in engine.histories:
-            for s, shard in enumerate(history.shards):
-                if shard is not None:
-                    copy = HistoryTable.attach(shard.snapshot())
-                    private[id(shard)] = history.shards[s] = copy
-        engine.ledger_windows = [
-            (private[id(shard)], VersionVector.attach(vector.snapshot()))
-            for shard, vector in engine.ledger_windows
+        engine.histories = [
+            HistoryTable.attach(history.snapshot()) for history in engine.histories
+        ]
+        engine.ledgers = [
+            VersionVector.attach(vector.snapshot()) for vector in engine.ledgers
         ]
 
     def _abort(self) -> None:

@@ -1,19 +1,19 @@
 """The long-lived shard worker process.
 
-One worker owns one shard: its slab windows of every table, its history
-windows and its ledger segments, all attached from the router's shared
-memory at startup (:class:`repro.procshard.messages.WorkerInit`) and
-wrapped in the same :class:`repro.lazydp.optimizer.ShardState` the
-in-process engines run.  The command loop only maps messages onto its
-methods — ``plan`` -> ``plan_all``, ``apply`` -> ``step``, ``flush`` ->
-``flush_all`` — so the kernel-call sequence exists once, and the
+One worker owns one shard: its row range of every table's slab, history
+and ledger, all attached from the router's shared memory at startup
+(:class:`repro.procshard.messages.WorkerInit`) and wrapped in the same
+:class:`repro.lazydp.optimizer.ShardState` the in-process engines run.
+The command loop only maps messages onto its methods — ``plan`` ->
+``plan_all``, ``apply`` -> ``step``, ``flush`` -> ``flush_all`` — so
+the kernel-call sequence exists once, and the
 process backend is bitwise identical to the serial trainer for the same
 reason every other placement is: noise is a pure function of ``(seed,
 table, global row, iteration)`` and each row's arithmetic happens
 exactly once, in one process, in the flat trainer's order.
 
-Every ``apply`` and ``flush`` also advances the shard's
-:class:`repro.lazydp.ledger.VersionVector` segment (inside
+Every ``apply`` and ``flush`` also advances the shard's window of the
+table's :class:`repro.lazydp.ledger.VersionVector` (inside
 ``ShardState``, after the write), so the router can prove exactly-once
 noise application across the process boundary after the terminal flush.
 
@@ -33,9 +33,7 @@ import traceback
 
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
-from ..lazydp.optimizer import ShardState
-from ..nn.parameter import Parameter
-from ..shard.tables import ShardSlab
+from ..lazydp.optimizer import ShardState, TableWindow
 from ..train.common import StageTimer
 from .messages import (
     CMD_APPLY,
@@ -80,23 +78,18 @@ def _attach_state(init: WorkerInit, recorder, attached: list) -> ShardState:
     state; the segment handles are appended to ``attached`` for the
     shutdown path to close once the state is gone.
     """
-    shard = init.worker_index
     windows = []
     for handle in init.tables:
-        segments = AttachedSegments(
-            handle.segments, handle.num_rows, handle.dim, handle.shard_sizes
-        )
+        segments = AttachedSegments(handle.segments, handle.num_rows, handle.dim)
         attached.append(segments)
-        param = Parameter(
-            handle.name, segments.slab_array(), handle.param_id, is_embedding=True
-        )
-        history = segments.history_window(shard)
-        ledger = segments.ledger_window(shard)
-        slab = ShardSlab(param, init.plan.table(handle.table_index), shard)
+        lo, hi = init.plan.table(handle.table_index).shard_range(init.worker_index)
         windows.append(
-            slab.window(
-                None if history is None else HistoryTable.attach(history),
-                None if ledger is None else VersionVector.attach(ledger),
+            TableWindow(
+                segments.slab_array(),
+                lo,
+                hi,
+                HistoryTable.attach(segments.history_array()),
+                VersionVector.attach(segments.ledger_array()),
             )
         )
     return ShardState(windows, init.mechanism, timer=StageTimer(tracer=recorder))

@@ -4,9 +4,9 @@
 :class:`repro.lazydp.trainer.LazyDPTrainer` is constructed from — no
 class is picked or assembled per combination:
 
-* the ``shards`` axis becomes a :class:`repro.shard.PartitionPlan`
-  (none at all for one shard: flat is the one-shard case, decided from
-  the shard count);
+* the ``shards`` axis becomes a :class:`repro.shard.PartitionPlan` of
+  contiguous row ranges (none at all for one shard: flat is the
+  one-range case, decided from the shard count);
 * the ``pipeline`` / ``async`` axes become a
   :class:`repro.lazydp.scheduler.Scheduler`, which places the noise and
   apply stages (trainer thread / prefetch worker / apply worker);
@@ -89,8 +89,8 @@ class TrainSession:
 
         ``skew`` (trace skew for the frequency partitioner) and
         ``partition_plan`` (a prebuilt
-        :class:`repro.shard.PartitionPlan`) are live-object inputs that
-        only make sense for sharded plans.  ``schedule`` (an
+        :class:`repro.shard.PartitionPlan` with the plan's shard count)
+        are live-object inputs that only make sense for sharded plans.  ``schedule`` (an
         :class:`repro.train.schedules.LRSchedule`; default: the constant
         ``dp.learning_rate``) applies under every plan: the trainer's
         sample-stage mechanism weights deferred noise by its origin
@@ -106,8 +106,15 @@ class TrainSession:
                 "skew / partition_plan only apply to sharded plans "
                 "(set plan.shards)"
             )
-        # Flat is one shard: no partition is built for it (the index
-        # arrays alone would rival the history tables in size).
+        if partition_plan is not None and partition_plan.num_shards != num_shards:
+            # The label, the threads pool size and the process:K check
+            # all read the plan's count; the trainer would run this one.
+            raise ValueError(
+                f"partition_plan has {partition_plan.num_shards} shard(s), "
+                f"but the plan has {num_shards} (plan spec: "
+                f"shards={partition_plan.num_shards})"
+            )
+        # Flat is the one-range case: no partition is built for it.
         if partition_plan is None and num_shards > 1:
             partition_plan = build_partition_plan(
                 model.config, num_shards, strategy=plan.shards.partition, skew=skew

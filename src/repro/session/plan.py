@@ -117,22 +117,12 @@ class ExecutionPlan:
     def __post_init__(self):
         if self.shards is not None and not isinstance(self.shards, ShardConfig):
             raise ValueError("shards must be a ShardConfig or None")
-        if self.pipeline is not None:
-            if not isinstance(self.pipeline, PipelineConfig):
-                raise ValueError("pipeline must be a PipelineConfig or None")
-            if not self.pipeline.enabled:
-                raise ValueError(
-                    "pipeline axis is present but disabled; use pipeline=None "
-                    "for the inline catch-up path"
-                )
-        if self.async_ is not None:
-            if not isinstance(self.async_, AsyncConfig):
-                raise ValueError("async_ must be an AsyncConfig or None")
-            if not self.async_.enabled:
-                raise ValueError(
-                    "async axis is present but disabled; use async_=None "
-                    "for synchronous applies"
-                )
+        if self.pipeline is not None and not isinstance(
+            self.pipeline, PipelineConfig
+        ):
+            raise ValueError("pipeline must be a PipelineConfig or None")
+        if self.async_ is not None and not isinstance(self.async_, AsyncConfig):
+            raise ValueError("async_ must be an AsyncConfig or None")
         if self.obs is not None and not isinstance(
             self.obs, ObservabilityConfig
         ):
@@ -312,7 +302,7 @@ class ExecutionPlan:
         if depth is not None and depth < 0:
             raise ValueError("invalid plan spec: pipeline must be >= 0")
         pipeline = (
-            PipelineConfig(enabled=True, prefetch_depth=depth)
+            PipelineConfig(prefetch_depth=depth)
             if depth
             else None
         )
@@ -337,7 +327,6 @@ class ExecutionPlan:
                     "(drop pipeline=0 or set a depth >= 1)"
                 )
             async_ = AsyncConfig(
-                enabled=True,
                 max_in_flight=(
                     _parse_int("inflight", values["inflight"])
                     if "inflight" in values

@@ -7,17 +7,17 @@ and the schedule — the update itself is
 :class:`repro.lazydp.optimizer.ShardState`, the same code for one shard
 or many:
 
-* :mod:`plan <repro.shard.plan>` — :class:`PartitionPlan` + planners
-  (``row_range`` / ``frequency`` / ``hash``), frequency-balanced from
-  observed trace statistics.
-* :mod:`router <repro.shard.router>` — :class:`ShardRouter` scattering a
-  batch's per-table indices into shard-local index arrays and gathering
-  results back.
-* :mod:`tables <repro.shard.tables>` — :class:`ShardedEmbeddingBag`
-  (per-shard ``Parameter`` slabs), :class:`ShardedHistoryTable`
-  (per-shard delay bookkeeping, flat-API compatible) and
-  :func:`shard_windows`, which lays a model out as per-shard
-  :class:`repro.lazydp.optimizer.TableWindow` lists.
+* :mod:`plan <repro.shard.plan>` — :class:`PartitionPlan`: every table
+  cut into contiguous row ranges (``bounds``, ``num_shards + 1`` ints
+  per table) by the ``row_range`` or ``frequency`` planner, the latter
+  balanced from observed or modelled access mass.
+* :mod:`router <repro.shard.router>` — :class:`ShardRouter` splitting a
+  batch's sorted per-table rows into per-shard slices with local ids
+  ``row - lo``, and gathering results back.
+* :mod:`tables <repro.shard.tables>` — :func:`shard_windows`, the one
+  layout every plan shares: one slab, one HistoryTable and one
+  VersionVector per table, each shard's
+  :class:`repro.lazydp.optimizer.TableWindow` a slice view of them.
 * :mod:`executor <repro.shard.executor>` — serial and thread-pool shard
   executors.
 """
@@ -31,17 +31,11 @@ from .plan import (
     access_weights_from_trace,
     build_partition_plan,
     partition_frequency,
-    partition_hash,
     partition_row_range,
     plan_from_loader,
 )
 from .router import RoutedIndices, ShardRouter
-from .tables import (
-    ShardedEmbeddingBag,
-    ShardedHistoryTable,
-    ShardSlab,
-    shard_windows,
-)
+from .tables import shard_windows
 
 __all__ = [
     "SerialExecutor",
@@ -54,13 +48,9 @@ __all__ = [
     "access_weights_from_trace",
     "build_partition_plan",
     "partition_frequency",
-    "partition_hash",
     "partition_row_range",
     "plan_from_loader",
     "RoutedIndices",
     "ShardRouter",
-    "ShardedEmbeddingBag",
-    "ShardedHistoryTable",
-    "ShardSlab",
     "shard_windows",
 ]

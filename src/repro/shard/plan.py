@@ -1,24 +1,24 @@
 """Partitioning embedding tables into shards.
 
-A :class:`PartitionPlan` assigns every row of every embedding table to
-exactly one of ``num_shards`` shards.  Three strategies are provided:
+A :class:`PartitionPlan` cuts every embedding table into ``num_shards``
+contiguous row ranges: shard ``s`` of a table owns rows ``[bounds[s],
+bounds[s + 1])``.  A shard's parameters, history and ledger are then
+slice views of the table's one slab, one HistoryTable and one
+VersionVector, and the plan itself is ``num_shards + 1`` integers per
+table — no per-row map.  Two strategies place the cut points:
 
-* ``"row_range"`` — contiguous equal-row ranges.  The default: shard
-  boundaries are cache-friendly, per-shard parameter slabs are zero-copy
-  views of the flat table, and with the paper's uniform trace every shard
-  sees the same expected load.
-* ``"frequency"`` — contiguous ranges whose *cut points* are chosen so
-  each shard carries an equal share of the observed (or modelled) access
-  mass.  With skewed traces (paper Figure 13d) equal-row ranges would
-  leave the shard owning the hot head doing nearly all the catch-up work;
+* ``"row_range"`` — equal-row ranges.  The default: with the paper's
+  uniform trace every shard sees the same expected load.
+* ``"frequency"`` — ranges whose *cut points* are chosen so each shard
+  carries an equal share of the observed (or modelled) access mass.
+  With skewed traces (paper Figure 13d) equal-row ranges would leave
+  the shard owning the hot head doing nearly all the catch-up work;
   frequency cuts rebalance it while keeping ranges contiguous.
-* ``"hash"`` — rows are scattered by a splitmix64 hash.  Statistically
-  balances any skew without needing a trace, at the cost of
-  non-contiguous shards (per-shard updates become gather/scatter).
 
-Row-to-shard assignment is deterministic given (strategy, num_shards,
-weights), so two processes building the same plan agree on ownership —
-the property a future multi-node deployment needs.
+The cut points are deterministic given (strategy, num_shards, weights),
+so two processes building the same plan agree on ownership — the
+property a future multi-node deployment needs.  With more shards than
+rows the trailing shards own empty ranges.
 """
 
 from __future__ import annotations
@@ -29,56 +29,38 @@ import numpy as np
 
 from ..configs import DLRMConfig, SHARD_PARTITIONS
 from ..data.skew import SkewSpec, zipf_weights
-from ..rng.philox import splitmix64
 
 #: Single source of truth lives in configs (CLI choices + ShardConfig
 #: validation read it there); re-exported under the planner's name.
 PARTITION_STRATEGIES = SHARD_PARTITIONS
 
-#: Salt for the hash strategy, fixed so plans are reproducible.
-_HASH_SALT = np.uint64(0x5A5DC0DE)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq would compare ``bounds`` elementwise
 class TablePartition:
-    """One table's row -> shard assignment.
+    """One table's cut into contiguous shard ranges.
 
-    ``shard_rows[s]`` holds the sorted global row ids owned by shard
-    ``s``; ``shard_of``/``local_of`` are dense per-row lookup arrays used
-    by the router (``local_of[r]`` is ``r``'s index within its owning
-    shard's row list).  ``contiguous`` marks range partitions, for which
-    per-shard parameter slabs can be plain slice views.
+    ``bounds`` holds ``num_shards + 1`` non-decreasing row ids from 0 to
+    ``num_rows``; shard ``s`` owns ``[bounds[s], bounds[s + 1])``.
+    ``weights_balanced`` is the heaviest shard's access mass over the
+    mean (1.0 is perfectly balanced).
     """
 
     table_index: int
     num_rows: int
-    shard_rows: tuple  # tuple of np.ndarray, one per shard
-    shard_of: np.ndarray  # (num_rows,) int32
-    local_of: np.ndarray  # (num_rows,) int64
-    contiguous: bool
-    weights_balanced: float = 1.0  # max shard mass / mean shard mass
+    bounds: np.ndarray  # (num_shards + 1,) int64
+    weights_balanced: float = 1.0
 
     @property
     def num_shards(self) -> int:
-        return len(self.shard_rows)
+        return int(self.bounds.size) - 1
+
+    def shard_range(self, shard: int) -> tuple:
+        """``(lo, hi)``: the rows shard ``shard`` owns."""
+        return int(self.bounds[shard]), int(self.bounds[shard + 1])
 
     def shard_size(self, shard: int) -> int:
-        return int(self.shard_rows[shard].size)
-
-    def validate(self) -> None:
-        """Every row owned exactly once, lookups consistent (tests)."""
-        seen = (
-            np.concatenate([rows for rows in self.shard_rows])
-            if self.shard_rows
-            else np.empty(0, dtype=np.int64)
-        )
-        if np.unique(seen).size != self.num_rows or seen.size != self.num_rows:
-            raise AssertionError("rows must partition the table exactly")
-        for s, rows in enumerate(self.shard_rows):
-            if np.any(self.shard_of[rows] != s):
-                raise AssertionError("shard_of inconsistent with shard_rows")
-            if np.any(self.local_of[rows] != np.arange(rows.size)):
-                raise AssertionError("local_of inconsistent with shard_rows")
+        lo, hi = self.shard_range(shard)
+        return hi - lo
 
 
 @dataclass(frozen=True)
@@ -96,17 +78,10 @@ class PartitionPlan:
     def table(self, index: int) -> TablePartition:
         return self.tables[index]
 
-    def max_shard_rows(self) -> int:
-        """Rows of the heaviest shard across tables (per-shard capacity)."""
-        return max(
-            max((rows.size for rows in part.shard_rows), default=0)
-            for part in self.tables
-        )
-
     def describe(self) -> str:
         lines = [f"PartitionPlan: {self.num_shards} shards, strategy={self.strategy}"]
         for part in self.tables:
-            sizes = [rows.size for rows in part.shard_rows]
+            sizes = np.diff(part.bounds).tolist()
             lines.append(
                 f"  table {part.table_index}: {part.num_rows} rows -> "
                 f"{sizes} (imbalance {part.weights_balanced:.2f}x)"
@@ -114,33 +89,20 @@ class PartitionPlan:
         return "\n".join(lines)
 
 
-def _partition_from_shard_of(
-    table_index: int,
-    shard_of: np.ndarray,
-    num_shards: int,
-    contiguous: bool,
-    weights: np.ndarray | None,
+def _partition(
+    table_index: int, bounds, num_shards: int, masses: np.ndarray
 ) -> TablePartition:
-    num_rows = shard_of.shape[0]
-    local_of = np.zeros(num_rows, dtype=np.int64)
-    shard_rows = []
-    for s in range(num_shards):
-        rows = np.nonzero(shard_of == s)[0].astype(np.int64)
-        local_of[rows] = np.arange(rows.size, dtype=np.int64)
-        shard_rows.append(rows)
-    imbalance = 1.0
-    if weights is not None and weights.sum() > 0:
-        masses = np.array([float(weights[rows].sum()) for rows in shard_rows])
-        mean = masses.mean()
-        if mean > 0:
-            imbalance = float(masses.max() / mean)
+    """The partition cut at ``bounds`` (one range per shard that gets
+    rows), padded with empty ranges at the end up to ``num_shards``."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    num_rows = int(bounds[-1])
+    mean = masses.mean()
+    imbalance = float(masses.max() / mean) if mean > 0 else 1.0
+    padding = num_shards + 1 - bounds.size
     return TablePartition(
         table_index=table_index,
         num_rows=num_rows,
-        shard_rows=tuple(shard_rows),
-        shard_of=shard_of.astype(np.int32),
-        local_of=local_of,
-        contiguous=contiguous,
+        bounds=np.pad(bounds, (0, padding), constant_values=num_rows),
         weights_balanced=imbalance,
     )
 
@@ -148,16 +110,10 @@ def _partition_from_shard_of(
 def partition_row_range(
     table_index: int, num_rows: int, num_shards: int
 ) -> TablePartition:
-    """Contiguous equal-row ranges (the first ``num_rows % num_shards``
-    shards get one extra row, numpy ``array_split`` style)."""
-    bounds = np.linspace(0, num_rows, num_shards + 1).round().astype(np.int64)
-    shard_of = np.zeros(num_rows, dtype=np.int32)
-    for s in range(num_shards):
-        shard_of[bounds[s] : bounds[s + 1]] = s
-    uniform = np.ones(num_rows, dtype=np.float64)
-    return _partition_from_shard_of(
-        table_index, shard_of, num_shards, contiguous=True, weights=uniform
-    )
+    """Contiguous equal-row ranges (sizes differ by at most one row)."""
+    shards = min(num_shards, num_rows)
+    bounds = np.linspace(0, num_rows, shards + 1).round().astype(np.int64)
+    return _partition(table_index, bounds, num_shards, np.diff(bounds))
 
 
 def partition_frequency(
@@ -177,6 +133,7 @@ def partition_frequency(
     total = weights.sum()
     if total <= 0:
         return partition_row_range(table_index, num_rows, num_shards)
+    shards = min(num_shards, num_rows)
     cumulative = np.cumsum(weights)
     # Adaptive greedy min-max cuts: each shard targets an equal share of
     # the *remaining* mass, so a hot head row is isolated into its own
@@ -185,9 +142,9 @@ def partition_frequency(
     # keeps at least one row while rows remain.
     bounds = [0]
     consumed = 0.0
-    for s in range(num_shards - 1):
+    for s in range(shards - 1):
         start = bounds[-1]
-        remaining_shards = num_shards - s
+        remaining_shards = shards - s
         target = consumed + (total - consumed) / remaining_shards
         cut = int(np.searchsorted(cumulative, target, side="left"))
         # Include the boundary row when that lands closer to the target.
@@ -202,25 +159,9 @@ def partition_frequency(
         consumed = cumulative[cut - 1]
     bounds.append(num_rows)
     bounds = np.maximum.accumulate(np.asarray(bounds, dtype=np.int64))
-    shard_of = np.zeros(num_rows, dtype=np.int32)
-    for s in range(num_shards):
-        shard_of[bounds[s] : bounds[s + 1]] = s
-    return _partition_from_shard_of(
-        table_index, shard_of, num_shards, contiguous=True, weights=weights
-    )
-
-
-def partition_hash(
-    table_index: int, num_rows: int, num_shards: int
-) -> TablePartition:
-    """Scatter rows across shards by a splitmix64 hash of the row id."""
-    rows = np.arange(num_rows, dtype=np.uint64)
-    hashed = splitmix64(rows ^ (_HASH_SALT + np.uint64(table_index)))
-    shard_of = (hashed % np.uint64(num_shards)).astype(np.int32)
-    uniform = np.ones(num_rows, dtype=np.float64)
-    return _partition_from_shard_of(
-        table_index, shard_of, num_shards, contiguous=False, weights=uniform
-    )
+    cumulative = np.concatenate(([0.0], cumulative))
+    masses = cumulative[bounds[1:]] - cumulative[bounds[:-1]]
+    return _partition(table_index, bounds, num_shards, masses)
 
 
 def access_weights_from_trace(per_iteration_rows: list, num_rows: int) -> np.ndarray:
@@ -271,11 +212,8 @@ def build_partition_plan(
         )
     tables = []
     for t, num_rows in enumerate(config.table_rows):
-        shards = min(num_shards, num_rows)
         if strategy == "row_range":
-            part = partition_row_range(t, num_rows, shards)
-        elif strategy == "hash":
-            part = partition_hash(t, num_rows, shards)
+            part = partition_row_range(t, num_rows, num_shards)
         else:
             if weights_per_table is not None:
                 weights = np.asarray(weights_per_table[t], dtype=np.float64)
@@ -286,22 +224,7 @@ def build_partition_plan(
                     )
             else:
                 weights = access_weights_from_skew(num_rows, skew)
-            part = partition_frequency(t, weights, shards)
-        if shards < num_shards:
-            # Pad with empty shards so every table exposes the same shard
-            # count to the router and executor.
-            empty = tuple(
-                np.empty(0, dtype=np.int64) for _ in range(num_shards - shards)
-            )
-            part = TablePartition(
-                table_index=part.table_index,
-                num_rows=part.num_rows,
-                shard_rows=part.shard_rows + empty,
-                shard_of=part.shard_of,
-                local_of=part.local_of,
-                contiguous=part.contiguous,
-                weights_balanced=part.weights_balanced,
-            )
+            part = partition_frequency(t, weights, num_shards)
         tables.append(part)
     return PartitionPlan(
         num_shards=num_shards, strategy=strategy, tables=tuple(tables)

@@ -1,12 +1,12 @@
 """Scattering batch indices to shards and gathering results back.
 
 The router is the glue between global row ids (what batches, gradients
-and the noise stream speak) and shard-local row ids (what per-shard
-parameter slabs and HistoryTables speak).  ``scatter`` splits a global
-index array into per-shard local arrays; ``gather`` reassembles
-per-shard row results into the original order.  Both directions are
-pure permutations — a round trip is exact, which the property tests
-verify on heavily skewed index distributions.
+and the noise stream speak) and shard-local row ids (what a shard's
+history and ledger windows speak).  Every shard owns a contiguous row
+range ``[lo, hi)`` of each table, so ``scatter`` of a sorted row array
+is one ``searchsorted`` against the table's bounds: shard ``s``'s rows
+are a slice of the input and its local ids are ``global - lo``.
+``gather`` reassembles per-shard row results into the input order.
 """
 
 from __future__ import annotations
@@ -15,24 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plan import PartitionPlan, TablePartition
+from .plan import PartitionPlan
 
 
 @dataclass(frozen=True)
 class RoutedIndices:
-    """One table's global index array split by owning shard.
+    """One table's sorted global index array split by owning shard.
 
-    ``local[s]`` are shard-local row ids (positions within shard ``s``'s
-    row list), ``global_rows[s]`` the matching global ids.  ``origin[s]``
-    maps each entry back to its position in the input array, so
-    ``gather`` can restore the original order.
+    ``global_rows[s]`` is shard ``s``'s slice of the input (a view),
+    ``local[s]`` the same rows less the shard's first row, and
+    ``origin[s]`` the ``slice`` of input positions they came from, so
+    ``gather`` can restore the input order.
     """
 
     table_index: int
     input_size: int
     local: tuple  # per shard: (n_s,) int64 local row ids
     global_rows: tuple  # per shard: (n_s,) int64 global row ids
-    origin: tuple  # per shard: (n_s,) int64 input positions
+    origin: tuple  # per shard: slice of input positions
 
     @property
     def num_shards(self) -> int:
@@ -56,38 +56,32 @@ class ShardRouter:
     def num_shards(self) -> int:
         return self.plan.num_shards
 
-    def _partition(self, table_index: int) -> TablePartition:
-        return self.plan.table(table_index)
-
     def scatter(self, table_index: int, rows: np.ndarray) -> RoutedIndices:
-        """Split ``rows`` (global ids, duplicates allowed) by owning shard.
+        """Split ``rows`` (global ids, ascending, duplicates allowed) by
+        owning shard.
 
-        Within each shard the input order is preserved, so sorted unique
-        inputs stay sorted unique per shard — the invariant HistoryTable
-        and ``merge_sparse_updates`` rely on.
+        Each shard's rows are a contiguous slice of the input, so sorted
+        unique inputs stay sorted unique per shard — the invariant
+        HistoryTable and ``merge_sparse_updates`` rely on — and its
+        gradient values are the same slice of the value array.
         """
-        part = self._partition(table_index)
+        part = self.plan.table(table_index)
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= part.num_rows):
+        if rows.size and (rows[0] < 0 or rows[-1] >= part.num_rows):
             raise IndexError(
                 f"row id out of range for table {table_index} "
                 f"({part.num_rows} rows)"
             )
-        owners = part.shard_of[rows]
-        # Stable counting-sort by owner keeps per-shard input order.
-        order = np.argsort(owners, kind="stable")
-        sorted_rows = rows[order]
-        sorted_owners = owners[order]
-        boundaries = np.searchsorted(
-            sorted_owners, np.arange(self.num_shards + 1, dtype=np.int64)
-        )
+        bounds = part.bounds
+        cuts = np.searchsorted(rows, bounds).tolist()
         local, global_rows, origin = [], [], []
-        for s in range(self.num_shards):
-            lo, hi = boundaries[s], boundaries[s + 1]
-            shard_globals = sorted_rows[lo:hi]
-            local.append(part.local_of[shard_globals])
+        for s in range(part.num_shards):
+            span = slice(cuts[s], cuts[s + 1])
+            shard_globals = rows[span]
+            lo = int(bounds[s])
+            local.append(shard_globals - lo if lo else shard_globals)
             global_rows.append(shard_globals)
-            origin.append(order[lo:hi])
+            origin.append(span)
         return RoutedIndices(
             table_index=table_index,
             input_size=rows.size,
@@ -119,13 +113,7 @@ class ShardRouter:
             return np.zeros(shape, dtype=np.float64)
         out_shape = (routed.input_size,) + reference.shape[1:]
         out = np.empty(out_shape, dtype=reference.dtype)
-        for s in range(routed.num_shards):
-            if routed.origin[s].size:
-                out[routed.origin[s]] = per_shard_values[s]
+        for span, values in zip(routed.origin, per_shard_values):
+            if span.stop > span.start:
+                out[span] = values
         return out
-
-    def shard_load(self, table_index: int, rows: np.ndarray) -> np.ndarray:
-        """Per-shard routed counts without materialising the full scatter."""
-        part = self._partition(table_index)
-        owners = part.shard_of[np.asarray(rows, dtype=np.int64)]
-        return np.bincount(owners, minlength=self.num_shards).astype(np.int64)

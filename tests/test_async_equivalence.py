@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import configs
+from repro.data.skew import paper_skew_spec
 from repro.lazydp import LedgerError, Scheduler
 from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff, train_algorithm
@@ -35,10 +36,10 @@ def async_spec(*, use_ans=True, max_in_flight=2, staleness="strict",
     return f"{spec},backend={backend}"
 
 
-def train_async(config, *, sampling="fixed", num_batches=6, **kwargs):
+def train_async(config, *, sampling="fixed", num_batches=6, skew=None, **kwargs):
     model, result, trainer = train_algorithm(
         async_spec(**kwargs), config, num_batches=num_batches,
-        sampling=sampling,
+        sampling=sampling, skew=skew,
     )
     trainer.close()
     return model, result, trainer
@@ -82,14 +83,16 @@ class TestStrictBitwiseEquivalence:
 
     @pytest.mark.parametrize("max_in_flight", [1, 4])
     def test_sharded_threads_deep_in_flight(self, config, max_in_flight):
-        """The heaviest combination: threaded shards, hash partition,
-        no ANS (exact per-iteration replay), deep in-flight window."""
+        """The heaviest combination: seven threaded shards on uneven
+        frequency-cut ranges under Zipf skew, no ANS (exact
+        per-iteration replay), deep in-flight window."""
+        skew = paper_skew_spec("high", 64)
         serial_model, _, _ = train_algorithm(
-            "lazydp_no_ans", config, num_batches=5
+            "lazydp_no_ans", config, num_batches=5, skew=skew
         )
         async_model, _, _ = train_async(
-            config, use_ans=False, num_batches=5,
-            num_shards=7, partition="hash", backend="threads",
+            config, use_ans=False, num_batches=5, skew=skew,
+            num_shards=7, partition="frequency", backend="threads",
             max_in_flight=max_in_flight,
         )
         assert max_param_diff(serial_model, async_model) == 0.0

@@ -266,7 +266,7 @@ class TestShutdownLeavesNoThreads:
 
     @pytest.mark.parametrize("spec", [
         "async=strict,inflight=2",
-        "shards=3,partition=hash,async=bounded:1,inflight=2",
+        "shards=3,partition=frequency,async=bounded:1,inflight=2",
     ])
     def test_manually_stepped_async_plan_is_auditable(self, config, spec):
         """Outside fit() the apply runs inline on the trainer thread; the

@@ -145,7 +145,7 @@ class TestBackendSpecs:
 
     def test_process_spec_round_trips(self):
         for spec in ("ans=on,shards=2,partition=row_range,backend=process",
-                     "ans=off,shards=7,partition=hash,backend=process:7"):
+                     "ans=off,shards=7,partition=frequency,backend=process:7"):
             plan = ExecutionPlan.from_spec(spec)
             assert plan.to_spec() == spec
             assert ExecutionPlan.from_dict(plan.to_dict()) == plan

@@ -155,7 +155,7 @@ class TestPlanFlag:
 
         main([
             "train", "--rows", "256", "--batch", "16", "--iterations", "2",
-            "--plan", "shards=3,partition=hash,async=bounded:1,inflight=3",
+            "--plan", "shards=3,partition=frequency,async=bounded:1,inflight=3",
         ])
         out = capsys.readouterr().out
         printed = next(

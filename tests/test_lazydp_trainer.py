@@ -6,9 +6,9 @@ import pytest
 from repro import configs, make_private
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.lazydp import ANSEngine, LazyDPTrainer, ShardState
-from repro.lazydp.optimizer import whole_table_windows
 from repro.nn import DLRM
 from repro.rng import NoiseStream
+from repro.shard import shard_windows
 from repro.train import DPConfig
 
 from repro.testing import train_algorithm
@@ -139,7 +139,7 @@ class TestShardState:
 
     def state(self, config):
         model = DLRM(config, seed=0)
-        (windows,), histories, router = whole_table_windows(model, False)
+        (windows,), histories, _, router = shard_windows(model)
         assert router is None
         return ShardState(windows, ANSEngine(NoiseStream(1))), histories
 

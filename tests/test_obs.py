@@ -271,7 +271,7 @@ class TestObservabilityConfig:
                     ObservabilityConfig(metrics=True),
                     ObservabilityConfig(trace=True, metrics=True)):
             plan = ExecutionPlan(
-                pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
+                pipeline=PipelineConfig(prefetch_depth=2),
                 obs=obs,
             )
             assert ExecutionPlan.from_spec(plan.to_spec()) == plan
@@ -289,10 +289,10 @@ class TestObservabilityConfig:
 class TestInstrumentedTraining:
     def test_traced_run_is_bitwise_identical(self, config):
         plain, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
+            pipeline=PipelineConfig(prefetch_depth=2),
         ))
         traced, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
+            pipeline=PipelineConfig(prefetch_depth=2),
             obs=ObservabilityConfig(trace=True, metrics=True),
         ))
         reference = final_parameters(plain)
@@ -357,7 +357,7 @@ class TestInstrumentedTraining:
 
     def test_traced_pipeline_has_overlapping_worker_track(self, config):
         session, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
+            pipeline=PipelineConfig(prefetch_depth=2),
             obs=ObservabilityConfig(trace=True, metrics=True),
         ), iterations=6)
         tracer = session.observability.tracer
@@ -388,7 +388,7 @@ class TestInstrumentedTraining:
 
     def test_async_traced_run_records_inflight(self, config):
         session, result = fit_plan(config, ExecutionPlan(
-            async_=AsyncConfig(enabled=True, max_in_flight=2),
+            async_=AsyncConfig(max_in_flight=2),
             obs=ObservabilityConfig(trace=True, metrics=True),
         ), iterations=6)
         names = session.observability.tracer.track_names()
@@ -462,7 +462,7 @@ class TestTraceTimerAgreement:
         gap = None
         for _ in range(5):
             session, _ = fit_plan(config, ExecutionPlan(
-                pipeline=PipelineConfig(enabled=True, prefetch_depth=2),
+                pipeline=PipelineConfig(prefetch_depth=2),
                 obs=ObservabilityConfig(trace=True, metrics=True),
             ), iterations=12, batch=256)
             summary = trace_report.summarize(

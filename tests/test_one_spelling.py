@@ -7,11 +7,16 @@ mechanism touches ``repro/lazydp/ans.py`` and no engine file.  Likewise
 the three hot kernels: one table, registered once, that no session
 selects — compiled code lands under the reference kernels, not beside
 them under a name.  And the paper's figures: one table of drivers and
-bands, beside the bench runner, not in the library.
+bands, beside the bench runner, not in the library.  And the table
+layout: every plan slices the model's own tables, one history and one
+ledger per table, by row ranges — no wrapper bag, no per-row map.
 """
 
 import pathlib
 import re
+
+import numpy as np
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -110,3 +115,115 @@ def test_the_figures_live_beside_the_bench_runner():
     assert files(grep(r"^def make_trainer[(]")) == ["src/repro/session/builder.py"]
     assert files(grep(r"^def format_table[(]")) == ["src/repro/obs/table.py"]
     assert grep(r"ALL_FIG" r"URES|TOLER" r"ANCES") == []
+
+
+# -- the one table layout ------------------------------------------------------
+
+LAYOUT_SHARDS = ["", "shards=1", "shards=2", "shards=7"]
+LAYOUT_BACKENDS = ["numpy", "threads", "process"]
+
+
+def composed_plans():
+    """Every (shards, backend) pair the plan language accepts."""
+    from repro.session import ExecutionPlan
+
+    plans = []
+    for shards in LAYOUT_SHARDS:
+        for backend in LAYOUT_BACKENDS:
+            spec = ",".join(part for part in (shards, f"backend={backend}") if part)
+            try:
+                plans.append(ExecutionPlan.from_spec(spec))
+            except ValueError:
+                continue  # e.g. a flat plan on a backend that needs shards
+    return plans
+
+
+@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.canonical())
+def test_every_plan_keeps_the_models_own_bags(plan):
+    """No plan wraps or re-adopts a bag: the layout slices the model's
+    own tables, through training, the flush and ``close``."""
+    from repro.nn.layers import EmbeddingBag
+
+    model, session = _layout_session(plan)
+    bags = list(model.embeddings)
+    with session:
+        _step_and_flush(session)
+        assert list(model.embeddings) == bags
+    assert list(model.embeddings) == bags
+    assert all(type(bag) is EmbeddingBag for bag in bags)
+
+
+@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.canonical())
+def test_one_history_per_table_and_windows_are_slices_of_it(plan):
+    from repro.lazydp.history import HistoryTable
+
+    model, session = _layout_session(plan)
+    with session:
+        engine = session.trainer.engine
+        for t, bag in enumerate(model.embeddings):
+            history = engine.histories[t]
+            assert type(history) is HistoryTable
+            storage = history._last_updated
+            assert storage.dtype == np.int32 and storage.shape == (bag.num_rows,)
+            windows = [
+                state.windows[t] for state in engine.states
+                if hasattr(state, "windows")   # process workers hold theirs
+            ]
+            for window in windows:
+                if window.history is not None:
+                    assert np.shares_memory(window.history._last_updated, storage)
+        assert engine.history_bytes() == sum(
+            bag.num_rows for bag in model.embeddings
+        ) * 4
+
+
+@pytest.mark.parametrize("strategy", ["row_range", "frequency"])
+def test_a_partition_plan_holds_no_per_row_array(strategy):
+    """At 8 x 250 000 rows the plan is ``num_shards + 1`` cut points per
+    table: no per-row map of any kind."""
+    from repro import configs
+    from repro.data.skew import paper_skew_spec
+    from repro.shard import build_partition_plan
+
+    config = configs.small_dlrm(rows=250_000)
+    plan = build_partition_plan(
+        config, 2, strategy, skew=paper_skew_spec("high", 250_000)
+    )
+    arrays = list(_arrays_in(plan))
+    assert len(arrays) == config.num_tables
+    assert max(array.size for array in arrays) <= plan.num_shards + 1
+
+
+def _arrays_in(value):
+    """Every ndarray reachable through dataclass fields and tuples."""
+    import dataclasses
+
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays_in(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item)
+
+
+def _layout_session(plan):
+    from repro import configs
+    from repro.nn import DLRM
+    from repro.session import TrainSession
+    from repro.train import DPConfig
+
+    model = DLRM(configs.tiny_dlrm(num_tables=2, rows=40, dim=4, lookups=2), seed=7)
+    return model, TrainSession.build(model, DPConfig(), plan, noise_seed=3)
+
+
+def _step_and_flush(session):
+    from repro.data import LookaheadLoader
+    from repro.testing import make_loader
+
+    session.trainer.expected_batch_size = 8
+    loader = make_loader(session.model.config, batch_size=8, num_batches=2)
+    for index, batch, upcoming in LookaheadLoader(loader):
+        session.train_step(index + 1, batch, upcoming)
+    session.finalize(2)

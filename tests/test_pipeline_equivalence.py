@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import configs
+from repro.data.skew import paper_skew_spec
 from repro.data import LookaheadLoader
 from repro.lazydp import LazyDPTrainer, Scheduler, export_private_model
 from repro.nn import DLRM
@@ -35,10 +36,10 @@ def pipeline_spec(*, use_ans=True, prefetch_depth=2, num_shards=0,
     return f"{spec},backend={backend}"
 
 
-def train_pipelined(config, *, sampling="fixed", num_batches=6, **kwargs):
+def train_pipelined(config, *, sampling="fixed", num_batches=6, skew=None, **kwargs):
     model, result, trainer = train_algorithm(
         pipeline_spec(**kwargs), config, num_batches=num_batches,
-        sampling=sampling,
+        sampling=sampling, skew=skew,
     )
     trainer.close()
     return model, result, trainer
@@ -86,13 +87,15 @@ class TestBitwiseEquivalence:
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 
     def test_sharded_pipelined_threads_no_ans(self, config):
-        """The heaviest combination: threads, hash shards, exact replay."""
+        """The heaviest combination: threads, seven uneven
+        frequency-cut shards under Zipf skew, exact replay."""
+        skew = paper_skew_spec("high", 64)
         flat_model, _, _ = train_algorithm(
-            "lazydp_no_ans", config, num_batches=5
+            "lazydp_no_ans", config, num_batches=5, skew=skew
         )
         pipelined_model, _, _ = train_pipelined(
-            config, use_ans=False, num_batches=5, num_shards=7,
-            partition="hash", backend="threads", prefetch_depth=3,
+            config, use_ans=False, num_batches=5, num_shards=7, skew=skew,
+            partition="frequency", backend="threads", prefetch_depth=3,
         )
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 

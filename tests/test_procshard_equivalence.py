@@ -21,6 +21,7 @@ import pytest
 
 from repro import configs
 from repro.data import LookaheadLoader
+from repro.data.skew import paper_skew_spec
 from repro.lazydp.ledger import LedgerError
 from repro.nn import DLRM
 from repro.rng import native_status
@@ -35,12 +36,14 @@ def config():
 
 
 def train_process(config, *, num_shards=2, sampling="fixed", use_ans=True,
-                  partition="row_range", num_batches=6, audit=True):
+                  partition="row_range", num_batches=6, audit=True, skew=None):
+    """``skew`` skews the trace and, under ``partition=frequency``,
+    cuts the ranges by its mass."""
     ans = "on" if use_ans else "off"
     spec = (f"ans={ans},shards={num_shards},partition={partition},"
             "backend=process")
     model, result, trainer = train_algorithm(
-        spec, config, num_batches=num_batches, sampling=sampling,
+        spec, config, num_batches=num_batches, sampling=sampling, skew=skew,
     )
     if audit:
         trainer.audit_noise_ledger(result.iterations)
@@ -72,11 +75,16 @@ class TestBitwiseEquivalence:
         )
         assert max_param_diff(flat_model, proc_model) == 0.0
 
-    @pytest.mark.parametrize("partition", ["frequency", "hash"])
+    @pytest.mark.parametrize("partition", ["row_range", "frequency"])
     def test_identical_across_partitions(self, config, partition):
-        flat_model, _, _ = train_algorithm("lazydp", config, num_batches=6)
+        """Seven workers under Zipf skew; the frequency cut gives them
+        uneven ranges."""
+        skew = paper_skew_spec("high", 64)
+        flat_model, _, _ = train_algorithm(
+            "lazydp", config, num_batches=6, skew=skew
+        )
         proc_model, _, _ = train_process(
-            config, num_shards=4, partition=partition
+            config, num_shards=7, partition=partition, skew=skew
         )
         assert max_param_diff(flat_model, proc_model) == 0.0
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.configs import DLRMConfig
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
+from repro.data.skew import paper_skew_spec
 from repro.lazydp.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession, make_trainer
@@ -37,6 +38,8 @@ geometries = st.fixed_dictionaries({
     "batch": st.integers(min_value=1, max_value=24),
     "iterations": st.integers(min_value=1, max_value=7),
     "seed": st.integers(min_value=0, max_value=10_000),
+    # Zipf skew also cuts frequency partitions into uneven ranges.
+    "skew": st.sampled_from(["random", "high"]),
 })
 
 
@@ -156,7 +159,7 @@ shard_axis = st.one_of(
     st.builds(
         "shards={},partition={}".format,
         st.integers(min_value=1, max_value=7),
-        st.sampled_from(["row_range", "frequency", "hash"]),
+        st.sampled_from(["row_range", "frequency"]),
     ),
 )
 pipeline_axis = st.sampled_from(["", "pipeline=1", "pipeline=2", "pipeline=4"])
@@ -209,9 +212,14 @@ def describe(schedule) -> str:
     return f"{type(schedule).__name__}{fields}"
 
 
+def plan_skew(params):
+    return paper_skew_spec(params["skew"], params["rows"])
+
+
 def plan_loader(config, params, sampling):
     dataset = SyntheticClickDataset(
-        config, seed=params["seed"] + 2, num_examples=512
+        config, seed=params["seed"] + 2, num_examples=512,
+        skew=plan_skew(params),
     )
     return DataLoader(
         dataset, batch_size=min(params["batch"], 512),
@@ -226,6 +234,7 @@ def train_plan(plan, params, sampling, schedule=None):
     loader = plan_loader(config, params, sampling)
     with TrainSession.build(model, DPConfig(), plan,
                             noise_seed=params["seed"] + 4,
+                            skew=plan_skew(params) if plan.is_sharded else None,
                             schedule=schedule) as session:
         session.fit(loader)
     return model, session.trainer
@@ -264,8 +273,8 @@ def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling,
     st.builds(
         "ans={},shards={},partition={},backend=process".format,
         st.sampled_from(["on", "off"]),
-        st.integers(min_value=1, max_value=4),
-        st.sampled_from(["row_range", "frequency", "hash"]),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from(["row_range", "frequency"]),
     ),
     geometries,
     st.sampled_from(["fixed", "poisson"]),

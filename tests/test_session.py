@@ -32,15 +32,14 @@ def plan_matrix():
         ExecutionPlan(shards=ShardConfig(num_shards=4,
                                          partition="frequency"),
                       backend="threads:2"),
-        ExecutionPlan(pipeline=PipelineConfig(enabled=True,
-                                              prefetch_depth=3)),
-        ExecutionPlan(async_=AsyncConfig(enabled=True, max_in_flight=4,
+        ExecutionPlan(pipeline=PipelineConfig(prefetch_depth=3)),
+        ExecutionPlan(async_=AsyncConfig(max_in_flight=4,
                                          staleness="bounded:2")),
         ExecutionPlan(
             ans=False,
-            shards=ShardConfig(num_shards=2, partition="hash"),
-            pipeline=PipelineConfig(enabled=True, prefetch_depth=4),
-            async_=AsyncConfig(enabled=True, max_in_flight=3),
+            shards=ShardConfig(num_shards=2, partition="frequency"),
+            pipeline=PipelineConfig(prefetch_depth=4),
+            async_=AsyncConfig(max_in_flight=3),
         ),
     ]
 
@@ -55,16 +54,21 @@ class TestPlanValidation:
         assert plan.legacy_name() == "lazydp"
 
     def test_async_implies_pipelined(self):
-        plan = ExecutionPlan(async_=AsyncConfig(enabled=True))
+        plan = ExecutionPlan(async_=AsyncConfig())
         assert plan.is_pipelined
         assert plan.pipeline is None       # depth defaults at build time
         assert plan.legacy_name() == "async_lazydp"
 
     def test_rejects_disabled_axis_configs(self):
-        with pytest.raises(ValueError, match="pipeline axis"):
-            ExecutionPlan(pipeline=PipelineConfig(enabled=False))
-        with pytest.raises(ValueError, match="async axis"):
-            ExecutionPlan(async_=AsyncConfig(enabled=False))
+        """Presence on the plan is the switch: a config has no
+        ``enabled`` field to turn it off with."""
+        with pytest.raises(TypeError, match="enabled"):
+            PipelineConfig(enabled=False)
+        with pytest.raises(TypeError, match="enabled"):
+            AsyncConfig(enabled=False)
+        with pytest.raises(ValueError, match="unknown PipelineConfig keys"):
+            ExecutionPlan.from_dict({"pipeline": {"enabled": False}})
+        assert not hasattr(ShardConfig(), "is_sharded")
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -138,6 +142,7 @@ class TestSpecRoundTrip:
         ("async=strict,pipeline=0", "contradictory"),
         ("async=bounded:1,pipeline=0", "contradictory"),
         ("partition=hash", "shards>=1"),
+        ("shards=2,partition=hash", r"\('row_range', 'frequency'\)"),
         ("shards=2,executor=threads", "unknown key 'executor'"),
         ("shards=2,workers=2", "unknown key 'workers'"),
         ("inflight=4", "async"),
@@ -200,8 +205,7 @@ class TestBuild:
         assert not hasattr(serial.trainer, "procshard_stats")
 
     def test_async_gets_default_prefetch_runway(self, config):
-        plan = ExecutionPlan(async_=AsyncConfig(enabled=True,
-                                                max_in_flight=4))
+        plan = ExecutionPlan(async_=AsyncConfig(max_in_flight=4))
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         assert session.trainer.scheduler.prefetch_depth == 4
         assert session.trainer.scheduler.max_in_flight == 4
@@ -218,6 +222,21 @@ class TestBuild:
         with pytest.raises(ValueError, match="sharded"):
             TrainSession.build(DLRM(config, seed=7), DPConfig(),
                                ExecutionPlan(), skew="SKEW")
+
+    @pytest.mark.parametrize("spec", ["shards=3", "shards=3,backend=threads",
+                                      "shards=3,backend=process"])
+    def test_partition_plan_must_match_the_shard_count(self, config, spec):
+        """The plan's label, pool size and process:K check read its own
+        shard count, so a prebuilt partition must cut that many."""
+        from repro.shard import build_partition_plan
+
+        for other in (1, 2, 4):
+            with pytest.raises(ValueError, match=f"has {other} shard.*plan has 3"):
+                TrainSession.build(
+                    DLRM(config, seed=7), DPConfig(),
+                    ExecutionPlan.from_spec(spec),
+                    partition_plan=build_partition_plan(config, other),
+                )
 
     def test_build_takes_no_live_executor(self, config):
         with pytest.raises(TypeError, match="executor"):

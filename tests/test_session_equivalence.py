@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import configs
+from repro.data.skew import paper_skew_spec
 from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff
@@ -31,7 +32,7 @@ MATRIX = [
     ("ans=off", "lazydp_no_ans", "fixed"),
     ("shards=1", "sharded_lazydp", "fixed"),
     ("shards=2", "sharded_lazydp", "poisson"),
-    ("shards=7,partition=hash,backend=threads", "sharded_lazydp", "fixed"),
+    ("shards=7,partition=frequency,backend=threads", "sharded_lazydp", "fixed"),
     ("ans=off,shards=2,partition=frequency", "sharded_lazydp_no_ans", "fixed"),
     ("pipeline=1", "pipelined_lazydp", "fixed"),
     ("pipeline=2", "pipelined_lazydp", "poisson"),
@@ -40,7 +41,7 @@ MATRIX = [
     ("shards=2,pipeline=2", "pipelined_sharded_lazydp", "fixed"),
     ("shards=7,pipeline=4,backend=threads", "pipelined_sharded_lazydp",
      "poisson"),
-    ("ans=off,shards=2,partition=hash,pipeline=2",
+    ("ans=off,shards=7,partition=frequency,pipeline=2",
      "pipelined_sharded_lazydp_no_ans", "fixed"),
     ("async=strict,inflight=1", "async_lazydp", "fixed"),
     ("async=strict,inflight=2", "async_lazydp", "poisson"),
@@ -64,14 +65,18 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def train(config, plan, sampling):
+def train(config, plan, sampling, skew=None):
     """Fresh model + the shared deterministic workload; returns
-    ``(model, trainer)``."""
+    ``(model, trainer)``.  ``skew`` skews the trace and, on a sharded
+    plan, cuts the frequency partition by its mass."""
     model = DLRM(config, seed=7)
-    with TrainSession.build(model, DP, plan, noise_seed=99) as session:
-        session.fit(
-            make_loader(config, batch_size=16, num_batches=6, sampling=sampling)
-        )
+    with TrainSession.build(
+        model, DP, plan, noise_seed=99,
+        skew=skew if plan.is_sharded else None,
+    ) as session:
+        session.fit(make_loader(
+            config, batch_size=16, num_batches=6, sampling=sampling, skew=skew
+        ))
     return model, session.trainer
 
 
@@ -82,8 +87,10 @@ def test_plan_matches_serial_plan_bitwise(config, case):
     assert ExecutionPlan.from_dict(plan.to_dict()) == plan
     assert ExecutionPlan.from_spec(plan.to_spec()) == plan
 
-    serial_model, _ = train(config, ExecutionPlan(ans=plan.ans), sampling)
-    plan_model, plan_trainer = train(config, plan, sampling)
+    # Frequency cuts run under Zipf skew, so their ranges are uneven.
+    skew = paper_skew_spec("high", 64) if "frequency" in spec else None
+    serial_model, _ = train(config, ExecutionPlan(ans=plan.ans), sampling, skew)
+    plan_model, plan_trainer = train(config, plan, sampling, skew)
 
     assert max_param_diff(serial_model, plan_model) == 0.0
     assert plan_trainer.name == plan.legacy_name() == label

@@ -12,10 +12,12 @@ import pytest
 
 from repro import configs
 from repro.data import LookaheadLoader
+from repro.data.skew import paper_skew_spec
 from repro.lazydp import LazyDPTrainer, export_private_model
 from repro.nn import DLRM
+from repro.nn.layers import EmbeddingBag
 from repro.session import ExecutionPlan, TrainSession
-from repro.shard import ShardedEmbeddingBag, build_partition_plan
+from repro.shard import build_partition_plan
 from repro.testing import make_loader, max_param_diff, train_algorithm
 from repro.train import DPConfig
 
@@ -65,7 +67,7 @@ class TestBitwiseEquivalence:
         )
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
-    @pytest.mark.parametrize("partition", ["row_range", "frequency", "hash"])
+    @pytest.mark.parametrize("partition", ["row_range", "frequency"])
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_identical_across_partitions_and_executors(self, config,
                                                        partition, executor):
@@ -76,14 +78,20 @@ class TestBitwiseEquivalence:
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
     def test_identical_without_ans(self, config):
-        """No-ANS mode replays *eager DP-SGD's own draws* — still exact."""
+        """No-ANS mode replays *eager DP-SGD's own draws* — still exact,
+        on seven uneven frequency-cut ranges under Zipf skew."""
+        skew = paper_skew_spec("high", 64)
         flat_model, _, _ = train_algorithm(
-            "lazydp_no_ans", config, num_batches=5
+            "lazydp_no_ans", config, num_batches=5, skew=skew
         )
-        sharded_model, _, _ = train_sharded(
-            config, use_ans=False, num_batches=5, num_shards=7,
-            partition="hash", executor="threads",
+        sharded_model, _, trainer = train_algorithm(
+            shard_spec(use_ans=False, num_shards=7, partition="frequency",
+                       executor="threads"),
+            config, num_batches=5, skew=skew,
         )
+        trainer.close()
+        sizes = np.diff(trainer.plan.table(0).bounds)
+        assert sizes.min() == 1 and sizes.max() > 2 * sizes.min()
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
     def test_histories_match_flat_after_fit(self, config):
@@ -105,8 +113,9 @@ class TestBitwiseEquivalence:
             flat_trainer.engine.flushed_through == 4
         for history in sharded_trainer.engine.histories:
             assert history.pending_rows(4).size == 0
-            for s in range(history.num_shards):
-                assert history.shard_pending_rows(s, 4).size == 0
+        for state in sharded_trainer.engine.states:
+            for window in state.windows:
+                assert window.history.pending_rows(4).size == 0
 
 
 class TestOneShardIsFlat:
@@ -117,7 +126,7 @@ class TestOneShardIsFlat:
         assert trainer.engine.router is None
         assert trainer.scheduler.executor is None
         assert len(trainer.engine.states) == 1
-        assert not isinstance(model.embeddings[0], ShardedEmbeddingBag)
+        assert type(model.embeddings[0]) is EmbeddingBag
         # The one shard reports into the trainer's own stage breakdown.
         assert trainer.engine.states[0].timer is trainer.timer
         trainer.close()
@@ -128,7 +137,10 @@ class TestOneShardIsFlat:
         assert trainer.engine.router is not None
         assert trainer.scheduler.executor.name == "serial"
         assert len(trainer.engine.states) == 3
-        assert isinstance(model.embeddings[0], ShardedEmbeddingBag)
+        # The layout is slices of the model's own tables: nothing re-adopted.
+        assert type(model.embeddings[0]) is EmbeddingBag
+        for state in trainer.engine.states:
+            assert state.windows[0].target.base is model.embeddings[0].table.data
         trainer.close()
 
 
@@ -153,7 +165,7 @@ class TestTrainerBehaviour:
         assert len(trainer.shard_update_seconds()) == 3
 
     def test_prebuilt_plan_accepted(self, config):
-        plan = build_partition_plan(config, 2, strategy="hash")
+        plan = build_partition_plan(config, 2, strategy="frequency")
         flat_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
         sharded_model, _, trainer = train_algorithm(
             "shards=2", config, num_batches=4, partition_plan=plan,
@@ -162,12 +174,18 @@ class TestTrainerBehaviour:
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
     def test_rebuilding_trainer_readopts_bags(self, config):
-        """A second trainer with a different plan must replace the first
-        trainer's slabs, not write through stale shard windows."""
+        """A second trainer with a different plan over the same model
+        slices the same tables afresh; the first trainer's windows are
+        neither reused nor written through."""
         model, first = build_sharded(config, 2, "row_range")
-        _, second = build_sharded(config, 7, "hash", model=model)
+        bags = list(model.embeddings)
+        _, second = build_sharded(config, 7, "frequency", model=model)
+        assert list(model.embeddings) == bags
         for t, bag in enumerate(model.embeddings):
-            assert bag.partition is second.plan.table(t)
+            for s, state in enumerate(second.engine.states):
+                lo, hi = second.plan.table(t).shard_range(s)
+                assert state.windows[t].row_base == lo
+                assert state.windows[t].target.shape[0] == hi - lo
         second.expected_batch_size = 16
         loader = make_loader(config, batch_size=16, num_batches=4)
         for index, batch, upcoming in LookaheadLoader(loader):
@@ -227,7 +245,7 @@ class TestReleaseAndCheckpoint:
         drive(flat_trainer, 4)
         flat_release = export_private_model(flat_trainer, iteration=4)
 
-        _, sharded_trainer = build_sharded(config, 7, "hash")
+        _, sharded_trainer = build_sharded(config, 7, "frequency")
         sharded_trainer.expected_batch_size = 16
         drive(sharded_trainer, 4)
         sharded_release = export_private_model(sharded_trainer, iteration=4)
@@ -247,7 +265,7 @@ class TestReleaseAndCheckpoint:
         path = tmp_path / "sharded.npz"
         save_checkpoint(path, trainer, iteration=2)
 
-        fresh_model, fresh = build_sharded(config, 7, "hash")
+        fresh_model, fresh = build_sharded(config, 7, "frequency")
         assert load_checkpoint(path, fresh) == 2
         assert max_param_diff(model, fresh_model) == 0.0
         for original, restored in zip(trainer.engine.histories,
@@ -257,3 +275,18 @@ class TestReleaseAndCheckpoint:
             )
         trainer.close()
         fresh.close()
+
+
+class TestMoreShardsThanRows:
+    @pytest.mark.parametrize("backend", ["numpy", "threads", "process"])
+    def test_empty_ranges_step_and_flush_bitwise(self, backend):
+        """Seven shards on three-row tables: four shards own empty
+        ranges, and a step plus the flush still release the serial bits."""
+        config = configs.tiny_dlrm(num_tables=2, rows=3, dim=4, lookups=2)
+        flat_model, _, _ = train_algorithm("lazydp", config, num_batches=2)
+        model, _, trainer = train_algorithm(
+            f"shards=7,backend={backend}", config, num_batches=2
+        )
+        trainer.close()
+        assert trainer.plan.table(0).bounds.tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
+        assert max_param_diff(flat_model, model) == 0.0

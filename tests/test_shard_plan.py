@@ -11,7 +11,6 @@ from repro.shard import (
     access_weights_from_trace,
     build_partition_plan,
     partition_frequency,
-    partition_hash,
     partition_row_range,
     plan_from_loader,
 )
@@ -23,6 +22,21 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
+def check_ranges(part):
+    """``bounds`` cut the table into contiguous ranges: every row owned
+    exactly once, in order."""
+    bounds = part.bounds
+    assert bounds.shape == (part.num_shards + 1,)
+    assert bounds[0] == 0 and bounds[-1] == part.num_rows
+    assert np.all(np.diff(bounds) >= 0)
+
+
+def masses(weights, part):
+    return np.array(
+        [weights[slice(*part.shard_range(s))].sum() for s in range(part.num_shards)]
+    )
+
+
 class TestStrategies:
     @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
@@ -31,54 +45,33 @@ class TestStrategies:
         assert plan.num_shards == num_shards
         assert plan.num_tables == config.num_tables
         for part in plan.tables:
-            part.validate()   # every row owned exactly once
+            check_ranges(part)
 
     def test_row_range_balanced_and_contiguous(self):
         part = partition_row_range(0, 100, 7)
-        sizes = [rows.size for rows in part.shard_rows]
-        assert sum(sizes) == 100
-        assert max(sizes) - min(sizes) <= 1
-        assert part.contiguous
-        for rows in part.shard_rows:
-            if rows.size:
-                np.testing.assert_array_equal(
-                    rows, np.arange(rows[0], rows[-1] + 1)
-                )
-
-    def test_hash_is_deterministic_and_spread(self):
-        a = partition_hash(0, 4096, 4)
-        b = partition_hash(0, 4096, 4)
-        np.testing.assert_array_equal(a.shard_of, b.shard_of)
-        sizes = np.array([rows.size for rows in a.shard_rows])
-        # Hash spread: no shard more than 25% off the mean.
-        assert np.all(np.abs(sizes - sizes.mean()) < 0.25 * sizes.mean())
-        # Different tables get different scatters (salted by table index).
-        other = partition_hash(1, 4096, 4)
-        assert np.any(a.shard_of != other.shard_of)
+        check_ranges(part)
+        sizes = np.diff(part.bounds)
+        assert sizes.sum() == 100
+        assert sizes.max() - sizes.min() <= 1
 
     def test_frequency_balances_zipf_mass(self):
         num_rows = 4096
         weights = zipf_weights(num_rows, 1.0)
         part = partition_frequency(0, weights, 4)
-        part.validate()
-        assert part.contiguous
-        masses = np.array(
-            [weights[rows].sum() for rows in part.shard_rows]
-        )
+        check_ranges(part)
+        cut = masses(weights, part)
         # Equal-mass cuts: every shard within 2x of the mean mass, while
         # equal-row cuts would give the head shard ~3.4x the mean.
-        assert masses.max() / masses.mean() < 2.0
+        assert cut.max() / cut.mean() < 2.0
+        assert part.weights_balanced == pytest.approx(cut.max() / cut.mean())
         naive = partition_row_range(0, num_rows, 4)
-        naive_masses = np.array(
-            [weights[rows].sum() for rows in naive.shard_rows]
-        )
-        assert masses.max() < naive_masses.max()
+        assert cut.max() < masses(weights, naive).max()
 
     def test_frequency_zero_weights_falls_back_to_row_range(self):
         part = partition_frequency(0, np.zeros(50), 5)
-        part.validate()
-        sizes = [rows.size for rows in part.shard_rows]
-        assert max(sizes) - min(sizes) <= 1
+        check_ranges(part)
+        sizes = np.diff(part.bounds)
+        assert sizes.max() - sizes.min() <= 1
 
 
 class TestPlanEdges:
@@ -87,14 +80,16 @@ class TestPlanEdges:
         plan = build_partition_plan(config, 5)
         for part in plan.tables:
             assert part.num_shards == 5
-            assert sum(rows.size for rows in part.shard_rows) == 3
-        part.validate()
+            check_ranges(part)
+            assert part.bounds.tolist() == [0, 1, 2, 3, 3, 3]
 
     def test_invalid_inputs_rejected(self, config):
         with pytest.raises(ValueError, match="num_shards"):
             build_partition_plan(config, 0)
         with pytest.raises(ValueError, match="strategy"):
             build_partition_plan(config, 2, strategy="nope")
+        with pytest.raises(ValueError, match="'row_range', 'frequency'"):
+            build_partition_plan(config, 2, strategy="hash")
         with pytest.raises(ValueError, match="weights"):
             build_partition_plan(
                 config, 2, strategy="frequency",
@@ -111,19 +106,21 @@ class TestPlanEdges:
 class TestShardConfig:
     def test_defaults_are_flat(self):
         shard = configs.ShardConfig()
-        assert not shard.is_sharded
         assert shard.num_shards == 1
+        assert shard.partition == "row_range"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             configs.ShardConfig(num_shards=0)
         with pytest.raises(ValueError, match="partition"):
             configs.ShardConfig(partition="columns")
+        # The per-row hash map is gone: a shard is a row range.
+        with pytest.raises(ValueError, match=r"\('row_range', 'frequency'\)"):
+            configs.ShardConfig(num_shards=2, partition="hash")
 
     def test_dict_round_trip(self):
-        shard = configs.ShardConfig(num_shards=4, partition="hash")
-        assert shard.is_sharded
-        assert shard.to_dict() == {"num_shards": 4, "partition": "hash"}
+        shard = configs.ShardConfig(num_shards=4, partition="frequency")
+        assert shard.to_dict() == {"num_shards": 4, "partition": "frequency"}
         assert configs.ShardConfig.from_dict(shard.to_dict()) == shard
 
 
@@ -147,7 +144,7 @@ class TestTraceDrivenWeights:
         naive = build_partition_plan(config, 4, strategy="row_range")
         assert plan.strategy == "frequency"
         for part, naive_part in zip(plan.tables, naive.tables):
-            part.validate()
+            check_ranges(part)
             # The trace-balanced plan never does worse than equal-row
             # cuts on the observed mass (a single hot row can still cap
             # how even contiguous cuts can get).
@@ -156,15 +153,10 @@ class TestTraceDrivenWeights:
                  for batch in loader],
                 64,
             )
-            masses = np.array(
-                [weights[rows].sum() for rows in part.shard_rows]
-            )
-            naive_masses = np.array(
-                [weights[rows].sum() for rows in naive_part.shard_rows]
-            )
+            cut, naive_cut = masses(weights, part), masses(weights, naive_part)
             # No shard starves (the adaptive greedy keeps >= 1 row each)
             # and the cut is never much worse than equal-row cuts.  A
             # single hot row bounds how even *any* contiguous cut can be,
             # so exact balance is not asserted on sampled traces.
-            assert all(rows.size > 0 for rows in part.shard_rows)
-            assert masses.max() <= max(naive_masses.max(), weights.max())
+            assert np.all(np.diff(part.bounds) > 0)
+            assert cut.max() <= max(naive_cut.max(), weights.max())

@@ -14,15 +14,16 @@ def config():
 
 
 def skewed_rows(num_rows, count, exponent, seed):
-    """Zipf-distributed row draws (duplicates included, unsorted)."""
+    """Zipf-distributed row draws, sorted (duplicates included): the
+    router's input contract."""
     weights = zipf_weights(num_rows, exponent)
     probabilities = weights / weights.sum()
     rng = np.random.default_rng(seed)
-    return rng.choice(num_rows, size=count, p=probabilities)
+    return np.sort(rng.choice(num_rows, size=count, p=probabilities))
 
 
 class TestScatterGatherRoundTrip:
-    @pytest.mark.parametrize("strategy", ["row_range", "hash", "frequency"])
+    @pytest.mark.parametrize("strategy", ["row_range", "frequency"])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     @pytest.mark.parametrize("exponent", [0.3, 1.0, 1.8])
     def test_values_survive_round_trip(self, config, strategy, num_shards,
@@ -41,7 +42,7 @@ class TestScatterGatherRoundTrip:
         gathered = router.gather(routed, per_shard)
         np.testing.assert_array_equal(gathered[:, 0], rows.astype(np.float64))
 
-    @pytest.mark.parametrize("strategy", ["row_range", "hash"])
+    @pytest.mark.parametrize("strategy", ["row_range", "frequency"])
     def test_local_ids_address_owner_rows(self, config, strategy):
         plan = build_partition_plan(config, 4, strategy=strategy)
         router = ShardRouter(plan)
@@ -49,13 +50,36 @@ class TestScatterGatherRoundTrip:
         routed = router.scatter(0, rows)
         part = plan.table(0)
         for s in range(4):
+            lo, hi = part.shard_range(s)
             np.testing.assert_array_equal(
-                part.shard_rows[s][routed.local[s]], routed.global_rows[s]
+                routed.local[s] + lo, routed.global_rows[s]
             )
+            assert np.all((routed.global_rows[s] >= lo) & (routed.global_rows[s] < hi))
+
+    def test_a_shard_is_a_slice_of_the_input(self, config):
+        """Each shard's rows are a view of the input, so its gradient
+        values are the same slice of the value array."""
+        router = ShardRouter(build_partition_plan(config, 3))
+        rows = np.unique(skewed_rows(128, 400, 0.3, seed=4))
+        routed = router.scatter(0, rows)
+        for s in range(3):
+            assert np.shares_memory(routed.global_rows[s], rows)
+            np.testing.assert_array_equal(
+                rows[routed.origin[s]], routed.global_rows[s]
+            )
+
+    def test_row_on_a_bound_belongs_to_the_upper_shard(self, config):
+        part = build_partition_plan(config, 4).table(0)
+        router = ShardRouter(build_partition_plan(config, 4))
+        below, lo = part.shard_range(1)[0], part.shard_range(2)[0]
+        routed = router.scatter(0, np.array([lo - 1, lo, lo + 1]))
+        assert routed.counts().tolist() == [0, 1, 2, 0]
+        np.testing.assert_array_equal(routed.local[1], [lo - 1 - below])
+        np.testing.assert_array_equal(routed.local[2], [0, 1])
 
     def test_sorted_unique_input_stays_sorted_per_shard(self, config):
         """The invariant HistoryTable and merge_sparse_updates rely on."""
-        plan = build_partition_plan(config, 3, strategy="hash")
+        plan = build_partition_plan(config, 3, strategy="frequency")
         router = ShardRouter(plan)
         rows = np.unique(skewed_rows(128, 400, 1.0, seed=3))
         routed = router.scatter(0, rows)
@@ -78,18 +102,12 @@ class TestScatterGatherRoundTrip:
             router.scatter(0, np.array([128]))
         with pytest.raises(IndexError):
             router.scatter(0, np.array([-1]))
-
-    def test_shard_load_matches_scatter(self, config):
-        plan = build_partition_plan(config, 5, strategy="hash")
-        router = ShardRouter(plan)
-        rows = skewed_rows(128, 500, 1.5, seed=21)
-        np.testing.assert_array_equal(
-            router.shard_load(0, rows), router.scatter(0, rows).counts()
-        )
+        with pytest.raises(IndexError):
+            router.scatter(0, np.array([0, 5, 128]))
 
     def test_hot_row_all_on_one_shard(self, config):
         """Worst-case skew: every lookup hits one row -> one shard."""
-        router = ShardRouter(build_partition_plan(config, 4, strategy="hash"))
+        router = ShardRouter(build_partition_plan(config, 4, strategy="frequency"))
         rows = np.zeros(100, dtype=np.int64)
         counts = router.scatter(0, rows).counts()
         assert counts.max() == 100

@@ -1,4 +1,9 @@
-"""Tests for sharded tables and history (repro.shard.tables)."""
+"""Tests for the one table layout (repro.shard.tables).
+
+A sharded table is the model's own table, history and ledger cut into
+contiguous row ranges: each shard's window is a slice view, addressed
+by local id ``row - lo``.
+"""
 
 import numpy as np
 import pytest
@@ -6,11 +11,7 @@ import pytest
 from repro import configs
 from repro.lazydp.history import HistoryTable
 from repro.nn import DLRM
-from repro.shard import (
-    ShardedEmbeddingBag,
-    ShardedHistoryTable,
-    build_partition_plan,
-)
+from repro.shard import ShardRouter, build_partition_plan, shard_windows
 
 
 @pytest.fixture
@@ -33,17 +34,35 @@ ACCESS_SCRIPT = [
 ]
 
 
+def layout(config, num_shards, strategy="row_range", with_ledger=False):
+    model = DLRM(config, seed=7)
+    plan = build_partition_plan(config, num_shards, strategy=strategy)
+    return model, plan, *shard_windows(model, plan, with_ledger)
+
+
 class TestShardedHistoryTable:
-    @pytest.mark.parametrize("strategy", ["row_range", "hash"])
+    """A sharded table's history: the table's one HistoryTable, each
+    shard's window a slice of it."""
+
+    @pytest.mark.parametrize("strategy", ["row_range", "frequency"])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     def test_matches_flat_history(self, config, strategy, num_shards):
-        plan = build_partition_plan(config, num_shards, strategy=strategy)
+        """The access script replayed through the shard windows (routed
+        by the router, local ids) leaves the table's history exactly
+        where the flat HistoryTable stands."""
+        _, plan, windows, histories, _, router = layout(
+            config, num_shards, strategy
+        )
         flat = HistoryTable(64)
-        sharded = ShardedHistoryTable(plan.table(0))
-
         replay(flat, ACCESS_SCRIPT)
-        replay(sharded, ACCESS_SCRIPT)
+        for rows, iteration in ACCESS_SCRIPT:
+            routed = router.scatter(0, rows)
+            for s, shard in enumerate(windows):
+                if routed.shard_count(s):
+                    shard[0].history.delays(routed.local[s], iteration)
+                    shard[0].history.mark_updated(routed.local[s], iteration)
 
+        sharded = histories[0]
         np.testing.assert_array_equal(flat.snapshot(), sharded.snapshot())
         probe = np.arange(64)
         np.testing.assert_array_equal(
@@ -54,104 +73,124 @@ class TestShardedHistoryTable:
         )
 
     def test_shard_local_ops_match_flat_api(self, config):
-        plan = build_partition_plan(config, 3, strategy="hash")
-        part = plan.table(0)
-        sharded = ShardedHistoryTable(part)
+        _, plan, windows, histories, _, _ = layout(config, 3)
         rows = np.array([1, 8, 30, 55])
-        sharded.mark_updated(rows, 5)
-        for s in range(3):
-            owned = rows[part.shard_of[rows] == s]
-            local = part.local_of[owned]
+        histories[0].mark_updated(rows, 5)
+        for s, shard in enumerate(windows):
+            lo, hi = plan.table(0).shard_range(s)
+            owned = rows[(rows >= lo) & (rows < hi)]
             np.testing.assert_array_equal(
-                sharded.shards[s].delays(local, 8), 8 - 5
+                shard[0].history.delays(owned - lo, 8), 8 - 5
             )
 
     def test_ahead_of_iteration_rejected(self, config):
-        sharded = ShardedHistoryTable(build_partition_plan(config, 2).table(0))
-        sharded.mark_updated(np.array([5]), 6)
+        _, _, windows, histories, _, _ = layout(config, 2)
+        histories[0].mark_updated(np.array([40]), 6)
+        lo = windows[1][0].row_base
         with pytest.raises(ValueError):
-            sharded.delays(np.array([5]), 4)
+            windows[1][0].history.delays(np.array([40 - lo]), 4)
 
     def test_snapshot_round_trip(self, config):
-        plan = build_partition_plan(config, 4, strategy="hash")
-        source = ShardedHistoryTable(plan.table(0))
-        replay(source, ACCESS_SCRIPT)
-        restored = ShardedHistoryTable(plan.table(0))
-        restored.load_snapshot(source.snapshot())
+        """A checkpoint restore into the table's history is what every
+        shard window then reads."""
+        _, _, _, source, _, _ = layout(config, 4)
+        replay(source[0], ACCESS_SCRIPT)
+        _, _, windows, restored, _, _ = layout(config, 4)
+        restored[0].load_snapshot(source[0].snapshot())
         np.testing.assert_array_equal(
-            source.snapshot(), restored.snapshot()
+            source[0].snapshot(), restored[0].snapshot()
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([shard[0].history.snapshot() for shard in windows]),
+            source[0].snapshot(),
         )
         with pytest.raises(ValueError):
-            restored.load_snapshot(np.zeros(3, dtype=np.int32))
+            restored[0].load_snapshot(np.zeros(3, dtype=np.int32))
 
     def test_nbytes_matches_flat(self, config):
-        plan = build_partition_plan(config, 7)
-        assert ShardedHistoryTable(plan.table(0)).nbytes == \
-            HistoryTable(64).nbytes
+        _, _, _, histories, _, _ = layout(config, 7)
+        assert histories[0].nbytes == HistoryTable(64).nbytes
 
     def test_empty_padded_shard(self):
+        """More shards than rows: the trailing shards own empty ranges,
+        whose windows hold no history and no rows."""
         config = configs.tiny_dlrm(num_tables=1, rows=3, dim=8, lookups=1)
-        plan = build_partition_plan(config, 5)
-        sharded = ShardedHistoryTable(plan.table(0))
-        assert sharded.shard_pending_rows(4, 1).size == 0
-        sharded.mark_updated(np.array([0, 1, 2]), 1)
-        assert sharded.pending_rows(1).size == 0
+        _, plan, windows, histories, _, _ = layout(config, 5)
+        assert plan.table(0).bounds.tolist() == [0, 1, 2, 3, 3, 3]
+        assert windows[4][0].history is None
+        assert windows[4][0].target.shape == (0, 8)
+        histories[0].mark_updated(np.array([0, 1, 2]), 1)
+        assert histories[0].pending_rows(1).size == 0
 
 
 class TestShardedEmbeddingBag:
-    @pytest.mark.parametrize("strategy", ["row_range", "hash"])
+    """A sharded table's parameters: the model's own bag, each shard's
+    window a slice view of its table."""
+
+    @pytest.mark.parametrize("strategy", ["row_range"])
     def test_forward_matches_flat_bag(self, config, strategy):
-        model = DLRM(config, seed=7)
+        model, _, _, _, _, _ = layout(config, 3, strategy)
         reference = DLRM(config, seed=7)
-        plan = build_partition_plan(config, 3, strategy=strategy)
-        bag = ShardedEmbeddingBag.adopt(model.embeddings[0], plan.table(0))
         indices = np.array([[0, 63], [5, 5], [17, 40]])
         np.testing.assert_array_equal(
-            bag.forward(indices),
+            model.embeddings[0].forward(indices),
             reference.embeddings[0].forward(indices),
         )
 
     def test_contiguous_slabs_are_views(self, config):
-        model = DLRM(config, seed=7)
+        model, plan, windows, _, _, _ = layout(config, 4)
         table = model.embeddings[0].table
-        plan = build_partition_plan(config, 4, strategy="row_range")
-        bag = ShardedEmbeddingBag.adopt(model.embeddings[0], plan.table(0))
-        for slab in bag.slabs:
-            assert slab.param is not None
-            assert slab.param.data.base is table.data
-        # A slab write is visible through the flat table (shared memory).
-        rows = bag.shard_rows(1)[:2]
-        before = table.data[rows].copy()
-        bag.slabs[1].write_rows(rows, np.ones((2, 8)), 0.5)
-        np.testing.assert_allclose(table.data[rows], before - 0.5)
-
-    def test_hash_slabs_write_same_rows(self, config):
-        model = DLRM(config, seed=7)
-        table = model.embeddings[0].table
-        plan = build_partition_plan(config, 4, strategy="hash")
-        bag = ShardedEmbeddingBag.adopt(model.embeddings[0], plan.table(0))
-        slab = bag.slabs[2]
-        assert slab.param is None          # scattered rows: index window
-        rows = slab.rows[:3]
-        before = table.data[rows].copy()
-        slab.write_rows(rows, np.full((3, 8), 2.0), 0.25)
-        np.testing.assert_allclose(table.data[rows], before - 0.5)
-        np.testing.assert_allclose(slab.read_rows(rows), table.data[rows])
-
-    def test_materialize_and_nbytes(self, config):
-        model = DLRM(config, seed=7)
-        plan = build_partition_plan(config, 2, strategy="hash")
-        bag = ShardedEmbeddingBag.adopt(model.embeddings[0], plan.table(0))
-        total = sum(slab.nbytes for slab in bag.slabs)
-        assert total == model.embeddings[0].table.data.nbytes
-        for slab in bag.slabs:
-            np.testing.assert_array_equal(
-                slab.materialize(), bag.table.data[slab.rows]
-            )
+        for s, shard in enumerate(windows):
+            lo, hi = plan.table(0).shard_range(s)
+            assert shard[0].target.base is table.data
+            assert shard[0].row_base == lo
+            assert shard[0].target.shape == (hi - lo, 8)
+        # A window write is visible through the flat table (shared memory).
+        lo = windows[1][0].row_base
+        before = table.data[lo : lo + 2].copy()
+        windows[1][0].target[:2] -= 0.5
+        np.testing.assert_allclose(table.data[lo : lo + 2], before - 0.5)
 
     def test_partition_size_mismatch_rejected(self, config):
         model = DLRM(config, seed=7)
         other = configs.tiny_dlrm(num_tables=2, rows=32, dim=8, lookups=2)
         plan = build_partition_plan(other, 2)
         with pytest.raises(ValueError, match="rows"):
-            ShardedEmbeddingBag.adopt(model.embeddings[0], plan.table(0))
+            shard_windows(model, plan)
+
+
+class TestOneLayout:
+    def test_one_range_is_the_whole_table(self, config):
+        """``plan=None`` lays out one whole-table window per table, no
+        router; its history and ledger are the tables' own."""
+        model = DLRM(config, seed=7)
+        (windows,), histories, ledgers, router = shard_windows(
+            model, with_ledger=True
+        )
+        assert router is None
+        for bag, window, history, ledger in zip(
+            model.embeddings, windows, histories, ledgers
+        ):
+            assert window.whole and window.row_base == 0
+            assert window.target is bag.table.data
+            window.history.mark_updated(np.array([3]), 2)
+            assert history.last_updated(np.array([3]))[0] == 2
+            window.ledger.advance(np.array([3]), np.array([2]), 2)
+            assert ledger.applied_through(np.array([3]))[0] == 2
+
+    @pytest.mark.parametrize("num_shards", [2, 7])
+    def test_ledger_windows_are_slices_of_one_vector(self, config, num_shards):
+        _, plan, windows, _, ledgers, router = layout(
+            config, num_shards, with_ledger=True
+        )
+        assert isinstance(router, ShardRouter)
+        assert len(ledgers) == config.num_tables
+        for s, shard in enumerate(windows):
+            lo, hi = plan.table(0).shard_range(s)
+            assert not shard[0].whole
+            if hi > lo:
+                shard[0].ledger.advance(np.array([0]), np.array([1]), 1)
+                assert ledgers[0].applied_through(np.array([lo]))[0] == 1
+        assert ledgers[0].pending_rows(1).size == 64 - np.count_nonzero(
+            np.diff(plan.table(0).bounds)
+        )
