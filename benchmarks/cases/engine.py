@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from repro import configs
-from repro.configs import ObservabilityConfig
 from repro.lazydp.ledger import LedgerError
 from repro.obs import format_table
 from repro.perfmodel import shard_scaling_series
@@ -131,7 +130,7 @@ def plan_sweep(tier: str) -> Result:
         serial_model, serial_wall = reference(plan.ans)
         session, result = train(
             config,
-            replace(plan, obs=ObservabilityConfig(metrics=True)),
+            replace(plan, obs="metrics"),
             iterations=iterations,
         )
         session.close()
@@ -141,9 +140,9 @@ def plan_sweep(tier: str) -> Result:
             benchmark, {"serial_iterations_per_second": serial_rate}
         )
         group[f"throughput_ratio_{label}"] = serial_wall / result.wall_time
-        plans[f"{benchmark}/throughput_ratio_{label}"] = plan.canonical()
+        plans[f"{benchmark}/throughput_ratio_{label}"] = plan.to_spec()
 
-        if plan.is_async and plan.async_.staleness != "strict":
+        if plan.is_async and plan.async_ != "strict":
             verdict = "diverges (by design)"
         else:
             diff = max_param_diff(serial_model, session.model)
@@ -172,7 +171,7 @@ def plan_sweep(tier: str) -> Result:
             [
                 benchmark,
                 label,
-                plan.canonical(),
+                plan.to_spec(),
                 f"{result.wall_time:.2f}",
                 f"{serial_wall / result.wall_time:.2f}x",
                 hidden,

@@ -422,8 +422,8 @@ def apply_fusion(tier: str) -> Result:
         # serves every plan's apply phase, the batched sampler is the
         # ans=off plan's exact-replay path.
         "plans": {
-            "apply": ExecutionPlan().canonical(),
-            "sampling": ExecutionPlan(ans=False).canonical(),
+            "apply": ExecutionPlan().to_spec(),
+            "sampling": ExecutionPlan(ans=False).to_spec(),
         },
     }
     return Result(

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Recognised policy modes (mirrored by ``repro.configs.AsyncConfig``'s
-#: validation so config errors surface before a trainer is built).
+#: Recognised policy modes; :meth:`StalenessPolicy.parse` is the one
+#: reader of the staleness word (``ExecutionPlan`` validates with it).
 STALENESS_MODES = ("strict", "bounded")
 
 

@@ -54,11 +54,11 @@ def _add_train_parser(subparsers) -> None:
         "--plan", default=None, metavar="SPEC",
         help="how LazyDP executes, e.g. "
              "'shards=4,pipeline=2,async=bounded:2,ans=off' "
-             "(keys: ans, shards, partition, backend, pipeline, "
-             "async, inflight, obs, serve, admission).  The backend axis "
-             "selects a registered execution backend as 'name[:workers]', "
-             "e.g. backend=threads:4 or backend=process (one worker "
-             "process per shard).  Determines the whole execution, "
+             "(keys: ans, shards, partition, pipeline, async, inflight, "
+             "obs, serve, admission, backend).  The backend key selects "
+             "how shard tasks run as 'name[:workers]': numpy (default), "
+             "threads[:K] or process (one worker process per shard).  "
+             "Determines the whole execution, "
              "including the ans axis: drop --algorithm when using it.",
     )
     parser.add_argument(
@@ -102,10 +102,9 @@ def _run_train(args) -> int:
     if args.trace is not None and plan is not None:
         # --trace turns the tracer on without clobbering a metrics
         # setting the plan spec already chose.
-        plan = dataclasses.replace(plan, obs=configs.ObservabilityConfig(
-            trace=True,
-            metrics=plan.obs.metrics if plan.obs is not None else True,
-        ))
+        plan = dataclasses.replace(
+            plan, obs="trace" if plan.obs == "trace" else "trace+metrics"
+        )
 
     obs = None
     if plan is not None:
@@ -123,14 +122,12 @@ def _run_train(args) -> int:
         trainer = make_trainer(args.algorithm, model, dp,
                                noise_seed=args.seed + 3)
         if args.trace is not None:
-            obs = trainer.instrument(
-                Observability(configs.ObservabilityConfig(trace=True))
-            )
+            obs = trainer.instrument(Observability(trace=True))
         result = trainer.fit(loader)
     per_iteration = result.wall_time / max(result.iterations, 1)
     print(f"algorithm        : {result.algorithm}")
     if plan is not None:
-        print(f"plan             : {plan.canonical()}")
+        print(f"plan             : {plan.to_spec()}")
     print(f"iterations       : {result.iterations}")
     print(f"wall time        : {result.wall_time:.3f}s "
           f"({per_iteration * 1e3:.1f} ms/iter)")
@@ -159,7 +156,7 @@ def _run_train(args) -> int:
         ]
         print(format_table(
             ["shard", "rows (table 0)", "update seconds"], shard_rows,
-            title=f"per-shard model update ({plan.shards.partition}, "
+            title=f"per-shard model update ({plan.partition}, "
                   f"backend={plan.backend})",
         ))
         if result.shard_times is not None:
@@ -175,7 +172,7 @@ def _run_train(args) -> int:
                 print(f"shard update skew: max {shard_skew['max']:.4f}s, "
                       f"min {shard_skew['min']:.4f}s, "
                       f"spread {shard_skew['spread']:.4f}s")
-    if plan is not None and plan.backend.partition(":")[0] == "process":
+    if plan is not None and plan.split_backend()[0] == "process":
         trainer.audit_noise_ledger(result.iterations)
         stats = trainer.procshard_stats()
         print(format_table(
@@ -217,7 +214,7 @@ def _run_train(args) -> int:
                 ["noise ledger", "exact (applied once per row)"],
             ],
             title="async apply engine (max in flight "
-                  f"{plan.async_.max_in_flight})",
+                  f"{plan.inflight})",
         ))
     if args.trace is not None:
         events = obs.save_trace(args.trace)
@@ -317,25 +314,36 @@ def _run_audit(args) -> int:
 
 
 def _run_backends(args) -> int:
-    """Print the execution-backend registry — one row per backend with
-    the plan axes it composes with — the lanes the release walk and
-    large draws spread over (one per usable CPU), and whether the
+    """Print the execution backends — one row per backend with the
+    plan axes it composes with, read off the plan's own validation —
+    the lanes the release walk and large draws spread over (one per
+    usable CPU), and whether the
     compiled inner loops (noise draw, sparse apply, embedding
     scatter-add) or their numpy expressions run — and, compiled, on
     which instruction set."""
     from .kernels import lanes
     from .rng import native_status, vector_isa
-    from .session import available_backends, backend_info
+    from .session.plan import BACKENDS
 
+    # What each capability switches on, as a plan spec.
+    probes = {
+        "flat": "",
+        "shards": "shards=2",
+        "pipeline": "shards=2,pipeline=2",
+        "async": "shards=2,async=strict",
+        "workers": "shards=2",
+    }
     table_rows = []
-    for name in available_backends():
-        info = backend_info(name)
-        table_rows.append([
-            name,
-            ",".join(c for c in ("flat", "shards", "pipeline", "async",
-                                 "workers") if info.supports(c)),
-            info.description,
-        ])
+    for name, note in BACKENDS.items():
+        capabilities = []
+        for capability, spec in probes.items():
+            backend = f"{name}:2" if capability == "workers" else name
+            try:
+                ExecutionPlan.from_spec(f"{spec},backend={backend}")
+            except ValueError:
+                continue
+            capabilities.append(capability)
+        table_rows.append([name, ",".join(capabilities), note])
     print(format_table(
         ["backend", "capabilities", "notes"],
         table_rows,

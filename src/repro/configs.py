@@ -16,28 +16,11 @@ access indices drawn uniformly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 
 FP32_BYTES = 4
 
-
-def _config_from_dict(cls, data: dict):
-    """Shared ``from_dict`` for the engine configs: reject unknown keys
-    with a message naming the accepted ones, let the dataclass
-    ``__post_init__`` validate values."""
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    known = {field.name for field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} keys: {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(known))})"
-        )
-    return cls(**data)
 
 # Paper defaults (Section 6).
 PAPER_NUM_TABLES = 26
@@ -130,192 +113,6 @@ class DLRMConfig:
         """Scale every table's row count (the paper's 10x/100x/1000x shrink)."""
         rows = tuple(max(1, int(round(r * factor))) for r in self.table_rows)
         return replace(self, table_rows=rows, name=name or f"{self.name}-x{factor:g}")
-
-
-#: Partition strategies understood by ``repro.shard`` (kept here so config
-#: validation does not import the shard package).
-SHARD_PARTITIONS = ("row_range", "frequency")
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """How the embedding engine is sharded (``repro.shard``).
-
-    ``num_shards = 1`` is the flat configuration; anything higher cuts
-    every table into contiguous row ranges placed by ``partition``.
-    *How* the shard tasks run is the plan's ``backend`` axis
-    (``backend="threads:4"``, ``backend="process"``), not a field here.
-    """
-
-    num_shards: int = 1
-    partition: str = "row_range"
-
-    def __post_init__(self):
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        if self.partition not in SHARD_PARTITIONS:
-            raise ValueError(
-                f"unknown partition strategy: {self.partition!r} "
-                f"(choose from {SHARD_PARTITIONS})"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardConfig":
-        return _config_from_dict(cls, data)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """How the training engine pipelines noise prefetch (``repro.pipeline``).
-
-    Present on an :class:`repro.session.ExecutionPlan`, a background
-    worker precomputes catch-up noise ``prefetch_depth`` iterations
-    ahead into a double-buffered staging area; ``prefetch_depth`` also
-    sets the input queue's lookahead depth (the paper's Algorithm 1
-    queue is depth 1).  Absent (``pipeline=None``), catch-up noise is
-    computed inline on the critical path.
-    """
-
-    prefetch_depth: int = 2
-
-    def __post_init__(self):
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be at least 1")
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return _config_from_dict(cls, data)
-
-
-#: Gradient-staleness modes understood by ``repro.async_`` (kept here so
-#: config validation does not import the async package).
-ASYNC_STALENESS_MODES = ("strict", "bounded")
-
-
-@dataclass(frozen=True)
-class AsyncConfig:
-    """How the training engine runs iterations in flight (``repro.async_``).
-
-    Present on an :class:`repro.session.ExecutionPlan`, up to
-    ``max_in_flight`` iteration applies may be outstanding on the
-    background apply worker while the trainer proceeds (absent,
-    ``async_=None``, the apply runs inline on the trainer thread);
-    ``staleness`` selects the read schedule (``"strict"`` = bitwise-serial,
-    ``"bounded"`` / ``"bounded:<k>"`` = slab reads may trail up to
-    ``k`` applies).
-    """
-
-    max_in_flight: int = 2
-    staleness: str = "strict"
-
-    def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        mode, _, bound = str(self.staleness).partition(":")
-        if mode not in ASYNC_STALENESS_MODES:
-            raise ValueError(
-                f"unknown staleness mode: {mode!r} "
-                f"(choose from {ASYNC_STALENESS_MODES})"
-            )
-        if bound:
-            try:
-                parsed = int(bound)
-            except ValueError:
-                raise ValueError(
-                    f"staleness bound must be an integer, got {bound!r}"
-                ) from None
-            if parsed < 0:
-                raise ValueError("staleness bound must be non-negative")
-            if mode == "strict":
-                raise ValueError("strict staleness admits no bound")
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsyncConfig":
-        return _config_from_dict(cls, data)
-
-
-#: Observability modes the ``obs=`` plan axis understands
-#: (``trace``/``metrics``, joined with ``+`` for both).
-OBS_MODES = ("trace", "metrics")
-
-
-@dataclass(frozen=True)
-class ObservabilityConfig:
-    """What the run's observability hub records (``repro.obs``).
-
-    ``metrics`` populates the in-process :class:`repro.obs.
-    MetricsRegistry` (engine gauges, counters, histograms);
-    ``trace`` additionally records thread-aware spans for a Chrome
-    trace-event export.  At least one must be on — a config with both
-    off is the ``obs=None`` axis, spelled ``None`` on the plan like
-    every other disabled axis.
-    """
-
-    trace: bool = False
-    metrics: bool = True
-
-    def __post_init__(self):
-        if not (self.trace or self.metrics):
-            raise ValueError(
-                "observability axis is present but records nothing; "
-                "enable trace and/or metrics, or use obs=None"
-            )
-
-    def modes(self) -> tuple:
-        """The enabled modes, in canonical (spec) order."""
-        return tuple(
-            mode for mode in OBS_MODES if getattr(self, mode)
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObservabilityConfig":
-        return _config_from_dict(cls, data)
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """How a session's serving handles are fronted (``repro.serve``).
-
-    ``cache_rows`` sizes the :class:`repro.serve.HotRowCache` put in
-    front of each serving engine's memo; ``admission`` is the
-    slow-path serve count a row needs before it may be admitted (the
-    TinyLFU-style skew filter).  A session without the axis serves
-    uncached — spelled ``serve=None`` on the plan like every other
-    disabled axis.
-    """
-
-    cache_rows: int = 1024
-    admission: int = 2
-
-    def __post_init__(self):
-        if self.cache_rows < 1:
-            raise ValueError("serve axis requires a positive cache_rows")
-        if self.admission < 1:
-            raise ValueError("serve admission threshold must be positive")
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (``ExecutionPlan.to_dict`` nests it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServeConfig":
-        return _config_from_dict(cls, data)
 
 
 def rows_for_model_bytes(model_bytes: int, num_tables: int = PAPER_NUM_TABLES,

@@ -19,8 +19,8 @@ the same way:
 * :func:`format_table` (``repro.obs.table``) — the fixed-width ASCII
   table every report prints (CLI, examples, bench cases).
 
-Configured by :class:`repro.configs.ObservabilityConfig`, selected per
-run via the ``obs=`` axis of ``repro.session.ExecutionPlan`` (e.g.
+Built as ``Observability(trace=, metrics=)``, selected per
+run via the ``obs=`` key of ``repro.session.ExecutionPlan`` (e.g.
 ``--plan "pipeline=2,obs=trace+metrics"``) or the CLI's ``--trace``
 flag; summarised offline by ``tools/trace_report.py`` and validated by
 ``tools/check_trace.py``.

@@ -1,9 +1,10 @@
 """The Observability hub: one tracer + one registry per training run.
 
-``Observability`` bundles the two instruments behind the configuration
-in :class:`repro.configs.ObservabilityConfig` and gives the engines a
-single object to hold.  Trainers carry :data:`NULL_OBS` (the null
-object) by default, so every instrumentation site in the engines is
+``Observability(trace=, metrics=)`` bundles the two instruments the
+plan's ``obs`` key switches on (``obs=trace`` / ``metrics`` /
+``trace+metrics``) and gives the engines a single object to hold.
+Trainers carry :data:`NULL_OBS` (the null object) by default, so every
+instrumentation site in the engines is
 gated by exactly one attribute check (``obs.enabled`` /
 ``obs.tracing``) and costs nothing when observability is off — the
 acceptance bench (``benchmarks/run.py obs_overhead``) pins that.
@@ -28,31 +29,30 @@ from .tracer import NULL_TRACER, Tracer
 
 
 class Observability:
-    """A run's tracer + metrics registry, built from its config."""
+    """A run's tracer + metrics registry.
+
+    ``metrics`` populates the in-process :class:`MetricsRegistry`
+    (engine gauges, counters, histograms); ``trace`` additionally
+    records thread-aware spans for a Chrome trace-event export.  At
+    least one must be on: a run that records nothing carries
+    :data:`NULL_OBS` (the plan's ``obs=None``).
+    """
 
     enabled = True
 
-    def __init__(self, config=None):
-        from ..configs import ObservabilityConfig
-
-        if config is None:
-            config = ObservabilityConfig()
-        if not isinstance(config, ObservabilityConfig):
+    def __init__(self, trace: bool = False, metrics: bool = True):
+        if not (trace or metrics):
             raise ValueError(
-                "Observability expects an ObservabilityConfig "
-                f"(got {type(config).__name__})"
+                "observability records nothing; enable trace and/or "
+                "metrics, or leave the run uninstrumented (obs=None)"
             )
-        self.config = config
-        self.tracer = Tracer() if config.trace else NULL_TRACER
+        self.metrics_enabled = bool(metrics)
+        self.tracer = Tracer() if trace else NULL_TRACER
         self.metrics = MetricsRegistry()
 
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    @property
-    def metrics_enabled(self) -> bool:
-        return self.config.metrics
 
     def timer_tracer(self):
         """What a StageTimer's ``tracer`` attribute should hold: the live
@@ -66,7 +66,7 @@ class Observability:
         Occupancy > 0 means the catch-up plan was already staged (a
         prefetch *hit* — the pop returns without a meaningful wait).
         """
-        if self.config.metrics:
+        if self.metrics_enabled:
             metrics = self.metrics
             metrics.observe("pipeline.staging_occupancy", occupancy)
             if occupancy > 0:
@@ -81,7 +81,7 @@ class Observability:
         """Async apply state at the start of a train step: outstanding
         applies (``depth``) and how many iterations the slab reads
         would trail without waiting (``lag``)."""
-        if self.config.metrics:
+        if self.metrics_enabled:
             metrics = self.metrics
             metrics.observe("async.in_flight_depth", depth)
             metrics.observe("async.staleness_lag", lag)
@@ -92,7 +92,7 @@ class Observability:
     # -- post-run collection ----------------------------------------------
     def collect(self, trainer, philox_launches: int | None = None) -> None:
         """Fold a trainer's reporting surfaces into the registry."""
-        if not self.config.metrics:
+        if not self.metrics_enabled:
             return
         metrics = self.metrics
         metrics.absorb_stage_timer(trainer.timer, "stages")
@@ -157,7 +157,7 @@ class Observability:
     def snapshot(self) -> dict:
         """JSON-serializable registry state plus trace bookkeeping."""
         return {
-            "config": self.config.to_dict(),
+            "config": {"trace": self.tracing, "metrics": self.metrics_enabled},
             "metrics": self.metrics.snapshot(),
             "trace": {
                 "events_recorded": self.tracer.events_recorded,
@@ -186,7 +186,6 @@ class _NullObservability:
     enabled = False
     tracing = False
     metrics_enabled = False
-    config = None
     tracer = NULL_TRACER
 
     def __init__(self):

@@ -359,7 +359,7 @@ class NullTracer:
     def save(self, path) -> int:
         raise RuntimeError(
             "tracing is disabled (NullTracer); enable it with "
-            "ObservabilityConfig(trace=True) / plan spec obs=trace"
+            "Observability(trace=True) / plan spec obs=trace"
         )
 
 

@@ -3,8 +3,8 @@
 The thread-pool executor (``repro.shard.executor``) fans the per-shard
 model update across threads, but every slab write still serializes on
 the GIL — the memory-bandwidth-bound update the paper scales never sees
-truly parallel writes.  This package is the ``backend="process"`` entry
-in the execution-backend registry (:mod:`repro.session.registry`): each
+truly parallel writes.  This package is the plan's ``backend="process"``
+(one of the three backends in :mod:`repro.session.plan`): each
 shard's worker is a long-lived **process** owning its row range of
 every table's slab, history and ledger, which live in
 ``multiprocessing.shared_memory`` in global row order, so slab writes

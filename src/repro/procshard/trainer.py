@@ -134,6 +134,19 @@ class _SendThenCollect(ShardExecutor):
         return [collect() for collect in pending]
 
 
+def _stop_workers(processes, join_timeout: float) -> None:
+    """The one teardown ladder: terminate every worker still running,
+    join each for ``join_timeout`` seconds, kill the stuck."""
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(timeout=join_timeout)
+        if process.is_alive():  # pragma: no cover - stuck in a syscall
+            process.kill()
+            process.join(timeout=1.0)
+
+
 def _finalize_backstop(processes, segments) -> None:
     """GC/exit safety net: no orphan workers, no leaked segments.
 
@@ -141,14 +154,7 @@ def _finalize_backstop(processes, segments) -> None:
     the process and segment lists (never the trainer, which would make
     the finalizer keep it alive).
     """
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - stuck in a syscall
-            process.kill()
-            process.join(timeout=1.0)
+    _stop_workers(processes, join_timeout=1.0)
     for segment_group in segments:
         segment_group.unlink()
         segment_group.close()
@@ -467,48 +473,41 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
             VersionVector.attach(vector.snapshot()) for vector in engine.ledgers
         ]
 
-    def _abort(self) -> None:
-        """Hard teardown after a worker failure (reentrancy-safe)."""
+    def _shut_down(self, orderly: bool) -> None:
+        """Stop the workers and release shared memory (reentrancy-safe).
+
+        ``orderly`` first asks every worker to exit (``CMD_CLOSE``) and
+        gives it five seconds; whatever still runs then goes down the
+        teardown ladder.
+        """
         if self._closed:
             return
         self._closed = True
+        if orderly:
+            for handle in self._workers:
+                if handle.process.is_alive():
+                    try:
+                        handle.conn.send((CMD_CLOSE,))
+                    except (BrokenPipeError, OSError):
+                        pass
+            for process in self._procs:
+                process.join(timeout=5.0)
+        _stop_workers(self._procs, join_timeout=2.0)
         for handle in self._workers:
-            if handle.process.is_alive():
-                handle.process.terminate()
-        for handle in self._workers:
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():  # pragma: no cover - stuck
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
             try:
                 handle.conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
         self._release_shared_state()
 
+    def _abort(self) -> None:
+        """Hard teardown after a worker failure."""
+        self._shut_down(orderly=False)
+
     def close(self) -> None:
         """Orderly shutdown: close workers, release shared memory."""
         if self._closed:
             return
-        self._closed = True
-        for handle in self._workers:
-            if handle.process.is_alive():
-                try:
-                    handle.conn.send((CMD_CLOSE,))
-                except (BrokenPipeError, OSError):
-                    pass
-        for handle in self._workers:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            if handle.process.is_alive():  # pragma: no cover - stuck
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._release_shared_state()
+        self._shut_down(orderly=True)
         if hasattr(self, "_finalizer"):
             self._finalizer.detach()

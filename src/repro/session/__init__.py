@@ -1,14 +1,13 @@
 """The session API: an ExecutionPlan built into the one trainer.
 
-* :class:`ExecutionPlan` — orthogonal execution axes (``ans``,
-  ``shards``, ``pipeline``, ``async_``, ``backend``, ``obs``,
-  ``serve``) with dict/spec round-trip serialization;
-* the execution-backend registry — :func:`register_backend` /
-  :func:`available_backends` / :func:`backend_info` — resolving the
-  plan's ``backend`` axis (``numpy``, ``threads[:K]``, ``process``) to
-  how shard tasks run; the extension point new backends plug into;
+* :class:`ExecutionPlan` — the ten keys of the ``--plan`` spec
+  language as ten scalar fields (``ans``, ``shards``, ``partition``,
+  ``pipeline``, ``async_``, ``inflight``, ``obs``, ``serve``,
+  ``admission``, ``backend``), with the spec round trip; ``backend``
+  names one of three fixed ways shard tasks run (``numpy``,
+  ``threads[:K]``, ``process``);
 * :class:`TrainSession` — ``TrainSession.build(model, dp, plan)`` turns
-  the axes into a partition, a scheduler and a backend-bound
+  the fields into a partition, a scheduler and a backend-bound
   :class:`repro.lazydp.trainer.LazyDPTrainer`, and owns the resulting
   trainer's lifecycle, private release, and serving attachment;
 * :func:`make_trainer` — the paper's seven algorithms by name (the
@@ -30,23 +29,5 @@ Quickstart::
 
 from .builder import TrainSession, make_trainer
 from .plan import ExecutionPlan
-from .registry import (
-    BACKEND_CAPABILITIES,
-    BackendInfo,
-    available_backends,
-    backend_info,
-    parse_backend_spec,
-    register_backend,
-)
 
-__all__ = [
-    "BACKEND_CAPABILITIES",
-    "BackendInfo",
-    "ExecutionPlan",
-    "TrainSession",
-    "available_backends",
-    "backend_info",
-    "make_trainer",
-    "parse_backend_spec",
-    "register_backend",
-]
+__all__ = ["ExecutionPlan", "TrainSession", "make_trainer"]

@@ -10,9 +10,9 @@ class is picked or assembled per combination:
 * the ``pipeline`` / ``async`` axes become a
   :class:`repro.lazydp.scheduler.Scheduler`, which places the noise and
   apply stages (trainer thread / prefetch worker / apply worker);
-* the ``backend`` axis resolves through the registry
-  (:mod:`repro.session.registry`) to *how shard tasks run* — serially,
-  on a thread pool, or as messages to worker processes.
+* the ``backend`` key picks *how shard tasks run* — serially, on a
+  thread pool, or as messages to worker processes — and with it the
+  trainer's constructor (:func:`_trainer_constructor`).
 
 :class:`TrainSession` is the facade over the built trainer: ``fit``,
 privacy accounting, private release, and :meth:`serve` — which hands
@@ -26,7 +26,11 @@ LazyDP names are the serial plan built here.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..lazydp.scheduler import Scheduler
+from ..lazydp.trainer import LazyDPTrainer
+from ..shard.executor import ThreadPoolShardExecutor
 from ..shard.plan import build_partition_plan
 from ..train import (
     DPSGDBTrainer,
@@ -37,7 +41,6 @@ from ..train import (
 )
 from ..train.common import DPConfig, TrainResult
 from .plan import ExecutionPlan
-from .registry import backend_info, parse_backend_spec
 
 #: The five baselines: genuinely different algorithms, with no plan.
 BASELINES = {
@@ -97,10 +100,7 @@ class TrainSession:
         iteration's rate.
         """
         plan = plan if plan is not None else ExecutionPlan()
-        backend_name, workers = parse_backend_spec(plan.backend)
-        info = backend_info(backend_name)
-
-        num_shards = plan.shards.num_shards if plan.is_sharded else 1
+        num_shards = max(plan.shards, 1)
         if not plan.is_sharded and (skew is not None or partition_plan is not None):
             raise ValueError(
                 "skew / partition_plan only apply to sharded plans "
@@ -117,16 +117,14 @@ class TrainSession:
         # Flat is the one-range case: no partition is built for it.
         if partition_plan is None and num_shards > 1:
             partition_plan = build_partition_plan(
-                model.config, num_shards, strategy=plan.shards.partition, skew=skew
+                model.config, num_shards, strategy=plan.partition, skew=skew
             )
-        pipeline, async_ = plan.pipeline, plan.async_
         scheduler = Scheduler(
-            prefetch_depth=pipeline.prefetch_depth if pipeline else None,
-            max_in_flight=async_.max_in_flight if async_ else None,
-            staleness=async_.staleness if async_ else "strict",
+            prefetch_depth=plan.pipeline or None,
+            max_in_flight=plan.inflight if plan.is_async else None,
+            staleness=plan.async_ or "strict",
         )
-        constructor = info.factory(num_shards=num_shards, workers=workers)
-        trainer = constructor(
+        trainer = _trainer_constructor(plan, num_shards)(
             model,
             dp,
             noise_seed=noise_seed,
@@ -141,8 +139,9 @@ class TrainSession:
         if plan.obs is not None:
             from ..obs import Observability
 
+            modes = plan.obs.split("+")
             session.observability = trainer.instrument(
-                Observability(plan.obs)
+                Observability(trace="trace" in modes, metrics="metrics" in modes)
             )
         return session
 
@@ -187,9 +186,9 @@ class TrainSession:
     def _serve_cache(self, cache):
         """Resolve a ``serve(cache=...)`` argument against the plan axis.
 
-        ``None`` defers to the plan's ``serve`` axis (a
-        :class:`repro.configs.ServeConfig` sizes a fresh hot-row cache
-        per handle — caches hold privatized bits, so they are never
+        ``None`` defers to the plan's ``serve`` axis (``serve`` rows and
+        ``admission`` size a fresh hot-row cache per handle — caches
+        hold privatized bits, so they are never
         shared between engines); ``False`` forces an uncached handle;
         anything else is used as the cache instance directly.
         """
@@ -197,13 +196,12 @@ class TrainSession:
             return None
         if cache is not None:
             return cache
-        if self.plan.serve is None:
+        if not self.plan.serve:
             return None
         from ..serve.cache import HotRowCache
 
         return HotRowCache(
-            self.plan.serve.cache_rows,
-            admission_threshold=self.plan.serve.admission,
+            self.plan.serve, admission_threshold=self.plan.admission
         )
 
     def serve(
@@ -278,7 +276,7 @@ class TrainSession:
     def stats(self) -> dict:
         """Every engine-stats surface the plan's layers expose."""
         stats = {
-            "plan": self.plan.canonical(),
+            "plan": self.plan.to_spec(),
             "algorithm": self.trainer.name,
             "kernel": self.trainer.kernel_stats(),
         }
@@ -318,6 +316,23 @@ class TrainSession:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
+
+
+def _trainer_constructor(plan: ExecutionPlan, num_shards: int):
+    """The trainer class for the plan's backend, called as
+    ``constructor(model, dp, noise_seed=, use_ans=, partition=,
+    scheduler=, schedule=)``."""
+    name, workers = plan.split_backend()
+    if name == "process":
+        from ..procshard.trainer import ProcessShardedLazyDPTrainer
+
+        return ProcessShardedLazyDPTrainer
+    if name == "threads":
+        # One worker per shard unless capped: tasks are shard-grained,
+        # so more workers than shards cannot help.
+        pool = partial(ThreadPoolShardExecutor, workers or num_shards)
+        return partial(LazyDPTrainer, executors=pool)
+    return LazyDPTrainer  # numpy: shard tasks serially, in shard order
 
 
 def make_trainer(algorithm: str, model, dp: DPConfig, noise_seed: int = 1234):

@@ -4,65 +4,67 @@ The paper's contributions — lazy deferred noise, aggregated noise
 sampling, prefetch pipelining — and the engines this repo grew around
 them (sharded tables, async in-flight applies) are *orthogonal
 execution concerns*: any combination trains the same model to the same
-bits.  An :class:`ExecutionPlan` names a combination by its axes:
+bits.  An :class:`ExecutionPlan` names a combination with the ten keys
+of the ``--plan`` spec language, one scalar field per key, in spec
+order:
 
 ``ans``
     Aggregated noise sampling on/off (the algorithmic ablation axis).
-``shards``
-    ``None`` for flat tables, or a :class:`repro.configs.ShardConfig`
-    partitioning every table (``repro.shard``).  One shard *is* the
-    flat engine: the builder decides that from the shard count.
+``shards`` / ``partition``
+    ``0`` for flat tables, or the number of contiguous row ranges every
+    table is cut into (``repro.shard``), placed by ``partition`` (one
+    of :data:`repro.shard.plan.PARTITION_STRATEGIES`).  One shard *is*
+    the flat engine: the builder decides that from the shard count.
 ``pipeline``
-    ``None`` for inline catch-up, or a
-    :class:`repro.configs.PipelineConfig` for background noise prefetch
-    (``repro.pipeline`` mechanisms).
-``async_``
-    ``None`` for synchronous applies, or a
-    :class:`repro.configs.AsyncConfig` for multi-in-flight applies
-    (``repro.async_`` mechanisms; implies the pipeline axis — when
-    ``pipeline`` is ``None`` the prefetch depth defaults to
-    ``max(2, max_in_flight)``).
-``backend``
-    Execution backend, as a ``"name[:workers]"`` spec resolved against
-    the registry in :mod:`repro.session.registry` — ``"numpy"``
-    (default, in-process serial schedule), ``"threads[:K]"`` (shard
-    thread pool), ``"process"`` (one worker process per shard, slabs in
-    shared memory; ``repro.procshard``).  A backend is *how shard tasks
-    run*; new ones land as ``register_backend`` calls.
+    ``0`` for inline catch-up, or the depth of the background noise
+    prefetch (``repro.pipeline`` mechanisms).
+``async_`` / ``inflight``
+    ``None`` for synchronous applies, or the staleness word
+    (``"strict"`` / ``"bounded[:k]"``, parsed by
+    :meth:`repro.async_.StalenessPolicy.parse`) with up to ``inflight``
+    applies outstanding (``repro.async_`` mechanisms).  Async implies
+    the pipeline axis: with ``pipeline=0`` the prefetch depth defaults
+    to ``max(2, inflight)``.
 ``obs``
-    ``None`` for an uninstrumented run, or a
-    :class:`repro.configs.ObservabilityConfig` selecting tracing
-    and/or metrics (``repro.obs``).  Unlike the other axes this is an
-    *instance* concern — the session builder instruments the built
-    trainer.
-``serve``
-    ``None`` for uncached serving handles, or a
-    :class:`repro.configs.ServeConfig` sizing the skew-aware hot-row
-    cache ``TrainSession.serve`` puts in front of each serving engine
-    (``repro.serve``).  Like ``obs`` this is an instance concern: it
-    configures the handles the session hands out, not the trainer.
+    ``None`` for an uninstrumented run, or ``"trace"``, ``"metrics"``
+    or ``"trace+metrics"`` (``repro.obs``).  Unlike the other axes this
+    is an *instance* concern — the session builder instruments the
+    built trainer.
+``serve`` / ``admission``
+    ``0`` for uncached serving handles, or the row capacity of the
+    skew-aware hot-row cache ``TrainSession.serve`` puts in front of
+    each serving engine, admitting a row after ``admission`` slow-path
+    serves (``repro.serve``).  Like ``obs`` this configures the handles
+    the session hands out, not the trainer.
+``backend``
+    *How shard tasks run*, as ``"name[:K]"`` — one of :data:`BACKENDS`:
+    ``"numpy"`` (default, in-process serial schedule), ``"threads[:K]"``
+    (shard thread pool of ``K`` workers), ``"process"`` (one worker
+    process per shard, slabs in shared memory; ``repro.procshard``).
 
-Plans serialize three ways: :meth:`to_dict`/:meth:`from_dict` (nested
-JSON, for configs and BENCH_*.json metadata), :meth:`to_spec`/
-:meth:`from_spec` (the flat ``"shards=4,pipeline=2,async=bounded:2"``
-mini-language the CLI's ``--plan`` flag speaks), and
+A sub-key (``partition``, ``inflight``, ``admission``) keeps its
+default while its axis is off, so every plan has exactly one spelling.
+Plans serialize two ways: :meth:`to_spec`/:meth:`from_spec` (the flat
+``"shards=4,pipeline=2,async=bounded:2"`` mini-language the CLI's
+``--plan`` flag speaks and BENCH_*.json metadata records) and
 :meth:`legacy_name` (the ``TrainResult.algorithm`` label).
-``from_spec(to_spec(p)) == p`` and ``from_dict(to_dict(p)) == p`` hold
-for every valid plan.
+``from_spec(to_spec(p)) == p`` holds for every valid plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from ..configs import (
-    AsyncConfig,
-    ObservabilityConfig,
-    PipelineConfig,
-    ServeConfig,
-    ShardConfig,
-)
-from .registry import backend_info, parse_backend_spec
+from ..async_.policy import StalenessPolicy
+from ..shard.plan import PARTITION_STRATEGIES
+
+#: The execution backends, with the note ``repro backends`` prints.
+#: The four rules they obey live in ``ExecutionPlan.__post_init__``.
+BACKENDS = {
+    "numpy": "in-process numpy kernels, serial per-shard schedule",
+    "threads": "in-process numpy kernels on a persistent shard thread pool",
+    "process": "one worker process per shard, slab and history in shared memory",
+}
 
 _SPEC_KEYS = (
     "ans",
@@ -77,8 +79,19 @@ _SPEC_KEYS = (
     "backend",
 )
 
+#: The spelled ``obs`` words, by (trace, metrics).
+_OBS_WORDS = {
+    (True, False): "trace",
+    (False, True): "metrics",
+    (True, True): "trace+metrics",
+}
+
+#: The axis field a sub-key field belongs to.
+_AXIS_OF = {"partition": "shards", "inflight": "async_", "admission": "serve"}
+
 _TRUE_WORDS = ("on", "true", "yes", "1")
 _FALSE_WORDS = ("off", "false", "no", "0")
+_OFF_WORDS = _FALSE_WORDS + ("none",)
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -102,71 +115,158 @@ def _parse_int(key: str, value: str) -> int:
         ) from None
 
 
+def _parse_word(key: str, value: str) -> str | None:
+    """``async=``: the off-spellings the boolean keys accept (plus
+    ``none``) switch the axis off instead of parsing as a mode."""
+    word = value.lower()
+    return None if word in _OFF_WORDS else word
+
+
+def _parse_obs(key: str, value: str) -> str | None:
+    word = value.lower()
+    if word in _OFF_WORDS:
+        return None
+    modes = {"trace": False, "metrics": False}
+    for token in word.split("+"):
+        token = token.strip()
+        if token in ("all", "full"):
+            modes["trace"] = modes["metrics"] = True
+        elif token in modes:
+            modes[token] = True
+        else:
+            raise ValueError(
+                f"invalid plan spec: obs={word!r} — unknown mode {token!r} "
+                "(use trace, metrics, trace+metrics, or off)"
+            )
+    return _OBS_WORDS[modes["trace"], modes["metrics"]]
+
+
+def _parse_serve(key: str, value: str) -> int:
+    word = value.lower()
+    # "serve=0" lands here too — the zero spelling every axis uses.
+    return 0 if word in _OFF_WORDS else _parse_int(key, word)
+
+
+def _parse_text(key: str, value: str) -> str:
+    return value
+
+
+#: How each spec key's value is read, in spec order.
+_PARSERS = {
+    "ans": _parse_bool,
+    "shards": _parse_int,
+    "partition": _parse_text,
+    "pipeline": _parse_int,
+    "async": _parse_word,
+    "inflight": _parse_int,
+    "obs": _parse_obs,
+    "serve": _parse_serve,
+    "admission": _parse_int,
+    "backend": _parse_text,
+}
+
+
+def _split_backend(spec: str) -> tuple:
+    """``"name[:K]"`` -> ``(name, K or None)``; the name must be one of
+    :data:`BACKENDS` and ``K`` a positive integer."""
+    name, separator, suffix = spec.partition(":")
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown backend: {name!r} (choose from {', '.join(BACKENDS)})"
+        )
+    if not separator:
+        return name, None
+    try:
+        workers = int(suffix)
+    except ValueError:
+        raise ValueError(
+            f"invalid backend spec: {spec!r} — the worker count after "
+            "':' must be an integer"
+        ) from None
+    if workers < 1:
+        raise ValueError(
+            f"invalid backend spec: {spec!r} — the worker count must be "
+            "positive"
+        )
+    return name, workers
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """One training run's execution strategy, one field per axis."""
+    """One training run's execution strategy: the ten spec keys."""
 
     ans: bool = True
-    shards: ShardConfig | None = None
-    pipeline: PipelineConfig | None = None
-    async_: AsyncConfig | None = None
+    shards: int = 0
+    partition: str = "row_range"
+    pipeline: int = 0
+    async_: str | None = None
+    inflight: int = 2
+    obs: str | None = None
+    serve: int = 0
+    admission: int = 2
     backend: str = "numpy"
-    obs: ObservabilityConfig | None = None
-    serve: ServeConfig | None = None
 
     def __post_init__(self):
-        if self.shards is not None and not isinstance(self.shards, ShardConfig):
-            raise ValueError("shards must be a ShardConfig or None")
-        if self.pipeline is not None and not isinstance(
-            self.pipeline, PipelineConfig
-        ):
-            raise ValueError("pipeline must be a PipelineConfig or None")
-        if self.async_ is not None and not isinstance(self.async_, AsyncConfig):
-            raise ValueError("async_ must be an AsyncConfig or None")
-        if self.obs is not None and not isinstance(
-            self.obs, ObservabilityConfig
-        ):
-            raise ValueError("obs must be an ObservabilityConfig or None")
-        if self.serve is not None and not isinstance(
-            self.serve, ServeConfig
-        ):
-            raise ValueError("serve must be a ServeConfig or None")
-        # Registry validation runs on the canonical form: the backend
-        # must be registered and must declare a capability for every
-        # axis this plan switches on.
-        name, workers = parse_backend_spec(self.backend)
-        info = backend_info(name)
-        if self.shards is None:
-            if not info.supports("flat"):
-                raise ValueError(
-                    f"backend {name!r} requires the shards axis "
-                    f"(plan spec: shards=N,backend={name})"
-                )
-        elif not info.supports("shards"):
+        if self.shards < 0:
+            raise ValueError("shards must be >= 0")
+        if self.partition not in PARTITION_STRATEGIES:
             raise ValueError(
-                f"backend {name!r} does not compose with the shards axis"
+                f"unknown partition strategy: {self.partition!r} "
+                f"(choose from {PARTITION_STRATEGIES})"
             )
-        if self.pipeline is not None and not info.supports("pipeline"):
+        if self.pipeline < 0:
+            raise ValueError("pipeline must be >= 0")
+        if self.async_ is not None:
+            StalenessPolicy.parse(self.async_)
+        if self.inflight < 1:
+            raise ValueError("inflight must be at least 1")
+        if self.obs is not None and self.obs not in _OBS_WORDS.values():
             raise ValueError(
-                f"backend {name!r} does not compose with the pipeline "
+                f"unknown obs mode: {self.obs!r} "
+                f"(choose from {', '.join(_OBS_WORDS.values())} or None)"
+            )
+        if self.serve < 0:
+            raise ValueError("serve must be >= 0")
+        if self.admission < 1:
+            raise ValueError("serve admission threshold must be positive")
+        # A sub-key set away from its default while its axis is off has
+        # no spelling: the spec would drop it.
+        for key, axis in _AXIS_OF.items():
+            default = self.__dataclass_fields__[key].default
+            if not getattr(self, axis) and getattr(self, key) != default:
+                raise ValueError(
+                    f"contradictory plan: {key}={getattr(self, key)} "
+                    f"requires the {axis.rstrip('_')} axis"
+                )
+
+        # The backend rules.
+        name, workers = self.split_backend()
+        if name in ("threads", "process") and not self.shards:
+            raise ValueError(
+                f"backend {name!r} requires the shards axis "
+                f"(plan spec: shards=N,backend={name})"
+            )
+        if name == "process" and self.pipeline:
+            raise ValueError(
+                "backend 'process' does not compose with the pipeline "
                 "axis: its workers already overlap noise preparation "
                 "with the model update"
             )
-        if self.async_ is not None and not info.supports("async"):
+        if name == "process" and self.async_ is not None:
             raise ValueError(
-                f"backend {name!r} does not compose with the async axis"
+                "backend 'process' does not compose with the async axis"
             )
-        if (
-            name == "process"
-            and workers is not None
-            and self.shards is not None
-            and workers != self.shards.num_shards
-        ):
+        if name == "numpy" and workers is not None:
+            raise ValueError(
+                f"invalid backend spec: {self.backend!r} — backend 'numpy' "
+                "admits no worker count (only threads, process do)"
+            )
+        if name == "process" and workers not in (None, self.shards):
             raise ValueError(
                 f"invalid backend spec: process:{workers} pins one worker "
-                f"process per shard, but the plan has "
-                f"{self.shards.num_shards} shard(s) (use backend=process "
-                f"or backend=process:{self.shards.num_shards})"
+                f"process per shard, but the plan has {self.shards} "
+                f"shard(s) (use backend=process or "
+                f"backend=process:{self.shards})"
             )
 
     # -- derived shape -----------------------------------------------------
@@ -174,7 +274,7 @@ class ExecutionPlan:
     def is_sharded(self) -> bool:
         """The shards axis is on (any count; one shard still runs as the
         flat engine, with the label of a sharded plan)."""
-        return self.shards is not None
+        return self.shards > 0
 
     @property
     def is_async(self) -> bool:
@@ -183,7 +283,12 @@ class ExecutionPlan:
     @property
     def is_pipelined(self) -> bool:
         """Background noise prefetch (explicit, or implied by async)."""
-        return self.pipeline is not None or self.is_async
+        return self.pipeline > 0 or self.is_async
+
+    def split_backend(self) -> tuple:
+        """``(name, workers)`` of the ``backend`` spec; ``workers`` is
+        ``None`` without a ``:K`` suffix."""
+        return _split_backend(self.backend)
 
     def legacy_name(self) -> str:
         """The ``TrainResult.algorithm`` label for this combination
@@ -194,52 +299,6 @@ class ExecutionPlan:
         sharded = "sharded_" if self.is_sharded else ""
         suffix = "" if self.ans else "_no_ans"
         return f"{prefix}{sharded}lazydp{suffix}"
-
-    # -- dict round trip ---------------------------------------------------
-    def to_dict(self) -> dict:
-        """Nested JSON-serializable form; ``from_dict`` inverts it."""
-        return {
-            "ans": self.ans,
-            "shards": None if self.shards is None else self.shards.to_dict(),
-            "pipeline": (
-                None if self.pipeline is None else self.pipeline.to_dict()
-            ),
-            "async": None if self.async_ is None else self.async_.to_dict(),
-            "backend": self.backend,
-            "obs": None if self.obs is None else self.obs.to_dict(),
-            "serve": None if self.serve is None else self.serve.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionPlan":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"ExecutionPlan expects a mapping, got {type(data).__name__}"
-            )
-        known = {"ans", "shards", "pipeline", "async", "backend", "obs",
-                 "serve"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutionPlan keys: {', '.join(unknown)} "
-                f"(accepted: {', '.join(sorted(known))})"
-            )
-        shards = data.get("shards")
-        pipeline = data.get("pipeline")
-        async_ = data.get("async")
-        obs = data.get("obs")
-        serve = data.get("serve")
-        return cls(
-            ans=bool(data.get("ans", True)),
-            shards=None if shards is None else ShardConfig.from_dict(shards),
-            pipeline=(
-                None if pipeline is None else PipelineConfig.from_dict(pipeline)
-            ),
-            async_=None if async_ is None else AsyncConfig.from_dict(async_),
-            backend=data.get("backend", "numpy"),
-            obs=None if obs is None else ObservabilityConfig.from_dict(obs),
-            serve=None if serve is None else ServeConfig.from_dict(serve),
-        )
 
     # -- spec round trip (the CLI's --plan mini-language) -------------------
     @classmethod
@@ -273,116 +332,36 @@ class ExecutionPlan:
                 raise ValueError(f"invalid plan spec: duplicate key {key!r}")
             values[key] = value.strip()
 
-        ans = _parse_bool("ans", values["ans"]) if "ans" in values else True
-        backend = values.get("backend", "numpy")
-
-        num_shards = (
-            _parse_int("shards", values["shards"]) if "shards" in values else 0
-        )
-        if num_shards < 0:
-            raise ValueError("invalid plan spec: shards must be >= 0")
-        if num_shards == 0:
-            if "partition" in values:
-                raise ValueError(
-                    "contradictory plan spec: partition requires shards>=1, "
-                    "but the shards axis is off"
-                )
-            shards = None
-        else:
-            shards = ShardConfig(
-                num_shards=num_shards,
-                partition=values.get("partition", "row_range"),
+        kwargs = {}
+        for field in fields(cls):
+            key = field.name.rstrip("_")
+            if key in values:
+                kwargs[field.name] = _PARSERS[key](key, values[key])
+        # A sub-key spelled out while its axis is off contradicts it
+        # even at its default value.
+        if "partition" in values and kwargs.get("shards", 0) == 0:
+            raise ValueError(
+                "contradictory plan spec: partition requires shards>=1, "
+                "but the shards axis is off"
             )
-
-        depth = (
-            _parse_int("pipeline", values["pipeline"])
-            if "pipeline" in values
-            else None
-        )
-        if depth is not None and depth < 0:
-            raise ValueError("invalid plan spec: pipeline must be >= 0")
-        pipeline = (
-            PipelineConfig(prefetch_depth=depth)
-            if depth
-            else None
-        )
-
-        async_word = values.get("async", "off").lower()
-        # Accept the same off-spellings the boolean keys do (plus
-        # "none"), so "async=false" switches the axis off instead of
-        # parsing as a staleness mode.
-        async_off = async_word in _FALSE_WORDS + ("none",)
-        if async_off:
-            if "inflight" in values:
-                raise ValueError(
-                    "contradictory plan spec: inflight requires the async "
-                    "axis (async=strict or async=bounded[:k])"
-                )
-            async_ = None
-        else:
-            if depth == 0:
-                raise ValueError(
-                    f"contradictory plan spec: async={async_word} needs the "
-                    "noise-prefetch pipeline, but pipeline=0 disables it "
-                    "(drop pipeline=0 or set a depth >= 1)"
-                )
-            async_ = AsyncConfig(
-                max_in_flight=(
-                    _parse_int("inflight", values["inflight"])
-                    if "inflight" in values
-                    else 2
-                ),
-                staleness=async_word,
+        async_word = kwargs.get("async_")
+        if "inflight" in values and async_word is None:
+            raise ValueError(
+                "contradictory plan spec: inflight requires the async "
+                "axis (async=strict or async=bounded[:k])"
             )
-
-        obs_word = values.get("obs", "off").lower()
-        if obs_word in _FALSE_WORDS + ("none",):
-            obs = None
-        else:
-            modes = {"trace": False, "metrics": False}
-            for token in obs_word.split("+"):
-                token = token.strip()
-                if token in ("all", "full"):
-                    modes["trace"] = modes["metrics"] = True
-                elif token in modes:
-                    modes[token] = True
-                else:
-                    raise ValueError(
-                        f"invalid plan spec: obs={obs_word!r} — unknown "
-                        f"mode {token!r} (use trace, metrics, "
-                        "trace+metrics, or off)"
-                    )
-            obs = ObservabilityConfig(**modes)
-
-        serve_word = values.get("serve", "off").lower()
-        if serve_word in _FALSE_WORDS + ("none",):
-            # "serve=0" lands here too — the zero spelling every other
-            # axis uses to switch off explicitly.
-            if "admission" in values:
-                raise ValueError(
-                    "contradictory plan spec: admission requires the serve "
-                    "axis (serve=<cache_rows>)"
-                )
-            serve = None
-        else:
-            serve = ServeConfig(
-                cache_rows=_parse_int("serve", serve_word),
-                admission=(
-                    _parse_int("admission", values["admission"])
-                    if "admission" in values
-                    else 2
-                ),
+        if async_word is not None and kwargs.get("pipeline") == 0:
+            raise ValueError(
+                f"contradictory plan spec: async={async_word} needs the "
+                "noise-prefetch pipeline, but pipeline=0 disables it "
+                "(drop pipeline=0 or set a depth >= 1)"
             )
-
-        return cls(
-            ans=ans,
-            shards=shards,
-            pipeline=pipeline,
-            async_=async_,
-            backend=backend,
-            obs=obs,
-            serve=serve,
-        )
+        if "admission" in values and not kwargs.get("serve"):
+            raise ValueError(
+                "contradictory plan spec: admission requires the serve "
+                "axis (serve=<cache_rows>)"
+            )
+        return cls(**kwargs)
 
     def to_spec(self) -> str:
         """The canonical flat spec string; ``from_spec`` inverts it.
@@ -393,24 +372,15 @@ class ExecutionPlan:
         BENCH_*.json metadata, so plan identity is comparable across
         reports.
         """
-        parts = [f"ans={'on' if self.ans else 'off'}"]
-        if self.shards is not None:
-            parts.append(f"shards={self.shards.num_shards}")
-            parts.append(f"partition={self.shards.partition}")
-        if self.pipeline is not None:
-            parts.append(f"pipeline={self.pipeline.prefetch_depth}")
-        if self.async_ is not None:
-            parts.append(f"async={self.async_.staleness}")
-            parts.append(f"inflight={self.async_.max_in_flight}")
-        if self.obs is not None:
-            parts.append(f"obs={'+'.join(self.obs.modes())}")
-        if self.serve is not None:
-            parts.append(f"serve={self.serve.cache_rows}")
-            parts.append(f"admission={self.serve.admission}")
-        if self.backend != "numpy":
-            parts.append(f"backend={self.backend}")
+        parts = []
+        for field in fields(self):
+            key = field.name.rstrip("_")
+            value = getattr(self, field.name)
+            if key == "ans":
+                parts.append(f"ans={'on' if value else 'off'}")
+            elif key == "backend":
+                if value != "numpy":
+                    parts.append(f"backend={value}")
+            elif getattr(self, _AXIS_OF.get(key, field.name)):
+                parts.append(f"{key}={value}")
         return ",".join(parts)
-
-    def canonical(self) -> str:
-        """Alias for :meth:`to_spec` (the canonical plan string)."""
-        return self.to_spec()

@@ -4,7 +4,7 @@ Every iteration of the sharded lazy update produces one independent task
 per shard — disjoint parameter slabs, disjoint HistoryTables, disjoint
 noise key spaces — so tasks can run in any order or concurrently without
 synchronisation.  The executor is *how shard tasks run*, resolved from
-the plan's ``backend`` axis (:mod:`repro.session.registry`):
+the plan's ``backend`` key (:mod:`repro.session.plan`):
 
 * ``SerialExecutor`` — runs tasks in shard order on the calling thread.
   Zero overhead; the reference schedule for equivalence testing.
@@ -66,9 +66,10 @@ class ThreadPoolShardExecutor(ShardExecutor):
     """Shard tasks on a persistent thread pool.
 
     The pool is created once and reused across iterations — per-iteration
-    pool churn would dwarf the per-shard work at test scale.  Exceptions
-    inside tasks propagate to the caller after all tasks finish
-    submitting, so a failing shard cannot be silently dropped.
+    pool churn would dwarf the per-shard work at test scale.  Every task
+    runs to the end even when one fails; the lowest-index failure is
+    raised after all have finished (``lanes.fan_out``'s contract), so
+    no shard is still writing its slab when the caller sees the error.
     """
 
     name = "threads"
@@ -84,6 +85,7 @@ class ThreadPoolShardExecutor(ShardExecutor):
 
     def run(self, tasks: list) -> list:
         futures = [self._pool.submit(task) for task in tasks]
+        concurrent.futures.wait(futures)
         return [future.result() for future in futures]
 
     def shutdown(self) -> None:

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..configs import DLRMConfig, SHARD_PARTITIONS
+from ..configs import DLRMConfig
 from ..data.skew import SkewSpec, zipf_weights
 
-#: Single source of truth lives in configs (CLI choices + ShardConfig
-#: validation read it there); re-exported under the planner's name.
-PARTITION_STRATEGIES = SHARD_PARTITIONS
+#: The strategies the planner places cut points by (the plan's
+#: ``partition`` key accepts exactly these).
+PARTITION_STRATEGIES = ("row_range", "frequency")
 
 
 @dataclass(frozen=True, eq=False)  # eq would compare ``bounds`` elementwise

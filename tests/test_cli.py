@@ -90,7 +90,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("spec, message", [
         ("pipeline=-1", ">= 0"),
-        ("async=strict,inflight=0", "max_in_flight"),
+        ("async=strict,inflight=0", "inflight"),
         ("shards=2,backend=threads:0", "worker count"),
     ])
     def test_rejects_bad_engine_values(self, capsys, spec, message):
@@ -150,7 +150,7 @@ class TestPlanFlag:
 
     def test_reported_plan_round_trips(self, capsys):
         """The canonical string the CLI prints parses back to the same
-        plan — the spec <-> to_dict/from_dict <-> canonical loop."""
+        plan — the spec <-> plan loop."""
         from repro.session import ExecutionPlan
 
         main([
@@ -163,8 +163,7 @@ class TestPlanFlag:
             if line.startswith("plan ")
         )
         plan = ExecutionPlan.from_spec(printed)
-        assert plan.canonical() == printed
-        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
+        assert plan.to_spec() == printed
 
     def test_rejects_contradictory_spec(self, capsys):
         code = main([

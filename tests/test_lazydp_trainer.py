@@ -201,7 +201,7 @@ class TestMakePrivateAPI:
         session = make_private(DLRM(config, seed=0), loader)
         assert isinstance(session, TrainSession)
         assert session.data_loader is loader
-        assert session.plan.canonical() == "ans=on"
+        assert session.plan.to_spec() == "ans=on"
         unbound = TrainSession.build(DLRM(config, seed=0), DPConfig())
         with pytest.raises(ValueError, match="needs a loader"):
             unbound.fit()

@@ -25,12 +25,6 @@ import numpy as np
 import pytest
 
 from repro import configs
-from repro.configs import (
-    AsyncConfig,
-    ObservabilityConfig,
-    PipelineConfig,
-    ShardConfig,
-)
 from repro.nn import DLRM
 from repro.obs import (
     NULL_OBS,
@@ -243,23 +237,24 @@ class TestStageTimerAdapter:
         assert timer.totals["stage"] > 0.0
 
 
-class TestObservabilityConfig:
+class TestObsAxis:
     def test_rejects_all_off(self):
         with pytest.raises(ValueError, match="records nothing"):
-            ObservabilityConfig(trace=False, metrics=False)
+            Observability(trace=False, metrics=False)
 
-    def test_modes_and_dict_round_trip(self):
-        obs = ObservabilityConfig(trace=True, metrics=True)
-        assert obs.modes() == ("trace", "metrics")
-        assert ObservabilityConfig.from_dict(obs.to_dict()) == obs
-        assert ObservabilityConfig(trace=True, metrics=False).modes() == \
-            ("trace",)
+    def test_snapshot_reports_both_switches(self):
+        obs = Observability(trace=True, metrics=False)
+        assert obs.snapshot()["config"] == {"trace": True, "metrics": False}
+        assert Observability().snapshot()["config"] == {
+            "trace": False, "metrics": True,
+        }
 
     @pytest.mark.parametrize("spec, expected", [
-        ("obs=trace", ObservabilityConfig(trace=True, metrics=False)),
-        ("obs=metrics", ObservabilityConfig(trace=False, metrics=True)),
-        ("obs=trace+metrics", ObservabilityConfig(trace=True, metrics=True)),
-        ("obs=all", ObservabilityConfig(trace=True, metrics=True)),
+        ("obs=trace", "trace"),
+        ("obs=metrics", "metrics"),
+        ("obs=trace+metrics", "trace+metrics"),
+        ("obs=metrics+trace", "trace+metrics"),
+        ("obs=all", "trace+metrics"),
         ("obs=off", None),
         ("", None),
     ])
@@ -267,33 +262,27 @@ class TestObservabilityConfig:
         assert ExecutionPlan.from_spec(spec).obs == expected
 
     def test_plan_spec_round_trips(self):
-        for obs in (None, ObservabilityConfig(trace=True),
-                    ObservabilityConfig(metrics=True),
-                    ObservabilityConfig(trace=True, metrics=True)):
-            plan = ExecutionPlan(
-                pipeline=PipelineConfig(prefetch_depth=2),
-                obs=obs,
-            )
+        for obs in (None, "trace", "metrics", "trace+metrics"):
+            plan = ExecutionPlan(pipeline=2, obs=obs)
             assert ExecutionPlan.from_spec(plan.to_spec()) == plan
-            assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
     def test_plan_spec_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'perfetto'"):
             ExecutionPlan.from_spec("obs=perfetto")
 
-    def test_plan_rejects_wrong_type(self):
-        with pytest.raises(ValueError, match="ObservabilityConfig"):
-            ExecutionPlan(obs="trace")
+    def test_plan_rejects_unspelled_mode(self):
+        with pytest.raises(ValueError, match="unknown obs mode"):
+            ExecutionPlan(obs="metrics+trace")
 
 
 class TestInstrumentedTraining:
     def test_traced_run_is_bitwise_identical(self, config):
         plain, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(prefetch_depth=2),
+            pipeline=2,
         ))
         traced, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(prefetch_depth=2),
-            obs=ObservabilityConfig(trace=True, metrics=True),
+            pipeline=2,
+            obs="trace+metrics",
         ))
         reference = final_parameters(plain)
         for name, data in final_parameters(traced).items():
@@ -304,7 +293,7 @@ class TestInstrumentedTraining:
     def test_stage_times_shape_unchanged_by_observability(self, config):
         plain, plain_result = fit_plan(config, ExecutionPlan())
         traced, traced_result = fit_plan(config, ExecutionPlan(
-            obs=ObservabilityConfig(trace=True, metrics=True),
+            obs="trace+metrics",
         ))
         assert plain_result.stage_times.keys() == \
             traced_result.stage_times.keys()
@@ -314,7 +303,7 @@ class TestInstrumentedTraining:
 
     def test_train_result_counters(self, config, compiled_kernels):
         _, result = fit_plan(config, ExecutionPlan(
-            obs=ObservabilityConfig(metrics=True),
+            obs="metrics",
         ))
         # The fused-apply arena counters are the flat engine's events:
         # scratch traffic on the numpy path, present and zero where the
@@ -336,8 +325,8 @@ class TestInstrumentedTraining:
 
     def test_sharded_shard_times_merge(self, config):
         session, result = fit_plan(config, ExecutionPlan(
-            shards=ShardConfig(num_shards=2), backend="threads",
-            obs=ObservabilityConfig(metrics=True),
+            shards=2, backend="threads",
+            obs="metrics",
         ))
         merged = result.shard_times
         assert len(merged["per_shard"]) == 2
@@ -357,8 +346,8 @@ class TestInstrumentedTraining:
 
     def test_traced_pipeline_has_overlapping_worker_track(self, config):
         session, _ = fit_plan(config, ExecutionPlan(
-            pipeline=PipelineConfig(prefetch_depth=2),
-            obs=ObservabilityConfig(trace=True, metrics=True),
+            pipeline=2,
+            obs="trace+metrics",
         ), iterations=6)
         tracer = session.observability.tracer
         names = tracer.track_names()
@@ -388,8 +377,8 @@ class TestInstrumentedTraining:
 
     def test_async_traced_run_records_inflight(self, config):
         session, result = fit_plan(config, ExecutionPlan(
-            async_=AsyncConfig(max_in_flight=2),
-            obs=ObservabilityConfig(trace=True, metrics=True),
+            async_="strict", inflight=2,
+            obs="trace+metrics",
         ), iterations=6)
         names = session.observability.tracer.track_names()
         assert "lazydp-apply" in names
@@ -402,14 +391,14 @@ class TestInstrumentedTraining:
 
     def test_philox_launches_counted(self, config):
         session, _ = fit_plan(config, ExecutionPlan(
-            obs=ObservabilityConfig(metrics=True),
+            obs="metrics",
         ))
         gauges = session.observability.metrics.snapshot()["gauges"]
         assert gauges["rng.philox_launches"] > 0
 
     def test_session_stats_and_save_trace_gating(self, config, tmp_path):
         session, _ = fit_plan(config, ExecutionPlan(
-            obs=ObservabilityConfig(metrics=True),
+            obs="metrics",
         ))
         assert "metrics" in session.stats()
         with pytest.raises(RuntimeError, match="obs=trace"):
@@ -417,7 +406,7 @@ class TestInstrumentedTraining:
         session.close()
 
         traced, _ = fit_plan(config, ExecutionPlan(
-            obs=ObservabilityConfig(trace=True, metrics=False),
+            obs="trace",
         ))
         path = tmp_path / "yes.json"
         count = traced.save_trace(path)
@@ -462,8 +451,8 @@ class TestTraceTimerAgreement:
         gap = None
         for _ in range(5):
             session, _ = fit_plan(config, ExecutionPlan(
-                pipeline=PipelineConfig(prefetch_depth=2),
-                obs=ObservabilityConfig(trace=True, metrics=True),
+                pipeline=2,
+                obs="trace+metrics",
             ), iterations=12, batch=256)
             summary = trace_report.summarize(
                 session.observability.export_trace()

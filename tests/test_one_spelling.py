@@ -9,7 +9,10 @@ selects — compiled code lands under the reference kernels, not beside
 them under a name.  And the paper's figures: one table of drivers and
 bands, beside the bench runner, not in the library.  And the table
 layout: every plan slices the model's own tables, one history and one
-ledger per table, by row ranges — no wrapper bag, no per-row map.
+ledger per table, by row ranges — no wrapper bag, no per-row map.  And
+the execution plan: one scalar field per ``--plan`` key, validated once,
+with a closed table of three backends — no registry, no nested axis
+configs, no second serialized form.
 """
 
 import pathlib
@@ -117,6 +120,66 @@ def test_the_figures_live_beside_the_bench_runner():
     assert grep(r"ALL_FIG" r"URES|TOLER" r"ANCES") == []
 
 
+# -- the plan is its spec ------------------------------------------------------
+
+#: The workloads the frozen end-to-end benchmark measures, and whether
+#: each runs any thread beside the caller's (what its harness reads from
+#: ``is_sharded or is_pipelined`` to decide if the caller may hop CPUs).
+WORKLOAD_FANS_OUT = {
+    "serial_uniform": False,
+    "serial_zipf_pooled": False,
+    "threads_composed_uniform": True,
+    "process_sharded_uniform": True,
+    "serve_zipf_live": False,
+}
+
+
+def test_the_plan_fields_are_the_spec_keys():
+    from dataclasses import fields
+
+    from repro.session import ExecutionPlan
+    from repro.session.plan import _SPEC_KEYS
+
+    names = [field.name for field in fields(ExecutionPlan)]
+    assert names == [
+        "ans", "shards", "partition", "pipeline", "async_", "inflight",
+        "obs", "serve", "admission", "backend",
+    ]
+    assert [name.rstrip("_") for name in names] == list(_SPEC_KEYS)
+
+
+def test_the_registry_axis_configs_and_dict_form_stay_deleted():
+    assert not (SRC / "session" / "registry.py").exists()
+    # Spelled in pieces so that these patterns do not match themselves.
+    assert occurrences(
+        r"register_" r"backend|Backend" r"Info|BACKEND_" r"CAPABILITIES"
+        r"|available_" r"backends|backend_" r"info|parse_backend_" r"spec"
+    ) == []
+    assert occurrences(
+        r"\b(Shard|Pipeline|Async|Observability|Serve)" r"Config\b"
+        r"|_config_" r"from_dict|SHARD_" r"PARTITIONS|ASYNC_STALENESS_" r"MODES"
+        r"|\bOBS_" r"MODES\b"
+    ) == []
+    assert occurrences(r"def (to_" r"dict|from_" r"dict|canon" r"ical)\(",
+                       SRC / "session") == []
+
+
+def test_every_workload_plan_round_trips_and_keeps_its_shape():
+    from benchmarks.e2e.workloads import WORKLOADS
+    from repro.session import ExecutionPlan
+
+    assert sorted(workload.name for workload in WORKLOADS) == sorted(
+        WORKLOAD_FANS_OUT
+    )
+    for workload in WORKLOADS:
+        plan = ExecutionPlan.from_spec(workload.plan)
+        spec = plan.to_spec()
+        assert ExecutionPlan.from_spec(spec) == plan
+        assert ExecutionPlan.from_spec(spec).to_spec() == spec
+        fans_out = plan.is_sharded or plan.is_pipelined
+        assert fans_out is WORKLOAD_FANS_OUT[workload.name], workload.name
+
+
 # -- the one table layout ------------------------------------------------------
 
 LAYOUT_SHARDS = ["", "shards=1", "shards=2", "shards=7"]
@@ -138,7 +201,7 @@ def composed_plans():
     return plans
 
 
-@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.canonical())
+@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.to_spec())
 def test_every_plan_keeps_the_models_own_bags(plan):
     """No plan wraps or re-adopts a bag: the layout slices the model's
     own tables, through training, the flush and ``close``."""
@@ -153,7 +216,7 @@ def test_every_plan_keeps_the_models_own_bags(plan):
     assert all(type(bag) is EmbeddingBag for bag in bags)
 
 
-@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.canonical())
+@pytest.mark.parametrize("plan", composed_plans(), ids=lambda plan: plan.to_spec())
 def test_one_history_per_table_and_windows_are_slices_of_it(plan):
     from repro.lazydp.history import HistoryTable
 

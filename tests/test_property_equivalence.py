@@ -241,7 +241,7 @@ def train_plan(plan, params, sampling, schedule=None):
 
 
 def check_plan_against_serial(plan, params, sampling, schedule=None):
-    note(f"plan spec: {plan.canonical()} ({sampling} sampling, "
+    note(f"plan spec: {plan.to_spec()} ({sampling} sampling, "
          f"{describe(schedule)})")
     model, trainer = train_plan(plan, params, sampling, schedule)
     if plan.is_async and not trainer.scheduler.staleness.is_strict:
@@ -251,7 +251,7 @@ def check_plan_against_serial(plan, params, sampling, schedule=None):
     else:
         serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling,
                                schedule)
-        assert max_param_diff(serial, model) == 0.0, plan.canonical()
+        assert max_param_diff(serial, model) == 0.0, plan.to_spec()
     trainer.audit_noise_ledger(params["iterations"])
     for history in trainer.engine.histories:
         assert history.pending_rows(params["iterations"]).size == 0

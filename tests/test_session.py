@@ -1,8 +1,8 @@
-"""The session API: plan axes, serialization round trips, building.
+"""The session API: plan fields, the spec round trip, building.
 
-``ExecutionPlan`` must round-trip through both serialized forms
-(``to_dict``/``from_dict`` and the ``--plan`` spec mini-language) and
-reject contradictory specs with messages naming the contradiction;
+``ExecutionPlan`` must round-trip through the ``--plan`` spec
+mini-language and reject contradictory specs — including the backend
+rules — with messages naming the contradiction;
 ``TrainSession.build`` must turn every plan into the one
 ``LazyDPTrainer`` with the matching partition, scheduler and executor;
 ``make_trainer`` names the paper's seven algorithms and nothing else.
@@ -11,7 +11,6 @@ reject contradictory specs with messages naming the contradiction;
 import pytest
 
 from repro import configs
-from repro.configs import AsyncConfig, PipelineConfig, ShardConfig
 from repro.nn import DLRM
 from repro.lazydp import LazyDPTrainer
 from repro.session import ExecutionPlan, TrainSession, make_trainer
@@ -28,19 +27,12 @@ def plan_matrix():
     return [
         ExecutionPlan(),
         ExecutionPlan(ans=False),
-        ExecutionPlan(shards=ShardConfig(num_shards=3)),
-        ExecutionPlan(shards=ShardConfig(num_shards=4,
-                                         partition="frequency"),
-                      backend="threads:2"),
-        ExecutionPlan(pipeline=PipelineConfig(prefetch_depth=3)),
-        ExecutionPlan(async_=AsyncConfig(max_in_flight=4,
-                                         staleness="bounded:2")),
-        ExecutionPlan(
-            ans=False,
-            shards=ShardConfig(num_shards=2, partition="frequency"),
-            pipeline=PipelineConfig(prefetch_depth=4),
-            async_=AsyncConfig(max_in_flight=3),
-        ),
+        ExecutionPlan(shards=3),
+        ExecutionPlan(shards=4, partition="frequency", backend="threads:2"),
+        ExecutionPlan(pipeline=3),
+        ExecutionPlan(async_="bounded:2", inflight=4),
+        ExecutionPlan(ans=False, shards=2, partition="frequency", pipeline=4,
+                      async_="strict", inflight=3),
     ]
 
 
@@ -54,29 +46,69 @@ class TestPlanValidation:
         assert plan.legacy_name() == "lazydp"
 
     def test_async_implies_pipelined(self):
-        plan = ExecutionPlan(async_=AsyncConfig())
+        plan = ExecutionPlan(async_="strict")
         assert plan.is_pipelined
-        assert plan.pipeline is None       # depth defaults at build time
+        assert plan.pipeline == 0          # depth defaults at build time
         assert plan.legacy_name() == "async_lazydp"
 
-    def test_rejects_disabled_axis_configs(self):
-        """Presence on the plan is the switch: a config has no
-        ``enabled`` field to turn it off with."""
-        with pytest.raises(TypeError, match="enabled"):
-            PipelineConfig(enabled=False)
-        with pytest.raises(TypeError, match="enabled"):
-            AsyncConfig(enabled=False)
-        with pytest.raises(ValueError, match="unknown PipelineConfig keys"):
-            ExecutionPlan.from_dict({"pipeline": {"enabled": False}})
-        assert not hasattr(ShardConfig(), "is_sharded")
-
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match="backend") as excinfo:
             ExecutionPlan(backend="cuda")
+        for name in ("numpy", "threads", "process"):
+            assert name in str(excinfo.value)
 
-    def test_rejects_wrong_axis_types(self):
-        with pytest.raises(ValueError, match="ShardConfig"):
-            ExecutionPlan(shards=4)
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(shards=-1), "shards must be >= 0"),
+        (dict(pipeline=-1), "pipeline must be >= 0"),
+        (dict(async_="eventual"), "staleness"),
+        (dict(async_="strict", inflight=0), "inflight"),
+        (dict(obs="perfetto"), "unknown obs mode"),
+        (dict(serve=-3), "serve must be >= 0"),
+        (dict(serve=64, admission=0), "admission"),
+        (dict(backend="threads"), "requires the shards axis"),
+        (dict(shards=2, backend="process", pipeline=2), "pipeline"),
+        (dict(shards=2, backend="process", async_="strict"), "async"),
+        (dict(backend="numpy:2"), "admits no worker count"),
+        (dict(shards=3, backend="process:4"), "process:4"),
+    ])
+    def test_the_constructor_validates_every_field(self, kwargs, message):
+        """Validation lives once, on the plan: a field set directly is
+        checked exactly as the spec parser's result is."""
+        with pytest.raises(ValueError, match=message):
+            ExecutionPlan(**kwargs)
+
+    @pytest.mark.parametrize("backend", [
+        "numpy", "threads", "threads:2", "process", "process:3",
+    ])
+    def test_every_constructible_plan_round_trips(self, backend):
+        """``from_spec(to_spec(p)) == p`` over a grid of every field."""
+        import itertools
+
+        grid = itertools.product(
+            (True, False), (0, 1, 3), ("row_range", "frequency"), (0, 2),
+            (None, "strict", "bounded:2"), (2, 4), (None, "trace+metrics"),
+            (0, 64), (2, 5),
+        )
+        built = 0
+        for values in grid:
+            try:
+                plan = ExecutionPlan(*values, backend=backend)
+            except ValueError:
+                continue
+            assert ExecutionPlan.from_spec(plan.to_spec()) == plan
+            built += 1
+        assert built > 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(partition="frequency"), "partition=frequency requires the shards"),
+        (dict(inflight=4), "inflight=4 requires the async"),
+        (dict(admission=3), "admission=3 requires the serve"),
+    ])
+    def test_rejects_sub_keys_without_their_axis(self, kwargs, message):
+        """A sub-key away from its default with its axis off has no
+        spec spelling, so ``from_spec(to_spec(p)) == p`` would break."""
+        with pytest.raises(ValueError, match=message):
+            ExecutionPlan(**kwargs)
 
     def test_labels_cover_the_cross_product(self):
         labels = {
@@ -92,42 +124,38 @@ class TestPlanValidation:
             assert plan.legacy_name() in labels
 
 
-class TestDictRoundTrip:
-    @pytest.mark.parametrize("plan", plan_matrix(),
-                             ids=lambda plan: plan.canonical())
-    def test_round_trip(self, plan):
-        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
-
-    def test_dict_is_json_serializable(self):
-        import json
-
-        for plan in plan_matrix():
-            encoded = json.dumps(plan.to_dict())
-            assert ExecutionPlan.from_dict(json.loads(encoded)) == plan
-
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown ExecutionPlan keys"):
-            ExecutionPlan.from_dict({"ans": True, "sharding": {}})
-        with pytest.raises(ValueError, match="unknown ShardConfig keys"):
-            ExecutionPlan.from_dict({"shards": {"count": 2}})
-
-
 class TestSpecRoundTrip:
     @pytest.mark.parametrize("plan", plan_matrix(),
-                             ids=lambda plan: plan.canonical())
+                             ids=lambda plan: plan.to_spec())
     def test_round_trip(self, plan):
         assert ExecutionPlan.from_spec(plan.to_spec()) == plan
-        assert plan.canonical() == plan.to_spec()
 
     def test_issue_example_spec(self):
         plan = ExecutionPlan.from_spec(
             "shards=4,pipeline=2,async=bounded:2,ans=off"
         )
         assert not plan.ans
-        assert plan.shards.num_shards == 4
-        assert plan.pipeline.prefetch_depth == 2
-        assert plan.async_.staleness == "bounded:2"
+        assert plan.shards == 4
+        assert plan.pipeline == 2
+        assert plan.async_ == "bounded:2"
         assert plan.legacy_name() == "async_sharded_lazydp_no_ans"
+
+    @pytest.mark.parametrize("spec", [
+        "ans=on,shards=2,partition=row_range,backend=process",
+        "ans=off,shards=7,partition=frequency,backend=process:7",
+        "ans=on,shards=2,partition=row_range,backend=threads:2",
+    ])
+    def test_backend_specs_round_trip(self, spec):
+        plan = ExecutionPlan.from_spec(spec)
+        assert plan.to_spec() == spec
+        assert ExecutionPlan.from_spec(plan.to_spec()) == plan
+
+    def test_split_backend(self):
+        assert ExecutionPlan().split_backend() == ("numpy", None)
+        assert ExecutionPlan(shards=2, backend="threads").split_backend() == (
+            "threads", None)
+        assert ExecutionPlan(shards=3, backend="process:3").split_backend() == (
+            "process", 3)
 
     def test_empty_spec_is_default_plan(self):
         assert ExecutionPlan.from_spec("") == ExecutionPlan()
@@ -156,7 +184,20 @@ class TestSpecRoundTrip:
         ("async=bounded:-1", "bound"),
         ("pipeline=-1", ">= 0"),
         ("shards=2,backend=threads:0", "worker count"),
-        ("backend=cuda", "backend"),
+        ("shards=2,backend=threads:zero", "worker count"),
+        ("backend=cuda", "unknown backend"),
+        ("backend=numba", "unknown backend"),
+        # The backend rules: threads and process need the shards axis,
+        ("backend=threads", "requires the shards axis"),
+        ("backend=process", "requires the shards axis"),
+        ("shards=0,backend=threads:2", "requires the shards axis"),
+        # process composes with neither pipeline nor async,
+        ("shards=2,backend=process,pipeline=2", "pipeline"),
+        ("shards=2,backend=process,async=strict", "async"),
+        # :K only on threads and process, and process:K is the shard count.
+        ("backend=numpy:2", "admits no worker count"),
+        ("shards=2,backend=numpy:2", "admits no worker count"),
+        ("shards=3,backend=process:4", "process:4"),
     ])
     def test_rejections_name_the_problem(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -168,12 +209,12 @@ class TestBuild:
     the one trainer class; nothing is picked or assembled per shape."""
 
     @pytest.mark.parametrize("plan", plan_matrix(),
-                             ids=lambda plan: plan.canonical())
+                             ids=lambda plan: plan.to_spec())
     def test_every_plan_builds_the_one_trainer(self, config, plan):
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         trainer = session.trainer
         assert type(trainer) is LazyDPTrainer
-        shards = plan.shards.num_shards if plan.is_sharded else 1
+        shards = max(plan.shards, 1)
         assert trainer.num_shards == len(trainer.engine.states) == shards
         scheduler = trainer.scheduler
         assert scheduler.prefetches == plan.is_pipelined
@@ -204,15 +245,32 @@ class TestBuild:
         serial = TrainSession.build(DLRM(config, seed=7), DPConfig())
         assert not hasattr(serial.trainer, "procshard_stats")
 
+    def test_each_backend_binds_its_executor(self, config):
+        from repro.procshard import ProcessShardedLazyDPTrainer
+
+        for spec, executor in (("shards=2", "serial"),
+                               ("shards=2,backend=threads", "threads"),
+                               ("shards=2,backend=threads:3", "threads")):
+            plan = ExecutionPlan.from_spec(spec)
+            with TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                    plan) as session:
+                assert type(session.trainer) is LazyDPTrainer
+                assert session.trainer.scheduler.executor.name == executor
+        plan = ExecutionPlan.from_spec("shards=2,backend=process")
+        with TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                plan) as session:
+            assert type(session.trainer) is ProcessShardedLazyDPTrainer
+            assert session.trainer.scheduler.executor.name == "process"
+
     def test_async_gets_default_prefetch_runway(self, config):
-        plan = ExecutionPlan(async_=AsyncConfig(max_in_flight=4))
+        plan = ExecutionPlan(async_="strict", inflight=4)
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         assert session.trainer.scheduler.prefetch_depth == 4
         assert session.trainer.scheduler.max_in_flight == 4
         session.close()
 
     def test_trainer_carries_plan_and_label(self, config):
-        plan = ExecutionPlan(shards=ShardConfig(num_shards=2), ans=False)
+        plan = ExecutionPlan(shards=2, ans=False)
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         assert session.trainer.execution_plan is plan
         assert session.trainer.name == "sharded_lazydp_no_ans"
@@ -260,12 +318,12 @@ class TestSessionLifecycle:
             assert session.current_iteration() == 3
             assert session.epsilon() > 0.0
             stats = session.stats()
-            assert stats["plan"] == plan.canonical()
+            assert stats["plan"] == plan.to_spec()
             assert "pipeline" in stats
             assert "shard_update_seconds" in stats
 
     @pytest.mark.parametrize("plan", plan_matrix(),
-                             ids=lambda plan: plan.canonical())
+                             ids=lambda plan: plan.to_spec())
     def test_every_plan_fits_under_its_own_label(self, config, plan):
         from repro.testing import make_loader
 

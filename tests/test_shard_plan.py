@@ -14,6 +14,7 @@ from repro.shard import (
     partition_row_range,
     plan_from_loader,
 )
+from repro.session import ExecutionPlan
 from repro.testing import make_loader
 
 
@@ -103,25 +104,29 @@ class TestPlanEdges:
             assert f"table {t}" in text
 
 
-class TestShardConfig:
+class TestShardsAxis:
+    """The plan's ``shards`` / ``partition`` keys: the partition list is
+    :data:`repro.shard.plan.PARTITION_STRATEGIES`, checked once."""
+
     def test_defaults_are_flat(self):
-        shard = configs.ShardConfig()
-        assert shard.num_shards == 1
-        assert shard.partition == "row_range"
+        plan = ExecutionPlan()
+        assert plan.shards == 0 and not plan.is_sharded
+        assert plan.partition == "row_range"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            configs.ShardConfig(num_shards=0)
+        with pytest.raises(ValueError, match="shards"):
+            ExecutionPlan(shards=-1)
         with pytest.raises(ValueError, match="partition"):
-            configs.ShardConfig(partition="columns")
+            ExecutionPlan(shards=2, partition="columns")
         # The per-row hash map is gone: a shard is a row range.
         with pytest.raises(ValueError, match=r"\('row_range', 'frequency'\)"):
-            configs.ShardConfig(num_shards=2, partition="hash")
+            ExecutionPlan(shards=2, partition="hash")
+        assert PARTITION_STRATEGIES == ("row_range", "frequency")
 
-    def test_dict_round_trip(self):
-        shard = configs.ShardConfig(num_shards=4, partition="frequency")
-        assert shard.to_dict() == {"num_shards": 4, "partition": "frequency"}
-        assert configs.ShardConfig.from_dict(shard.to_dict()) == shard
+    def test_spec_round_trip(self):
+        plan = ExecutionPlan(shards=4, partition="frequency")
+        assert plan.to_spec() == "ans=on,shards=4,partition=frequency"
+        assert ExecutionPlan.from_spec(plan.to_spec()) == plan
 
 
 class TestTraceDrivenWeights:
