@@ -49,6 +49,18 @@ def _field_uniforms(seed: int, stream: int, field: int,
     return uniforms[:, :count]
 
 
+def cdf_ranks(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, uniforms, side="left")``, the same ranks,
+    searched in ascending key order and scattered back: a search that
+    starts where the previous key's ended stays in cache, where one of
+    random keys into a table-sized CDF misses on most of its steps."""
+    keys = uniforms.ravel()
+    order = np.argsort(keys)
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    ranks[order] = np.searchsorted(cdf, keys[order], side="left")
+    return ranks.reshape(uniforms.shape)
+
+
 class SyntheticClickDataset:
     """Deterministic, random-access CTR dataset for a given DLRM geometry.
 
@@ -128,8 +140,7 @@ class SyntheticClickDataset:
             if self._cdfs[t] is None:
                 indices = np.minimum((uniforms * rows).astype(np.int64), rows - 1)
             else:
-                ranks = np.searchsorted(self._cdfs[t], uniforms, side="left")
-                ranks = np.minimum(ranks, rows - 1)
+                ranks = np.minimum(cdf_ranks(self._cdfs[t], uniforms), rows - 1)
                 indices = self._perms[t][ranks]
             out[:, t, :] = indices
         return out

@@ -1,9 +1,10 @@
-/* The two memory-bound passes of the embedding update, bit for bit.
+/* The three memory-bound passes over embedding rows, bit for bit.
  *
  * sparse_rows_update is the inner loop of fused_noisy_update and of
  * apply_sparse_update's gather path (fused.py); weighted_scatter_add is
- * the inner loop of PerExamplePairs.weighted_row_grad (nn/parameter.py).
- * Both are sequential adds and correctly rounded products in the order
+ * the inner loop of PerExamplePairs.weighted_row_grad (nn/parameter.py);
+ * gather_pool is EmbeddingBag's forward gather + sum (nn/layers.py).
+ * All are sequential adds and correctly rounded products in the order
  * the numpy expressions beside them perform, so they need no tolerance —
  * as long as nothing is contracted or reassociated: build with
  * -ffp-contract=off and without -ffast-math (_native.FLAGS).
@@ -89,6 +90,22 @@ static inline void row_add_scaled(double *row, const double *delta, double scale
         row[k] += delta[k] * scale;
 }
 
+/* row += t */
+static inline void row_add(double *row, const double *t, int64_t dim)
+{
+    int64_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+        double r0 = row[k], r1 = row[k + 1], r2 = row[k + 2], r3 = row[k + 3];
+        double t0 = t[k], t1 = t[k + 1], t2 = t[k + 2], t3 = t[k + 3];
+        row[k] = r0 + t0;
+        row[k + 1] = r1 + t1;
+        row[k + 2] = r2 + t2;
+        row[k + 3] = r3 + t3;
+    }
+    for (; k < dim; k++)
+        row[k] += t[k];
+}
+
 /* Strictly increasing and inside [row_base, row_base + nrows). */
 static int rows_ok(const int64_t *rows, int64_t n, int64_t row_base, int64_t nrows)
 {
@@ -163,4 +180,50 @@ int64_t weighted_scatter_add(double *values, int64_t n_unique, int64_t dim,
         row_add_scaled(values + inverse[p] * dim, delta, scale, dim);
     }
     return n_pairs;
+}
+
+/* out[b] = 0.0 + table[i_b0] + table[i_b1] + ... for b = 0 .. batch - 1,
+ * the lookups i_bp = *(indices + b * example_stride + p * lookup_stride)
+ * (strides in bytes) added in lookup order: numpy's add.reduce over
+ * axis 1 of table[indices] — which starts from the identity, so a bag
+ * of -0.0 rows pools to +0.0 — for dim > 1 (at dim 1 numpy sums along
+ * the contiguous axis, pairwise; the caller does not come here).  No
+ * (batch, pooling, dim) temporary: each row is read once, PREFETCH_ROWS
+ * lookups ahead.  table is (nrows, dim) C-contiguous; out's rows are
+ * contiguous, out_stride bytes apart.  Returns batch * pooling, or a
+ * refusal (an index outside the table). */
+int64_t gather_pool(char *out, int64_t out_stride, const double *table,
+                    int64_t nrows, int64_t dim, const char *indices,
+                    int64_t example_stride, int64_t lookup_stride,
+                    int64_t batch, int64_t pooling)
+{
+#define LOOKUP(b, p) \
+    (*(const int64_t *)(indices + (b) * example_stride + (p) * lookup_stride))
+    if (nrows < 0 || dim < 0 || batch < 0 || pooling < 0)
+        return REFUSED;
+    for (int64_t b = 0; b < batch; b++)
+        for (int64_t p = 0; p < pooling; p++)
+            if (LOOKUP(b, p) < 0 || LOOKUP(b, p) >= nrows)
+                return REFUSED;
+
+    /* (ab, ap): the lookup PREFETCH_ROWS behind which (b, p) runs. */
+    int64_t ab = 0, ap = 0;
+    for (int64_t ahead = 0; ahead < PREFETCH_ROWS && ab < batch && pooling; ahead++) {
+        PREFETCH_ROW(table + LOOKUP(ab, ap) * dim);
+        if (++ap == pooling) { ap = 0; ab++; }
+    }
+    for (int64_t b = 0; b < batch; b++) {
+        double *row = (double *)(out + b * out_stride);
+        for (int64_t k = 0; k < dim; k++)
+            row[k] = 0.0;
+        for (int64_t p = 0; p < pooling; p++) {
+            if (ab < batch) {
+                PREFETCH_ROW(table + LOOKUP(ab, ap) * dim);
+                if (++ap == pooling) { ap = 0; ab++; }
+            }
+            row_add(row, table + LOOKUP(b, p) * dim, dim);
+        }
+    }
+    return batch * pooling;
+#undef LOOKUP
 }

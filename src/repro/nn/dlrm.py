@@ -98,11 +98,23 @@ class DLRM:
                 f"{self.config.num_tables}"
             )
         dense_vec = self.bottom_mlp.forward(batch.dense)
-        pooled = [
-            bag.forward(batch.sparse[:, t, :])
-            for t, bag in enumerate(self.embeddings)
-        ]
-        interacted = self.interaction.forward(dense_vec, pooled)
+        # The interaction's (batch, F, dim) stack: the dense vector, then
+        # every bag pooled straight into its slot.
+        stacked = np.empty(
+            (dense_vec.shape[0], 1 + len(self.embeddings), dense_vec.shape[1]),
+            dtype=np.result_type(
+                dense_vec.dtype, *(bag.table.data.dtype for bag in self.embeddings)
+            ),
+        )
+        stacked[:, 0, :] = dense_vec
+        for t, bag in enumerate(self.embeddings):
+            # Taken, not read: the batch keeps no per-table arrays past
+            # its step.
+            bag.forward(
+                batch.sparse[:, t, :], sort=batch.take_lookup_sort(t),
+                out=stacked[:, 1 + t, :],
+            )
+        interacted = self.interaction.forward_stacked(stacked)
         logits = self.top_mlp.forward(interacted)[:, 0]
         self._logits = logits
         return logits
@@ -179,8 +191,5 @@ class DLRM:
     # ------------------------------------------------------------------
     # Introspection used by trainers
     # ------------------------------------------------------------------
-    def accessed_rows(self, batch: Batch, table: int) -> np.ndarray:
-        return batch.accessed_rows(table)
-
     def table_parameter(self, table: int) -> Parameter:
         return self.embeddings[table].table

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.batch import LookupPairs, LookupSort
+from ..rng import _native
 from .functional import relu, relu_grad
 from .parameter import Parameter, PerExamplePairs
 
@@ -169,7 +171,8 @@ class EmbeddingBag:
         self.table = table
         self._indices: np.ndarray | None = None
         self._delta: np.ndarray | None = None
-        self._pairs_cache: tuple | None = None
+        self._sort: LookupSort | None = None
+        self._pairs: LookupPairs | None = None
 
     @property
     def num_rows(self) -> int:
@@ -179,16 +182,66 @@ class EmbeddingBag:
     def dim(self) -> int:
         return self.table.data.shape[1]
 
-    def forward(self, indices: np.ndarray) -> np.ndarray:
+    def forward(self, indices: np.ndarray, sort: LookupSort | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The pooled lookups, into ``out`` (a ``(batch, dim)`` view,
+        e.g. of the interaction layer's stack) when given.  ``sort`` is
+        the batch's :class:`LookupSort` of ``indices``, when it has
+        one; the gradient views sort ``indices`` themselves otherwise."""
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 2:
             raise ValueError("indices must be (batch, lookups)")
+        pooled = self._pool(indices, out)
+        self._indices = indices
+        self._sort, self._pairs = sort, None
+        return pooled
+
+    def _pool(self, indices: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``table[indices].sum(axis=1)``: ``_sparse.c``'s ``gather_pool``
+        where the operands allow (no ``(batch, lookups, dim)``
+        temporary), the numpy expression otherwise — the same bits."""
+        table = self.table.data
+        lib = _native.LIB
+        if lib is not None:
+            target = out
+            if target is None:
+                target = np.empty((indices.shape[0], self.dim), dtype=table.dtype)
+            if self._compiled_pool(lib, indices, target):
+                return target
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_rows):
             raise IndexError("embedding index out of range")
-        self._indices = indices
-        self._pairs_cache = None
-        gathered = self.table.data[indices]          # (batch, lookups, dim)
-        return gathered.sum(axis=1)
+        pooled = table[indices].sum(axis=1)
+        if out is None:
+            return pooled
+        out[...] = pooled
+        return out
+
+    def _compiled_pool(self, lib, indices: np.ndarray, out: np.ndarray) -> bool:
+        """Pool through the library; ``False`` (nothing written): the
+        operands are not what it was built for — layouts, checked here;
+        every index inside the table, checked in C before the first
+        store.  At ``dim`` 1 numpy's reduce runs along the contiguous
+        axis, pairwise, so that stays numpy's too."""
+        table = self.table.data
+        if not (
+            _native.f64_matrix(table)
+            and table.shape[1] > 1
+            and indices.dtype == np.int64
+            and indices.flags.aligned
+            and isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.flags.writeable
+            and out.flags.aligned
+            and out.shape == (indices.shape[0], table.shape[1])
+            and out.strides[1] == out.itemsize
+        ):
+            return False
+        done = lib.gather_pool(
+            out.ctypes.data, out.strides[0], table.ctypes.data, table.shape[0],
+            table.shape[1], indices.ctypes.data, indices.strides[0],
+            indices.strides[1], indices.shape[0], indices.shape[1],
+        )
+        return done >= 0
 
     def backward(self, delta: np.ndarray) -> None:
         """Embedding inputs are indices; there is no input gradient."""
@@ -197,38 +250,23 @@ class EmbeddingBag:
 
     def accessed_rows(self) -> np.ndarray:
         """Unique rows gathered by the cached batch (sorted)."""
-        indices, _ = self._require_cache()
-        return np.unique(indices)
+        return self._lookup_pairs().rows
+
+    def _lookup_pairs(self) -> LookupPairs:
+        """The cached batch's pairs, derived once per forward; the
+        sorted keys are dropped then."""
+        if self._pairs is None:
+            sort = self._sort
+            if sort is None:
+                indices, _ = self._require_cache()
+                sort = LookupSort.of(indices)
+            self._sort, self._pairs = None, sort.pairs()
+        return self._pairs
 
     # -- gradient views -------------------------------------------------
-    def _pairs(self) -> tuple:
-        """(example_ids, rows, mults) for unique (example, row) pairs."""
-        if self._pairs_cache is None:
-            indices, _ = self._require_cache()
-            batch, _lookups = indices.shape
-            combined = indices + np.int64(self.num_rows) * np.arange(
-                batch, dtype=np.int64
-            )[:, None]
-            unique_combined, counts = np.unique(combined, return_counts=True)
-            example_ids = unique_combined // self.num_rows
-            rows = unique_combined % self.num_rows
-            self._pairs_cache = (
-                example_ids.astype(np.int64),
-                rows.astype(np.int64),
-                counts.astype(np.float64),
-            )
-        return self._pairs_cache
-
     def per_example_pairs(self) -> PerExamplePairs:
         _, delta = self._require_cache()
-        example_ids, rows, mults = self._pairs()
-        return PerExamplePairs(
-            example_ids=example_ids,
-            rows=rows,
-            mults=mults,
-            deltas=delta,
-            batch_size=delta.shape[0],
-        )
+        return PerExamplePairs.from_lookups(self._lookup_pairs(), delta)
 
     def batch_grads(self) -> dict:
         _, delta = self._require_cache()
@@ -273,6 +311,12 @@ class FeatureInteraction:
 
     def forward(self, dense_vec: np.ndarray, embeddings: list) -> np.ndarray:
         stacked = np.stack([dense_vec] + list(embeddings), axis=1)
+        return self.forward_stacked(stacked)
+
+    def forward_stacked(self, stacked: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of the ``(batch, F, dim)`` stack itself — the
+        dense vector at feature 0, then one pooled embedding per table —
+        which the model pools its bags straight into."""
         if stacked.shape[1] != self.num_features:
             raise ValueError(
                 f"expected {self.num_features} feature vectors, "
@@ -281,7 +325,7 @@ class FeatureInteraction:
         self._stacked = stacked
         dots = np.einsum("bfd,bgd->bfg", stacked, stacked)
         pairs = dots[:, self._rows_idx, self._cols_idx]
-        return np.concatenate([dense_vec, pairs], axis=1)
+        return np.concatenate([stacked[:, 0, :], pairs], axis=1)
 
     def backward(self, delta: np.ndarray) -> tuple:
         """Return (d_dense_vec, [d_embedding_t for each table])."""

@@ -101,6 +101,30 @@ class PerExamplePairs:
     mults: np.ndarray           # (p,) float64 lookup multiplicities
     deltas: np.ndarray          # (batch, dim) upstream grads per example
     batch_size: int
+    #: ``rows``' sorted unique values and each pair's index into them:
+    #: the batch's :class:`~repro.data.batch.LookupPairs` has them;
+    #: pairs built by hand get them from ``np.unique`` here.
+    unique_rows: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.unique_rows is None or self.inverse is None:
+            self.unique_rows, self.inverse = np.unique(
+                self.rows, return_inverse=True
+            )
+
+    @classmethod
+    def from_lookups(cls, pairs, deltas: np.ndarray) -> "PerExamplePairs":
+        """The pairs of a :class:`~repro.data.batch.LookupPairs`."""
+        return cls(
+            example_ids=pairs.example_ids,
+            rows=pairs.rows[pairs.inverse],
+            mults=pairs.mults,
+            deltas=deltas,
+            batch_size=deltas.shape[0],
+            unique_rows=pairs.rows,
+            inverse=pairs.inverse,
+        )
 
     def norm_sq_per_example(self) -> np.ndarray:
         """||g_b||^2 for each example, computed without materialisation.
@@ -121,7 +145,7 @@ class PerExamplePairs:
         is the clipped averaged gradient DP-SGD feeds the optimizer.
         """
         weights = np.asarray(weights, dtype=np.float64)
-        unique_rows, inverse = np.unique(self.rows, return_inverse=True)
+        unique_rows, inverse = self.unique_rows, self.inverse
         lib = _native.LIB
         if lib is not None:
             values = self._compiled_scatter_add(

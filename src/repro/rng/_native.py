@@ -6,7 +6,9 @@
 :func:`~repro.kernels.fused.fused_noisy_update`,
 :func:`~repro.kernels.fused.apply_sparse_update`,
 :meth:`PerExamplePairs.weighted_row_grad
-<repro.nn.parameter.PerExamplePairs.weighted_row_grad>` (``_sparse.c``)
+<repro.nn.parameter.PerExamplePairs.weighted_row_grad>`,
+:meth:`EmbeddingBag.forward <repro.nn.layers.EmbeddingBag.forward>`
+(``_sparse.c``)
 consult: the loaded library, or ``None`` — then the numpy expressions
 run, which are the reference the tests compare against and the only
 implementation on a host without a C compiler.  Which of the two runs
@@ -193,6 +195,10 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
         pointer, i64, i64, pointer, pointer, pointer, i64, pointer, i64, pointer, i64
     ]
     lib.weighted_scatter_add.restype = i64
+    lib.gather_pool.argtypes = [
+        pointer, i64, pointer, i64, i64, pointer, i64, i64, i64, i64
+    ]
+    lib.gather_pool.restype = i64
     return lib
 
 
@@ -241,8 +247,9 @@ def _gauss_agrees(lib: ctypes.CDLL) -> bool:
 
 def _sparse_agrees(lib: ctypes.CDLL) -> bool:
     """``_sparse.c``: an in-place update of a slab window (gradient-only,
-    noise-only and shared rows) and a pooled scatter-add over a strided
-    ``deltas`` with repeated rows, against the numpy expressions they
+    noise-only and shared rows), a pooled scatter-add over a strided
+    ``deltas`` with repeated rows and a gather-pool of strided indices
+    with repeated and ``-0.0`` rows, against the numpy expressions they
     stand in for — spelt out here, because :mod:`repro.kernels` imports
     this module."""
     base, nrows, dim, lr = 1000, 64, 5, 0.3
@@ -284,8 +291,28 @@ def _sparse_agrees(lib: ctypes.CDLL) -> bool:
         mults.ctypes.data, examples.size, deltas.ctypes.data, deltas.strides[0],
         weights.ctypes.data, batch,
     )
-    return done == examples.size and np.array_equal(
+    if done != examples.size or not np.array_equal(
         values.view(np.uint64), reference.view(np.uint64)
+    ):
+        return False
+
+    # Bags of 11 lookups (rows repeated; a bag of -0.0 rows) read from a
+    # strided (batch, table, lookups) slice, pooled into a strided stack.
+    table = ramp(30, 4.4)
+    table[3] = -0.0
+    sparse = (np.arange(6 * 3 * 11, dtype=np.int64) * 7 % 30).reshape(6, 3, 11)
+    sparse[2, 1] = 3
+    indices = sparse[:, 1, :]
+    reference = table[indices].sum(axis=1)
+    stack = np.full((6, 2, dim), np.nan)
+    done = lib.gather_pool(
+        stack.ctypes.data, stack.strides[0], table.ctypes.data, 30, dim,
+        indices.ctypes.data, indices.strides[0], indices.strides[1], 6, 11,
+    )
+    return (
+        done == indices.size
+        and np.array_equal(stack[:, 0].view(np.uint64), reference.view(np.uint64))
+        and np.isnan(stack[:, 1]).all()
     )
 
 

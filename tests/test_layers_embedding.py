@@ -1,11 +1,17 @@
 """Tests for EmbeddingBag: the sparse layer at the heart of the paper."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import EmbeddingBag, Parameter
+from repro.data import Batch, SyntheticClickDataset
+from repro.data.batch import LookupSort
+from repro.nn import EmbeddingBag, Parameter, PerExamplePairs
+from repro.rng import _native
+from repro.session import TrainSession
 
 
 def make_bag(rows=10, dim=4, seed=0):
@@ -160,3 +166,104 @@ class TestGradientViews:
         bag = make_bag()
         bag.forward(np.array([[1]]))
         assert bag.backward(np.zeros((1, 4))) is None
+
+
+def _pairs_by_example(indices, rows):
+    """The pairs as three ``np.unique`` sorts gave them: (example, row)
+    order, the scatter's rows and inverse from a sort of their own."""
+    batch = indices.shape[0]
+    combined = indices + np.int64(rows) * np.arange(batch, dtype=np.int64)[:, None]
+    unique_combined, counts = np.unique(combined, return_counts=True)
+    return (
+        unique_combined // rows, unique_combined % rows, counts.astype(np.float64)
+    )
+
+
+class TestOneSort:
+    """One sort per table per batch (:class:`LookupSort`) in place of
+    the dedup's, the pairs' and the scatter's ``np.unique``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=9),    # batch
+        st.integers(min_value=0, max_value=12),   # lookups
+        st.integers(min_value=1, max_value=30),   # rows
+        st.integers(min_value=0, max_value=999),
+    )
+    def test_equals_the_three_unique_sorts(self, batch, lookups, rows, seed):
+        rng = np.random.default_rng(seed)
+        wide = rng.integers(0, rows, size=(batch, 3, lookups))
+        indices = wide[:, 2, :]
+        sort = LookupSort.of(indices)
+        pairs = sort.pairs()
+        example_ids, pair_rows, mults = _pairs_by_example(indices, rows)
+        by_row = np.lexsort((example_ids, pair_rows))
+        np.testing.assert_array_equal(sort.rows, np.unique(indices))
+        assert pairs.rows is sort.rows
+        np.testing.assert_array_equal(pairs.example_ids, example_ids[by_row])
+        np.testing.assert_array_equal(pairs.rows[pairs.inverse], pair_rows[by_row])
+        np.testing.assert_array_equal(pairs.mults, mults[by_row])
+        unique_rows, inverse = np.unique(pair_rows[by_row], return_inverse=True)
+        np.testing.assert_array_equal(pairs.rows, unique_rows)
+        np.testing.assert_array_equal(pairs.inverse, inverse)
+        assert pairs.mults.dtype == np.float64
+        assert pairs.example_ids.dtype == pairs.inverse.dtype == np.int64
+
+    def test_arrays_are_read_only(self):
+        batch = Batch(np.zeros((2, 1)), np.array([[[3, 1]], [[1, 1]]]), np.zeros(2))
+        rows = batch.accessed_rows(0)
+        np.testing.assert_array_equal(rows, [1, 3])
+        assert batch.lookups == 2  # the pooling factor, not shadowed
+        with pytest.raises(ValueError):
+            rows[0] = 5
+        sort = batch.lookup_sort(0)
+        for array in [sort.keys, sort.rows, *vars(sort.pairs()).values()]:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("numpy_side", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),   # batch
+        st.integers(min_value=1, max_value=16),   # lookups
+        st.integers(min_value=0, max_value=999),
+    )
+    def test_both_pair_orders_give_the_same_bits(
+        self, numpy_side, batch, lookups, seed
+    ):
+        """``bincount`` adds one example's rows ascending and the
+        scatter-add one row's examples ascending in either order."""
+        rng = np.random.default_rng(seed)
+        rows = 12
+        indices = np.minimum(rng.zipf(1.2, size=(batch, lookups)) - 1, rows - 1)
+        # Magnitudes far apart: a reordered sum would round differently.
+        deltas = rng.standard_normal((batch, 5)) * 10.0 ** rng.integers(
+            -9, 9, size=(batch, 1)
+        )
+        weights = rng.random(batch) * 10.0 ** rng.integers(-6, 6, size=batch)
+        example_ids, pair_rows, mults = _pairs_by_example(indices, rows)
+        by_example = PerExamplePairs(
+            example_ids=example_ids, rows=pair_rows, mults=mults,
+            deltas=deltas, batch_size=batch,
+        )
+        by_row = PerExamplePairs.from_lookups(LookupSort.of(indices).pairs(), deltas)
+        with _native.using(None) if numpy_side else contextlib.nullcontext():
+            grad = by_row.weighted_row_grad(weights)
+            expected = by_example.weighted_row_grad(weights)
+        np.testing.assert_array_equal(grad.rows, expected.rows)
+        assert grad.values.tobytes() == expected.values.tobytes()
+        assert (
+            by_row.norm_sq_per_example().tobytes()
+            == by_example.norm_sq_per_example().tobytes()
+        )
+
+    def test_a_batch_holds_no_sort_after_its_step(self, tiny_model, dp_config):
+        """The lookahead sorts the next batch (LazyDP's dedup); that
+        batch's forward takes the sorts, so none outlives the step."""
+        dataset = SyntheticClickDataset(tiny_model.config, seed=1)
+        batches = [dataset.batch(np.arange(8 * i, 8 * i + 8)) for i in range(3)]
+        with TrainSession.build(tiny_model, dp_config) as session:
+            session.train_step(1, batches[0], batches[1])
+            assert batches[0]._sorts == {}
+            assert len(batches[1]._sorts) == tiny_model.config.num_tables
+            session.train_step(2, batches[1], batches[2])
+            assert batches[1]._sorts == {}

@@ -1,5 +1,6 @@
 """The compiled inner loops (``_gauss.c``: the keyed-Gaussian kernel;
-``_sparse.c``: the sparse apply and the embedding scatter-add):
+``_sparse.c``: the sparse apply, the embedding scatter-add and the
+embedding gather-pool):
 bit-equality with the numpy expressions on both sides of every guard,
 the ``sincos`` proof on a sample of the angle lattice, and the build /
 cache / fallback behaviour of the loader (``repro.rng._native``)."""
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cli import main
 from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
-from repro.nn import PerExamplePairs
+from repro.nn import EmbeddingBag, Parameter, PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
 from repro.rng.noise import _native_tile
 from repro.rng.philox import BLOCK
@@ -419,6 +420,95 @@ def test_weighted_row_grad_native_equals_add_at(
     assert np.array_equal(_bits(compiled.values), _bits(spelt_out))
 
 
+def _pool_case(rng, batch, pooling, dim, special, num_rows=40):
+    """A table with a ``-0.0`` row 0 and duplicate-heavy (Zipf-like)
+    lookups, read as the ``[:, t, :]`` slice of a ``(batch, 3, pooling)``
+    array — the strided view the model hands each bag."""
+    table = _values(rng, (num_rows, dim), special)
+    table[0] = -0.0
+    hot = np.minimum(rng.zipf(1.3, size=(batch, 3, pooling)) - 1, num_rows - 1)
+    hot[: batch // 2, 1, :] = 0  # whole bags of -0.0 rows
+    return table, hot.astype(np.int64)[:, 1, :]
+
+
+def _pooled(table, indices, out=None):
+    bag = EmbeddingBag(Parameter("t", table, 0, is_embedding=True))
+    return bag.forward(indices, out=out)
+
+
+@pytest.mark.parametrize("pooling", [1, 2, 9, 16, 200])
+@pytest.mark.parametrize("dim", [1, 2, 3, 32, 33])
+def test_gather_pool_equals_the_axis_1_sum(pooling, dim):
+    """The bag's forward — the compiled gather-pool where a library
+    loaded, the numpy expression where none did (both legs run this) —
+    against ``table[idx].sum(axis=1)`` as ``uint64``.  Pooling 200 would
+    show any pairwise blocking; dim 1 is numpy's own (pairwise) sum."""
+    rng = np.random.default_rng(pooling * 100 + dim)
+    table, indices = _pool_case(rng, 13, pooling, dim, special=True)
+    with np.errstate(all="ignore"):
+        expected = table[indices].sum(axis=1)
+        pooled = _pooled(table, indices)
+        with _native.using(None):
+            reference = _pooled(table, indices)
+    assert not indices.flags.c_contiguous
+    assert np.array_equal(_bits(pooled), _bits(expected))
+    assert np.array_equal(_bits(reference), _bits(expected))
+    assert not np.signbit(pooled[0]).any()  # a bag of -0.0 rows pools to +0.0
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+def test_gather_pool_of_an_empty_batch_or_empty_bags(shape):
+    table = np.random.default_rng(1).standard_normal((10, 6))
+    indices = np.zeros(shape, dtype=np.int64)
+    pooled = _pooled(table, indices)
+    assert pooled.shape == (shape[0], 6)
+    assert np.array_equal(_bits(pooled), _bits(table[indices].sum(axis=1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.integers(0, 12),
+    pooling=st.integers(0, 20),
+    dim=st.sampled_from([2, 4, 7, 32]),
+    special=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_gather_pool_into_a_strided_stack(batch, pooling, dim, special, seed):
+    """Pooled into one slot of a ``(batch, F, dim)`` stack, as the model
+    does: the slot gets the axis-1 sum's bits and its neighbours keep
+    theirs — an empty batch and empty bags included."""
+    rng = np.random.default_rng(seed)
+    table, indices = _pool_case(rng, batch, pooling, dim, special)
+    stack = rng.standard_normal((batch, 3, dim))
+    before = stack.copy()
+    with np.errstate(all="ignore"):
+        expected = table[indices].sum(axis=1)
+        slot = stack[:, 1, :]
+        returned = _pooled(table, indices, out=slot)
+    assert returned is slot
+    assert np.array_equal(_bits(stack[:, 1, :]), _bits(expected))
+    assert np.array_equal(stack[:, ::2], before[:, ::2])
+
+
+@pytest.mark.parametrize("bad", [-1, 40, 2**40])
+@pytest.mark.parametrize("numpy_side", [False, True])
+def test_gather_pool_refuses_an_index_outside_the_table(bad, numpy_side):
+    """An index outside the table is found before the first store: the
+    forward raises ``IndexError``, the target untouched, the bag's
+    cached batch unchanged."""
+    rng = np.random.default_rng(5)
+    table, indices = _pool_case(rng, 6, 4, 8, special=False)
+    indices = indices.copy()
+    indices[5, 3] = bad
+    bag = EmbeddingBag(Parameter("t", table, 0, is_embedding=True))
+    out = np.full((6, 8), 7.0)
+    with _native.using(None) if numpy_side else contextlib.nullcontext():
+        with pytest.raises(IndexError):
+            bag.forward(indices, out=out)
+    assert np.all(out == 7.0)
+    assert bag._indices is None
+
+
 # -- build, cache, fallback ---------------------------------------------------
 
 @pytest.fixture
@@ -544,6 +634,12 @@ def test_failing_self_test_falls_back(cold_home, monkeypatch):
             "_sparse.c",
             "for (int64_t p = 0; p < n_pairs; p++) {",
             "for (int64_t p = n_pairs - 1; p >= 0; p--) {",
+        ),
+        # A bag's lookups added backwards: the axis-1 sum, reordered.
+        (
+            "_sparse.c",
+            "for (int64_t p = 0; p < pooling; p++) {",
+            "for (int64_t p = pooling - 1; p >= 0; p--) {",
         ),
     ]:
         with monkeypatch.context() as patch:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import configs
 from repro.data import Batch, SkewSpec, SyntheticClickDataset
+from repro.data.synthetic import _FIELD_SPARSE, _field_uniforms, cdf_ranks
 
 
 @pytest.fixture
@@ -107,6 +108,24 @@ class TestSkewedTraces:
         skewed_counts = np.bincount(batch.sparse[:, 1, :].ravel(), minlength=128)
         uniform_counts = np.bincount(batch.sparse[:, 0, :].ravel(), minlength=128)
         assert skewed_counts.max() > uniform_counts.max() * 2
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.05, 1.5, 2.0, 3.0])
+    def test_zipf_indices_equal_the_direct_search(self, exponent):
+        """The ranks searched in key order and scattered back are
+        ``np.searchsorted`` of the uniforms as drawn, index for index."""
+        config = configs.tiny_dlrm(num_tables=2, rows=5000, dim=4, lookups=16)
+        skew = SkewSpec(kind="zipf", exponent=exponent)
+        dataset = SyntheticClickDataset(config, seed=11, skew=skew)
+        ids = np.arange(700, dtype=np.uint64)
+        for t in range(config.num_tables):
+            uniforms = _field_uniforms(
+                dataset.seed, stream=t, field=_FIELD_SPARSE, example_ids=ids,
+                count=config.lookups_per_table,
+            )
+            direct = np.searchsorted(dataset._cdfs[t], uniforms, side="left")
+            np.testing.assert_array_equal(cdf_ranks(dataset._cdfs[t], uniforms), direct)
+            expected = dataset._perms[t][np.minimum(direct, 4999)]
+            np.testing.assert_array_equal(dataset.sparse_indices(ids)[:, t], expected)
 
     def test_wrong_skew_list_length_rejected(self, config):
         with pytest.raises(ValueError):
