@@ -1,4 +1,5 @@
-/* The three memory-bound passes over embedding rows, bit for bit.
+/* The three memory-bound passes over embedding rows, bit for bit, and
+ * the DLRM interaction's two passes in a fixed summation order.
  *
  * sparse_rows_update is the inner loop of fused_noisy_update and of
  * apply_sparse_update's gather path (fused.py); weighted_scatter_add is
@@ -8,12 +9,17 @@
  * the numpy expressions beside them perform, so they need no tolerance —
  * as long as nothing is contracted or reassociated: build with
  * -ffp-contract=off and without -ffast-math (_native.FLAGS).
+ * interaction_dots and interaction_grad are FeatureInteraction's
+ * forward and backward (nn/layers.py); their order is the one written
+ * above each, which the numpy twins beside them perform too.
  *
  * Every value-dependent precondition is checked here, over all the
  * operands, before the first store; a refusal (a negative return) has
  * written nothing and the caller runs the numpy expression instead.
  */
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* How many rows ahead, on each side of the merge, the slab row is asked
  * for: an update of a few thousand random rows of a table far larger
@@ -226,4 +232,124 @@ int64_t gather_pool(char *out, int64_t out_stride, const double *table,
     }
     return batch * pooling;
 #undef LOOKUP
+}
+
+/* The dot of two dim-long rows in four lanes: lane r sums the products
+ * of the coordinates d = r, r + 4, r + 8, ... in that order, starting
+ * from its first product (from -0.0, the exact additive identity: an
+ * empty lane is -0.0), and the dot is (l0 + l1) + (l2 + l3). */
+static inline double lane_dot(const double *x, const double *y, int64_t dim)
+{
+    double l0 = -0.0, l1 = -0.0, l2 = -0.0, l3 = -0.0;
+    int64_t k = 0;
+    for (; k + 4 <= dim; k += 4) {
+        l0 += x[k] * y[k];
+        l1 += x[k + 1] * y[k + 1];
+        l2 += x[k + 2] * y[k + 2];
+        l3 += x[k + 3] * y[k + 3];
+    }
+    if (k < dim)
+        l0 += x[k] * y[k];
+    if (k + 1 < dim)
+        l1 += x[k + 1] * y[k + 1];
+    if (k + 2 < dim)
+        l2 += x[k + 2] * y[k + 2];
+    return (l0 + l1) + (l2 + l3);
+}
+
+/* The interaction's forward: out[b] = stack[b, 0, :] followed by the
+ * features * (features - 1) / 2 upper-triangle dots lane_dot(stack[b,
+ * i], stack[b, j]) for i < j, row-major (np.triu_indices(features, 1)'s
+ * order) — the top MLP's (batch, dim + pairs) input, written whole.
+ * stack is (batch, features, dim) and out (batch, dim + pairs), both
+ * C-contiguous.  Returns batch * pairs, or a refusal. */
+int64_t interaction_dots(double *out, const double *stack, int64_t batch,
+                         int64_t features, int64_t dim)
+{
+    if (batch < 0 || features < 1 || dim < 0)
+        return REFUSED;
+    const int64_t pairs = features * (features - 1) / 2;
+    for (int64_t b = 0; b < batch; b++) {
+        const double *s = stack + b * features * dim;
+        double *row = out + b * (dim + pairs);
+        memcpy(row, s, (size_t)dim * sizeof(double));
+        double *dot = row + dim;
+        for (int64_t i = 0; i + 1 < features; i++)
+            for (int64_t j = i + 1; j < features; j++)
+                *dot++ = lane_dot(s + i * dim, s + j * dim, dim);
+    }
+    return batch * pairs;
+}
+
+/* Where the dot of features lo < hi sits among the pairs. */
+static inline int64_t pair_index(int64_t lo, int64_t hi, int64_t features)
+{
+    return lo * (2 * features - lo - 1) / 2 + (hi - lo - 1);
+}
+
+/* The interaction's backward:
+ *   d_stack[b, f, :] = sum over g != f, g ascending, of
+ *                      dp(f, g) * stack[b, g, :],
+ * each coordinate sequential from its first term (from -0.0), where
+ * dp(f, g) = dp(g, f) is the gradient of their dot: pair_index(min,
+ * max) of the row d_pairs + b * pair_stride (bytes) — read in place
+ * from the top MLP's input gradient, the delta[:, dim:] view.  Eight
+ * coordinates at a time stay in registers across the walk over g.
+ * stack and d_stack are (batch, features, dim) C-contiguous.  Returns
+ * batch * features, or a refusal. */
+int64_t interaction_grad(double *d_stack, const double *stack,
+                         const char *d_pairs, int64_t pair_stride,
+                         int64_t batch, int64_t features, int64_t dim)
+{
+    if (batch < 0 || features < 1 || dim < 0)
+        return REFUSED;
+    /* f's partners' coefficients, g ascending. */
+    double *coef = malloc((size_t)features * sizeof(double));
+    if (coef == NULL)
+        return REFUSED;
+    for (int64_t b = 0; b < batch; b++) {
+        const double *s = stack + b * features * dim;
+        const double *dp = (const double *)(d_pairs + b * pair_stride);
+        for (int64_t f = 0; f < features; f++) {
+            const int64_t partners = features - 1;
+            for (int64_t g = 0; g < f; g++)
+                coef[g] = dp[pair_index(g, f, features)];
+            for (int64_t g = f + 1; g < features; g++)
+                coef[g - 1] = dp[pair_index(f, g, features)];
+            double *out = d_stack + (b * features + f) * dim;
+            int64_t k = 0;
+            for (; k + 8 <= dim; k += 8) {
+                double a0 = -0.0, a1 = -0.0, a2 = -0.0, a3 = -0.0;
+                double a4 = -0.0, a5 = -0.0, a6 = -0.0, a7 = -0.0;
+                for (int64_t q = 0; q < partners; q++) {
+                    const double c = coef[q];
+                    const double *x = s + (q + (q >= f)) * dim + k;
+                    a0 += c * x[0];
+                    a1 += c * x[1];
+                    a2 += c * x[2];
+                    a3 += c * x[3];
+                    a4 += c * x[4];
+                    a5 += c * x[5];
+                    a6 += c * x[6];
+                    a7 += c * x[7];
+                }
+                out[k] = a0;
+                out[k + 1] = a1;
+                out[k + 2] = a2;
+                out[k + 3] = a3;
+                out[k + 4] = a4;
+                out[k + 5] = a5;
+                out[k + 6] = a6;
+                out[k + 7] = a7;
+            }
+            for (; k < dim; k++) {
+                double a = -0.0;
+                for (int64_t q = 0; q < partners; q++)
+                    a += coef[q] * s[(q + (q >= f)) * dim + k];
+                out[k] = a;
+            }
+        }
+    }
+    free(coef);
+    return batch * features;
 }

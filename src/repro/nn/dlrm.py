@@ -141,7 +141,8 @@ class DLRM:
         d_dense_vec, d_pooled = self.interaction.backward(d_interacted)
         for t, bag in enumerate(self.embeddings):
             bag.backward(d_pooled[t])
-        self.bottom_mlp.backward(d_dense_vec)
+        # The bottom MLP's input is the raw dense features: no gradient.
+        self.bottom_mlp.backward(d_dense_vec, input_grad=False)
 
     # ------------------------------------------------------------------
     # Gradient views (read the caches left by ``backward``)

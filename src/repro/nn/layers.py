@@ -37,6 +37,8 @@ class Linear:
         self.bias = bias
         self._x: np.ndarray | None = None
         self._delta: np.ndarray | None = None
+        # weighted_grads' scaled delta, reused from step to step.
+        self._scaled: np.ndarray | None = None
 
     @property
     def out_features(self) -> int:
@@ -48,12 +50,15 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.weight.data.T + self.bias.data
+        out = x @ self.weight.data.T
+        out += self.bias.data  # in place: no second (batch, out) array
+        return out
 
-    def backward(self, delta: np.ndarray) -> np.ndarray:
-        """Cache the upstream delta and return the input gradient."""
+    def backward(self, delta: np.ndarray, input_grad: bool = True):
+        """Cache the upstream delta and return the input gradient
+        (``None`` when ``input_grad`` is false: nothing needs it)."""
         self._delta = delta
-        return delta @ self.weight.data
+        return delta @ self.weight.data if input_grad else None
 
     # -- gradient views -------------------------------------------------
     def batch_grads(self) -> dict:
@@ -85,7 +90,9 @@ class Linear:
 
     def weighted_grads(self, weights: np.ndarray) -> dict:
         x, delta = self._require_cache()
-        weighted_delta = delta * weights[:, None]
+        if self._scaled is None or self._scaled.shape != delta.shape:
+            self._scaled = np.empty(delta.shape, dtype=np.result_type(delta, weights))
+        weighted_delta = np.multiply(delta, weights[:, None], out=self._scaled)
         return {
             self.weight.name: weighted_delta.T @ x,
             self.bias.name: weighted_delta.sum(axis=0),
@@ -115,13 +122,15 @@ class MLP:
                 out = relu(out)
         return out
 
-    def backward(self, delta: np.ndarray) -> np.ndarray:
+    def backward(self, delta: np.ndarray, input_grad: bool = True):
+        """Backpropagate to the input; ``input_grad=False`` stops at the
+        first layer's delta (the input is data: nothing needs its
+        gradient) and returns ``None``."""
         last = len(self.linears) - 1
-        for i in range(last, -1, -1):
+        for i in range(last, 0, -1):
             delta = self.linears[i].backward(delta)
-            if i != 0:
-                delta = relu_grad(self._pre_activations[i - 1], delta)
-        return delta
+            delta = relu_grad(self._pre_activations[i - 1], delta)
+        return self.linears[0].backward(delta, input_grad=input_grad)
 
     def parameters(self) -> list:
         params = []
@@ -293,6 +302,18 @@ class FeatureInteraction:
     Stacks the bottom-MLP output with every table's pooled embedding into
     ``(batch, F, dim)`` and emits the strictly-upper-triangular pairwise dot
     products, concatenated after the dense vector (Naumov et al. [51]).
+
+    Both passes have one fixed summation order, which ``_sparse.c``'s
+    ``interaction_dots`` / ``interaction_grad`` and the numpy twins here
+    (:meth:`_dots_numpy`, :meth:`_grad_numpy`) perform alike, so either
+    releases the same bits:
+
+    * a dot sums its products in four lanes ``d mod 4``, each lane in
+      ascending ``d`` from its first product (from ``-0.0``, the exact
+      additive identity), then ``(l0 + l1) + (l2 + l3)``;
+    * ``d_stack[b, f] = sum over g != f, ascending, of dp(f, g) *
+      stack[b, g]``, from the first term, ``dp`` the symmetric pair
+      gradient; ``d_dense`` then adds ``delta[:, :dim]``.
     """
 
     def __init__(self, num_features: int):
@@ -300,6 +321,9 @@ class FeatureInteraction:
         upper = np.triu_indices(self.num_features, k=1)
         self._rows_idx = upper[0]
         self._cols_idx = upper[1]
+        # pair[f, g] = pair[g, f]: where the dot of f and g sits.
+        self._pair = np.zeros((self.num_features,) * 2, dtype=np.int64)
+        self._pair[upper] = self._pair[upper[::-1]] = np.arange(upper[0].size)
         self._stacked: np.ndarray | None = None
 
     @property
@@ -323,23 +347,101 @@ class FeatureInteraction:
                 f"got {stacked.shape[1]}"
             )
         self._stacked = stacked
-        dots = np.einsum("bfd,bgd->bfg", stacked, stacked)
-        pairs = dots[:, self._rows_idx, self._cols_idx]
-        return np.concatenate([stacked[:, 0, :], pairs], axis=1)
+        batch, _, dim = stacked.shape
+        out = np.empty((batch, self.output_dim(dim)), dtype=stacked.dtype)
+        if not self._compiled_dots(stacked, out):
+            out[:, :dim] = stacked[:, 0, :]
+            out[:, dim:] = self._dots_numpy(stacked)
+        return out
 
     def backward(self, delta: np.ndarray) -> tuple:
         """Return (d_dense_vec, [d_embedding_t for each table])."""
         if self._stacked is None:
             raise RuntimeError("forward must run before backward")
         stacked = self._stacked
-        batch, num_features, dim = stacked.shape
-        d_dense_direct = delta[:, :dim]
+        batch, _, dim = stacked.shape
+        if delta.shape != (batch, self.output_dim(dim)):
+            raise ValueError(
+                f"expected a {(batch, self.output_dim(dim))} delta, got {delta.shape}"
+            )
         d_pairs = delta[:, dim:]
-        d_dots = np.zeros((batch, num_features, num_features), dtype=np.float64)
-        d_dots[:, self._rows_idx, self._cols_idx] = d_pairs
-        # d z_i += dp_ij z_j and d z_j += dp_ij z_i  (symmetrise then contract)
-        d_dots_sym = d_dots + np.swapaxes(d_dots, 1, 2)
-        d_stacked = np.einsum("bfg,bgd->bfd", d_dots_sym, stacked)
-        d_dense = d_stacked[:, 0, :] + d_dense_direct
-        d_embeddings = [d_stacked[:, 1 + t, :] for t in range(num_features - 1)]
+        d_stacked = self._compiled_grad(stacked, d_pairs)
+        if d_stacked is None:
+            d_stacked = self._grad_numpy(stacked, d_pairs)
+        d_dense = d_stacked[:, 0, :] + delta[:, :dim]
+        d_embeddings = [d_stacked[:, 1 + t, :] for t in range(self.num_features - 1)]
         return d_dense, d_embeddings
+
+    def _compiled_dots(self, stacked: np.ndarray, out: np.ndarray) -> bool:
+        """The forward through the library into ``out``; ``False``
+        (nothing written): no library, or a stack it was not built for."""
+        lib = _native.LIB
+        return (
+            lib is not None
+            and _native_stack(stacked)
+            and lib.interaction_dots(
+                out.ctypes.data, stacked.ctypes.data, stacked.shape[0],
+                self.num_features, stacked.shape[2],
+            ) >= 0
+        )
+
+    def _compiled_grad(self, stacked: np.ndarray, d_pairs: np.ndarray):
+        """``d_stack`` through the library, reading ``d_pairs`` in place;
+        ``None``: no library, or operands it was not built for."""
+        lib = _native.LIB
+        if not (
+            lib is not None
+            and _native_stack(stacked)
+            and d_pairs.dtype == np.float64
+            and d_pairs.flags.aligned
+            and d_pairs.strides[1] == d_pairs.itemsize
+        ):
+            return None
+        d_stack = np.empty_like(stacked)
+        done = lib.interaction_grad(
+            d_stack.ctypes.data, stacked.ctypes.data, d_pairs.ctypes.data,
+            d_pairs.strides[0], stacked.shape[0], self.num_features, stacked.shape[2],
+        )
+        return d_stack if done >= 0 else None
+
+    def _dots_numpy(self, stacked: np.ndarray) -> np.ndarray:
+        """The ``(batch, pairs)`` dots in the four-lane order, one pair at
+        a time over feature-major ``(dim, batch)`` planes."""
+        batch, _, dim = stacked.shape
+        by_feature = np.ascontiguousarray(stacked.transpose(1, 2, 0))
+        lanes = np.full((self.num_pairs, 4, batch), -0.0, dtype=stacked.dtype)
+        products = np.empty((dim, batch), dtype=stacked.dtype)
+        for p, (i, j) in enumerate(zip(self._rows_idx, self._cols_idx)):
+            np.multiply(by_feature[i], by_feature[j], out=products)
+            for d in range(0, dim, 4):  # lane r takes d = 4c + r, c ascending
+                block = products[d : d + 4]
+                lanes[p, : block.shape[0]] += block
+        return ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])).T
+
+    def _grad_numpy(self, stacked: np.ndarray, d_pairs: np.ndarray) -> np.ndarray:
+        """``d_stack`` with ``g`` ascending, over feature-major planes,
+        handed back ``(batch, F, dim)`` C-contiguous like the compiled
+        one's: the embedding norms' einsum sums in an order that
+        depends on the layout it reads."""
+        by_feature = np.ascontiguousarray(stacked.transpose(1, 2, 0))
+        pair_grads = np.ascontiguousarray(d_pairs.T)
+        dtype = np.result_type(stacked, d_pairs)
+        d_stack = np.full(by_feature.shape, -0.0, dtype=dtype)
+        term = np.empty(by_feature.shape[1:], dtype=dtype)
+        for f in range(self.num_features):
+            for g in range(self.num_features):
+                if g != f:
+                    np.multiply(pair_grads[self._pair[f, g]], by_feature[g], out=term)
+                    d_stack[f] += term
+        return np.ascontiguousarray(d_stack.transpose(2, 0, 1))
+
+
+def _native_stack(stacked: np.ndarray) -> bool:
+    """What ``_sparse.c``'s interaction indexes as ``(batch, F, dim)``:
+    float64, C-contiguous."""
+    return (
+        stacked.dtype == np.float64
+        and stacked.ndim == 3
+        and stacked.flags.c_contiguous
+        and stacked.flags.aligned
+    )

@@ -7,8 +7,8 @@
 :func:`~repro.kernels.fused.apply_sparse_update`,
 :meth:`PerExamplePairs.weighted_row_grad
 <repro.nn.parameter.PerExamplePairs.weighted_row_grad>`,
-:meth:`EmbeddingBag.forward <repro.nn.layers.EmbeddingBag.forward>`
-(``_sparse.c``)
+:meth:`EmbeddingBag.forward <repro.nn.layers.EmbeddingBag.forward>`,
+:class:`~repro.nn.layers.FeatureInteraction` (``_sparse.c``)
 consult: the loaded library, or ``None`` — then the numpy expressions
 run, which are the reference the tests compare against and the only
 implementation on a host without a C compiler.  Which of the two runs
@@ -199,6 +199,10 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
         pointer, i64, pointer, i64, i64, pointer, i64, i64, i64, i64
     ]
     lib.gather_pool.restype = i64
+    lib.interaction_dots.argtypes = [pointer, pointer, i64, i64, i64]
+    lib.interaction_dots.restype = i64
+    lib.interaction_grad.argtypes = [pointer, pointer, pointer, i64, i64, i64, i64]
+    lib.interaction_grad.restype = i64
     return lib
 
 
@@ -248,8 +252,9 @@ def _gauss_agrees(lib: ctypes.CDLL) -> bool:
 def _sparse_agrees(lib: ctypes.CDLL) -> bool:
     """``_sparse.c``: an in-place update of a slab window (gradient-only,
     noise-only and shared rows), a pooled scatter-add over a strided
-    ``deltas`` with repeated rows and a gather-pool of strided indices
-    with repeated and ``-0.0`` rows, against the numpy expressions they
+    ``deltas`` with repeated rows, a gather-pool of strided indices
+    with repeated and ``-0.0`` rows and the interaction's two passes
+    (:func:`_interaction_agrees`), against the numpy expressions they
     stand in for — spelt out here, because :mod:`repro.kernels` imports
     this module."""
     base, nrows, dim, lr = 1000, 64, 5, 0.3
@@ -309,10 +314,66 @@ def _sparse_agrees(lib: ctypes.CDLL) -> bool:
         stack.ctypes.data, stack.strides[0], table.ctypes.data, 30, dim,
         indices.ctypes.data, indices.strides[0], indices.strides[1], 6, 11,
     )
-    return (
+    if not (
         done == indices.size
         and np.array_equal(stack[:, 0].view(np.uint64), reference.view(np.uint64))
         and np.isnan(stack[:, 1]).all()
+    ):
+        return False
+    return _interaction_agrees(lib, 9, 32) and _interaction_agrees(lib, 3, 5)
+
+
+def interaction_order(stack: np.ndarray, d_pairs: np.ndarray) -> tuple:
+    """The interaction's two summation orders spelt out plainly, for a
+    ``(batch, F, dim)`` float64 stack and ``(batch, pairs)`` pair
+    gradients: ``(dots, d_stack)``.  A dot sums its products in four
+    lanes ``d mod 4``, each from ``-0.0`` (the exact additive identity)
+    in ascending ``d``, then ``(l0 + l1) + (l2 + l3)``; ``d_stack[:,
+    f]`` sums ``dp(f, g) * stack[:, g]`` over ``g != f`` ascending."""
+    features = stack.shape[1]
+    rows, cols = np.triu_indices(features, k=1)
+    lanes = np.full((4, stack.shape[0], rows.size), -0.0)
+    for d in range(stack.shape[2]):
+        lanes[d % 4] += stack[:, rows, d] * stack[:, cols, d]
+    dots = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    pair = np.zeros((features, features), dtype=np.int64)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    d_stack = np.full(stack.shape, -0.0)
+    for f in range(features):
+        for g in range(features):
+            if g != f:
+                d_stack[:, f] += d_pairs[:, pair[f, g], None] * stack[:, g]
+    return dots, d_stack
+
+
+def _interaction_agrees(lib: ctypes.CDLL, features: int, dim: int) -> bool:
+    """``interaction_dots`` and ``interaction_grad`` on a ``(3,
+    features, dim)`` stack with a ``-0.0`` feature row, the pair
+    gradients read through the strided ``[:, dim:]`` view of a wider
+    delta, against :func:`interaction_order`."""
+    batch, pairs = 3, features * (features - 1) // 2
+    stack = (
+        np.arange(batch * features * dim, dtype=np.float64) % 23 / 7.0 - 1.3
+    ).reshape(batch, features, dim)
+    stack[1, features - 1] = -0.0
+    delta = np.cos(np.arange(batch * (dim + pairs + 2), dtype=np.float64))
+    d_pairs = delta.reshape(batch, -1)[:, dim + 2 :]
+    dots, reference = interaction_order(stack, d_pairs)
+
+    out = np.full((batch, dim + pairs), np.nan)
+    done = lib.interaction_dots(out.ctypes.data, stack.ctypes.data, batch, features, dim)
+    if done != batch * pairs or not (
+        np.array_equal(out[:, :dim].view(np.uint64), stack[:, 0].view(np.uint64))
+        and np.array_equal(out[:, dim:].view(np.uint64), dots.view(np.uint64))
+    ):
+        return False
+    d_stack = np.full(stack.shape, np.nan)
+    done = lib.interaction_grad(
+        d_stack.ctypes.data, stack.ctypes.data, d_pairs.ctypes.data,
+        d_pairs.strides[0], batch, features, dim,
+    )
+    return done == batch * features and np.array_equal(
+        d_stack.view(np.uint64), reference.view(np.uint64)
     )
 
 

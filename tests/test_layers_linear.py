@@ -232,3 +232,55 @@ class TestMLP:
     def test_parameters_enumeration(self):
         mlp = make_mlp((4, 6, 3))
         assert len(mlp.parameters()) == 4  # 2 weights + 2 biases
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestBitwiseTrims:
+    """The in-place spellings release the bits of the expressions they
+    replaced, compared as ``uint64``."""
+
+    def test_forward_adds_the_bias_in_place(self):
+        layer = make_linear(out_features=9, in_features=13, seed=21)
+        x = np.random.default_rng(22).normal(size=(17, 13))
+        x[0] = -0.0
+        assert np.array_equal(
+            _bits(layer.forward(x)), _bits(x @ layer.weight.data.T + layer.bias.data)
+        )
+
+    def test_weighted_grads_scale_into_the_layer_buffer(self):
+        layer = make_linear(out_features=5, in_features=7, seed=23)
+        rng = np.random.default_rng(24)
+        x, delta = rng.normal(size=(11, 7)), rng.normal(size=(11, 5))
+        layer.forward(x)
+        layer.backward(delta)
+        grads = {}
+        for step, weights in enumerate((rng.random(11), rng.random(11))):
+            grads[step] = layer.weighted_grads(weights)
+            weighted_delta = delta * weights[:, None]
+            expected = {"w": weighted_delta.T @ x, "b": weighted_delta.sum(axis=0)}
+            for name, grad in grads[step].items():
+                assert np.array_equal(_bits(grad), _bits(expected[name]))
+            if step == 0:
+                before = {name: grad.copy() for name, grad in grads[0].items()}
+        # The scaled delta's buffer is reused; the gradients handed out are not.
+        for name, grad in grads[0].items():
+            assert np.array_equal(_bits(grad), _bits(before[name]))
+
+    def test_mlp_backward_without_the_input_gradient(self):
+        """``input_grad=False`` leaves every layer's cached delta — so
+        every gradient view — as the full backward does, and computes
+        no input gradient."""
+        rng = np.random.default_rng(25)
+        x, upstream = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        full, trimmed = make_mlp((4, 8, 5, 3), seed=26), make_mlp((4, 8, 5, 3), seed=26)
+        for mlp in (full, trimmed):
+            mlp.forward(x)
+        assert full.backward(upstream) is not None
+        assert trimmed.backward(upstream, input_grad=False) is None
+        weights = rng.random(6)
+        for name, grad in full.weighted_grads(weights).items():
+            assert np.array_equal(_bits(trimmed.weighted_grads(weights)[name]), _bits(grad))
+        assert np.array_equal(_bits(trimmed.ghost_norm_sq()), _bits(full.ghost_norm_sq()))

@@ -1,6 +1,6 @@
 """The compiled inner loops (``_gauss.c``: the keyed-Gaussian kernel;
-``_sparse.c``: the sparse apply, the embedding scatter-add and the
-embedding gather-pool):
+``_sparse.c``: the sparse apply, the embedding scatter-add, the
+embedding gather-pool and the interaction's dots and gradient):
 bit-equality with the numpy expressions on both sides of every guard,
 the ``sincos`` proof on a sample of the angle lattice, and the build /
 cache / fallback behaviour of the loader (``repro.rng._native``)."""
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cli import main
 from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
-from repro.nn import EmbeddingBag, Parameter, PerExamplePairs
+from repro.nn import EmbeddingBag, FeatureInteraction, Parameter, PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
 from repro.rng.noise import _native_tile
 from repro.rng.philox import BLOCK
@@ -509,6 +509,129 @@ def test_gather_pool_refuses_an_index_outside_the_table(bad, numpy_side):
     assert bag._indices is None
 
 
+def _interacted(stack, delta):
+    """One forward and backward of the layer on whatever implementation
+    is current: (out, d_dense, the embeddings' gradients stacked)."""
+    layer = FeatureInteraction(stack.shape[1])
+    out = layer.forward_stacked(stack)
+    d_dense, d_embeddings = layer.backward(delta)
+    return out, d_dense, np.stack(d_embeddings, axis=1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    batch=st.integers(0, 6),
+    features=st.sampled_from([2, 3, 9, 27]),
+    dim=st.sampled_from([1, 3, 4, 5, 8, 32, 33]),
+    special=st.booleans(),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_interaction_equals_its_numpy_twin(batch, features, dim, special, zero_row, seed):
+    """The layer's forward and backward — the compiled passes where a
+    library loaded, the numpy twins where none did (both legs run this)
+    — against the twins and against the order spelt out, as ``uint64``:
+    special values, a ``-0.0`` feature row, ragged ``dim``, and the pair
+    gradients read through the strided ``[:, dim:]`` view of a delta
+    that is itself a column slice of a wider array."""
+    rng = np.random.default_rng(seed)
+    stack = _values(rng, (batch, features, dim), special)
+    if zero_row and batch:
+        stack[rng.integers(batch), rng.integers(features)] = -0.0
+    pairs = features * (features - 1) // 2
+    wide = _values(rng, (batch, dim + pairs + 3), special)
+    delta = wide[:, 2 : 2 + dim + pairs]
+    with np.errstate(all="ignore"):
+        compiled = _interacted(stack, delta)
+        with _native.using(None):
+            twin = _interacted(stack, delta)
+        dots, d_stack = _native.interaction_order(stack, delta[:, dim:])
+    for got, expected in zip(compiled, twin, strict=True):
+        assert np.array_equal(_bits(got), _bits(expected))
+    out, d_dense, d_embeddings = twin
+    assert np.array_equal(_bits(out[:, :dim]), _bits(stack[:, 0]))
+    assert np.array_equal(_bits(out[:, dim:]), _bits(dots))
+    assert np.array_equal(_bits(d_embeddings), _bits(d_stack[:, 1:]))
+    with np.errstate(all="ignore"):
+        dense = d_stack[:, 0] + delta[:, :dim]
+    assert np.array_equal(_bits(d_dense), _bits(dense))
+
+
+def test_interaction_of_off_layout_operands_runs_the_twin():
+    """A stack that is a strided view (not what the compiled passes
+    index) and a float32 stack take the numpy twins: the float64 view
+    gets the bits its contiguous copy gets."""
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((5, 4, 10))
+    view = wide[:, :, 1:9]
+    delta = rng.standard_normal((5, 8 + 6))
+    assert not view.flags.c_contiguous
+    for got, expected in zip(
+        _interacted(view, delta), _interacted(view.copy(), delta), strict=True
+    ):
+        assert np.array_equal(_bits(got), _bits(expected))
+    narrow = view.astype(np.float32)
+    out = FeatureInteraction(4).forward_stacked(narrow)
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, _interacted(view, delta)[0], rtol=1e-5)
+
+
+@pytest.mark.parametrize("lookups", [1, 3])
+def test_a_model_step_is_the_same_on_either_path(lookups):
+    """One DLRM step at the benchmark's F = 9, dim 32 — forward,
+    backward and every gradient view the trainers read — as ``uint64``,
+    on the compiled passes and on the numpy ones: what the layers hand
+    downstream (layouts included: einsum's sums depend on them) must
+    not move a released bit."""
+    from repro.configs import small_dlrm
+    from repro.data import Batch
+    from repro.nn import DLRM
+
+    config = small_dlrm(rows=97)
+    config = type(config)(**{**vars(config), "lookups_per_table": lookups})
+    rng = np.random.default_rng(lookups)
+    batch = Batch(
+        rng.standard_normal((48, config.dense_features)),
+        rng.integers(0, 97, size=(48, config.num_tables, lookups)),
+        rng.integers(0, 2, size=48),
+    )
+    weights = rng.random(48)
+
+    def step():
+        model = DLRM(config, seed=0)
+        logits = model.forward(batch)
+        model.backward(model.loss_grad_per_example(batch))
+        views = {"logits": logits, "norms": model.ghost_norm_sq()}
+        for name, grad in model.weighted_grads(weights).items():
+            views[name] = getattr(grad, "values", grad)
+        return views
+
+    compiled = step()
+    with _native.using(None):
+        reference = step()
+    assert compiled.keys() == reference.keys()
+    for name in compiled:
+        assert np.array_equal(_bits(compiled[name]), _bits(reference[name])), name
+
+
+def test_pair_kernels_refuse_before_the_first_store(native_lib):
+    """``interaction_dots`` / ``interaction_grad`` with no feature or a
+    negative batch refuse and leave their destination untouched."""
+    stack = np.ones((2, 3, 4))
+    pair_grads = np.ones((2, 3))
+    for batch, features in [(2, 0), (-1, 3)]:
+        out = np.full((2, 4 + 3), 7.0)
+        d_stack = np.full((2, 3, 4), 7.0)
+        assert native_lib.interaction_dots(
+            out.ctypes.data, stack.ctypes.data, batch, features, 4
+        ) < 0
+        assert native_lib.interaction_grad(
+            d_stack.ctypes.data, stack.ctypes.data, pair_grads.ctypes.data,
+            pair_grads.strides[0], batch, features, 4,
+        ) < 0
+        assert np.all(out == 7.0) and np.all(d_stack == 7.0)
+
+
 # -- build, cache, fallback ---------------------------------------------------
 
 @pytest.fixture
@@ -640,6 +763,14 @@ def test_failing_self_test_falls_back(cold_home, monkeypatch):
             "_sparse.c",
             "for (int64_t p = 0; p < pooling; p++) {",
             "for (int64_t p = pooling - 1; p >= 0; p--) {",
+        ),
+        # A dot's lanes combined left to right.
+        ("_sparse.c", "return (l0 + l1) + (l2 + l3);", "return ((l0 + l1) + l2) + l3;"),
+        # A feature's partners walked backwards.
+        (
+            "_sparse.c",
+            "for (int64_t q = 0; q < partners; q++) {",
+            "for (int64_t q = partners - 1; q >= 0; q--) {",
         ),
     ]:
         with monkeypatch.context() as patch:
