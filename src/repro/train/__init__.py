@@ -7,7 +7,6 @@ from .common import (
     StageTimer,
     TrainerBase,
     TrainResult,
-    merge_sparse_updates,
 )
 from .dpsgd import DPSGDBTrainer, DPSGDFTrainer, DPSGDRTrainer, EagerDPSGDBase
 from .eana import EANATrainer
@@ -40,7 +39,6 @@ __all__ = [
     "StageTimer",
     "TrainerBase",
     "TrainResult",
-    "merge_sparse_updates",
     "DPSGDBTrainer",
     "DPSGDFTrainer",
     "DPSGDRTrainer",

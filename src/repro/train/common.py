@@ -37,10 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.loader import DataLoader, LookaheadLoader
-# The reference merge kernel lives beside its fused single-pass
-# replacement in repro.kernels; re-exported here because every eager
-# trainer and historical import path spells it this way.
-from ..kernels.fused import merge_sparse_updates  # noqa: F401
 from ..nn.dlrm import DLRM
 from ..obs import NULL_OBS
 from ..privacy.accountant import RDPAccountant

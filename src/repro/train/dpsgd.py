@@ -1,21 +1,27 @@
-"""Eager DP-SGD: the baseline family DP-SGD(B) / (R) / (F).
+"""Eager DP-SGD: the baseline family DP-SGD(B) / (R) / (F), and EANA's base.
 
 All three variants compute the *same* clipped averaged gradient and apply
-the *same* dense noisy update to every embedding row, every iteration
-(paper Figure 4b) — they differ only in how per-example gradient norms are
+the *same* noisy update to every embedding row, every iteration (paper
+Figure 4b) — they differ only in how per-example gradient norms are
 obtained, which changes their compute/memory profile but not the trained
 model (Section 2.5).  ``EagerDPSGDBase`` holds the shared pipeline;
 subclasses provide the norm derivation and gradient reduction.
 
-The embedding update here is the paper's bottleneck in its full glory:
-``noise_sampling`` draws a Gaussian for every row of every table and
-``noisy_grad_update`` streams the whole table through memory.
+The embedding update is one spelling over a set of *due rows*: per
+table, one ``row_noise`` draw over the rows ``_due_rows`` names, the
+clipped gradient added on its rows (every gradient row is due), one
+sparse write.  Eager DP-SGD's due rows are the whole table — the paper's
+bottleneck in its full glory: ``noise_sampling`` draws a Gaussian for
+every row of every table and ``noisy_grad_update`` streams the whole
+table through memory.  EANA (``repro.train.eana``) names the accessed
+rows only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import apply_sparse_update
 from ..privacy.clipping import clipped_average_weights, global_norms
 from .common import TrainerBase
 
@@ -53,36 +59,34 @@ class EagerDPSGDBase(TrainerBase):
         with self.timer.time("bwd_per_batch"):
             return self.model.weighted_grads(weights)
 
-    # -- the dense noisy embedding update (paper Figure 4b) ---------------
+    # -- the noisy embedding update (paper Figure 4b) ---------------------
     def _apply_embedding_updates(
         self, grads: dict, iteration: int, noise_std: float
     ) -> None:
-        """The step's embedding update, table by table (LazyDP overrides
-        this with one all-tables update per shard)."""
-        for table_index, bag in enumerate(self.model.embeddings):
-            self._apply_embedding_dense_noisy_update(
-                table_index, bag, grads[bag.table.name], iteration, noise_std
-            )
-
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
-    ) -> None:
-        num_rows = bag.num_rows
+        """The step's embedding update, table by table: one noise draw
+        over the table's due rows, the clipped gradient added to its
+        rows, one sparse write (LazyDP overrides this with one
+        all-tables update per shard)."""
         lr = self._learning_rate(iteration)
-        with self.timer.time("noise_sampling"):
-            noise = self.noise_stream.row_noise(
-                table_index,
-                np.arange(num_rows, dtype=np.int64),
-                iteration,
-                bag.dim,
-                std=noise_std,
-            )
-        with self.timer.time("noisy_grad_generation"):
-            # Scatter the sparse clipped gradient into the dense noise
-            # tensor: the "noisy gradient" is dense, sized like the table.
-            noise[sparse_grad.rows] += sparse_grad.values
-        with self.timer.time("noisy_grad_update"):
-            bag.table.data -= lr * noise
+        for table_index, bag in enumerate(self.model.embeddings):
+            grad = grads[bag.table.name]
+            rows = self._due_rows(bag, grad)
+            with self.timer.time("noise_sampling"):
+                noise = self.noise_stream.row_noise(
+                    table_index, rows, iteration, bag.dim, std=noise_std
+                )
+            with self.timer.time("noisy_grad_generation"):
+                # Every gradient row is due: the noisy gradient is the
+                # noise with the gradient added on its rows.
+                noise[np.searchsorted(rows, grad.rows)] += grad.values
+            with self.timer.time("noisy_grad_update"):
+                apply_sparse_update(
+                    bag.table.data, rows, noise, lr, values_writable=True
+                )
+
+    def _due_rows(self, bag, grad) -> np.ndarray:
+        """The sorted rows that take this step's noise: every row."""
+        return np.arange(bag.num_rows, dtype=np.int64)
 
 
 class DPSGDBTrainer(EagerDPSGDBase):
@@ -114,9 +118,12 @@ class DPSGDBTrainer(EagerDPSGDBase):
 
     def _reduced_grads(self, weights: np.ndarray) -> dict:
         """Reduce the already-materialised per-example gradients."""
+        # Released once reduced: per-example gradients must not live
+        # into the next step's backward, nor past ``fit``.
+        per_example, self._per_example_dense = self._per_example_dense, None
         with self.timer.time("bwd_per_batch"):
             grads: dict = {}
-            for name, grad in self._per_example_dense.items():
+            for name, grad in per_example.items():
                 grads[name] = np.einsum("b...,b->...", grad, weights)
             for name, pairs in self.model.per_example_embedding_pairs().items():
                 grads[name] = pairs.weighted_row_grad(weights)

@@ -6,13 +6,13 @@ updates and high throughput — but breaks DP-SGD's guarantee: a row that no
 example ever touches never moves, so the final table reveals which feature
 values exist in the training data (paper Section 2.5; demonstrated by
 ``repro.privacy.audit``).  Implemented as the comparison point of
-Figure 14.
+Figure 14: DP-SGD(F) whose due rows (``repro.train.dpsgd``) are the
+gradient's rows instead of the whole table — the same noise draw, the
+same gradient add and the same sparse write, over fewer rows.
 """
 
 from __future__ import annotations
 
-
-from .common import merge_sparse_updates
 from .dpsgd import DPSGDFTrainer
 
 
@@ -21,24 +21,6 @@ class EANATrainer(DPSGDFTrainer):
 
     name = "eana"
 
-    def _apply_embedding_dense_noisy_update(
-        self, table_index: int, bag, sparse_grad, iteration: int, noise_std: float
-    ) -> None:
-        lr = self._learning_rate(iteration)
-        with self.timer.time("noise_sampling"):
-            noise_values = self.noise_stream.row_noise(
-                table_index,
-                sparse_grad.rows,
-                iteration,
-                bag.dim,
-                std=noise_std,
-            )
-        with self.timer.time("noisy_grad_generation"):
-            rows, values = merge_sparse_updates(
-                sparse_grad.rows,
-                sparse_grad.values,
-                sparse_grad.rows,
-                noise_values,
-            )
-        with self.timer.time("noisy_grad_update"):
-            bag.table.data[rows] -= lr * values
+    def _due_rows(self, bag, grad):
+        """Only the rows this step's batch accessed take noise."""
+        return grad.rows

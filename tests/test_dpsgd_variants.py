@@ -1,5 +1,8 @@
 """Tests for the eager DP-SGD family: B == R == F and DP semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from repro import configs
 from repro.nn import DLRM
 from repro.train import DPConfig
 
-from repro.testing import max_param_diff, train_algorithm
+from repro.testing import make_loader, max_param_diff, train_algorithm
 
 
 @pytest.fixture
@@ -135,3 +138,25 @@ class TestStageProfiles:
             "dpsgd_f", config, batch_size=16, num_batches=1
         )
         assert trainer.expected_batch_size == 16
+
+
+class TestMemory:
+    def test_b_releases_per_example_grads_once_reduced(self, config):
+        """DP-SGD(B)'s per-example dense gradients live from the norm pass
+        to the reduction: not into the next step's backward, nor past
+        ``fit``."""
+        from repro.session import make_trainer
+
+        model = DLRM(config, seed=7)
+        trainer = make_trainer("dpsgd_b", model, DPConfig(), noise_seed=99)
+        materialise, refs = model.per_example_dense_grads, []
+
+        def watched():
+            grads = materialise()
+            refs.extend(weakref.ref(grad) for grad in grads.values())
+            return grads
+
+        model.per_example_dense_grads = watched
+        trainer.fit(make_loader(config, num_batches=2))
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
