@@ -2,7 +2,7 @@
 
 ``plan_sweep`` trains a list of ``ExecutionPlan`` specs against the
 serial plan in one process and demands the released model be bitwise
-equal (or, under ``bounded:k``, the noise ledger exact).
+equal (and, under ``async``, the noise ledger exact).
 ``obs_overhead`` and ``serve_load`` pin the tracer's and the serving
 tier's contracts.  All three build through :func:`train`.
 """
@@ -45,7 +45,6 @@ def sweep_plans(tier: str) -> dict:
     shards, depth 4) — every pinned key comes from plans both tiers run.
     """
     counts = (1, 2, 4) if tier == "full" else (1, 2)
-    deepest = counts[-1]
     backends = {"serial": "numpy", "threads": "threads", "process": "process"}
     threads2 = "shards=2,backend=threads"
     return {
@@ -60,7 +59,6 @@ def sweep_plans(tier: str) -> dict:
         },
         "async_inflight": {
             **{f"async_inflight{n}": f"async=strict,inflight={n}" for n in counts},
-            f"async_inflight{deepest}_bounded": f"async=bounded:2,inflight={deepest}",
             "async_sharded_inflight2": f"{threads2},async=strict,inflight=2",
         },
         "plan_matrix": {
@@ -95,7 +93,7 @@ def _shard_model_table(checks: Checks) -> Table:
     "plan_sweep",
     figure="— (beyond paper: shards, pipeline, async, backends)",
     shows="Every engine shape and backend trained against the serial plan: "
-    "bitwise-equal release (clean noise ledger under `bounded:k`), "
+    "bitwise-equal release (and a clean noise ledger under `async`), "
     "throughput ratio per plan, hidden fraction of the prefetch pipeline",
 )
 def plan_sweep(tier: str) -> Result:
@@ -142,14 +140,11 @@ def plan_sweep(tier: str) -> Result:
         group[f"throughput_ratio_{label}"] = serial_wall / result.wall_time
         plans[f"{benchmark}/throughput_ratio_{label}"] = plan.to_spec()
 
-        if plan.is_async and plan.async_ != "strict":
-            verdict = "diverges (by design)"
-        else:
-            diff = max_param_diff(serial_model, session.model)
-            verdict = "exact" if diff == 0.0 else f"{diff:.2e}"
-            checks.require(
-                diff == 0.0, f"{spec}: released model differs from serial by {diff}"
-            )
+        diff = max_param_diff(serial_model, session.model)
+        verdict = "exact" if diff == 0.0 else f"{diff:.2e}"
+        checks.require(
+            diff == 0.0, f"{spec}: released model differs from serial by {diff}"
+        )
         if plan.is_async:
             try:
                 trainer.audit_noise_ledger(iterations)
@@ -166,7 +161,8 @@ def plan_sweep(tier: str) -> Result:
                 fraction > 0.0,
                 f"{spec}: no noise catch-up time was hidden behind the step",
             )
-        per_shard = trainer.shard_update_seconds() if trainer.plan is not None else []
+        routed = trainer.engine.router is not None
+        per_shard = trainer.shard_update_seconds() if routed else []
         table_rows.append(
             [
                 benchmark,

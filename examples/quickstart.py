@@ -43,15 +43,14 @@ def main() -> None:
     print(f"LazyDP bookkeeping overhead: {overhead * 1e3:.1f} ms total "
           f"({overhead / result.wall_time:.1%} of wall time)")
 
-    # At production scale the embedding engine shards: partition each
-    # table (the plan's `shards` axis, or `--plan shards=...` on
-    # `python -m repro train`) and the lazy update runs per shard in
-    # parallel — bitwise identical released parameters, verified in
-    # tests/test_shard_equivalence.py.
+    # At production scale the embedding engine shards: cut each table
+    # into contiguous row ranges (the plan's `shards` axis, or
+    # `--plan shards=...` on `python -m repro train`) and the lazy
+    # update runs per shard in parallel — bitwise identical released
+    # parameters, verified in tests/test_shard_equivalence.py.
     #
     #   from repro.session import ExecutionPlan, TrainSession
-    #   plan = ExecutionPlan.from_spec(
-    #       "shards=4,partition=frequency,backend=threads")
+    #   plan = ExecutionPlan.from_spec("shards=4,backend=threads")
     #   session = TrainSession.build(model, dp_config, plan)
 
 

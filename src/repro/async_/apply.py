@@ -17,8 +17,8 @@ Invariants:
   the trainer from running unboundedly ahead of the writes.
 * **Monotone completion watermark.**  Tasks complete in submission
   order, so "applies through iteration ``t`` have landed" is a single
-  integer (``applied_through``); :meth:`wait_for` is how the staleness
-  policy expresses both the strict and the bounded schedule.
+  integer (``applied_through``); :meth:`wait_for` is how the
+  scheduler makes a step wait for every prior apply.
 * **Failure transparency.**  A task exception is recorded and re-raised
   on the trainer thread's next ``submit``/``wait_for``; after a failure
   the worker drains (without executing) whatever is still queued so no
@@ -58,7 +58,7 @@ class ApplyWorker:
         #: in-flight cap (backpressure: applies slower than planning).
         self.submit_stall_seconds = 0.0
         #: Seconds the trainer blocked in :meth:`wait_for` (the
-        #: staleness policy's exposed synchronisation cost).
+        #: exposed synchronisation cost of waiting for prior applies).
         self.wait_seconds = 0.0
         #: Iteration apply tasks completed.
         self.applies_completed = 0

@@ -53,9 +53,9 @@ def _add_train_parser(subparsers) -> None:
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
         help="how LazyDP executes, e.g. "
-             "'shards=4,pipeline=2,async=bounded:2,ans=off' "
-             "(keys: ans, shards, partition, pipeline, async, inflight, "
-             "obs, serve, admission, backend).  The backend key selects "
+             "'shards=4,pipeline=2,async=strict,ans=off' "
+             "(keys: ans, shards, pipeline, async, inflight, obs, serve, "
+             "backend).  The backend key selects "
              "how shard tasks run as 'name[:workers]': numpy (default), "
              "threads[:K] or process (one worker process per shard).  "
              "Determines the whole execution, "
@@ -108,12 +108,7 @@ def _run_train(args) -> int:
 
     obs = None
     if plan is not None:
-        # The trace skew also feeds the frequency partitioner, so a
-        # skewed run gets mass-balanced shards, not equal-row cuts.
-        session = TrainSession.build(
-            model, dp, plan, noise_seed=args.seed + 3,
-            skew=skew if plan.is_sharded else None,
-        )
+        session = TrainSession.build(model, dp, plan, noise_seed=args.seed + 3)
         trainer = session.trainer
         obs = session.observability
         result = session.fit(loader)
@@ -150,14 +145,14 @@ def _run_train(args) -> int:
             title="event counters",
         ))
     if plan is not None and trainer.num_shards > 1:
+        sizes = np.diff(trainer.engine.router.bounds[0]).tolist()
         shard_rows = [
-            [s, trainer.plan.table(0).shard_size(s), f"{seconds:.4f}"]
+            [s, sizes[s], f"{seconds:.4f}"]
             for s, seconds in enumerate(trainer.shard_update_seconds())
         ]
         print(format_table(
             ["shard", "rows (table 0)", "update seconds"], shard_rows,
-            title=f"per-shard model update ({plan.partition}, "
-                  f"backend={plan.backend})",
+            title=f"per-shard model update (backend={plan.backend})",
         ))
         if result.shard_times is not None:
             summed = sorted(result.shard_times["summed"].items(),
@@ -204,7 +199,6 @@ def _run_train(args) -> int:
         print(format_table(
             ["metric", "value"],
             [
-                ["staleness policy", stats["staleness"]],
                 ["applies completed", stats["applies_completed"]],
                 ["apply busy (s)", f"{stats['apply_busy_seconds']:.4f}"],
                 ["submit stall (s)",

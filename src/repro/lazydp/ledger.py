@@ -24,10 +24,10 @@ raises immediately, no matter how the async engine reorders work.
 :meth:`audit_complete` is the end-of-training exactness proof: after
 the terminal flush, every row must stand exactly at the final
 iteration, i.e. every per-iteration noise value was applied exactly
-once.  ``tests/test_async_equivalence.py`` runs this audit for the
-bounded-staleness trainer, where released parameters intentionally
-differ from the serial schedule and only the ledger can vouch for the
-privacy bookkeeping.
+once.  ``tests/test_async_equivalence.py`` and the process backend
+run this audit beside the bitwise comparison with the serial
+schedule: the released bits show the noise landed, the ledger shows
+each span landed exactly once.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ owns the lifecycle around them:
   Section 5), so it overlaps forward/backward and input gather;
 * **apply** runs inline, or is collected per iteration and handed to
   the :class:`ApplyWorker <repro.async_.apply.ApplyWorker>`, at most
-  ``max_in_flight`` iterations outstanding, gated by the
-  :class:`StalenessPolicy <repro.async_.policy.StalenessPolicy>`;
+  ``max_in_flight`` iterations outstanding; a step waits for every
+  prior apply before it reads the slabs;
 * **shard tasks** run in place (one shard), through a
   :class:`ShardExecutor <repro.shard.executor.ShardExecutor>`, or as
   worker-process messages (:mod:`repro.procshard`).
@@ -27,7 +27,7 @@ worker* owns HistoryTables and ANS counters, the *apply worker* (or the
 trainer thread, when applies are synchronous) owns parameter slabs and
 the ledger, the *trainer thread* owns activations, dense parameters and
 the staging handoffs.  Dense (MLP) updates stay synchronous on the
-trainer thread — staleness applies to embedding slabs only.  Outside a
+trainer thread — only embedding applies are deferred.  Outside a
 ``fit`` nothing is running and every stage falls back to the inline
 path, so manual ``train_step`` driving (benchmark harnesses, serving
 writers) keeps working under any plan.
@@ -36,16 +36,13 @@ Prefetching and deferring change *when* a stage runs, never *what* it
 computes: every noise value is a pure function of ``(seed, table, row,
 iteration)`` and the row's delay, plans are computed strictly in
 iteration order against exclusively-owned histories, and applies land
-FIFO.  Under ``strict`` staleness training is therefore bitwise-equal
-to the inline schedule; under ``bounded:k`` reads may trail writes and
-only the per-row ledger (:class:`repro.lazydp.ledger.VersionVector`)
-vouches for the noise accounting.
+FIFO, and no step reads a slab with an outstanding apply.  Training is
+therefore bitwise-equal to the inline schedule under every placement.
 """
 
 from __future__ import annotations
 
 from ..async_.apply import ApplyWorker
-from ..async_.policy import StalenessPolicy
 from ..data.loader import DataLoader, LookaheadLoader
 from ..pipeline.prefetch import NoisePrefetchWorker
 from ..pipeline.staging import StagingBuffer
@@ -68,7 +65,6 @@ class Scheduler:
         self,
         prefetch_depth: int | None = None,
         max_in_flight: int | None = None,
-        staleness="strict",
     ):
         if max_in_flight is not None:
             if max_in_flight < 1:
@@ -79,7 +75,6 @@ class Scheduler:
             raise ValueError("prefetch_depth must be at least 1")
         self.prefetch_depth = prefetch_depth
         self.max_in_flight = max_in_flight
-        self.staleness = StalenessPolicy.parse(staleness)
         self.trainer = None
         #: How shard tasks run: ``None`` runs the one shard in place.
         self.executor = None
@@ -188,25 +183,23 @@ class Scheduler:
 
     # -- one step ------------------------------------------------------------
     def begin_step(self, iteration: int) -> None:
-        """The staleness policy's wait before a step reads the slabs:
-        strict -> every prior apply; bounded(k) -> all but the k most
-        recent may still be in flight."""
+        """The wait before a step reads the slabs: every prior apply
+        must have landed."""
         if not (self.running and self.defers_apply):
             return
         trainer = self.trainer
         obs = trainer.obs
         if obs.enabled:
             # In-flight depth and staleness lag at step entry (i.e.
-            # before the policy wait below narrows them).
+            # before the wait below narrows them).
             applied = self._apply_worker.applied_through
             obs.observe_inflight(
                 self._last_submitted - applied,
                 max(iteration - 1 - applied, 0),
             )
-        horizon = iteration - 1 - self.staleness.allowed_lag
-        if horizon >= 1:
+        if iteration > 1:
             with trainer.timer.time("staleness_wait"):
-                self._apply_worker.wait_for(horizon)
+                self._apply_worker.wait_for(iteration - 1)
         self._collected = []
 
     def staged(self, iteration: int, noise_std: float):
@@ -292,7 +285,6 @@ class Scheduler:
         waited = self.trainer.timer.totals.get("staleness_wait", 0.0)
         return {
             "max_in_flight": self.max_in_flight,
-            "staleness": self.staleness.describe(),
             "applies_completed": worker.applies_completed if worker else 0,
             "apply_busy_seconds": worker.busy_seconds if worker else 0.0,
             "submit_stall_seconds": worker.submit_stall_seconds if worker else 0.0,

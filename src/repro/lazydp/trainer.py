@@ -26,7 +26,7 @@ table in one task per shard, one fan-out per iteration — and a
 (trainer thread, prefetch worker, apply worker, shard pool, worker
 process).  Every plan shares one table layout
 (:func:`repro.shard.tables.shard_windows`); flat is its one-range case,
-decided from the shard count: no partition, no router, no executor —
+decided from the shard count: no router, no executor —
 the single shard state runs in place against the whole tables.
 
 Every placement releases bitwise-identical parameters to the inline
@@ -57,12 +57,12 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 class LazyDPTrainer(DPSGDFTrainer):
     """LazyDP with (default) or without aggregated noise sampling.
 
-    ``partition`` (a :class:`repro.shard.PartitionPlan`) splits every
-    table into shards; ``scheduler`` places the update stages;
-    ``executors`` builds the :class:`repro.shard.ShardExecutor` shard
-    tasks run through.  All three come from
-    :meth:`repro.session.TrainSession.build`; the defaults are the
-    paper's serial trainer.  ``schedule`` (an
+    ``num_shards`` cuts every table into that many contiguous row
+    ranges (:func:`repro.shard.plan.row_range_bounds`); ``scheduler``
+    places the update stages; ``executors`` builds the
+    :class:`repro.shard.ShardExecutor` shard tasks run through.  All
+    three come from :meth:`repro.session.TrainSession.build`; the
+    defaults are the paper's serial trainer.  ``schedule`` (an
     :class:`repro.train.schedules.LRSchedule`) rides inside
     ``mechanism``, the sample-stage prototype every consumer forks.
     """
@@ -76,7 +76,7 @@ class LazyDPTrainer(DPSGDFTrainer):
         noise_seed: int = 1234,
         use_ans: bool = True,
         *,
-        partition=None,
+        num_shards: int = 1,
         scheduler: Scheduler | None = None,
         executors=SerialExecutor,
         schedule=None,
@@ -92,9 +92,8 @@ class LazyDPTrainer(DPSGDFTrainer):
         if not use_ans:
             self.name = "lazydp_no_ans"
         self.scheduler = scheduler if scheduler is not None else Scheduler()
-        #: The partition of every table into shards (``None``: one shard).
-        self.plan = partition
-        self.num_shards = 1 if partition is None else partition.num_shards
+        #: How many row ranges every table is cut into (1: flat).
+        self.num_shards = int(num_shards)
         self._next_batch = None
         self._last_noise_std: float | None = None
         self.engine = self._build_engine()
@@ -103,10 +102,10 @@ class LazyDPTrainer(DPSGDFTrainer):
         )
 
     def _build_engine(self) -> LazyNoiseEngine:
-        """Shard-local state for every shard of ``self.plan``, in this
+        """Shard-local state for every one of ``self.num_shards``, in this
         process.  A plan with deferred applies keeps a ledger."""
         windows, histories, ledgers, router = shard_windows(
-            self.model, self.plan, self.scheduler.defers_apply
+            self.model, self.num_shards, self.scheduler.defers_apply
         )
         # The one shard of an all-inline plan runs on the trainer thread
         # and reports into the trainer's own stage breakdown.
@@ -297,9 +296,9 @@ class LazyDPTrainer(DPSGDFTrainer):
         """Prove noise was applied exactly once per (row, iteration)
         through ``final_iteration`` (raises ``LedgerError`` otherwise).
 
-        This is the bounded-staleness and cross-process acceptance
-        check: released parameters may legitimately differ from the
-        serial schedule, but the deferred-noise accounting may not.
+        This is the deferred-apply and cross-process acceptance check:
+        beside the released bits, the deferred-noise accounting itself
+        must be exact.
         """
         for vector in self.ledger:
             vector.audit_complete(final_iteration)
@@ -370,7 +369,8 @@ class LazyDPTrainer(DPSGDFTrainer):
         }
 
     def _fit_shard_times(self):
-        return self.shard_time_summary() if self.plan is not None else None
+        routed = self.engine.router is not None
+        return self.shard_time_summary() if routed else None
 
     def _auxiliary_timers(self) -> tuple:
         scheduler = self.scheduler

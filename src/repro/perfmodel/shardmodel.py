@@ -118,9 +118,10 @@ def sharded_update_breakdown(config: DLRMConfig, batch: int,
                              ) -> ShardUpdateBreakdown:
     """Model the sharded lazy model update's per-shard latency.
 
-    Assumes a balanced plan (row_range on uniform traces, frequency on
-    skewed ones): each shard owns ``1/num_shards`` of the expected unique
-    rows.  Routing is a streaming pass over the batch's index arrays and
+    Assumes balanced shards: each owns ``1/num_shards`` of the expected
+    unique rows.  Equal-row ranges are balanced on uniform traces; on
+    skewed ones the shard holding the hot head owns more, so this is
+    the critical path's lower bound there.  Routing is a streaming pass over the batch's index arrays and
     is not sharded — it is the sequential prologue of every iteration.
     """
     if num_shards < 1:

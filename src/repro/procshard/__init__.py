@@ -13,9 +13,10 @@ proceed GIL-free while the router reads the same bytes zero-copy.
 The cross-process contract is deterministic state plus a tiny command
 pipe:
 
-* the :class:`repro.shard.plan.PartitionPlan` (``num_shards + 1``
-  bounds per table) is pickled **once** at worker startup (row
-  ownership never changes mid-run);
+* the shard count crosses **once**, at worker startup; every worker
+  derives its row range of each table from it
+  (:func:`repro.shard.plan.row_range_bounds`), so row ownership never
+  changes mid-run;
 * per step the router sends each worker one ``plan`` message — before
   forward/backward, so catch-up sampling runs behind the router's nn
   work — and one ``apply`` message, which the worker maps onto its

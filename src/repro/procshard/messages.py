@@ -4,8 +4,8 @@ Everything crossing the router <-> worker pipes is defined here, so the
 wire contract is one module.  Two principles keep the pipe small:
 
 * **State crosses once.**  The :class:`WorkerInit` handshake carries
-  the pickled-once :class:`repro.shard.plan.PartitionPlan` (its
-  ``bounds``: ``num_shards + 1`` ints per table) and the shared-memory
+  the shard count (each worker derives its row range with
+  :func:`repro.shard.plan.row_range_bounds`) and the shared-memory
   segment names; after that, parameters, histories and
   ledger segments move through shared memory, never the pipe.
 * **The unit of work is (shard, iteration).**  A step is two messages
@@ -105,7 +105,7 @@ class WorkerInit:
     """The pickled-once startup handshake for one shard worker."""
 
     worker_index: int
-    plan: object  # repro.shard.plan.PartitionPlan
+    num_shards: int
     #: The trainer's sample-stage mechanism (repro.lazydp.ans.ANSEngine:
     #: stream seed, ANS mode, LR schedule); the worker's shard state
     #: forks it, so the schedule must pickle.

@@ -52,8 +52,8 @@ from ..lazydp.trainer import LazyDPTrainer
 from ..nn.dlrm import DLRM
 from ..rng import native_status, vector_isa
 from ..shard.executor import ShardExecutor
-from ..shard.plan import PartitionPlan, build_partition_plan
-from ..shard.tables import check_partition, shard_windows
+from ..shard.router import ShardRouter
+from ..shard.tables import shard_windows
 from ..train.common import DPConfig
 from .messages import (
     CMD_APPLY,
@@ -177,7 +177,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         noise_seed: int = 1234,
         use_ans: bool = True,
         *,
-        partition: PartitionPlan | None = None,
+        num_shards: int = 1,
         scheduler=None,
         schedule=None,
     ):
@@ -190,16 +190,13 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         self._planned: list | None = None
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
-        if partition is None:
-            # One worker still owns its rows through a (one-shard) plan.
-            partition = build_partition_plan(model.config, 1)
         try:
             super().__init__(
                 model,
                 config,
                 noise_seed,
                 use_ans,
-                partition=partition,
+                num_shards=num_shards,
                 scheduler=scheduler,
                 executors=_SendThenCollect,
                 schedule=schedule,
@@ -219,15 +216,18 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
     def _build_engine(self) -> LazyNoiseEngine:
         """Move every table (+ history, + ledger) into shared memory;
         the shard states themselves are built by the workers."""
-        check_partition(self.model, self.plan)  # before anything is moved
         for bag in self.model.embeddings:
             segments = TableSegments(bag.num_rows, bag.dim)
             self._segments.append(segments)
             slab = segments.slab_array()
             np.copyto(slab, bag.table.data)
             bag.table.data = slab
-        _, histories, ledgers, router = shard_windows(
-            self.model, self.plan, with_ledger=True, segments=self._segments
+        _, histories, ledgers, _ = shard_windows(
+            self.model, self.num_shards, with_ledger=True, segments=self._segments
+        )
+        # Even one worker is reached through the router's fan-out.
+        router = ShardRouter(
+            [bag.num_rows for bag in self.model.embeddings], self.num_shards
         )
         #: Router-side per-shard timers, folded from the workers' acks.
         self.shard_timers = [self._make_timer() for _ in range(self.num_shards)]
@@ -251,7 +251,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         )
         return WorkerInit(
             worker_index=shard,
-            plan=self.plan,
+            num_shards=self.num_shards,
             mechanism=self.mechanism,
             tables=tables,
             start_method=self._start_method,

@@ -34,6 +34,7 @@ import traceback
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import ShardState, TableWindow
+from ..shard.plan import row_range_bounds
 from ..train.common import StageTimer
 from .messages import (
     CMD_APPLY,
@@ -82,7 +83,8 @@ def _attach_state(init: WorkerInit, recorder, attached: list) -> ShardState:
     for handle in init.tables:
         segments = AttachedSegments(handle.segments, handle.num_rows, handle.dim)
         attached.append(segments)
-        lo, hi = init.plan.table(handle.table_index).shard_range(init.worker_index)
+        bounds = row_range_bounds(handle.num_rows, init.num_shards)
+        lo, hi = int(bounds[init.worker_index]), int(bounds[init.worker_index + 1])
         windows.append(
             TableWindow(
                 segments.slab_array(),

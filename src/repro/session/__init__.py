@@ -1,13 +1,13 @@
 """The session API: an ExecutionPlan built into the one trainer.
 
-* :class:`ExecutionPlan` — the ten keys of the ``--plan`` spec
-  language as ten scalar fields (``ans``, ``shards``, ``partition``,
-  ``pipeline``, ``async_``, ``inflight``, ``obs``, ``serve``,
-  ``admission``, ``backend``), with the spec round trip; ``backend``
+* :class:`ExecutionPlan` — the eight keys of the ``--plan`` spec
+  language as eight scalar fields (``ans``, ``shards``, ``pipeline``,
+  ``async_``, ``inflight``, ``obs``, ``serve``, ``backend``), with the
+  spec round trip; ``backend``
   names one of three fixed ways shard tasks run (``numpy``,
   ``threads[:K]``, ``process``);
 * :class:`TrainSession` — ``TrainSession.build(model, dp, plan)`` turns
-  the fields into a partition, a scheduler and a backend-bound
+  the fields into a shard count, a scheduler and a backend-bound
   :class:`repro.lazydp.trainer.LazyDPTrainer`, and owns the resulting
   trainer's lifecycle, private release, and serving attachment;
 * :func:`make_trainer` — the paper's seven algorithms by name (the

@@ -4,9 +4,9 @@
 :class:`repro.lazydp.trainer.LazyDPTrainer` is constructed from — no
 class is picked or assembled per combination:
 
-* the ``shards`` axis becomes a :class:`repro.shard.PartitionPlan` of
-  contiguous row ranges (none at all for one shard: flat is the
-  one-range case, decided from the shard count);
+* the ``shards`` axis becomes the trainer's shard count: every table
+  cut into that many contiguous row ranges (one shard is the flat
+  engine: no router, no executor);
 * the ``pipeline`` / ``async`` axes become a
   :class:`repro.lazydp.scheduler.Scheduler`, which places the noise and
   apply stages (trainer thread / prefetch worker / apply worker);
@@ -31,7 +31,6 @@ from functools import partial
 from ..lazydp.scheduler import Scheduler
 from ..lazydp.trainer import LazyDPTrainer
 from ..shard.executor import ThreadPoolShardExecutor
-from ..shard.plan import build_partition_plan
 from ..train import (
     DPSGDBTrainer,
     DPSGDFTrainer,
@@ -84,52 +83,27 @@ class TrainSession:
         plan: ExecutionPlan | None = None,
         *,
         noise_seed: int = 1234,
-        skew=None,
-        partition_plan=None,
         schedule=None,
     ) -> "TrainSession":
         """Build the trainer for ``plan`` (default: serial flat LazyDP).
 
-        ``skew`` (trace skew for the frequency partitioner) and
-        ``partition_plan`` (a prebuilt
-        :class:`repro.shard.PartitionPlan` with the plan's shard count)
-        are live-object inputs that only make sense for sharded plans.  ``schedule`` (an
-        :class:`repro.train.schedules.LRSchedule`; default: the constant
-        ``dp.learning_rate``) applies under every plan: the trainer's
-        sample-stage mechanism weights deferred noise by its origin
-        iteration's rate.
+        ``schedule`` (an :class:`repro.train.schedules.LRSchedule`;
+        default: the constant ``dp.learning_rate``) applies under every
+        plan: the trainer's sample-stage mechanism weights deferred
+        noise by its origin iteration's rate.
         """
         plan = plan if plan is not None else ExecutionPlan()
         num_shards = max(plan.shards, 1)
-        if not plan.is_sharded and (skew is not None or partition_plan is not None):
-            raise ValueError(
-                "skew / partition_plan only apply to sharded plans "
-                "(set plan.shards)"
-            )
-        if partition_plan is not None and partition_plan.num_shards != num_shards:
-            # The label, the threads pool size and the process:K check
-            # all read the plan's count; the trainer would run this one.
-            raise ValueError(
-                f"partition_plan has {partition_plan.num_shards} shard(s), "
-                f"but the plan has {num_shards} (plan spec: "
-                f"shards={partition_plan.num_shards})"
-            )
-        # Flat is the one-range case: no partition is built for it.
-        if partition_plan is None and num_shards > 1:
-            partition_plan = build_partition_plan(
-                model.config, num_shards, strategy=plan.partition, skew=skew
-            )
         scheduler = Scheduler(
             prefetch_depth=plan.pipeline or None,
             max_in_flight=plan.inflight if plan.is_async else None,
-            staleness=plan.async_ or "strict",
         )
         trainer = _trainer_constructor(plan, num_shards)(
             model,
             dp,
             noise_seed=noise_seed,
             use_ans=plan.ans,
-            partition=partition_plan,
+            num_shards=num_shards,
             scheduler=scheduler,
             schedule=schedule,
         )
@@ -186,11 +160,11 @@ class TrainSession:
     def _serve_cache(self, cache):
         """Resolve a ``serve(cache=...)`` argument against the plan axis.
 
-        ``None`` defers to the plan's ``serve`` axis (``serve`` rows and
-        ``admission`` size a fresh hot-row cache per handle — caches
-        hold privatized bits, so they are never
-        shared between engines); ``False`` forces an uncached handle;
-        anything else is used as the cache instance directly.
+        ``None`` defers to the plan's ``serve`` axis (``serve`` rows
+        size a fresh hot-row cache per handle, at the cache's default
+        admission threshold — caches hold privatized bits, so they are
+        never shared between engines); ``False`` forces an uncached
+        handle; anything else is used as the cache instance directly.
         """
         if cache is False:
             return None
@@ -200,9 +174,7 @@ class TrainSession:
             return None
         from ..serve.cache import HotRowCache
 
-        return HotRowCache(
-            self.plan.serve, admission_threshold=self.plan.admission
-        )
+        return HotRowCache(self.plan.serve)
 
     def serve(
         self,
@@ -320,7 +292,7 @@ class TrainSession:
 
 def _trainer_constructor(plan: ExecutionPlan, num_shards: int):
     """The trainer class for the plan's backend, called as
-    ``constructor(model, dp, noise_seed=, use_ans=, partition=,
+    ``constructor(model, dp, noise_seed=, use_ans=, num_shards=,
     scheduler=, schedule=)``."""
     name, workers = plan.split_backend()
     if name == "process":

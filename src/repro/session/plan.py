@@ -4,62 +4,58 @@ The paper's contributions — lazy deferred noise, aggregated noise
 sampling, prefetch pipelining — and the engines this repo grew around
 them (sharded tables, async in-flight applies) are *orthogonal
 execution concerns*: any combination trains the same model to the same
-bits.  An :class:`ExecutionPlan` names a combination with the ten keys
-of the ``--plan`` spec language, one scalar field per key, in spec
+bits.  An :class:`ExecutionPlan` names a combination with the eight
+keys of the ``--plan`` spec language, one scalar field per key, in spec
 order:
 
 ``ans``
     Aggregated noise sampling on/off (the algorithmic ablation axis).
-``shards`` / ``partition``
-    ``0`` for flat tables, or the number of contiguous row ranges every
-    table is cut into (``repro.shard``), placed by ``partition`` (one
-    of :data:`repro.shard.plan.PARTITION_STRATEGIES`).  One shard *is*
-    the flat engine: the builder decides that from the shard count.
+``shards``
+    ``0`` for flat tables, or the number of contiguous equal-row ranges
+    every table is cut into (``repro.shard``).  One shard *is* the flat
+    engine: the builder decides that from the shard count.
 ``pipeline``
     ``0`` for inline catch-up, or the depth of the background noise
     prefetch (``repro.pipeline`` mechanisms).
 ``async_`` / ``inflight``
-    ``None`` for synchronous applies, or the staleness word
-    (``"strict"`` / ``"bounded[:k]"``, parsed by
-    :meth:`repro.async_.StalenessPolicy.parse`) with up to ``inflight``
-    applies outstanding (``repro.async_`` mechanisms).  Async implies
-    the pipeline axis: with ``pipeline=0`` the prefetch depth defaults
-    to ``max(2, inflight)``.
+    ``False`` for synchronous applies, or ``True`` (spelled
+    ``async=strict``) for up to ``inflight`` applies outstanding on a
+    background thread (``repro.async_``); a step still waits for every
+    prior apply before it reads the slabs.  Async implies the pipeline
+    axis: with ``pipeline=0`` the prefetch depth defaults to
+    ``max(2, inflight)``.
 ``obs``
     ``None`` for an uninstrumented run, or ``"trace"``, ``"metrics"``
     or ``"trace+metrics"`` (``repro.obs``).  Unlike the other axes this
     is an *instance* concern — the session builder instruments the
     built trainer.
-``serve`` / ``admission``
+``serve``
     ``0`` for uncached serving handles, or the row capacity of the
     skew-aware hot-row cache ``TrainSession.serve`` puts in front of
-    each serving engine, admitting a row after ``admission`` slow-path
-    serves (``repro.serve``).  Like ``obs`` this configures the handles
-    the session hands out, not the trainer.
+    each serving engine (``repro.serve``).  Like ``obs`` this
+    configures the handles the session hands out, not the trainer.
 ``backend``
     *How shard tasks run*, as ``"name[:K]"`` — one of :data:`BACKENDS`:
     ``"numpy"`` (default, in-process serial schedule), ``"threads[:K]"``
     (shard thread pool of ``K`` workers), ``"process"`` (one worker
     process per shard, slabs in shared memory; ``repro.procshard``).
 
-A sub-key (``partition``, ``inflight``, ``admission``) keeps its
-default while its axis is off, so every plan has exactly one spelling.
-Plans serialize two ways: :meth:`to_spec`/:meth:`from_spec` (the flat
-``"shards=4,pipeline=2,async=bounded:2"`` mini-language the CLI's
+The sub-key ``inflight`` keeps its default while the async axis is off,
+so every plan has exactly one spelling.  Plans serialize two ways:
+:meth:`to_spec`/:meth:`from_spec` (the flat
+``"shards=4,pipeline=2,async=strict"`` mini-language the CLI's
 ``--plan`` flag speaks and BENCH_*.json metadata records) and
 :meth:`legacy_name` (the ``TrainResult.algorithm`` label).
-``from_spec(to_spec(p)) == p`` holds for every valid plan.
+``from_spec(to_spec(p)) == p`` holds for every valid plan, and every
+plan releases the serial plan's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..async_.policy import StalenessPolicy
-from ..shard.plan import PARTITION_STRATEGIES
-
 #: The execution backends, with the note ``repro backends`` prints.
-#: The four rules they obey live in ``ExecutionPlan.__post_init__``.
+#: The rules they obey live in ``ExecutionPlan.__post_init__``.
 BACKENDS = {
     "numpy": "in-process numpy kernels, serial per-shard schedule",
     "threads": "in-process numpy kernels on a persistent shard thread pool",
@@ -69,13 +65,11 @@ BACKENDS = {
 _SPEC_KEYS = (
     "ans",
     "shards",
-    "partition",
     "pipeline",
     "async",
     "inflight",
     "obs",
     "serve",
-    "admission",
     "backend",
 )
 
@@ -87,7 +81,10 @@ _OBS_WORDS = {
 }
 
 #: The axis field a sub-key field belongs to.
-_AXIS_OF = {"partition": "shards", "inflight": "async_", "admission": "serve"}
+_AXIS_OF = {"inflight": "async_"}
+
+#: The one word that switches the async axis on.
+_ASYNC_WORD = "strict"
 
 _TRUE_WORDS = ("on", "true", "yes", "1")
 _FALSE_WORDS = ("off", "false", "no", "0")
@@ -115,11 +112,19 @@ def _parse_int(key: str, value: str) -> int:
         ) from None
 
 
-def _parse_word(key: str, value: str) -> str | None:
-    """``async=``: the off-spellings the boolean keys accept (plus
-    ``none``) switch the axis off instead of parsing as a mode."""
+def _parse_async(key: str, value: str) -> bool:
+    """``async=strict`` switches the axis on; the off-spellings the
+    boolean keys accept (plus ``none``) switch it off."""
     word = value.lower()
-    return None if word in _OFF_WORDS else word
+    if word in _OFF_WORDS:
+        return False
+    if word == _ASYNC_WORD:
+        return True
+    raise ValueError(
+        f"invalid plan spec: async={value!r} — the async axis accepts "
+        f"only {_ASYNC_WORD} (or off): every plan releases the serial "
+        "plan's bits, so reads never trail applies"
+    )
 
 
 def _parse_obs(key: str, value: str) -> str | None:
@@ -155,13 +160,11 @@ def _parse_text(key: str, value: str) -> str:
 _PARSERS = {
     "ans": _parse_bool,
     "shards": _parse_int,
-    "partition": _parse_text,
     "pipeline": _parse_int,
-    "async": _parse_word,
+    "async": _parse_async,
     "inflight": _parse_int,
     "obs": _parse_obs,
     "serve": _parse_serve,
-    "admission": _parse_int,
     "backend": _parse_text,
 }
 
@@ -193,31 +196,27 @@ def _split_backend(spec: str) -> tuple:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """One training run's execution strategy: the ten spec keys."""
+    """One training run's execution strategy: the eight spec keys."""
 
     ans: bool = True
     shards: int = 0
-    partition: str = "row_range"
     pipeline: int = 0
-    async_: str | None = None
+    async_: bool = False
     inflight: int = 2
     obs: str | None = None
     serve: int = 0
-    admission: int = 2
     backend: str = "numpy"
 
     def __post_init__(self):
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
-        if self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition strategy: {self.partition!r} "
-                f"(choose from {PARTITION_STRATEGIES})"
-            )
         if self.pipeline < 0:
             raise ValueError("pipeline must be >= 0")
-        if self.async_ is not None:
-            StalenessPolicy.parse(self.async_)
+        if not isinstance(self.async_, bool):
+            raise ValueError(
+                f"async_ is a bool, got {self.async_!r} "
+                f"(plan spec: async={_ASYNC_WORD})"
+            )
         if self.inflight < 1:
             raise ValueError("inflight must be at least 1")
         if self.obs is not None and self.obs not in _OBS_WORDS.values():
@@ -227,8 +226,6 @@ class ExecutionPlan:
             )
         if self.serve < 0:
             raise ValueError("serve must be >= 0")
-        if self.admission < 1:
-            raise ValueError("serve admission threshold must be positive")
         # A sub-key set away from its default while its axis is off has
         # no spelling: the spec would drop it.
         for key, axis in _AXIS_OF.items():
@@ -252,21 +249,15 @@ class ExecutionPlan:
                 "axis: its workers already overlap noise preparation "
                 "with the model update"
             )
-        if name == "process" and self.async_ is not None:
+        if name == "process" and self.async_:
             raise ValueError(
                 "backend 'process' does not compose with the async axis"
             )
-        if name == "numpy" and workers is not None:
+        if name != "threads" and workers is not None:
             raise ValueError(
-                f"invalid backend spec: {self.backend!r} — backend 'numpy' "
-                "admits no worker count (only threads, process do)"
-            )
-        if name == "process" and workers not in (None, self.shards):
-            raise ValueError(
-                f"invalid backend spec: process:{workers} pins one worker "
-                f"process per shard, but the plan has {self.shards} "
-                f"shard(s) (use backend=process or "
-                f"backend=process:{self.shards})"
+                f"invalid backend spec: {self.backend!r} — backend "
+                f"{name!r} admits no worker count (only threads:K does; "
+                "process runs one worker per shard)"
             )
 
     # -- derived shape -----------------------------------------------------
@@ -278,7 +269,7 @@ class ExecutionPlan:
 
     @property
     def is_async(self) -> bool:
-        return self.async_ is not None
+        return self.async_
 
     @property
     def is_pipelined(self) -> bool:
@@ -303,7 +294,7 @@ class ExecutionPlan:
     # -- spec round trip (the CLI's --plan mini-language) -------------------
     @classmethod
     def from_spec(cls, spec: str) -> "ExecutionPlan":
-        """Parse ``"shards=4,pipeline=2,async=bounded:2,ans=off"``.
+        """Parse ``"shards=4,pipeline=2,async=strict,ans=off"``.
 
         Every key is optional (an empty spec is the serial flat plan);
         axis value ``0`` (or ``async=off``) switches an axis off
@@ -339,27 +330,17 @@ class ExecutionPlan:
                 kwargs[field.name] = _PARSERS[key](key, values[key])
         # A sub-key spelled out while its axis is off contradicts it
         # even at its default value.
-        if "partition" in values and kwargs.get("shards", 0) == 0:
-            raise ValueError(
-                "contradictory plan spec: partition requires shards>=1, "
-                "but the shards axis is off"
-            )
-        async_word = kwargs.get("async_")
-        if "inflight" in values and async_word is None:
+        is_async = kwargs.get("async_", False)
+        if "inflight" in values and not is_async:
             raise ValueError(
                 "contradictory plan spec: inflight requires the async "
-                "axis (async=strict or async=bounded[:k])"
+                f"axis (async={_ASYNC_WORD})"
             )
-        if async_word is not None and kwargs.get("pipeline") == 0:
+        if is_async and kwargs.get("pipeline") == 0:
             raise ValueError(
-                f"contradictory plan spec: async={async_word} needs the "
+                f"contradictory plan spec: async={_ASYNC_WORD} needs the "
                 "noise-prefetch pipeline, but pipeline=0 disables it "
                 "(drop pipeline=0 or set a depth >= 1)"
-            )
-        if "admission" in values and not kwargs.get("serve"):
-            raise ValueError(
-                "contradictory plan spec: admission requires the serve "
-                "axis (serve=<cache_rows>)"
             )
         return cls(**kwargs)
 
@@ -378,6 +359,9 @@ class ExecutionPlan:
             value = getattr(self, field.name)
             if key == "ans":
                 parts.append(f"ans={'on' if value else 'off'}")
+            elif key == "async":
+                if value:
+                    parts.append(f"async={_ASYNC_WORD}")
             elif key == "backend":
                 if value != "numpy":
                     parts.append(f"backend={value}")

@@ -7,10 +7,9 @@ and the schedule — the update itself is
 :class:`repro.lazydp.optimizer.ShardState`, the same code for one shard
 or many:
 
-* :mod:`plan <repro.shard.plan>` — :class:`PartitionPlan`: every table
-  cut into contiguous row ranges (``bounds``, ``num_shards + 1`` ints
-  per table) by the ``row_range`` or ``frequency`` planner, the latter
-  balanced from observed or modelled access mass.
+* :mod:`plan <repro.shard.plan>` — :func:`row_range_bounds`: every
+  table cut into contiguous equal-row ranges (``num_shards + 1`` ints
+  per table).
 * :mod:`router <repro.shard.router>` — :class:`ShardRouter` splitting a
   batch's sorted per-table rows into per-shard slices with local ids
   ``row - lo``, and gathering results back.
@@ -23,17 +22,7 @@ or many:
 """
 
 from .executor import SerialExecutor, ShardExecutor, ThreadPoolShardExecutor
-from .plan import (
-    PARTITION_STRATEGIES,
-    PartitionPlan,
-    TablePartition,
-    access_weights_from_skew,
-    access_weights_from_trace,
-    build_partition_plan,
-    partition_frequency,
-    partition_row_range,
-    plan_from_loader,
-)
+from .plan import row_range_bounds
 from .router import RoutedIndices, ShardRouter
 from .tables import shard_windows
 
@@ -41,16 +30,8 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutor",
     "ThreadPoolShardExecutor",
-    "PARTITION_STRATEGIES",
-    "PartitionPlan",
-    "TablePartition",
-    "access_weights_from_skew",
-    "access_weights_from_trace",
-    "build_partition_plan",
-    "partition_frequency",
-    "partition_row_range",
-    "plan_from_loader",
     "RoutedIndices",
     "ShardRouter",
+    "row_range_bounds",
     "shard_windows",
 ]

@@ -3,8 +3,9 @@
 The router is the glue between global row ids (what batches, gradients
 and the noise stream speak) and shard-local row ids (what a shard's
 history and ledger windows speak).  Every shard owns a contiguous row
-range ``[lo, hi)`` of each table, so ``scatter`` of a sorted row array
-is one ``searchsorted`` against the table's bounds: shard ``s``'s rows
+range ``[lo, hi)`` of each table (:func:`repro.shard.plan.row_range_bounds`),
+so ``scatter`` of a sorted row array is one ``searchsorted`` against the
+table's bounds: shard ``s``'s rows
 are a slice of the input and its local ids are ``global - lo``.
 ``gather`` reassembles per-shard row results into the input order.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plan import PartitionPlan
+from .plan import row_range_bounds
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,12 @@ class RoutedIndices:
 class ShardRouter:
     """Scatter/gather between global and shard-local index spaces."""
 
-    def __init__(self, plan: PartitionPlan):
-        self.plan = plan
-
-    @property
-    def num_shards(self) -> int:
-        return self.plan.num_shards
+    def __init__(self, table_rows, num_shards: int):
+        self.num_shards = int(num_shards)
+        #: Per table, the ``num_shards + 1`` cut points of its row ranges.
+        self.bounds = [
+            row_range_bounds(int(rows), self.num_shards) for rows in table_rows
+        ]
 
     def scatter(self, table_index: int, rows: np.ndarray) -> RoutedIndices:
         """Split ``rows`` (global ids, ascending, duplicates allowed) by
@@ -65,17 +66,17 @@ class ShardRouter:
         HistoryTable and ``merge_sparse_updates`` rely on — and its
         gradient values are the same slice of the value array.
         """
-        part = self.plan.table(table_index)
+        bounds = self.bounds[table_index]
+        num_rows = int(bounds[-1])
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows[0] < 0 or rows[-1] >= part.num_rows):
+        if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
             raise IndexError(
                 f"row id out of range for table {table_index} "
-                f"({part.num_rows} rows)"
+                f"({num_rows} rows)"
             )
-        bounds = part.bounds
         cuts = np.searchsorted(rows, bounds).tolist()
         local, global_rows, origin = [], [], []
-        for s in range(part.num_shards):
+        for s in range(self.num_shards):
             span = slice(cuts[s], cuts[s + 1])
             shard_globals = rows[span]
             lo = int(bounds[s])

@@ -4,7 +4,7 @@ Every plan keeps, per embedding table, the model's own slab, one
 :class:`HistoryTable` and (where the plan keeps one) one
 :class:`VersionVector`, all in global row order.  A shard owns a
 contiguous row range ``[lo, hi)`` of each table
-(:class:`repro.shard.plan.TablePartition`), and its
+(:func:`repro.shard.plan.row_range_bounds`), and its
 :class:`repro.lazydp.optimizer.TableWindow` is a slice view of those
 three arrays with ``row_base = lo``.  Flat is the one-range case of the
 same layout; nothing is copied or re-adopted, and release, export,
@@ -28,45 +28,28 @@ from __future__ import annotations
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import TableWindow
-from .plan import PartitionPlan
+from .plan import row_range_bounds
 from .router import ShardRouter
-
-
-def check_partition(model, plan: PartitionPlan) -> None:
-    """Raise unless ``plan`` covers exactly ``model``'s tables and rows."""
-    if plan.num_tables != len(model.embeddings):
-        raise ValueError(
-            f"plan covers {plan.num_tables} tables, model has "
-            f"{len(model.embeddings)}"
-        )
-    for t, bag in enumerate(model.embeddings):
-        if plan.table(t).num_rows != bag.num_rows:
-            raise ValueError(
-                f"plan table {t} covers {plan.table(t).num_rows} rows, "
-                f"model table has {bag.num_rows}"
-            )
 
 
 def shard_windows(
     model,
-    plan: PartitionPlan | None = None,
+    num_shards: int = 1,
     with_ledger: bool = False,
     segments=None,
 ) -> tuple:
-    """The layout of ``model`` under ``plan``: ``(windows, histories,
-    ledgers, router)``.
+    """The layout of ``model`` cut into ``num_shards`` row ranges per
+    table: ``(windows, histories, ledgers, router)``.
 
     ``windows[s][t]`` is shard ``s``'s :class:`TableWindow` of table
     ``t``; ``histories[t]`` / ``ledgers[t]`` are table ``t``'s one
     HistoryTable / VersionVector (``ledgers`` is empty without a
-    ledger).  ``plan=None`` is the one-shard layout: one window per
-    table, the whole table, and no router.  ``segments[t]`` (the process
+    ledger).  One shard is the flat layout: one window per table, the
+    whole table, and no router.  ``segments[t]`` (the process
     backend's shared-memory handles) supplies the history and ledger
     storage instead of private arrays.
     """
-    if plan is not None:
-        check_partition(model, plan)
-    windows: list = [[] for _ in range(1 if plan is None else plan.num_shards)]
+    windows: list = [[] for _ in range(num_shards)]
     histories, ledgers = [], []
     for t, bag in enumerate(model.embeddings):
         if segments is None:
@@ -78,7 +61,11 @@ def shard_windows(
         histories.append(history)
         if ledger is not None:
             ledgers.append(ledger)
+        bounds = row_range_bounds(bag.num_rows, num_shards).tolist()
         for s, shard in enumerate(windows):
-            lo, hi = (0, bag.num_rows) if plan is None else plan.table(t).shard_range(s)
-            shard.append(TableWindow(bag.table.data, lo, hi, history, ledger))
-    return windows, histories, ledgers, None if plan is None else ShardRouter(plan)
+            shard.append(
+                TableWindow(bag.table.data, bounds[s], bounds[s + 1], history, ledger)
+            )
+    table_rows = [bag.num_rows for bag in model.embeddings]
+    router = ShardRouter(table_rows, num_shards) if num_shards > 1 else None
+    return windows, histories, ledgers, router

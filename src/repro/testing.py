@@ -41,8 +41,7 @@ def train_algorithm(algorithm, config, *, batch_size=16, num_batches=8,
     a :class:`repro.session.ExecutionPlan`, or a ``--plan``-style spec
     string (anything containing ``=``); plans build through
     ``TrainSession.build`` (``build_kwargs`` reach it, e.g.
-    ``partition_plan=``).  ``skew`` skews the trace and, on a sharded
-    plan, feeds the frequency partitioner too.
+    ``schedule=``).  ``skew`` skews the trace.
     """
     from .session import ExecutionPlan, TrainSession, make_trainer
 
@@ -56,8 +55,7 @@ def train_algorithm(algorithm, config, *, batch_size=16, num_batches=8,
         algorithm = ExecutionPlan.from_spec(algorithm)
     if isinstance(algorithm, ExecutionPlan):
         trainer = TrainSession.build(
-            model, dp, algorithm, noise_seed=noise_seed,
-            skew=skew if algorithm.is_sharded else None, **build_kwargs,
+            model, dp, algorithm, noise_seed=noise_seed, **build_kwargs
         ).trainer
     else:
         trainer = make_trainer(algorithm, model, dp, noise_seed=noise_seed)

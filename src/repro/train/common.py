@@ -21,10 +21,9 @@ output maps one-to-one onto Figures 3, 5, 10 and 11:
                                everything the worker finished early is
                                hidden behind fwd/bwd and input gather)
 * ``staleness_wait``         - time the async trainer spent blocked on
-                               outstanding applies (the staleness
-                               policy's synchronisation cost: all prior
-                               applies under ``strict``, all but the k
-                               newest under ``bounded:k``)
+                               outstanding applies (a step waits for
+                               every prior apply before it reads the
+                               slabs)
 * ``else``                   - everything not attributed above
 """
 

@@ -1,15 +1,14 @@
 """The async engine's acceptance bar: strict == serial, ledger exact.
 
-A plan with the ``async`` axis on keeps up to ``inflight`` iteration
-applies outstanding on a background worker.  Under the ``strict``
-staleness policy a forward pass never reads a slab with an outstanding
-apply, so training must release parameters *bitwise identical* to the
-serial plan — across sampling schemes, ANS modes, shard counts and
-in-flight depths.  Under ``bounded:k`` the released parameters
-legitimately diverge (reads may trail applies), but the deferred-noise
-ledger must stay exact: the per-row :class:`VersionVector
-<repro.lazydp.ledger.VersionVector>` proves every per-iteration noise
-value was applied exactly once, regardless of interleaving.
+A plan with the ``async`` axis on (``async=strict``) keeps up to
+``inflight`` iteration applies outstanding on a background worker.  A
+forward pass never reads a slab with an outstanding apply, so training
+must release parameters *bitwise identical* to the serial plan —
+across sampling schemes, ANS modes, shard counts and in-flight depths.
+Beside the bits, the deferred-noise ledger must stay exact: the per-row
+:class:`VersionVector <repro.lazydp.ledger.VersionVector>` proves every
+per-iteration noise value was applied exactly once, regardless of
+interleaving.
 """
 
 import numpy as np
@@ -27,12 +26,12 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def async_spec(*, use_ans=True, max_in_flight=2, staleness="strict",
-               num_shards=0, partition="row_range", backend="numpy"):
-    spec = (f"ans={'on' if use_ans else 'off'},async={staleness},"
+def async_spec(*, use_ans=True, max_in_flight=2, num_shards=0,
+               backend="numpy"):
+    spec = (f"ans={'on' if use_ans else 'off'},async=strict,"
             f"inflight={max_in_flight}")
     if num_shards:
-        spec += f",shards={num_shards},partition={partition}"
+        spec += f",shards={num_shards}"
     return f"{spec},backend={backend}"
 
 
@@ -54,7 +53,6 @@ class TestStrictBitwiseEquivalence:
         )
         async_model, _, trainer = train_async(
             config, sampling=sampling, max_in_flight=max_in_flight,
-            staleness="strict",
         )
         assert max_param_diff(serial_model, async_model) == 0.0
         trainer.audit_noise_ledger(6)
@@ -82,28 +80,39 @@ class TestStrictBitwiseEquivalence:
         trainer.audit_noise_ledger(6)
 
     @pytest.mark.parametrize("max_in_flight", [1, 4])
-    def test_sharded_threads_deep_in_flight(self, config, max_in_flight):
+    def test_sharded_threads_deep_in_flight(self, max_in_flight):
         """The heaviest combination: seven threaded shards on uneven
-        frequency-cut ranges under Zipf skew, no ANS (exact
+        row ranges (61 rows) under Zipf skew, no ANS (exact
         per-iteration replay), deep in-flight window."""
-        skew = paper_skew_spec("high", 64)
+        config = configs.tiny_dlrm(num_tables=3, rows=61, dim=8, lookups=2)
+        skew = paper_skew_spec("high", 61)
         serial_model, _, _ = train_algorithm(
             "lazydp_no_ans", config, num_batches=5, skew=skew
         )
         async_model, _, _ = train_async(
             config, use_ans=False, num_batches=5, skew=skew,
-            num_shards=7, partition="frequency", backend="threads",
-            max_in_flight=max_in_flight,
+            num_shards=7, backend="threads", max_in_flight=max_in_flight,
         )
         assert max_param_diff(serial_model, async_model) == 0.0
 
-    def test_bounded_zero_is_strict(self, config):
-        """``bounded:0`` is the synchronous endpoint of the k sweep."""
-        serial_model, _, _ = train_algorithm("lazydp", config, num_batches=6)
-        async_model, _, _ = train_async(
-            config, max_in_flight=4, staleness="bounded:0",
+    @pytest.mark.parametrize("backend", ["numpy", "threads"])
+    def test_more_shards_than_rows(self, backend):
+        """Seven shards on three-row tables, four of them empty, with
+        applies in flight."""
+        config = configs.tiny_dlrm(num_tables=2, rows=3, dim=4, lookups=2)
+        serial_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
+        async_model, _, trainer = train_async(
+            config, num_batches=4, num_shards=7, backend=backend,
+            max_in_flight=3,
         )
         assert max_param_diff(serial_model, async_model) == 0.0
+        trainer.audit_noise_ledger(4)
+
+    @pytest.mark.parametrize("word", ["bounded", "bounded:0", "bounded:2"])
+    def test_bounded_staleness_is_refused(self, word):
+        """Reads never trail applies: no plan releases other bits."""
+        with pytest.raises(ValueError, match="accepts only strict"):
+            ExecutionPlan.from_spec(f"async={word},inflight=4")
 
     def test_histories_match_serial_after_fit(self, config):
         _, _, serial_trainer = train_algorithm(
@@ -117,32 +126,34 @@ class TestStrictBitwiseEquivalence:
             )
 
 
-class TestBoundedStalenessLedger:
-    @pytest.mark.parametrize("staleness", ["bounded:1", "bounded:2"])
+class TestDeferredApplyLedger:
+    @pytest.mark.parametrize("max_in_flight", [3, 4])
     @pytest.mark.parametrize("sampling", ["fixed", "poisson"])
-    def test_ledger_exact_under_bounded_staleness(self, config, staleness,
-                                                  sampling):
-        """Released parameters may diverge; the noise accounting may not."""
-        _, _, trainer = train_async(
-            config, sampling=sampling, max_in_flight=4, staleness=staleness,
+    def test_ledger_exact_under_deep_in_flight(self, config, max_in_flight,
+                                               sampling):
+        """The bits match the serial plan's and the noise accounting
+        is exact."""
+        serial_model, _, _ = train_algorithm(
+            "lazydp", config, num_batches=6, sampling=sampling
         )
+        model, _, trainer = train_async(
+            config, sampling=sampling, max_in_flight=max_in_flight,
+        )
+        assert max_param_diff(serial_model, model) == 0.0
         trainer.audit_noise_ledger(6)
         for vector in trainer.ledger:
             assert vector.pending_rows(6).size == 0
 
-    def test_ledger_exact_sharded_bounded(self, config):
+    def test_ledger_exact_sharded_deep_in_flight(self, config):
         _, _, trainer = train_async(
-            config, num_shards=3, backend="threads",
-            max_in_flight=4, staleness="bounded:2",
+            config, num_shards=3, backend="threads", max_in_flight=4,
         )
         trainer.audit_noise_ledger(6)
 
     def test_ledger_counts_every_iteration_exactly_once(self, config):
         """After the audit, every row stands exactly at the final
         iteration: contiguous spans + completeness == exactly-once."""
-        _, _, trainer = train_async(
-            config, max_in_flight=4, staleness="bounded:2",
-        )
+        _, _, trainer = train_async(config, max_in_flight=4)
         for vector in trainer.ledger:
             np.testing.assert_array_equal(
                 vector.snapshot(), np.full(vector.num_rows, 6)
@@ -204,18 +215,15 @@ class TestTrainerBehaviour:
     def test_rejects_bad_options(self, config):
         with pytest.raises(ValueError, match="max_in_flight"):
             Scheduler(max_in_flight=0)
-        with pytest.raises(ValueError, match="staleness"):
-            Scheduler(max_in_flight=2, staleness="eventual")
-        with pytest.raises(ValueError, match="bound"):
-            Scheduler(max_in_flight=2, staleness="bounded:-1")
+        # Every deferred apply waits for all prior ones: no policy to pick.
+        with pytest.raises(TypeError, match="staleness"):
+            Scheduler(max_in_flight=2, staleness="strict")
 
     def test_async_stats_surface(self, config):
-        _, result, trainer = train_async(
-            config, max_in_flight=3, staleness="bounded:1",
-        )
+        _, result, trainer = train_async(config, max_in_flight=3)
         stats = trainer.async_stats()
         assert stats["max_in_flight"] == 3
-        assert stats["staleness"] == "bounded:1"
+        assert "staleness" not in stats
         assert stats["applies_completed"] == 6
         assert stats["apply_busy_seconds"] > 0.0
         # The embedding merge/write stages run on the apply thread and

@@ -95,9 +95,9 @@ class TestFailingApplyPropagates:
         fail_stage(trainer, "apply", fail_at_iteration,
                    "injected apply failure")
 
-    @pytest.mark.parametrize("staleness", ["strict", "bounded:2"])
-    def test_flat_apply_failure_raises(self, config, staleness):
-        trainer = spec_trainer(f"async={staleness},inflight=2", config)
+    @pytest.mark.parametrize("inflight", [2, 4])
+    def test_flat_apply_failure_raises(self, config, inflight):
+        trainer = spec_trainer(f"async=strict,inflight={inflight}", config)
         self._install_failing_apply(trainer)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
@@ -113,10 +113,10 @@ class TestFailingApplyPropagates:
         trainer.close()
 
     def test_failure_with_deep_in_flight_window_no_deadlock(self, config):
-        """With the cap far above the iteration count, the failing apply
-        must still unblock every later submit (the semaphore-release
+        """With a one-apply window, the failing first apply must still
+        unblock every later wait and submit (the semaphore-release
         regression)."""
-        trainer = spec_trainer("async=bounded:4,inflight=1", config)
+        trainer = spec_trainer("async=strict,inflight=1", config)
         self._install_failing_apply(trainer, fail_at_iteration=1)
         with pytest.raises(RuntimeError, match="apply worker"):
             trainer.fit(make_loader(config, batch_size=16, num_batches=8))
@@ -266,7 +266,7 @@ class TestShutdownLeavesNoThreads:
 
     @pytest.mark.parametrize("spec", [
         "async=strict,inflight=2",
-        "shards=3,partition=frequency,async=bounded:1,inflight=2",
+        "shards=3,async=strict,inflight=2",
     ])
     def test_manually_stepped_async_plan_is_auditable(self, config, spec):
         """Outside fit() the apply runs inline on the trainer thread; the

@@ -38,12 +38,16 @@ class TestTrainCommand:
     def test_sharded_training(self, capsys):
         code = main([
             "train", "--rows", "512", "--batch", "32", "--iterations", "3",
-            "--plan", "shards=3,partition=frequency,backend=threads",
+            "--plan", "shards=3,backend=threads",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "sharded_lazydp" in out
         assert "per-shard model update" in out
+        # 512 rows over three shards: uneven equal-row ranges.
+        assert [row.split("|")[1].strip() for row in out.splitlines()
+                if row.strip().startswith(("0 ", "1 ", "2 "))
+                and "|" in row][:3] == ["171", "170", "171"]
         assert "shard_model_update" in out
 
     def test_one_shard_plan_is_the_flat_engine(self, capsys):
@@ -133,7 +137,7 @@ class TestPlanFlag:
         assert code == 0
         out = capsys.readouterr().out
         assert "pipelined_sharded_lazydp" in out
-        assert ("plan             : ans=on,shards=2,partition=row_range,"
+        assert ("plan             : ans=on,shards=2,"
                 "pipeline=2,backend=threads") in out
         assert "per-shard model update" in out
         assert "noise prefetch pipeline" in out
@@ -155,7 +159,7 @@ class TestPlanFlag:
 
         main([
             "train", "--rows", "256", "--batch", "16", "--iterations", "2",
-            "--plan", "shards=3,partition=frequency,async=bounded:1,inflight=3",
+            "--plan", "shards=3,async=strict,inflight=3",
         ])
         out = capsys.readouterr().out
         printed = next(
@@ -174,6 +178,24 @@ class TestPlanFlag:
         err = capsys.readouterr().err
         assert "contradictory" in err
         assert "pipeline=0" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("async=bounded:2", "accepts only strict"),
+        ("shards=3,partition=frequency", "unknown key 'partition'"),
+        ("serve=64,admission=3", "unknown key 'admission'"),
+        ("shards=2,backend=process:2", "admits no worker count"),
+    ])
+    def test_rejects_removed_spellings(self, capsys, spec, message):
+        """A removed plan spelling exits 2 with one stderr line."""
+        code = main([
+            "train", "--rows", "256", "--batch", "16", "--iterations", "2",
+            "--plan", spec,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_rejects_unknown_spec_key(self, capsys):
         code = main([
@@ -223,7 +245,7 @@ class TestBackendsCommand:
         assert rows == [
             ["numpy", "flat,shards,pipeline,async"],
             ["threads", "shards,pipeline,async,workers"],
-            ["process", "shards,workers"],
+            ["process", "shards"],
         ]
         assert lines[6] == ""
         assert lines[7] == (

@@ -377,7 +377,7 @@ class TestInstrumentedTraining:
 
     def test_async_traced_run_records_inflight(self, config):
         session, result = fit_plan(config, ExecutionPlan(
-            async_="strict", inflight=2,
+            async_=True, inflight=2,
             obs="trace+metrics",
         ), iterations=6)
         names = session.observability.tracer.track_names()

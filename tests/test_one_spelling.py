@@ -12,7 +12,8 @@ layout: every plan slices the model's own tables, one history and one
 ledger per table, by row ranges — no wrapper bag, no per-row map.  And
 the execution plan: one scalar field per ``--plan`` key, validated once,
 with a closed table of three backends — no registry, no nested axis
-configs, no second serialized form.
+configs, no second serialized form — and only the keys a caller runs:
+no partition planner, no admission key, no bounded staleness.
 """
 
 import pathlib
@@ -142,10 +143,35 @@ def test_the_plan_fields_are_the_spec_keys():
 
     names = [field.name for field in fields(ExecutionPlan)]
     assert names == [
-        "ans", "shards", "partition", "pipeline", "async_", "inflight",
-        "obs", "serve", "admission", "backend",
+        "ans", "shards", "pipeline", "async_", "inflight", "obs", "serve",
+        "backend",
     ]
     assert [name.rstrip("_") for name in names] == list(_SPEC_KEYS)
+    assert fields(ExecutionPlan)[names.index("async_")].type == "bool"
+
+
+def test_the_removed_plan_spellings_stay_deleted():
+    """Every plan releases the serial plan's bits: no partition planner
+    to pick cuts, no admission key, no bounded staleness, no policy
+    module."""
+    import importlib
+
+    from repro.session import ExecutionPlan
+    from repro.session.plan import _SPEC_KEYS
+
+    for name in ("partition", "admission"):
+        assert name not in _SPEC_KEYS
+        assert not hasattr(ExecutionPlan(), name)
+    # Spelled in pieces so that these patterns do not match themselves.
+    assert occurrences(
+        r"Staleness" r"Policy|STALENESS_" r"MODES|Partition" r"Plan"
+        r"|Table" r"Partition|build_partition" r"_plan|plan_from" r"_loader"
+        r"|PARTITION_" r"STRATEGIES|partition_" r"frequency|access_" r"weights"
+        r"|check_" r"partition|async_\.pol" r"icy|bounded:"
+    ) == []
+    assert not (SRC / "async_" / "policy.py").exists()
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.async_." "policy")
 
 
 def test_the_registry_axis_configs_and_dict_form_stay_deleted():
@@ -240,35 +266,20 @@ def test_one_history_per_table_and_windows_are_slices_of_it(plan):
         ) * 4
 
 
-@pytest.mark.parametrize("strategy", ["row_range", "frequency"])
-def test_a_partition_plan_holds_no_per_row_array(strategy):
-    """At 8 x 250 000 rows the plan is ``num_shards + 1`` cut points per
-    table: no per-row map of any kind."""
+@pytest.mark.parametrize("num_shards", [2, 7])
+def test_the_cut_holds_no_per_row_array(num_shards):
+    """At 8 x 250 000 rows the router holds ``num_shards + 1`` cut points
+    per table: no per-row map of any kind."""
     from repro import configs
-    from repro.data.skew import paper_skew_spec
-    from repro.shard import build_partition_plan
+    from repro.shard import ShardRouter
 
     config = configs.small_dlrm(rows=250_000)
-    plan = build_partition_plan(
-        config, 2, strategy, skew=paper_skew_spec("high", 250_000)
-    )
-    arrays = list(_arrays_in(plan))
+    router = ShardRouter(config.table_rows, num_shards)
+    arrays = [
+        value for value in vars(router).values() if isinstance(value, np.ndarray)
+    ] + list(router.bounds)
     assert len(arrays) == config.num_tables
-    assert max(array.size for array in arrays) <= plan.num_shards + 1
-
-
-def _arrays_in(value):
-    """Every ndarray reachable through dataclass fields and tuples."""
-    import dataclasses
-
-    if isinstance(value, np.ndarray):
-        yield value
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _arrays_in(getattr(value, field.name))
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _arrays_in(item)
+    assert max(array.size for array in arrays) == num_shards + 1
 
 
 def _layout_session(plan):

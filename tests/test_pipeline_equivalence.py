@@ -29,10 +29,10 @@ def config():
 
 
 def pipeline_spec(*, use_ans=True, prefetch_depth=2, num_shards=0,
-                  partition="row_range", backend="numpy"):
+                  backend="numpy"):
     spec = f"ans={'on' if use_ans else 'off'},pipeline={prefetch_depth}"
     if num_shards:
-        spec += f",shards={num_shards},partition={partition}"
+        spec += f",shards={num_shards}"
     return f"{spec},backend={backend}"
 
 
@@ -86,16 +86,28 @@ class TestBitwiseEquivalence:
         )
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 
-    def test_sharded_pipelined_threads_no_ans(self, config):
-        """The heaviest combination: threads, seven uneven
-        frequency-cut shards under Zipf skew, exact replay."""
-        skew = paper_skew_spec("high", 64)
+    def test_sharded_pipelined_threads_no_ans(self):
+        """The heaviest combination: threads, seven uneven row ranges
+        (61 rows) under Zipf skew, exact replay."""
+        config = configs.tiny_dlrm(num_tables=3, rows=61, dim=8, lookups=2)
+        skew = paper_skew_spec("high", 61)
         flat_model, _, _ = train_algorithm(
             "lazydp_no_ans", config, num_batches=5, skew=skew
         )
         pipelined_model, _, _ = train_pipelined(
             config, use_ans=False, num_batches=5, num_shards=7, skew=skew,
-            partition="frequency", backend="threads", prefetch_depth=3,
+            backend="threads", prefetch_depth=3,
+        )
+        assert max_param_diff(flat_model, pipelined_model) == 0.0
+
+    @pytest.mark.parametrize("backend", ["numpy", "threads"])
+    def test_more_shards_than_rows_pipelined(self, backend):
+        """Seven shards on three-row tables, four of them empty, with
+        the prefetch worker planning every range."""
+        config = configs.tiny_dlrm(num_tables=2, rows=3, dim=4, lookups=2)
+        flat_model, _, _ = train_algorithm("lazydp", config, num_batches=3)
+        pipelined_model, _, _ = train_pipelined(
+            config, num_batches=3, num_shards=7, backend=backend,
         )
         assert max_param_diff(flat_model, pipelined_model) == 0.0
 

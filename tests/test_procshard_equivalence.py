@@ -3,8 +3,8 @@
 ``backend=process`` runs every shard's model update in a separate
 worker process over shared memory, yet must release exactly the
 parameters the flat ``LazyDPTrainer`` releases — same seed, same trace,
-same bits — for every shard count, partition strategy, ANS mode and
-sampling scheme.  Noise is a pure function of ``(seed, table, global
+same bits — for every shard count (even and uneven row ranges), ANS
+mode and sampling scheme.  Noise is a pure function of ``(seed, table, global
 row id, iteration)`` and each global row is owned by exactly one
 worker, so the cross-process matrix is testable as strict equality,
 exactly like the in-process sharded matrix.
@@ -36,12 +36,10 @@ def config():
 
 
 def train_process(config, *, num_shards=2, sampling="fixed", use_ans=True,
-                  partition="row_range", num_batches=6, audit=True, skew=None):
-    """``skew`` skews the trace and, under ``partition=frequency``,
-    cuts the ranges by its mass."""
+                  num_batches=6, audit=True, skew=None):
+    """``skew`` skews the trace."""
     ans = "on" if use_ans else "off"
-    spec = (f"ans={ans},shards={num_shards},partition={partition},"
-            "backend=process")
+    spec = f"ans={ans},shards={num_shards},backend=process"
     model, result, trainer = train_algorithm(
         spec, config, num_batches=num_batches, sampling=sampling, skew=skew,
     )
@@ -75,17 +73,18 @@ class TestBitwiseEquivalence:
         )
         assert max_param_diff(flat_model, proc_model) == 0.0
 
-    @pytest.mark.parametrize("partition", ["row_range", "frequency"])
-    def test_identical_across_partitions(self, config, partition):
-        """Seven workers under Zipf skew; the frequency cut gives them
-        uneven ranges."""
-        skew = paper_skew_spec("high", 64)
+    @pytest.mark.parametrize("num_rows", [64, 61])
+    def test_identical_on_uneven_ranges(self, num_rows):
+        """Seven workers under Zipf skew on ranges that differ by a row
+        (neither 64 nor 61 rows divide by seven)."""
+        config = configs.tiny_dlrm(num_tables=3, rows=num_rows, dim=8, lookups=2)
+        skew = paper_skew_spec("high", num_rows)
         flat_model, _, _ = train_algorithm(
             "lazydp", config, num_batches=6, skew=skew
         )
-        proc_model, _, _ = train_process(
-            config, num_shards=7, partition=partition, skew=skew
-        )
+        proc_model, _, trainer = train_process(config, num_shards=7, skew=skew)
+        sizes = np.diff(trainer.engine.router.bounds[0])
+        assert sizes.max() == sizes.min() + 1
         assert max_param_diff(flat_model, proc_model) == 0.0
 
     def test_matches_threads_backend_bitwise(self, config):

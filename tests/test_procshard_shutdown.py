@@ -205,24 +205,39 @@ class TestOrderlyShutdown:
 
 
 class TestConstructionGuards:
-    def test_mismatched_plan_leaks_no_segments(self, config):
-        """A construction failure after the tables moved into shared
-        memory must still unlink every segment name."""
-        from repro.shard import build_partition_plan
+    def test_construction_failure_leaks_no_segments(self, config, monkeypatch):
+        """A worker that cannot attach at startup — after the tables
+        moved into shared memory — must still leave every segment name
+        unlinked and no child behind."""
+        from dataclasses import replace
 
+        from repro.procshard import ShardWorkerError
+
+        real_init = ProcessShardedLazyDPTrainer._worker_init
+
+        def unattachable(self, shard):
+            init = real_init(self, shard)
+            missing = ("repro-missing-slab",) * 3
+            tables = tuple(replace(t, segments=missing) for t in init.tables)
+            return replace(init, tables=tables)
+
+        monkeypatch.setattr(
+            ProcessShardedLazyDPTrainer, "_worker_init", unattachable
+        )
         before = shm_segment_names()
-        other = configs.tiny_dlrm(num_tables=2, rows=16, dim=4, lookups=2)
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(ShardWorkerError, match="during startup"):
             ProcessShardedLazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(),
-                partition=build_partition_plan(other, 2),
+                DLRM(config, seed=7), DPConfig(), num_shards=2
             )
         assert shm_segment_names() == before
         assert multiprocessing.active_children() == []
 
-    def test_worker_count_must_match_shards(self):
-        with pytest.raises(ValueError, match="process:3"):
-            ExecutionPlan.from_spec("shards=2,backend=process:3")
+    @pytest.mark.parametrize("spec", ["shards=2,backend=process:3",
+                                      "shards=2,backend=process:2"])
+    def test_process_takes_no_worker_count(self, spec):
+        """One worker per shard: a ``:K`` suffix carries nothing."""
+        with pytest.raises(ValueError, match="admits no worker count"):
+            ExecutionPlan.from_spec(spec)
 
 
 class TestCleanStderr:

@@ -8,7 +8,7 @@ lazy-schedule argument (tiny tables, pooling larger than the table,
 single-iteration runs, batch bigger than unique rows, ...), this is where
 it would surface.  The plan-space tests at the end do the same for the
 ``ExecutionPlan.from_spec`` language: a generated plan must release the
-serial plan's bits (or, under ``bounded:k``, audit clean) — under a
+serial plan's bits and audit clean — under a
 generated learning-rate schedule too, since the origin weighting of
 deferred noise lives in the one sample-stage mechanism every plan forks
 — and a failure shrinks to a minimal canonical spec.
@@ -38,7 +38,7 @@ geometries = st.fixed_dictionaries({
     "batch": st.integers(min_value=1, max_value=24),
     "iterations": st.integers(min_value=1, max_value=7),
     "seed": st.integers(min_value=0, max_value=10_000),
-    # Zipf skew also cuts frequency partitions into uneven ranges.
+    # Zipf skew piles the lookups onto the head rows' shard.
     "skew": st.sampled_from(["random", "high"]),
 })
 
@@ -156,18 +156,15 @@ def _join(*parts) -> str:
 
 shard_axis = st.one_of(
     st.just(""),
-    st.builds(
-        "shards={},partition={}".format,
-        st.integers(min_value=1, max_value=7),
-        st.sampled_from(["row_range", "frequency"]),
-    ),
+    # 4-96 rows over 1-7 shards: even, uneven and (below 7 rows)
+    # empty trailing ranges.
+    st.builds("shards={}".format, st.integers(min_value=1, max_value=7)),
 )
 pipeline_axis = st.sampled_from(["", "pipeline=1", "pipeline=2", "pipeline=4"])
 async_axis = st.one_of(
     st.just(""),
     st.builds(
-        "async={},inflight={}".format,
-        st.sampled_from(["strict", "bounded:0", "bounded:1", "bounded:3"]),
+        "async=strict,inflight={}".format,
         st.integers(min_value=1, max_value=4),
     ),
 )
@@ -234,7 +231,6 @@ def train_plan(plan, params, sampling, schedule=None):
     loader = plan_loader(config, params, sampling)
     with TrainSession.build(model, DPConfig(), plan,
                             noise_seed=params["seed"] + 4,
-                            skew=plan_skew(params) if plan.is_sharded else None,
                             schedule=schedule) as session:
         session.fit(loader)
     return model, session.trainer
@@ -244,14 +240,9 @@ def check_plan_against_serial(plan, params, sampling, schedule=None):
     note(f"plan spec: {plan.to_spec()} ({sampling} sampling, "
          f"{describe(schedule)})")
     model, trainer = train_plan(plan, params, sampling, schedule)
-    if plan.is_async and not trainer.scheduler.staleness.is_strict:
-        # bounded:k legitimately reorders reads around writes; the
-        # ledger is what vouches for the noise accounting.
-        assert trainer.ledger
-    else:
-        serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling,
-                               schedule)
-        assert max_param_diff(serial, model) == 0.0, plan.to_spec()
+    serial, _ = train_plan(ExecutionPlan(ans=plan.ans), params, sampling,
+                           schedule)
+    assert max_param_diff(serial, model) == 0.0, plan.to_spec()
     trainer.audit_noise_ledger(params["iterations"])
     for history in trainer.engine.histories:
         assert history.pending_rows(params["iterations"]).size == 0
@@ -271,10 +262,9 @@ def test_any_plan_releases_the_serial_plans_bits(plan, params, sampling,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.builds(
-        "ans={},shards={},partition={},backend=process".format,
+        "ans={},shards={},backend=process".format,
         st.sampled_from(["on", "off"]),
         st.integers(min_value=1, max_value=7),
-        st.sampled_from(["row_range", "frequency"]),
     ),
     geometries,
     st.sampled_from(["fixed", "poisson"]),

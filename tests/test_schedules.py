@@ -239,7 +239,7 @@ class TestOneSpellingUnderASchedule:
 
     @pytest.mark.parametrize("ans", ["ans=on", "ans=off"])
     @pytest.mark.parametrize("spec", [
-        "shards=3,partition=frequency",
+        "shards=5",  # uneven: 48 rows over five ranges
         "shards=2,backend=threads:2,pipeline=2",
         "pipeline=2,async=strict,inflight=2",
         "shards=2,backend=process",

@@ -536,35 +536,44 @@ class TestServePlanAxis:
     def test_spec_round_trip(self):
         from repro.session import ExecutionPlan
 
-        plan = ExecutionPlan.from_spec("serve=256,admission=3")
-        assert (plan.serve, plan.admission) == (256, 3)
+        plan = ExecutionPlan.from_spec("serve=256")
+        assert plan.serve == 256
+        assert plan.to_spec() == "ans=on,serve=256"
         assert ExecutionPlan.from_spec(plan.to_spec()) == plan
         assert ExecutionPlan.from_spec("serve=off").serve == 0
         assert ExecutionPlan.from_spec("serve=0").serve == 0
         assert "serve" not in ExecutionPlan().to_spec()
 
-    def test_admission_requires_serve_axis(self):
+    def test_admission_is_not_a_plan_key(self):
+        """The threshold is the cache's own; a caller who wants another
+        passes a cache."""
         from repro.session import ExecutionPlan
 
-        with pytest.raises(ValueError, match="admission requires"):
-            ExecutionPlan.from_spec("admission=3")
-        with pytest.raises(ValueError, match="admission requires"):
-            ExecutionPlan.from_spec("serve=0,admission=3")
+        for spec in ("admission=3", "serve=0,admission=3",
+                     "serve=128,admission=1"):
+            with pytest.raises(ValueError, match="unknown key 'admission'"):
+                ExecutionPlan.from_spec(spec)
 
     def test_session_serve_honours_axis(self, config):
         from repro.session import ExecutionPlan, TrainSession
 
-        plan = ExecutionPlan.from_spec("serve=128,admission=1")
+        from repro.serve import HotRowCache
+
+        plan = ExecutionPlan.from_spec("serve=128")
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(),
                                      plan, noise_seed=99)
         drive(session.trainer, config, 3)
         cached = session.serve()
         assert cached.cache is not None
         assert cached.cache.capacity == 128
-        assert cached.cache.admission_threshold == 1
+        assert cached.cache.admission_threshold == \
+            HotRowCache(1).admission_threshold
         # Handles get their own cache — cached bits are per-engine.
         assert session.serve().cache is not cached.cache
         assert session.serve(cache=False).cache is None
+        # Another threshold is a cache the caller passes.
+        own = HotRowCache(64, admission_threshold=1)
+        assert session.serve(cache=own).cache is own
         session.close()
 
 

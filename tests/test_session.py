@@ -4,7 +4,7 @@
 mini-language and reject contradictory specs — including the backend
 rules — with messages naming the contradiction;
 ``TrainSession.build`` must turn every plan into the one
-``LazyDPTrainer`` with the matching partition, scheduler and executor;
+``LazyDPTrainer`` with the matching shard count, scheduler and executor;
 ``make_trainer`` names the paper's seven algorithms and nothing else.
 """
 
@@ -28,11 +28,11 @@ def plan_matrix():
         ExecutionPlan(),
         ExecutionPlan(ans=False),
         ExecutionPlan(shards=3),
-        ExecutionPlan(shards=4, partition="frequency", backend="threads:2"),
+        ExecutionPlan(shards=4, backend="threads:2"),
         ExecutionPlan(pipeline=3),
-        ExecutionPlan(async_="bounded:2", inflight=4),
-        ExecutionPlan(ans=False, shards=2, partition="frequency", pipeline=4,
-                      async_="strict", inflight=3),
+        ExecutionPlan(async_=True, inflight=4),
+        ExecutionPlan(ans=False, shards=2, pipeline=4, async_=True,
+                      inflight=3),
     ]
 
 
@@ -46,7 +46,7 @@ class TestPlanValidation:
         assert plan.legacy_name() == "lazydp"
 
     def test_async_implies_pipelined(self):
-        plan = ExecutionPlan(async_="strict")
+        plan = ExecutionPlan(async_=True)
         assert plan.is_pipelined
         assert plan.pipeline == 0          # depth defaults at build time
         assert plan.legacy_name() == "async_lazydp"
@@ -60,16 +60,16 @@ class TestPlanValidation:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(shards=-1), "shards must be >= 0"),
         (dict(pipeline=-1), "pipeline must be >= 0"),
-        (dict(async_="eventual"), "staleness"),
-        (dict(async_="strict", inflight=0), "inflight"),
+        (dict(async_="strict"), "async_ is a bool"),
+        (dict(async_=True, inflight=0), "inflight"),
         (dict(obs="perfetto"), "unknown obs mode"),
         (dict(serve=-3), "serve must be >= 0"),
-        (dict(serve=64, admission=0), "admission"),
+        (dict(shards=3, backend="process:3"), "admits no worker count"),
         (dict(backend="threads"), "requires the shards axis"),
         (dict(shards=2, backend="process", pipeline=2), "pipeline"),
-        (dict(shards=2, backend="process", async_="strict"), "async"),
+        (dict(shards=2, backend="process", async_=True), "async"),
         (dict(backend="numpy:2"), "admits no worker count"),
-        (dict(shards=3, backend="process:4"), "process:4"),
+        (dict(shards=3, backend="process:4"), "admits no worker count"),
     ])
     def test_the_constructor_validates_every_field(self, kwargs, message):
         """Validation lives once, on the plan: a field set directly is
@@ -78,16 +78,15 @@ class TestPlanValidation:
             ExecutionPlan(**kwargs)
 
     @pytest.mark.parametrize("backend", [
-        "numpy", "threads", "threads:2", "process", "process:3",
+        "numpy", "threads", "threads:2", "process", "threads:3",
     ])
     def test_every_constructible_plan_round_trips(self, backend):
         """``from_spec(to_spec(p)) == p`` over a grid of every field."""
         import itertools
 
         grid = itertools.product(
-            (True, False), (0, 1, 3), ("row_range", "frequency"), (0, 2),
-            (None, "strict", "bounded:2"), (2, 4), (None, "trace+metrics"),
-            (0, 64), (2, 5),
+            (True, False), (0, 1, 3), (0, 2), (False, True), (2, 4),
+            (None, "trace+metrics"), (0, 64),
         )
         built = 0
         for values in grid:
@@ -99,16 +98,16 @@ class TestPlanValidation:
             built += 1
         assert built > 0
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(partition="frequency"), "partition=frequency requires the shards"),
-        (dict(inflight=4), "inflight=4 requires the async"),
-        (dict(admission=3), "admission=3 requires the serve"),
-    ])
-    def test_rejects_sub_keys_without_their_axis(self, kwargs, message):
+    def test_rejects_sub_keys_without_their_axis(self):
         """A sub-key away from its default with its axis off has no
         spec spelling, so ``from_spec(to_spec(p)) == p`` would break."""
-        with pytest.raises(ValueError, match=message):
-            ExecutionPlan(**kwargs)
+        with pytest.raises(ValueError, match="inflight=4 requires the async"):
+            ExecutionPlan(inflight=4)
+
+    @pytest.mark.parametrize("field", ["partition", "admission"])
+    def test_removed_fields_are_not_constructor_arguments(self, field):
+        with pytest.raises(TypeError, match=field):
+            ExecutionPlan(**{field: 3})
 
     def test_labels_cover_the_cross_product(self):
         labels = {
@@ -132,18 +131,18 @@ class TestSpecRoundTrip:
 
     def test_issue_example_spec(self):
         plan = ExecutionPlan.from_spec(
-            "shards=4,pipeline=2,async=bounded:2,ans=off"
+            "shards=4,pipeline=2,async=strict,ans=off"
         )
         assert not plan.ans
         assert plan.shards == 4
         assert plan.pipeline == 2
-        assert plan.async_ == "bounded:2"
+        assert plan.async_ is True
         assert plan.legacy_name() == "async_sharded_lazydp_no_ans"
 
     @pytest.mark.parametrize("spec", [
-        "ans=on,shards=2,partition=row_range,backend=process",
-        "ans=off,shards=7,partition=frequency,backend=process:7",
-        "ans=on,shards=2,partition=row_range,backend=threads:2",
+        "ans=on,shards=2,backend=process",
+        "ans=off,shards=7,backend=process",
+        "ans=on,shards=2,backend=threads:2",
     ])
     def test_backend_specs_round_trip(self, spec):
         plan = ExecutionPlan.from_spec(spec)
@@ -154,8 +153,10 @@ class TestSpecRoundTrip:
         assert ExecutionPlan().split_backend() == ("numpy", None)
         assert ExecutionPlan(shards=2, backend="threads").split_backend() == (
             "threads", None)
-        assert ExecutionPlan(shards=3, backend="process:3").split_backend() == (
-            "process", 3)
+        assert ExecutionPlan(shards=3, backend="threads:3").split_backend() == (
+            "threads", 3)
+        assert ExecutionPlan(shards=3, backend="process").split_backend() == (
+            "process", None)
 
     def test_empty_spec_is_default_plan(self):
         assert ExecutionPlan.from_spec("") == ExecutionPlan()
@@ -168,9 +169,13 @@ class TestSpecRoundTrip:
 
     @pytest.mark.parametrize("spec, message", [
         ("async=strict,pipeline=0", "contradictory"),
-        ("async=bounded:1,pipeline=0", "contradictory"),
-        ("partition=hash", "shards>=1"),
-        ("shards=2,partition=hash", r"\('row_range', 'frequency'\)"),
+        ("async=bounded:1,pipeline=0", "accepts only strict"),
+        # Removed keys read as unknown, with the eight that remain.
+        ("partition=hash", "unknown key 'partition'"),
+        ("shards=2,partition=row_range",
+         "known keys: ans, shards, pipeline, async, inflight, obs, serve, "
+         "backend"),
+        ("serve=64,admission=3", "unknown key 'admission'"),
         ("shards=2,executor=threads", "unknown key 'executor'"),
         ("shards=2,workers=2", "unknown key 'workers'"),
         ("inflight=4", "async"),
@@ -180,8 +185,9 @@ class TestSpecRoundTrip:
         ("turbo=on", "unknown key"),
         ("shards", "key=value"),
         ("ans=on,ans=off", "duplicate"),
-        ("async=eventual", "staleness"),
-        ("async=bounded:-1", "bound"),
+        ("async=eventual", "accepts only strict"),
+        ("async=bounded:-1", "accepts only strict"),
+        ("async=bounded:2,inflight=4", "accepts only strict"),
         ("pipeline=-1", ">= 0"),
         ("shards=2,backend=threads:0", "worker count"),
         ("shards=2,backend=threads:zero", "worker count"),
@@ -194,10 +200,11 @@ class TestSpecRoundTrip:
         # process composes with neither pipeline nor async,
         ("shards=2,backend=process,pipeline=2", "pipeline"),
         ("shards=2,backend=process,async=strict", "async"),
-        # :K only on threads and process, and process:K is the shard count.
+        # :K only on threads: process runs one worker per shard.
         ("backend=numpy:2", "admits no worker count"),
         ("shards=2,backend=numpy:2", "admits no worker count"),
-        ("shards=3,backend=process:4", "process:4"),
+        ("shards=3,backend=process:4", "admits no worker count"),
+        ("shards=3,backend=process:3", "admits no worker count"),
     ])
     def test_rejections_name_the_problem(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -205,7 +212,7 @@ class TestSpecRoundTrip:
 
 
 class TestBuild:
-    """Plans become data — a partition, a scheduler, an executor — on
+    """Plans become data — a shard count, a scheduler, an executor — on
     the one trainer class; nothing is picked or assembled per shape."""
 
     @pytest.mark.parametrize("plan", plan_matrix(),
@@ -263,7 +270,7 @@ class TestBuild:
             assert session.trainer.scheduler.executor.name == "process"
 
     def test_async_gets_default_prefetch_runway(self, config):
-        plan = ExecutionPlan(async_="strict", inflight=4)
+        plan = ExecutionPlan(async_=True, inflight=4)
         session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
         assert session.trainer.scheduler.prefetch_depth == 4
         assert session.trainer.scheduler.max_in_flight == 4
@@ -276,25 +283,31 @@ class TestBuild:
         assert session.trainer.name == "sharded_lazydp_no_ans"
         session.close()
 
-    def test_live_inputs_require_sharded_plan(self, config):
-        with pytest.raises(ValueError, match="sharded"):
+    @pytest.mark.parametrize("name", ["skew", "partition_plan"])
+    def test_build_takes_no_partition_inputs(self, config, name):
+        """The shard count is the whole cut: nothing else is handed in."""
+        with pytest.raises(TypeError, match=name):
             TrainSession.build(DLRM(config, seed=7), DPConfig(),
-                               ExecutionPlan(), skew="SKEW")
+                               ExecutionPlan(shards=2), **{name: None})
 
-    @pytest.mark.parametrize("spec", ["shards=3", "shards=3,backend=threads",
-                                      "shards=3,backend=process"])
-    def test_partition_plan_must_match_the_shard_count(self, config, spec):
-        """The plan's label, pool size and process:K check read its own
-        shard count, so a prebuilt partition must cut that many."""
-        from repro.shard import build_partition_plan
+    @pytest.mark.parametrize("spec", ["shards=5", "shards=5,backend=threads",
+                                      "shards=5,backend=process"])
+    def test_every_backend_cuts_equal_row_ranges(self, config, spec):
+        """48 rows over five shards: the same uneven cut on every
+        backend, the router's and the shard windows' alike."""
+        from repro.shard import row_range_bounds
 
-        for other in (1, 2, 4):
-            with pytest.raises(ValueError, match=f"has {other} shard.*plan has 3"):
-                TrainSession.build(
-                    DLRM(config, seed=7), DPConfig(),
-                    ExecutionPlan.from_spec(spec),
-                    partition_plan=build_partition_plan(config, other),
-                )
+        with TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                ExecutionPlan.from_spec(spec)) as session:
+            engine = session.trainer.engine
+            for t, bounds in enumerate(engine.router.bounds):
+                expected = row_range_bounds(config.table_rows[t], 5)
+                assert bounds.tolist() == expected.tolist() == [
+                    0, 10, 19, 29, 38, 48
+                ]
+                for s, state in enumerate(engine.states):
+                    if hasattr(state, "windows"):  # process workers hold theirs
+                        assert state.windows[t].row_base == bounds[s]
 
     def test_build_takes_no_live_executor(self, config):
         with pytest.raises(TypeError, match="executor"):

@@ -2,7 +2,8 @@
 
 A plan with the ``shards`` axis on must release exactly the parameters
 the serial plan releases — same seed, same trace, same bits — for every
-shard count, partition strategy, backend, ANS mode and sampling scheme.
+shard count (even and uneven row ranges), backend, ANS mode and
+sampling scheme.
 The per-row Philox noise keying makes this testable as strict equality
 rather than a tolerance check.
 """
@@ -17,7 +18,6 @@ from repro.lazydp import LazyDPTrainer, export_private_model
 from repro.nn import DLRM
 from repro.nn.layers import EmbeddingBag
 from repro.session import ExecutionPlan, TrainSession
-from repro.shard import build_partition_plan
 from repro.testing import make_loader, max_param_diff, train_algorithm
 from repro.train import DPConfig
 
@@ -30,10 +30,9 @@ def config():
     return configs.tiny_dlrm(num_tables=3, rows=64, dim=8, lookups=2)
 
 
-def shard_spec(*, use_ans=True, num_shards=2, partition="row_range",
-               executor="serial"):
+def shard_spec(*, use_ans=True, num_shards=2, executor="serial"):
     return (f"ans={'on' if use_ans else 'off'},shards={num_shards},"
-            f"partition={partition},backend={BACKEND[executor]}")
+            f"backend={BACKEND[executor]}")
 
 
 def train_sharded(config, *, sampling="fixed", num_batches=6, **kwargs):
@@ -45,11 +44,9 @@ def train_sharded(config, *, sampling="fixed", num_batches=6, **kwargs):
     return model, result, trainer
 
 
-def build_sharded(config, num_shards, partition="row_range", model=None):
+def build_sharded(config, num_shards, model=None):
     model = model if model is not None else DLRM(config, seed=7)
-    plan = ExecutionPlan.from_spec(
-        f"shards={num_shards},partition={partition}"
-    )
+    plan = ExecutionPlan.from_spec(f"shards={num_shards}")
     trainer = TrainSession.build(model, DPConfig(), plan,
                                  noise_seed=99).trainer
     return model, trainer
@@ -67,31 +64,35 @@ class TestBitwiseEquivalence:
         )
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
-    @pytest.mark.parametrize("partition", ["row_range", "frequency"])
+    @pytest.mark.parametrize("num_rows", [64, 61])
     @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_identical_across_partitions_and_executors(self, config,
-                                                       partition, executor):
+    def test_identical_across_row_counts_and_executors(self, num_rows,
+                                                       executor):
+        """Four equal ranges, and four uneven ones (61 rows)."""
+        config = configs.tiny_dlrm(num_tables=3, rows=num_rows, dim=8, lookups=2)
         flat_model, _, _ = train_algorithm("lazydp", config, num_batches=6)
-        sharded_model, _, _ = train_sharded(
-            config, num_shards=4, partition=partition, executor=executor
+        sharded_model, _, trainer = train_sharded(
+            config, num_shards=4, executor=executor
         )
+        sizes = np.diff(trainer.engine.router.bounds[0])
+        assert bool(sizes.max() > sizes.min()) == (num_rows % 4 != 0)
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
-    def test_identical_without_ans(self, config):
+    def test_identical_without_ans(self):
         """No-ANS mode replays *eager DP-SGD's own draws* — still exact,
-        on seven uneven frequency-cut ranges under Zipf skew."""
-        skew = paper_skew_spec("high", 64)
+        on seven uneven ranges (61 rows) under Zipf skew."""
+        config = configs.tiny_dlrm(num_tables=3, rows=61, dim=8, lookups=2)
+        skew = paper_skew_spec("high", 61)
         flat_model, _, _ = train_algorithm(
             "lazydp_no_ans", config, num_batches=5, skew=skew
         )
         sharded_model, _, trainer = train_algorithm(
-            shard_spec(use_ans=False, num_shards=7, partition="frequency",
-                       executor="threads"),
+            shard_spec(use_ans=False, num_shards=7, executor="threads"),
             config, num_batches=5, skew=skew,
         )
         trainer.close()
-        sizes = np.diff(trainer.plan.table(0).bounds)
-        assert sizes.min() == 1 and sizes.max() > 2 * sizes.min()
+        sizes = np.diff(trainer.engine.router.bounds[0])
+        assert sizes.tolist() == [9, 8, 9, 9, 9, 8, 9]
         assert max_param_diff(flat_model, sharded_model) == 0.0
 
     def test_histories_match_flat_after_fit(self, config):
@@ -119,10 +120,10 @@ class TestBitwiseEquivalence:
 
 
 class TestOneShardIsFlat:
-    def test_one_shard_builds_no_partition_router_or_executor(self, config):
+    def test_one_shard_builds_no_router_or_executor(self, config):
         """Flat is the one-shard case, decided from the shard count."""
         model, trainer = build_sharded(config, num_shards=1)
-        assert trainer.plan is None
+        assert trainer.num_shards == 1
         assert trainer.engine.router is None
         assert trainer.scheduler.executor is None
         assert len(trainer.engine.states) == 1
@@ -133,7 +134,7 @@ class TestOneShardIsFlat:
 
     def test_many_shards_route_and_fan_out(self, config):
         model, trainer = build_sharded(config, num_shards=3)
-        assert trainer.plan.num_shards == 3
+        assert trainer.num_shards == 3
         assert trainer.engine.router is not None
         assert trainer.scheduler.executor.name == "serial"
         assert len(trainer.engine.states) == 3
@@ -164,26 +165,18 @@ class TestTrainerBehaviour:
             assert stages["noisy_grad_update"] >= 0.0
         assert len(trainer.shard_update_seconds()) == 3
 
-    def test_prebuilt_plan_accepted(self, config):
-        plan = build_partition_plan(config, 2, strategy="frequency")
-        flat_model, _, _ = train_algorithm("lazydp", config, num_batches=4)
-        sharded_model, _, trainer = train_algorithm(
-            "shards=2", config, num_batches=4, partition_plan=plan,
-        )
-        assert trainer.plan is plan
-        assert max_param_diff(flat_model, sharded_model) == 0.0
-
     def test_rebuilding_trainer_readopts_bags(self, config):
-        """A second trainer with a different plan over the same model
-        slices the same tables afresh; the first trainer's windows are
-        neither reused nor written through."""
-        model, first = build_sharded(config, 2, "row_range")
+        """A second trainer with a different shard count over the same
+        model slices the same tables afresh; the first trainer's windows
+        are neither reused nor written through."""
+        model, first = build_sharded(config, 2)
         bags = list(model.embeddings)
-        _, second = build_sharded(config, 7, "frequency", model=model)
+        _, second = build_sharded(config, 7, model=model)
         assert list(model.embeddings) == bags
         for t, bag in enumerate(model.embeddings):
+            bounds = second.engine.router.bounds[t]
             for s, state in enumerate(second.engine.states):
-                lo, hi = second.plan.table(t).shard_range(s)
+                lo, hi = bounds[s], bounds[s + 1]
                 assert state.windows[t].row_base == lo
                 assert state.windows[t].target.shape[0] == hi - lo
         second.expected_batch_size = 16
@@ -198,19 +191,6 @@ class TestTrainerBehaviour:
         assert max_param_diff(flat_model, model) == 0.0
         first.close()
         second.close()
-
-    def test_mismatched_plan_rejected(self, config):
-        other = configs.tiny_dlrm(num_tables=3, rows=32, dim=8, lookups=2)
-        plan = build_partition_plan(other, 2)
-        with pytest.raises(ValueError, match="rows"):
-            LazyDPTrainer(DLRM(config, seed=7), DPConfig(), partition=plan)
-        small_plan = build_partition_plan(
-            configs.tiny_dlrm(num_tables=2, rows=64, dim=8, lookups=2), 2
-        )
-        with pytest.raises(ValueError, match="tables"):
-            LazyDPTrainer(
-                DLRM(config, seed=7), DPConfig(), partition=small_plan
-            )
 
     def test_engine_draw_accounting(self, config):
         """ANS draws one Gaussian row per caught-up row, across shards."""
@@ -245,7 +225,7 @@ class TestReleaseAndCheckpoint:
         drive(flat_trainer, 4)
         flat_release = export_private_model(flat_trainer, iteration=4)
 
-        _, sharded_trainer = build_sharded(config, 7, "frequency")
+        _, sharded_trainer = build_sharded(config, 7)
         sharded_trainer.expected_batch_size = 16
         drive(sharded_trainer, 4)
         sharded_release = export_private_model(sharded_trainer, iteration=4)
@@ -265,7 +245,7 @@ class TestReleaseAndCheckpoint:
         path = tmp_path / "sharded.npz"
         save_checkpoint(path, trainer, iteration=2)
 
-        fresh_model, fresh = build_sharded(config, 7, "frequency")
+        fresh_model, fresh = build_sharded(config, 7)
         assert load_checkpoint(path, fresh) == 2
         assert max_param_diff(model, fresh_model) == 0.0
         for original, restored in zip(trainer.engine.histories,
@@ -288,5 +268,6 @@ class TestMoreShardsThanRows:
             f"shards=7,backend={backend}", config, num_batches=2
         )
         trainer.close()
-        assert trainer.plan.table(0).bounds.tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
+        bounds = trainer.engine.router.bounds[0]
+        assert bounds.tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
         assert max_param_diff(flat_model, model) == 0.0

@@ -11,7 +11,7 @@ import pytest
 from repro import configs
 from repro.lazydp.history import HistoryTable
 from repro.nn import DLRM
-from repro.shard import ShardRouter, build_partition_plan, shard_windows
+from repro.shard import ShardRouter, row_range_bounds, shard_windows
 
 
 @pytest.fixture
@@ -34,26 +34,27 @@ ACCESS_SCRIPT = [
 ]
 
 
-def layout(config, num_shards, strategy="row_range", with_ledger=False):
+def layout(config, num_shards, with_ledger=False):
+    """The model, table 0's cut points and the layout's four parts."""
     model = DLRM(config, seed=7)
-    plan = build_partition_plan(config, num_shards, strategy=strategy)
-    return model, plan, *shard_windows(model, plan, with_ledger)
+    bounds = row_range_bounds(config.table_rows[0], num_shards)
+    return model, bounds, *shard_windows(model, num_shards, with_ledger)
 
 
 class TestShardedHistoryTable:
     """A sharded table's history: the table's one HistoryTable, each
     shard's window a slice of it."""
 
-    @pytest.mark.parametrize("strategy", ["row_range", "frequency"])
+    @pytest.mark.parametrize("num_rows", [64, 67])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_matches_flat_history(self, config, strategy, num_shards):
+    def test_matches_flat_history(self, num_rows, num_shards):
         """The access script replayed through the shard windows (routed
         by the router, local ids) leaves the table's history exactly
         where the flat HistoryTable stands."""
-        _, plan, windows, histories, _, router = layout(
-            config, num_shards, strategy
-        )
-        flat = HistoryTable(64)
+        config = configs.tiny_dlrm(num_tables=2, rows=num_rows, dim=8, lookups=2)
+        _, _, windows, histories, _, _ = layout(config, num_shards)
+        router = ShardRouter(config.table_rows, num_shards)
+        flat = HistoryTable(num_rows)
         replay(flat, ACCESS_SCRIPT)
         for rows, iteration in ACCESS_SCRIPT:
             routed = router.scatter(0, rows)
@@ -64,7 +65,7 @@ class TestShardedHistoryTable:
 
         sharded = histories[0]
         np.testing.assert_array_equal(flat.snapshot(), sharded.snapshot())
-        probe = np.arange(64)
+        probe = np.arange(num_rows)
         np.testing.assert_array_equal(
             flat.delays(probe, 9), sharded.delays(probe, 9)
         )
@@ -73,11 +74,11 @@ class TestShardedHistoryTable:
         )
 
     def test_shard_local_ops_match_flat_api(self, config):
-        _, plan, windows, histories, _, _ = layout(config, 3)
+        _, bounds, windows, histories, _, _ = layout(config, 3)
         rows = np.array([1, 8, 30, 55])
         histories[0].mark_updated(rows, 5)
         for s, shard in enumerate(windows):
-            lo, hi = plan.table(0).shard_range(s)
+            lo, hi = bounds[s], bounds[s + 1]
             owned = rows[(rows >= lo) & (rows < hi)]
             np.testing.assert_array_equal(
                 shard[0].history.delays(owned - lo, 8), 8 - 5
@@ -115,8 +116,8 @@ class TestShardedHistoryTable:
         """More shards than rows: the trailing shards own empty ranges,
         whose windows hold no history and no rows."""
         config = configs.tiny_dlrm(num_tables=1, rows=3, dim=8, lookups=1)
-        _, plan, windows, histories, _, _ = layout(config, 5)
-        assert plan.table(0).bounds.tolist() == [0, 1, 2, 3, 3, 3]
+        _, bounds, windows, histories, _, _ = layout(config, 5)
+        assert bounds.tolist() == [0, 1, 2, 3, 3, 3]
         assert windows[4][0].history is None
         assert windows[4][0].target.shape == (0, 8)
         histories[0].mark_updated(np.array([0, 1, 2]), 1)
@@ -127,9 +128,8 @@ class TestShardedEmbeddingBag:
     """A sharded table's parameters: the model's own bag, each shard's
     window a slice view of its table."""
 
-    @pytest.mark.parametrize("strategy", ["row_range"])
-    def test_forward_matches_flat_bag(self, config, strategy):
-        model, _, _, _, _, _ = layout(config, 3, strategy)
+    def test_forward_matches_flat_bag(self, config):
+        model, _, _, _, _, _ = layout(config, 3)
         reference = DLRM(config, seed=7)
         indices = np.array([[0, 63], [5, 5], [17, 40]])
         np.testing.assert_array_equal(
@@ -138,10 +138,10 @@ class TestShardedEmbeddingBag:
         )
 
     def test_contiguous_slabs_are_views(self, config):
-        model, plan, windows, _, _, _ = layout(config, 4)
+        model, bounds, windows, _, _, _ = layout(config, 4)
         table = model.embeddings[0].table
         for s, shard in enumerate(windows):
-            lo, hi = plan.table(0).shard_range(s)
+            lo, hi = bounds[s], bounds[s + 1]
             assert shard[0].target.base is table.data
             assert shard[0].row_base == lo
             assert shard[0].target.shape == (hi - lo, 8)
@@ -151,17 +151,10 @@ class TestShardedEmbeddingBag:
         windows[1][0].target[:2] -= 0.5
         np.testing.assert_allclose(table.data[lo : lo + 2], before - 0.5)
 
-    def test_partition_size_mismatch_rejected(self, config):
-        model = DLRM(config, seed=7)
-        other = configs.tiny_dlrm(num_tables=2, rows=32, dim=8, lookups=2)
-        plan = build_partition_plan(other, 2)
-        with pytest.raises(ValueError, match="rows"):
-            shard_windows(model, plan)
-
 
 class TestOneLayout:
     def test_one_range_is_the_whole_table(self, config):
-        """``plan=None`` lays out one whole-table window per table, no
+        """One shard lays out one whole-table window per table, no
         router; its history and ledger are the tables' own."""
         model = DLRM(config, seed=7)
         (windows,), histories, ledgers, router = shard_windows(
@@ -180,17 +173,17 @@ class TestOneLayout:
 
     @pytest.mark.parametrize("num_shards", [2, 7])
     def test_ledger_windows_are_slices_of_one_vector(self, config, num_shards):
-        _, plan, windows, _, ledgers, router = layout(
+        _, bounds, windows, _, ledgers, router = layout(
             config, num_shards, with_ledger=True
         )
         assert isinstance(router, ShardRouter)
         assert len(ledgers) == config.num_tables
         for s, shard in enumerate(windows):
-            lo, hi = plan.table(0).shard_range(s)
+            lo, hi = bounds[s], bounds[s + 1]
             assert not shard[0].whole
             if hi > lo:
                 shard[0].ledger.advance(np.array([0]), np.array([1]), 1)
                 assert ledgers[0].applied_through(np.array([lo]))[0] == 1
         assert ledgers[0].pending_rows(1).size == 64 - np.count_nonzero(
-            np.diff(plan.table(0).bounds)
+            np.diff(bounds)
         )
