@@ -18,7 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..configs import DLRMConfig
-from ..rng import DOMAIN_DATA, derive_key, make_counters, philox4x32, uniform_from_uint32
+from ..kernels import lanes
+from ..rng import (
+    DOMAIN_DATA,
+    _native,
+    derive_key,
+    make_counters,
+    philox4x32,
+    uniform_from_uint32,
+)
 from ..rng.philox import splitmix64
 from .batch import Batch
 from .skew import SkewSpec, zipf_weights
@@ -53,12 +61,53 @@ def cdf_ranks(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cdf, uniforms, side="left")``, the same ranks,
     searched in ascending key order and scattered back: a search that
     starts where the previous key's ended stays in cache, where one of
-    random keys into a table-sized CDF misses on most of its steps."""
+    random keys into a table-sized CDF misses on most of its steps.
+    :func:`zipf_ranks`' numpy fallback, and the oracle of its
+    compiled search."""
     keys = uniforms.ravel()
     order = np.argsort(keys)
     ranks = np.empty(keys.shape, dtype=np.intp)
     ranks[order] = np.searchsorted(cdf, keys[order], side="left")
     return ranks.reshape(uniforms.shape)
+
+
+def cdf_guide(cdf: np.ndarray) -> np.ndarray:
+    """The ``K = 2**ceil(log2(len(cdf)))`` buckets :func:`zipf_ranks`
+    starts from: ``guide[k]`` is the leftmost ``i`` with ``cdf[i] >= k /
+    K``.  One linear pass, no search: ``K`` is a power of two, so
+    ``cdf[i] * K`` is exact and ``cdf[i] >= k / K`` exactly when
+    ``floor(cdf[i] * K) >= k``; for a non-decreasing CDF in ``[0, 1]``
+    the entries below bucket ``k`` are a prefix, whose length is the
+    count of smaller buckets."""
+    size = 1 << max(cdf.size - 1, 0).bit_length()
+    buckets = (cdf * size).astype(np.int64)
+    guide = np.zeros(size, dtype=np.int64)
+    np.cumsum(np.bincount(buckets, minlength=size)[: size - 1], out=guide[1:])
+    return guide
+
+
+def zipf_ranks(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, uniforms, side="left")``: ``_sparse.c``'s
+    ``cdf_search`` from ``guide`` (:func:`cdf_guide`) where the operands
+    allow — a C-contiguous float64 ``uniforms``, every key in ``[0, 1)``,
+    checked in C before the first store — :func:`cdf_ranks` otherwise;
+    the same ranks."""
+    lib = _native.LIB
+    if (
+        lib is not None
+        and uniforms.dtype == np.float64
+        and uniforms.flags.c_contiguous
+        and _native.vector(cdf, np.float64)
+        and _native.vector(guide, np.int64)
+    ):
+        ranks = np.empty(uniforms.shape, dtype=np.int64)
+        done = lib.cdf_search(
+            ranks.ctypes.data, uniforms.ctypes.data, uniforms.size,
+            cdf.ctypes.data, cdf.size, guide.ctypes.data, guide.size,
+        )
+        if done >= 0:
+            return ranks
+    return cdf_ranks(cdf, uniforms)
 
 
 class SyntheticClickDataset:
@@ -93,6 +142,7 @@ class SyntheticClickDataset:
             if len(self.skews) != config.num_tables:
                 raise ValueError("need one SkewSpec per table")
         self._cdfs = [self._build_cdf(t) for t in range(config.num_tables)]
+        self._guides = [None if cdf is None else cdf_guide(cdf) for cdf in self._cdfs]
         self._perms = [self._build_permutation(t) for t in range(config.num_tables)]
         # Fixed ground-truth weights for the learnable label signal.
         label_u = _field_uniforms(
@@ -126,12 +176,17 @@ class SyntheticClickDataset:
     # Example synthesis
     # ------------------------------------------------------------------
     def sparse_indices(self, example_ids: np.ndarray) -> np.ndarray:
-        """``(n, num_tables, lookups)`` embedding indices for the examples."""
+        """``(n, num_tables, lookups)`` embedding indices for the examples.
+
+        One table per :func:`~repro.kernels.lanes.fan_out` item: a table's
+        indices are a pure function of ``(seed, table, example)`` and
+        only it writes ``out[:, t, :]``, so the lanes change no bit."""
         example_ids = np.asarray(example_ids, dtype=np.uint64)
         n = example_ids.shape[0]
         lookups = self.config.lookups_per_table
         out = np.empty((n, self.config.num_tables, lookups), dtype=np.int64)
-        for t in range(self.config.num_tables):
+
+        def synthesise(t: int) -> None:
             uniforms = _field_uniforms(
                 self.seed, stream=t, field=_FIELD_SPARSE,
                 example_ids=example_ids, count=lookups,
@@ -140,9 +195,12 @@ class SyntheticClickDataset:
             if self._cdfs[t] is None:
                 indices = np.minimum((uniforms * rows).astype(np.int64), rows - 1)
             else:
-                ranks = np.minimum(cdf_ranks(self._cdfs[t], uniforms), rows - 1)
-                indices = self._perms[t][ranks]
+                uniforms = np.ascontiguousarray(uniforms)
+                ranks = zipf_ranks(self._cdfs[t], self._guides[t], uniforms)
+                indices = self._perms[t][np.minimum(ranks, rows - 1)]
             out[:, t, :] = indices
+
+        lanes.fan_out(synthesise, range(self.config.num_tables))
         return out
 
     def dense_features(self, example_ids: np.ndarray) -> np.ndarray:

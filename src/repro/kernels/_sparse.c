@@ -1,5 +1,6 @@
-/* The three memory-bound passes over embedding rows, bit for bit, and
- * the DLRM interaction's two passes in a fixed summation order.
+/* The three memory-bound passes over embedding rows, bit for bit, the
+ * DLRM interaction's two passes in a fixed summation order and the
+ * synthetic Zipf tables' guided CDF search.
  *
  * sparse_rows_update is the inner loop of fused_noisy_update and of
  * apply_sparse_update's gather path (fused.py); weighted_scatter_add is
@@ -12,6 +13,10 @@
  * interaction_dots and interaction_grad are FeatureInteraction's
  * forward and backward (nn/layers.py); their order is the one written
  * above each, which the numpy twins beside them perform too.
+ * cdf_search is the Zipf tables' inverse-CDF lookup
+ * (data/synthetic.py): np.searchsorted(cdf, keys, side="left"), started
+ * from a guide table and finished by comparisons alone, so it returns
+ * the same ranks.
  *
  * Every value-dependent precondition is checked here, over all the
  * operands, before the first store; a refusal (a negative return) has
@@ -352,4 +357,37 @@ int64_t interaction_grad(double *d_stack, const double *stack,
     }
     free(coef);
     return batch * features;
+}
+
+/* out[j] = the leftmost i with cdf[i] >= keys[j] (n_cdf where there is
+ * none): np.searchsorted(cdf, keys, side="left") of a non-decreasing
+ * cdf.  guide has n_guide = K buckets, K a power of two, guide[k] the
+ * leftmost i with cdf[i] >= k / K (synthetic.cdf_guide).  A key u in
+ * [0, 1) has k = floor(u * K) with u * K exact (K is a power of two),
+ * so k / K <= u: the answer is at or after guide[k], and every entry in
+ * between is < u — the walk from guide[k] while cdf[i] < u ends on it.
+ * Every key must be in [0, 1) (a NaN is not) and the guide
+ * non-decreasing inside [0, n_cdf].  Returns n_keys, or a refusal. */
+int64_t cdf_search(int64_t *out, const double *keys, int64_t n_keys,
+                   const double *cdf, int64_t n_cdf,
+                   const int64_t *guide, int64_t n_guide)
+{
+    if (n_keys < 0 || n_cdf < 0 || n_guide < 1 || (n_guide & (n_guide - 1)))
+        return REFUSED;
+    for (int64_t k = 0; k < n_guide; k++)
+        if (guide[k] < (k ? guide[k - 1] : 0) || guide[k] > n_cdf)
+            return REFUSED;
+    for (int64_t j = 0; j < n_keys; j++)
+        if (!(keys[j] >= 0.0 && keys[j] < 1.0))
+            return REFUSED;
+
+    const double buckets = (double)n_guide;
+    for (int64_t j = 0; j < n_keys; j++) {
+        const double u = keys[j];
+        int64_t i = guide[(int64_t)(u * buckets)];
+        while (i < n_cdf && cdf[i] < u)
+            i++;
+        out[j] = i;
+    }
+    return n_keys;
 }

@@ -8,7 +8,9 @@
 :meth:`PerExamplePairs.weighted_row_grad
 <repro.nn.parameter.PerExamplePairs.weighted_row_grad>`,
 :meth:`EmbeddingBag.forward <repro.nn.layers.EmbeddingBag.forward>`,
-:class:`~repro.nn.layers.FeatureInteraction` (``_sparse.c``)
+:class:`~repro.nn.layers.FeatureInteraction` and
+:meth:`SyntheticClickDataset.sparse_indices
+<repro.data.synthetic.SyntheticClickDataset.sparse_indices>` (``_sparse.c``)
 consult: the loaded library, or ``None`` — then the numpy expressions
 run, which are the reference the tests compare against and the only
 implementation on a host without a C compiler.  Which of the two runs
@@ -203,6 +205,8 @@ def _open(artefact: pathlib.Path) -> ctypes.CDLL:
     lib.interaction_dots.restype = i64
     lib.interaction_grad.argtypes = [pointer, pointer, pointer, i64, i64, i64, i64]
     lib.interaction_grad.restype = i64
+    lib.cdf_search.argtypes = [pointer, pointer, i64, pointer, i64, pointer, i64]
+    lib.cdf_search.restype = i64
     return lib
 
 
@@ -253,8 +257,9 @@ def _sparse_agrees(lib: ctypes.CDLL) -> bool:
     """``_sparse.c``: an in-place update of a slab window (gradient-only,
     noise-only and shared rows), a pooled scatter-add over a strided
     ``deltas`` with repeated rows, a gather-pool of strided indices
-    with repeated and ``-0.0`` rows and the interaction's two passes
-    (:func:`_interaction_agrees`), against the numpy expressions they
+    with repeated and ``-0.0`` rows, the interaction's two passes
+    (:func:`_interaction_agrees`) and the guided CDF search
+    (:func:`_cdf_search_agrees`), against the numpy expressions they
     stand in for — spelt out here, because :mod:`repro.kernels` imports
     this module."""
     base, nrows, dim, lr = 1000, 64, 5, 0.3
@@ -320,7 +325,11 @@ def _sparse_agrees(lib: ctypes.CDLL) -> bool:
         and np.isnan(stack[:, 1]).all()
     ):
         return False
-    return _interaction_agrees(lib, 9, 32) and _interaction_agrees(lib, 3, 5)
+    return (
+        _interaction_agrees(lib, 9, 32)
+        and _interaction_agrees(lib, 3, 5)
+        and _cdf_search_agrees(lib)
+    )
 
 
 def interaction_order(stack: np.ndarray, d_pairs: np.ndarray) -> tuple:
@@ -375,6 +384,34 @@ def _interaction_agrees(lib: ctypes.CDLL, features: int, dim: int) -> bool:
     return done == batch * features and np.array_equal(
         d_stack.view(np.uint64), reference.view(np.uint64)
     )
+
+
+def _cdf_search_agrees(lib: ctypes.CDLL) -> bool:
+    """``cdf_search`` against ``np.searchsorted(side="left")`` on a
+    64-row CDF whose last eleven entries have rounded to 1.0 and on a 1-row
+    CDF, for keys at every CDF entry and bucket edge ``k / K``, their
+    ``nextafter`` neighbours, 0 and the largest double below 1; each
+    guide built here by searching, not as the loader's callers build
+    it."""
+    below_one = np.nextafter(1.0, 0.0)
+    tail = np.cumsum(0.5 ** np.arange(64.0))
+    for cdf in (tail / tail[-1], np.ones(1)):
+        size = 1 << (cdf.size - 1).bit_length()
+        edges = np.arange(size) / size
+        guide = np.searchsorted(cdf, edges, side="left").astype(np.int64)
+        keys = np.concatenate([cdf, edges, [0.0, below_one]])
+        keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+        keys = keys[keys < 1.0]
+        ranks = np.full(keys.size, -1, dtype=np.int64)
+        done = lib.cdf_search(
+            ranks.ctypes.data, keys.ctypes.data, keys.size, cdf.ctypes.data,
+            cdf.size, guide.ctypes.data, size,
+        )
+        if done != keys.size or not np.array_equal(
+            ranks, np.searchsorted(cdf, keys, side="left")
+        ):
+            return False
+    return True
 
 
 def load() -> None:
