@@ -38,7 +38,7 @@ from repro.rng import (
     philox_invocations,
     vector_isa,
 )
-from repro.rng.noise import _native_tile
+from repro.rng.noise import _native_columns, _native_tile
 from repro.rng.philox import BLOCK
 from repro.session import ExecutionPlan
 
@@ -261,14 +261,14 @@ def _sincos_fallback_share(num_rows, dim):
     """Share of the angles of :func:`gaussian_pair`'s draw that
     ``gauss_finish``'s AVX-512 body hands to libm's ``sincos``: the
     draw's tiles through ``_native_tile``, which returns that count."""
-    rows = np.arange(num_rows, dtype=np.uint64)[:, None]
-    columns = (np.broadcast_to(np.uint64(1), rows.shape), np.broadcast_to(1.0, rows.shape))
+    rows = np.arange(num_rows, dtype=np.uint64)
     out = np.empty((num_rows, dim))
+    columns, _ = _native_columns(rows, 1, 1.0, out)
     blocks = (dim + 3) // 4
     tile_rows = BLOCK // blocks
     key = derive_key(101, DOMAIN_ROW_NOISE, 0)
     handed = sum(
-        _native_tile(_native.LIB, key, rows, *columns, out,
+        _native_tile(_native.LIB, key, columns, dim,
                      r0, min(r0 + tile_rows, num_rows), 0, blocks)
         for r0 in range(0, num_rows, tile_rows)
     )

@@ -157,54 +157,63 @@ def fused_merge(
     return rows, values
 
 
+def _update_set(rows, values, dim: int):
+    """``(rows address, values address, count)`` of one side of
+    :func:`_compiled_update` — ``(None, None, 0)`` for no side — or
+    ``None`` where the layout is not what ``_sparse.c`` indexes."""
+    if rows is None:
+        return None, None, 0
+    if not (
+        _native.vector(rows, np.int64)
+        and _native.f64_matrix(values)
+        and values.shape == (rows.size, dim)
+    ):
+        return None
+    return _native.address(rows), _native.address(values), rows.size
+
+
 def _compiled_update(
     lib,
     table: np.ndarray,
     target: np.ndarray,
     learning_rate: float,
-    grad_rows: np.ndarray,
-    grad_values: np.ndarray,
-    noise_rows: np.ndarray,
-    noise_values: np.ndarray,
+    grad_rows: np.ndarray | None,
+    grad_values: np.ndarray | None,
+    noise_rows: np.ndarray | None,
+    noise_values: np.ndarray | None,
     row_base: int,
 ) -> int:
     """``target[r] = table[r] - lr * (grad | noise | grad + noise)`` over
-    the union of the two row sets as one pass of ``_sparse.c``.
+    the union of the two row sets as one pass of ``_sparse.c``; either
+    side may be ``None`` (no rows).
 
     Returns the number of rows written, or a negative refusal with
     nothing written: the operands are not what the library was built
-    for (layouts, checked here; sorted-unique rows inside the slab,
-    checked in C before the first store) and the numpy path runs — and
-    raises, wraps or falls back exactly as it always did.
+    for (layouts, checked here once each; sorted-unique rows inside the
+    slab, checked in C before the first store) and the numpy path runs
+    — and raises, wraps or falls back exactly as it always did.
     """
-    if not _native.f64_matrix(table):
-        return -1
-    dim = table.shape[1]
     if not (
-        target.flags.writeable
-        and (
-            target is table
-            or (
-                _native.f64_matrix(target)
-                and target.shape == table.shape
-                and not np.may_share_memory(table, target)
-            )
-        )
+        _native.f64_matrix(table)
+        and target.flags.writeable
         and isinstance(learning_rate, (float, int))
         and isinstance(row_base, int)
-        and _native.vector(grad_rows, np.int64)
-        and _native.f64_matrix(grad_values)
-        and grad_values.shape == (grad_rows.size, dim)
-        and _native.vector(noise_rows, np.int64)
-        and _native.f64_matrix(noise_values)
-        and noise_values.shape == (noise_rows.size, dim)
     ):
         return -1
+    if target is not table and not (
+        _native.f64_matrix(target)
+        and target.shape == table.shape
+        and not np.may_share_memory(table, target)
+    ):
+        return -1
+    dim = table.shape[1]
+    grad = _update_set(grad_rows, grad_values, dim)
+    noise = _update_set(noise_rows, noise_values, dim)
+    if grad is None or noise is None:
+        return -1
     return lib.sparse_rows_update(
-        table.ctypes.data, target.ctypes.data, table.shape[0], dim, row_base,
-        learning_rate,
-        grad_rows.ctypes.data, grad_values.ctypes.data, grad_rows.size,
-        noise_rows.ctypes.data, noise_values.ctypes.data, noise_rows.size,
+        _native.address(table), _native.address(target), table.shape[0], dim,
+        row_base, learning_rate, *grad, *noise,
     )
 
 
@@ -242,7 +251,7 @@ def apply_sparse_update(
         and rows[-1] - rows[0] != n - 1  # a consecutive run: the slice path's
         and _compiled_update(
             lib, table, table if out is None else out, learning_rate,
-            rows, values, rows[:0], values[:0], row_base,
+            rows, values, None, None, row_base,
         ) >= 0
     ):
         return

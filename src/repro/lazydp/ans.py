@@ -109,12 +109,13 @@ class ANSEngine:
             raise ValueError("rows and delays must align")
         if rows.size == 0:
             return np.zeros((0, dim), dtype=np.float64)
-        if np.any(delays < 0):
+        schedule = self.schedule
+        # Checked once per draw: an ANS draw at a constant rate hands the
+        # delays straight to the stream, whose entry point checks them.
+        if (schedule is not None or not self.enabled) and np.any(delays < 0):
             raise ValueError("delays must be non-negative")
 
-        schedule = self.schedule
         if self.enabled:
-            self.samples_drawn += rows.size * dim
             if schedule is not None:
                 # One draw per row still: its "delay" is the window's
                 # squared weights, sum_k (rate(k) / rate(iteration))^2.
@@ -122,9 +123,11 @@ class ANSEngine:
                     schedule.sum_squares_window(iteration, delays)
                     / schedule.rate(iteration) ** 2
                 )
-            return self.noise_stream.aggregated_row_noise(
+            noise = self.noise_stream.aggregated_row_noise(
                 table_index, rows, delays, iteration, dim, std=std
             )
+            self.samples_drawn += rows.size * dim
+            return noise
         if schedule is not None:
             return self._weighted_exact_sum(
                 table_index, rows, delays, iteration, dim, std

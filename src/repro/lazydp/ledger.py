@@ -114,10 +114,15 @@ class VersionVector:
         delays = np.asarray(delays, dtype=np.int64)
         if delays.shape != rows.shape:
             raise ValueError("delays must align with rows")
-        expected = np.int64(iteration) - delays
-        actual = self._applied_through[rows]
-        bad = np.nonzero(actual != expected)[0]
-        if bad.size:
+        # ``applied + delay == iteration`` is ``applied == iteration -
+        # delay`` in the same wrapping int64 arithmetic: one gather, one
+        # in-place add and one compare on the clean path.
+        landed = self._applied_through[rows]
+        landed += delays
+        if (landed != iteration).any():
+            expected = np.int64(iteration) - delays
+            actual = self._applied_through[rows]
+            bad = np.nonzero(actual != expected)[0]
             first = int(bad[0])
             raise LedgerError(
                 f"noise ledger violation at iteration {iteration}: row "
@@ -125,7 +130,7 @@ class VersionVector:
                 f"{int(actual[first])} but the span being applied starts "
                 f"at {int(expected[first])} ({bad.size} row(s) affected)"
             )
-        self._applied_through[rows] = np.int64(iteration)
+        self._applied_through[rows] = iteration
 
     def pending_rows(self, iteration: int) -> np.ndarray:
         """Rows whose applied noise lags ``iteration`` (audit helper)."""

@@ -101,6 +101,11 @@ def _rdp_sampled_gaussian_frac(q: float, noise_multiplier: float,
         log_e1 = math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2) * sigma))
         log_s0 = log_t0 + (i * i - i) / (2.0 * sigma ** 2) + log_e0
         log_s1 = log_t1 + (j * j - j) / (2.0 * sigma ** 2) + log_e1
+        if not (log_s0 < math.inf and log_s1 < math.inf):
+            # A NaN or +inf term (sigma^2 so small, if not zero, that
+            # (i^2 - i) / (2 sigma^2) overflows) has no finite sum, and
+            # no NaN ever meets the stopping rule below.
+            return math.inf
         if coef > 0:
             log_a0 = _log_add(log_a0, log_s0)
             log_a1 = _log_add(log_a1, log_s1)

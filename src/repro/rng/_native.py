@@ -104,6 +104,20 @@ def vector(array: np.ndarray, dtype) -> bool:
     )
 
 
+_BYTE = ctypes.c_char
+
+
+def address(array: np.ndarray) -> int:
+    """``array.ctypes.data``, through the buffer protocol where the
+    array is writable and C-contiguous — a fraction of the cost of
+    building the ``ctypes`` helper, which a few-row call into the
+    library would otherwise pay once per operand."""
+    try:
+        return ctypes.addressof(_BYTE.from_buffer(array))
+    except (TypeError, ValueError, BufferError):
+        return array.ctypes.data
+
+
 @contextlib.contextmanager
 def using(lib):
     """Run the block on ``lib`` (``None``: on the numpy paths) whatever

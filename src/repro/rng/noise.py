@@ -30,9 +30,9 @@ from .philox import (
     BLOCK,
     block_scratch,
     derive_key,
-    pair_scratch,
     philox_rounds,
     record_invocations,
+    tile_scratch,
 )
 
 DOMAIN_ROW_NOISE = 1
@@ -48,32 +48,71 @@ _BLOCK_IDS = np.arange(BLOCK, dtype=np.uint64)
 _ROW_ZERO = np.zeros(1, dtype=np.uint64)
 
 
-def _column(array: np.ndarray, r0: int) -> tuple:
-    """``(address of row r0, bytes between rows)`` of a per-row column —
-    how ``_gauss.c`` walks one, so a zero-stride broadcast needs no copy."""
-    step = array.strides[0]
-    return array.ctypes.data + r0 * step, step
+def _words(values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` flat, as the 8-byte words of ``dtype`` ``_gauss.c``
+    reads (int64 rows and iterations are already their uint64 bits)."""
+    kinds = "iu" if dtype is np.uint64 else "f"
+    if values.dtype.itemsize != 8 or values.dtype.kind not in kinds:
+        values = values.astype(dtype)
+    return values if values.ndim == 1 else values.reshape(-1)
 
 
-def _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1) -> int:
+def _native_columns(rows, iteration, scale, out) -> tuple:
+    """``(columns, arrays)``: the ``(address, byte stride)`` of the rows,
+    iterations, scales and output rows of one draw as ``_gauss.c``
+    walks them, taken once per draw, and the arrays behind them (alive
+    until the draw ends).  A scalar iteration or scale is written to
+    this thread's cell, and a one-value array is walked in place: stride
+    0 either way, with no broadcast view."""
+    n_rows = out.shape[0]
+    scratch = tile_scratch()
+    rows = _words(rows, np.uint64)
+    arrays = [rows]
+    columns = [(_native.address(rows), rows.strides[0])]
+    for slot, values, dtype, cell in (
+        (0, iteration, np.uint64, scratch.cell),
+        (1, scale, np.float64, scratch.cell_reals),
+    ):
+        if not (isinstance(values, np.ndarray) and values.ndim):
+            cell[slot] = values
+            columns.append((scratch.cell_address + 8 * slot, 0))
+            continue
+        values = _words(values, dtype)
+        if values.size not in (1, n_rows):
+            raise ValueError(f"{values.size} per-row values for {n_rows} rows")
+        arrays.append(values)
+        columns.append(
+            (_native.address(values), values.strides[0] if values.size > 1 else 0)
+        )
+    columns.append((_native.address(out), out.strides[0]))
+    return columns, arrays
+
+
+def _native_tile(lib, key, columns, dim, r0, r1, b0, b1) -> int:
     """One tile of :meth:`NoiseStream._keyed_gaussians` through
     ``_gauss.c`` — three calls, the same bits: counters to uniforms,
     numpy's ``log`` over the radius lane (libm's differs in the last
-    ulp), then the Box-Muller tail, scale and store.  ``rows``,
-    ``iteration`` and ``scale`` are the kernel's per-row columns.
-    Returns how many of the tile's angles the AVX-512 body handed to
-    ``sincos`` (0 on the scalar C)."""
-    tile = (r1 - r0, b0, b1 - b0)
-    radius, angle = pair_scratch(tile[0] * tile[2])
-    lanes = (radius.ctypes.data, angle.ctypes.data)
-    k0, k1 = int(key[0]), int(key[1])
+    ulp), then the Box-Muller tail, scale and store.  ``columns`` are
+    the draw's (:func:`_native_columns`).  Returns how many of the
+    tile's angles the AVX-512 body handed to ``sincos`` (0 on the
+    scalar C)."""
+    (rows, row_step), (iterations, iteration_step), (scales, scale_step), (
+        out, out_step
+    ) = columns
+    n, blocks = r1 - r0, b1 - b0
+    scratch = tile_scratch()
+    radius, angle = scratch.pair_addresses
+    k0, k1 = key.tolist()
     if lib.gauss_uniforms(
-        *_column(rows, r0), *_column(iteration, r0), *tile, k0, k1, *lanes
+        rows + r0 * row_step, row_step, iterations + r0 * iteration_step,
+        iteration_step, n, b0, blocks, k0, k1, radius, angle,
     ):
         raise ValueError("u1 must lie in (0, 1]")
-    np.log(radius, out=radius)
+    lane = scratch.pairs[0, : 2 * n * blocks]
+    np.log(lane, out=lane)
     return lib.gauss_finish(
-        *lanes, *_column(scale, r0), *tile, *_column(out, r0), out.shape[1]
+        radius, angle, scales + r0 * scale_step, scale_step, n, b0, blocks,
+        out + r0 * out_step, out_step, dim,
     )
 
 
@@ -189,16 +228,17 @@ class NoiseStream:
         repeated catch-ups of the same row use fresh randomness.
         """
         rows = np.asarray(rows)
-        delays = np.asarray(delays, dtype=np.float64)
+        delays = np.asarray(delays)
         if delays.shape != rows.shape:
             raise ValueError("delays must align with rows")
-        if np.any(delays < 0):
+        if delays.size and delays.min() < 0:
             raise ValueError("delays must be non-negative")
         key = derive_key(self.seed, DOMAIN_ANS_NOISE, table_id)
-        # Scaled per row inside the kernel, while each block is cache-hot.
-        return self._keyed_gaussians(
-            key, rows, iteration, std * np.sqrt(delays), _empty(rows, dim)
-        )
+        # std * sqrt(delays), one factor per row, applied inside the
+        # kernel while each block is cache-hot.
+        scale = np.sqrt(delays, dtype=np.float64)
+        scale *= std
+        return self._keyed_gaussians(key, rows, iteration, scale, _empty(rows, dim))
 
     # ------------------------------------------------------------------
     # Dense (MLP) noise and generic draws.
@@ -248,7 +288,11 @@ class NoiseStream:
         (a draw of several tiles spreads them over
         :func:`repro.kernels.lanes.fan_out`), nor on whether a tile runs
         as the ufunc chain below or, where :mod:`._native` loaded it, as
-        the same arithmetic compiled (:func:`_native_tile`).
+        the same arithmetic compiled (:func:`_native_tile`).  The
+        compiled tiles read the draw's own arrays by address, taken once
+        per draw (:func:`_native_columns`): a one-tile draw — every
+        lookup, every per-step table draw, every dense-noise draw — is
+        three calls and a ``log`` on the caller, with no per-tile view.
 
         Counter words are 32 bits wide (the row takes two), so an
         iteration outside ``[0, 2**32)`` or a negative row would alias
@@ -257,45 +301,57 @@ class NoiseStream:
         n_rows, dim = out.shape
         if n_rows == 0:
             return out
-        iteration = np.asarray(iteration)
-        if iteration.min() < 0 or iteration.max() >= 2**32:
+        if isinstance(iteration, np.ndarray) and iteration.ndim:
+            low, high = iteration.min(), iteration.max()
+        else:
+            low = high = iteration
+        if low < 0 or high >= 2**32:
             raise ValueError(
-                "iteration must lie in [0, 2**32), got "
-                f"[{iteration.min()}, {iteration.max()}]"
+                f"iteration must lie in [0, 2**32), got [{low}, {high}]"
             )
         if rows.dtype.kind != "u" and rows.min() < 0:
             raise ValueError(f"rows must be non-negative, got {rows.min()}")
-        rows = rows.astype(np.uint64, copy=False)
         record_invocations(1)
         lib = _native.LIB if out.strides[1] == out.itemsize else None
         blocks_per_row = (dim + 3) // 4
         tile_blocks = min(blocks_per_row, BLOCK)
         tile_rows = BLOCK // tile_blocks
-        # Per-row columns; a scalar iteration / scale is one zero-stride
-        # column, so a tile slices all three alike.
-        rows = rows[:, None]
-        iteration = np.asarray(iteration).astype(np.uint64).reshape(-1, 1)
-        iteration = np.broadcast_to(iteration, rows.shape)
-        scale = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
-        scale = np.broadcast_to(scale, rows.shape)
+        if lib is not None:
+            # Addresses taken once: a tile offsets them by its first row
+            # (``_alive`` holds the arrays behind them until we return).
+            columns, _alive = _native_columns(rows, iteration, scale, out)
 
-        def draw(corner: tuple) -> None:
-            r0, b0 = corner
-            r1 = min(r0 + tile_rows, n_rows)
-            b1 = min(b0 + tile_blocks, blocks_per_row)
-            tile = slice(r0, r1)
-            if lib is not None:
-                _native_tile(lib, key, rows, iteration, scale, out, r0, r1, b0, b1)
-                return
-            words, reals = block_scratch((r1 - r0, b1 - b0))
-            np.bitwise_and(rows[tile], _U32, out=words[0])
-            np.right_shift(rows[tile], _SHIFT_32, out=words[1])
-            np.bitwise_and(iteration[tile], _U32, out=words[2])
-            np.add(_BLOCK_IDS[: b1 - b0], np.uint64(b0), out=words[3])
-            lanes = gaussian_lanes(philox_rounds(words, key), reals)
-            for k, lane in enumerate(lanes):
-                columns = out[tile, 4 * b0 + k : 4 * b1 : 4]
-                np.multiply(lane[:, : columns.shape[1]], scale[tile], out=columns)
+            def draw(corner: tuple) -> None:
+                r0, b0 = corner
+                r1 = min(r0 + tile_rows, n_rows)
+                b1 = min(b0 + tile_blocks, blocks_per_row)
+                _native_tile(lib, key, columns, dim, r0, r1, b0, b1)
+
+        else:
+            # Per-row columns; a scalar iteration / scale is one
+            # zero-stride column, so a tile slices all three alike.
+            rows = rows.astype(np.uint64, copy=False)[:, None]
+            iteration = np.asarray(iteration).astype(np.uint64).reshape(-1, 1)
+            iteration = np.broadcast_to(iteration, rows.shape)
+            scale = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
+            scale = np.broadcast_to(scale, rows.shape)
+
+            def draw(corner: tuple) -> None:
+                r0, b0 = corner
+                r1 = min(r0 + tile_rows, n_rows)
+                b1 = min(b0 + tile_blocks, blocks_per_row)
+                tile = slice(r0, r1)
+                words, reals = block_scratch((r1 - r0, b1 - b0))
+                np.bitwise_and(rows[tile], _U32, out=words[0])
+                np.right_shift(rows[tile], _SHIFT_32, out=words[1])
+                np.bitwise_and(iteration[tile], _U32, out=words[2])
+                np.add(_BLOCK_IDS[: b1 - b0], np.uint64(b0), out=words[3])
+                lanes = gaussian_lanes(philox_rounds(words, key), reals)
+                for k, lane in enumerate(lanes):
+                    columns = out[tile, 4 * b0 + k : 4 * b1 : 4]
+                    np.multiply(
+                        lane[:, : columns.shape[1]], scale[tile], out=columns
+                    )
 
         if n_rows <= tile_rows and blocks_per_row <= tile_blocks:
             draw((0, 0))  # one tile: every per-step draw and lookup

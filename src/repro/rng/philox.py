@@ -18,6 +18,7 @@ itself runs block by block over fixed per-thread scratch (:data:`BLOCK`).
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -57,9 +58,24 @@ class _BlockScratch(threading.local):
     def __init__(self):
         self.words = np.empty((6, BLOCK), dtype=np.uint64)
         self.reals = np.empty((5, BLOCK), dtype=np.float64)
+        #: ``reals[:4]`` as the two flat lanes of ``2 * BLOCK`` uniforms
+        #: ``_gauss.c`` fills and reads (radii, angles), and their
+        #: addresses.
+        self.pairs = self.reals[:4].reshape(2, -1)
+        self.pair_addresses = tuple(lane.ctypes.data for lane in self.pairs)
+        #: The iteration word and the scale shared by every row of a
+        #: draw, read by ``_gauss.c`` as zero-stride columns.
+        self.cell = np.zeros(2, dtype=np.uint64)
+        self.cell_reals = self.cell.view(np.float64)
+        self.cell_address = self.cell.ctypes.data
 
 
 _SCRATCH = _BlockScratch()
+
+
+def tile_scratch() -> _BlockScratch:
+    """The calling thread's scratch (see :class:`_BlockScratch`)."""
+    return _SCRATCH
 
 
 def block_scratch(shape: tuple) -> tuple:
@@ -70,14 +86,6 @@ def block_scratch(shape: tuple) -> tuple:
         [lane.reshape(shape) for lane in _SCRATCH.words[:, :count]],
         [lane.reshape(shape) for lane in _SCRATCH.reals[:, :count]],
     )
-
-
-def pair_scratch(count: int) -> tuple:
-    """``(radius, angle)``: the calling thread's first four real lanes
-    as two flat lanes of ``2 * count`` uniforms (``count`` at most
-    :data:`BLOCK`) — the layout ``_gauss.c`` fills and reads."""
-    pairs = _SCRATCH.reals[:4].reshape(2, -1)
-    return pairs[0, : 2 * count], pairs[1, : 2 * count]
 
 
 #: Cumulative count of cipher invocations ("kernel launches"): one per
@@ -206,12 +214,18 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     return z
 
 
+@functools.lru_cache(maxsize=4096)
 def derive_key(seed: int, domain: int = 0, stream: int = 0) -> np.ndarray:
     """Derive a ``(2,)`` uint32 Philox key for a (seed, domain, stream) tuple.
 
     ``domain`` separates unrelated uses of randomness (weight init, row
     noise, ANS noise, ...) so that no two subsystems ever share a key, and
     ``stream`` separates instances within a domain (e.g. embedding tables).
+
+    A key is a pure function of its three arguments, so it is derived
+    once and then handed out from a cache, read-only: every draw of a
+    table's noise, every lookup's catch-up and every synthesised batch
+    reuses it instead of running two ``splitmix64`` passes again.
     """
     mixed = splitmix64(
         splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(domain))
@@ -220,6 +234,7 @@ def derive_key(seed: int, domain: int = 0, stream: int = 0) -> np.ndarray:
     key = np.empty(2, dtype=np.uint32)
     key[0] = np.uint32(int(mixed) & 0xFFFFFFFF)
     key[1] = np.uint32((int(mixed) >> 32) & 0xFFFFFFFF)
+    key.flags.writeable = False
     return key
 
 

@@ -30,6 +30,15 @@ operating points: capacity = the top fraction of rows that carries
 90% of the access mass (``repro.data.skew``), i.e. exactly the hot
 set the fig13d traffic model concentrates on.
 
+At capacity the coldest resident is found through a heap of
+``(frequency, admission sequence, key)``, one entry per resident, so an
+admission costs O(log n) instead of a scan of every resident.  A
+resident's frequency only grows between decays, so a heap entry is a
+lower bound of its key's frequency: the top is re-keyed lazily when it
+is read, and a decay (which halves them all) rebuilds the heap.  Ties
+go to the first-admitted resident — exactly the pick of ``min(entries,
+key=frequency)`` over the insertion-ordered entries.
+
 All mutation happens under one small internal lock; probes hold it
 only for the dictionary walk.  This lock is a leaf in the serving
 lock hierarchy — the cache never calls back into the engine.
@@ -37,8 +46,10 @@ lock hierarchy — the cache never calls back into the engine.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
+from itertools import repeat
 
 import numpy as np
 
@@ -79,12 +90,18 @@ class HotRowCache:
         if self._decay_interval < 1:
             raise ValueError("decay_interval must be positive")
         self._lock = threading.Lock()
-        #: (table_index, row) -> (generation, row-vector copy)
+        #: (table_index, row) -> (generation, row-vector copy, admission
+        #: sequence), in admission order.
         self._entries: dict = {}
         #: (table_index, row) -> slow-path serve count (approximate
         #: popularity; decayed, survives invalidation).
         self._freq: dict = {}
-        self._offers = 0
+        #: One (frequency lower bound, admission sequence, key) per
+        #: resident: the victim search (see the module docstring).
+        self._heap: list = []
+        self._admitted = 0
+        #: Offers left until the next frequency halving.
+        self._until_decay = self._decay_interval
         # -- counters (all mutated under the lock) --
         self.hits = 0
         self.misses = 0
@@ -135,8 +152,8 @@ class HotRowCache:
         entries = self._entries
         values = []
         with self._lock:
-            for row in rows:
-                entry = entries.get((table_index, int(row)))
+            for row in np.asarray(rows, dtype=np.int64).tolist():
+                entry = entries.get((table_index, row))
                 if entry is None or entry[0] != generation:
                     self.misses += n
                     return None
@@ -157,51 +174,78 @@ class HotRowCache:
         ones whose popularity clears the filter; returns admissions.
 
         ``values[k]`` must be row ``rows[k]``'s served vector (the
-        memo's bits); admitted rows store a private copy.
+        memo's bits); admitted rows store a private copy.  An offer that
+        is the ``decay_interval``-th halves every frequency, its own row's
+        included, before its admission is decided.
         """
         admitted = 0
+        threshold = self.admission_threshold
+        keys = zip(repeat(table_index), np.asarray(rows, dtype=np.int64).tolist())
         with self._lock:
-            freq = self._freq
             entries = self._entries
-            for k, row in enumerate(rows):
-                key = (table_index, int(row))
-                count = freq.get(key, 0) + 1
-                freq[key] = count
-                self._offers += 1
-                if self._offers % self._decay_interval == 0:
-                    self._decay_locked()
-                    count = freq.get(key, 0)
-                resident = entries.get(key)
-                if resident is not None:
-                    if resident[0] != generation:
-                        # Same row, fresh snapshot: replace in place.
-                        entries[key] = (generation, np.array(values[k]))
-                    continue
-                if count < self.admission_threshold:
-                    continue
-                if len(entries) >= self.capacity:
-                    victim, victim_count = self._coldest_locked()
-                    if count <= victim_count:
-                        continue  # not hotter than the coldest resident
-                    del entries[victim]
-                    self.evictions += 1
-                entries[key] = (generation, np.array(values[k]))
-                self.admissions += 1
-                admitted += 1
+            freq = self._freq
+            heap = self._heap
+            until = self._until_decay
+            try:
+                for k, key in enumerate(keys):
+                    count = freq.get(key, 0) + 1
+                    freq[key] = count
+                    until -= 1
+                    if not until:
+                        self._decay_locked()
+                        until = self._decay_interval
+                        freq, heap = self._freq, self._heap
+                        count = freq.get(key, 0)
+                    resident = entries.get(key)
+                    if resident is not None:
+                        if resident[0] != generation:
+                            # Same row, fresh snapshot: replace in place.
+                            entries[key] = (
+                                generation, np.array(values[k]), resident[2]
+                            )
+                        continue
+                    if count < threshold:
+                        continue
+                    if len(entries) >= self.capacity:
+                        if count <= self._coldest_locked()[1]:
+                            continue  # not hotter than the coldest resident
+                        del entries[heapq.heappop(heap)[2]]
+                        self.evictions += 1
+                    sequence = self._admitted
+                    self._admitted = sequence + 1
+                    entries[key] = (generation, np.array(values[k]), sequence)
+                    heapq.heappush(heap, (count, sequence, key))
+                    self.admissions += 1
+                    admitted += 1
+            finally:
+                self._until_decay = until
         return admitted
 
     def _coldest_locked(self) -> tuple:
-        """The resident key with the lowest observed frequency."""
-        freq = self._freq
-        victim = min(self._entries, key=lambda key: freq.get(key, 0))
-        return victim, freq.get(victim, 0)
+        """The resident key with the lowest observed frequency (the
+        first admitted among equals), left on top of the heap, and its
+        frequency.  A top whose bound is behind its key's frequency is
+        re-keyed and sifted down until the top is current."""
+        heap, freq = self._heap, self._freq
+        while True:
+            bound, sequence, key = heap[0]
+            count = freq.get(key, 0)
+            if count == bound:
+                return key, count
+            heapq.heapreplace(heap, (count, sequence, key))
 
     def _decay_locked(self) -> None:
-        """Halve every frequency, dropping the ones that reach zero."""
-        self._freq = {
+        """Halve every frequency, dropping the ones that reach zero, and
+        rebuild the victim heap over the halved counts."""
+        freq = self._freq = {
             key: half for key, count in self._freq.items()
             if (half := count // 2) > 0
         }
+        self._heap = [
+            (freq.get(key, 0), entry[2], key)
+            for key, entry in self._entries.items()
+        ]
+        heapq.heapify(self._heap)
 
     # -- lifecycle ---------------------------------------------------------
     def invalidate(self) -> int:
@@ -210,6 +254,7 @@ class HotRowCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._heap.clear()
             self.invalidations += 1
         return dropped
 

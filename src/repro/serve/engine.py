@@ -97,6 +97,15 @@ from ..obs import NULL_OBS
 from .locks import RWLock
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D request: one sort, one adjacent compare."""
+    ordered = np.sort(rows)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 class PrivateServingEngine:
     """Serve privatized embeddings with read-through noise catch-up."""
 
@@ -572,17 +581,20 @@ class PrivateServingEngine:
                 if obs.enabled and obs.metrics_enabled:
                     obs.metrics.inc("serve.rows_caught_up", pending)
 
-    def _validate_rows(self, table_index: int, rows) -> np.ndarray:
+    def _validate_rows(self, table_index: int, rows) -> tuple:
+        """``(rows, unique)``: the request as int64 and its sorted unique
+        rows, whose ends bound every id to the table."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array of row indices")
+        unique = _unique_rows(rows)
         num_rows = self._tables[table_index].shape[0]
-        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        if unique.size and (unique[0] < 0 or unique[-1] >= num_rows):
             raise IndexError(
                 f"row ids out of range for table {table_index} "
                 f"({num_rows} rows)"
             )
-        return rows
+        return rows, unique
 
     def _count_served(self, served: int, hits: int) -> None:
         obs = self.obs
@@ -621,18 +633,19 @@ class PrivateServingEngine:
                 obs.metrics.inc("serve.cache.hits", n)
         return values, iteration
 
-    def _lookup_in_read(self, table_index: int, rows: np.ndarray):
-        """One table's read-through lookup; caller holds a read section.
+    def _lookup_in_read(self, table_index: int, rows: np.ndarray,
+                        unique: np.ndarray):
+        """One table's read-through lookup of ``rows`` (``unique``: their
+        sorted unique ids); caller holds a read section.
 
-        Returns ``(values, fresh_rows, fresh_values)`` where the fresh
-        arrays cover the unique rows this call privatized (the hot-row
-        cache's admission feed; both are None when nothing was fresh).
+        Returns ``(values, unique, unique_values)``: the served rows of
+        the request and of its unique ids, the hot-row cache's admission
+        feed (both None without a cache).
         """
         if rows.size == 0:
             dim = self._tables[table_index].shape[1]
             return np.zeros((0, dim), dtype=np.float64), None, None
         caught = self._caught_up[table_index]
-        unique = np.unique(rows)
         fresh_count = 0
         if not caught[unique].all():
             with self._table_locks[table_index]:
@@ -700,13 +713,13 @@ class PrivateServingEngine:
         iteration, however many refreshes race the call — the
         consistency contract the stress suite hammers.
         """
-        rows = self._validate_rows(table_index, rows)
+        rows, unique = self._validate_rows(table_index, rows)
         cached = self._cache_fast_path(table_index, rows)
         if cached is not None:
             return cached
         with self._read_section():
             values, unique, unique_values = self._lookup_in_read(
-                table_index, rows
+                table_index, rows, unique
             )
             generation, iteration = self._version
         self._offer_to_cache(table_index, unique, unique_values, generation)
@@ -746,8 +759,10 @@ class PrivateServingEngine:
         with self._read_section():
             generation, iteration = self._version
             results = []
-            for t, rows in enumerate(per_table):
-                values, unique, unique_values = self._lookup_in_read(t, rows)
+            for t, (rows, unique) in enumerate(per_table):
+                values, unique, unique_values = self._lookup_in_read(
+                    t, rows, unique
+                )
                 results.append(values)
                 if unique_values is not None:
                     offers.append((t, unique, unique_values))

@@ -1,8 +1,15 @@
 """Tests for the RDP accountant (subsampled Gaussian mechanism)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.privacy import (
     DEFAULT_ORDERS,
     RDPAccountant,
@@ -87,6 +94,35 @@ class TestFractionalOrders:
         values = [rdp_sampled_gaussian(q, sigma, a) for a in orders]
         for low, high in zip(values, values[1:]):
             assert high >= low * (1 - 1e-9)
+
+    def test_terminates_where_sigma_squared_is_subnormal(self):
+        """sigma^2 at or just above the smallest normal double, but not
+        zero: from i = 2 the terms of the series overflow to NaN, which
+        its stopping rule never meets.  At every (sigma, q, alpha) point
+        of that band at the fractional orders from 2.25 up the series
+        must end, at inf or (sigma^2 still normal, low orders) at a
+        bound past 1e300; the scan runs in a child process under a
+        wall-clock bound, so a regression fails here instead of hanging
+        the suite (the whole scan takes well under a second)."""
+        scan = textwrap.dedent("""
+            import math
+            from repro.privacy import DEFAULT_ORDERS, rdp_sampled_gaussian
+            orders = [a for a in DEFAULT_ORDERS if a >= 2.25 and a != int(a)]
+            values = [
+                rdp_sampled_gaussian(q, sigma, alpha)
+                for sigma in (1e-160, 1e-158, 1e-156, 1e-155, 1.5e-154)
+                for q in (1e-4, 0.01, 0.1, 0.5, 0.99)
+                for alpha in orders
+            ]
+            print(len(values), sum(value == math.inf for value in values),
+                  sum(value < 1e300 for value in values))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", scan], capture_output=True, text=True,
+            timeout=60, env=env, check=True,
+        )
+        assert done.stdout.split() == ["200", "185", "0"]
 
     def test_fractional_q1_matches_gaussian(self):
         assert rdp_sampled_gaussian(1.0, 2.0, 1.5) == pytest.approx(

@@ -19,6 +19,7 @@ from repro import configs
 from repro.data import DataLoader, SyntheticClickDataset
 from repro.nn import DLRM
 from repro.perfmodel import iteration_breakdown, paper_system
+from repro.rng import NoiseStream
 from repro.session import make_trainer
 from repro.train import DPConfig
 
@@ -62,6 +63,28 @@ def interleaved_best_step_seconds(algorithms, config, batch=128, rounds=7):
     return {a: min(sample[a] for sample in samples) for a in algorithms}
 
 
+def gaussians_per_step(algorithm, config, monkeypatch, batch=128, steps=3):
+    """Per warmed-up training step, the Gaussians drawn, counted where
+    every draw lands (``NoiseStream._keyed_gaussians``): the work whose
+    growth the wall-clock trends stand for, fixed by the seeds."""
+    keyed = NoiseStream._keyed_gaussians
+    drawn = [0]
+
+    def counting(key, rows, iteration, scale, out):
+        drawn[0] += out.size
+        return keyed(key, rows, iteration, scale, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NoiseStream, "_keyed_gaussians", staticmethod(counting))
+        clock = StepClock(algorithm, config, batch, steps)
+        counts = []
+        for _ in range(steps):
+            before = drawn[0]
+            clock()
+            counts.append(drawn[0] - before)
+    return float(np.median(counts))
+
+
 def modelled_step_seconds(algorithm, config, batch=128):
     return iteration_breakdown(
         algorithm, config, batch, hw=paper_system()
@@ -100,6 +123,22 @@ class TestTableSizeTrend:
         # 4x the capacity: both modes must show substantial (>1.7x) growth.
         assert measured_ratio > 1.7
         assert modelled_ratio > 1.7
+
+    def test_draws_per_step_scale_for_dpsgd_and_stay_flat_for_lazydp(
+        self, geometries, monkeypatch
+    ):
+        """The deterministic witness beside the two timed trends: eager
+        DP-SGD draws every row each step (4x the rows, ~4x the
+        Gaussians), LazyDP only the next batch's rows."""
+
+        def ratio(algorithm):
+            return (
+                gaussians_per_step(algorithm, geometries["large"], monkeypatch)
+                / gaussians_per_step(algorithm, geometries["small"], monkeypatch)
+            )
+
+        assert ratio("dpsgd_f") > 1.7
+        assert ratio("lazydp") < 1.1
 
     def test_lazydp_flat_in_both_modes(self, geometries):
         measured_ratio = (
@@ -145,6 +184,19 @@ class TestAlgorithmOrdering:
         # noise kernel sped both algorithms' draws); 1.15 keeps headroom.
         assert measured["eana"] <= measured["lazydp"] * 1.15
         assert modelled["eana"] <= modelled["lazydp"] * 1.15
+
+    def test_eana_draws_no_more_than_lazydp(self, geometries, monkeypatch):
+        """The deterministic witness beside the timed ordering: per step
+        EANA draws for the batch's rows, LazyDP for the next batch's —
+        about the same count, far below eager DP-SGD's every row."""
+        draws = {
+            algorithm: gaussians_per_step(
+                algorithm, geometries["large"], monkeypatch
+            )
+            for algorithm in ("eana", "lazydp", "dpsgd_f")
+        }
+        assert draws["eana"] <= draws["lazydp"] * 1.15
+        assert draws["dpsgd_f"] > 2.5 * draws["lazydp"]
 
 
 class TestNoiseVolumeAgreement:

@@ -25,7 +25,7 @@ from repro.cli import main
 from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
 from repro.nn import EmbeddingBag, FeatureInteraction, Parameter, PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
-from repro.rng.noise import _native_tile
+from repro.rng.noise import _native_columns, _native_tile
 from repro.rng.philox import BLOCK
 from repro.session import TrainSession
 
@@ -158,14 +158,12 @@ def test_gauss_finish_counts_the_angles_it_hands_to_sincos(native_lib):
     """~12.5 % of angles lie within the vector sincos's window of a
     rounding midpoint; the scalar C hands over none (it calls sincos for
     every angle)."""
-    rows = np.arange(2048, dtype=np.uint64)[:, None]
-    columns = (
-        np.broadcast_to(np.uint64(1), rows.shape), np.broadcast_to(1.0, rows.shape)
-    )
+    rows = np.arange(2048, dtype=np.uint64)
     out = np.empty((2048, 32))
 
     def tile():
-        return _native_tile(native_lib, derive_key(3, 1, 0), rows, *columns, out,
+        columns, _ = _native_columns(rows, 1, 1.0, out)
+        return _native_tile(native_lib, derive_key(3, 1, 0), columns, 32,
                             0, 2048, 0, 8)
 
     angles = 2 * 2048 * 8

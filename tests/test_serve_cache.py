@@ -129,6 +129,21 @@ class TestCacheUnit:
             cache.offer(0, new, np.ones((1, 3)), generation=0)
         assert cache.get_rows(0, new, generation=0) is not None
 
+    def test_decay_inside_an_offer_is_seen_by_the_rest_of_it(self):
+        """The second row of the first offer is the decay boundary: both
+        counts so far halve to zero, and the third row's sighting is
+        counted in the halved table, not lost with the old one.  The
+        second offer is a boundary too: row 3's count 2 halves to 1
+        before its admission is decided; the third offer admits it."""
+        cache = HotRowCache(4, admission_threshold=2, decay_interval=2)
+        values = np.ones((3, 2))
+        assert cache.offer(0, np.array([1, 2, 3]), values, generation=0) == 0
+        assert cache._freq == {(0, 3): 1}
+        assert cache.offer(0, np.array([3]), values[:1], generation=0) == 0
+        assert cache._freq == {(0, 3): 1}
+        assert cache.offer(0, np.array([3]), values[:1], generation=0) == 1
+        assert cache.get_rows(0, np.array([3]), generation=0) is not None
+
     def test_entries_are_private_copies(self):
         cache = HotRowCache(capacity=2, admission_threshold=1)
         values = np.ones((1, 3))
