@@ -310,8 +310,8 @@ def _run_audit(args) -> int:
 def _run_backends(args) -> int:
     """Print the execution backends — one row per backend with the
     plan axes it composes with, read off the plan's own validation —
-    the lanes the release walk and large draws spread over (one per
-    usable CPU), and whether the
+    the lanes the release walk, large draws and the step's per-table
+    loops spread over (one per usable CPU), and whether the
     compiled inner loops (noise draw, sparse apply, embedding
     scatter-add) or their numpy expressions run — and, compiled, on
     which instruction set."""

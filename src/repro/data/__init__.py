@@ -13,7 +13,6 @@ from .skew import (
     zipf_weights,
 )
 from .synthetic import SyntheticClickDataset
-from .tracestats import TraceStats, analyze_trace, collect_trace, loader_stats
 
 __all__ = [
     "Batch",
@@ -21,10 +20,6 @@ __all__ = [
     "fnv1a_64",
     "hash_to_row",
     "write_synthetic_criteo",
-    "TraceStats",
-    "analyze_trace",
-    "collect_trace",
-    "loader_stats",
     "DataLoader",
     "InputQueue",
     "LookaheadLoader",

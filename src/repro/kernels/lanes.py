@@ -1,10 +1,13 @@
-"""One pinned lane per CPU: the pool the release walk and large draws use.
+"""One pinned lane per CPU: the pool the release walk, large draws and
+the step's per-table loops use.
 
 Every Gaussian is a pure function of ``(seed, table, row, iteration)``
 (the counter-based property of Salmon et al., "Parallel Random Numbers:
-As Easy as 1, 2, 3", SC'11) and every chunk of the release walk writes
-rows no other chunk touches, so such work, split into independent
-items, releases the same bits on any thread in any order.
+As Easy as 1, 2, 3", SC'11), every chunk of the release walk writes
+rows no other chunk touches, and every table of a step — its
+gather-pool, its weighted scatter-add, its noisy update — touches only
+its own slab, history, ledger and scratch.  So such work, split into
+independent items, releases the same bits on any thread in any order.
 :func:`fan_out` is where those items go: it runs ``fn(item)`` for every
 item across the lanes and returns once all of them are done.
 

@@ -285,14 +285,16 @@ class TableWindow:
 class ShardState:
     """One shard's lazy-noise state and the only spelling of its update.
 
-    Everything here is shard-owned and single-task: the windows, its
-    own fork of the trainer's :class:`ANSEngine` (draw counter +
-    schedule prefix cache) and the apply / flush arenas, so concurrent
-    shards share nothing.  Two threads may
-    hold one shard's ``timer`` at once under a pipelined plan — the
-    prefetch side writes only the history/sampling stages, the apply
-    side only the merge/write stages and arena counters — so no entry
-    ever has two writers.
+    Everything here is shard-owned, so concurrent shards share nothing:
+    the windows and, per table, its own fork of the trainer's
+    :class:`ANSEngine` (draw counter + schedule prefix cache) and its
+    own apply arena, plus the flush arena.  The per-table scratch is
+    what lets a one-shard state (every window ``whole``) run its tables
+    side by side on the lanes in :meth:`step`; one of several shards'
+    states walks its tables inline through the same scratch, so the
+    spelling and the counts are the same either way.  The ``timer``
+    accumulates under its own lock, so lanes and, under a pipelined
+    plan, the prefetch side may write it at once.
     """
 
     def __init__(
@@ -303,15 +305,19 @@ class ShardState:
         flush_chunk_rows: int = FLUSH_CHUNK_ROWS,
     ):
         self.windows = windows
-        self.ans = mechanism.fork()
+        #: One mechanism fork per table: a table's draws run on one
+        #: thread at a time, whichever lane or task runs that table.
+        self.ans = [mechanism.fork() for _ in windows]
         self.timer = timer if timer is not None else StageTimer()
         self.flush_chunk_rows = int(flush_chunk_rows)
-        #: Scratch for the fused apply kernel, reused across iterations
-        #: so the steady-state apply allocates nothing.  Single-writer:
-        #: whichever thread runs this shard's apply stage.
-        self.apply_arena = BufferArena()
+        #: Scratch for the fused apply kernel, one arena per table,
+        #: reused across iterations so the steady-state apply allocates
+        #: nothing.
+        self.apply_arenas = [BufferArena() for _ in windows]
         #: Scratch for the flush's slab writes; chunked walks reuse it.
         self.flush_arena = BufferArena()
+        #: The one-shard layout: :meth:`step` fans its tables out.
+        self.whole = all(window.whole for window in windows)
 
     # -- stages 2-4: plan + sample ----------------------------------------
     def plan_sample(
@@ -345,7 +351,7 @@ class ShardState:
         with timer.time("noise_sampling"):
             # Keyed by *global* row ids: bitwise the draw the one-shard
             # engine makes for the same row at the same iteration.
-            values = self.ans.catchup_noise(
+            values = self.ans[table].catchup_noise(
                 table, global_rows, delays, iteration, window.dim, std
             )
         return Catchup(global_rows, local_rows, delays, values)
@@ -372,7 +378,7 @@ class ShardState:
             grad_values,
             noise.rows,
             noise.values,
-            arena=self.apply_arena,
+            arena=self.apply_arenas[table],
             row_base=window.row_base,
             timer=self.timer,
         )
@@ -402,14 +408,31 @@ class ShardState:
         table, plan + sample (unless ``noise`` — a :meth:`plan_all`
         result — was computed ahead), then apply while the drawn values
         are still cache-hot.  ``grads[t]`` is this shard's ``(rows,
-        values)`` slice of table ``t``'s clipped gradient."""
-        for table, (grad_rows, grad_values) in enumerate(grads):
+        values)`` slice of table ``t``'s clipped gradient.
+
+        A table's stages touch only its own window, fork and arena, so
+        a ``whole`` state runs one table per item of
+        :func:`repro.kernels.lanes.fan_out`; one of several shards'
+        states (a pool task or a worker process, already running beside
+        the others) walks its tables inline.  Every table runs even when
+        one fails, and the lowest failing table's exception is raised
+        once all have finished, its ledger window left behind."""
+
+        def table_step(table: int) -> None:
+            grad_rows, grad_values = grads[table]
             staged = (
                 self.plan_sample(table, *requests[table], iteration, std)
                 if noise is None
                 else noise[table]
             )
             self.apply(table, grad_rows, grad_values, staged, lr, iteration)
+
+        tables = range(len(grads))
+        if self.whole:
+            fan_out(table_step, tables)
+        else:
+            for table in tables:
+                table_step(table)
 
     # -- the terminal flush --------------------------------------------------
     def flush(self, table: int, final_iteration: int, lr: float, std: float) -> int:
@@ -431,7 +454,7 @@ class ShardState:
             return 0
         walk = catch_up_rows if window.whole else _catch_up_inline
         return walk(
-            self.ans,
+            self.ans[table],
             table,
             window.target,
             history.pending_rows(final_iteration),
@@ -457,15 +480,16 @@ class ShardState:
 
     @property
     def samples_drawn(self) -> int:
-        return self.ans.samples_drawn
+        return sum(ans.samples_drawn for ans in self.ans)
 
     def stats(self) -> dict:
-        """Hot-path arena reuse and timer counters: ``allocs`` should
-        freeze and ``hits`` grow once the steady state is reached — the
-        zero-allocation step the fused kernels exist for."""
+        """Hot-path arena reuse and timer counters: every table's apply
+        arena, whose ``allocs`` should freeze and ``hits`` grow once the
+        steady state is reached — the zero-allocation step the fused
+        kernels exist for."""
         return {
             "samples_drawn": int(self.samples_drawn),
-            "apply_arena": self.apply_arena.stats(),
+            "apply_arenas": [arena.stats() for arena in self.apply_arenas],
             "timer_counters": dict(self.timer.counters),
         }
 

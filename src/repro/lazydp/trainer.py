@@ -21,7 +21,8 @@ flush are written once, over shard-local state
 (:class:`repro.lazydp.optimizer.ShardState`); this class spells the
 stage list around them — dedup the next batch, route when there is more
 than one shard, obtain this iteration's per-shard noise, apply; every
-table in one task per shard, one fan-out per iteration — and a
+table in one task per shard, one fan-out per iteration, whose one
+shard of a flat plan runs its tables on the lanes — and a
 :class:`repro.lazydp.scheduler.Scheduler` decides where each stage runs
 (trainer thread, prefetch worker, apply worker, shard pool, worker
 process).  Every plan shares one table layout
@@ -179,6 +180,11 @@ class LazyDPTrainer(DPSGDFTrainer):
             # performs every remaining catch-up.
             rows = [_NO_ROWS for _ in tables]
         else:
+            if self.engine.router is None:
+                # The one-shard layout sorts every table's lookups on the
+                # lanes; the rows are still read here, one table at a time.
+                with timer.time("lazydp_dedup"):
+                    lanes.fan_out(batch.lookup_sort, tables)
             rows = []
             for table_index in tables:
                 with timer.time("lazydp_dedup"):
@@ -310,8 +316,8 @@ class LazyDPTrainer(DPSGDFTrainer):
         noise draw, the sparse apply and the embedding scatter-add ran
         (``native`` / ``numpy``) and, compiled, on which instruction set
         (``vector_isa``: ``avx512`` / ``scalar``, ``None`` on numpy),
-        and the lanes the release walk and large draws spread over
-        (:func:`repro.kernels.lanes.stats`)."""
+        and the lanes the release walk, large draws and the step's
+        per-table loops spread over (:func:`repro.kernels.lanes.stats`)."""
         return {
             "compiled_kernels": native_status()[0],
             "vector_isa": vector_isa(),

@@ -11,6 +11,11 @@ Activation backpropagation is shared across all views: ``backward`` runs
 once, then each view re-reads the cached (activation, delta) pairs — the
 same structure that lets DP-SGD(R)/(F) avoid materialising per-example
 weight gradients (paper Section 2.5).
+
+The forward gather-pool and the weighted view's scatter-adds run one
+table per item of :func:`repro.kernels.lanes.fan_out`: a bag touches
+only its own table, caches and output slot, so the bits are the
+table-by-table loop's.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from ..configs import DLRMConfig
 from ..data.batch import Batch
+from ..kernels.lanes import fan_out
 from ..rng import NoiseStream
 from .functional import bce_with_logits, bce_with_logits_grad
 from .init import ParameterFactory
@@ -107,13 +113,17 @@ class DLRM:
             ),
         )
         stacked[:, 0, :] = dense_vec
-        for t, bag in enumerate(self.embeddings):
+
+        def pool(t: int) -> None:
             # Taken, not read: the batch keeps no per-table arrays past
             # its step.
-            bag.forward(
+            self.embeddings[t].forward(
                 batch.sparse[:, t, :], sort=batch.take_lookup_sort(t),
                 out=stacked[:, 1 + t, :],
             )
+
+        # Each bag pools into its own slot: one table per lane.
+        fan_out(pool, range(len(self.embeddings)))
         interacted = self.interaction.forward_stacked(stacked)
         logits = self.top_mlp.forward(interacted)[:, 0]
         self._logits = logits
@@ -185,8 +195,12 @@ class DLRM:
         grads = {}
         grads.update(self.bottom_mlp.weighted_grads(weights))
         grads.update(self.top_mlp.weighted_grads(weights))
-        for bag in self.embeddings:
-            grads.update(bag.weighted_grads(weights))
+        # Each bag's scatter-add reads and writes only its own state: one
+        # table per lane, merged in table order.
+        for table_grads in fan_out(
+            lambda bag: bag.weighted_grads(weights), self.embeddings
+        ):
+            grads.update(table_grads)
         return grads
 
     # ------------------------------------------------------------------

@@ -144,12 +144,13 @@ class Observability:
                         )
 
     def _collect_kernel(self, stats: dict) -> None:
-        """Arena hit/alloc gauges, summed across shards."""
+        """Arena hit/alloc gauges, summed across shards and tables."""
         metrics = self.metrics
         totals: dict = {}
         for shard in stats.get("shards", ()):
-            for field in ("hits", "allocs"):
-                totals[field] = totals.get(field, 0) + shard["apply_arena"][field]
+            for arena in shard["apply_arenas"]:
+                for field in ("hits", "allocs"):
+                    totals[field] = totals.get(field, 0) + arena[field]
         for field, value in totals.items():
             metrics.set_gauge(f"kernel.apply_arena.{field}", value)
 

@@ -6,8 +6,8 @@ queue occupancy, async in-flight depth, per-shard skew, arena hit
 rates.  It subsumes :class:`repro.train.common.StageTimer` (stage
 seconds and event counters both land here via
 :meth:`MetricsRegistry.absorb_stage_timer`) without replacing it:
-StageTimer stays the single-writer per-thread accumulator the trainers
-own, and the registry is the aggregation point reporting surfaces read.
+StageTimer stays the accumulator the trainers own, and the registry is
+the aggregation point reporting surfaces read.
 
 Instruments:
 
@@ -19,8 +19,8 @@ Instruments:
   memory (one int per bucket), one ``log``-free bucket search per
   observation.
 
-Like StageTimer, individual instruments follow the single-writer
-convention (each is updated from one thread); the registry's maps are
+Individual instruments follow the single-writer convention (each is
+updated from one thread); the registry's maps are
 guarded for concurrent *creation* so two threads asking for the same
 name get the same instrument.
 """

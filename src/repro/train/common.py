@@ -29,6 +29,7 @@ output maps one-to-one onto Figures 3, 5, 10 and 11:
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -70,8 +71,11 @@ class StageTimer:
     Besides stage *times*, a timer carries event *counters* — e.g. the
     fused apply kernel's BufferArena hit/alloc counts — kept in a
     separate namespace so ``as_dict`` (consumed as seconds everywhere)
-    stays time-only; ``stats`` reports both.  Like the stage times,
-    counters are single-writer: each thread owns its own StageTimer.
+    stays time-only; ``stats`` reports both.  Times and counters
+    accumulate under one lock, so the lanes a step's per-table loops
+    fan out over (:mod:`repro.kernels.lanes`) may write the same timer:
+    a stage's seconds are then busy seconds summed over the threads
+    that ran it, and no interval or count is lost.
 
     A timer is also the adapter into the observability layer: when
     ``tracer`` holds a :class:`repro.obs.Tracer`, every timed stage is
@@ -83,6 +87,7 @@ class StageTimer:
     def __init__(self, tracer=None):
         self.totals: dict = {}
         self.counters: dict = {}
+        self._lock = threading.Lock()
         #: Optional span sink (``repro.obs.Tracer``).  ``None`` — the
         #: default, and what instrumentation rebinds when tracing is
         #: off — keeps the stage accounting untouched.
@@ -96,13 +101,15 @@ class StageTimer:
             yield
         finally:
             end = time.perf_counter()
-            self.totals[stage] = self.totals.get(stage, 0.0) + (end - start)
+            with self._lock:
+                self.totals[stage] = self.totals.get(stage, 0.0) + (end - start)
             if tracer is not None:
                 tracer.add_complete(stage, start, end)
 
     def count(self, name: str, value: int = 1) -> None:
         """Accumulate an event counter (kernel/arena instrumentation)."""
-        self.counters[name] = self.counters.get(name, 0) + int(value)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def total(self, *stages: str) -> float:
         if not stages:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import apply_sparse_update
+from ..kernels.lanes import fan_out
 from ..privacy.clipping import clipped_average_weights, global_norms
 from .common import TrainerBase
 
@@ -63,12 +64,17 @@ class EagerDPSGDBase(TrainerBase):
     def _apply_embedding_updates(
         self, grads: dict, iteration: int, noise_std: float
     ) -> None:
-        """The step's embedding update, table by table: one noise draw
-        over the table's due rows, the clipped gradient added to its
-        rows, one sparse write (LazyDP overrides this with one
-        all-tables update per shard)."""
+        """The step's embedding update, one table per item of
+        :func:`repro.kernels.lanes.fan_out`: one noise draw over the
+        table's due rows, the clipped gradient added to its rows, one
+        sparse write.  A table's update touches only its own slab and
+        its noise is keyed by its coordinates, so the bits are the
+        table-by-table loop's (LazyDP overrides this with one all-tables
+        update per shard)."""
         lr = self._learning_rate(iteration)
-        for table_index, bag in enumerate(self.model.embeddings):
+
+        def update(table_index: int) -> None:
+            bag = self.model.embeddings[table_index]
             grad = grads[bag.table.name]
             rows = self._due_rows(bag, grad)
             with self.timer.time("noise_sampling"):
@@ -83,6 +89,8 @@ class EagerDPSGDBase(TrainerBase):
                 apply_sparse_update(
                     bag.table.data, rows, noise, lr, values_writable=True
                 )
+
+        fan_out(update, range(len(self.model.embeddings)))
 
     def _due_rows(self, bag, grad) -> np.ndarray:
         """The sorted rows that take this step's noise: every row."""

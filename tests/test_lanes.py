@@ -1,14 +1,16 @@
-"""The lanes: one pinned thread per CPU under the release walk and the
-large draws (:mod:`repro.kernels.lanes`).
+"""The lanes: one pinned thread per CPU under the release walk, the
+large draws and the step's per-table loops (:mod:`repro.kernels.lanes`).
 
 The claim under test is that where work runs cannot move a bit: every
 release path — the terminal flush, ``export_private_model``, the
-serving engine's ``export()`` — and every multi-tile draw produce the
-same bytes, histories, ledgers and draw counts on the lanes as in the
-one-lane spelling (``lanes.inline()``), with ANS on and off and under
-an LR schedule.  Then the failure and fork semantics: a failing chunk
-raises only after every lane stopped and leaves exactly its own rows
-owing noise; a forked child draws and flushes on lanes of its own.
+serving engine's ``export()`` — every multi-tile draw and every fit —
+LazyDP, EANA and DP-SGD(F), whose gather-pool, scatter-add and noisy
+update run one table per lane — produce the same bytes, histories,
+ledgers, draw counts and counters on the lanes as in the one-lane
+spelling (``lanes.inline()``), with ANS on and off and under an LR
+schedule.  Then the failure and fork semantics: a failing chunk or
+table raises only after every lane stopped and leaves exactly its own
+rows owing noise; a forked child draws and flushes on lanes of its own.
 
 On a one-CPU host (``taskset -c 0``) both spellings are the inline walk
 and no lane thread exists; every test here still passes.
@@ -34,8 +36,10 @@ from repro.lazydp.ledger import VersionVector
 from repro.nn import DLRM
 from repro.rng import NoiseStream, derive_key
 from repro.serve import PrivateServingEngine
+from repro.data.skew import SkewSpec
 from repro.session import ExecutionPlan, TrainSession
-from repro.train import DPConfig
+from repro.testing import train_algorithm
+from repro.train import DPConfig, common
 from repro.train.schedules import StepDecayLR
 
 DP = DPConfig(noise_multiplier=1.1, max_grad_norm=1.0, learning_rate=0.05)
@@ -216,6 +220,123 @@ class TestLanedWalkEqualsInlineWalk:
         assert laned[3] == draws * dim
         np.testing.assert_array_equal(laned[1], iteration)
         np.testing.assert_array_equal(laned[4], np.arange(rows))
+
+
+#: name -> (algorithm or plan spec, schedule, lookups, skew).
+FITS = {
+    "lazydp_ans": ("ans=on", "constant", 2, None),
+    "lazydp_no_ans": ("ans=off", "constant", 2, None),
+    "lazydp_ans_step_decay": ("ans=on", "step_decay", 2, None),
+    "lazydp_no_ans_step_decay": ("ans=off", "step_decay", 2, None),
+    "lazydp_pooled_zipf": ("ans=on", "constant", 6, SkewSpec("zipf", 1.2)),
+    "lazydp_async": ("ans=on,async=strict,inflight=2", "constant", 2, None),
+    "lazydp_pipeline": ("ans=on,pipeline=2", "constant", 2, None),
+    "eana": ("eana", "constant", 2, None),
+    "eana_pooled_zipf": ("eana", "constant", 6, SkewSpec("zipf", 1.2)),
+    "dpsgd_f": ("dpsgd_f", "constant", 2, None),
+}
+
+
+class TestLanedFitEqualsInlineFit:
+    """A whole fit — forward pools, weighted scatter-adds and the noisy
+    embedding update one table per lane — against the one-lane fit."""
+
+    @pytest.mark.parametrize("name", FITS)
+    def test_the_released_state(self, name):
+        algorithm, schedule, lookups, skew = FITS[name]
+        config = configs.tiny_dlrm(num_tables=3, rows=700, dim=8, lookups=lookups)
+        build = {} if "=" not in algorithm else {
+            "schedule": SCHEDULES[schedule]()
+        }
+
+        def run():
+            model, result, trainer = train_algorithm(
+                algorithm, config, num_batches=ITERATIONS, skew=skew, **build
+            )
+            engine = getattr(trainer, "engine", None)
+            state = (
+                bits({n: p.data for n, p in model.parameters().items()}),
+                [h.snapshot() for h in engine.histories] if engine else [],
+                [v.snapshot() for v in engine.ledger] if engine else [],
+                engine.samples_drawn if engine else 0,
+                result.counters,
+                sorted(result.stage_times),
+            )
+            if hasattr(trainer, "close"):
+                trainer.close()
+            return state
+
+        laned, alone = on_lanes_and_inline(run)
+        assert_same_bits(laned[0], alone[0])
+        for left, right in zip(laned[1:3], alone[1:3]):
+            assert len(left) == len(right)
+            for a, b in zip(left, right):
+                np.testing.assert_array_equal(a, b)
+        assert laned[3:] == alone[3:]
+        assert "fwd" in laned[5]
+        if "=" in algorithm:
+            assert laned[3] > 0
+
+    @pytest.mark.parametrize("spec, on_lanes", [
+        ("ans=on", True),
+        ("ans=on,async=strict,inflight=2", True),
+        ("ans=on,shards=2,backend=threads:2", False),
+        ("ans=on,shards=2", False),
+    ])
+    def test_who_fans_out_the_noisy_update(self, config, spec, on_lanes, monkeypatch):
+        """The one-shard state runs its tables on the lanes; one of
+        several shards' states walks its tables on its own task."""
+        original = optimizer.fused_noisy_update
+        threads = []
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "fused_noisy_update", recorded)
+        with session_for(config, spec, None) as session:
+            step(session, config)
+        laned = any(name.startswith(lanes.NAME) for name in threads)
+        assert threads and laned == (on_lanes and MULTI_LANE)
+
+
+class TestStageTimerAcrossThreads:
+    def test_threads_time_one_stage_and_lose_nothing(self, monkeypatch):
+        """More threads than CPUs time one stage and count one counter.
+        Each thread's clock advances by 1 per read, so each interval is
+        exactly 1 s: the stage must read the sum of every thread's
+        intervals, and the counter every count."""
+        clocks = threading.local()
+
+        def perf_counter():
+            clocks.now = getattr(clocks, "now", 0.0) + 1.0
+            return clocks.now
+
+        monkeypatch.setattr(common, "time", type("Clock", (), {
+            "perf_counter": staticmethod(perf_counter),
+        }))
+        timer = common.StageTimer()
+        rounds, workers = 10_000, len(lanes.CPUS) + 2
+
+        def hammer():
+            for _ in range(rounds):
+                with timer.time("noisy_grad_update"):
+                    pass
+                timer.count("arena_hits")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timer.totals == {"noisy_grad_update": float(workers * rounds)}
+        assert timer.counters == {"arena_hits": workers * rounds}
 
 
 class TestMultiTileDraws:
@@ -438,6 +559,87 @@ class TestFailureOnALane:
         np.testing.assert_array_equal(failed, alone[0])
         for left, right in zip(owing, alone[1]):
             np.testing.assert_array_equal(left, right)
+
+
+class TestFailingTableOnALane:
+    FAILING, AT = 1, 3
+
+    def outcome(self, monkeypatch, fail: bool):
+        """Step a three-table ``async=strict`` session (a ledger, applied
+        inline outside ``fit``) to iteration :attr:`AT`, where table
+        :attr:`FAILING`'s apply raises (``fail``) or is skipped, then
+        flush.  Returns the failed rows, each table's owing rows after
+        the flush, the slabs, the tables finished at :attr:`AT` and the
+        time the last of them finished."""
+        config = configs.tiny_dlrm(num_tables=3, rows=700, dim=8, lookups=2)
+        original = optimizer.fused_noisy_update
+        session = session_for(config, "ans=on,async=strict,inflight=2", None)
+        target = session.model.embeddings[self.FAILING].table.data
+        failed, finished, iteration = [], [], [0]
+
+        def flaky(table, lr, grad_rows, grad_values, noise_rows, *args, **kwargs):
+            if table is target and iteration[0] == self.AT:
+                failed.append(noise_rows.copy())
+                if fail:
+                    raise RuntimeError("injected table failure")
+                return 0
+            result = original(
+                table, lr, grad_rows, grad_values, noise_rows, *args, **kwargs
+            )
+            if iteration[0] == self.AT:
+                finished.append((table is target, time.perf_counter()))
+            return result
+
+        monkeypatch.setattr(optimizer, "fused_noisy_update", flaky)
+        try:
+            session.trainer.expected_batch_size = 16
+            for index, batch, upcoming in entries(config)[: self.AT]:
+                iteration[0] = index + 1
+                if iteration[0] == self.AT and fail:
+                    with pytest.raises(RuntimeError, match="injected table failure"):
+                        session.train_step(iteration[0], batch, upcoming)
+                    caught_at = time.perf_counter()
+                else:
+                    session.train_step(iteration[0], batch, upcoming)
+            iteration[0] = 0
+            session.finalize(self.AT)
+            trainer = session.trainer
+            owing = [v.pending_rows(self.AT) for v in trainer.ledger]
+            if fail:
+                with pytest.raises(LedgerError, match=f"{failed[0].size} row"):
+                    trainer.audit_noise_ledger(self.AT)
+                assert max(at for _, at in finished) < caught_at
+            else:
+                trainer.audit_noise_ledger(self.AT)
+            slabs = bits({
+                n: p.data for n, p in session.model.parameters().items()
+            })
+        finally:
+            session.close()
+            monkeypatch.setattr(optimizer, "fused_noisy_update", original)
+        return failed, owing, slabs, len(finished)
+
+    def test_raises_after_every_other_table_and_owes_only_its_rows(
+        self, monkeypatch
+    ):
+        laned = self.outcome(monkeypatch, fail=True)
+        with lanes.inline():
+            alone = self.outcome(monkeypatch, fail=True)
+        skipped = self.outcome(monkeypatch, fail=False)
+        failed, owing, slabs, others = laned
+        assert len(failed) == 1 and failed[0].size > 0
+        assert others == 2  # both other tables applied at that step
+        for table, rows in enumerate(owing):
+            expected = failed[0] if table == self.FAILING else []
+            np.testing.assert_array_equal(rows, expected)
+        # The failing apply wrote nothing: every slab, its own included,
+        # is the run that skipped only that apply.
+        assert_same_bits(slabs, skipped[2])
+        assert all(rows.size == 0 for rows in skipped[1])
+        np.testing.assert_array_equal(failed[0], alone[0][0])
+        for left, right in zip(owing, alone[1]):
+            np.testing.assert_array_equal(left, right)
+        assert_same_bits(slabs, alone[2])
 
 
 def _child_draw_and_flush(conn) -> None:

@@ -328,8 +328,10 @@ class TestOneSpellingUnderASchedule:
     def test_forks_share_the_schedule_but_not_its_cache(self, config):
         with lazy_session(config, decay(), "shards=2") as session:
             trainer = session.trainer
-            forks = [state.ans for state in trainer.engine.states]
+            # One fork per (shard, table), plus the release facade's.
+            forks = [fork for state in trainer.engine.states for fork in state.ans]
             forks.append(trainer.engine.ans)
+        assert len({id(fork) for fork in forks}) == len(forks) == 5
         for fork in forks:
             assert fork is not trainer.mechanism
             assert fork.enabled and fork.noise_stream is trainer.noise_stream
