@@ -1,4 +1,10 @@
-"""From-scratch neural-network substrate with DP-aware backward passes."""
+"""From-scratch neural-network substrate with DP-aware backward passes.
+
+Gradient views are plain dicts keyed by parameter name: a dense
+parameter maps to an ndarray, an embedding table to a
+``SparseRowGrad`` (summed or reweighted over the batch) or a
+``PerExamplePairs`` (its factored per-example view).
+"""
 
 from .dlrm import DLRM
 from .functional import (
@@ -10,7 +16,7 @@ from .functional import (
 )
 from .init import ParameterFactory
 from .layers import MLP, EmbeddingBag, FeatureInteraction, Linear
-from .parameter import GradSet, Parameter, PerExamplePairs, SparseRowGrad
+from .parameter import Parameter, PerExamplePairs, SparseRowGrad
 
 __all__ = [
     "DLRM",
@@ -24,7 +30,6 @@ __all__ = [
     "EmbeddingBag",
     "FeatureInteraction",
     "Linear",
-    "GradSet",
     "Parameter",
     "PerExamplePairs",
     "SparseRowGrad",

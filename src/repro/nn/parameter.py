@@ -8,7 +8,7 @@ and LazyDP's whole point is keeping the DP update sparse too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,13 +198,3 @@ class PerExamplePairs:
         np.add.at(dense, (self.example_ids, self.rows), contrib)
         return dense
 
-
-@dataclass
-class GradSet:
-    """A named collection of gradients: dense arrays and sparse row grads."""
-
-    dense: dict = field(default_factory=dict)    # name -> np.ndarray
-    sparse: dict = field(default_factory=dict)   # name -> SparseRowGrad
-
-    def names(self) -> list:
-        return list(self.dense) + list(self.sparse)

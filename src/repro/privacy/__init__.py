@@ -1,4 +1,10 @@
-"""Differential-privacy substrate: clipping, mechanisms, accounting, audit."""
+"""Differential-privacy substrate: clipping, mechanisms, accounting, audit.
+
+The RDP accountant is the one source of epsilon; it needs only
+``scipy.special``, so importing the package does not load
+``scipy.stats``.  The noise std a trainer draws at is
+``gradient_noise_std`` (noise multiplier x clip norm / batch size).
+"""
 
 from .accountant import (
     DEFAULT_ORDERS,
@@ -9,12 +15,6 @@ from .accountant import (
     rdp_to_epsilon,
 )
 from .audit import AuditResult, audit_untouched_rows
-from .gdp import (
-    analytic_gaussian_delta,
-    analytic_gaussian_epsilon,
-    analytic_gaussian_sigma,
-    classical_gaussian_sigma,
-)
 from .clipping import (
     clip_dense_per_example,
     clip_factors,
@@ -37,10 +37,6 @@ __all__ = [
     "rdp_to_epsilon",
     "AuditResult",
     "audit_untouched_rows",
-    "analytic_gaussian_delta",
-    "analytic_gaussian_epsilon",
-    "analytic_gaussian_sigma",
-    "classical_gaussian_sigma",
     "clip_dense_per_example",
     "clip_factors",
     "clipped_average_weights",

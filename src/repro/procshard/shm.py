@@ -33,7 +33,7 @@ has nothing left to warn about.
 from __future__ import annotations
 
 import os
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -67,28 +67,6 @@ def release_segment(segment) -> None:
             segment._fd = -1
         segment._buf = None
         segment._mmap = None
-
-
-def unregister_attachment(segment) -> None:
-    """Drop a freshly *attached* segment from the resource tracker.
-
-    On the Python versions this repo supports, ``SharedMemory(name=...)``
-    registers the mapping with the ``resource_tracker`` as if this
-    process owned it; a tracker that outlives the owner would then try
-    to unlink the (already unlinked) segment and print leak warnings.
-
-    Shard workers must NOT call this: both fork and spawn children
-    inherit the router's tracker process, so every registration lands in
-    one shared per-name *set* — duplicates collapse, the router's
-    ``unlink`` removes the single entry, and an extra worker-side
-    unregister would underflow the set and make the tracker print
-    ``KeyError`` tracebacks.  This hook exists for attachers that run
-    their own tracker (a process not descended from the router).
-    """
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout changed
-        pass
 
 
 class _Views:
@@ -152,18 +130,20 @@ class TableSegments(_Views):
 
 
 class AttachedSegments(_Views):
-    """Worker-side handle on one table's segments (attach by name)."""
+    """Worker-side handle on one table's segments (attach by name).
 
-    def __init__(self, names, num_rows: int, dim: int, unregister: bool = False):
+    Attaching registers each name with the resource tracker the worker
+    shares with the router; the router's ``unlink`` drops that one
+    entry, so a worker never unregisters a segment itself.
+    """
+
+    def __init__(self, names, num_rows: int, dim: int):
         slab_name, history_name, ledger_name = names
         self.num_rows = int(num_rows)
         self.dim = int(dim)
         self.slab = shared_memory.SharedMemory(name=slab_name)
         self.history = shared_memory.SharedMemory(name=history_name)
         self.ledger = shared_memory.SharedMemory(name=ledger_name)
-        if unregister:
-            for segment in (self.slab, self.history, self.ledger):
-                unregister_attachment(segment)
 
     def close(self) -> None:
         for segment in (self.slab, self.history, self.ledger):

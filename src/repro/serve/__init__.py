@@ -6,7 +6,10 @@ flush of :func:`repro.lazydp.export_private_model`: the first lookup
 of a row applies that row's pending deferred noise (the identical
 keyed draw the flush would make), memoizes it, and every release —
 single row, mini-batch, or the full :meth:`PrivateServingEngine.
-export` — is incremental from there.
+export` — is incremental from there.  An engine built with an explicit
+``noise_std`` serves another privacy level of the same model, over the
+same base slabs when ``snapshot=False``, and keeps that std across the
+refreshes of a live trainer.
 
 The high-throughput tier around the engine:
 
@@ -16,8 +19,6 @@ The high-throughput tier around the engine:
 * :class:`HotRowCache` — skew-aware frequency-admitted cache of hot
   privatized rows; point lookups that hit it bypass even the read
   lock (generation-validated, bitwise-equal to the memo).
-* :class:`MultiTenantServer` — several ``(model, epsilon)`` serving
-  snapshots sharing the base table slabs zero-copy.
 * :func:`run_load` / :func:`generate_traffic` — the closed-loop
   fig13d-skewed load generator behind ``bench_serve_load`` and the
   stress suite.
@@ -27,12 +28,10 @@ from .cache import HotRowCache
 from .engine import PrivateServingEngine
 from .loadgen import LoadReport, generate_traffic, run_load
 from .locks import RWLock
-from .tenant import MultiTenantServer
 
 __all__ = [
     "HotRowCache",
     "LoadReport",
-    "MultiTenantServer",
     "PrivateServingEngine",
     "RWLock",
     "generate_traffic",

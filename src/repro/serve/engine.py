@@ -157,9 +157,9 @@ class PrivateServingEngine:
             )
         self.learning_rate = float(learning_rate)
         self.noise_std = float(noise_std)
-        #: Whether ``noise_std`` was chosen by the caller (a tenant's
-        #: epsilon) rather than read off the trainer; a refresh then
-        #: keeps it instead of following the training std.
+        #: Whether ``noise_std`` was chosen by the caller (a release at
+        #: another epsilon) rather than read off the trainer; a refresh
+        #: then keeps it instead of following the training std.
         self._noise_std_pinned = False
         self.embedding_names = list(embedding_names)
         self._dense = {
@@ -353,26 +353,32 @@ class PrivateServingEngine:
         return engine
 
     @classmethod
-    def from_checkpoint(cls, path, config, noise_std: float,
-                        dp=None) -> "PrivateServingEngine":
+    def from_checkpoint(
+        cls, path, config, noise_std: float, dp
+    ) -> "PrivateServingEngine":
         """Serve an exported training checkpoint without resuming it.
 
         Rebuilds the geometry from ``config``, loads the checkpoint's
         parameters, histories, seed and ANS mode, and wraps them —
         the checkpoint file stays a *training* artifact (its tables
         are lazy); only the served embeddings are privatized.
+
+        ``dp`` must be the :class:`~repro.train.DPConfig` the run
+        trained with: a checkpoint stores neither it nor an LR
+        schedule, and the pending noise is released at
+        ``dp.learning_rate`` (a run trained under a schedule cannot be
+        served from its checkpoint bitwise).
         """
         from ..lazydp.checkpoint import load_checkpoint
         from ..nn.dlrm import DLRM
         from ..session import ExecutionPlan, TrainSession
-        from ..train.common import DPConfig
 
         with np.load(path) as archive:
             noise_seed = int(archive["meta/noise_seed"][0])
             use_ans = bool(archive["meta/use_ans"][0])
         trainer = TrainSession.build(
             DLRM(config, seed=0),
-            dp or DPConfig(),
+            dp,
             ExecutionPlan(ans=use_ans),
             noise_seed=noise_seed,
         ).trainer

@@ -70,7 +70,6 @@ class TrainSession:
         #: binds the one it wrapped, paper Figure 9a).
         self.data_loader = None
         self._serving: list = []
-        self._tenant_servers: list = []
         #: The run's Observability hub when the plan's ``obs`` axis is
         #: on (``build`` instruments the trainer); None otherwise.
         self.observability = None
@@ -219,30 +218,11 @@ class TrainSession:
             self._serving.append(engine)
         return engine
 
-    def serve_tenants(self):
-        """A :class:`repro.serve.MultiTenantServer` over this session.
-
-        Tenants registered on it share the trainer's base table slabs
-        zero-copy and differ only in their private memo / noise std
-        (the epsilon axis); the server is closed (all tenants
-        detached) with the session.
-        """
-        from ..serve.tenant import MultiTenantServer
-
-        server = MultiTenantServer(
-            self.trainer, observability=self.observability
-        )
-        self._tenant_servers.append(server)
-        return server
-
     def detach_serving(self) -> None:
         """Freeze every attached serving handle at its current state."""
         for engine in self._serving:
             engine.detach()
         self._serving.clear()
-        for server in self._tenant_servers:
-            server.close()
-        self._tenant_servers.clear()
 
     # -- lifecycle and reporting -------------------------------------------
     def stats(self) -> dict:

@@ -17,13 +17,7 @@ from .metrics import (
     log_loss,
     roc_auc,
 )
-from .optimizers import (
-    DenseMomentum,
-    DenseSGD,
-    SparseAdagrad,
-    SparseSGD,
-    check_lazydp_compatible,
-)
+from .optimizers import DenseMomentum, DenseSGD
 from .schedules import (
     ConstantLR,
     LinearWarmupLR,
@@ -46,9 +40,6 @@ __all__ = [
     "EANATrainer",
     "DenseMomentum",
     "DenseSGD",
-    "SparseAdagrad",
-    "SparseSGD",
-    "check_lazydp_compatible",
     "calibration_bins",
     "evaluate_model",
     "expected_calibration_error",

@@ -1,19 +1,21 @@
-"""Parameter-update rules: plain SGD, momentum, and sparse Adagrad.
+"""Dense parameter-update rules: plain SGD and Polyak momentum.
 
-Production DLRM trains embeddings with *stateless, linear* updates
-(sparse SGD) and dense layers with stateful optimizers.  That split is not
-an accident, and it matters for this paper:
+The trainers update the MLP parameters through a ``DenseOptimizer``
+(``TrainerBase(dense_optimizer=...)``, ``DenseSGD`` by default) and
+the embedding tables through no optimizer object at all.
 
 **LazyDP requires the embedding update to be linear in the noise.**  The
 lazy schedule applies ``sum_i eta * n_i`` instead of each ``eta * n_i``
-individually; the two coincide exactly when the optimizer is linear
-(plain SGD).  A stateful rule like Adagrad scales each increment by a
-running statistic, so deferring noise would change the trained model —
-which is why the paper (Algorithm 1, line 24) and this reproduction pin
-embeddings to plain SGD under LazyDP, while dense parameters are free to
-use any rule.  ``SparseAdagrad``/``Momentum`` are provided for the
-non-private and eager-DP paths and as the executable demonstration of
-that constraint (see ``tests/test_optimizers.py``).
+individually; the two coincide exactly when the update is plain SGD.  A
+stateful rule like Adagrad scales each increment by a running statistic,
+so deferring noise through it would change the trained model — which is
+why the paper (Algorithm 1, line 24) fixes the embedding update to
+``table[rows] -= lr * (grad + noise)``.  Here the fused apply
+(``repro.kernels.fused``) is the only embedding update of the private
+trainers: ``fused_noisy_update`` in LazyDP's step, ``apply_sparse_update``
+in the release walk and the eager baselines.  The non-private
+``SGDTrainer`` spells the same rule inline.  Dense parameters take their
+noise every step and are free to use any rule.
 """
 
 from __future__ import annotations
@@ -42,16 +44,12 @@ class DenseOptimizer:
 class DenseSGD(DenseOptimizer):
     """theta <- theta - lr * g  (stateless, linear)."""
 
-    is_linear = True
-
     def update(self, param: Parameter, grad: np.ndarray) -> None:
         param.data -= self.learning_rate * grad
 
 
 class DenseMomentum(DenseOptimizer):
     """Polyak momentum: v <- mu v + g;  theta <- theta - lr v."""
-
-    is_linear = False
 
     def __init__(self, learning_rate: float, momentum: float = 0.9):
         super().__init__(learning_rate)
@@ -70,86 +68,3 @@ class DenseMomentum(DenseOptimizer):
 
     def state_bytes(self) -> int:
         return int(sum(v.nbytes for v in self._velocity.values()))
-
-
-class SparseOptimizer:
-    """Base class for row-sparse embedding update rules."""
-
-    def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        self.learning_rate = float(learning_rate)
-
-    def update_rows(
-        self, param: Parameter, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        raise NotImplementedError
-
-    def state_bytes(self) -> int:
-        return 0
-
-
-class SparseSGD(SparseOptimizer):
-    """table[rows] -= lr * values (stateless, linear).
-
-    The only embedding rule compatible with lazy noise: applying a sum of
-    deferred increments equals applying them one by one.
-    """
-
-    is_linear = True
-
-    def update_rows(
-        self, param: Parameter, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        param.data[rows] -= self.learning_rate * values
-
-
-class SparseAdagrad(SparseOptimizer):
-    """Row-sparse Adagrad, the common production choice for embeddings.
-
-    Keeps one accumulator per table row (not per element, the "row-wise"
-    variant DLRM uses) and scales updates by ``1/sqrt(acc + eps)``.
-    NOT linear: deferring noise through this rule changes the result,
-    which is exactly why LazyDP pins embeddings to ``SparseSGD``.
-    """
-
-    is_linear = False
-
-    def __init__(self, learning_rate: float, epsilon: float = 1e-10):
-        super().__init__(learning_rate)
-        self.epsilon = float(epsilon)
-        self._accumulators: dict = {}
-
-    def _accumulator(self, param: Parameter) -> np.ndarray:
-        acc = self._accumulators.get(param.name)
-        if acc is None:
-            acc = np.zeros(param.data.shape[0], dtype=np.float64)
-            self._accumulators[param.name] = acc
-        return acc
-
-    def update_rows(
-        self, param: Parameter, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        acc = self._accumulator(param)
-        row_norm_sq = np.einsum("rd,rd->r", values, values) / values.shape[1]
-        acc[rows] += row_norm_sq
-        scale = self.learning_rate / np.sqrt(acc[rows] + self.epsilon)
-        param.data[rows] -= scale[:, None] * values
-
-    def state_bytes(self) -> int:
-        return int(sum(a.nbytes for a in self._accumulators.values()))
-
-
-def check_lazydp_compatible(optimizer) -> None:
-    """Raise unless ``optimizer`` preserves LazyDP's deferral equivalence.
-
-    Used by trainer assembly: handing LazyDP a non-linear embedding rule
-    would silently break the paper's Section 5.1 equivalence argument, so
-    it is rejected loudly instead.
-    """
-    if not getattr(optimizer, "is_linear", False):
-        raise ValueError(
-            f"{type(optimizer).__name__} is not linear in its increments; "
-            "LazyDP's deferred noise requires a stateless linear embedding "
-            "update (use SparseSGD). See repro.train.optimizers docs."
-        )

@@ -213,6 +213,52 @@ class TestEpsilonConversion:
         assert 0.3 < epsilon < 2.0
 
 
+def analytic_gaussian_delta(sigma, epsilon):
+    """Exact delta of the sensitivity-1 Gaussian mechanism at epsilon
+    (Balle & Wang, ICML 2018): Phi(1/(2s) - e s) - e^e Phi(-1/(2s) - e s).
+    A test-local oracle; the library ships only the RDP accountant."""
+    from scipy.stats import norm
+
+    a = 1.0 / (2.0 * sigma)
+    b = epsilon * sigma
+    return float(norm.cdf(a - b) - np.exp(epsilon) * norm.cdf(-a - b))
+
+
+def analytic_gaussian_epsilon(sigma, delta, tolerance=1e-12):
+    """Smallest epsilon at which the mechanism is (epsilon, delta)-DP,
+    by bisection on the decreasing delta profile."""
+    if analytic_gaussian_delta(sigma, 0.0) <= delta:
+        return 0.0
+    low, high = 0.0, 1.0
+    while analytic_gaussian_delta(sigma, high) > delta:
+        high *= 2.0
+    while high - low > tolerance * max(1.0, high):
+        mid = 0.5 * (low + high)
+        if analytic_gaussian_delta(sigma, mid) > delta:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+class TestAgainstAnalyticGaussian:
+    def test_rdp_upper_bounds_analytic_single_step(self):
+        """RDP composition is a bound: for one full-batch Gaussian step
+        the accountant's epsilon must dominate the exact value."""
+        for sigma in (0.8, 1.0, 2.0, 4.0):
+            exact = analytic_gaussian_epsilon(sigma, 1e-5)
+            rdp = compute_rdp(q=1.0, noise_multiplier=sigma, steps=1)
+            bound, _ = rdp_to_epsilon(rdp, 1e-5)
+            assert bound >= exact * 0.999
+
+    def test_rdp_bound_is_not_wildly_loose(self):
+        """...but should stay within ~2x of exact for moderate sigma."""
+        sigma = 2.0
+        exact = analytic_gaussian_epsilon(sigma, 1e-5)
+        rdp = compute_rdp(q=1.0, noise_multiplier=sigma, steps=1)
+        bound, _ = rdp_to_epsilon(rdp, 1e-5)
+        assert bound < 2.0 * exact
+
 class TestAccountant:
     def test_steps_accumulate_and_coalesce(self):
         accountant = RDPAccountant()

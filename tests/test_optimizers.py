@@ -1,23 +1,15 @@
-"""Tests for update rules and the LazyDP linearity constraint."""
+"""Tests for the dense update rules."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import Parameter
-from repro.train.optimizers import (
-    DenseMomentum,
-    DenseSGD,
-    SparseAdagrad,
-    SparseSGD,
-    check_lazydp_compatible,
-)
+from repro.train.optimizers import DenseMomentum, DenseSGD
 
 
-def make_param(shape=(6, 4), seed=0, embedding=False):
+def make_param(shape=(6, 4), seed=0):
     rng = np.random.default_rng(seed)
-    return Parameter("p", rng.normal(size=shape), 0, is_embedding=embedding)
+    return Parameter("p", rng.normal(size=shape), 0)
 
 
 class TestDenseSGD:
@@ -65,97 +57,3 @@ class TestDenseMomentum:
         with pytest.raises(ValueError):
             DenseMomentum(0.1, momentum=1.0)
 
-
-class TestSparseSGD:
-    def test_only_touches_rows(self):
-        param = make_param(embedding=True)
-        before = param.data.copy()
-        rows = np.array([1, 4])
-        values = np.ones((2, 4))
-        SparseSGD(0.5).update_rows(param, rows, values)
-        np.testing.assert_allclose(param.data[rows], before[rows] - 0.5)
-        untouched = [0, 2, 3, 5]
-        np.testing.assert_array_equal(param.data[untouched], before[untouched])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=5),
-           st.integers(min_value=0, max_value=500))
-    def test_linearity_property(self, pieces, seed):
-        """Applying a sum equals applying the pieces one by one — the
-        property LazyDP's deferral rests on (paper Section 5.1)."""
-        rng = np.random.default_rng(seed)
-        rows = np.array([0, 2])
-        increments = [rng.normal(size=(2, 4)) for _ in range(pieces)]
-
-        param_batched = make_param(seed=seed, embedding=True)
-        SparseSGD(0.1).update_rows(param_batched, rows, sum(increments))
-
-        param_one_by_one = make_param(seed=seed, embedding=True)
-        optimizer = SparseSGD(0.1)
-        for increment in increments:
-            optimizer.update_rows(param_one_by_one, rows, increment)
-
-        np.testing.assert_allclose(
-            param_batched.data, param_one_by_one.data, atol=1e-12
-        )
-
-
-class TestSparseAdagrad:
-    def test_update_shrinks_with_history(self):
-        param = make_param(embedding=True)
-        optimizer = SparseAdagrad(1.0)
-        rows = np.array([0])
-        values = np.ones((1, 4))
-        before = param.data[0].copy()
-        optimizer.update_rows(param, rows, values)
-        first_step = before - param.data[0]
-        before = param.data[0].copy()
-        optimizer.update_rows(param, rows, values)
-        second_step = before - param.data[0]
-        assert np.all(np.abs(second_step) < np.abs(first_step))
-
-    def test_rows_have_independent_state(self):
-        param = make_param(embedding=True)
-        optimizer = SparseAdagrad(1.0)
-        for _ in range(3):
-            optimizer.update_rows(param, np.array([0]), np.ones((1, 4)))
-        fresh_before = param.data[5].copy()
-        optimizer.update_rows(param, np.array([5]), np.ones((1, 4)))
-        fresh_step = np.abs(fresh_before - param.data[5]).max()
-        # A fresh row takes a near-full-lr step despite row 0's history.
-        assert fresh_step > 0.5
-
-    def test_not_linear(self):
-        """Adagrad violates the deferral property: sum != one-by-one."""
-        rows = np.array([0])
-        increments = [np.ones((1, 4)), np.ones((1, 4))]
-
-        param_batched = make_param(seed=9, embedding=True)
-        SparseAdagrad(1.0).update_rows(param_batched, rows, sum(increments))
-
-        param_one_by_one = make_param(seed=9, embedding=True)
-        optimizer = SparseAdagrad(1.0)
-        for increment in increments:
-            optimizer.update_rows(param_one_by_one, rows, increment)
-
-        assert not np.allclose(param_batched.data, param_one_by_one.data)
-
-    def test_state_bytes(self):
-        param = make_param(embedding=True)
-        optimizer = SparseAdagrad(1.0)
-        optimizer.update_rows(param, np.array([0]), np.ones((1, 4)))
-        assert optimizer.state_bytes() == param.data.shape[0] * 8
-
-
-class TestLazyDPCompatibility:
-    def test_sgd_accepted(self):
-        check_lazydp_compatible(SparseSGD(0.1))
-        check_lazydp_compatible(DenseSGD(0.1))
-
-    def test_adagrad_rejected(self):
-        with pytest.raises(ValueError, match="not linear"):
-            check_lazydp_compatible(SparseAdagrad(0.1))
-
-    def test_momentum_rejected(self):
-        with pytest.raises(ValueError, match="not linear"):
-            check_lazydp_compatible(DenseMomentum(0.1))

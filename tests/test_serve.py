@@ -302,6 +302,60 @@ class TestAttachedServing:
         # New deferred noise accrued; the refreshed memo owes it again.
         assert engine.pending_rows(0).size > 0
 
+    def test_unsnapshotted_engines_share_base_slabs(self, config, trainer):
+        """``snapshot=False`` engines over one trainer read its slabs
+        zero-copy; only their memos (and so their noise) differ."""
+        faithful = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        noisier = PrivateServingEngine.from_trainer(trainer, iteration=4, noise_std=5.0)
+        for table_index in range(faithful.num_tables):
+            assert np.shares_memory(
+                faithful._tables[table_index], noisier._tables[table_index]
+            )
+
+    def test_pinned_std_changes_served_bits(self, config, trainer):
+        """Over the same slabs, the faithful engine serves the flush's
+        bits and one pinned at ``noise_std=5.0`` does not."""
+        faithful = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        noisier = PrivateServingEngine.from_trainer(trainer, iteration=4, noise_std=5.0)
+        assert noisier.noise_std == 5.0
+        rows = np.arange(12)
+        name = faithful.embedding_names[0]
+        reference = export_private_model(trainer, iteration=4)
+        np.testing.assert_array_equal(faithful.lookup(0, rows), reference[name][rows])
+        assert not np.array_equal(noisier.lookup(0, rows), reference[name][rows])
+
+    def test_pinned_noise_std_survives_the_writers_step(self, config, trainer):
+        """Regression: a refresh used to overwrite a caller's std with
+        the training std (0.06875 here), so an engine built at
+        ``noise_std=5.0`` served 70x less noise than it asked for after
+        the writer's next step."""
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4, noise_std=5.0)
+        engine.attach(trainer)
+        with engine.quiesce():
+            self.continue_drive(trainer, config, start=4, steps=1)
+        served = engine.export()
+        assert engine.stats()["refreshes"] == 1
+        assert engine.noise_std == 5.0
+        reference = export_private_model(trainer, 5, noise_std=5.0)
+        for name, released in reference.items():
+            np.testing.assert_array_equal(served[name], released)
+
+    def test_unpinned_noise_std_follows_the_trainer(self, config, trainer):
+        """Without ``noise_std`` the engine re-reads the trainer's std
+        at every refresh: halving the batch denominator doubles it."""
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=4)
+        engine.attach(trainer)
+        built_at = engine.noise_std
+        assert built_at == trainer._last_noise_std
+        trainer.expected_batch_size = 8
+        with engine.quiesce():
+            self.continue_drive(trainer, config, start=4, steps=1)
+        served = engine.export()
+        assert engine.noise_std == trainer._last_noise_std == 2 * built_at
+        reference = export_private_model(trainer, 5)
+        for name, released in reference.items():
+            np.testing.assert_array_equal(served[name], released)
+
     def test_session_serve_attaches_and_detaches(self, config):
         """TrainSession.serve hands out attached handles; close detaches."""
         from repro.session import ExecutionPlan, TrainSession
@@ -436,100 +490,6 @@ class TestConsistentExport:
             engine.lookup_batch([np.array([0])])
 
 
-class TestMultiTenantServing:
-    """Several (model, epsilon) snapshots over one set of base slabs."""
-
-    def test_tenants_share_base_slabs_zero_copy(self, config, trainer):
-        from repro.serve import MultiTenantServer
-
-        server = MultiTenantServer(trainer)
-        low = server.add("low-noise", iteration=4)
-        high = server.add("high-noise", iteration=4, noise_std=5.0)
-        for table_index in range(low.num_tables):
-            assert np.shares_memory(
-                low._tables[table_index], high._tables[table_index]
-            )
-        stats = server.stats()
-        assert stats["num_tenants"] == 2
-        assert stats["shared_slab_bytes"] == sum(
-            t.nbytes for t in low._tables
-        )
-        server.close()
-
-    def test_epsilon_axis_changes_served_bits(self, config, trainer):
-        from repro.serve import MultiTenantServer
-
-        server = MultiTenantServer(trainer)
-        faithful = server.add("faithful", iteration=4)
-        private = server.add("private", iteration=4, noise_std=5.0)
-        rows = np.arange(12)
-        name = faithful.embedding_names[0]
-        reference = export_private_model(trainer, iteration=4)
-        np.testing.assert_array_equal(
-            faithful.lookup(0, rows), reference[name][rows]
-        )
-        assert not np.array_equal(
-            private.lookup(0, rows), reference[name][rows]
-        )
-        assert server.stats()["tenants"]["private"]["noise_std"] == 5.0
-        server.close()
-
-    def test_tenant_noise_std_survives_the_writers_step(self, config, trainer):
-        """Regression: a refresh used to overwrite every tenant's std
-        with the training std (0.06875 here), so a tenant added at
-        ``noise_std=5.0`` served 70x less noise than it asked for after
-        the writer's next step."""
-        from repro.serve import MultiTenantServer
-
-        server = MultiTenantServer(trainer)
-        faithful = server.add("faithful")
-        private = server.add("private", noise_std=5.0)
-        loader = make_loader(config, num_batches=1, seed=35)
-        (_, batch, upcoming), = LookaheadLoader(loader)
-        with private.quiesce():
-            trainer.train_step(5, batch, upcoming)
-        served = private.export()
-        assert private.stats()["refreshes"] == 1
-        assert private.noise_std == 5.0
-        reference = export_private_model(trainer, 5, noise_std=5.0)
-        for name, released in reference.items():
-            np.testing.assert_array_equal(served[name], released)
-        # The unpinned tenant keeps following the training std.
-        faithful.export()
-        assert faithful.noise_std == trainer._last_noise_std != 5.0
-        server.close()
-
-    def test_tenant_registry_lifecycle(self, config, trainer):
-        from repro.serve import MultiTenantServer
-
-        server = MultiTenantServer(trainer)
-        server.add("a", iteration=4)
-        server.add("b", iteration=4)
-        with pytest.raises(ValueError, match="already registered"):
-            server.add("a", iteration=4)
-        assert server.names() == ["a", "b"]
-        assert server.get("a").stats()["attached"]
-        server.remove("a")
-        with pytest.raises(KeyError):
-            server.get("a")
-        assert len(server) == 1
-        server.close()
-        assert server.names() == []
-
-    def test_session_serve_tenants_closes_with_session(self, config):
-        from repro.session import ExecutionPlan, TrainSession
-
-        session = TrainSession.build(DLRM(config, seed=7), DPConfig(),
-                                     ExecutionPlan(), noise_seed=99)
-        drive(session.trainer, config, 3)
-        server = session.serve_tenants()
-        engine = server.add("t", iteration=3)
-        assert engine.stats()["attached"]
-        session.close()
-        assert server.names() == []
-        assert not engine.stats()["attached"]
-
-
 class TestServePlanAxis:
     """The ``serve=`` plan axis sizes the hot-row cache per handle."""
 
@@ -584,11 +544,31 @@ class TestConstructionAndErrors:
         noise_std = trainer._last_noise_std
         flushed = export_private_model(trainer, iteration=4)
         engine = PrivateServingEngine.from_checkpoint(
-            path, config, noise_std=noise_std
+            path, config, noise_std=noise_std, dp=DPConfig()
         )
         served = engine.export()
         for name in flushed:
             np.testing.assert_array_equal(flushed[name], served[name])
+
+    def test_from_checkpoint_serves_at_the_trained_rate(self, config, tmp_path):
+        """Regression: without ``dp`` the engine fell back to
+        ``DPConfig()``'s rate (0.05) and released a run trained at 0.2
+        wrongly; ``dp`` is now required."""
+        dp = DPConfig(learning_rate=0.2)
+        trainer = drive(
+            LazyDPTrainer(DLRM(config, seed=7), dp, noise_seed=99), config, 4
+        )
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, trainer, iteration=4)
+        noise_std = trainer._last_noise_std
+        flushed = export_private_model(trainer, iteration=4)
+        served = PrivateServingEngine.from_checkpoint(
+            path, config, noise_std, dp
+        ).export()
+        for name in flushed:
+            np.testing.assert_array_equal(flushed[name], served[name])
+        with pytest.raises(TypeError):
+            PrivateServingEngine.from_checkpoint(path, config, noise_std)
 
     def test_requires_iteration_for_unfinalized(self, config, trainer):
         with pytest.raises(ValueError, match="iteration"):
@@ -884,24 +864,19 @@ class TestMixedChunks:
             for name, param in session.model.parameters().items():
                 np.testing.assert_array_equal(param.data, reference[name])
 
-    def test_tenants_release_their_own_noise(self, config, trainer):
-        from repro.serve import MultiTenantServer
-
+    def test_pinned_std_engine_releases_its_own_noise(self, config, trainer):
+        """An engine serving at a caller-chosen std walks the same mixed
+        chunks and lands every row's noise exactly once."""
         step_on(trainer, config, start=4, steps=1)
-        server = MultiTenantServer(trainer)
-        tenants = {
-            "faithful": server.add("faithful", iteration=5),
-            "noisier": server.add("noisier", iteration=5, noise_std=5.0),
-        }
-        for engine in tenants.values():
-            self.touch(engine)
-        for engine in tenants.values():
-            assert_same_release(
-                engine.export(),
-                export_private_model(trainer, 5, noise_std=engine.noise_std),
-            )
-            engine.audit_exactly_once()
-        server.close()
+        engine = PrivateServingEngine.from_trainer(trainer, iteration=5, noise_std=5.0)
+        engine.attach(trainer)
+        self.touch(engine)
+        assert_same_release(
+            engine.export(),
+            export_private_model(trainer, 5, noise_std=5.0),
+        )
+        engine.audit_exactly_once()
+        assert engine.stats()["rows_still_pending"] == 0
 
 
 class TestPersistentMemo:
