@@ -133,6 +133,7 @@ def plan_sweep(tier: str) -> Result:
         )
         session.close()
         trainer = session.trainer
+        stats = trainer.stats()
         snapshots[benchmark] = session.observability.metrics.snapshot()
         group = metrics.setdefault(
             benchmark, {"serial_iterations_per_second": serial_rate}
@@ -154,7 +155,7 @@ def plan_sweep(tier: str) -> Result:
                 verdict = f"LEDGER: {error}"
         hidden = "-"
         if plan.is_pipelined and not plan.is_async:
-            fraction = trainer.pipeline_stats()["hidden_fraction"]
+            fraction = stats["pipeline"]["hidden_fraction"]
             group[f"hidden_fraction_{label}"] = fraction
             hidden = f"{fraction:.0%}"
             checks.timing(
@@ -162,7 +163,7 @@ def plan_sweep(tier: str) -> Result:
                 f"{spec}: no noise catch-up time was hidden behind the step",
             )
         routed = trainer.engine.router is not None
-        per_shard = trainer.shard_update_seconds() if routed else []
+        per_shard = stats["shards"]["update_seconds"] if routed else []
         table_rows.append(
             [
                 benchmark,
@@ -293,7 +294,7 @@ def obs_overhead(tier: str) -> Result:
         for name, stats in summary.get("overlap", {}).items()
         if name.startswith("noise-prefetch")
     ]
-    timer_hidden = traced.trainer.pipeline_stats()["hidden_fraction"]
+    timer_hidden = traced.trainer.stats()["pipeline"]["hidden_fraction"]
     gap = abs(trace_hidden[0] - timer_hidden) if trace_hidden else 1.0
     checks.timing(
         overhead < MAX_DISABLED_OVERHEAD,

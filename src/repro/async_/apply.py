@@ -36,7 +36,8 @@ class ApplyWorker:
     """Single background thread applying iteration updates FIFO."""
 
     def __init__(
-        self, max_in_flight: int, name: str = "lazydp-apply", tracer=None
+        self, max_in_flight: int, name: str = "lazydp-apply", tracer=None,
+        applied_through: int = 0,
     ):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
@@ -49,7 +50,8 @@ class ApplyWorker:
         self._inbox: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
-        self._applied_through = 0
+        #: Starts at the iteration the slabs already stand at.
+        self._applied_through = int(applied_through)
         self._error: BaseException | None = None
         self._stopping = False
         #: Seconds spent inside apply tasks (work hidden behind fwd/bwd).

@@ -144,71 +144,74 @@ def _run_train(args) -> int:
             [[name, count] for name, count in sorted(result.counters.items())],
             title="event counters",
         ))
+    stats = session.stats() if session is not None else {}
     if plan is not None and trainer.num_shards > 1:
+        shards = stats["shards"]
         sizes = np.diff(trainer.engine.router.bounds[0]).tolist()
         shard_rows = [
             [s, sizes[s], f"{seconds:.4f}"]
-            for s, seconds in enumerate(trainer.shard_update_seconds())
+            for s, seconds in enumerate(shards["update_seconds"])
         ]
         print(format_table(
             ["shard", "rows (table 0)", "update seconds"], shard_rows,
             title=f"per-shard model update (backend={plan.backend})",
         ))
-        if result.shard_times is not None:
-            summed = sorted(result.shard_times["summed"].items(),
-                            key=lambda item: -item[1])
-            print(format_table(
-                ["stage", "seconds (all shards)"],
-                [[s, f"{t:.4f}"] for s, t in summed],
-                title="per-shard stage totals",
-            ))
-            shard_skew = result.shard_times.get("skew")
-            if shard_skew is not None:
-                print(f"shard update skew: max {shard_skew['max']:.4f}s, "
-                      f"min {shard_skew['min']:.4f}s, "
-                      f"spread {shard_skew['spread']:.4f}s")
-    if plan is not None and plan.split_backend()[0] == "process":
+        summed = sorted(shards["summed"].items(), key=lambda item: -item[1])
+        print(format_table(
+            ["stage", "seconds (all shards)"],
+            [[s, f"{t:.4f}"] for s, t in summed],
+            title="per-shard stage totals",
+        ))
+        skew = shards["skew"]
+        print(f"shard update skew: max {skew['max']:.4f}s, "
+              f"min {skew['min']:.4f}s, "
+              f"spread {skew['spread']:.4f}s")
+    if "procshard" in stats:
         trainer.audit_noise_ledger(result.iterations)
-        stats = trainer.procshard_stats()
+        procshard = stats["procshard"]
         print(format_table(
             ["worker", "pid", "messages", "samples drawn"],
             [
-                [w["shard"], w["pid"], w["messages"], w["samples_drawn"]]
-                for w in stats["workers"]
+                [w["shard"], w["pid"], w["messages"], kernel["samples_drawn"]]
+                for w, kernel in zip(
+                    procshard["workers"], stats["kernel"]["shards"]
+                )
             ],
-            title=f"process backend ({stats['start_method']} start, "
+            title=f"process backend ({procshard['start_method']} start, "
                   "noise ledger exact)",
         ))
-    if plan is not None and plan.is_pipelined:
-        stats = trainer.pipeline_stats()
+    if "pipeline" in stats:
+        pipeline = stats["pipeline"]
         print(format_table(
             ["metric", "value"],
             [
-                ["prefetch busy (s)", f"{stats['prefetch_busy_seconds']:.4f}"],
-                ["exposed wait (s)", f"{stats['exposed_wait_seconds']:.4f}"],
-                ["hidden (s)", f"{stats['hidden_seconds']:.4f}"],
-                ["hidden fraction", f"{stats['hidden_fraction']:.1%}"],
-                ["plans computed", stats["plans_computed"]],
+                ["prefetch busy (s)",
+                 f"{pipeline['prefetch_busy_seconds']:.4f}"],
+                ["exposed wait (s)",
+                 f"{pipeline['exposed_wait_seconds']:.4f}"],
+                ["hidden (s)", f"{pipeline['hidden_seconds']:.4f}"],
+                ["hidden fraction", f"{pipeline['hidden_fraction']:.1%}"],
+                ["plans computed", pipeline["plans_computed"]],
             ],
             title="noise prefetch pipeline (depth "
-                  f"{stats['prefetch_depth']})",
+                  f"{pipeline['prefetch_depth']})",
         ))
-    if plan is not None and plan.is_async:
-        stats = trainer.async_stats()
+    if "async" in stats:
+        applies = stats["async"]
         trainer.audit_noise_ledger(result.iterations)
         print(format_table(
             ["metric", "value"],
             [
-                ["applies completed", stats["applies_completed"]],
-                ["apply busy (s)", f"{stats['apply_busy_seconds']:.4f}"],
+                ["applies completed", applies["applies_completed"]],
+                ["apply busy (s)", f"{applies['apply_busy_seconds']:.4f}"],
                 ["submit stall (s)",
-                 f"{stats['submit_stall_seconds']:.4f}"],
+                 f"{applies['submit_stall_seconds']:.4f}"],
                 ["staleness wait (s)",
-                 f"{stats['staleness_wait_seconds']:.4f}"],
+                 f"{applies['staleness_wait_seconds']:.4f}"],
                 ["noise ledger", "exact (applied once per row)"],
             ],
             title="async apply engine (max in flight "
-                  f"{plan.inflight})",
+                  f"{applies['max_in_flight']})",
         ))
     if args.trace is not None:
         events = obs.save_trace(args.trace)

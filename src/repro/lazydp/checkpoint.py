@@ -19,7 +19,12 @@ inspect.  Two distinct operations are therefore provided:
   the artifact that is safe to publish and distributionally identical to
   eager DP-SGD's model at that iteration.
 
-Checkpoints are ``.npz`` archives; geometry is validated on load.
+Checkpoints are ``.npz`` archives; geometry is validated on load.  An
+archive stores no LR schedule, only whether the run had one
+(``meta/scheduled``): the noise a scheduled run still owes is released
+at rates the archive cannot reproduce, so a scheduled archive loads
+only into a trainer with a schedule, and an unscheduled one (or one
+saved without the flag) only into a trainer without.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ def save_checkpoint(path, trainer: LazyDPTrainer, iteration: int) -> None:
     }
     if trainer._last_noise_std is not None:
         arrays["meta/noise_std"] = np.array([trainer._last_noise_std])
+    if trainer.schedule is not None:
+        arrays["meta/scheduled"] = np.array([1], dtype=np.int64)
     for name, param in trainer.model.parameters().items():
         arrays[f"param/{name}"] = param.data
     for index, history in enumerate(trainer.engine.histories):
@@ -52,11 +59,17 @@ def save_checkpoint(path, trainer: LazyDPTrainer, iteration: int) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def is_scheduled(archive) -> bool:
+    """Whether an open checkpoint archive was saved by a scheduled run."""
+    return "meta/scheduled" in archive
+
+
 def load_checkpoint(path, trainer: LazyDPTrainer) -> int:
     """Restore ``trainer`` (in place) from ``path``; returns the iteration.
 
-    The trainer must be built over a model with the same geometry and the
-    same ANS mode; mismatches raise rather than silently corrupting the
+    The trainer must be built over a model with the same geometry, the
+    same ANS mode and noise seed, and a schedule exactly when the saving
+    run had one; mismatches raise rather than silently corrupting the
     privacy bookkeeping.  Load at a quiescent point (no ``fit`` running):
     every ledger is rebased from the restored histories, which is exact
     only when nothing planned is still waiting to be applied.
@@ -71,6 +84,12 @@ def load_checkpoint(path, trainer: LazyDPTrainer) -> int:
             raise ValueError(
                 "checkpoint noise seed does not match trainer; resuming "
                 "with a different stream would break DP bookkeeping"
+            )
+        if is_scheduled(archive) != (trainer.schedule is not None):
+            raise ValueError(
+                "checkpoint LR schedule does not match trainer: the run "
+                f"was saved {'with' if is_scheduled(archive) else 'without'} "
+                "a schedule, and the archive does not store one"
             )
         iteration = int(archive["meta/iteration"][0])
 

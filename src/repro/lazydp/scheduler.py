@@ -137,14 +137,18 @@ class Scheduler:
         # (lot-size) batch — constant across iterations even under
         # Poisson sampling, so the worker can draw ahead of time.
         self.noise_std = trainer.config.noise_std(loader.batch_size)
+        # The fit numbers its steps on from here.
+        base = trainer.current_iteration()
         self._buffer = StagingBuffer(capacity=self.prefetch_depth)
         self._worker = NoisePrefetchWorker(
-            trainer._prefetch, self._buffer, tracer=trainer.obs.timer_tracer()
+            trainer._prefetch, self._buffer,
+            tracer=trainer.obs.timer_tracer(), offset=base,
         )
         if self.defers_apply:
-            self._last_submitted = 0
+            self._last_submitted = base
             self._apply_worker = ApplyWorker(
-                self.max_in_flight, tracer=trainer.obs.timer_tracer()
+                self.max_in_flight, tracer=trainer.obs.timer_tracer(),
+                applied_through=base,
             )
             self._apply_worker.start()
         self.running = True

@@ -139,19 +139,24 @@ class LazyDPTrainer(DPSGDFTrainer):
         return self.scheduler.start(loader)
 
     def fit(self, loader):
+        current = self.current_iteration()
+        if current > (self.engine.flushed_through or 0):
+            # A step catches up only the *next* batch's rows, so the rows
+            # of a fit's first batch must already be current: flush what
+            # the steps since the last flush (manual, or before a
+            # checkpoint) still owe.
+            self.expected_batch_size = loader.batch_size
+            self.finalize(current)
         try:
             return super().fit(loader)
         finally:
             self.scheduler.shutdown()
 
-    def train_step(self, iteration: int, batch, next_batch) -> float:
+    def _step(self, iteration: int, batch, next_batch) -> float:
         self._next_batch = next_batch
         self.scheduler.begin_step(iteration)
-        loss = super().train_step(iteration, batch, next_batch)
+        loss = super()._step(iteration, batch, next_batch)
         self.scheduler.end_step(iteration)
-        # Recorded here (not only in fit) so manually-stepped trainers
-        # advance the marker attached serving engines watch.
-        self.last_iteration = int(iteration)
         return loss
 
     def current_iteration(self) -> int:
@@ -311,57 +316,61 @@ class LazyDPTrainer(DPSGDFTrainer):
 
     # -- reporting -----------------------------------------------------------------
     def kernel_stats(self) -> dict:
-        """Per-shard arena reuse and timer counters (see
-        :meth:`ShardState.stats`), and which implementation of the
-        noise draw, the sparse apply and the embedding scatter-add ran
-        (``native`` / ``numpy``) and, compiled, on which instruction set
-        (``vector_isa``: ``avx512`` / ``scalar``, ``None`` on numpy),
-        and the lanes the release walk, large draws and the step's
-        per-table loops spread over (:func:`repro.kernels.lanes.stats`)."""
+        """Which implementation of the noise draw, the sparse apply and
+        the embedding scatter-add ran (``native`` / ``numpy``) and,
+        compiled, on which instruction set (``vector_isa``: ``avx512`` /
+        ``scalar``, ``None`` on numpy); the lanes the release walk,
+        large draws and the step's per-table loops spread over
+        (:func:`repro.kernels.lanes.stats`); and per shard its draws,
+        arena reuse and timer counters (:meth:`ShardState.stats`)."""
         return {
             "compiled_kernels": native_status()[0],
             "vector_isa": vector_isa(),
             "lanes": lanes.stats(),
-            "timer_counters": dict(self.timer.counters),
-            "shards": [state.stats() for state in self.engine.states],
+            "shards": self._shard_kernel_stats(),
         }
 
-    def pipeline_stats(self) -> dict:
-        """The scheduler's prefetch accounting plus the per-shard stage
-        split of the work (the Figure-11-style history/sampling
-        attribution, which the ``shard_prefetch`` wall-clock entry in
-        ``worker_stage_seconds`` deliberately lumps together)."""
-        stats = self.scheduler.pipeline_stats()
-        stats["shard_stage_seconds"] = self.per_shard_breakdown()
-        stats["kernel"] = self.kernel_stats()
-        if self.scheduler.defers_apply:
-            stats["async"] = self.async_stats()
-        return stats
+    def _shard_kernel_stats(self) -> list:
+        return [state.stats() for state in self.engine.states]
 
-    def async_stats(self) -> dict:
-        return self.scheduler.async_stats()
+    def stats(self) -> dict:
+        """The trainer's one stats tree; no section nests another.
 
-    def per_shard_breakdown(self) -> list:
-        """Per-shard stage-time dicts (model-update stages only)."""
-        return [dict(timer.totals) for timer in self.shard_timers]
+        * ``kernel`` — :meth:`kernel_stats`;
+        * ``shards`` — :meth:`shard_time_summary`, when the shards keep
+          timers of their own (routed plans, and a flat plan whose one
+          shard runs off the trainer thread; otherwise its stages are
+          the trainer's own, ``TrainResult.stage_times``);
+        * ``pipeline`` — the prefetch accounting of the last ``fit``
+          (plans that prefetch);
+        * ``async`` — the apply-side accounting of the last ``fit``
+          (plans that defer applies).
 
-    def shard_update_seconds(self) -> list:
-        """Per-shard total model-update seconds (load-balance view)."""
-        return [timer.total() for timer in self.shard_timers]
+        The process backend adds ``procshard``.
+        """
+        scheduler = self.scheduler
+        tree = {"kernel": self.kernel_stats()}
+        if self.shard_timers[0] is not self.timer:
+            tree["shards"] = self.shard_time_summary()
+        if scheduler.prefetches:
+            tree["pipeline"] = scheduler.pipeline_stats()
+        if scheduler.defers_apply:
+            tree["async"] = scheduler.async_stats()
+        return tree
 
     def shard_time_summary(self) -> dict:
-        """Deterministic merge of the per-shard timers: the per-shard
-        breakdown, the same stages summed across shards, each shard's
-        total update seconds, and the max/min skew between shards.
-        This is what ``TrainResult.shard_times`` carries, so the
-        load-balance view survives ``fit`` instead of dying with the
-        trainer."""
-        per_shard = self.per_shard_breakdown()
+        """Deterministic merge of the per-shard timers (model-update
+        stages only): the per-shard breakdown, the same stages summed
+        across shards, each shard's total update seconds, and the
+        max/min skew between shards.  This is what
+        ``TrainResult.shard_times`` carries, so the load-balance view
+        survives ``fit`` instead of dying with the trainer."""
+        per_shard = [dict(timer.totals) for timer in self.shard_timers]
         summed: dict = {}
         for totals in per_shard:
             for stage, seconds in totals.items():
                 summed[stage] = summed.get(stage, 0.0) + seconds
-        update_seconds = self.shard_update_seconds()
+        update_seconds = [timer.total() for timer in self.shard_timers]
         slowest, fastest = max(update_seconds), min(update_seconds)
         return {
             "per_shard": per_shard,

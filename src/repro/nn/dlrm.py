@@ -29,7 +29,6 @@ from ..rng import NoiseStream
 from .functional import bce_with_logits, bce_with_logits_grad
 from .init import ParameterFactory
 from .layers import MLP, EmbeddingBag, FeatureInteraction, Linear
-from .parameter import Parameter
 
 
 def _build_mlp(factory: ParameterFactory, prefix: str, input_dim: int,
@@ -202,9 +201,3 @@ class DLRM:
         ):
             grads.update(table_grads)
         return grads
-
-    # ------------------------------------------------------------------
-    # Introspection used by trainers
-    # ------------------------------------------------------------------
-    def table_parameter(self, table: int) -> Parameter:
-        return self.embeddings[table].table

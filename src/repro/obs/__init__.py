@@ -9,9 +9,10 @@ the same way:
   with one named track per engine thread (main loop, noise-prefetch
   worker, apply worker, shard executor threads).
 * :class:`MetricsRegistry` (``repro.obs.metrics``) — counters, gauges
-  and streaming histograms; subsumes ``StageTimer`` output and adds
-  live engine gauges (staging occupancy, in-flight depth, shard skew,
-  arena reuse, Philox launches, serving counters).
+  and streaming histograms for what only a live observation records
+  (staging occupancy, prefetch hits, in-flight depth, staleness lag,
+  Philox launches); every other engine number lives in the trainer's
+  stats tree and the serving engines' ``stats()``.
 * :class:`Observability` (``repro.obs.hub``) — one tracer + one
   registry per run; trainers hold :data:`NULL_OBS` until
   ``instrument()`` is called, so the disabled path is a single

@@ -9,17 +9,14 @@ gated by exactly one attribute check (``obs.enabled`` /
 ``obs.tracing``) and costs nothing when observability is off — the
 acceptance bench (``benchmarks/run.py obs_overhead``) pins that.
 
-Two kinds of collection feed the registry:
-
-* **Live observations** during ``fit`` — the per-iteration engine
-  gauges that are invisible after the fact: staging-buffer occupancy
-  and prefetch hit/miss (pipeline), in-flight depth and staleness lag
-  (async).  The engines call the ``observe_*`` helpers here so their
-  own hot loops stay one ``if obs.enabled`` line.
-* **Post-run collection** — :meth:`Observability.collect` walks the
-  trainer's existing reporting surfaces (``kernel_stats``,
-  ``pipeline_stats``, ``async_stats``, the shard timers, Philox launch
-  counts) into gauges/counters once, after the last iteration.
+The registry keeps only what nothing else records: the per-iteration
+engine gauges that are invisible after the fact — staging-buffer
+occupancy and prefetch hit/miss (pipeline), in-flight depth and
+staleness lag (async) — and the Philox launches of a ``fit``.  The
+engines call the ``observe_*`` helpers here so their own hot loops
+stay one ``if obs.enabled`` line.  Every other engine number has one
+place, which ``TrainSession.stats()`` reads: the trainer's stats tree
+(``LazyDPTrainer.stats``) and the serving engines' ``stats()``.
 """
 
 from __future__ import annotations
@@ -89,71 +86,6 @@ class Observability:
         if tracer.enabled:
             tracer.add_counter("in_flight", depth)
 
-    # -- post-run collection ----------------------------------------------
-    def collect(self, trainer, philox_launches: int | None = None) -> None:
-        """Fold a trainer's reporting surfaces into the registry."""
-        if not self.metrics_enabled:
-            return
-        metrics = self.metrics
-        metrics.absorb_stage_timer(trainer.timer, "stages")
-        if philox_launches is not None:
-            metrics.set_gauge("rng.philox_launches", philox_launches)
-
-        kernel_stats = getattr(trainer, "kernel_stats", None)
-        if kernel_stats is not None:
-            self._collect_kernel(kernel_stats())
-
-        if getattr(trainer, "num_shards", 1) > 1:
-            skew = trainer.shard_time_summary()["skew"]
-            metrics.set_gauge("shard.update_seconds_max", skew["max"])
-            metrics.set_gauge("shard.update_seconds_min", skew["min"])
-            metrics.set_gauge("shard.update_skew_seconds", skew["spread"])
-
-        scheduler = getattr(trainer, "scheduler", None)
-        if scheduler is not None and scheduler.prefetches:
-            stats = scheduler.pipeline_stats()
-            for key in (
-                "prefetch_busy_seconds",
-                "exposed_wait_seconds",
-                "hidden_seconds",
-                "hidden_fraction",
-                "producer_stall_seconds",
-            ):
-                metrics.set_gauge(f"pipeline.{key}", stats[key])
-            metrics.set_gauge("pipeline.plans_computed", stats["plans_computed"])
-
-        if scheduler is not None and scheduler.defers_apply:
-            stats = scheduler.async_stats()
-            for key in (
-                "applies_completed",
-                "apply_busy_seconds",
-                "submit_stall_seconds",
-                "staleness_wait_seconds",
-            ):
-                if key in stats:
-                    metrics.set_gauge(f"async.{key}", stats[key])
-
-        if hasattr(trainer, "procshard_stats"):
-            stats = trainer.procshard_stats()
-            for worker in stats.get("workers", []):
-                shard = worker.get("shard", 0)
-                for key in ("pid", "messages", "samples_drawn"):
-                    if key in worker:
-                        metrics.set_gauge(
-                            f"procshard.worker{shard}.{key}", worker[key]
-                        )
-
-    def _collect_kernel(self, stats: dict) -> None:
-        """Arena hit/alloc gauges, summed across shards and tables."""
-        metrics = self.metrics
-        totals: dict = {}
-        for shard in stats.get("shards", ()):
-            for arena in shard["apply_arenas"]:
-                for field in ("hits", "allocs"):
-                    totals[field] = totals.get(field, 0) + arena[field]
-        for field, value in totals.items():
-            metrics.set_gauge(f"kernel.apply_arena.{field}", value)
-
     # -- export ------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-serializable registry state plus trace bookkeeping."""
@@ -199,9 +131,6 @@ class _NullObservability:
         pass
 
     def observe_inflight(self, depth: int, lag: int) -> None:
-        pass
-
-    def collect(self, trainer, philox_launches=None) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -1,13 +1,12 @@
 """Counters, gauges and streaming histograms for the training engines.
 
 The registry is the structured side of the observability layer: where
-the tracer answers *when*, the registry answers *how much* — staging
-queue occupancy, async in-flight depth, per-shard skew, arena hit
-rates.  It subsumes :class:`repro.train.common.StageTimer` (stage
-seconds and event counters both land here via
-:meth:`MetricsRegistry.absorb_stage_timer`) without replacing it:
-StageTimer stays the accumulator the trainers own, and the registry is
-the aggregation point reporting surfaces read.
+the tracer answers *when*, the registry answers *how much* — of what
+only a live observation can record (staging-queue occupancy, async
+in-flight depth and lag, Philox launches).  Stage seconds and event
+counters stay in the trainers' :class:`repro.train.common.StageTimer`
+objects and reach readers through the trainer's stats tree; the
+registry copies none of them.
 
 Instruments:
 
@@ -184,16 +183,6 @@ class MetricsRegistry:
 
     def observe(self, name: str, value) -> None:
         self.histogram(name).observe(value)
-
-    # -- StageTimer subsumption -------------------------------------------
-    def absorb_stage_timer(self, timer, prefix: str) -> None:
-        """Fold a StageTimer's stage seconds and counters in under
-        ``prefix`` (stages become gauges, counters add into counters)."""
-        stats = timer.stats()
-        for stage, seconds in stats["stage_seconds"].items():
-            self.set_gauge(f"{prefix}.stage_seconds.{stage}", seconds)
-        for name, value in stats["counters"].items():
-            self.inc(f"{prefix}.{name}", value)
 
     def snapshot(self) -> dict:
         """JSON-serializable state of every instrument, sorted by name."""

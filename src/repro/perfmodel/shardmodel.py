@@ -105,10 +105,6 @@ class ShardUpdateBreakdown:
         """Serial executor: routing + every shard in turn."""
         return self.routing_seconds + self.num_shards * self.per_shard_seconds
 
-    @property
-    def parallel_speedup(self) -> float:
-        return self.serial_seconds / self.critical_path_seconds
-
 
 def sharded_update_breakdown(config: DLRMConfig, batch: int,
                              num_shards: int,

@@ -17,8 +17,9 @@ Invariants:
   worker has been joined).  Plans are computed strictly in iteration
   order, so the history evolves exactly as under serial training.
 * **Batch positions map to plan iterations.**  The batch at loader
-  position ``j`` (0-based) is the *next* batch of training iteration
-  ``j`` (1-based), so it produces the catch-up plan for iteration ``j``.
+  position ``j`` (0-based) is the *next* batch of the fit's ``j``-th
+  step (1-based), so it produces the catch-up plan for iteration
+  ``offset + j``, ``offset`` being where the fit started.
   Position 0 is the bootstrap batch — trained on, never planned against
   — and a ``None`` batch is the end-of-stream sentinel.
 * **Failure transparency.**  Any exception in ``compute`` is forwarded
@@ -40,10 +41,14 @@ class NoisePrefetchWorker:
     """Single background thread precomputing catch-up noise plans."""
 
     def __init__(
-        self, compute, buffer, name: str = "noise-prefetch", tracer=None
+        self, compute, buffer, name: str = "noise-prefetch", tracer=None,
+        offset: int = 0,
     ):
         self._compute = compute      # (iteration, batch) -> StagedNoise
         self._buffer = buffer
+        #: The iteration before the loader's first batch: position ``j``
+        #: plans iteration ``offset + j``.
+        self.offset = int(offset)
         self._inbox: queue.Queue = queue.Queue()
         self._stopping = False
         #: Optional repro.obs.Tracer.  The worker reports each compute
@@ -76,7 +81,7 @@ class NoisePrefetchWorker:
         if batch is None:
             self._inbox.put(None)
         elif position >= 1:
-            self._inbox.put((position, batch))
+            self._inbox.put((self.offset + position, batch))
 
     def _run(self) -> None:
         try:

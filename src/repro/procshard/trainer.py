@@ -44,13 +44,11 @@ from functools import partial
 
 import numpy as np
 
-from ..kernels import lanes
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import LazyNoiseEngine
 from ..lazydp.trainer import LazyDPTrainer
 from ..nn.dlrm import DLRM
-from ..rng import native_status, vector_isa
 from ..shard.executor import ShardExecutor
 from ..shard.router import ShardRouter
 from ..shard.tables import shard_windows
@@ -69,6 +67,11 @@ from .messages import (
 )
 from .shm import TableSegments
 from .worker import worker_main
+
+#: A worker's ``stats`` reply: what its :class:`ShardState` reports
+#: (the tree's ``kernel`` section) and what only the process knows.
+_SHARD_STATE_STATS = ("samples_drawn", "apply_arenas", "timer_counters")
+_WORKER_STATS = ("shard", "pid", "messages", "staged")
 
 
 class ShardWorkerError(RuntimeError):
@@ -185,11 +188,12 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         self._segments: list = []
         self._workers: list = []
         self._procs: list = []
-        self._stats_cache: dict | None = None
         #: Per-worker staging keys of a plan whose apply is still to come.
         self._planned: list | None = None
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
+        #: The last ``stats`` round trip (what a closed trainer reports).
+        self._stats_cache = {"start_method": self._start_method, "workers": []}
         try:
             super().__init__(
                 model,
@@ -376,7 +380,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
                 )
 
     # -- the step and the flush: the shared stage list, workers guarded --------
-    def train_step(self, iteration: int, batch, next_batch) -> float:
+    def _step(self, iteration: int, batch, next_batch) -> float:
         self._require_workers()
         if self._planned is not None:
             raise RuntimeError(
@@ -396,7 +400,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
             handle.plan_all(requests[s], iteration, std)
             for s, handle in enumerate(self._workers)
         ]
-        return super().train_step(iteration, batch, next_batch)
+        return super()._step(iteration, batch, next_batch)
 
     def _staged_noise(self, iteration: int, noise_std: float) -> list:
         planned, self._planned = self._planned, None
@@ -410,12 +414,10 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
 
     # -- reporting -----------------------------------------------------------
     def procshard_stats(self) -> dict:
-        """Per-worker diagnostics (pid, draws, messages, arena reuse)."""
+        """Per-worker diagnostics (pid, draws, messages, arena reuse):
+        one ``stats`` round trip per call."""
         if self._closed:
-            return self._stats_cache or {
-                "start_method": self._start_method,
-                "workers": [],
-            }
+            return self._stats_cache
         for handle in self._workers:
             self._send(handle, (CMD_STATS,))
         workers = []
@@ -430,16 +432,27 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
         }
         return self._stats_cache
 
-    def kernel_stats(self) -> dict:
-        return {
-            "compiled_kernels": native_status()[0],
-            "vector_isa": vector_isa(),
-            # The router's lanes.  A worker starts its own only for a
-            # multi-tile draw: its shard's flush walks inline.
-            "lanes": lanes.stats(),
-            "timer_counters": dict(self.timer.counters),
-            "procshard": self.procshard_stats(),
+    def _shard_kernel_stats(self) -> list:
+        """Each worker's :meth:`ShardState.stats` part of its reply."""
+        return [
+            {key: worker[key] for key in _SHARD_STATE_STATS}
+            for worker in self.procshard_stats()["workers"]
+        ]
+
+    def stats(self) -> dict:
+        """:meth:`LazyDPTrainer.stats` plus ``procshard``: the start
+        method and each worker's pid, message count and staged plans,
+        from the round trip ``kernel_stats`` just made (the rest of the
+        reply is the ``kernel`` section's)."""
+        tree = super().stats()
+        tree["procshard"] = {
+            "start_method": self._start_method,
+            "workers": [
+                {key: worker[key] for key in _WORKER_STATS}
+                for worker in self._stats_cache["workers"]
+            ],
         }
+        return tree
 
     # -- lifecycle -----------------------------------------------------------
     def _release_shared_state(self) -> None:

@@ -162,10 +162,7 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
             elif command == CMD_STATS:
                 stats = state.stats()
                 stats.update(
-                    pid=os.getpid(),
-                    messages=messages,
-                    staged=len(staged),
-                    stage_seconds=dict(timer.totals),
+                    pid=os.getpid(), messages=messages, staged=len(staged)
                 )
                 conn.send((REPLY_OK, CMD_STATS, stats))
             elif command == CMD_CLOSE:

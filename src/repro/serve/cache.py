@@ -108,6 +108,8 @@ class HotRowCache:
         self.admissions = 0
         self.evictions = 0
         self.invalidations = 0
+        #: Resident rows dropped by invalidations.
+        self.dropped_rows = 0
 
     @classmethod
     def for_skew(
@@ -256,6 +258,7 @@ class HotRowCache:
             self._entries.clear()
             self._heap.clear()
             self.invalidations += 1
+            self.dropped_rows += dropped
         return dropped
 
     def stats(self) -> dict:
@@ -270,4 +273,5 @@ class HotRowCache:
                 "admissions": self.admissions,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
+                "dropped_rows": self.dropped_rows,
             }

@@ -66,8 +66,10 @@ Concurrency (the serving lock hierarchy, outermost first):
    memory a reader could be gathering from: it runs under the write
    lock, keeps the memo buffers and only clears their flags, and every
    value that leaves a read section is a copy made inside it.
-3. A small stats lock makes the serving counters (and their
-   ``repro.obs`` mirrors) exact under concurrent readers.
+3. A small stats lock makes the serving counters exact under
+   concurrent readers.  :meth:`stats` is their one place; a hot-row
+   cache keeps its own counters, which :meth:`stats` reports under
+   ``cache``.
 
 Each table owns a private :class:`BufferArena` and its own fork of the
 sample-stage mechanism (:class:`repro.lazydp.ans.ANSEngine`), so
@@ -281,12 +283,9 @@ class PrivateServingEngine:
         return self._version[0]
 
     def instrument(self, obs) -> None:
-        """Mirror the serving counters into an Observability hub.
-
-        ``TrainSession.serve`` calls this with the session's hub so
-        serving shows up beside the training metrics; the counters on
-        ``self`` keep working either way.
-        """
+        """Mark every refresh on an Observability hub's trace (a
+        ``serve_refresh`` instant).  ``TrainSession.serve`` calls this
+        with the session's hub; the counters stay in :meth:`stats`."""
         self.obs = obs if obs is not None else NULL_OBS
 
     def enable_cache(self, cache) -> None:
@@ -364,16 +363,23 @@ class PrivateServingEngine:
         are lazy); only the served embeddings are privatized.
 
         ``dp`` must be the :class:`~repro.train.DPConfig` the run
-        trained with: a checkpoint stores neither it nor an LR
-        schedule, and the pending noise is released at
-        ``dp.learning_rate`` (a run trained under a schedule cannot be
-        served from its checkpoint bitwise).
+        trained with: a checkpoint does not store it, and the pending
+        noise is released at ``dp.learning_rate``.  The archive of a
+        run trained under an LR schedule is refused: it stores no
+        schedule, so its pending noise cannot be released at the rates
+        the run used.
         """
-        from ..lazydp.checkpoint import load_checkpoint
+        from ..lazydp.checkpoint import is_scheduled, load_checkpoint
         from ..nn.dlrm import DLRM
         from ..session import ExecutionPlan, TrainSession
 
         with np.load(path) as archive:
+            if is_scheduled(archive):
+                raise ValueError(
+                    "checkpoint was saved by a run with an LR schedule, "
+                    "which the archive does not store; serve the live "
+                    "session instead"
+                )
             noise_seed = int(archive["meta/noise_seed"][0])
             use_ans = bool(archive["meta/use_ans"][0])
         trainer = TrainSession.build(
@@ -478,23 +484,16 @@ class PrivateServingEngine:
         # The memo answered for an older iteration; invalidate it so
         # every row is caught up against the new history snapshot.
         self._reset_memo()
-        cache = self._cache
-        dropped = cache.invalidate() if cache is not None else 0
+        if self._cache is not None:
+            self._cache.invalidate()
         # Publish the new (generation, iteration) last, as one tuple:
         # a lock-free cache probe that still sees the old generation
         # also still sees the old iteration, never a mix.
         self._version = (self._version[0] + 1, current)
         self.refreshes += 1
-        obs = self.obs
-        if obs.enabled:
-            if obs.metrics_enabled:
-                obs.metrics.inc("serve.memo_invalidations")
-                if cache is not None:
-                    obs.metrics.inc("serve.cache.invalidations")
-                    obs.metrics.inc("serve.cache.dropped_rows", dropped)
-            tracer = obs.tracer
-            if tracer.enabled:
-                tracer.add_instant("serve_refresh", iteration=current)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.add_instant("serve_refresh", iteration=current)
 
     @contextmanager
     def _read_section(self):
@@ -581,11 +580,8 @@ class PrivateServingEngine:
             landed=landed,
         )
         if pending:
-            obs = self.obs
             with self._stats_lock:
                 self.rows_caught_up += pending
-                if obs.enabled and obs.metrics_enabled:
-                    obs.metrics.inc("serve.rows_caught_up", pending)
 
     def _validate_rows(self, table_index: int, rows) -> tuple:
         """``(rows, unique)``: the request as int64 and its sorted unique
@@ -603,13 +599,9 @@ class PrivateServingEngine:
         return rows, unique
 
     def _count_served(self, served: int, hits: int) -> None:
-        obs = self.obs
         with self._stats_lock:
             self.rows_served += served
             self.memo_hits += hits
-            if obs.enabled and obs.metrics_enabled:
-                obs.metrics.inc("serve.rows_served", served)
-                obs.metrics.inc("serve.memo_hits", hits)
 
     def _cache_fast_path(self, table_index: int, rows: np.ndarray):
         """Lock-free point-lookup path through the hot-row cache.
@@ -633,10 +625,6 @@ class PrivateServingEngine:
             return None  # raced a refresh; serve from the slow path
         n = int(rows.size)
         self._count_served(n, n)
-        obs = self.obs
-        if obs.enabled and obs.metrics_enabled:
-            with self._stats_lock:
-                obs.metrics.inc("serve.cache.hits", n)
         return values, iteration
 
     def _lookup_in_read(self, table_index: int, rows: np.ndarray,
@@ -686,20 +674,8 @@ class PrivateServingEngine:
         unreturnable, making a racing late offer harmless.
         """
         cache = self._cache
-        if cache is None or unique is None:
-            return
-        admitted = cache.offer(
-            table_index, unique, unique_values, generation
-        )
-        obs = self.obs
-        if obs.enabled and obs.metrics_enabled:
-            with self._stats_lock:
-                obs.metrics.inc("serve.cache.misses", int(unique.size))
-                if admitted:
-                    obs.metrics.inc("serve.cache.admissions", admitted)
-                obs.metrics.set_gauge(
-                    "serve.cache.resident_rows", len(cache)
-                )
+        if cache is not None and unique is not None:
+            cache.offer(table_index, unique, unique_values, generation)
 
     def lookup(self, table_index: int, rows) -> np.ndarray:
         """Privatized embeddings for ``rows`` of one table.

@@ -89,19 +89,6 @@ class LoadReport:
     think_time_ms: float
     errors: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "readers": self.readers,
-            "requests": self.requests,
-            "rows": self.rows,
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_rps": self.throughput_rps,
-            "rows_per_second": self.rows_per_second,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "think_time_ms": self.think_time_ms,
-        }
-
 
 def run_load(
     engine,

@@ -57,8 +57,7 @@ class TrainSession:
     Build one with :meth:`build`; afterwards the session owns the
     trainer's lifecycle (``fit`` ... ``close``) and is the hub the
     serving engine attaches to.  The underlying trainer stays reachable
-    as ``session.trainer`` for instrumentation
-    (``pipeline_stats`` / ``async_stats`` / ``kernel_stats``).
+    as ``session.trainer``; :meth:`stats` reads every engine number.
     """
 
     def __init__(self, model, dp: DPConfig, plan: ExecutionPlan, trainer):
@@ -226,24 +225,19 @@ class TrainSession:
 
     # -- lifecycle and reporting -------------------------------------------
     def stats(self) -> dict:
-        """Every engine-stats surface the plan's layers expose."""
+        """The plan, the algorithm, the trainer's stats tree
+        (:meth:`repro.lazydp.trainer.LazyDPTrainer.stats`), the attached
+        serving handles' counters (``serving``) and the live metrics —
+        top-level sections, none nested in another."""
         stats = {
             "plan": self.plan.to_spec(),
             "algorithm": self.trainer.name,
-            "kernel": self.trainer.kernel_stats(),
+            **self.trainer.stats(),
         }
-        if self.plan.is_sharded:
-            stats["shard_update_seconds"] = self.trainer.shard_update_seconds()
-        if self.plan.is_pipelined:
-            stats["pipeline"] = self.trainer.pipeline_stats()
-        if self.plan.is_async:
-            stats["async"] = self.trainer.async_stats()
+        if self._serving:
+            stats["serving"] = [engine.stats() for engine in self._serving]
         if self.observability is not None and self.observability.metrics_enabled:
             stats["metrics"] = self.observability.metrics.snapshot()
-        if self._serving:
-            stats["serving"] = [
-                engine.stats() for engine in self._serving
-            ]
         return stats
 
     def save_trace(self, path) -> int:

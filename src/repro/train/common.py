@@ -152,6 +152,8 @@ class TrainResult:
     """Everything a ``fit`` run produced."""
 
     algorithm: str
+    #: Steps this run trained (its last iteration is the trainer's
+    #: ``current_iteration()``).
     iterations: int
     mean_losses: list = field(default_factory=list)
     stage_times: dict = field(default_factory=dict)
@@ -206,10 +208,10 @@ class TrainerBase:
         # DP convention (Opacus) averages and scales noise by the expected
         # lot size; ``fit`` pins this from the loader.
         self.expected_batch_size: int | None = None
-        # Highest iteration trained so far (0 = untrained).  ``fit``
-        # maintains it; LazyDP's ``train_step`` also records it so
-        # manually-stepped trainers stay trackable — attached serving
-        # engines (``repro.serve``) watch it to detect resumed training.
+        # Highest iteration stepped so far (0 = untrained), recorded by
+        # every ``train_step`` — fitted or manual — so noise keys never
+        # repeat; attached serving engines (``repro.serve``) watch it to
+        # detect resumed training.
         self.last_iteration: int = 0
         # Observability hub (repro.obs).  NULL_OBS is the shared null
         # object: every instrumentation site in the engines gates on
@@ -271,8 +273,30 @@ class TrainerBase:
         (``None`` for unsharded trainers; LazyDP overrides)."""
         return None
 
-    # -- subclass hooks --------------------------------------------------
+    # -- stepping ----------------------------------------------------------
+    def current_iteration(self) -> int:
+        """The iteration the model stands at: the last one stepped."""
+        return int(self.last_iteration)
+
     def train_step(self, iteration: int, batch, next_batch) -> float:
+        """One training step at ``iteration``; returns the mean loss.
+
+        Noise is keyed by iteration, so a step at or below
+        :meth:`current_iteration` would draw noise some earlier step
+        already drew: it is refused before any array moves.
+        """
+        current = self.current_iteration()
+        if iteration <= current:
+            raise ValueError(
+                f"iteration {iteration} is not after the trainer's current "
+                f"iteration {current}: its noise was already drawn"
+            )
+        loss = self._step(iteration, batch, next_batch)
+        self.last_iteration = int(iteration)
+        return loss
+
+    # -- subclass hooks --------------------------------------------------
+    def _step(self, iteration: int, batch, next_batch) -> float:
         raise NotImplementedError
 
     def finalize(self, final_iteration: int) -> None:
@@ -287,30 +311,31 @@ class TrainerBase:
 
     # -- main loop --------------------------------------------------------
     def fit(self, loader: DataLoader) -> TrainResult:
+        """Train one step per batch of ``loader``, numbered on from
+        :meth:`current_iteration`, then :meth:`finalize`."""
         obs = self.obs
         tracer = obs.tracer
-        philox_start = philox_invocations() if obs.enabled else 0
+        philox_start = philox_invocations() if obs.metrics_enabled else 0
         start = time.perf_counter()
         self.expected_batch_size = loader.batch_size
-        final_iteration = 0
+        final_iteration = self.current_iteration()
         losses = []
-        for index, batch, next_batch in self._make_lookahead(loader):
-            iteration = index + 1
+        for _, batch, next_batch in self._make_lookahead(loader):
+            iteration = final_iteration + 1
             with tracer.span("train_step", iteration=iteration):
                 loss = self.train_step(iteration, batch, next_batch)
             losses.append(loss)
             if self.accountant is not None:
                 self.accountant.step(self.config.noise_multiplier, loader.sample_rate)
             final_iteration = iteration
-            self.last_iteration = iteration
         with tracer.span("finalize", iteration=final_iteration):
             self.finalize(final_iteration)
         epsilon = None
-        if self.accountant is not None and final_iteration > 0:
+        if self.accountant is not None and self.accountant.steps:
             epsilon = self.accountant.get_epsilon(self.config.delta)
         result = TrainResult(
             algorithm=self.name,
-            iterations=final_iteration,
+            iterations=len(losses),
             mean_losses=losses,
             stage_times=self.timer.as_dict(),
             epsilon=epsilon,
@@ -318,8 +343,10 @@ class TrainerBase:
             counters=self._fit_counters(),
             shard_times=self._fit_shard_times(),
         )
-        if obs.enabled:
-            obs.collect(self, philox_launches=philox_invocations() - philox_start)
+        if obs.metrics_enabled:
+            obs.metrics.set_gauge(
+                "rng.philox_launches", philox_invocations() - philox_start
+            )
         return result
 
     # -- shared update kernels ---------------------------------------------

@@ -30,7 +30,7 @@ from .common import TrainerBase
 class EagerDPSGDBase(TrainerBase):
     """Pipeline shared by DP-SGD(B), (R), (F): eager dense noise."""
 
-    def train_step(self, iteration: int, batch, next_batch) -> float:
+    def _step(self, iteration: int, batch, next_batch) -> float:
         with self.timer.time("fwd"):
             losses = self.model.loss(batch)
             mean_loss = float(losses.mean())

@@ -18,7 +18,7 @@ class SGDTrainer(TrainerBase):
     name = "sgd"
     is_private = False
 
-    def train_step(self, iteration: int, batch, next_batch) -> float:
+    def _step(self, iteration: int, batch, next_batch) -> float:
         with self.timer.time("fwd"):
             losses = self.model.loss(batch)
             mean_loss = float(losses.mean())

@@ -221,7 +221,8 @@ class TestTrainerBehaviour:
 
     def test_async_stats_surface(self, config):
         _, result, trainer = train_async(config, max_in_flight=3)
-        stats = trainer.async_stats()
+        tree = trainer.stats()
+        stats = tree["async"]
         assert stats["max_in_flight"] == 3
         assert "staleness" not in stats
         assert stats["applies_completed"] == 6
@@ -230,11 +231,11 @@ class TestTrainerBehaviour:
         # are accounted on the shard's timer, not the trainer's (which
         # may still show the stage names for the dense MLP noisy
         # update — that stays synchronous on the trainer thread).
-        (shard_stages,) = trainer.per_shard_breakdown()
+        (shard_stages,) = tree["shards"]["per_shard"]
         assert shard_stages["noisy_grad_update"] > 0.0
         assert trainer.engine.states[0].timer is not trainer.timer
-        # The async block rides along in pipeline_stats.
-        assert trainer.pipeline_stats()["async"] is not None
+        # Async implies prefetching; its section holds no async copy.
+        assert "async" not in tree["pipeline"]
 
     def test_staleness_wait_recorded_under_strict(self, config):
         _, result, _ = train_async(config, max_in_flight=2)

@@ -153,6 +153,38 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             load_checkpoint(path, other)
 
+    def test_schedule_flag_must_match(self, config, tmp_path):
+        """The archive stores only whether the run had a schedule; a
+        loader with the other answer would release pending noise at the
+        wrong rates, so either mismatch is refused."""
+        from repro.train.schedules import StepDecayLR
+
+        decay = StepDecayLR(0.1, factor=0.25, step_size=2)
+        entries = batches_for(config, 3)
+        scheduled = TrainSession.build(
+            DLRM(config, seed=7), DPConfig(), noise_seed=99, schedule=decay
+        ).trainer
+        scheduled.expected_batch_size = 16
+        drive(scheduled, entries)
+        scheduled_path = tmp_path / "scheduled.npz"
+        save_checkpoint(scheduled_path, scheduled, iteration=3)
+        _, plain = build(config)
+        drive(plain, entries)
+        plain_path = tmp_path / "plain.npz"
+        save_checkpoint(plain_path, plain, iteration=3)
+        with np.load(plain_path) as archive:
+            assert "meta/scheduled" not in archive
+
+        _, fresh = build(config)
+        with pytest.raises(ValueError, match="LR schedule"):
+            load_checkpoint(scheduled_path, fresh)
+        resumed = TrainSession.build(
+            DLRM(config, seed=7), DPConfig(), noise_seed=99, schedule=decay
+        ).trainer
+        with pytest.raises(ValueError, match="LR schedule"):
+            load_checkpoint(plain_path, resumed)
+        assert load_checkpoint(scheduled_path, resumed) == 3
+
     def test_negative_iteration_rejected(self, config, tmp_path):
         _, trainer = build(config)
         with pytest.raises(ValueError):

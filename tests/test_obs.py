@@ -10,7 +10,7 @@ Three invariants carry the whole feature:
   StageTimer adapter hands its existing ``perf_counter`` pair to the
   tracer, so a span's exported duration and the accumulated stage
   seconds are the *same* float, and the trace-derived overlap agrees
-  with ``pipeline_stats()``.
+  with the trainer's ``stats()["pipeline"]``.
 * **Disabled means null-object.**  Without ``instrument()`` every
   engine sees ``NULL_OBS`` / a ``None`` timer tracer and the hot paths
   cost one attribute check.
@@ -202,18 +202,6 @@ class TestMetricsRegistry:
         assert snapshot["histograms"]["latency"]["count"] == 1
         json.dumps(snapshot)  # must stay JSON-serializable
 
-    def test_absorbs_stage_timer(self):
-        timer = StageTimer()
-        with timer.time("fwd"):
-            pass
-        timer.count("arena_hits", 5)
-        registry = MetricsRegistry()
-        registry.absorb_stage_timer(timer, "stages")
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"]["stages.stage_seconds.fwd"] == \
-            timer.totals["fwd"]
-        assert snapshot["counters"]["stages.arena_hits"] == 5
-
 
 class TestStageTimerAdapter:
     def test_span_duration_is_the_timer_delta(self):
@@ -339,9 +327,8 @@ class TestInstrumentedTraining:
         assert skew["max"] == max(update)
         assert skew["min"] == min(update)
         assert skew["spread"] == pytest.approx(skew["max"] - skew["min"])
-        gauges = session.observability.metrics.snapshot()["gauges"]
-        assert gauges["shard.update_skew_seconds"] == \
-            pytest.approx(skew["spread"])
+        # The tree reads the same timers the fit's result summarised.
+        assert session.stats()["shards"] == merged
         session.close()
 
     def test_traced_pipeline_has_overlapping_worker_track(self, config):
@@ -372,7 +359,7 @@ class TestInstrumentedTraining:
         snapshot = session.observability.metrics.snapshot()
         assert snapshot["histograms"]["pipeline.staging_occupancy"][
             "count"] > 0
-        assert "pipeline.hidden_fraction" in snapshot["gauges"]
+        assert 0.0 <= session.stats()["pipeline"]["hidden_fraction"] <= 1.0
         session.close()
 
     def test_async_traced_run_records_inflight(self, config):
@@ -384,7 +371,7 @@ class TestInstrumentedTraining:
         assert "lazydp-apply" in names
         snapshot = session.observability.metrics.snapshot()
         assert snapshot["histograms"]["async.in_flight_depth"]["count"] > 0
-        assert snapshot["gauges"]["async.applies_completed"] == \
+        assert session.stats()["async"]["applies_completed"] == \
             result.iterations
         session.trainer.audit_noise_ledger(result.iterations)
         session.close()
@@ -430,7 +417,7 @@ class TestTraceTimerAgreement:
     def test_trace_hidden_fraction_matches_pipeline_stats(self):
         """The trace-derived hidden fraction (worker busy time not
         overlapping the main loop's pipeline_wait spans) must agree
-        with the timer-derived pipeline_stats within 10 points."""
+        with the timer-derived pipeline stats within 10 points."""
         import importlib.util
         import pathlib
 
@@ -458,7 +445,7 @@ class TestTraceTimerAgreement:
                 session.observability.export_trace()
             )
             timer_hidden = \
-                session.trainer.pipeline_stats()["hidden_fraction"]
+                session.trainer.stats()["pipeline"]["hidden_fraction"]
             trace_hidden = [
                 stats["hidden_fraction"]
                 for name, stats in summary.get("overlap", {}).items()

@@ -143,14 +143,15 @@ class TestTrainerBehaviour:
 
     def test_pipeline_stats_and_wait_stage(self, config):
         _, result, trainer = train_pipelined(config)
-        stats = trainer.pipeline_stats()
+        tree = trainer.stats()
+        stats = tree["pipeline"]
         assert stats["plans_computed"] == 5  # 6 batches -> 5 lookaheads
         assert stats["prefetch_busy_seconds"] > 0.0
         assert 0.0 <= stats["hidden_fraction"] <= 1.0
         assert stats["hidden_seconds"] + stats["exposed_wait_seconds"] >= 0.0
         # The worker did the dedup/history/sampling work, not the trainer.
         assert stats["worker_stage_seconds"]["lazydp_dedup"] > 0.0
-        (shard_stages,) = stats["shard_stage_seconds"]
+        (shard_stages,) = tree["shards"]["per_shard"]
         assert shard_stages["noise_sampling"] > 0.0
         assert shard_stages["lazydp_history_read"] >= 0.0
         # The embedding catch-up stages moved off the trainer timer
@@ -174,9 +175,8 @@ class TestTrainerBehaviour:
 
     def test_pipeline_session_resets_worker_stats(self, config):
         """Each pipeline session gets fresh worker timers, so
-        ``pipeline_stats`` stays per-run like the buffer/worker counters
-        (re-*fitting* a LazyDP trainer is illegal — the history is ahead
-        — but a fresh session must not inherit stale stage times)."""
+        the ``pipeline`` stats stay per-run like the buffer/worker
+        counters: a second fit must not inherit stale stage times."""
         _, trainer = build_pipelined(config)
         scheduler = trainer.scheduler
         loader = make_loader(config, batch_size=16, num_batches=3)
@@ -197,10 +197,11 @@ class TestTrainerBehaviour:
         lumped fan-out wall-clock is named shard_prefetch (not
         noise_sampling)."""
         _, _, trainer = train_pipelined(config, num_shards=3)
-        stats = trainer.pipeline_stats()
+        tree = trainer.stats()
+        stats = tree["pipeline"]
         assert "shard_prefetch" in stats["worker_stage_seconds"]
         assert "noise_sampling" not in stats["worker_stage_seconds"]
-        per_shard = stats["shard_stage_seconds"]
+        per_shard = tree["shards"]["per_shard"]
         assert len(per_shard) == 3
         for stages in per_shard:
             assert stages["noise_sampling"] >= 0.0

@@ -217,8 +217,11 @@ class TestReportingSurfaces:
             assert worker["messages"] > 0
             assert worker["samples_drawn"] >= 0
             assert worker["staged"] == 0
-        assert trainer.kernel_stats()["procshard"]["workers"]
-        assert trainer.kernel_stats()["compiled_kernels"] == native_status()[0]
+        kernel = trainer.kernel_stats()
+        assert [shard["samples_drawn"] for shard in kernel["shards"]] == [
+            worker["samples_drawn"] for worker in stats["workers"]
+        ]
+        assert kernel["compiled_kernels"] == native_status()[0]
         trainer.close()
         # Post-close stats come from the cached last round trip.
         assert trainer.procshard_stats()["workers"]

@@ -570,6 +570,24 @@ class TestConstructionAndErrors:
         with pytest.raises(TypeError):
             PrivateServingEngine.from_checkpoint(path, config, noise_std)
 
+    def test_from_checkpoint_refuses_a_scheduled_run(self, config, tmp_path):
+        """The archive stores no schedule, so the engine would release
+        the pending noise at ``dp.learning_rate``: refused."""
+        from repro.session import TrainSession
+        from repro.train.schedules import StepDecayLR
+
+        trainer = TrainSession.build(
+            DLRM(config, seed=7), DPConfig(), noise_seed=99,
+            schedule=StepDecayLR(0.1, factor=0.25, step_size=2),
+        ).trainer
+        drive(trainer, config, 4)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, trainer, iteration=4)
+        with pytest.raises(ValueError, match="LR schedule"):
+            PrivateServingEngine.from_checkpoint(
+                path, config, trainer._last_noise_std, DPConfig()
+            )
+
     def test_requires_iteration_for_unfinalized(self, config, trainer):
         with pytest.raises(ValueError, match="iteration"):
             PrivateServingEngine.from_trainer(trainer)
@@ -615,13 +633,12 @@ class TestConstructionAndErrors:
 class TestServingObservability:
     """Serving counters must advance exactly per the staleness model.
 
-    ``serve.rows_caught_up`` counts catch-up draws actually performed —
+    ``rows_caught_up`` counts catch-up draws actually performed —
     unique looked-up rows whose history trails the serving iteration;
-    ``serve.memo_hits`` counts rows answered without a fresh catch-up
-    (duplicates in one lookup, repeats across lookups);
-    ``serve.memo_invalidations`` counts refreshes after training
-    resumes.  The Observability counters must mirror the engine's own
-    attributes bit for bit.
+    ``memo_hits`` counts rows answered without a fresh catch-up
+    (duplicates in one lookup, repeats across lookups); ``refreshes``
+    counts memo invalidations after training resumes.  An instrumented
+    session reads them from the engine's ``stats()``, their one place.
     """
 
     def continue_drive(self, trainer, config, start, steps, batch_size=16):
@@ -640,9 +657,8 @@ class TestServingObservability:
         return session
 
     def _serve_counters(self, session):
-        counters = session.observability.metrics.snapshot()["counters"]
-        return {key: value for key, value in counters.items()
-                if key.startswith("serve.")}
+        (counters,) = session.stats()["serving"]
+        return counters
 
     def test_counters_follow_staleness_model(self, config):
         session = self._session(config)
@@ -652,22 +668,22 @@ class TestServingObservability:
 
         engine.lookup(0, rows)
         counters = self._serve_counters(session)
-        assert counters["serve.rows_served"] == rows.size
+        assert counters["rows_served"] == rows.size
         # Catch-up draws happen only for rows whose history trails the
         # serving iteration; up-to-date rows are marked served for free.
-        assert counters["serve.rows_caught_up"] == stale.size
+        assert counters["rows_caught_up"] == stale.size
         # Duplicates within the lookup never re-privatize.
-        assert counters["serve.memo_hits"] == rows.size - np.unique(rows).size
+        assert counters["memo_hits"] == rows.size - np.unique(rows).size
 
         # A repeat lookup is pure memo reads: served advances by the
         # row count, memo hits by the same, catch-up not at all.
         engine.lookup(0, rows)
         counters = self._serve_counters(session)
-        assert counters["serve.rows_served"] == 2 * rows.size
-        assert counters["serve.rows_caught_up"] == stale.size
-        assert counters["serve.memo_hits"] == \
+        assert counters["rows_served"] == 2 * rows.size
+        assert counters["rows_caught_up"] == stale.size
+        assert counters["memo_hits"] == \
             2 * rows.size - np.unique(rows).size
-        assert "serve.memo_invalidations" not in counters
+        assert counters["refreshes"] == 0
         session.close()
 
     def test_refresh_counts_invalidation_and_new_catchup(self, config):
@@ -675,44 +691,42 @@ class TestServingObservability:
         engine = session.serve(iteration=4)
         rows = np.arange(8)
         engine.lookup(0, rows)
-        first_caught = self._serve_counters(session)["serve.rows_caught_up"]
+        first_caught = self._serve_counters(session)["rows_caught_up"]
 
         # Training resumes: the next lookup invalidates the memo once
         # and re-privatizes exactly the rows that accrued new noise.
         self.continue_drive(session.trainer, config, start=4, steps=2)
         engine.lookup(0, rows)
         counters = self._serve_counters(session)
-        assert counters["serve.memo_invalidations"] == 1
-        assert engine.refreshes == 1
-        second_caught = counters["serve.rows_caught_up"] - first_caught
+        assert counters["refreshes"] == 1
+        second_caught = counters["rows_caught_up"] - first_caught
         history = session.trainer.engine.histories[0].snapshot()
         expected = int(np.count_nonzero(history[rows] < engine.iteration))
         assert second_caught == expected
 
         # Serving again without new training must not invalidate again.
         engine.lookup(0, rows)
-        assert self._serve_counters(session)[
-            "serve.memo_invalidations"] == 1
+        assert self._serve_counters(session)["refreshes"] == 1
         session.close()
 
-    def test_counters_mirror_engine_attributes(self, config):
-        session = self._session(config)
+    def test_refresh_marks_the_trace(self, config):
+        """What ``instrument`` still wires: one ``serve_refresh``
+        instant per refresh, at the new iteration."""
+        from repro.session import ExecutionPlan, TrainSession
+
+        session = TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                     ExecutionPlan(obs="trace"), noise_seed=99)
+        drive(session.trainer, config, 4)
         engine = session.serve(iteration=4)
-        engine.lookup(0, np.array([0, 3, 3, 9]))
-        engine.lookup(1, np.arange(12))
-        self.continue_drive(session.trainer, config, start=4, steps=1)
-        engine.lookup(2, np.array([5, 5]))
-        counters = self._serve_counters(session)
-        assert counters["serve.rows_served"] == engine.rows_served
-        assert counters["serve.rows_caught_up"] == engine.rows_caught_up
-        assert counters["serve.memo_hits"] == engine.memo_hits
-        assert counters["serve.memo_invalidations"] == engine.refreshes
-        stats = session.stats()
-        assert stats["metrics"]["counters"] == counters | {
-            key: value
-            for key, value in stats["metrics"]["counters"].items()
-            if not key.startswith("serve.")
-        }
+        self.continue_drive(session.trainer, config, start=4, steps=2)
+        engine.lookup(0, np.arange(4))
+        engine.lookup(0, np.arange(4))
+        events = session.observability.export_trace()["traceEvents"]
+        instants = [
+            event for event in events
+            if event["ph"] == "i" and event["name"] == "serve_refresh"
+        ]
+        assert [event["args"]["iteration"] for event in instants] == [6]
         session.close()
 
     def test_uninstrumented_engine_keeps_attribute_counters(self, config,

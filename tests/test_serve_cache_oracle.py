@@ -30,6 +30,7 @@ class ReferenceHotRowCache:
         self._offers = 0
         self.hits = self.misses = 0
         self.admissions = self.evictions = self.invalidations = 0
+        self.dropped_rows = 0
 
     def get_rows(self, table_index, rows, generation):
         n = int(rows.size)
@@ -86,6 +87,7 @@ class ReferenceHotRowCache:
         dropped = len(self._entries)
         self._entries.clear()
         self.invalidations += 1
+        self.dropped_rows += dropped
         return dropped
 
     def stats(self):
@@ -99,6 +101,7 @@ class ReferenceHotRowCache:
             "admissions": self.admissions,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "dropped_rows": self.dropped_rows,
         }
 
 

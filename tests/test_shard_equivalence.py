@@ -158,12 +158,12 @@ class TestTrainerBehaviour:
         )
         assert result.stage_times["shard_routing"] > 0.0
         assert result.stage_times["shard_model_update"] > 0.0
-        breakdown = trainer.per_shard_breakdown()
-        assert len(breakdown) == 3
-        for stages in breakdown:
+        shards = trainer.stats()["shards"]
+        assert len(shards["per_shard"]) == 3
+        for stages in shards["per_shard"]:
             assert stages["noise_sampling"] >= 0.0
             assert stages["noisy_grad_update"] >= 0.0
-        assert len(trainer.shard_update_seconds()) == 3
+        assert len(shards["update_seconds"]) == 3
 
     def test_rebuilding_trainer_readopts_bags(self, config):
         """A second trainer with a different shard count over the same

@@ -8,8 +8,8 @@ double-counted), utilization over the trace extent, and the top spans
 by aggregate duration.  For worker tracks it also computes the *hidden
 fraction*: the share of the worker's busy time that did **not** overlap
 the main loop's exposed waits (``pipeline_wait`` / ``staleness_wait``
-spans) — the trace-derived counterpart of
-``pipeline_stats()["hidden_fraction"]``, which the ``plan_sweep`` case
+spans) — the trace-derived counterpart of the trainer's
+``stats()["pipeline"]["hidden_fraction"]``, which the ``plan_sweep`` case
 of ``benchmarks/run.py`` measures from timers.
 
 The main track is found by its exported *name* (``main-loop``), never
