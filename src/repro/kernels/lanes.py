@@ -1,15 +1,28 @@
-"""One pinned lane per CPU: the pool the release walk, large draws and
-the step's per-table loops use.
+"""One pinned lane per CPU: the pool the release walk, large draws, the
+step's per-table loops and its dense half use.
 
 Every Gaussian is a pure function of ``(seed, table, row, iteration)``
 (the counter-based property of Salmon et al., "Parallel Random Numbers:
 As Easy as 1, 2, 3", SC'11), every chunk of the release walk writes
 rows no other chunk touches, and every table of a step — its
-gather-pool, its weighted scatter-add, its noisy update — touches only
-its own slab, history, ledger and scratch.  So such work, split into
-independent items, releases the same bits on any thread in any order.
-:func:`fan_out` is where those items go: it runs ``fn(item)`` for every
-item across the lanes and returns once all of them are done.
+gather-pool, its weighted scatter-add, its noisy update, SGD's sparse
+subtract — touches only its own slab, history, ledger and scratch.  So
+such work, split into independent items, releases the same bits on any
+thread in any order.  :func:`fan_out` is where those items go: it runs
+``fn(item)`` for every item across the lanes and returns once all of
+them are done.
+
+The step's dense half fans out too (:mod:`repro.nn.dlrm`): the forward
+and the backward in two row parts, every op in them row-independent,
+and on such a cut batch the gradient views one layer per item.  A row
+part is bitwise the whole batch's rows only where BLAS computes a row
+whatever rows sit beside it, so the cut follows a rule of the batch
+size alone — one cut at ``(batch // 2) // 8 * 8`` when both parts hold
+512 rows, else one part (:func:`repro.nn.dlrm.row_parts`): 8-aligned
+halves of at least 256 rows matched the whole product on every layer
+shape measured, while 64- or 128-row tiles and a 1-row tail did not, as
+OpenBLAS switches kernels at small M.  The lane count decides only
+where the parts run.
 
 The pool is what the host is, not a setting: one daemon thread per CPU
 the process may use (:data:`CPUS`, captured at import), pinned, lane
@@ -31,7 +44,9 @@ is raised once all of them have finished.
 
 Python threads, not OpenMP: the compiled kernels' ctypes calls and
 numpy's ufuncs release the GIL, and the noise kernel's scratch is
-per-thread.  ``backend=process`` forks with the lanes running, so a
+per-thread.  For the same reason the pool, when it starts, sets numpy's
+OpenBLAS to one thread: BLAS threads would fight the lanes for the same
+CPUs.  ``backend=process`` forks with the lanes running, so a
 fork hook drops the pool in the child, which starts its own at its
 first fan-out.
 """
@@ -39,6 +54,7 @@ first fan-out.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import os
 import queue
@@ -110,8 +126,38 @@ def _serve(lane: int, cpu: int, inbox: queue.SimpleQueue) -> None:
         del job
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's OpenBLAS (found among the libraries this process
+    maps) on one thread per caller: the lanes are the process's
+    parallelism.  Left threaded, two lanes' products at once ran the
+    dense half 2-3x slower than the lanes alone, and the
+    ``D.T @ A`` reduction's bits followed BLAS's thread count, so the
+    host's CPU count.  Another BLAS, or no ``/proc``, is left as it is."""
+    import numpy  # noqa: F401  (loads the BLAS library to look for)
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split()[-1] for line in maps
+                if "openblas" in line.rsplit("/", 1)[-1].lower()
+            }
+    except OSError:
+        return
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in (
+            "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_", "openblas_set_num_threads",
+        ):
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 class _Pool:
     def __init__(self, cpus: tuple):
+        _one_blas_thread()
         self.busy = threading.Lock()
         self.inboxes = [queue.SimpleQueue() for _ in cpus]
         for lane, (cpu, inbox) in enumerate(zip(cpus, self.inboxes)):

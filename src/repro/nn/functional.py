@@ -10,13 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of relu at pre-activation ``x`` (subgradient 0 at x == 0)."""
-    return upstream * (x > 0.0)
+def relu_grad(x: np.ndarray, upstream: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of relu at pre-activation ``x`` (subgradient 0 at x == 0).
+
+    ``x`` may be the activation instead: ``relu(pre)`` is positive
+    exactly where ``pre`` is."""
+    return np.multiply(upstream, x > 0.0, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,14 @@ forward/backward pair, matching the four training algorithms in the paper:
 Layers are stateful across one forward+backward: they cache activations and
 deltas, which the trainer then interrogates.  This mirrors how Opacus hooks
 module forward/backward to compute per-sample gradients.
+
+Every op of the forward and backward passes is row-independent, so a pass
+is *bound* once (caches set, whole-batch outputs allocated) and then run
+over row parts — ``MLP.forward_rows``, ``FeatureInteraction.forward_rows``
+and their backward twins — that may run on different threads: each part
+writes only its rows of arrays the layer keeps from pass to pass, so what
+an ``MLP`` or ``FeatureInteraction`` pass returns is overwritten by its
+next pass.  :class:`repro.nn.DLRM` splits a batch into such parts.
 """
 
 from __future__ import annotations
@@ -25,6 +33,17 @@ from ..data.batch import LookupPairs, LookupSort
 from ..rng import _native
 from .functional import relu, relu_grad
 from .parameter import Parameter, PerExamplePairs
+
+#: The row part that is the whole batch.
+ALL_ROWS = slice(None)
+
+
+def kept(buffer: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """``buffer`` when it has ``shape`` and ``dtype`` — a layer's array
+    kept from pass to pass — else a new one."""
+    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
+        return np.empty(shape, dtype=dtype)
+    return buffer
 
 
 class Linear:
@@ -50,15 +69,35 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        out = x @ self.weight.data.T
-        out += self.bias.data  # in place: no second (batch, out) array
-        return out
+        out = np.empty(
+            (x.shape[0], self.out_features), dtype=np.result_type(x, self.weight.data)
+        )
+        return self.forward_rows(ALL_ROWS, out)
 
     def backward(self, delta: np.ndarray, input_grad: bool = True):
         """Cache the upstream delta and return the input gradient
         (``None`` when ``input_grad`` is false: nothing needs it)."""
         self._delta = delta
-        return delta @ self.weight.data if input_grad else None
+        if not input_grad:
+            return None
+        out = np.empty(
+            (delta.shape[0], self.in_features),
+            dtype=np.result_type(delta, self.weight.data),
+        )
+        return self.backward_rows(ALL_ROWS, out)
+
+    def forward_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the cached input's ``x @ W.T + b``, into
+        ``out[rows]``."""
+        part = out[rows]
+        np.matmul(self._x[rows], self.weight.data.T, out=part)
+        part += self.bias.data  # in place: no second (batch, out) array
+        return part
+
+    def backward_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the cached delta's input gradient
+        ``delta @ W``, into ``out[rows]``."""
+        return np.matmul(self._delta[rows], self.weight.data, out=out[rows])
 
     # -- gradient views -------------------------------------------------
     def batch_grads(self) -> dict:
@@ -90,8 +129,7 @@ class Linear:
 
     def weighted_grads(self, weights: np.ndarray) -> dict:
         x, delta = self._require_cache()
-        if self._scaled is None or self._scaled.shape != delta.shape:
-            self._scaled = np.empty(delta.shape, dtype=np.result_type(delta, weights))
+        self._scaled = kept(self._scaled, delta.shape, np.result_type(delta, weights))
         weighted_delta = np.multiply(delta, weights[:, None], out=self._scaled)
         return {
             self.weight.name: weighted_delta.T @ x,
@@ -105,32 +143,71 @@ class Linear:
 
 
 class MLP:
-    """Stack of Linear layers with ReLU between (none after the last)."""
+    """Stack of Linear layers with ReLU between (none after the last).
+
+    Each layer's output (a hidden layer's after the ReLU, which the
+    next layer reads and the backward's mask tests) and input gradient
+    live in arrays the MLP keeps from pass to pass."""
 
     def __init__(self, linears: list):
         self.linears = list(linears)
-        self._pre_activations: list = []
+        self._outs: list = [None] * len(self.linears)
+        self._grads: list = [None] * len(self.linears)
+        self._input_grad = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._pre_activations = []
-        out = x
-        last = len(self.linears) - 1
-        for i, linear in enumerate(self.linears):
-            out = linear.forward(out)
-            if i != last:
-                self._pre_activations.append(out)
-                out = relu(out)
+        out = self.bind_forward(x)
+        self.forward_rows(ALL_ROWS)
         return out
 
     def backward(self, delta: np.ndarray, input_grad: bool = True):
         """Backpropagate to the input; ``input_grad=False`` stops at the
         first layer's delta (the input is data: nothing needs its
         gradient) and returns ``None``."""
+        grad = self.bind_backward(delta, input_grad)
+        self.backward_rows(ALL_ROWS)
+        return grad
+
+    def bind_forward(self, x: np.ndarray) -> np.ndarray:
+        """Cache a forward over ``x`` and return its (unfilled) output;
+        :meth:`forward_rows` fills it."""
+        for i, linear in enumerate(self.linears):
+            linear._x = x
+            x = self._outs[i] = kept(
+                self._outs[i], (x.shape[0], linear.out_features),
+                np.result_type(x, linear.weight.data),
+            )
+        return x
+
+    def forward_rows(self, rows: slice) -> None:
         last = len(self.linears) - 1
-        for i in range(last, 0, -1):
-            delta = self.linears[i].backward(delta)
-            delta = relu_grad(self._pre_activations[i - 1], delta)
-        return self.linears[0].backward(delta, input_grad=input_grad)
+        for i, linear in enumerate(self.linears):
+            out = linear.forward_rows(rows, self._outs[i])
+            if i != last:
+                relu(out, out=out)
+
+    def bind_backward(self, delta: np.ndarray, input_grad: bool = True):
+        """Cache a backward of ``delta`` — every layer's delta — and
+        return the (unfilled) input gradient, ``None`` without
+        ``input_grad``; :meth:`backward_rows` fills them."""
+        self._input_grad = input_grad
+        for i in range(len(self.linears) - 1, -1, -1):
+            linear = self.linears[i]
+            linear._delta = delta
+            if i == 0 and not input_grad:
+                return None
+            delta = self._grads[i] = kept(
+                self._grads[i], (delta.shape[0], linear.in_features),
+                np.result_type(delta, linear.weight.data),
+            )
+        return delta
+
+    def backward_rows(self, rows: slice) -> None:
+        for i in range(len(self.linears) - 1, 0, -1):
+            grad = self.linears[i].backward_rows(rows, self._grads[i])
+            relu_grad(self._outs[i - 1][rows], grad, out=grad)
+        if self._input_grad:
+            self.linears[0].backward_rows(rows, self._grads[0])
 
     def parameters(self) -> list:
         params = []
@@ -200,15 +277,22 @@ class EmbeddingBag:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 2:
             raise ValueError("indices must be (batch, lookups)")
-        pooled = self._pool(indices, out)
-        self._indices = indices
-        self._sort, self._pairs = sort, None
+        pooled = self.pool(indices, out)
+        self.bind_forward(indices, sort)
         return pooled
 
-    def _pool(self, indices: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """``table[indices].sum(axis=1)``: ``_sparse.c``'s ``gather_pool``
-        where the operands allow (no ``(batch, lookups, dim)``
-        temporary), the numpy expression otherwise — the same bits."""
+    def bind_forward(self, indices: np.ndarray, sort: LookupSort | None = None) -> None:
+        """Cache ``indices`` (int64, ``(batch, lookups)``) and their
+        ``sort`` as the forward's lookups, for the gradient views."""
+        self._indices = indices
+        self._sort, self._pairs = sort, None
+
+    def pool(self, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``table[indices].sum(axis=1)``, caching nothing: ``_sparse.c``'s
+        ``gather_pool`` where the operands allow (no ``(batch, lookups,
+        dim)`` temporary), the numpy expression otherwise — the same
+        bits.  Each row pools on its own, so any row part of ``indices``
+        pools into the same rows of ``out``."""
         table = self.table.data
         lib = _native.LIB
         if lib is not None:
@@ -325,6 +409,13 @@ class FeatureInteraction:
         self._pair = np.zeros((self.num_features,) * 2, dtype=np.int64)
         self._pair[upper] = self._pair[upper[::-1]] = np.arange(upper[0].size)
         self._stacked: np.ndarray | None = None
+        self._delta: np.ndarray | None = None
+        # The stack a model pools into, the forward's output and the
+        # backward's gradients, kept from pass to pass.
+        self._stack: np.ndarray | None = None
+        self._out: np.ndarray | None = None
+        self._d_stack: np.ndarray | None = None
+        self._d_dense: np.ndarray | None = None
 
     @property
     def num_pairs(self) -> int:
@@ -341,6 +432,19 @@ class FeatureInteraction:
         """:meth:`forward` of the ``(batch, F, dim)`` stack itself — the
         dense vector at feature 0, then one pooled embedding per table —
         which the model pools its bags straight into."""
+        out = self.bind_forward(stacked)
+        self.forward_rows(ALL_ROWS)
+        return out
+
+    def stack(self, batch: int, dim: int, dtype) -> np.ndarray:
+        """The ``(batch, F, dim)`` stack this layer keeps from pass to
+        pass, for a model to fill and hand to :meth:`bind_forward`."""
+        self._stack = kept(self._stack, (batch, self.num_features, dim), dtype)
+        return self._stack
+
+    def bind_forward(self, stacked: np.ndarray) -> np.ndarray:
+        """Cache a forward of ``stacked`` and return its (unfilled)
+        output; :meth:`forward_rows` fills it."""
         if stacked.shape[1] != self.num_features:
             raise ValueError(
                 f"expected {self.num_features} feature vectors, "
@@ -348,14 +452,26 @@ class FeatureInteraction:
             )
         self._stacked = stacked
         batch, _, dim = stacked.shape
-        out = np.empty((batch, self.output_dim(dim)), dtype=stacked.dtype)
+        self._out = kept(self._out, (batch, self.output_dim(dim)), stacked.dtype)
+        return self._out
+
+    def forward_rows(self, rows: slice) -> None:
+        stacked, out = self._stacked[rows], self._out[rows]
         if not self._compiled_dots(stacked, out):
+            dim = stacked.shape[2]
             out[:, :dim] = stacked[:, 0, :]
             out[:, dim:] = self._dots_numpy(stacked)
-        return out
 
     def backward(self, delta: np.ndarray) -> tuple:
         """Return (d_dense_vec, [d_embedding_t for each table])."""
+        grads = self.bind_backward(delta)
+        self.backward_rows(ALL_ROWS)
+        return grads
+
+    def bind_backward(self, delta: np.ndarray) -> tuple:
+        """Cache a backward of ``delta`` and return its (unfilled)
+        gradients, as :meth:`backward`; :meth:`backward_rows` fills
+        them."""
         if self._stacked is None:
             raise RuntimeError("forward must run before backward")
         stacked = self._stacked
@@ -364,13 +480,23 @@ class FeatureInteraction:
             raise ValueError(
                 f"expected a {(batch, self.output_dim(dim))} delta, got {delta.shape}"
             )
+        self._delta = delta
+        d_stack = self._d_stack = kept(
+            self._d_stack, stacked.shape, np.result_type(stacked, delta)
+        )
+        self._d_dense = kept(
+            self._d_dense, (batch, dim), np.result_type(d_stack, delta)
+        )
+        embeddings = [d_stack[:, 1 + t, :] for t in range(self.num_features - 1)]
+        return self._d_dense, embeddings
+
+    def backward_rows(self, rows: slice) -> None:
+        stacked, delta = self._stacked[rows], self._delta[rows]
+        d_stack, dim = self._d_stack[rows], stacked.shape[2]
         d_pairs = delta[:, dim:]
-        d_stacked = self._compiled_grad(stacked, d_pairs)
-        if d_stacked is None:
-            d_stacked = self._grad_numpy(stacked, d_pairs)
-        d_dense = d_stacked[:, 0, :] + delta[:, :dim]
-        d_embeddings = [d_stacked[:, 1 + t, :] for t in range(self.num_features - 1)]
-        return d_dense, d_embeddings
+        if not self._compiled_grad(stacked, d_pairs, d_stack):
+            self._grad_numpy(stacked, d_pairs, d_stack)
+        np.add(d_stack[:, 0, :], delta[:, :dim], out=self._d_dense[rows])
 
     def _compiled_dots(self, stacked: np.ndarray, out: np.ndarray) -> bool:
         """The forward through the library into ``out``; ``False``
@@ -385,24 +511,25 @@ class FeatureInteraction:
             ) >= 0
         )
 
-    def _compiled_grad(self, stacked: np.ndarray, d_pairs: np.ndarray):
+    def _compiled_grad(self, stacked: np.ndarray, d_pairs: np.ndarray,
+                       d_stack: np.ndarray) -> bool:
         """``d_stack`` through the library, reading ``d_pairs`` in place;
-        ``None``: no library, or operands it was not built for."""
+        ``False`` (nothing written): no library, or operands it was not
+        built for."""
         lib = _native.LIB
-        if not (
+        return (
             lib is not None
             and _native_stack(stacked)
+            and _native_stack(d_stack)
             and d_pairs.dtype == np.float64
             and d_pairs.flags.aligned
             and d_pairs.strides[1] == d_pairs.itemsize
-        ):
-            return None
-        d_stack = np.empty_like(stacked)
-        done = lib.interaction_grad(
-            d_stack.ctypes.data, stacked.ctypes.data, d_pairs.ctypes.data,
-            d_pairs.strides[0], stacked.shape[0], self.num_features, stacked.shape[2],
+            and lib.interaction_grad(
+                d_stack.ctypes.data, stacked.ctypes.data, d_pairs.ctypes.data,
+                d_pairs.strides[0], stacked.shape[0], self.num_features,
+                stacked.shape[2],
+            ) >= 0
         )
-        return d_stack if done >= 0 else None
 
     def _dots_numpy(self, stacked: np.ndarray) -> np.ndarray:
         """The ``(batch, pairs)`` dots in the four-lane order, one pair at
@@ -418,11 +545,12 @@ class FeatureInteraction:
                 lanes[p, : block.shape[0]] += block
         return ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])).T
 
-    def _grad_numpy(self, stacked: np.ndarray, d_pairs: np.ndarray) -> np.ndarray:
+    def _grad_numpy(self, stacked: np.ndarray, d_pairs: np.ndarray,
+                    out: np.ndarray) -> None:
         """``d_stack`` with ``g`` ascending, over feature-major planes,
-        handed back ``(batch, F, dim)`` C-contiguous like the compiled
+        into ``out`` (``(batch, F, dim)`` C-contiguous like the compiled
         one's: the embedding norms' einsum sums in an order that
-        depends on the layout it reads."""
+        depends on the layout it reads)."""
         by_feature = np.ascontiguousarray(stacked.transpose(1, 2, 0))
         pair_grads = np.ascontiguousarray(d_pairs.T)
         dtype = np.result_type(stacked, d_pairs)
@@ -433,7 +561,7 @@ class FeatureInteraction:
                 if g != f:
                     np.multiply(pair_grads[self._pair[f, g]], by_feature[g], out=term)
                     d_stack[f] += term
-        return np.ascontiguousarray(d_stack.transpose(2, 0, 1))
+        out[...] = d_stack.transpose(2, 0, 1)
 
 
 def _native_stack(stacked: np.ndarray) -> bool:

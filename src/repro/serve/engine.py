@@ -197,6 +197,10 @@ class PrivateServingEngine:
         #: update is what makes the lock-free cache probe sound (it
         #: can never observe a new iteration with an old generation).
         self._version = (0, iteration)
+        #: The attached trainer's ``engine.flushed_through`` when the
+        #: histories were snapshotted: a flush at the same iteration
+        #: moves the live tables and histories too.
+        self._flushed: int | None = None
         # -- lock hierarchy (see module docstring) --
         self._rw = RWLock()
         self._table_locks = [
@@ -349,6 +353,7 @@ class PrivateServingEngine:
             cache=cache,
         )
         engine._noise_std_pinned = pinned
+        engine._flushed = trainer.engine.flushed_through
         return engine
 
     @classmethod
@@ -435,24 +440,27 @@ class PrivateServingEngine:
             yield self
 
     def _needs_refresh(self) -> bool:
-        """Whether the attached trainer stepped past our snapshot.
+        """Whether the attached trainer stepped past our snapshot, or
+        flushed since it.
 
-        Safe to call without any lock: it reads two plain ints, and a
+        Safe to call without any lock: it reads plain ints, and a
         stale answer only delays the refresh to the next lookup."""
         trainer = self._attached
-        return (
-            trainer is not None
-            and int(trainer.current_iteration()) > self.iteration
+        return trainer is not None and (
+            trainer.engine.flushed_through != self._flushed
+            or int(trainer.current_iteration()) > self.iteration
         )
 
     def _maybe_refresh(self) -> None:
         """Re-snapshot from the attached trainer if it stepped past the
-        iteration this engine serves at (caller holds the write lock)."""
+        iteration this engine serves at, or flushed — at that iteration
+        too — since the last snapshot (caller holds the write lock)."""
         trainer = self._attached
         if trainer is None:
             return
         current = int(trainer.current_iteration())
-        if current <= self.iteration:
+        flushed = trainer.engine.flushed_through
+        if current <= self.iteration and flushed == self._flushed:
             return
         if not self._noise_std_pinned:
             noise_std = trainer._last_noise_std
@@ -481,6 +489,7 @@ class PrivateServingEngine:
         ]
         for buffer, history in zip(self._history, trainer.engine.histories):
             np.copyto(buffer, history.snapshot())
+        self._flushed = flushed
         # The memo answered for an older iteration; invalidate it so
         # every row is caught up against the new history snapshot.
         self._reset_memo()

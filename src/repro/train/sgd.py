@@ -4,11 +4,15 @@ SGD's embedding update is *sparse* (paper Figure 4a): only the rows
 gathered during forward propagation receive gradient, so per-iteration
 cost is a function of batch size and pooling factor — never of table size.
 That flat cost profile is what every figure normalises against.
+
+The update runs one table per item of :func:`repro.kernels.lanes.fan_out`:
+a table's rows are written only by its own item, so the bits are the
+table-by-table loop's.
 """
 
 from __future__ import annotations
 
-
+from ..kernels.lanes import fan_out
 from .common import TrainerBase
 
 
@@ -37,8 +41,11 @@ class SGDTrainer(TrainerBase):
         )
 
         lr = self._learning_rate(iteration)
-        for bag in self.model.embeddings:
+
+        def update(bag) -> None:
             sparse_grad = grads[bag.table.name]
             with self.timer.time("noisy_grad_update"):
                 bag.table.data[sparse_grad.rows] -= lr * sparse_grad.values
+
+        fan_out(update, self.model.embeddings)
         return mean_loss

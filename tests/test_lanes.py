@@ -4,8 +4,10 @@ large draws and the step's per-table loops (:mod:`repro.kernels.lanes`).
 The claim under test is that where work runs cannot move a bit: every
 release path — the terminal flush, ``export_private_model``, the
 serving engine's ``export()`` — every multi-tile draw and every fit —
-LazyDP, EANA and DP-SGD(F), whose gather-pool, scatter-add and noisy
-update run one table per lane — produce the same bytes, histories,
+LazyDP, EANA, DP-SGD(F) and SGD, whose gather-pool, scatter-add and
+embedding update run one table per lane, and at 1 024-row batches the
+forward and backward in two row halves with the gradient views one
+layer per lane — produce the same bytes, histories,
 ledgers, draw counts and counters on the lanes as in the one-lane
 spelling (``lanes.inline()``), with ANS on and off and under an LR
 schedule.  Then the failure and fork semantics: a failing chunk or
@@ -17,6 +19,7 @@ and no lane thread exists; every test here still passes.
 """
 
 import contextlib
+import ctypes
 import multiprocessing
 import os
 import sys
@@ -34,6 +37,7 @@ from repro.lazydp import ANSEngine, LedgerError, export_private_model, optimizer
 from repro.lazydp.history import HistoryTable
 from repro.lazydp.ledger import VersionVector
 from repro.nn import DLRM
+from repro.nn.dlrm import row_parts
 from repro.rng import NoiseStream, derive_key
 from repro.serve import PrivateServingEngine
 from repro.data.skew import SkewSpec
@@ -234,12 +238,54 @@ FITS = {
     "eana": ("eana", "constant", 2, None),
     "eana_pooled_zipf": ("eana", "constant", 6, SkewSpec("zipf", 1.2)),
     "dpsgd_f": ("dpsgd_f", "constant", 2, None),
+    "sgd": ("sgd", "constant", 2, None),
 }
 
 
+#: name -> algorithm or plan spec, for fits whose 1024-row batches the
+#: model cuts in two row parts (:func:`repro.nn.dlrm.row_parts`).
+SPLIT_FITS = {
+    "lazydp_ans": "ans=on",
+    "lazydp_no_ans": "ans=off",
+    "dpsgd_f": "dpsgd_f",
+    "eana": "eana",
+}
+
+
+def fit_state(algorithm, config, **kwargs):
+    """A whole fit's released state: parameters, histories, ledgers,
+    draws, counters and the stages it timed."""
+    model, result, trainer = train_algorithm(algorithm, config, **kwargs)
+    engine = getattr(trainer, "engine", None)
+    state = (
+        bits({n: p.data for n, p in model.parameters().items()}),
+        [h.snapshot() for h in engine.histories] if engine else [],
+        [v.snapshot() for v in engine.ledger] if engine else [],
+        engine.samples_drawn if engine else 0,
+        result.counters,
+        sorted(result.stage_times),
+    )
+    if hasattr(trainer, "close"):
+        trainer.close()
+    return state
+
+
+def assert_same_fit(laned, alone, lazy: bool) -> None:
+    assert_same_bits(laned[0], alone[0])
+    for left, right in zip(laned[1:3], alone[1:3]):
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            np.testing.assert_array_equal(a, b)
+    assert laned[3:] == alone[3:]
+    assert "fwd" in laned[5]
+    if lazy:
+        assert laned[3] > 0
+
+
 class TestLanedFitEqualsInlineFit:
-    """A whole fit — forward pools, weighted scatter-adds and the noisy
-    embedding update one table per lane — against the one-lane fit."""
+    """A whole fit — forward and backward row parts, forward pools,
+    per-layer gradient views and the embedding update one table per
+    lane — against the one-lane fit."""
 
     @pytest.mark.parametrize("name", FITS)
     def test_the_released_state(self, name):
@@ -248,34 +294,22 @@ class TestLanedFitEqualsInlineFit:
         build = {} if "=" not in algorithm else {
             "schedule": SCHEDULES[schedule]()
         }
-
-        def run():
-            model, result, trainer = train_algorithm(
+        laned, alone = on_lanes_and_inline(
+            lambda: fit_state(
                 algorithm, config, num_batches=ITERATIONS, skew=skew, **build
             )
-            engine = getattr(trainer, "engine", None)
-            state = (
-                bits({n: p.data for n, p in model.parameters().items()}),
-                [h.snapshot() for h in engine.histories] if engine else [],
-                [v.snapshot() for v in engine.ledger] if engine else [],
-                engine.samples_drawn if engine else 0,
-                result.counters,
-                sorted(result.stage_times),
-            )
-            if hasattr(trainer, "close"):
-                trainer.close()
-            return state
+        )
+        assert_same_fit(laned, alone, lazy="=" in algorithm)
 
-        laned, alone = on_lanes_and_inline(run)
-        assert_same_bits(laned[0], alone[0])
-        for left, right in zip(laned[1:3], alone[1:3]):
-            assert len(left) == len(right)
-            for a, b in zip(left, right):
-                np.testing.assert_array_equal(a, b)
-        assert laned[3:] == alone[3:]
-        assert "fwd" in laned[5]
-        if "=" in algorithm:
-            assert laned[3] > 0
+    @pytest.mark.parametrize("name", SPLIT_FITS)
+    def test_a_fit_in_two_row_parts(self, name):
+        algorithm = SPLIT_FITS[name]
+        config = configs.tiny_dlrm(num_tables=3, rows=2000, dim=8, lookups=2)
+        assert len(row_parts(1024)) == 2
+        laned, alone = on_lanes_and_inline(
+            lambda: fit_state(algorithm, config, batch_size=1024, num_batches=3)
+        )
+        assert_same_fit(laned, alone, lazy="=" in algorithm)
 
     @pytest.mark.parametrize("spec, on_lanes", [
         ("ans=on", True),
@@ -484,6 +518,31 @@ class TestLanesAreProcessState:
         stats = lanes.stats()
         assert stats["started"] == (1 if MULTI_LANE else 0)
         assert len(lane_threads()) == (len(lanes.CPUS) if MULTI_LANE else 0)
+
+    @pytest.mark.skipif(not MULTI_LANE, reason="one CPU: no lanes, BLAS untouched")
+    def test_blas_runs_one_thread_beside_the_lanes(self):
+        """numpy's OpenBLAS runs one thread per caller once the lanes
+        start, whatever the environment asked for: the ``D.T @ A``
+        reduction of a 2 048-row batch has other bits on two threads."""
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = {
+                    line.split()[-1] for line in maps
+                    if "openblas" in line.rsplit("/", 1)[-1].lower()
+                }
+        except OSError:
+            pytest.skip("no /proc/self/maps")
+        getters = [
+            getattr(ctypes.CDLL(path), name)
+            for path in paths
+            for name in (
+                "scipy_openblas_get_num_threads64_", "openblas_get_num_threads"
+            )
+            if hasattr(ctypes.CDLL(path), name)
+        ]
+        if not getters:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert [getter() for getter in getters] == [1] * len(getters)
 
     def test_kernel_stats_report_the_lanes(self, config):
         with session_for(config, "ans=on", None) as session:

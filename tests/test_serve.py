@@ -373,6 +373,29 @@ class TestAttachedServing:
         session.close()
         assert not engine.stats()["attached"]
 
+    def test_a_flush_at_the_served_iteration_refreshes(self):
+        """``finalize(k)`` after manual steps catches the live tables up
+        at the iteration the engine already serves: the engine must
+        re-snapshot the histories, not catch the rows up a second time."""
+        from repro.session import ExecutionPlan, TrainSession
+
+        config = configs.tiny_dlrm(num_tables=2, rows=48, dim=8, lookups=2)
+        session = TrainSession.build(DLRM(config, seed=7), DPConfig(),
+                                     ExecutionPlan(), noise_seed=99)
+        drive(session.trainer, config, 3)
+        engine = session.serve()
+        session.finalize(3)
+        served = engine.export()
+        reference = session.export_private_model()
+        assert served.keys() == reference.keys()
+        for name in reference:
+            np.testing.assert_array_equal(
+                served[name].view(np.uint64), reference[name].view(np.uint64),
+                err_msg=name,
+            )
+        assert engine.stats()["iteration"] == 3
+        session.close()
+
     def test_session_serve_unfollowed_freezes(self, config):
         from repro.session import ExecutionPlan, TrainSession
 
