@@ -60,6 +60,10 @@ import os
 import queue
 import threading
 
+# The allocator policy is set at its import: before the lanes start,
+# so they take no malloc arena of their own.
+from . import arena  # noqa: F401
+
 
 def _usable_cpus() -> tuple:
     try:

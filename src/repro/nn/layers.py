@@ -547,21 +547,22 @@ class FeatureInteraction:
 
     def _grad_numpy(self, stacked: np.ndarray, d_pairs: np.ndarray,
                     out: np.ndarray) -> None:
-        """``d_stack`` with ``g`` ascending, over feature-major planes,
-        into ``out`` (``(batch, F, dim)`` C-contiguous like the compiled
-        one's: the embedding norms' einsum sums in an order that
-        depends on the layout it reads)."""
-        by_feature = np.ascontiguousarray(stacked.transpose(1, 2, 0))
-        pair_grads = np.ascontiguousarray(d_pairs.T)
-        dtype = np.result_type(stacked, d_pairs)
-        d_stack = np.full(by_feature.shape, -0.0, dtype=dtype)
-        term = np.empty(by_feature.shape[1:], dtype=dtype)
+        """``d_stack`` with ``g`` ascending, summed in place into ``out``
+        (``(batch, F, dim)`` C-contiguous like the compiled one's: the
+        embedding norms' einsum sums in an order that depends on the
+        layout it reads) one feature plane at a time.  The one temporary
+        is a ``(batch, dim)`` term: a step copies no whole part."""
+        term = np.empty((stacked.shape[0], stacked.shape[2]), dtype=out.dtype)
+        out[...] = -0.0
         for f in range(self.num_features):
+            plane = out[:, f, :]
             for g in range(self.num_features):
                 if g != f:
-                    np.multiply(pair_grads[self._pair[f, g]], by_feature[g], out=term)
-                    d_stack[f] += term
-        out[...] = d_stack.transpose(2, 0, 1)
+                    np.multiply(
+                        d_pairs[:, self._pair[f, g], None], stacked[:, g, :],
+                        out=term,
+                    )
+                    plane += term
 
 
 def _native_stack(stacked: np.ndarray) -> bool:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.arena import owned
 from ..rng import _native
 
 
@@ -155,8 +156,7 @@ class PerExamplePairs:
                 return SparseRowGrad(unique_rows, values)
         scale = weights[self.example_ids] * self.mults
         contrib = self.deltas[self.example_ids] * scale[:, None]
-        values = np.zeros((unique_rows.shape[0], self.deltas.shape[1]),
-                          dtype=np.float64)
+        values = owned((unique_rows.shape[0], self.deltas.shape[1]), zero=True)
         np.add.at(values, inverse, contrib)
         return SparseRowGrad(unique_rows, values)
 
@@ -180,7 +180,7 @@ class PerExamplePairs:
             and inverse.shape == examples.shape == mults.shape
         ):
             return None
-        values = np.zeros((num_unique, deltas.shape[1]), dtype=np.float64)
+        values = owned((num_unique, deltas.shape[1]), zero=True)
         done = lib.weighted_scatter_add(
             values.ctypes.data, num_unique, deltas.shape[1],
             inverse.ctypes.data, examples.ctypes.data, mults.ctypes.data,

@@ -71,7 +71,7 @@ from .worker import worker_main
 #: A worker's ``stats`` reply: what its :class:`ShardState` reports
 #: (the tree's ``kernel`` section) and what only the process knows.
 _SHARD_STATE_STATS = ("samples_drawn", "apply_arenas", "timer_counters")
-_WORKER_STATS = ("shard", "pid", "messages", "staged")
+_WORKER_STATS = ("shard", "pid", "messages", "staged", "minor_faults")
 
 
 class ShardWorkerError(RuntimeError):
@@ -441,9 +441,11 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
 
     def stats(self) -> dict:
         """:meth:`LazyDPTrainer.stats` plus ``procshard``: the start
-        method and each worker's pid, message count and staged plans,
-        from the round trip ``kernel_stats`` just made (the rest of the
-        reply is the ``kernel`` section's)."""
+        method and each worker's pid, message count, staged plans and
+        ``minor_faults`` (page faults while receiving and serving its
+        ``plan`` and ``apply`` messages), from the round trip
+        ``kernel_stats`` just made (the rest of the reply is the
+        ``kernel`` section's)."""
         tree = super().stats()
         tree["procshard"] = {
             "start_method": self._start_method,

@@ -31,6 +31,7 @@ import gc
 import os
 import traceback
 
+from ..kernels.arena import minor_faults
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import ShardState, TableWindow
@@ -130,7 +131,12 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
     #: by the step's ``apply``.
     staged: dict = {}
     messages = 0
+    #: Minor page faults while receiving and serving step messages
+    #: (``plan`` and ``apply``): the worker's half of the trainer's
+    #: ``minor_faults`` counter.
+    step_faults = 0
     while True:
+        faults_start = minor_faults()
         try:
             message = conn.recv()
         except (EOFError, OSError):
@@ -141,6 +147,7 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
             if command == CMD_PLAN:
                 _, iteration, requests, noise_std = message
                 staged[int(iteration)] = state.plan_all(requests, iteration, noise_std)
+                step_faults += minor_faults() - faults_start
                 # No reply: plan outcomes travel with the step's apply
                 # ack (or surface as an error reply above it).
             elif command == CMD_APPLY:
@@ -151,6 +158,7 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
                     timer, recorder, shipped_totals, shipped_counters
                 )
                 conn.send((REPLY_OK, CMD_APPLY, payload))
+                step_faults += minor_faults() - faults_start
             elif command == CMD_FLUSH:
                 _, final_iteration, lr, std = message
                 flushed = state.flush_all(final_iteration, lr, std)
@@ -162,7 +170,8 @@ def _serve(conn, shard: int, state: ShardState, recorder: _SpanRecorder) -> None
             elif command == CMD_STATS:
                 stats = state.stats()
                 stats.update(
-                    pid=os.getpid(), messages=messages, staged=len(staged)
+                    pid=os.getpid(), messages=messages, staged=len(staged),
+                    minor_faults=step_faults,
                 )
                 conn.send((REPLY_OK, CMD_STATS, stats))
             elif command == CMD_CLOSE:

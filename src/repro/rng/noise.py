@@ -23,6 +23,7 @@ import itertools
 
 import numpy as np
 
+from ..kernels.arena import owned
 from ..kernels.lanes import fan_out
 from . import _native
 from .boxmuller import gaussian_lanes
@@ -117,10 +118,11 @@ def _native_tile(lib, key, columns, dim, r0, r1, b0, b1) -> int:
 
 
 def _empty(rows: np.ndarray, dim: int) -> np.ndarray:
-    """The ``(len(rows), dim)`` output of a per-row draw."""
+    """The ``(len(rows), dim)`` output of a per-row draw, on a
+    size-class block (:func:`repro.kernels.arena.owned`)."""
     if dim <= 0:
         raise ValueError("dim must be positive")
-    return np.empty((rows.shape[0], dim), dtype=np.float64)
+    return owned((rows.shape[0], dim))
 
 
 class NoiseStream:

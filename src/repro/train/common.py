@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.loader import DataLoader, LookaheadLoader
+from ..kernels.arena import minor_faults
 from ..nn.dlrm import DLRM
 from ..obs import NULL_OBS
 from ..privacy.accountant import RDPAccountant
@@ -161,7 +162,9 @@ class TrainResult:
     wall_time: float = 0.0
     #: Event counters merged across every StageTimer the run owned
     #: (trainer + shard/prefetch/apply timers) — arena hits/allocs and
-    #: friends survive ``fit`` instead of dying with the trainer.
+    #: friends survive ``fit`` instead of dying with the trainer — plus
+    #: ``minor_faults``: the process's minor page faults over the step
+    #: loop (every thread's, ``finalize`` not included).
     counters: dict = field(default_factory=dict)
     #: Sharded runs only: the per-shard stage breakdown plus the
     #: summed-per-stage view and max/min skew (None on flat runs).
@@ -320,6 +323,7 @@ class TrainerBase:
         self.expected_batch_size = loader.batch_size
         final_iteration = self.current_iteration()
         losses = []
+        faults_start = minor_faults()
         for _, batch, next_batch in self._make_lookahead(loader):
             iteration = final_iteration + 1
             with tracer.span("train_step", iteration=iteration):
@@ -328,6 +332,7 @@ class TrainerBase:
             if self.accountant is not None:
                 self.accountant.step(self.config.noise_multiplier, loader.sample_rate)
             final_iteration = iteration
+        faults = minor_faults() - faults_start
         with tracer.span("finalize", iteration=final_iteration):
             self.finalize(final_iteration)
         epsilon = None
@@ -340,7 +345,7 @@ class TrainerBase:
             stage_times=self.timer.as_dict(),
             epsilon=epsilon,
             wall_time=time.perf_counter() - start,
-            counters=self._fit_counters(),
+            counters={**self._fit_counters(), "minor_faults": faults},
             shard_times=self._fit_shard_times(),
         )
         if obs.metrics_enabled:

@@ -262,7 +262,8 @@ def fit_state(algorithm, config, **kwargs):
         [h.snapshot() for h in engine.histories] if engine else [],
         [v.snapshot() for v in engine.ledger] if engine else [],
         engine.samples_drawn if engine else 0,
-        result.counters,
+        # The page-fault count is the allocator's, not the fit's arithmetic.
+        {k: v for k, v in result.counters.items() if k != "minor_faults"},
         sorted(result.stage_times),
     )
     if hasattr(trainer, "close"):

@@ -182,6 +182,22 @@ class TestAlgorithmOrdering:
         for table in (measured, modelled):
             assert table["sgd"] == min(table.values())
 
+    def test_sgd_draws_nothing(self, geometries, monkeypatch):
+        """The deterministic witness beside the timed ordering: SGD
+        draws no Gaussian in a step, and every private algorithm draws
+        some — the noise the private steps pay for and SGD does not."""
+        draws = {
+            algorithm: gaussians_per_step(
+                algorithm, geometries["large"], monkeypatch
+            )
+            for algorithm in (
+                "sgd", "eana", "lazydp", "lazydp_no_ans",
+                "dpsgd_b", "dpsgd_r", "dpsgd_f",
+            )
+        }
+        assert draws.pop("sgd") == 0
+        assert all(count > 0 for count in draws.values()), draws
+
     def test_eana_not_slower_than_lazydp_in_both(self, step_times):
         measured, modelled = step_times
         # Interleaved best-of-7, eana / lazydp measures 0.87-0.98 over

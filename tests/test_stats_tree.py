@@ -116,7 +116,10 @@ def test_the_tree_keeps_what_the_registry_dropped(served):
         assert stats["shards"]["update_seconds"] == \
             result.shard_times["update_seconds"]
     else:
-        # The one shard reports into the trainer's own timer.
+        # The one shard reports into the trainer's own timer; the fit
+        # adds only its page-fault count.
         assert "shards" not in stats
         (shard,) = stats["kernel"]["shards"]
-        assert shard["timer_counters"] == result.counters
+        counters = dict(result.counters)
+        assert counters.pop("minor_faults") >= 0
+        assert shard["timer_counters"] == counters
