@@ -259,8 +259,8 @@ def compiled_pair(checks, apply_geometry, repeats=3):
 
 def _sincos_fallback_share(num_rows, dim):
     """Share of the angles of :func:`gaussian_pair`'s draw that
-    ``gauss_finish``'s AVX-512 body hands to libm's ``sincos``: the
-    draw's tiles through ``_native_tile``, which returns that count."""
+    ``gauss_finish``'s AVX-512 body hands to libm: the draw's tiles
+    through ``_native_tile``, which returns that count."""
     rows = np.arange(num_rows, dtype=np.uint64)
     out = np.empty((num_rows, dim))
     columns, _ = _native_columns(rows, 1, 1.0, out)
@@ -311,7 +311,7 @@ def gaussian_pair(checks, num_rows, dim, repeats=3):
     if "avx512" in measured:
         metrics["gaussian_sincos_fallback_frac"] = _sincos_fallback_share(num_rows, dim)
         title += (f"; {metrics['gaussian_sincos_fallback_frac']:.2%} of angles "
-                  "handed to libm's sincos")
+                  "handed to libm")
     table = format_table(
         ["gaussian kernel", "M gaussians/s", "sha256[:12]"],
         [[impl, mps, digest[:12]] for impl, (digest, mps) in measured.items()],

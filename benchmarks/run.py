@@ -100,7 +100,11 @@ def check_against_baseline(name: str, metrics: dict, baseline: dict) -> list:
 
     Only metrics pinned in the baseline are gated; everything else is
     informational.  A pinned metric missing from ``metrics`` is itself
-    a failure — a silently dropped measurement must not pass the gate.
+    a failure — a silently dropped measurement must not pass the gate —
+    unless its spec names, as ``only_where``, another metric that the
+    case did not report either: a gate on what one implementation
+    measures (``gaussian_sincos_fallback_frac``, where the AVX-512 body
+    ran: ``gaussian_mps_avx512``) applies only where it ran.
     """
     tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
     failures = []
@@ -109,6 +113,9 @@ def check_against_baseline(name: str, metrics: dict, baseline: dict) -> list:
         if not key.startswith(prefix):
             continue
         metric = key.removeprefix(prefix)
+        where = spec.get("only_where")
+        if where is not None and where not in metrics:
+            continue
         if metric not in metrics:
             failures.append(f"{key}: metric missing from report")
             continue

@@ -13,14 +13,17 @@
  *
  * Both halves have an AVX-512 body beside the scalar one, chosen by
  * what the CPU supports (gauss_vector_isa).  The Philox half is integer
- * work.  The vector sin / cos returns libm's bits without being libm:
- * it evaluates each value to within EVAL_ERROR ulp, keeps the correctly
- * rounded result only where the exact value is farther than WINDOW +
- * EVAL_ERROR ulp from a rounding midpoint, and hands every other lane to
- * sincos().  glibc's sin / cos are off by less than WINDOW past 1/2 ulp
- * on this lattice, so wherever a lane is kept libm rounds correctly too;
+ * work, its counters built in registers a row at a time.  The vector
+ * sin / cos returns libm's bits without being libm: it evaluates each
+ * value to within EVAL_ERROR (2^-11) ulp, keeps the correctly rounded
+ * result only where the exact value is farther than WINDOW + EVAL_ERROR
+ * ulp from a rounding midpoint (WINDOW = 0x1.2p-6, 0.0176), and hands
+ * every other value to libm: about 7.1 % of the angles.  glibc's sin /
+ * cos are off by at most 0.01556 ulp past 1/2 on this lattice, less
+ * than WINDOW, so wherever a value is kept libm rounds correctly too;
  * tools/check_sincos_lattice.py checks the result against sin and cos
- * at all 2^32 angles a tile can produce.
+ * at all 2^32 angles a tile can produce.  The scaled values go straight
+ * to the output, one interleaving vector store per eight.
  */
 #define _GNU_SOURCE /* sincos */
 #include <math.h>
@@ -210,39 +213,45 @@ static const double SINCOS_J64[103][4] = {
 };
 /* END generated by tools/gen_sincos_table.py */
 
-/* A kept lane's exact value is farther than WINDOW + EVAL_ERROR ulp
- * from a rounding midpoint.  EVAL_ERROR bounds the vector evaluation's
- * error; WINDOW must exceed libm's worst error past 1/2 ulp on the
- * lattice (glibc 2.36: 0.0156; tools/check_sincos_lattice.py measures
- * it and refuses a libm that comes within EVAL_ERROR of WINDOW).  The
- * measured evaluation error is below 2^-12.5 ulp. */
-#define WINDOW 0x1p-5
-#define EVAL_ERROR 0x1p-10
+/* A value is kept only where its exact value is farther than WINDOW +
+ * EVAL_ERROR ulp from a rounding midpoint.  EVAL_ERROR bounds the
+ * vector evaluation's error (measured against mpmath: below 2^-13.3 ulp
+ * over 2 M lattice angles and every switch point of the reduction);
+ * WINDOW must exceed libm's worst error past 1/2 ulp on the lattice
+ * (glibc 2.36: 0.01556), and tools/check_sincos_lattice.py measures
+ * that and refuses a libm that comes within EVAL_ERROR of WINDOW: it
+ * tolerates 0.01709, 10 % over glibc's.  About 4 (WINDOW + EVAL_ERROR)
+ * of the angles, 7.1 %, have a value handed to libm. */
+#define WINDOW 0x1.2p-6
+#define EVAL_ERROR 0x1p-11
 /* The largest |z_err| a kept lane may have, in units of 2^exponent(z). */
 #define KEEP_ERR ((0.5 - WINDOW - EVAL_ERROR) * 0x1p-52)
 
-/* WINDOW - EVAL_ERROR: the largest excess past 1/2 ulp libm may show
- * on a lane handed back to it (tools/check_sincos_lattice.py). */
+/* The window, for the tests and the lattice checker; WINDOW -
+ * EVAL_ERROR is the largest excess past 1/2 ulp libm may show on a
+ * lane handed back to it (tools/check_sincos_lattice.py). */
+const double sincos_window = WINDOW;
+const double sincos_eval_error = EVAL_ERROR;
 const double sincos_tolerated_excess = WINDOW - EVAL_ERROR;
 
 /* Eight counters' ten rounds: 32-bit words in 64-bit lanes, so
- * _mm512_mul_epu32 is the 32 x 32 -> 64 product. */
-static AVX512 inline void philox8(__m512i c[4], uint32_t k0, uint32_t k1)
+ * _mm512_mul_epu32 is the 32 x 32 -> 64 product.  Only the low half of
+ * each lane is a word: the multiplier reads nothing else, the rest
+ * carries product bits along, and the words are cut out at the end. */
+static AVX512 inline void philox8(__m512i c[4], const __m512i keys[10][2])
 {
     const __m512i m0 = _mm512_set1_epi64(PHILOX_M0), m1 = _mm512_set1_epi64(PHILOX_M1);
     const __m512i low = _mm512_set1_epi64(0xFFFFFFFFu);
     for (int r = 0; r < 10; r++) {
         __m512i p0 = _mm512_mul_epu32(c[0], m0);
         __m512i p1 = _mm512_mul_epu32(c[2], m1);
-        __m512i n0 = _mm512_xor_si512(_mm512_srli_epi64(p1, 32), c[1]);
-        __m512i n2 = _mm512_xor_si512(_mm512_srli_epi64(p0, 32), c[3]);
-        c[0] = _mm512_xor_si512(n0, _mm512_set1_epi64(k0));
-        c[1] = _mm512_and_si512(p1, low);
-        c[2] = _mm512_xor_si512(n2, _mm512_set1_epi64(k1));
-        c[3] = _mm512_and_si512(p0, low);
-        k0 += PHILOX_W0;
-        k1 += PHILOX_W1;
+        c[0] = _mm512_xor_si512(_mm512_xor_si512(_mm512_srli_epi64(p1, 32), c[1]), keys[r][0]);
+        c[1] = p1;
+        c[2] = _mm512_xor_si512(_mm512_xor_si512(_mm512_srli_epi64(p0, 32), c[3]), keys[r][1]);
+        c[3] = p0;
     }
+    for (int w = 0; w < 4; w++)
+        c[w] = _mm512_and_si512(c[w], low);
 }
 
 static AVX512 inline __m512d uniform8(__m512i word)
@@ -259,48 +268,66 @@ static AVX512 inline int outside8(__m512d u, __mmask8 valid)
     return __builtin_popcount(valid & ~inside);
 }
 
-/* Interleave a[0], b[0], a[1], b[1], ... over the `valid` lanes of each
- * into 2 * popcount(valid) doubles at out. */
-static AVX512 inline void store_pairs(double *out, __m512d a, __m512d b, __mmask8 valid)
+/* permutex2var indices of the interleaved stream a[0], b[0], a[1],
+ * b[1], ... of two vectors (b's lanes are 8 .. 15), padded so that any
+ * 16 consecutive entries from 0 .. 12 load whole. */
+static const int64_t INTERLEAVE[32] = {0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15};
+
+/* Entries from .. from + count - 1 (count <= 16 - from) of the stream
+ * interleaving a and b, to out[0 .. count). */
+static AVX512 inline void store_interleaved(double *out, __m512d a, __m512d b, int from,
+                                            int count)
 {
-    const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
-    const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
-    __mmask16 pairs = (__mmask16)(((uint32_t)1 << (2 * __builtin_popcount(valid))) - 1);
-    _mm512_mask_storeu_pd(out, (__mmask8)pairs, _mm512_permutex2var_pd(a, first, b));
-    _mm512_mask_storeu_pd(out + 8, (__mmask8)(pairs >> 8), _mm512_permutex2var_pd(a, second, b));
+    __mmask16 head = (__mmask16)(((uint32_t)1 << count) - 1);
+    _mm512_mask_storeu_pd(out, (__mmask8)head, _mm512_permutex2var_pd(
+        a, _mm512_loadu_si512(INTERLEAVE + from), b));
+    _mm512_mask_storeu_pd(out + 8, (__mmask8)(head >> 8), _mm512_permutex2var_pd(
+        a, _mm512_loadu_si512(INTERLEAVE + from + 8), b));
 }
 
-/* gauss_uniforms, eight counters at a time (the last vector masked). */
+/* gauss_uniforms, eight counters a vector (the last one masked), built
+ * in registers: each run of a vector's lanes that falls in one row
+ * takes that row's and iteration's words broadcast and block ids
+ * iota + b0 + j. */
 static AVX512 int64_t uniforms_avx512(const char *rows, int64_t row_stride,
                                       const char *iterations, int64_t iteration_stride,
                                       int64_t n_rows, int64_t b0, int64_t n_blocks,
                                       uint32_t k0, uint32_t k1, double *radius, double *angle)
 {
-    uint64_t lane[4][8] = {{0}};
+    const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    __m512i keys[10][2];
+    for (int r = 0; r < 10; r++, k0 += PHILOX_W0, k1 += PHILOX_W1) {
+        keys[r][0] = _mm512_set1_epi64(k0);
+        keys[r][1] = _mm512_set1_epi64(k1);
+    }
     int64_t total = n_rows * n_blocks, outside = 0, r = 0, j = 0;
     for (int64_t i = 0; i < total; i += 8) {
         int count = total - i < 8 ? (int)(total - i) : 8;
-        for (int l = 0; l < count; l++, j++) {
+        __m512i c[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                        _mm512_setzero_si512(), _mm512_setzero_si512()};
+        for (int lane = 0; lane < count;) {
+            int run = n_blocks - j < count - lane ? (int)(n_blocks - j) : count - lane;
+            __mmask8 in_run = (__mmask8)(((1u << run) - 1) << lane);
+            uint64_t row = *(const uint64_t *)(rows + r * row_stride);
+            uint64_t iteration = *(const uint64_t *)(iterations + r * iteration_stride);
+            c[0] = _mm512_mask_mov_epi64(c[0], in_run, _mm512_set1_epi64(row));
+            c[1] = _mm512_mask_mov_epi64(c[1], in_run, _mm512_set1_epi64(row >> 32));
+            c[2] = _mm512_mask_mov_epi64(c[2], in_run, _mm512_set1_epi64(iteration));
+            c[3] = _mm512_mask_mov_epi64(c[3], in_run, _mm512_add_epi64(
+                iota, _mm512_set1_epi64(b0 + j - lane)));
+            lane += run;
+            j += run;
             if (j == n_blocks) {
                 j = 0;
                 r++;
             }
-            uint64_t row = *(const uint64_t *)(rows + r * row_stride);
-            uint64_t iteration = *(const uint64_t *)(iterations + r * iteration_stride);
-            lane[0][l] = (uint32_t)row;
-            lane[1][l] = row >> 32;
-            lane[2][l] = (uint32_t)iteration;
-            lane[3][l] = (uint32_t)(b0 + j);
         }
-        __m512i c[4];
-        for (int w = 0; w < 4; w++)
-            c[w] = _mm512_loadu_si512(lane[w]);
-        philox8(c, k0, k1);
+        philox8(c, keys);
         __mmask8 valid = (__mmask8)((1u << count) - 1);
         __m512d u0 = uniform8(c[0]), u2 = uniform8(c[2]);
         outside += outside8(u0, valid) + outside8(u2, valid);
-        store_pairs(radius + 2 * i, u0, u2, valid);
-        store_pairs(angle + 2 * i, uniform8(c[1]), uniform8(c[3]), valid);
+        store_interleaved(radius + 2 * i, u0, u2, 0, 2 * count);
+        store_interleaved(angle + 2 * i, uniform8(c[1]), uniform8(c[3]), 0, 2 * count);
     }
     return outside;
 }
@@ -324,7 +351,9 @@ static AVX512 inline dd8 fast_two_sum(__m512d a, __m512d b)
     return (dd8){s, _mm512_sub_pd(b, _mm512_sub_pd(s, a))};
 }
 
-/* a * b = p + e exactly: the one place a fused multiply-add is used. */
+/* a * b = p + e exactly.  The vector sin / cos is its own evaluation,
+ * not the ufunc chain's, so it uses fused multiply-adds freely: its
+ * error is what EVAL_ERROR bounds. */
 static AVX512 inline dd8 two_prod(__m512d a, __m512d b)
 {
     __m512d p = _mm512_mul_pd(a, b);
@@ -357,7 +386,7 @@ static AVX512 inline dd8 blend(__mmask8 where, dd8 a, dd8 b)
 }
 
 /* sin and cos of eight angles in [0, 2 pi], each as z + err, and the
- * lanes where both z are safely rounded.
+ * lanes where each z is safely rounded.
  *
  * theta = k pi / 2 + r_hi + r_lo, k = nearest(theta 2 / pi) <= 4, and
  * r_hi = j / 64 + t with |t| <= 1 / 128.  With S, C = sin, cos(j / 64)
@@ -366,16 +395,19 @@ static AVX512 inline dd8 blend(__mmask8 where, dd8 a, dd8 b)
  *                        + S (cos tau - 1) + C (sin tau - tau)]
  *   cos(j / 64 + tau) = C - S t + [C_lo - S_lo t - S r_lo
  *                        + C (cos tau - 1) - S (sin tau - tau)]
- * the leading two terms exact (two_prod, two_sum), the bracket small. */
-static AVX512 inline __mmask8 sincos8(__m512d theta, dd8 *sin_out, dd8 *cos_out)
+ * the leading two terms exact (two_prod, fast_two_sum), the bracket
+ * small and evaluated with fused multiply-adds.  Always inlined: as a
+ * call it returned its results through memory, 5 % of the tile. */
+static AVX512 inline __attribute__((always_inline)) void sincos8(
+    __m512d theta, dd8 *sin_out, dd8 *cos_out, __mmask8 *sin_safe, __mmask8 *cos_safe)
 {
     const int nearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
     __m512d k = _mm512_roundscale_pd(_mm512_mul_pd(theta, _mm512_set1_pd(TWO_OVER_PI)), nearest);
     /* theta - k PIO2_1 is exact (Sterbenz), and so are k PIO2_1..3. */
     __m512d t1 = _mm512_sub_pd(theta, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_1)));
     dd8 r = two_sum(t1, _mm512_mul_pd(k, _mm512_set1_pd(-PIO2_2)));
-    __m512d r_lo = _mm512_sub_pd(_mm512_sub_pd(r.err, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_3))),
-                                 _mm512_mul_pd(k, _mm512_set1_pd(PIO2_4)));
+    __m512d r_lo = _mm512_fnmadd_pd(k, _mm512_set1_pd(PIO2_4),
+                                    _mm512_fnmadd_pd(k, _mm512_set1_pd(PIO2_3), r.err));
     r = fast_two_sum(r.z, r_lo);
     r_lo = r.err;
 
@@ -392,31 +424,32 @@ static AVX512 inline __mmask8 sincos8(__m512d theta, dd8 *sin_out, dd8 *cos_out)
      * (at t alone, S (cos tau - 1) would drop -S t r_lo, up to 2^-8.5
      * ulp); |tau| <= 1/128 leaves truncation below 2^-70 of the result. */
     __m512d tau = _mm512_add_pd(t, r_lo), t2 = _mm512_mul_pd(tau, tau);
-    __m512d sin_tail = _mm512_add_pd(_mm512_set1_pd(1.0 / 120.0),
-                                     _mm512_mul_pd(t2, _mm512_set1_pd(-1.0 / 5040.0)));
-    sin_tail = _mm512_add_pd(_mm512_set1_pd(-1.0 / 6.0), _mm512_mul_pd(t2, sin_tail));
+    __m512d sin_tail = _mm512_fmadd_pd(t2, _mm512_set1_pd(-1.0 / 5040.0),
+                                       _mm512_set1_pd(1.0 / 120.0));
+    sin_tail = _mm512_fmadd_pd(t2, sin_tail, _mm512_set1_pd(-1.0 / 6.0));
     sin_tail = _mm512_mul_pd(_mm512_mul_pd(tau, t2), sin_tail);
-    __m512d cos_tail = _mm512_add_pd(_mm512_set1_pd(1.0 / 24.0),
-                                     _mm512_mul_pd(t2, _mm512_set1_pd(-1.0 / 720.0)));
-    cos_tail = _mm512_add_pd(_mm512_set1_pd(-0.5), _mm512_mul_pd(t2, cos_tail));
+    __m512d cos_tail = _mm512_fmadd_pd(t2, _mm512_set1_pd(-1.0 / 720.0),
+                                       _mm512_set1_pd(1.0 / 24.0));
+    cos_tail = _mm512_fmadd_pd(t2, cos_tail, _mm512_set1_pd(-0.5));
     cos_tail = _mm512_mul_pd(t2, cos_tail);
+    /* sin(j / 64 + tau) - S - C t and cos(j / 64 + tau) - C + S t, less
+     * the leading sums' own errors (below): C and S multiply r_lo and the
+     * sin tail together. */
+    __m512d shift = _mm512_add_pd(r_lo, sin_tail);
+    __m512d sin_rest = _mm512_fmadd_pd(c_lo, t, s_lo);
+    sin_rest = _mm512_fmadd_pd(c_hi, shift, sin_rest);
+    sin_rest = _mm512_fmadd_pd(s_hi, cos_tail, sin_rest);
+    __m512d cos_rest = _mm512_fnmadd_pd(s_lo, t, c_lo);
+    cos_rest = _mm512_fnmadd_pd(s_hi, shift, cos_rest);
+    cos_rest = _mm512_fmadd_pd(c_hi, cos_tail, cos_rest);
 
-    dd8 p = two_prod(c_hi, t), head = two_sum(s_hi, p.z);
-    __m512d rest = _mm512_add_pd(p.err, head.err);
-    rest = _mm512_add_pd(rest, _mm512_add_pd(s_lo, _mm512_mul_pd(c_lo, t)));
-    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, r_lo));
-    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, sin_tail));
-    rest = _mm512_add_pd(rest, _mm512_mul_pd(s_hi, cos_tail));
-    dd8 sin_r = fast_two_sum(head.z, rest);
-
+    /* The leading sums: |S| >= sin(1 / 64) and |C| >= cos(51 / 64) are
+     * never a binade below |C t| or |S t| (|t| <= 1/128), or S is 0. */
+    dd8 p = two_prod(c_hi, t), head = fast_two_sum(s_hi, p.z);
+    dd8 sin_r = fast_two_sum(head.z, _mm512_add_pd(_mm512_add_pd(p.err, head.err), sin_rest));
     p = two_prod(s_hi, t);
-    head = two_sum(c_hi, _mm512_sub_pd(_mm512_setzero_pd(), p.z));
-    rest = _mm512_sub_pd(head.err, p.err);
-    rest = _mm512_add_pd(rest, _mm512_sub_pd(c_lo, _mm512_mul_pd(s_lo, t)));
-    rest = _mm512_sub_pd(rest, _mm512_mul_pd(s_hi, r_lo));
-    rest = _mm512_sub_pd(rest, _mm512_mul_pd(s_hi, sin_tail));
-    rest = _mm512_add_pd(rest, _mm512_mul_pd(c_hi, cos_tail));
-    dd8 cos_r = fast_two_sum(head.z, rest);
+    head = fast_two_sum(c_hi, _mm512_sub_pd(_mm512_setzero_pd(), p.z));
+    dd8 cos_r = fast_two_sum(head.z, _mm512_add_pd(_mm512_sub_pd(head.err, p.err), cos_rest));
 
     /* Quadrant k & 3: (sin, cos) = (s, c), (c, -s), (-s, -c), (-c, s). */
     __m512i quadrant = _mm512_cvtpd_epi64(k);
@@ -424,84 +457,153 @@ static AVX512 inline __mmask8 sincos8(__m512d theta, dd8 *sin_out, dd8 *cos_out)
     __mmask8 upper = _mm512_test_epi64_mask(quadrant, _mm512_set1_epi64(2));
     *sin_out = negate_where(blend(odd, sin_r, cos_r), upper);
     *cos_out = negate_where(blend(odd, cos_r, sin_r), odd ^ upper);
-    return safely_rounded(sin_r) & safely_rounded(cos_r);
+    __mmask8 sin_r_safe = safely_rounded(sin_r), cos_r_safe = safely_rounded(cos_r);
+    *sin_safe = (odd & cos_r_safe) | (~odd & sin_r_safe);
+    *cos_safe = (odd & sin_r_safe) | (~odd & cos_r_safe);
 }
 
-/* Lanes per pass of polar_avx512: the lanes it hands to sincos() are
- * listed on the stack and done after the pass, in one tight loop. */
+/* A lane polar_avx512 hands to libm, as one word: its row (bits 32 ..
+ * 61), its lane within the tile's part of that row (bits 0 .. 31:
+ * 2 * block + pair) and the values it needs. */
+#define NEED_SIN (1ull << 62)
+#define NEED_COS (1ull << 63)
+#define LISTED_ROW(word) (((word) >> 32) & 0x3FFFFFFFu)
+/* Lanes listed per pass of polar_avx512 before finish_listed runs. */
 #define POLAR_CHUNK 512
 
-/* gauss_finish's first pass, in place over n lanes: ln_radius[i] <-
- * rho cos(theta), angle[i] <- rho sin(theta), rho = sqrt(-2 ln_radius[i]),
- * theta = 2 pi angle[i].  Returns how many lanes went to sincos(). */
-static AVX512 int64_t polar_avx512(double *ln_radius, double *angle, int64_t n)
+/* polar_avx512's fix-up: libm's values for the listed lanes, scaled
+ * and stored over what the vector pass wrote there.  A lane whose sin
+ * and cos both lie near a rounding midpoint calls sincos(); one that
+ * needs one of them calls that function alone. */
+static void finish_listed(const uint64_t *listed, const double *thetas, const double *rhos,
+                          int64_t count, const char *scale, int64_t scale_stride,
+                          int64_t b0, char *out, int64_t out_stride)
 {
-    const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-    int64_t fallbacks = 0;
-    for (int64_t start = 0; start < n; start += POLAR_CHUNK) {
-        int64_t end = n - start < POLAR_CHUNK ? n : start + POLAR_CHUNK, redo = 0;
-        /* + 8: each compressed vector is stored whole. */
-        int64_t lanes[POLAR_CHUNK + 8];
-        double thetas[POLAR_CHUNK + 8], rhos[POLAR_CHUNK + 8];
-        for (int64_t i = start; i < end; i += 8) {
-            __mmask8 valid = end - i < 8 ? (__mmask8)((1u << (end - i)) - 1) : 0xFF;
-            __m512d rho = _mm512_sqrt_pd(_mm512_mul_pd(
-                _mm512_maskz_loadu_pd(valid, ln_radius + i), _mm512_set1_pd(-2.0)));
-            __m512d theta = _mm512_mul_pd(_mm512_maskz_loadu_pd(valid, angle + i),
-                                          _mm512_set1_pd(TWO_PI));
-            dd8 s, c;
-            __mmask8 back = valid & ~sincos8(theta, &s, &c);
-            _mm512_storeu_si512(lanes + redo, _mm512_maskz_compress_epi64(
-                back, _mm512_add_epi64(_mm512_set1_epi64(i), iota)));
-            _mm512_storeu_pd(thetas + redo, _mm512_maskz_compress_pd(back, theta));
-            _mm512_storeu_pd(rhos + redo, _mm512_maskz_compress_pd(back, rho));
-            redo += __builtin_popcount(back);
-            _mm512_mask_storeu_pd(ln_radius + i, valid, _mm512_mul_pd(rho, c.z));
-            _mm512_mask_storeu_pd(angle + i, valid, _mm512_mul_pd(rho, s.z));
-        }
-        for (int64_t k = 0; k < redo; k++) {
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t word = listed[k], row = LISTED_ROW(word);
+        double factor = *(const double *)(scale + row * scale_stride);
+        double *z = (double *)(out + row * out_stride) + 4 * b0 + 2 * (uint32_t)word;
+        if ((word & (NEED_SIN | NEED_COS)) == (NEED_SIN | NEED_COS)) {
             double s, c;
             trig(thetas[k], &s, &c);
-            ln_radius[lanes[k]] = rhos[k] * c;
-            angle[lanes[k]] = rhos[k] * s;
+            z[0] = rhos[k] * c * factor;
+            z[1] = rhos[k] * s * factor;
+        } else if (word & NEED_COS) {
+            z[0] = rhos[k] * cos(thetas[k]) * factor;
+        } else {
+            z[1] = rhos[k] * sin(thetas[k]) * factor;
         }
-        fallbacks += redo;
     }
-    return fallbacks;
 }
 
-/* sincos_lattice_mismatches through polar_avx512 (rho = 1).  Beside the
- * mismatch count: tally[0] += angles handed to sincos(); over the values
- * where libm's bits differ from sincos8's z + err, tally[1] += their
- * number, *widest = max of libm's excess past 1/2 ulp
+/* gauss_finish on the vector unit, eight lanes (four counters) a
+ * vector: rho = sqrt(-2 ln_radius), theta = 2 pi angle, and for each
+ * run of the vector's counters that falls in one row, rho cos / rho sin
+ * times that row's scale in one interleaving store per eight values,
+ * masked where dim clips the row.  A value sincos8 cannot round safely
+ * is stored anyway, and its lane listed and overwritten with libm's
+ * after the pass.  Returns how many lanes (angles) went to libm. */
+static AVX512 int64_t polar_avx512(const double *ln_radius, const double *angle,
+                                   const char *scale, int64_t scale_stride, int64_t n_rows,
+                                   int64_t b0, int64_t n_blocks, char *out, int64_t out_stride,
+                                   int64_t dim)
+{
+    const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512i need_sin = _mm512_set1_epi64((long long)NEED_SIN);
+    const __m512i need_cos = _mm512_set1_epi64((long long)NEED_COS);
+    /* + 8: each compressed vector is stored whole. */
+    uint64_t listed[POLAR_CHUNK + 8];
+    double thetas[POLAR_CHUNK + 8], rhos[POLAR_CHUNK + 8];
+    int64_t n = 2 * n_rows * n_blocks, fallbacks = 0, redo = 0, r = 0, j = 0;
+    for (int64_t i = 0; i < n; i += 8) {
+        int counters = n - i < 8 ? (int)(n - i) / 2 : 4;
+        __mmask8 valid = (__mmask8)((1u << (2 * counters)) - 1);
+        __m512d rho = _mm512_sqrt_pd(_mm512_mul_pd(
+            _mm512_maskz_loadu_pd(valid, ln_radius + i), _mm512_set1_pd(-2.0)));
+        __m512d theta = _mm512_mul_pd(_mm512_maskz_loadu_pd(valid, angle + i),
+                                      _mm512_set1_pd(TWO_PI));
+        dd8 s, c;
+        __mmask8 sin_safe, cos_safe, with_cos = 0, with_sin = 0;
+        sincos8(theta, &s, &c, &sin_safe, &cos_safe);
+        __m512d rho_cos = _mm512_mul_pd(rho, c.z), rho_sin = _mm512_mul_pd(rho, s.z);
+        __m512i word = _mm512_setzero_si512();
+        for (int k = 0; k < counters;) {
+            int run = n_blocks - j < counters - k ? (int)(n_blocks - j) : counters - k;
+            int64_t left = dim - 4 * (b0 + j);
+            int count = left < 4 * run ? (int)left : 4 * run;
+            __m512d factor = _mm512_set1_pd(*(const double *)(scale + r * scale_stride));
+            store_interleaved((double *)(out + r * out_stride) + 4 * (b0 + j),
+                              _mm512_mul_pd(rho_cos, factor), _mm512_mul_pd(rho_sin, factor),
+                              4 * k, count);
+            /* The run's lanes 2 k .. hold its values' pairs; lane 2 k + m's
+             * land at 2 m (cos) and 2 m + 1 (sin) of the count stored. */
+            __mmask8 in_run = (__mmask8)(((1u << (2 * run)) - 1) << (2 * k));
+            word = _mm512_mask_mov_epi64(word, in_run, _mm512_add_epi64(
+                iota, _mm512_set1_epi64((r << 32) + 2 * (j - k))));
+            with_cos |= (__mmask8)(((1u << ((count + 1) / 2)) - 1) << (2 * k));
+            with_sin |= (__mmask8)(((1u << (count / 2)) - 1) << (2 * k));
+            k += run;
+            j += run;
+            if (j == n_blocks) {
+                j = 0;
+                r++;
+            }
+        }
+        __mmask8 bad_cos = with_cos & ~cos_safe, bad_sin = with_sin & ~sin_safe;
+        __mmask8 back = bad_cos | bad_sin;
+        word = _mm512_mask_or_epi64(word, bad_cos, word, need_cos);
+        word = _mm512_mask_or_epi64(word, bad_sin, word, need_sin);
+        _mm512_storeu_si512(listed + redo, _mm512_maskz_compress_epi64(back, word));
+        _mm512_storeu_pd(thetas + redo, _mm512_maskz_compress_pd(back, theta));
+        _mm512_storeu_pd(rhos + redo, _mm512_maskz_compress_pd(back, rho));
+        redo += __builtin_popcount(back);
+        if (redo >= POLAR_CHUNK) {
+            finish_listed(listed, thetas, rhos, redo, scale, scale_stride, b0, out, out_stride);
+            fallbacks += redo;
+            redo = 0;
+        }
+    }
+    finish_listed(listed, thetas, rhos, redo, scale, scale_stride, b0, out, out_stride);
+    return fallbacks + redo;
+}
+
+/* sincos_lattice_mismatches through polar_avx512 (rho = 1, scale 1).
+ * Beside the mismatch count: tally[0] += angles handed to libm; over
+ * the values where libm's bits differ from sincos8's z + err, tally[1]
+ * += their number, *widest = max of libm's excess past 1/2 ulp
  * (|libm - (z + err)| / |the double after z toward libm - z| - 1/2), and
  * their words go to misrounded[] while tally[1] < capacity. */
 static AVX512 uint64_t lattice_avx512(uint64_t first, uint64_t count, uint64_t step,
                                       uint64_t *tally, double *widest,
                                       uint32_t *misrounded, uint64_t capacity)
 {
+    const double one = 1.0;
     uint64_t mismatches = 0;
     for (uint64_t i = 0; i < count; i += 8) {
         int n = count - i < 8 ? (int)(count - i) : 8;
         uint32_t words[8];
-        double cosines[8], sines[8], thetas[8], z[2][8], err[2][8];
-        for (int l = 0; l < n; l++) {
-            words[l] = (uint32_t)(first + (i + l) * step);
-            cosines[l] = -0.5; /* rho = sqrt(-0.5 * -2.0) = 1 */
-            sines[l] = uniform(words[l]);
-            thetas[l] = sines[l] * TWO_PI;
+        /* ln_radius -0.5: rho = sqrt(-0.5 * -2.0) = 1. */
+        double ln_radius[8], angles[8], thetas[8], values[16], z[2][8], err[2][8];
+        for (int l = 0; l < 8; l++) {
+            words[l] = (uint32_t)(first + (i + (l < n ? l : 0)) * step);
+            ln_radius[l] = -0.5;
+            angles[l] = uniform(words[l]);
+            thetas[l] = angles[l] * TWO_PI;
         }
-        tally[0] += polar_avx512(cosines, sines, n);
+        /* n lanes are (n + 1) / 2 counters of one row, clipped at 2 n. */
+        tally[0] += polar_avx512(ln_radius, angles, (const char *)&one, 0, 1, 0,
+                                 (n + 1) / 2, (char *)values, 0, 2 * n);
         dd8 s, c;
-        sincos8(_mm512_loadu_pd(thetas), &s, &c);
+        __mmask8 unused[2];
+        sincos8(_mm512_loadu_pd(thetas), &s, &c, unused, unused + 1);
         _mm512_storeu_pd(z[0], s.z);
         _mm512_storeu_pd(err[0], s.err);
         _mm512_storeu_pd(z[1], c.z);
         _mm512_storeu_pd(err[1], c.err);
         for (int l = 0; l < n; l++) {
             double want[2] = {apart_sin(thetas[l]), apart_cos(thetas[l])};
-            mismatches += memcmp(sines + l, want, sizeof *want)
-                       || memcmp(cosines + l, want + 1, sizeof *want);
+            mismatches += memcmp(values + 2 * l + 1, want, sizeof *want)
+                       || memcmp(values + 2 * l, want + 1, sizeof *want);
             for (int v = 0; v < 2; v++) {
                 if (want[v] == z[v][l])
                     continue;
@@ -569,31 +671,17 @@ int64_t gauss_uniforms(const char *rows, int64_t row_stride,
 /* Second half: ln_radius holds the logarithms of gauss_uniforms' radius
  * lane.  Box-Muller tail, the per-row scale, and the interleaved store:
  * counter (r, j) owns out[r, 4 * (b0 + j) .. + 4), clipped at dim.
- * The vector body overwrites both lanes with rho cos / rho sin first.
- * Returns how many angles the vector body handed to sincos() (0 from
- * the scalar C, where every angle goes there). */
+ * Returns how many angles the vector body handed to libm (0 from the
+ * scalar C, where every angle goes to sincos()). */
 int64_t gauss_finish(double *ln_radius, double *angle,
                      const char *scale, int64_t scale_stride, int64_t n_rows,
                      int64_t b0, int64_t n_blocks, char *out, int64_t out_stride,
                      int64_t dim)
 {
 #ifdef GAUSS_AVX512
-    if (gauss_vector_isa) {
-        int64_t fallbacks = polar_avx512(ln_radius, angle, 2 * n_rows * n_blocks);
-        for (int64_t r = 0; r < n_rows; r++) {
-            double factor = *(const double *)(scale + r * scale_stride);
-            double *row = (double *)(out + r * out_stride) + 4 * b0;
-            int64_t left = dim - 4 * b0;
-            for (int64_t j = 0; j < n_blocks; j++, left -= 4) {
-                double z[4] = {ln_radius[0], angle[0], ln_radius[1], angle[1]};
-                for (int k = 0; k < (left < 4 ? left : 4); k++)
-                    row[4 * j + k] = z[k] * factor;
-                ln_radius += 2;
-                angle += 2;
-            }
-        }
-        return fallbacks;
-    }
+    if (gauss_vector_isa)
+        return polar_avx512(ln_radius, angle, scale, scale_stride, n_rows, b0, n_blocks,
+                            out, out_stride, dim);
 #endif
     for (int64_t r = 0; r < n_rows; r++) {
         double factor = *(const double *)(scale + r * scale_stride);

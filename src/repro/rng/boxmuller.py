@@ -10,35 +10,34 @@ performance model uses to place noise sampling on the roofline (Figure 6).
 What *this* implementation is bound by is different.  It works in
 place over one cache-resident block of per-thread scratch at a time
 (see :data:`repro.rng.philox.BLOCK`), so nothing is allocated.  Per
-16 K-counter block (65 536 Gaussians, 32 768 angles), measured on the
-reference host (2 vCPU, AVX-512, glibc 2.36, numpy 2.4):
+16 K-counter block (65 536 Gaussians, 32 768 angles), one thread,
+measured on the reference host (2 vCPU AVX-512 Xeon at 2.1 GHz, glibc
+2.36, numpy 2.4):
 
-* the ufunc chain in this module and :mod:`.philox`, ~1.9 ms: counters
-  and the ten Philox rounds 0.45 ms, word -> uniform 0.06, ``log`` +
-  ``sqrt`` 0.07, ``cos`` + ``sin`` 0.96 (numpy's float64 trig is libm's,
-  one call per element, ~15 ns each), products, scale and the strided
-  stores 0.15, and the rest is ~140 ufunc dispatches;
+* the ufunc chain in this module and :mod:`.philox`, ~1.46 ms, most of
+  it ``cos`` + ``sin`` (numpy's float64 trig is libm's, one call per
+  element) and the ten Philox rounds as ~100 ufunc passes;
 * the same arithmetic compiled (``_gauss.c``, where :mod:`._native`
-  could build it) as scalar C, ~1.2 ms in three calls: counters, rounds
-  and uniforms 0.26-0.29 ms, numpy's ``log`` over the radius lane 0.04,
-  and ``sqrt`` + ``sincos`` + products + scale + store 0.81-0.86 —
-  32 768 ``sincos`` calls at ~23 ns, three quarters of the tile inside
-  glibc;
-* the AVX-512 bodies of the same file, where the CPU has them, ~0.48 ms:
-  eight Philox counters per vector 0.14 ms, ``log`` 0.04, and 0.29 ms
-  for the tail — a vector ``sincos`` over every angle, 12.5 % of them
-  handed back to glibc's ``sincos``.
+  could build it) as scalar C, ~0.89 ms in three calls: counters, rounds
+  and uniforms 0.22 ms, numpy's ``log`` over the radius lane 0.02, and
+  ``sqrt`` + ``sincos`` + products + scale + store 0.65 — 32 768
+  ``sincos`` calls at ~18 ns, three quarters of the tile inside glibc;
+* the AVX-512 bodies of the same file, where the CPU has them, ~0.22 ms
+  (3.3 ns per Gaussian): eight Philox counters per vector, built in
+  registers, 0.044 ms, ``log`` 0.022, and 0.150 ms for the tail — a
+  vector ``sincos`` over every angle, its scaled values stored straight
+  into the output, and 7.1 % of the angles handed back to glibc.
 
 The vector ``sincos`` leaves glibc without moving a bit because glibc's
 ``sin`` / ``cos`` are correctly rounded wherever the exact value is not
 within a hair of a rounding midpoint: on the lattice of 2^32 angles a
 tile can produce they misround 0.14 % of values, and never by more than
-0.0156 ulp past 1/2.  So a lane whose value (evaluated to within
-2^-10 ulp) is farther than 1/32 + 2^-10 ulp from a midpoint has one
+0.01556 ulp past 1/2.  So a value (evaluated to within 2^-11 ulp)
+farther than 0x1.2p-6 + 2^-11 ulp (0.0181) from a midpoint has one
 possible libm result — the correctly rounded one, which the vector code
-returns — and every other lane goes to ``sincos``;
-``tools/check_sincos_lattice.py`` compares the result with ``sin`` and
-``cos`` at every angle.
+returns — and every other value goes to libm's ``sin``, ``cos`` or,
+where an angle has two, ``sincos``; ``tools/check_sincos_lattice.py``
+compares the result with ``sin`` and ``cos`` at every angle.
 """
 
 from __future__ import annotations

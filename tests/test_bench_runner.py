@@ -149,6 +149,27 @@ class TestRunnerPolicy:
         sandbox(demo=lambda tier: Result([], {"demo": {"other": 1.0}}, {}, []))
         assert runner.main(["--smoke"]) == 1
 
+    def test_a_gate_with_a_condition_applies_where_it_was_reported(self):
+        """``only_where``: a count only one implementation reports is
+        gated where the case reported that implementation ran, and is
+        missing-means-failure there."""
+        baseline = {
+            "tolerance": 0.25,
+            "metrics": {
+                "demo/share": {"value": 0.1, "direction": "lower", "only_where": "vector"},
+            },
+        }
+
+        def gate(metrics):
+            return runner.check_against_baseline("demo", metrics, baseline)
+
+        assert gate({"scalar": 1.0}) == []
+        assert gate({"vector": 1.0, "share": 0.12}) == []
+        assert gate({"vector": 1.0, "share": 0.2}) == [
+            "demo/share: 0.2 regressed above 0.125 (baseline 0.1, tolerance 25%)"
+        ]
+        assert gate({"vector": 1.0}) == ["demo/share: metric missing from report"]
+
     def test_two_cases_may_not_write_one_artifact(self, sandbox, capsys):
         emit = lambda tier: Result([], {"demo": {"ratio": 1.0}}, {}, [])  # noqa: E731
         sandbox(first=emit, second=emit)
@@ -291,6 +312,12 @@ class TestSmokeRun:
             assert payload["meta"]["case"] in REGISTRY
             for metric in payload["metrics"]:
                 emitted[f"{payload['benchmark']}/{metric}"] = payload["meta"]["case"]
-        pinned = set(runner.load_baseline()["metrics"])
-        assert len(pinned) == 22
+        baseline = runner.load_baseline()["metrics"]
+        assert len(baseline) == 23
+        # A gate with `only_where` applies where its condition was emitted.
+        pinned = {
+            key for key, spec in baseline.items()
+            if "only_where" not in spec
+            or f"{key.partition('/')[0]}/{spec['only_where']}" in emitted
+        }
         assert pinned <= set(emitted), sorted(pinned - set(emitted))

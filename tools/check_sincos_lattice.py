@@ -6,13 +6,14 @@ The reference ufunc chain calls ``sin`` and ``cos`` apart; the compiled
 kernel (``src/repro/rng/_gauss.c``) takes both values of a Box-Muller
 angle from its AVX-512 ``sincos`` where the CPU has one — which keeps
 only correctly rounded values far from a rounding midpoint and hands
-every other angle to libm's ``sincos`` — and from libm's ``sincos``
-alone otherwise.  The released bits are equal only if that agrees with
+every other value to libm's ``sin``, ``cos`` or, where both of an
+angle's are near one, ``sincos`` — and from libm's ``sincos`` alone
+otherwise.  The released bits are equal only if that agrees with
 ``sin`` and ``cos`` at every angle a tile can produce, and those are a
 lattice of exactly 2^32 values, ``2 pi (w + 0.5) / 2^32`` for a 32-bit
 Philox word ``w``: so the claim is checked exhaustively rather than
 sampled.  Builds the same ``.c`` files the kernel is built from and runs
-their checker entry over the whole lattice (~90 s on two cores).
+their checker entry over the whole lattice (~60 s on two cores).
 
 Prints the mismatch count and, for the AVX-512 path, the share of
 angles handed to libm, how many values libm rounds otherwise than
@@ -68,7 +69,7 @@ def main() -> int:
         return 1
     vector = bool(_native._isa_switch(lib).value)
     if vector:
-        print("AVX-512 sincos (near-midpoint angles handed to libm's sincos) "
+        print("AVX-512 sincos (near-midpoint values handed to libm) "
               "against sin and cos")
     else:
         print("no AVX-512 sincos on this CPU and libm: libm's sincos "
