@@ -27,7 +27,7 @@ Quickstart::
 
 from . import configs
 from .configs import DLRMConfig
-from .kernels import BufferArena, fused_noisy_update
+from .kernels import fused_noisy_update
 from .data import Batch, DataLoader, SyntheticClickDataset
 from .lazydp import LazyDPTrainer, make_private
 from .nn import DLRM
@@ -53,7 +53,6 @@ __all__ = [
     "DataLoader",
     "SyntheticClickDataset",
     "LazyDPTrainer",
-    "BufferArena",
     "fused_noisy_update",
     "ExecutionPlan",
     "TrainSession",

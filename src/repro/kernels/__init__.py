@@ -7,10 +7,10 @@ traverse memory — and by per-iteration allocations feeding those
 traversals.  This package is the shared kernel layer every trainer's
 apply phase sits on:
 
-* :class:`BufferArena <repro.kernels.arena.BufferArena>` — named,
-  geometrically-grown scratch buffers reused across iterations, so the
-  steady-state apply allocates nothing (hit/alloc counters surface
-  through ``StageTimer.stats()``).
+* :mod:`repro.kernels.arena` — the allocator policy set at import: the
+  process keeps the blocks it frees, and :func:`owned
+  <repro.kernels.arena.owned>` hands out per-step outputs in size
+  classes, so a warm step's outputs and scratch map no new page.
 * :func:`fused_noisy_update` — merges the clipped gradient with the
   staged catch-up noise and writes the parameter slab in one traversal,
   bitwise-identical to the reference ``merge_sparse_updates`` +
@@ -34,7 +34,6 @@ therefore also pin the kernels.
 """
 
 from . import dispatch
-from .arena import BufferArena
 from .dispatch import (
     KernelTable,
     active_kernel_table,
@@ -52,7 +51,6 @@ def fused_noisy_update(
     grad_values,
     noise_rows,
     noise_values,
-    arena=None,
     row_base=0,
     timer=None,
 ):
@@ -68,7 +66,6 @@ def fused_noisy_update(
         grad_values,
         noise_rows,
         noise_values,
-        arena=arena,
         row_base=row_base,
         timer=timer,
     )
@@ -132,7 +129,6 @@ def batched_row_noise_sum(
 
 
 __all__ = [
-    "BufferArena",
     "KernelTable",
     "active_kernel_table",
     "apply_sparse_update",

@@ -1,35 +1,20 @@
-"""Reusable scratch buffers for the apply-phase hot path.
+"""Warm memory for the per-step outputs: the process keeps what it frees.
 
-The noisy model-update is bandwidth-bound (paper Section 4.3): every
-per-iteration allocation that feeds it — the union row buffer, the
-merged value buffer, the gathered rows — costs a page-faulting
-first-touch pass over memory the algorithm already has to stream once.
-A :class:`BufferArena` keeps one named, geometrically-grown backing
-buffer per scratch role so steady-state iterations reuse warm memory
-and allocate nothing.
-
-Ownership rules (what makes lock-free use legal):
-
-* An arena is **single-threaded**: each concurrent consumer (a shard's
-  apply task, the apply worker, a serving table stripe) owns its own
-  arena.  Nothing here locks.
-* A view returned by :meth:`BufferArena.request` is valid until the
-  same ``key`` is requested again; distinct keys never alias.  Kernel
-  outputs that outlive the call (e.g. staged noise crossing a thread
-  boundary) must therefore be owned arrays, never arena views — the
-  kernels in this package follow that rule.
-
-Owned outputs are warm too.  glibc hands a freed block of 128 KiB or
-more back to the kernel (its per-size ``mmap`` threshold, and the trim
-of the heap's top), and gives each thread a heap of its own, so the
-per-step outputs — the weighted gradients, the catch-up noise — faulted
-their pages in again every step: ~1 160 pages a step on a serial
-LazyDP fit at 8 x 250 000 x 32, batch 2 048.  At import this module
-makes "reuse warm memory" a policy of the process
-(:func:`_keep_freed_blocks`), and :func:`owned` allocates those outputs
-in size classes, so a block the last step freed fits this step's
-output.  The arena stays for scratch reused within one call.  The
-policy is process state, like the lanes and the BLAS pin
+The noisy model-update is bandwidth-bound (paper Section 4.3), so a
+step must not pay a page-faulting first-touch pass over memory the
+algorithm already streams once.  glibc hands a freed block of 128 KiB
+or more back to the kernel (its per-size ``mmap`` threshold, and the
+trim of the heap's top), and gives each thread a heap of its own, so
+the per-step outputs — the weighted gradients, the catch-up noise, the
+numpy apply's merged and scaled rows — faulted their pages in again
+every step: ~1 160 pages a step on a serial LazyDP fit at
+8 x 250 000 x 32, batch 2 048.  At import this module makes "reuse
+warm memory" a policy of the process (:func:`_keep_freed_blocks`), and
+:func:`owned` allocates those outputs in size classes, so a block the
+last step freed fits this step's output.  It is the one mechanism that
+keeps memory warm: a kernel's scratch is a plain temporary or an
+:func:`owned` block, and a warm call maps no new page.  The policy is
+process state, like the lanes and the BLAS pin
 (:mod:`repro.kernels.lanes`, which imports this module before its
 threads start): no option turns it off, a forked worker inherits it, a
 spawned one imports it, and another libc is left as it is.  It changes
@@ -133,79 +118,3 @@ def minor_faults() -> int:
     pages it mapped in without I/O, first touches of fresh memory
     among them.  A difference of two reads is the policy's witness."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-class BufferArena:
-    """Named scratch buffers, reused across iterations.
-
-    Counters:
-
-    ``hits``
-        Requests served from an existing backing buffer (the
-        steady-state case — no allocation happened).
-    ``allocs``
-        Requests that had to allocate or grow a backing buffer
-        (start-up, or a batch larger than anything seen before).
-    """
-
-    #: Growth factor when a request outgrows its backing buffer.  Doubling
-    #: amortises reallocation to O(log max_size) allocs per key.
-    GROWTH = 2
-    #: A first buffer of :data:`SIZE_CLASS_MIN` bytes or more gets this
-    #: share of headroom: a role's size follows the batch's unique rows,
-    #: a few percent apart from step to step, and without it the first
-    #: step a little larger than the first doubled the buffer mid-run
-    #: (new pages, on the numpy apply, as late as step 24 of 25).
-    HEADROOM = 4
-
-    def __init__(self):
-        self._buffers: dict = {}
-        self.hits = 0
-        self.allocs = 0
-
-    def request(
-        self, key: str, shape: tuple, dtype: np.dtype = np.float64
-    ) -> np.ndarray:
-        """A ``shape``-shaped view of the backing buffer for ``key``.
-
-        Contents are unspecified (previous uses leak through) — callers
-        must fully overwrite what they read.  The view stays valid until
-        ``key`` is requested again.
-        """
-        shape = tuple(int(s) for s in shape)
-        size = 1
-        for extent in shape:
-            if extent < 0:
-                raise ValueError(f"negative extent in shape {shape}")
-            size *= extent
-        dtype = np.dtype(dtype)
-        backing = self._buffers.get(key)
-        if backing is None or backing.dtype != dtype or backing.size < size:
-            capacity = size
-            if backing is not None and backing.dtype == dtype:
-                capacity = max(size, backing.size * self.GROWTH)
-            elif size * dtype.itemsize >= SIZE_CLASS_MIN:
-                capacity += size // self.HEADROOM
-            self._buffers[key] = backing = np.empty(capacity, dtype=dtype)
-            self.allocs += 1
-        else:
-            self.hits += 1
-        return backing[:size].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by backing buffers."""
-        return int(sum(buf.nbytes for buf in self._buffers.values()))
-
-    def stats(self) -> dict:
-        """Hit/alloc counters plus resident footprint."""
-        return {
-            "hits": int(self.hits),
-            "allocs": int(self.allocs),
-            "nbytes": self.nbytes,
-            "buffers": len(self._buffers),
-        }
-
-    def clear(self) -> None:
-        """Drop every backing buffer (counters are kept)."""
-        self._buffers.clear()

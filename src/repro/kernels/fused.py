@@ -6,8 +6,9 @@ the update rows — a ``union1d`` sort, a scratch ``zeros`` fill, and two
 read-modify-write of the slab that allocates a gathered temporary and a
 ``lr * values`` product.  :func:`fused_noisy_update` produces the same
 bits with one merge pass over the two (sorted, unique) row sets and one
-gather/subtract/scatter traversal of the slab, with every intermediate
-in :class:`BufferArena <repro.kernels.arena.BufferArena>` scratch.
+gather/subtract/scatter traversal of the slab.  Its intermediates are
+plain temporaries and :func:`owned <repro.kernels.arena.owned>` blocks:
+the process keeps the blocks it frees, so a warm call maps no new page.
 
 Bitwise contract: for sorted unique inputs the result is identical to
 ``merge_sparse_updates`` + ``table[rows] -= lr * values`` — shared rows
@@ -19,10 +20,10 @@ zero may carry the opposite zero sign than the reference's ``0.0 + x``
 accumulation produced — indistinguishable under ``==`` and harmless to
 the written slab unless the parameter itself is a negative zero.
 
-Unsorted or duplicate-bearing inputs fall back to the reference path
-(correct, just not allocation-free); the hot paths all feed sorted
-unique rows (``np.unique`` batch dedup, sorted pending-row lists, and
-the shard router preserves per-shard sortedness).
+Unsorted or duplicate-bearing inputs fall back to the reference merge;
+the hot paths all feed sorted unique rows (``np.unique`` batch dedup,
+sorted pending-row lists, and the shard router preserves per-shard
+sortedness).
 
 Where :mod:`repro.rng._native` loaded the compiled library, the same
 arithmetic runs as one two-pointer pass of ``_sparse.c`` with no
@@ -39,7 +40,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..rng import _native
-from .arena import BufferArena
+from .arena import owned
 
 
 def merge_sparse_updates(
@@ -53,8 +54,8 @@ def merge_sparse_updates(
     This is Algorithm 1 line 20: ``noisy_gradient <- gradient + noise``,
     where the gradient covers the current batch's rows and the noise
     covers the next batch's rows.  The reference (allocating)
-    implementation; :func:`fused_merge` is the arena-backed fast path
-    and :mod:`tests.test_kernels` pins their equivalence.
+    implementation; :func:`fused_merge` is the one-pass fast path and
+    :mod:`tests.test_kernels` pins their equivalence.
     """
     if rows_a.size == 0:
         return rows_b, values_b
@@ -80,14 +81,12 @@ def fused_merge(
     grad_values: np.ndarray,
     noise_rows: np.ndarray,
     noise_values: np.ndarray,
-    arena: BufferArena,
 ) -> tuple:
     """Merge two sorted-unique sparse update sets in one pass.
 
-    Returns ``(rows, values)``.  When both sides are non-empty the
-    arrays are arena views (valid until the next ``merge.*`` request);
-    a one-sided merge returns the caller's arrays unchanged, exactly
-    like :func:`merge_sparse_updates`'s early returns.
+    Returns ``(rows, values)``: new arrays when both sides are
+    non-empty, and for a one-sided merge the caller's arrays unchanged,
+    exactly like :func:`merge_sparse_updates`'s early returns.
 
     Each union slot is written exactly once: gradient-only slots take
     the gradient value, noise-only slots the noise value, and shared
@@ -109,8 +108,8 @@ def fused_merge(
     n_shared = int(np.count_nonzero(shared))
     n_union = na + nb - n_shared
 
-    rows = arena.request("merge.rows", (n_union,), np.int64)
-    values = arena.request("merge.values", (n_union, dim), np.float64)
+    rows = np.empty(n_union, dtype=np.int64)
+    values = owned((n_union, dim))
 
     if n_shared == 0:
         # Disjoint: standard merge arithmetic, direct scatters.
@@ -140,19 +139,14 @@ def fused_merge(
 
     pos_only_b = pos_b[only_b]
     rows[pos_only_b] = b_rows
-    gathered = arena.request("merge.gather", (only_b.size, dim), np.float64)
-    np.take(noise_values, only_b, axis=0, out=gathered)
-    values[pos_only_b] = gathered
+    values[pos_only_b] = noise_values[only_b]
 
     # Shared rows: one summed write (grad + noise), overwriting the
     # gradient value scattered above.
     in_b = np.nonzero(shared)[0]
     in_a = insert[in_b]
-    acc = arena.request("merge.shared_a", (in_b.size, dim), np.float64)
-    acc_b = arena.request("merge.shared_b", (in_b.size, dim), np.float64)
-    np.take(grad_values, in_a, axis=0, out=acc)
-    np.take(noise_values, in_b, axis=0, out=acc_b)
-    acc += acc_b
+    acc = grad_values[in_a]
+    acc += noise_values[in_b]
     values[pos_b[in_b]] = acc
     return rows, values
 
@@ -222,7 +216,6 @@ def apply_sparse_update(
     rows: np.ndarray,
     values: np.ndarray,
     learning_rate: float,
-    arena: BufferArena | None = None,
     row_base: int = 0,
     out: np.ndarray | None = None,
     values_writable: bool = False,
@@ -230,17 +223,17 @@ def apply_sparse_update(
     """``table[rows - row_base] -= lr * values`` in one slab traversal.
 
     Bitwise-identical to the fancy-indexed reference expression (the
-    same ``value - lr * merged`` per element), but the gathered rows,
-    the scaled product and the shifted index vector live in arena
-    scratch, so a warm steady-state call allocates nothing.  A run of
-    consecutive rows is updated through a slice instead.
+    same ``value - lr * merged`` per element): scale (into ``values``
+    itself, or an :func:`owned <repro.kernels.arena.owned>` float64
+    block), gather, subtract, scatter.  A run of consecutive rows is
+    updated through a slice instead.
 
     ``row_base`` shifts global row ids into a contiguous shard slab's
     local window.  ``out`` redirects the written rows into a different
     array of the same geometry (the serving engine's memo) instead of
     updating ``table`` in place.  ``values_writable=True`` lets the
     kernel scale ``values`` in place (legal only for scratch the caller
-    does not reuse, e.g. a :func:`fused_merge` view).
+    does not reuse, e.g. the values :func:`fused_merge` returns).
     """
     n = rows.size
     if n == 0:
@@ -255,13 +248,9 @@ def apply_sparse_update(
         ) >= 0
     ):
         return
-    if values_writable:
-        scaled = np.multiply(values, learning_rate, out=values)
-    elif arena is None:
-        scaled = learning_rate * values
-    else:
-        scaled = arena.request("apply.scaled", values.shape, np.float64)
-        np.multiply(values, learning_rate, out=scaled)
+    scaled = np.multiply(
+        values, learning_rate, out=values if values_writable else owned(values.shape)
+    )
     target = table if out is None else out
     if rows[-1] - rows[0] == n - 1 and _sorted_unique(rows):
         # Consecutive rows (every chunk of an all-pending terminal
@@ -269,18 +258,8 @@ def apply_sparse_update(
         start = int(rows[0]) - row_base
         np.subtract(table[start : start + n], scaled, out=target[start : start + n])
         return
-    if arena is None:
-        index = rows - row_base if row_base else rows
-        target[index] = table[index] - scaled
-        return
-
-    if row_base:
-        index = arena.request("apply.rows", (n,), np.int64)
-        np.subtract(rows, row_base, out=index)
-    else:
-        index = rows
-    gathered = arena.request("apply.gathered", values.shape, np.float64)
-    np.take(table, index, axis=0, out=gathered)
+    index = rows - row_base if row_base else rows
+    gathered = table[index]
     np.subtract(gathered, scaled, out=gathered)
     target[index] = gathered
 
@@ -292,7 +271,6 @@ def fused_noisy_update(
     grad_values: np.ndarray,
     noise_rows: np.ndarray,
     noise_values: np.ndarray,
-    arena: BufferArena | None = None,
     row_base: int = 0,
     timer=None,
 ) -> int:
@@ -301,15 +279,14 @@ def fused_noisy_update(
     Single-pass replacement for ``merge_sparse_updates`` followed by
     ``table[rows] -= lr * values`` (Algorithm 1 lines 19-25), preserving
     the phase's two stage timings (``noisy_grad_generation`` /
-    ``noisy_grad_update``) and surfacing the arena's hit/alloc counters
-    through ``timer.count`` so ``StageTimer.stats()`` reports whether
-    the steady state really allocates nothing.  Returns the number of
-    union rows written.
+    ``noisy_grad_update``).  Returns the number of union rows written.
 
-    The compiled pass is one interval with no scratch: it is timed as
-    ``noisy_grad_update`` beside an empty ``noisy_grad_generation``, and
-    both arena counters are reported as 0, so the stage and counter
-    names do not depend on the host.
+    The compiled pass is one interval: it is timed as
+    ``noisy_grad_update`` beside an empty ``noisy_grad_generation``.
+    ``timer.count("numpy_applies")`` counts the calls the numpy
+    expressions ran (0 on the compiled pass, so the stage and counter
+    names do not depend on the host) — which apply ran, in the
+    counters of any fit.
     """
     lib = _native.LIB
     if lib is not None:
@@ -324,29 +301,24 @@ def fused_noisy_update(
             )
         if written >= 0:
             if timer is not None:
-                timer.count("arena_hits", 0)
-                timer.count("arena_allocs", 0)
+                timer.count("numpy_applies", 0)
             return written
-    if arena is None:
-        arena = BufferArena()
-    hits0, allocs0 = arena.hits, arena.allocs
     sortable = _sorted_unique(grad_rows) and _sorted_unique(noise_rows)
 
     generation = timer.time("noisy_grad_generation") if timer else nullcontext()
     with generation:
         if sortable:
             rows, values = fused_merge(
-                grad_rows, grad_values, noise_rows, noise_values, arena
+                grad_rows, grad_values, noise_rows, noise_values
             )
         else:
-            # Fallback: correctness over allocation-freedom for inputs
-            # no hot path produces.
+            # Fallback for inputs no hot path produces.
             rows, values = merge_sparse_updates(
                 grad_rows, grad_values, noise_rows, noise_values
             )
 
-    # A one-sided merge aliases the caller's arrays; only kernel-owned
-    # scratch may be scaled in place.
+    # A one-sided merge aliases the caller's arrays; only the merge's
+    # own values may be scaled in place.
     writable = values is not grad_values and values is not noise_values
     update = timer.time("noisy_grad_update") if timer else nullcontext()
     with update:
@@ -355,11 +327,9 @@ def fused_noisy_update(
             rows,
             values,
             learning_rate,
-            arena=arena,
             row_base=row_base,
             values_writable=writable,
         )
     if timer is not None:
-        timer.count("arena_hits", arena.hits - hits0)
-        timer.count("arena_allocs", arena.allocs - allocs0)
+        timer.count("numpy_applies")
     return int(rows.size)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import BufferArena
 from .optimizer import catch_up_rows
 from .trainer import LazyDPTrainer
 
@@ -149,7 +148,6 @@ def export_private_model(
     if noise_std is None:
         raise ValueError("noise_std unknown: train at least one step or pass it in")
     table_of = {name: t for t, name in enumerate(trainer.model.embedding_param_names)}
-    arena = BufferArena()
     released = {}
     for name, param in trainer.model.parameters().items():
         table_index = table_of.get(name)
@@ -167,7 +165,6 @@ def export_private_model(
             iteration,
             trainer._learning_rate(iteration),
             noise_std,
-            arena,
             dest=dest,
         )
     return released

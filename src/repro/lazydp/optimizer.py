@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..kernels import BufferArena, apply_sparse_update, fused_noisy_update
+from ..kernels import apply_sparse_update, fused_noisy_update
 from ..kernels.lanes import fan_out
 from ..train.common import StageTimer
 from .ans import ANSEngine
@@ -70,7 +70,6 @@ def catch_up_rows(
     iteration: int,
     lr: float,
     std: float,
-    arena: BufferArena,
     *,
     dest: np.ndarray | None = None,
     row_base: int = 0,
@@ -87,11 +86,11 @@ def catch_up_rows(
     is walked in ``chunk_rows`` chunks so no intermediate outgrows one
     noise-kernel block: ``delays_of(chunk)`` -> one keyed draw for the
     rows that owe noise -> ``dest[rows] = source[rows] - lr * noise``
-    through ``arena`` scratch (a chunk of consecutive rows takes the
-    kernel's slice path) -> ``ledger.advance`` -> ``landed(chunk)``, the
-    caller's commit (history mark, served flags).  The commit runs only
-    after the chunk's rows are written, so a failed write is never
-    vouched for and a flag-then-gather reader never sees half a row.
+    (a chunk of consecutive rows takes the kernel's slice path) ->
+    ``ledger.advance`` -> ``landed(chunk)``, the caller's commit
+    (history mark, served flags).  The commit runs only after the
+    chunk's rows are written, so a failed write is never vouched for
+    and a flag-then-gather reader never sees half a row.
 
     Rows that owe nothing are copied ``source -> dest`` unchanged.
     ``local`` addresses ``source``, ``delays_of``, ``ledger`` and
@@ -115,7 +114,6 @@ def catch_up_rows(
         iteration,
         lr,
         std,
-        arena,
         dest=dest,
         row_base=row_base,
         ledger=ledger,
@@ -133,7 +131,6 @@ def _catch_up_inline(
     iteration: int,
     lr: float,
     std: float,
-    arena: BufferArena,
     *,
     dest: np.ndarray | None = None,
     row_base: int = 0,
@@ -165,7 +162,6 @@ def _catch_up_inline(
                 rows,
                 noise,
                 lr,
-                arena=arena,
                 row_base=row_base,
                 out=dest,
                 values_writable=True,
@@ -187,7 +183,6 @@ def _catch_up_on_lanes(
     iteration: int,
     lr: float,
     std: float,
-    arena: BufferArena,
     *,
     chunk_rows: int,
     **outputs,
@@ -195,18 +190,18 @@ def _catch_up_on_lanes(
     """:func:`_catch_up_inline` one chunk per item of
     :func:`repro.kernels.lanes.fan_out`, each lane drawing through its
     own fork of ``ans`` (the draw counter and schedule cache are
-    single-threaded) into its own arena; the forks' draws fold into
-    ``ans.samples_drawn``.  Chunks write disjoint rows and every draw is
-    keyed by its coordinates, so the bits are the inline walk's.  Every
-    chunk runs — its ledger advance and ``landed`` commit right after
-    its own write — and the lowest failing chunk's exception is raised
-    once all have finished.  ``arena`` (the caller's) stays unused."""
+    single-threaded); the forks' draws fold into ``ans.samples_drawn``.
+    Chunks write disjoint rows and every draw is keyed by its
+    coordinates, so the bits are the inline walk's.  Every chunk runs —
+    its ledger advance and ``landed`` commit right after its own write
+    — and the lowest failing chunk's exception is raised once all have
+    finished."""
     own = threading.local()
     forks = []
 
     def chunk(start: int) -> int:
         if not hasattr(own, "ans"):
-            own.ans, own.arena = ans.fork(), BufferArena()
+            own.ans = ans.fork()
             forks.append(own.ans)
         return _catch_up_inline(
             own.ans,
@@ -217,7 +212,6 @@ def _catch_up_on_lanes(
             iteration,
             lr,
             std,
-            own.arena,
             chunk_rows=chunk_rows,
             **outputs,
         )
@@ -287,14 +281,14 @@ class ShardState:
 
     Everything here is shard-owned, so concurrent shards share nothing:
     the windows and, per table, its own fork of the trainer's
-    :class:`ANSEngine` (draw counter + schedule prefix cache) and its
-    own apply arena, plus the flush arena.  The per-table scratch is
-    what lets a one-shard state (every window ``whole``) run its tables
-    side by side on the lanes in :meth:`step`; one of several shards'
-    states walks its tables inline through the same scratch, so the
-    spelling and the counts are the same either way.  The ``timer``
-    accumulates under its own lock, so lanes and, under a pipelined
-    plan, the prefetch side may write it at once.
+    :class:`ANSEngine` (draw counter + schedule prefix cache).  The
+    per-table fork is what lets a one-shard state (every window
+    ``whole``) run its tables side by side on the lanes in
+    :meth:`step`; one of several shards' states walks its tables inline
+    through the same forks, so the spelling and the counts are the same
+    either way.  The ``timer`` accumulates under its own lock, so lanes
+    and, under a pipelined plan, the prefetch side may write it at
+    once.
     """
 
     def __init__(
@@ -310,12 +304,6 @@ class ShardState:
         self.ans = [mechanism.fork() for _ in windows]
         self.timer = timer if timer is not None else StageTimer()
         self.flush_chunk_rows = int(flush_chunk_rows)
-        #: Scratch for the fused apply kernel, one arena per table,
-        #: reused across iterations so the steady-state apply allocates
-        #: nothing.
-        self.apply_arenas = [BufferArena() for _ in windows]
-        #: Scratch for the flush's slab writes; chunked walks reuse it.
-        self.flush_arena = BufferArena()
         #: The one-shard layout: :meth:`step` fans its tables out.
         self.whole = all(window.whole for window in windows)
 
@@ -368,8 +356,8 @@ class ShardState:
     ) -> None:
         """Merge the noise with this shard's slice of the clipped
         gradient and perform the one sparse write — one fused kernel
-        call against shard-owned scratch, still attributed to the two
-        stage timers the figures expect."""
+        call, still attributed to the two stage timers the figures
+        expect."""
         window = self.windows[table]
         fused_noisy_update(
             window.target,
@@ -378,7 +366,6 @@ class ShardState:
             grad_values,
             noise.rows,
             noise.values,
-            arena=self.apply_arenas[table],
             row_base=window.row_base,
             timer=self.timer,
         )
@@ -410,7 +397,7 @@ class ShardState:
         are still cache-hot.  ``grads[t]`` is this shard's ``(rows,
         values)`` slice of table ``t``'s clipped gradient.
 
-        A table's stages touch only its own window, fork and arena, so
+        A table's stages touch only its own window and fork, so
         a ``whole`` state runs one table per item of
         :func:`repro.kernels.lanes.fan_out`; one of several shards'
         states (a pool task or a worker process, already running beside
@@ -462,7 +449,6 @@ class ShardState:
             final_iteration,
             lr,
             std,
-            self.flush_arena,
             row_base=window.row_base,
             ledger=window.ledger,
             landed=lambda local: history.mark_updated(local, final_iteration),
@@ -483,13 +469,10 @@ class ShardState:
         return sum(ans.samples_drawn for ans in self.ans)
 
     def stats(self) -> dict:
-        """Hot-path arena reuse and timer counters: every table's apply
-        arena, whose ``allocs`` should freeze and ``hits`` grow once the
-        steady state is reached — the zero-allocation step the fused
-        kernels exist for."""
+        """The shard's draws and timer counters (``numpy_applies``: the
+        applies the numpy expressions ran)."""
         return {
             "samples_drawn": int(self.samples_drawn),
-            "apply_arenas": [arena.stats() for arena in self.apply_arenas],
             "timer_counters": dict(self.timer.counters),
         }
 

@@ -321,8 +321,8 @@ class LazyDPTrainer(DPSGDFTrainer):
         compiled, on which instruction set (``vector_isa``: ``avx512`` /
         ``scalar``, ``None`` on numpy); the lanes the release walk,
         large draws and the step's per-table loops spread over
-        (:func:`repro.kernels.lanes.stats`); and per shard its draws,
-        arena reuse and timer counters (:meth:`ShardState.stats`)."""
+        (:func:`repro.kernels.lanes.stats`); and per shard its draws
+        and timer counters (:meth:`ShardState.stats`)."""
         return {
             "compiled_kernels": native_status()[0],
             "vector_isa": vector_isa(),

@@ -33,8 +33,8 @@ apply     ``(iteration, grads, learning_rate)`` — ``grads[t]`` is this
 flush     ``(final_iteration, learning_rate, noise_std)`` — terminal
           catch-up of every pending row of the shard (the one chunked
           flush loop every placement runs)
-stats     ``()`` — report samples drawn, arena stats, message count,
-          plans staged
+stats     ``()`` — report samples drawn, timer counters, message
+          count, plans staged
 close     ``()`` — drop shared-memory views and exit
 ========  =============================================================
 

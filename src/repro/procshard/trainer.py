@@ -70,7 +70,7 @@ from .worker import worker_main
 
 #: A worker's ``stats`` reply: what its :class:`ShardState` reports
 #: (the tree's ``kernel`` section) and what only the process knows.
-_SHARD_STATE_STATS = ("samples_drawn", "apply_arenas", "timer_counters")
+_SHARD_STATE_STATS = ("samples_drawn", "timer_counters")
 _WORKER_STATS = ("shard", "pid", "messages", "staged", "minor_faults")
 
 
@@ -414,7 +414,7 @@ class ProcessShardedLazyDPTrainer(LazyDPTrainer):
 
     # -- reporting -----------------------------------------------------------
     def procshard_stats(self) -> dict:
-        """Per-worker diagnostics (pid, draws, messages, arena reuse):
+        """Per-worker diagnostics (pid, draws, messages, page faults):
         one ``stats`` round trip per call."""
         if self._closed:
             return self._stats_cache

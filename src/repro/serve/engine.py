@@ -71,9 +71,9 @@ Concurrency (the serving lock hierarchy, outermost first):
    cache keeps its own counters, which :meth:`stats` reports under
    ``cache``.
 
-Each table owns a private :class:`BufferArena` and its own fork of the
-sample-stage mechanism (:class:`repro.lazydp.ans.ANSEngine`), so
-concurrent catch-ups never share scratch.
+Each table owns its own fork of the sample-stage mechanism
+(:class:`repro.lazydp.ans.ANSEngine`), so concurrent catch-ups never
+share a draw counter.
 
 An optional :class:`~repro.serve.cache.HotRowCache` fronts the whole
 scheme for point lookups: probes validate against the engine's
@@ -92,7 +92,7 @@ import numpy as np
 # ``apply_sparse_update`` is a re-export only: ``benchmarks/e2e/tracing.py``
 # patches it on this module by path; the release walk calls the kernel
 # through ``repro.lazydp.optimizer``'s global.
-from ..kernels import BufferArena, apply_sparse_update  # noqa: F401
+from ..kernels import apply_sparse_update  # noqa: F401
 from ..lazydp.ledger import VersionVector
 from ..lazydp.optimizer import catch_up_rows
 from ..obs import NULL_OBS
@@ -208,10 +208,9 @@ class PrivateServingEngine:
         ]
         self._stats_lock = threading.Lock()
         #: Per-table catch-up machinery: concurrent first-touch
-        #: privatization of different tables must not share scratch
-        #: (BufferArena and the ANS draw counter are single-threaded
-        #: state), so every table stripe owns its own.
-        self._arenas = [BufferArena() for _ in self._tables]
+        #: privatization of different tables must not share the ANS
+        #: draw counter (single-threaded state), so every table stripe
+        #: owns its own fork.
         self._table_ans = [mechanism.fork() for _ in self._tables]
         #: The served memo, one dense buffer per table, allocated on
         #: first touch (an engine wrapped around a many-table model and
@@ -583,7 +582,6 @@ class PrivateServingEngine:
             iteration,
             self.learning_rate,
             self.noise_std,
-            self._arenas[table_index],
             dest=self._served_table(table_index),
             ledger=self._ledger[table_index],
             landed=landed,

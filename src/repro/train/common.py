@@ -70,7 +70,7 @@ class StageTimer:
     """Accumulates wall-clock time per named pipeline stage.
 
     Besides stage *times*, a timer carries event *counters* — e.g. the
-    fused apply kernel's BufferArena hit/alloc counts — kept in a
+    applies the fused kernel ran on its numpy expressions — kept in a
     separate namespace so ``as_dict`` (consumed as seconds everywhere)
     stays time-only; ``stats`` reports both.  Times and counters
     accumulate under one lock, so the lanes a step's per-table loops
@@ -108,7 +108,7 @@ class StageTimer:
                 tracer.add_complete(stage, start, end)
 
     def count(self, name: str, value: int = 1) -> None:
-        """Accumulate an event counter (kernel/arena instrumentation)."""
+        """Accumulate an event counter (kernel instrumentation)."""
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + int(value)
 
@@ -161,7 +161,7 @@ class TrainResult:
     epsilon: float | None = None
     wall_time: float = 0.0
     #: Event counters merged across every StageTimer the run owned
-    #: (trainer + shard/prefetch/apply timers) — arena hits/allocs and
+    #: (trainer + shard/prefetch/apply timers) — ``numpy_applies`` and
     #: friends survive ``fit`` instead of dying with the trainer — plus
     #: ``minor_faults``: the process's minor page faults over the step
     #: loop (every thread's, ``finalize`` not included).

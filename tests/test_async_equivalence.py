@@ -17,8 +17,10 @@ import pytest
 from repro import configs
 from repro.data.skew import paper_skew_spec
 from repro.lazydp import LedgerError, Scheduler
+from repro.nn import DLRM
 from repro.session import ExecutionPlan, TrainSession
 from repro.testing import make_loader, max_param_diff, train_algorithm
+from repro.train import DPConfig
 
 
 @pytest.fixture
@@ -113,6 +115,23 @@ class TestStrictBitwiseEquivalence:
         """Reads never trail applies: no plan releases other bits."""
         with pytest.raises(ValueError, match="accepts only strict"):
             ExecutionPlan.from_spec(f"async={word},inflight=4")
+
+    @pytest.mark.parametrize("spec", [
+        "inflight=1", "inflight=2", "inflight=4",
+        "shards=2,pipeline=2,inflight=2,backend=threads:2",
+    ])
+    def test_at_most_one_apply_outstanding(self, spec):
+        """Reads never trail applies: step ``t`` waits for the apply of
+        ``t - 1``, so at its entry at most one apply is outstanding and
+        the slabs trail by at most one iteration, whatever ``inflight``
+        says (it sets only the default prefetch depth)."""
+        config = configs.tiny_dlrm()
+        plan = ExecutionPlan.from_spec(f"async=strict,{spec},obs=metrics")
+        with TrainSession.build(DLRM(config, seed=7), DPConfig(), plan) as session:
+            session.fit(make_loader(config, num_batches=30))
+            histograms = session.observability.metrics.snapshot()["histograms"]
+        for name in ("async.in_flight_depth", "async.staleness_lag"):
+            assert (histograms[name]["count"], histograms[name]["max"]) == (30, 1), name
 
     def test_histories_match_serial_after_fit(self, config):
         _, _, serial_trainer = train_algorithm(

@@ -313,7 +313,7 @@ class TestSmokeRun:
             for metric in payload["metrics"]:
                 emitted[f"{payload['benchmark']}/{metric}"] = payload["meta"]["case"]
         baseline = runner.load_baseline()["metrics"]
-        assert len(baseline) == 23
+        assert len(baseline) == 22
         # A gate with `only_where` applies where its condition was emitted.
         pinned = {
             key for key, spec in baseline.items()

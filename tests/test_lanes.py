@@ -32,7 +32,7 @@ import pytest
 
 from repro import configs
 from repro.data import DataLoader, LookaheadLoader, SyntheticClickDataset
-from repro.kernels import BufferArena, lanes
+from repro.kernels import lanes
 from repro.lazydp import ANSEngine, LedgerError, export_private_model, optimizer
 from repro.lazydp.history import HistoryTable
 from repro.lazydp.ledger import VersionVector
@@ -205,7 +205,7 @@ class TestLanedWalkEqualsInlineWalk:
             caught = optimizer.catch_up_rows(
                 ans, 1, source, np.arange(rows),
                 lambda chunk: history.delays(chunk, iteration), iteration,
-                0.1, 0.3, BufferArena(), dest=dest, ledger=ledger,
+                0.1, 0.3, dest=dest, ledger=ledger,
                 landed=lambda chunk: landed.append(chunk.copy()), chunk_rows=CHUNK,
             )
             return (
@@ -357,7 +357,7 @@ class TestStageTimerAcrossThreads:
             for _ in range(rounds):
                 with timer.time("noisy_grad_update"):
                     pass
-                timer.count("arena_hits")
+                timer.count("numpy_applies")
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -371,7 +371,7 @@ class TestStageTimerAcrossThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert timer.totals == {"noisy_grad_update": float(workers * rounds)}
-        assert timer.counters == {"arena_hits": workers * rounds}
+        assert timer.counters == {"numpy_applies": workers * rounds}
 
 
 class TestMultiTileDraws:
@@ -717,7 +717,7 @@ def _flush_bytes() -> bytes:
     dest = np.empty_like(source)
     optimizer.catch_up_rows(
         ANSEngine(NoiseStream(6)), 0, source, np.arange(rows),
-        lambda chunk: np.full(chunk.size, 4), 4, 0.1, 0.2, BufferArena(),
+        lambda chunk: np.full(chunk.size, 4), 4, 0.1, 0.2,
         dest=dest, chunk_rows=CHUNK,
     )
     return dest.tobytes()

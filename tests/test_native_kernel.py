@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
-from repro.kernels import BufferArena, apply_sparse_update, fused_noisy_update
+from repro.kernels import apply_sparse_update, fused_noisy_update
 from repro.nn import EmbeddingBag, FeatureInteraction, Parameter, PerExamplePairs
 from repro.rng import NoiseStream, _native, derive_key, native_status
 from repro.rng.noise import _native_columns, _native_tile
@@ -455,7 +455,7 @@ def test_apply_sparse_update_native_equals_numpy(
         source, out = table.copy(), memo.copy() if redirect else None
         with np.errstate(all="ignore"):
             apply_sparse_update(
-                source, rows, values.copy(), 0.61, arena=BufferArena(),
+                source, rows, values.copy(), 0.61,
                 row_base=row_base, out=out, values_writable=True,
             )
         return _bits(source), None if out is None else _bits(out)

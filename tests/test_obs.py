@@ -293,22 +293,20 @@ class TestInstrumentedTraining:
         _, result = fit_plan(config, ExecutionPlan(
             obs="metrics",
         ))
-        # The fused-apply arena counters are the flat engine's events:
-        # scratch traffic on the numpy path, present and zero where the
+        # The fused apply's counter is the flat engine's event: the
+        # applies the numpy expressions ran, present and zero where the
         # apply is the compiled single pass.
         if compiled_kernels == "native":
-            assert result.counters["arena_hits"] == 0
-            assert result.counters["arena_allocs"] == 0
+            assert result.counters["numpy_applies"] == 0
         else:
-            assert result.counters["arena_hits"] > 0
-            assert result.counters["arena_allocs"] > 0
+            assert result.counters["numpy_applies"] > 0
 
     def test_counters_present_without_observability(self, config, compiled_kernels):
         _, result = fit_plan(config, ExecutionPlan())
         if compiled_kernels == "native":
-            assert result.counters["arena_hits"] == 0
+            assert result.counters["numpy_applies"] == 0
         else:
-            assert result.counters["arena_hits"] > 0
+            assert result.counters["numpy_applies"] > 0
         assert result.shard_times is None
 
     def test_sharded_shard_times_merge(self, config):
@@ -473,8 +471,8 @@ class TestCLITrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "event counters" in out
-        hits = re.search(r"arena_hits\W+(\d+)", out)
-        assert (int(hits.group(1)) == 0) == (compiled_kernels == "native")
+        applies = re.search(r"numpy_applies\W+(\d+)", out)
+        assert (int(applies.group(1)) == 0) == (compiled_kernels == "native")
         assert "trace            : wrote" in out
         payload = json.loads(path.read_text())
         tids = {e["tid"] for e in payload["traceEvents"]

@@ -8,7 +8,9 @@ catch-up noise — land in blocks the last step freed instead of pages the
 kernel maps in again.  The witness is the minor-fault count
 (``getrusage``): per step, once the heap has grown to the step's size,
 and through ``TrainResult.counters["minor_faults"]`` and the process
-backend's per-worker counts.
+backend's per-worker counts.  The apply kernels alone are held to none
+at all once warm, on the kernels as loaded and on the numpy
+expressions, whose scratch is plain temporaries and owned blocks.
 
 The geometry is 8 tables x 20 000 rows x dim 32 at batch 1 024 (two row
 parts of the dense half); a step's steady state is the mean of steps 6
@@ -27,6 +29,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -34,9 +37,10 @@ import pytest
 from repro.configs import small_dlrm
 from repro.data import SyntheticClickDataset
 from repro.data.loader import DataLoader
-from repro.kernels import arena
+from repro.kernels import apply_sparse_update, arena, fused_noisy_update
 from repro.nn import DLRM
 from repro.nn.dlrm import row_parts
+from repro.rng import _native
 from repro.session import ExecutionPlan, TrainSession
 from repro.train import DPConfig
 
@@ -160,12 +164,14 @@ class TestSteadyStep:
         staged at once on it and mapped 20-50 pages a step.  One arena
         for the process lets either side reuse the other's blocks.
 
-        Bounded at twice the flat plans' 16: ``async=strict,inflight=2``
-        keeps one to three steps' gradients and staged noise alive at
-        once, so the one heap reaches its largest live set later than a
-        flat plan's — the compiled kernels read 6-10 pages a step here,
-        the numpy kernels (whose apply takes per-table arena scratch on
-        the apply side) ~24."""
+        Bounded at twice the flat plans' 16: the pipeline keeps the
+        next step's staged noise alive beside this step's gradients,
+        and the shard threads, the lanes and the apply worker free each
+        other's blocks in an order that varies from run to run, so the
+        one heap reaches its largest live set later than a flat plan's
+        — the compiled kernels read 6-10 pages a step here; the numpy
+        kernels, whose apply allocates its merged and scaled rows on
+        the apply worker, spread more widely from run to run."""
         mean, per_step, _ = steady_faults(
             "shards=2,pipeline=2,async=strict,inflight=2,backend=threads:2"
         )
@@ -187,3 +193,36 @@ class TestSteadyStep:
         for before, after in zip(warm, end):
             # A worker's first plan maps its working set.
             assert 0 < before <= after
+
+
+
+class TestWarmKernels:
+    @pytest.mark.parametrize("kernels", ["loaded", "numpy"])
+    def test_warm_apply_maps_no_page(self, kernels):
+        """The allocator policy is the one mechanism that keeps the
+        apply's memory warm: once each of eight updates (4 096 sorted
+        rows a side, 200 000 x 32) has run twice, neither the fused
+        apply nor ``apply_sparse_update`` at a ``row_base`` into a memo
+        (``out=``) maps a page — on the kernels as loaded (the compiled
+        pass allocates nothing) and on the numpy expressions."""
+        rng = np.random.default_rng(5)
+        table, base = rng.standard_normal((200_000, 32)), 50_000
+        memo = np.zeros_like(table)
+
+        def sparse(low):
+            rows = np.sort(rng.choice(np.arange(low, 200_000), 4096, replace=False))
+            return rows, rng.standard_normal((4096, 32))
+
+        updates = [(*sparse(0), *sparse(base)) for _ in range(8)]
+        counts = []
+        with _native.using(None) if kernels == "numpy" else nullcontext():
+            for step in range(48):
+                grad_rows, grad, noise_rows, noise = updates[step % 8]
+                start = arena.minor_faults()
+                fused_noisy_update(table, 0.05, grad_rows, grad, noise_rows, noise)
+                apply_sparse_update(
+                    table[base:], noise_rows, noise, 0.05,
+                    row_base=base, out=memo[base:],
+                )
+                counts.append(arena.minor_faults() - start)
+        assert sum(counts[16:]) == 0, counts

@@ -4,9 +4,10 @@ Two layers, both checked for *bitwise* agreement with a naive
 reference over hypothesis-generated inputs (arbitrary duplicate /
 unsorted / empty row sets, delays, table shapes):
 
-* :func:`repro.kernels.apply_sparse_update` with ``out=`` — the fused
-  gather/subtract/scatter the serving memo is built on.  The naive
-  reference is a Python loop; duplicates are last-write-wins in both.
+* :func:`repro.kernels.apply_sparse_update` with ``out=``, at any
+  ``row_base`` — the fused gather/subtract/scatter the serving memo is
+  built on.  The naive reference is a Python loop; duplicates are
+  last-write-wins in both.
 * :class:`repro.serve.PrivateServingEngine.lookup` — the full
   read-through: history delays, ANS catch-up draws, memoization.  The
   naive reference privatizes one row at a time straight from
@@ -22,14 +23,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import BufferArena, apply_sparse_update
+from repro.kernels import apply_sparse_update
 from repro.lazydp import ANSEngine
 from repro.rng import NoiseStream
 from repro.serve import PrivateServingEngine
 
-#: Local deadline=None: CI machines stall unpredictably and the arena
-#: paths intentionally reuse buffers, which hypothesis's timing
-#: heuristics misread as slow shrink candidates.
+#: Local deadline=None: CI machines stall unpredictably, which
+#: hypothesis's timing heuristics misread as slow shrink candidates.
 RELAXED = settings(deadline=None, max_examples=60)
 
 
@@ -55,14 +55,14 @@ def sparse_updates(draw):
 
 class TestApplySparseUpdateOut:
     @RELAXED
-    @given(case=sparse_updates(), use_arena=st.booleans())
-    def test_bitwise_matches_naive_reference(self, case, use_arena):
+    @given(case=sparse_updates(), row_base=st.sampled_from([0, 1, 37, 1 << 20]))
+    def test_bitwise_matches_naive_reference(self, case, row_base):
         table, rows, values, lr = case
         out = np.zeros_like(table)
+        # ``table`` is the window of global rows [row_base, row_base + n).
         apply_sparse_update(
-            table, rows, values.copy(), lr,
-            arena=BufferArena() if use_arena else None,
-            out=out, values_writable=True,
+            table, rows + row_base, values.copy(), lr,
+            row_base=row_base, out=out, values_writable=True,
         )
         # Naive reference: scale first (the kernel's operation order),
         # then write row by row — duplicates are last-write-wins.
@@ -78,7 +78,7 @@ class TestApplySparseUpdateOut:
         table, rows, values, lr = case
         before = table.copy()
         apply_sparse_update(
-            table, rows, values.copy(), lr, arena=BufferArena(),
+            table, rows, values.copy(), lr,
             out=np.zeros_like(table), values_writable=True,
         )
         np.testing.assert_array_equal(table, before)
