@@ -48,13 +48,14 @@ def _keep_freed_blocks() -> bool:
     dynamic adjustment off: with only the mmap threshold a serial step
     still trimmed ~1 480 pages, with only the trim threshold blocks of
     128 KiB+ stayed ``mmap``-ed and the faults rose to ~3 200.  One
-    arena, because work lands on whichever thread is free: a lane, a
-    shard thread or the apply worker allocates an output another thread
-    frees, and with a heap per thread each heap grew, step after step,
-    to the most outputs that ever landed on its thread at once (20-50
-    pages a step on ``shards=2,pipeline=2,async=strict,inflight=2,
-    backend=threads:2``, mostly the prefetch side's catch-up noise on
-    the shard threads).
+    arena, because work lands on whichever thread is free: a lane, the
+    prefetch worker or the apply worker allocates an output another
+    thread frees, and with a heap per thread each heap grew, step after
+    step, to the most outputs that ever landed on its thread at once
+    (20-50 pages a step on ``shards=2,pipeline=2,async=strict,inflight=2,
+    backend=threads:2``, measured when that plan still ran its shard
+    tasks on executor threads of their own, mostly the prefetch side's
+    catch-up noise there).
     """
     try:
         libc = ctypes.CDLL(None)

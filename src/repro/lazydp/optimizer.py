@@ -8,9 +8,9 @@ sequence, not of where it runs.  :class:`ShardState` owns the only
 spelling of stages 2-6 and of the flush, over one *shard*: a
 contiguous row range of every embedding table, seen through
 :class:`TableWindow` slices of the table's one slab, history and
-ledger.  The flat engine is its one-range case (the window is the whole
-table, ``row_base = 0``, local ids are global ids); the sharded engine
-runs N of them as executor tasks; the process
+ledger.  The flat engine is its one-range case (the window spans the
+whole table, ``row_base = 0``, local ids are global ids); the sharded
+engine runs N of them as executor tasks; the process
 backend runs one per worker over shared memory
 (:mod:`repro.procshard.worker`).  Identical code in all three places.
 The flush itself is :func:`catch_up_rows`, the one release walk
@@ -97,12 +97,11 @@ def catch_up_rows(
     ``landed``; ``local + row_base`` are the global ids that key the
     noise.  Returns the number of rows that received noise.
 
-    A walk of more than one chunk (a whole table: the one-shard flush,
-    the release copy, the memo) spreads its chunks over the lanes
-    (:func:`_catch_up_on_lanes`); a single chunk (a lookup) walks on the
-    caller.  A shard's window, one of several walked side by side by
-    pool tasks or worker processes, walks inline through
-    :func:`_catch_up_inline` (:meth:`ShardState.flush`).
+    A walk of more than one chunk (a flush, the release copy, the memo)
+    spreads its chunks over the lanes (:func:`_catch_up_on_lanes`); a
+    single chunk (a lookup) walks on the caller.  Where the walk is
+    itself a lane item (one shard's flush beside the others'), or runs
+    in a worker process, ``fan_out`` walks its chunks inline.
     """
     walk = _catch_up_on_lanes if local.size > chunk_rows else _catch_up_inline
     return walk(
@@ -259,17 +258,14 @@ class TableWindow:
     ``ledger`` are the same rows' windows of the table's one
     :class:`HistoryTable` / :class:`VersionVector`, addressed by local id
     ``row - lo`` — ``None`` for an empty range (``ledger`` also wherever
-    the plan keeps none).  All three are zero-copy views.  ``whole``
-    marks the window that is its entire table (the one-shard layout): its
-    flush fans out over the lanes, while one of several shards' windows
-    walks inline on its task or worker.
+    the plan keeps none).  All three are zero-copy views, whatever the
+    range: the one-shard layout's window is ``table[0:rows]``.
     """
 
-    __slots__ = ("target", "row_base", "whole", "history", "ledger", "dim")
+    __slots__ = ("target", "row_base", "history", "ledger", "dim")
 
     def __init__(self, table: np.ndarray, lo: int, hi: int, history, ledger):
-        self.whole = lo == 0 and hi == table.shape[0]
-        self.target = table if self.whole else table[lo:hi]
+        self.target = table[lo:hi]
         self.row_base = int(lo)
         self.history = history.window(lo, hi)
         self.ledger = None if ledger is None else ledger.window(lo, hi)
@@ -282,12 +278,12 @@ class ShardState:
     Everything here is shard-owned, so concurrent shards share nothing:
     the windows and, per table, its own fork of the trainer's
     :class:`ANSEngine` (draw counter + schedule prefix cache).  The
-    per-table fork is what lets a one-shard state (every window
-    ``whole``) run its tables side by side on the lanes in
-    :meth:`step`; one of several shards' states walks its tables inline
-    through the same forks, so the spelling and the counts are the same
-    either way.  The ``timer`` accumulates under its own lock, so lanes
-    and, under a pipelined plan, the prefetch side may write it at
+    per-table fork is what lets :meth:`step` run a state's tables side
+    by side on the lanes; where that fan-out runs inline (the state's
+    step is itself a lane item, or runs in a worker process) the tables
+    walk through the same forks, so the spelling and the counts are the
+    same either way.  The ``timer`` accumulates under its own lock, so
+    lanes and, under a pipelined plan, the prefetch side may write it at
     once.
     """
 
@@ -304,8 +300,6 @@ class ShardState:
         self.ans = [mechanism.fork() for _ in windows]
         self.timer = timer if timer is not None else StageTimer()
         self.flush_chunk_rows = int(flush_chunk_rows)
-        #: The one-shard layout: :meth:`step` fans its tables out.
-        self.whole = all(window.whole for window in windows)
 
     # -- stages 2-4: plan + sample ----------------------------------------
     def plan_sample(
@@ -397,13 +391,12 @@ class ShardState:
         are still cache-hot.  ``grads[t]`` is this shard's ``(rows,
         values)`` slice of table ``t``'s clipped gradient.
 
-        A table's stages touch only its own window and fork, so
-        a ``whole`` state runs one table per item of
-        :func:`repro.kernels.lanes.fan_out`; one of several shards'
-        states (a pool task or a worker process, already running beside
-        the others) walks its tables inline.  Every table runs even when
-        one fails, and the lowest failing table's exception is raised
-        once all have finished, its ledger window left behind."""
+        A table's stages touch only its own window and fork, so each
+        table is one item of :func:`repro.kernels.lanes.fan_out`, which
+        walks them inline where the step is itself a lane item or runs
+        in a worker process.  Every table runs even when one fails, and
+        the lowest failing table's exception is raised once all have
+        finished, its ledger window left behind."""
 
         def table_step(table: int) -> None:
             grad_rows, grad_values = grads[table]
@@ -414,12 +407,7 @@ class ShardState:
             )
             self.apply(table, grad_rows, grad_values, staged, lr, iteration)
 
-        tables = range(len(grads))
-        if self.whole:
-            fan_out(table_step, tables)
-        else:
-            for table in tables:
-                table_step(table)
+        fan_out(table_step, range(len(grads)))
 
     # -- the terminal flush --------------------------------------------------
     def flush(self, table: int, final_iteration: int, lr: float, std: float) -> int:
@@ -431,16 +419,15 @@ class ShardState:
         pending row receives one catch-up draw and one subtraction —
         the same bits however rows are grouped into shards or chunks;
         a chunk of consecutive rows (every chunk of an all-pending
-        window) is written through a slice, not a gather/scatter.  A
-        ``whole`` window spreads its chunks over the lanes; one of
-        several shards' windows walks inline (:func:`catch_up_rows`).
+        window) is written through a slice, not a gather/scatter.  The
+        walk is :func:`catch_up_rows`, on the lanes or inline by its
+        rule.
         """
         window = self.windows[table]
         history = window.history
         if history is None:
             return 0
-        walk = catch_up_rows if window.whole else _catch_up_inline
-        return walk(
+        return catch_up_rows(
             self.ans[table],
             table,
             window.target,

@@ -18,19 +18,25 @@ owns the lifecycle around them:
   the :class:`ApplyWorker <repro.async_.apply.ApplyWorker>`, at most
   ``max_in_flight`` iterations outstanding; a step waits for every
   prior apply before it reads the slabs;
-* **shard tasks** run in place (one shard), through a
-  :class:`ShardExecutor <repro.shard.executor.ShardExecutor>`, or as
-  worker-process messages (:mod:`repro.procshard`).
+* **shard tasks** run in place (one shard), through the one
+  :class:`ShardExecutor <repro.shard.executor.ShardExecutor>` both the
+  apply and the prefetch side call, or as worker-process messages
+  (:mod:`repro.procshard`).
 
 Thread roles while a ``fit`` is running (disjoint state): the *prefetch
-worker* owns HistoryTables and ANS counters, the *apply worker* (or the
-trainer thread, when applies are synchronous) owns parameter slabs and
-the ledger, the *trainer thread* owns activations, dense parameters and
-the staging handoffs.  Dense (MLP) updates stay synchronous on the
-trainer thread — only embedding applies are deferred.  Outside a
-``fit`` nothing is running and every stage falls back to the inline
-path, so manual ``train_step`` driving (benchmark harnesses, serving
-writers) keeps working under any plan.
+worker* (``noise-prefetch``) owns HistoryTables and ANS counters, the
+*apply worker* (``lazydp-apply``, or the trainer thread when applies
+are synchronous) owns parameter slabs and the ledger, the *trainer
+thread* owns activations, dense parameters and the staging handoffs.
+Dense (MLP) updates stay synchronous on the trainer thread — only
+embedding applies are deferred.  Every fan-out any of them makes —
+shard tasks, a shard's tables, the dense half's row parts — goes to the
+one pool of lanes (:mod:`repro.kernels.lanes`), which runs it inline on
+its caller while another caller holds the pool, so no side ever queues
+behind another's fan-out.  Outside a ``fit`` nothing is running and
+every stage falls back to the inline path, so manual ``train_step``
+driving (benchmark harnesses, serving writers) keeps working under any
+plan.
 
 Prefetching and deferring change *when* a stage runs, never *what* it
 computes: every noise value is a pure function of ``(seed, table, row,
@@ -78,7 +84,6 @@ class Scheduler:
         self.trainer = None
         #: How shard tasks run: ``None`` runs the one shard in place.
         self.executor = None
-        self.prefetch_executor = None
         self._buffer: StagingBuffer | None = None
         self._worker: NoisePrefetchWorker | None = None
         self.noise_std: float | None = None
@@ -94,12 +99,6 @@ class Scheduler:
         self.trainer = trainer
         if executors is not None:
             self.executor = executors()
-            if self.prefetches:
-                # The worker gets its own executor (same backend) so its
-                # shard fan-out never queues behind the apply tasks;
-                # neither needs locks because the two task sets touch
-                # disjoint state (histories and ANS counters vs slabs).
-                self.prefetch_executor = executors()
         self._reset_timers()
 
     @property
@@ -178,13 +177,6 @@ class Scheduler:
         self._collected = None
         self.running = False
 
-    def close(self) -> None:
-        """Stop the workers and the executors' pools (idempotent)."""
-        self.shutdown()
-        for executor in (self.executor, self.prefetch_executor):
-            if executor is not None:
-                executor.shutdown()
-
     # -- one step ------------------------------------------------------------
     def begin_step(self, iteration: int) -> None:
         """The wait before a step reads the slabs: every prior apply
@@ -252,13 +244,14 @@ class Scheduler:
 
     def run_shard_tasks(self, tasks: list, timer, prefetch: bool = False) -> list:
         """Run one task per shard: in place for the one-shard case, else
-        through the apply-side (or prefetch-side) executor under a
-        wall-clock span on the calling thread's ``timer``."""
-        executor = self.prefetch_executor if prefetch else self.executor
-        if executor is None:
+        through the executor under a wall-clock span on the calling
+        thread's ``timer`` (``prefetch``: the span's name).  The apply
+        and prefetch sides share the executor: the task sets touch
+        disjoint state (slabs vs histories and ANS counters)."""
+        if self.executor is None:
             return [task() for task in tasks]
         with timer.time("shard_prefetch" if prefetch else "shard_model_update"):
-            return executor.run(tasks)
+            return self.executor.run(tasks)
 
     # -- reporting -----------------------------------------------------------
     def pipeline_stats(self) -> dict:

@@ -21,11 +21,13 @@ flush are written once, over shard-local state
 (:class:`repro.lazydp.optimizer.ShardState`); this class spells the
 stage list around them — dedup the next batch, route when there is more
 than one shard, obtain this iteration's per-shard noise, apply; every
-table in one task per shard, one fan-out per iteration, whose one
-shard of a flat plan runs its tables on the lanes — and a
+table in one task per shard, one fan-out per iteration — and a
 :class:`repro.lazydp.scheduler.Scheduler` decides where each stage runs
-(trainer thread, prefetch worker, apply worker, shard pool, worker
-process).  Every plan shares one table layout
+(trainer thread, prefetch worker, apply worker, worker process).  The
+parallel work inside a stage has one pool, the lanes
+(:mod:`repro.kernels.lanes`): a shard's step spreads its tables over
+them, and under ``backend=threads`` the shard tasks are lane items
+whose tables then walk inline.  Every plan shares one table layout
 (:func:`repro.shard.tables.shard_windows`); flat is its one-range case,
 decided from the shard count: no router, no executor —
 the single shard state runs in place against the whole tables.
@@ -393,5 +395,5 @@ class LazyDPTrainer(DPSGDFTrainer):
         return (scheduler.worker_timer, scheduler.apply_timer, *shard_timers)
 
     def close(self) -> None:
-        """Stop the scheduler's workers and pools (idempotent)."""
-        self.scheduler.close()
+        """Stop the scheduler's workers (idempotent)."""
+        self.scheduler.shutdown()

@@ -460,7 +460,7 @@ class FeatureInteraction:
         if not self._compiled_dots(stacked, out):
             dim = stacked.shape[2]
             out[:, :dim] = stacked[:, 0, :]
-            out[:, dim:] = self._dots_numpy(stacked)
+            self._dots_numpy(stacked, out[:, dim:])
 
     def backward(self, delta: np.ndarray) -> tuple:
         """Return (d_dense_vec, [d_embedding_t for each table])."""
@@ -531,19 +531,24 @@ class FeatureInteraction:
             ) >= 0
         )
 
-    def _dots_numpy(self, stacked: np.ndarray) -> np.ndarray:
-        """The ``(batch, pairs)`` dots in the four-lane order, one pair at
-        a time over feature-major ``(dim, batch)`` planes."""
-        batch, _, dim = stacked.shape
-        by_feature = np.ascontiguousarray(stacked.transpose(1, 2, 0))
-        lanes = np.full((self.num_pairs, 4, batch), -0.0, dtype=stacked.dtype)
+    def _dots_numpy(self, stacked: np.ndarray, out: np.ndarray) -> None:
+        """The ``(batch, pairs)`` dots in the four-lane order into ``out``,
+        one pair at a time over feature-major ``(dim, batch)`` planes.
+        Every temporary is one plane or smaller: no block the size of
+        the part's stack, which a busy heap may have no hole for."""
+        batch, features, dim = stacked.shape
+        planes = [np.ascontiguousarray(stacked[:, f, :].T) for f in range(features)]
         products = np.empty((dim, batch), dtype=stacked.dtype)
+        lanes = np.empty((4, batch), dtype=stacked.dtype)
         for p, (i, j) in enumerate(zip(self._rows_idx, self._cols_idx)):
-            np.multiply(by_feature[i], by_feature[j], out=products)
+            np.multiply(planes[i], planes[j], out=products)
+            lanes.fill(-0.0)
             for d in range(0, dim, 4):  # lane r takes d = 4c + r, c ascending
                 block = products[d : d + 4]
-                lanes[p, : block.shape[0]] += block
-        return ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])).T
+                lanes[: block.shape[0]] += block
+            np.add(lanes[0], lanes[1], out=lanes[0])
+            np.add(lanes[2], lanes[3], out=lanes[2])
+            np.add(lanes[0], lanes[2], out=out[:, p])
 
     def _grad_numpy(self, stacked: np.ndarray, d_pairs: np.ndarray,
                     out: np.ndarray) -> None:

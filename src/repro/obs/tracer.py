@@ -19,8 +19,8 @@ Design constraints, in order:
 * **Thread awareness without registration.**  A thread's track is
   created lazily on its first event and named after the live
   ``threading.Thread`` — so the main loop, the ``noise-prefetch``
-  worker, the ``lazydp-apply`` worker and every ``shard_N`` executor
-  thread each get their own named track for free.
+  worker, the ``lazydp-apply`` worker and every ``repro-lane-N`` lane
+  each get their own named track for free.
 * **Bounded memory.**  Each track keeps at most ``max_events_per_
   thread`` events; past the cap new events are counted in
   ``events_dropped`` instead of stored, so a runaway loop degrades the
@@ -100,7 +100,7 @@ class _Track:
 
 #: Exported names for threads whose Python names are implementation
 #: details.  Worker threads (``noise-prefetch``, ``lazydp-apply``,
-#: ``shard_N``) already carry meaningful names.
+#: ``repro-lane-N``) already carry meaningful names.
 _THREAD_NAME_ALIASES = {"MainThread": "main-loop"}
 
 

@@ -1,7 +1,7 @@
 """Process-backed shard execution: one worker process per shard.
 
-The thread-pool executor (``repro.shard.executor``) fans the per-shard
-model update across threads, but every slab write still serializes on
+The lane executor (``repro.shard.executor``) fans the per-shard model
+update across the lanes' threads, but every slab write still serializes on
 the GIL — the memory-bandwidth-bound update the paper scales never sees
 truly parallel writes.  This package is the plan's ``backend="process"``
 (one of the three backends in :mod:`repro.session.plan`): each

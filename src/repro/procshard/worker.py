@@ -31,6 +31,7 @@ import gc
 import os
 import traceback
 
+from ..kernels import lanes
 from ..kernels.arena import minor_faults
 from ..lazydp.history import HistoryTable
 from ..lazydp.ledger import VersionVector
@@ -214,7 +215,11 @@ def worker_main(conn, init: WorkerInit) -> None:
         return
 
     conn.send((REPLY_READY, shard, os.getpid()))
-    _serve(conn, shard, state, recorder)
+    # The workers are the backend's parallelism: each walks its tables
+    # and chunks inline rather than start lanes that would compete with
+    # the other workers' and the router's for the same CPUs.
+    with lanes.inline():
+        _serve(conn, shard, state, recorder)
 
     # Drop every ndarray view, then the segment mappings.
     del state

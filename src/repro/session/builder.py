@@ -10,9 +10,9 @@ class is picked or assembled per combination:
 * the ``pipeline`` / ``async`` axes become a
   :class:`repro.lazydp.scheduler.Scheduler`, which places the noise and
   apply stages (trainer thread / prefetch worker / apply worker);
-* the ``backend`` key picks *how shard tasks run* — serially, on a
-  thread pool, or as messages to worker processes — and with it the
-  trainer's constructor (:func:`_trainer_constructor`).
+* the ``backend`` key picks *how shard tasks run* — serially, as items
+  of the lanes' one pool, or as messages to worker processes — and
+  with it the trainer's constructor (:func:`_trainer_constructor`).
 
 :class:`TrainSession` is the facade over the built trainer: ``fit``,
 privacy accounting, private release, and :meth:`serve` — which hands
@@ -96,7 +96,7 @@ class TrainSession:
             prefetch_depth=plan.pipeline or None,
             max_in_flight=plan.inflight if plan.is_async else None,
         )
-        trainer = _trainer_constructor(plan, num_shards)(
+        trainer = _trainer_constructor(plan)(
             model,
             dp,
             noise_seed=noise_seed,
@@ -264,20 +264,17 @@ class TrainSession:
         return False
 
 
-def _trainer_constructor(plan: ExecutionPlan, num_shards: int):
+def _trainer_constructor(plan: ExecutionPlan):
     """The trainer class for the plan's backend, called as
     ``constructor(model, dp, noise_seed=, use_ans=, num_shards=,
     scheduler=, schedule=)``."""
-    name, workers = plan.split_backend()
+    name, _ = plan.split_backend()
     if name == "process":
         from ..procshard.trainer import ProcessShardedLazyDPTrainer
 
         return ProcessShardedLazyDPTrainer
     if name == "threads":
-        # One worker per shard unless capped: tasks are shard-grained,
-        # so more workers than shards cannot help.
-        pool = partial(ThreadPoolShardExecutor, workers or num_shards)
-        return partial(LazyDPTrainer, executors=pool)
+        return partial(LazyDPTrainer, executors=ThreadPoolShardExecutor)
     return LazyDPTrainer  # numpy: shard tasks serially, in shard order
 
 

@@ -37,8 +37,11 @@ order:
 ``backend``
     *How shard tasks run*, as ``"name[:K]"`` — one of :data:`BACKENDS`:
     ``"numpy"`` (default, in-process serial schedule), ``"threads[:K]"``
-    (shard thread pool of ``K`` workers), ``"process"`` (one worker
-    process per shard, slabs in shared memory; ``repro.procshard``).
+    (every shard task one item of the lanes' pool,
+    ``repro.kernels.lanes``; ``K`` still parses and round-trips but
+    sizes nothing, the pool being one lane per CPU), ``"process"`` (one
+    worker process per shard, slabs in shared memory;
+    ``repro.procshard``).
 
 The sub-key ``inflight`` keeps its default while the async axis is off,
 so every plan has exactly one spelling.  Plans serialize two ways:
@@ -58,7 +61,7 @@ from dataclasses import dataclass, fields
 #: The rules they obey live in ``ExecutionPlan.__post_init__``.
 BACKENDS = {
     "numpy": "in-process numpy kernels, serial per-shard schedule",
-    "threads": "in-process numpy kernels on a persistent shard thread pool",
+    "threads": "in-process numpy kernels, shard tasks spread over the lanes",
     "process": "one worker process per shard, slab and history in shared memory",
 }
 

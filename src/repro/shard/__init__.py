@@ -17,8 +17,9 @@ or many:
   layout every plan shares: one slab, one HistoryTable and one
   VersionVector per table, each shard's
   :class:`repro.lazydp.optimizer.TableWindow` a slice view of them.
-* :mod:`executor <repro.shard.executor>` — serial and thread-pool shard
-  executors.
+* :mod:`executor <repro.shard.executor>` — shard tasks in shard order
+  on the caller, or as items of the lanes' one pool
+  (:func:`repro.kernels.lanes.fan_out`).
 """
 
 from .executor import SerialExecutor, ShardExecutor, ThreadPoolShardExecutor

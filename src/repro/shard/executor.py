@@ -6,11 +6,14 @@ noise key spaces — so tasks can run in any order or concurrently without
 synchronisation.  The executor is *how shard tasks run*, resolved from
 the plan's ``backend`` key (:mod:`repro.session.plan`):
 
-* ``SerialExecutor`` — runs tasks in shard order on the calling thread.
-  Zero overhead; the reference schedule for equivalence testing.
-* ``ThreadPoolShardExecutor`` — fans tasks out over a persistent
-  ``concurrent.futures`` pool.  Numpy releases the GIL inside its
-  kernels, so Gaussian sampling and the sparse writes genuinely overlap.
+* ``SerialExecutor`` — runs tasks in shard order on the calling thread;
+  each shard's step then spreads its tables over the lanes.  The
+  reference schedule for equivalence testing.
+* ``ThreadPoolShardExecutor`` — one :func:`repro.kernels.lanes.fan_out`
+  item per shard task: the lanes are the only pool, and a shard task
+  on a lane walks its tables inline.  Where ``fan_out`` runs inline (a
+  one-CPU host, a call made on a lane, a pool busy with another
+  caller's fan-out) the tasks run in shard order on the caller.
 
 (The one-shard case uses neither: its single task runs in place.  The
 process backend supplies its own message-sending executor.)
@@ -18,20 +21,15 @@ process backend supplies its own message-sending executor.)
 Determinism note: results are *bitwise independent of the schedule*
 because shards never share state — that is a property of the task
 decomposition, not of the executor, and the equivalence tests pin it for
-both backends.
-
-Executors are also safe to drive from threads other than the trainer's:
-a prefetching scheduler (:mod:`repro.lazydp.scheduler`) gives its
-noise-prefetch worker a *separate* executor instance of the same
-backend, so prefetch fan-out (plan + sample per shard) never queues
-behind the apply tasks, and neither instance needs locks because the
-task sets touch disjoint state (histories and ANS counters vs parameter
-slabs).
+both backends.  No executor holds a resource, so none needs closing,
+and one instance serves every thread that drives it: a pipelined plan's
+prefetch fan-out that meets the pool busy with applies runs inline on
+the prefetch thread instead of queueing behind them.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+from ..kernels.lanes import fan_out
 
 
 class ShardExecutor:
@@ -41,16 +39,6 @@ class ShardExecutor:
 
     def run(self, tasks: list) -> list:
         raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Release worker resources (no-op for serial)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
-        return False
 
 
 class SerialExecutor(ShardExecutor):
@@ -62,31 +50,19 @@ class SerialExecutor(ShardExecutor):
         return [task() for task in tasks]
 
 
-class ThreadPoolShardExecutor(ShardExecutor):
-    """Shard tasks on a persistent thread pool.
+def _call(task):
+    return task()
 
-    The pool is created once and reused across iterations — per-iteration
-    pool churn would dwarf the per-shard work at test scale.  Every task
-    runs to the end even when one fails; the lowest-index failure is
-    raised after all have finished (``lanes.fan_out``'s contract), so
-    no shard is still writing its slab when the caller sees the error.
+
+class ThreadPoolShardExecutor(ShardExecutor):
+    """Shard tasks as lane items (:func:`repro.kernels.lanes.fan_out`).
+
+    Every task runs to the end even when one fails; the lowest-index
+    failure is raised after all have finished, so no shard is still
+    writing its slab when the caller sees the error.
     """
 
     name = "threads"
 
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = int(max_workers)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="shard",
-        )
-
     def run(self, tasks: list) -> list:
-        futures = [self._pool.submit(task) for task in tasks]
-        concurrent.futures.wait(futures)
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+        return fan_out(_call, tasks)

@@ -312,27 +312,44 @@ class TestLanedFitEqualsInlineFit:
         )
         assert_same_fit(laned, alone, lazy="=" in algorithm)
 
-    @pytest.mark.parametrize("spec, on_lanes", [
+    @pytest.mark.parametrize("spec, tables_on_lanes", [
         ("ans=on", True),
         ("ans=on,async=strict,inflight=2", True),
         ("ans=on,shards=2,backend=threads:2", False),
-        ("ans=on,shards=2", False),
+        ("ans=on,shards=2", True),
     ])
-    def test_who_fans_out_the_noisy_update(self, config, spec, on_lanes, monkeypatch):
-        """The one-shard state runs its tables on the lanes; one of
-        several shards' states walks its tables on its own task."""
+    def test_who_fans_out_the_noisy_update(
+        self, config, spec, tables_on_lanes, monkeypatch
+    ):
+        """Every plan's noisy update runs on the lanes.  A shard state
+        spreads its tables over them (``numpy`` runs its shards one
+        after another on the caller, each fanning out); under
+        ``backend=threads`` the shard tasks are the lane items, and a
+        shard's tables walk inline on its lane."""
         original = optimizer.fused_noisy_update
-        threads = []
+        calls = []
 
         def recorded(*args, **kwargs):
-            threads.append(threading.current_thread().name)
+            calls.append((kwargs["row_base"], threading.current_thread().name))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "fused_noisy_update", recorded)
         with session_for(config, spec, None) as session:
-            step(session, config)
-        laned = any(name.startswith(lanes.NAME) for name in threads)
-        assert threads and laned == (on_lanes and MULTI_LANE)
+            session.trainer.expected_batch_size = 16
+            for index, batch, upcoming in entries(config):
+                calls.append(None)  # a step's calls follow its marker
+                session.train_step(index + 1, batch, upcoming)
+        threads = [call[1] for call in calls if call is not None]
+        laned = [name.startswith(lanes.NAME) for name in threads]
+        assert threads and all(laned) == any(laned) == MULTI_LANE
+        if not tables_on_lanes:
+            steps, shard_lanes = -1, {}
+            for call in calls:
+                steps += call is None
+                if call is not None:
+                    shard_lanes.setdefault((steps, call[0]), set()).add(call[1])
+            assert len(shard_lanes) == 2 * ITERATIONS
+            assert all(len(names) == 1 for names in shard_lanes.values())
 
 
 class TestStageTimerAcrossThreads:
@@ -436,6 +453,33 @@ class TestFanOut:
         for inner in threads:
             assert len(set(inner)) == 1  # all four on the one thread
 
+    def test_a_fan_out_meeting_a_busy_pool_runs_inline(self):
+        """While another caller's fan-out holds every lane, a second
+        caller's (a pipelined plan's prefetch beside its applies) runs
+        on that caller at once: it queues behind nothing."""
+        held, release = threading.Event(), threading.Event()
+
+        def hold(_):
+            held.set()
+            release.wait(timeout=60)
+
+        holder = threading.Thread(
+            target=lanes.fan_out, args=(hold, range(2 * len(lanes.CPUS))),
+            daemon=True,
+        )
+        holder.start()
+        try:
+            assert held.wait(timeout=60)
+            names = lanes.fan_out(
+                lambda _: threading.current_thread().name, range(4)
+            )
+            # Returned with the holder's items still blocked.
+            assert holder.is_alive() and not release.is_set()
+        finally:
+            release.set()
+            holder.join(timeout=60)
+        assert names == [threading.current_thread().name] * 4
+
     def test_concurrent_callers_each_item_runs_once(self):
         """More callers than CPUs, a tiny switch interval: every item of
         every caller runs exactly once and lands in its own slot."""
@@ -476,6 +520,43 @@ class TestFanOut:
             if results.get(key) != list(range(key * items, (key + 1) * items))
         ]
         assert not misplaced, f"callers with misplaced results: {misplaced}"
+
+
+class TestThreadCensus:
+    def test_a_composed_fit_runs_no_thread_beyond_the_lanes(self):
+        """The lanes are the only pool: a sharded, pipelined, async fit
+        on ``backend=threads`` adds its prefetch and apply workers and
+        nothing else, and ``close()`` leaves only the lanes."""
+        config = configs.tiny_dlrm()
+        before = set(threading.enumerate())
+        during = []
+        session = session_for(
+            config, "shards=2,pipeline=2,async=strict,inflight=2,backend=threads:2",
+            None,
+        )
+        step_once = session.trainer._step
+
+        def census(*args):
+            loss = step_once(*args)
+            during.append({t.name for t in set(threading.enumerate()) - before})
+            return loss
+
+        session.trainer._step = census
+        try:
+            session.fit(DataLoader(
+                SyntheticClickDataset(config, seed=3, num_examples=1 << 10),
+                batch_size=16, num_batches=ITERATIONS, seed=5,
+            ))
+        finally:
+            session.close()
+        workers = {"noise-prefetch", "lazydp-apply"}
+        # The prefetch worker ends once it has staged the last batch.
+        assert len(during) == ITERATIONS and during[0] == workers, during
+        assert all(names <= workers for names in during), during
+        assert set(threading.enumerate()) - before == set()
+        assert {t.name for t in before if t.name.startswith(lanes.NAME)} == {
+            f"{lanes.NAME}{lane}" for lane in range(len(lanes.CPUS) if MULTI_LANE else 0)
+        }
 
 
 class TestLanesAreProcessState:
@@ -553,22 +634,27 @@ class TestLanesAreProcessState:
 
 
 class TestNoNesting:
-    """One of several shards walks inline; the one shard fans out."""
+    """A flush fans out once per walk, or once for all shard tasks
+    under ``backend=threads``, whose walks then run inline on their
+    lanes: no fan-out nests in another."""
 
-    @pytest.mark.parametrize("spec, fans_out", [
+    @pytest.mark.parametrize("spec, walks_fan_out", [
         ("ans=on", True),
         ("ans=on,shards=2,backend=threads:2", False),
-        ("ans=on,shards=2", False),
+        ("ans=on,shards=2", True),
     ])
-    def test_who_fans_out_the_flush(self, config, spec, fans_out):
+    def test_who_fans_out_the_flush(self, config, spec, walks_fan_out):
         with session_for(config, spec, None) as session:
-            for state in session.trainer.engine.states:
+            states = session.trainer.engine.states
+            for state in states:
                 state.flush_chunk_rows = CHUNK
             step(session, config)
             before = lanes.stats()["fan_outs"]
             session.finalize(ITERATIONS)
-            laned = lanes.stats()["fan_outs"] > before
-        assert laned == (fans_out and MULTI_LANE)
+            laned = lanes.stats()["fan_outs"] - before
+        # One walk per (shard, table), else one fan-out of the shard tasks.
+        fan_outs = len(states) * config.num_tables if walks_fan_out else 1
+        assert laned == (fan_outs if MULTI_LANE else 0)
 
 
 class TestFailureOnALane:
@@ -582,7 +668,7 @@ class TestFailureOnALane:
             finished, failed = [], []
 
             def flaky(source, rows, *args, **kwargs):
-                if source is target and 350 in rows:
+                if np.shares_memory(source, target) and 350 in rows:
                     failed.append(rows.copy())
                     raise RuntimeError("injected chunk failure")
                 result = original(source, rows, *args, **kwargs)
@@ -638,7 +724,7 @@ class TestFailingTableOnALane:
         failed, finished, iteration = [], [], [0]
 
         def flaky(table, lr, grad_rows, grad_values, noise_rows, *args, **kwargs):
-            if table is target and iteration[0] == self.AT:
+            if np.shares_memory(table, target) and iteration[0] == self.AT:
                 failed.append(noise_rows.copy())
                 if fail:
                     raise RuntimeError("injected table failure")
@@ -647,7 +733,7 @@ class TestFailingTableOnALane:
                 table, lr, grad_rows, grad_values, noise_rows, *args, **kwargs
             )
             if iteration[0] == self.AT:
-                finished.append((table is target, time.perf_counter()))
+                finished.append(time.perf_counter())
             return result
 
         monkeypatch.setattr(optimizer, "fused_noisy_update", flaky)
@@ -668,7 +754,7 @@ class TestFailingTableOnALane:
             if fail:
                 with pytest.raises(LedgerError, match=f"{failed[0].size} row"):
                     trainer.audit_noise_ledger(self.AT)
-                assert max(at for _, at in finished) < caught_at
+                assert max(finished) < caught_at
             else:
                 trainer.audit_noise_ledger(self.AT)
             slabs = bits({

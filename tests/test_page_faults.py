@@ -158,20 +158,22 @@ class TestSteadyStep:
         assert mean <= STEADY_BOUND, per_step
 
     def test_composed_plan(self):
-        """The prefetch side draws each shard's catch-up noise on the
-        shard threads and the apply side frees it: with a malloc arena
-        per thread, each shard thread's heap grew to the most draws ever
+        """The prefetch side draws each shard's catch-up noise — on the
+        lanes, or inline on the prefetch worker while the applies hold
+        them — and the apply side frees it on the lanes: with a malloc
+        arena per thread, each thread's heap grew to the most draws ever
         staged at once on it and mapped 20-50 pages a step.  One arena
-        for the process lets either side reuse the other's blocks.
+        for the process lets every side reuse the others' blocks.
 
         Bounded at twice the flat plans' 16: the pipeline keeps the
         next step's staged noise alive beside this step's gradients,
-        and the shard threads, the lanes and the apply worker free each
-        other's blocks in an order that varies from run to run, so the
-        one heap reaches its largest live set later than a flat plan's
-        — the compiled kernels read 6-10 pages a step here; the numpy
-        kernels, whose apply allocates its merged and scaled rows on
-        the apply worker, spread more widely from run to run."""
+        and the lanes, the prefetch worker and the apply worker free
+        each other's blocks in an order that varies from run to run, so
+        the one heap reaches its largest live set later than a flat
+        plan's.  Fresh processes read 1-24 pages a step here on the
+        compiled kernels (median ~9) and 2-29 on the numpy kernels
+        (median ~16), whose interaction and apply allocate their
+        temporaries on whichever thread runs the part or table."""
         mean, per_step, _ = steady_faults(
             "shards=2,pipeline=2,async=strict,inflight=2,backend=threads:2"
         )

@@ -208,18 +208,6 @@ class TestTrainerBehaviour:
             assert stages["lazydp_history_read"] >= 0.0
             assert stages["lazydp_history_update"] >= 0.0
 
-    def test_prefetch_executor_mirrors_backend(self, config):
-        """The prefetch fan-out gets its own executor of the plan's
-        backend — never a downgrade to serial, never the apply pool."""
-        _, trainer = build_pipelined(
-            config, "shards=3,pipeline=2,backend=threads:3"
-        )
-        scheduler = trainer.scheduler
-        assert scheduler.prefetch_executor.name == "threads"
-        assert scheduler.prefetch_executor.max_workers == 3
-        assert scheduler.prefetch_executor is not scheduler.executor
-        trainer.close()
-
     def test_worker_error_propagates(self, config):
         _, trainer = build_pipelined(config)
 

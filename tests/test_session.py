@@ -235,12 +235,6 @@ class TestBuild:
             assert scheduler.executor is None
         session.close()
 
-    def test_backend_worker_count_caps_the_pool(self, config):
-        plan = ExecutionPlan.from_spec("shards=4,backend=threads:2")
-        session = TrainSession.build(DLRM(config, seed=7), DPConfig(), plan)
-        assert session.trainer.scheduler.executor.max_workers == 2
-        session.close()
-
     def test_process_backend_builds_its_subclass(self, config):
         from repro.procshard import ProcessShardedLazyDPTrainer
 

@@ -1,12 +1,13 @@
-"""The thread-pool shard executor: every shard task finishes before a
-failure surfaces.
+"""The lane shard executor: every shard task finishes before a failure
+surfaces.
 
 A shard task writes its slab and ledger window; an audit that runs on
-the error path must not race a shard still writing.  So the pool waits
+the error path must not race a shard still writing.  So the executor,
+whose shard tasks are items of ``repro.kernels.lanes.fan_out``, waits
 for every task and then raises the lowest-index failure — the contract
-``repro.kernels.lanes.fan_out`` keeps for the release walk.  (The
-serial executor runs one task at a time: nothing is left running when
-a task raises.)
+``fan_out`` keeps for the release walk.  On a one-CPU host the tasks run
+inline, in shard order, under the same contract.  (The serial executor
+runs one task at a time: nothing is left running when a task raises.)
 """
 
 import time
@@ -39,14 +40,12 @@ def shard_tasks(finished: list, failing: set, slow: float = 0.3) -> list:
 
 @pytest.fixture
 def pool():
-    with ThreadPoolShardExecutor(3) as executor:
-        yield executor
+    return ThreadPoolShardExecutor()
 
 
-@pytest.mark.parametrize("make", [SerialExecutor, lambda: ThreadPoolShardExecutor(3)])
+@pytest.mark.parametrize("make", [SerialExecutor, ThreadPoolShardExecutor])
 def test_results_come_back_in_shard_order(make):
-    with make() as executor:
-        assert executor.run(shard_tasks([], set(), slow=0.0)) == [0, 1, 2]
+    assert make().run(shard_tasks([], set(), slow=0.0)) == [0, 1, 2]
 
 
 def test_a_failure_waits_for_every_other_shard(pool):

@@ -164,8 +164,9 @@ class TestOneLayout:
         for bag, window, history, ledger in zip(
             model.embeddings, windows, histories, ledgers
         ):
-            assert window.whole and window.row_base == 0
-            assert window.target is bag.table.data
+            assert window.row_base == 0
+            assert window.target.shape == bag.table.data.shape
+            assert np.shares_memory(window.target, bag.table.data)
             window.history.mark_updated(np.array([3]), 2)
             assert history.last_updated(np.array([3]))[0] == 2
             window.ledger.advance(np.array([3]), np.array([2]), 2)
@@ -180,7 +181,7 @@ class TestOneLayout:
         assert len(ledgers) == config.num_tables
         for s, shard in enumerate(windows):
             lo, hi = bounds[s], bounds[s + 1]
-            assert not shard[0].whole
+            assert shard[0].target.shape[0] == hi - lo < 64
             if hi > lo:
                 shard[0].ledger.advance(np.array([0]), np.array([1]), 1)
                 assert ledgers[0].applied_through(np.array([lo]))[0] == 1
